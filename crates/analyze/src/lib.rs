@@ -527,7 +527,7 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Shared CLI driver for `presp-analyze` and the `presp-lint` wrapper.
+/// CLI driver for `presp-analyze`; `tool` names it in messages.
 /// Returns the process exit code (0 clean, 1 findings, 2 usage/IO error).
 pub fn run_cli(tool: &str, args: &[String]) -> i32 {
     let mut opts = Options::default();

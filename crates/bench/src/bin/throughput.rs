@@ -33,7 +33,7 @@ use presp_fpga::frame::FrameAddress;
 use presp_runtime::error::Error;
 use presp_runtime::manager::OverloadPolicy;
 use presp_runtime::registry::BitstreamRegistry;
-use presp_runtime::threaded::ThreadedManager;
+use presp_runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp_runtime::RecoveryPolicy;
 use presp_soc::config::{SocConfig, TileCoord};
 use presp_soc::sim::Soc;
@@ -72,8 +72,14 @@ fn boot(workers: usize) -> (ThreadedManager, Vec<TileCoord>) {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 130 + i as u32))
             .unwrap();
     }
-    let manager =
-        ThreadedManager::spawn_with_workers(soc, registry, RecoveryPolicy::default(), workers);
+    let manager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        RuntimeConfig {
+            workers: Some(workers),
+            ..RuntimeConfig::default()
+        },
+    );
     (manager, tiles)
 }
 
@@ -229,8 +235,15 @@ fn run_overload(workers: usize, smoke: bool) -> OverloadRun {
         overload: OverloadPolicy::RejectNew,
         ..RecoveryPolicy::default()
     };
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, policy, workers);
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        RuntimeConfig {
+            policy,
+            workers: Some(workers),
+            ..RuntimeConfig::default()
+        },
+    );
 
     let start = Instant::now();
     let handles: Vec<_> = (0..CLIENTS)

@@ -1,6 +1,6 @@
 //! Experiment regenerators for every table and figure in the PR-ESP paper,
-//! shared by the `table*`/`fig*` binaries, the Criterion benches and the
-//! integration tests.
+//! shared by the `table*`/`fig*` binaries, the repository benchmark
+//! (`perfbench/`) and the integration tests.
 
 pub mod experiments;
 pub mod export;

@@ -8,7 +8,7 @@
 //! that would make the already-collected records unusable — so readers
 //! recover the guard instead of propagating the panic (the same facade
 //! pattern the threaded runtime uses for its stats mutex). Code outside
-//! this file must not call `.lock()` on a sink directly; `presp-lint`
+//! this file must not call `.lock()` on a sink directly; `presp-analyze`
 //! enforces the doorway.
 
 use crate::trace::{TraceRecord, TraceSink};

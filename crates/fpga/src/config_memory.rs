@@ -6,7 +6,7 @@
 //! with the payload. The only path that bypasses the shadow on purpose is
 //! [`ConfigMemory::corrupt_bit`] — the SEU backdoor, which models an
 //! in-fabric upset precisely because it does *not* touch the check codes.
-//! `presp-lint` forbids direct `frames` map manipulation anywhere else in
+//! `presp-analyze` forbids direct `frames` map manipulation anywhere else in
 //! the crate.
 
 use crate::ecc::{scrub_frame_words, FrameEcc, FrameRepair};

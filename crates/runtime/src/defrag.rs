@@ -6,7 +6,7 @@
 //! relocation — reload an idle module a few frames over and coalesce the
 //! holes. This module is that daemon for the simulated stack: a
 //! maintenance worker attached to the sharded
-//! [`crate::scheduler::Scheduler`], sibling of the
+//! [`crate::threaded::ThreadedManager`], sibling of the
 //! [`crate::scrubber::ScrubberDaemon`].
 //!
 //! A repack pass is transactional per move and quiescent as a whole:
@@ -154,7 +154,7 @@ impl<S: SyncFacade> Defragmenter<S> {
     }
 
     fn boot(manager: &ThreadedManager<S>, mutants: DefragMutantConfig) -> Defragmenter<S> {
-        let shared = Arc::clone(&manager.sched.shared);
+        let shared = Arc::clone(&manager.shared);
         let defrag_stats = Arc::new(S::mutex_labeled("defrag", DefragStats::default()));
         let (tx, rx) = S::channel::<DefragRequest<S>>();
         let worker_shared = Arc::clone(&shared);
@@ -513,10 +513,10 @@ mod tests {
         registry
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2, 1))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_policy(
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(
             soc,
             registry,
-            crate::manager::RecoveryPolicy::default(),
+            crate::threaded::RuntimeConfig::default(),
         );
         let defrag = Defragmenter::attach_with_mutants(&mgr, mutants);
         (mgr, defrag, tile)

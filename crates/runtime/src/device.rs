@@ -158,6 +158,20 @@ impl DeviceCore {
         &mut self.soc
     }
 
+    /// Attaches a trace sink to the underlying SoC. The threaded
+    /// runtime's tracer and fault-plan setters go through these two
+    /// same-named doors rather than `soc_mut()`, so `presp-analyze`'s
+    /// by-name call propagation cannot mistake the SoC call made under
+    /// the `core` lock for the setter itself.
+    pub(crate) fn attach_tracer(&mut self, sink: SharedSink) {
+        self.soc.attach_tracer(sink);
+    }
+
+    /// Installs (or disarms, with `None`) the underlying SoC's fault plan.
+    pub(crate) fn set_fault_plan(&mut self, plan: Option<presp_fpga::fault::FaultPlan>) {
+        self.soc.set_fault_plan(plan);
+    }
+
     /// Consumes the core, returning the SoC.
     pub(crate) fn into_soc(self) -> Soc {
         self.soc

@@ -15,14 +15,16 @@
 //!   genuinely shared resources (ICAP/DFXC timelines, configuration
 //!   memory, NoC, the registry and its verified-bitstream [`cache`])
 //!   live in one [`device::DeviceCore`].
-//! * [`scheduler`] — the multi-worker scheduler: per-tile request
+//! * [`threaded`] — the runtime handle, [`threaded::ThreadedManager`]:
+//!   booted from one [`threaded::RuntimeConfig`], it offers blocking and
+//!   asynchronous submission APIs for real OS threads plus every stats,
+//!   trace and fault-plan accessor. Generic over [`sync::SyncFacade`],
+//!   so the same protocol runs in production (`std::sync`) and under
+//!   the `presp-check` model checker.
+//! * [`scheduler`] — the protocol behind that handle: per-tile request
 //!   queues drained by a worker pool, with request coalescing, a
 //!   commit-order ticket gate that keeps results identical for any
 //!   worker count, and lock-free evaluation of behavioral results.
-//! * [`threaded`] — the workqueue front-end over the scheduler: blocking
-//!   and asynchronous submission APIs for real OS threads. Generic over
-//!   [`sync::SyncFacade`], so the same protocol runs in production
-//!   (`std::sync`) and under the `presp-check` model checker.
 //! * [`scrubber`] — the configuration-memory scrubber daemon: a
 //!   maintenance worker sharing the scheduler's tile shards and device
 //!   core that walks configuration frames, repairs SEUs with the
@@ -41,7 +43,7 @@
 //!   redispatching claimed-but-uncommitted jobs under their original
 //!   tickets and respawns dead workers within a bounded restart budget.
 //! * [`sync`] — the sync facade: the runtime's only doorway to
-//!   synchronization primitives, enforced by the `presp-lint` tool.
+//!   synchronization primitives, enforced by `presp-analyze`.
 //! * [`app`] — the WAMI application scheduler: maps the Fig. 3 dataflow
 //!   onto a reconfigurable SoC given a tile allocation (Table VI), with
 //!   prefetch reconfiguration and CPU fallback for unallocated kernels.

@@ -19,7 +19,7 @@
 //! sharded runtime: per-tile bookkeeping lives in [`crate::tile`] shards,
 //! the genuinely shared device resources in a [`crate::device::DeviceCore`],
 //! and the protocol itself in `protocol` functions shared verbatim with
-//! the OS-threaded [`crate::scheduler::Scheduler`]. The facade calls them
+//! the OS-threaded [`crate::threaded::ThreadedManager`]. The facade calls them
 //! single-threaded, in submission order, with the verified-bitstream
 //! cache disabled — which is what makes its trace log a pure function of
 //! the seeds.

@@ -5,7 +5,7 @@
 //! retry/backoff/quarantine recovery and ECC scrubbing) shared by both
 //! runtimes: the deterministic [`crate::manager::ReconfigManager`] calls
 //! them with its directly-owned shards, and the OS-threaded
-//! [`crate::scheduler::Scheduler`] calls them while holding the per-tile
+//! [`crate::threaded::ThreadedManager`] calls them while holding the per-tile
 //! shard lock and the device-core lock. Every trace event, counter
 //! update and virtual-time decision lives here, so both paths are
 //! byte-identical by construction.

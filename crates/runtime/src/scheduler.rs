@@ -1,10 +1,13 @@
-//! The multi-worker DPR scheduler.
+//! The multi-worker DPR protocol behind
+//! [`ThreadedManager`](crate::threaded::ThreadedManager).
 //!
 //! The old workqueue demonstrator funnelled every request through one
 //! worker thread holding one `ReconfigManager` lock, so two requests to
 //! *independent* tiles still serialized end to end. This module is the
 //! sharded replacement built on the [`crate::tile`] / [`crate::device`]
-//! split:
+//! split. It holds the shared state, the worker and supervisor loops and
+//! the [`Pending`] completion handle; the public methods live on the
+//! runtime handle. The design:
 //!
 //! * **Per-tile queues, N workers.** Each tile's FIFO lives in its own
 //!   shard behind a `tile_queue` mutex; a small `sched_admission` lock
@@ -27,8 +30,9 @@
 //!   holds because workers always claim the lowest claimable head ticket:
 //!   the minimum unretired ticket is always claimed or claimable, so the
 //!   gate can never wedge.
-//! * **Sharded tracing.** With [`Scheduler::attach_sharded_tracer`] each
-//!   worker re-attaches its own trace shard before committing (the
+//! * **Sharded tracing.** With
+//!   [`ThreadedManager::attach_sharded_tracer`](crate::threaded::ThreadedManager::attach_sharded_tracer)
+//!   each worker re-attaches its own trace shard before committing (the
 //!   tracer's seq counter survives re-attachment), so concurrent commits
 //!   never contend on one sink mutex; draining merges shards back into
 //!   seq order, byte-identical to the single-sink log.
@@ -53,12 +57,13 @@
 //!   stamps every reconfigure/execute with a virtual-time deadline at
 //!   submission; a job reaching its commit slot late is cancelled
 //!   ([`Error::DeadlineExceeded`]) or degraded to the CPU, accounted in
-//!   [`ManagerStats::deadline_misses`]. `policy.queue_capacity` bounds
-//!   each tile queue: overflow either refuses the newcomer or sheds the
-//!   oldest queued request ([`crate::manager::OverloadPolicy`]), and
-//!   `policy.breaker` refuses quarantined tiles at the door. Sheds are
-//!   explicit ([`Error::Overloaded`], [`ManagerStats::shed`],
-//!   `sched.shed` trace records) instead of latency collapse.
+//!   [`crate::manager::ManagerStats::deadline_misses`].
+//!   `policy.queue_capacity` bounds each tile queue: overflow either
+//!   refuses the newcomer or sheds the oldest queued request
+//!   ([`crate::manager::OverloadPolicy`]), and `policy.breaker` refuses
+//!   quarantined tiles at the door. Sheds are explicit
+//!   ([`Error::Overloaded`], `ManagerStats::shed`, `sched.shed` trace
+//!   records) instead of latency collapse.
 //!
 //! Lock order (enforced by the `presp-check` lock-order graph under
 //! exploration): `sched_admission` → `tile_queue` on the admission side
@@ -69,18 +74,18 @@
 //! acquisitions only. The committed [`MutantConfig`] variants invert
 //! edges of this graph so the model-check suite can prove it notices.
 
-use crate::cache::{BitstreamCache, CacheStats};
+use crate::cache::BitstreamCache;
 use crate::device::{loc, DeviceCore};
 use crate::error::Error;
-use crate::manager::{ExecPath, ManagerStats, OverloadPolicy, RecoveryPolicy};
+use crate::manager::{ExecPath, OverloadPolicy, RecoveryPolicy};
 use crate::protocol::{self, Precomputed, PreparedBitstream};
 use crate::registry::BitstreamRegistry;
 use crate::supervisor::{InjectedWorkerPanic, SupervisorStats, WorkerFault, WorkerFaultPlan};
-use crate::sync::{Arc, StdSync, SyncFacade};
+use crate::sync::{Arc, SyncFacade};
+use crate::threaded::RuntimeConfig;
 use crate::tile::TileState;
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::{AccelInstance, AccelOp};
-use presp_floorplan::{FitPolicy, FragmentationStats};
 
 /// Reply channels of requests that coalesced into an in-flight
 /// reconfiguration, collected at completion and answered together.
@@ -152,7 +157,8 @@ pub struct SchedulerStats {
     pub stage_commit_nanos: u64,
     /// Managed columns currently unleased (amorphous floorplanning only;
     /// zero on the fixed-socket path). Snapshotted from the allocator at
-    /// [`Scheduler::scheduler_stats`] time.
+    /// [`ThreadedManager::scheduler_stats`](crate::threaded::ThreadedManager::scheduler_stats)
+    /// time.
     pub free_columns: u64,
     /// Longest contiguous run of free managed columns at snapshot time.
     pub largest_free_span: u64,
@@ -195,7 +201,7 @@ impl SchedulerStats {
 }
 
 /// A request travelling through a tile queue.
-enum Payload<S: SyncFacade> {
+pub(crate) enum Payload<S: SyncFacade> {
     Reconfigure {
         kind: AcceleratorKind,
         /// Primary caller plus any submissions tail-coalesced before a
@@ -272,14 +278,15 @@ struct Inflight<S: SyncFacade> {
 
 /// One tile's FIFO, behind its own `tile_queue` mutex (nested under
 /// `sched_admission` whenever both are held).
-struct TileQueue<S: SyncFacade> {
+pub(crate) struct TileQueue<S: SyncFacade> {
     jobs: VecDeque<Job<S>>,
     /// A worker holds this tile's head job; per-tile FIFO order.
     checked_out: bool,
-    /// Monotone count of head-job checkouts, for the [`Scheduler::
-    /// tile_claims`] probe — latching, unlike `checked_out`, so an
+    /// Monotone count of head-job checkouts, for the
+    /// [`ThreadedManager::tile_claims`](crate::threaded::ThreadedManager::tile_claims)
+    /// probe — latching, unlike `checked_out`, so an
     /// observer can't miss a short-lived claim window.
-    claims: u64,
+    pub(crate) claims: u64,
     inflight: Option<Inflight<S>>,
 }
 
@@ -299,10 +306,10 @@ impl<S: SyncFacade> TileQueue<S> {
 /// counter, the claimable-head index, the stop flag and the aggregate
 /// scheduler stats. Deliberately small — the per-tile FIFOs live in
 /// their own shards.
-struct Admission {
-    next_ticket: u64,
+pub(crate) struct Admission {
+    pub(crate) next_ticket: u64,
     stopping: bool,
-    stats: SchedulerStats,
+    pub(crate) stats: SchedulerStats,
     /// Claimable heads: `front ticket → tile` for every tile whose queue
     /// is non-empty and not checked out. Invariant maintained at push,
     /// claim and complete; workers pop the minimum, which is what keeps
@@ -310,7 +317,7 @@ struct Admission {
     heads: BTreeMap<u64, TileCoord>,
 }
 
-enum Admitted<S: SyncFacade> {
+pub(crate) enum Admitted<S: SyncFacade> {
     /// A fresh job joined the queue — wake a worker.
     Enqueued,
     /// Folded into a queued or in-flight reconfiguration.
@@ -322,7 +329,7 @@ enum Admitted<S: SyncFacade> {
 /// A request displaced (or refused) by the bounded-queue admission
 /// controller, settled by [`Shared::settle_shed`] after the admission
 /// locks are released.
-struct Shed<S: SyncFacade> {
+pub(crate) struct Shed<S: SyncFacade> {
     tile: TileCoord,
     /// The displaced ticket; `None` when the newcomer itself was refused
     /// before a ticket was assigned (the `sched.shed` record then traces
@@ -338,7 +345,7 @@ struct Shed<S: SyncFacade> {
 /// virtual-time critical sections replay the single-worker schedule
 /// regardless of how many workers overlap their lock-free preparation.
 pub(crate) struct Gate {
-    next: u64,
+    pub(crate) next: u64,
     /// Tickets retired out of order (drained at shutdown while a lower
     /// ticket was still in flight).
     retired: BTreeSet<u64>,
@@ -364,7 +371,7 @@ impl Gate {
 pub(crate) struct TileShard<S: SyncFacade> {
     pub(crate) state: S::Mutex<TileState>,
     pub(crate) reconfig_done: S::Condvar,
-    queue: S::Mutex<TileQueue<S>>,
+    pub(crate) queue: S::Mutex<TileQueue<S>>,
 }
 
 /// Wall-clock time a worker spent in each pipeline stage for one job;
@@ -379,7 +386,7 @@ struct StageNanos {
 /// One claimed-but-uncommitted job in the supervisor's table: enough to
 /// rebuild the job under the *same* ticket should its claimant die or
 /// wedge.
-struct Claim<S: SyncFacade> {
+pub(crate) struct Claim<S: SyncFacade> {
     tile: TileCoord,
     depth: u64,
     deadline_at: Option<u64>,
@@ -398,18 +405,18 @@ struct Claim<S: SyncFacade> {
 }
 
 /// Everything behind the `supervisor` mutex.
-struct SupervisorState<S: SyncFacade> {
+pub(crate) struct SupervisorState<S: SyncFacade> {
     /// Shutdown (or out-of-workers bailout) in progress; the watchdog
     /// exits and parked workers release their claims.
     stop: bool,
-    claims: BTreeMap<u64, Claim<S>>,
+    pub(crate) claims: BTreeMap<u64, Claim<S>>,
     /// Worker slots whose thread died, queued for respawn.
     dead: Vec<usize>,
     /// Worker threads currently able to make progress (parked hung
     /// workers count: a steal returns them to the pool).
     live_workers: usize,
     restarts_left: u32,
-    stats: SupervisorStats,
+    pub(crate) stats: SupervisorStats,
 }
 
 /// Arms gate healing for the duration of one claim: if the owning worker
@@ -437,9 +444,9 @@ impl<S: SyncFacade> Drop for ClaimGuard<'_, S> {
 pub(crate) struct Shared<S: SyncFacade> {
     pub(crate) shards: BTreeMap<TileCoord, TileShard<S>>,
     pub(crate) core: S::Mutex<DeviceCore>,
-    admission: S::Mutex<Admission>,
+    pub(crate) admission: S::Mutex<Admission>,
     /// Signalled when a job is admitted or a tile becomes claimable.
-    work: S::Condvar,
+    pub(crate) work: S::Condvar,
     /// The commit-order ticket gate. `pub(crate)` for the defragmenter:
     /// holding this mutex quiesces every worker's commit critical
     /// section, keeping a compaction plan valid move to move.
@@ -451,19 +458,19 @@ pub(crate) struct Shared<S: SyncFacade> {
     registry: Arc<BitstreamRegistry>,
     /// The supervision table (`supervisor` lock): registered claims,
     /// dead worker slots and the restart budget.
-    supervisor: S::Mutex<SupervisorState<S>>,
+    pub(crate) supervisor: S::Mutex<SupervisorState<S>>,
     /// Signalled when a claim changes state or a worker dies.
     supervisor_cv: S::Condvar,
     /// Signalled to release workers parked in an injected hang.
     hang_cv: S::Condvar,
     /// The installed worker-software-fault plan (`worker_faults` lock);
     /// `None` injects nothing.
-    worker_faults: S::Mutex<Option<WorkerFaultPlan>>,
+    pub(crate) worker_faults: S::Mutex<Option<WorkerFaultPlan>>,
     pub(crate) policy: RecoveryPolicy,
     mutants: MutantConfig,
     /// Storage the `unsynced_stats` mutant shares without a lock; under
     /// the checker every access is happens-before verified.
-    racy_runs: presp_check::RaceCell<u64>,
+    pub(crate) racy_runs: presp_check::RaceCell<u64>,
 }
 
 impl<S: SyncFacade> Shared<S> {
@@ -471,7 +478,7 @@ impl<S: SyncFacade> Shared<S> {
     /// `sched_admission` → `tile_queue`. The second return is a shed the
     /// caller must settle *after* releasing its interest in the reply
     /// channel (see [`Shared::settle_shed`]).
-    fn admit_reconfigure(
+    pub(crate) fn admit_reconfigure(
         &self,
         tile: TileCoord,
         kind: AcceleratorKind,
@@ -545,7 +552,7 @@ impl<S: SyncFacade> Shared<S> {
     /// Admits a non-coalescable job; the caller answers with the error
     /// when the scheduler is stopping, the tile is unknown or the queue
     /// refused the newcomer — and settles the shed, if any, after.
-    fn admit_job(
+    pub(crate) fn admit_job(
         &self,
         tile: TileCoord,
         deadline_at: Option<u64>,
@@ -910,7 +917,7 @@ impl<S: SyncFacade> Shared<S> {
     /// workers still pass the gate) and answers their waiters with
     /// [`Error::ManagerStopped`]. Idempotent; shared between shutdown
     /// and the supervisor's out-of-workers bailout.
-    fn drain_to_stop(&self) {
+    pub(crate) fn drain_to_stop(&self) {
         let drained: Vec<Job<S>> = {
             let mut adm = S::lock_recover(&self.admission);
             adm.stopping = true;
@@ -934,11 +941,49 @@ impl<S: SyncFacade> Shared<S> {
         }
     }
 
+    /// Supervised teardown at shutdown: tells the watchdog to exit and
+    /// releases workers parked in a hang together with their claims,
+    /// retiring the claimed tickets so in-flight workers still pass the
+    /// gate and answering the waiters with [`Error::ManagerStopped`].
+    /// Tolerant of poisoned locks.
+    pub(crate) fn stop_supervision(&self) {
+        let wedged: Vec<(u64, Payload<S>)> = {
+            let mut sup = S::lock_recover(&self.supervisor);
+            sup.stop = true;
+            let hung: Vec<u64> = sup
+                .claims
+                .iter()
+                .filter(|(_, c)| c.hung && !c.committing && !c.stolen)
+                .map(|(&ticket, _)| ticket)
+                .collect();
+            hung.into_iter()
+                .map(|ticket| {
+                    let claim = sup.claims.remove(&ticket).expect("listed above");
+                    (ticket, claim.stash)
+                })
+                .collect()
+        };
+        S::notify_all(&self.supervisor_cv);
+        S::notify_all(&self.hang_cv);
+        if !wedged.is_empty() {
+            {
+                let mut gate = S::lock_recover(&self.gate);
+                for (ticket, _) in &wedged {
+                    gate.retire(*ticket);
+                }
+            }
+            S::notify_all(&self.gate_cv);
+            for (_, stash) in wedged {
+                answer_stopped::<S>(stash);
+            }
+        }
+    }
+
     // ---- deadlines & admission control ---------------------------------
 
     /// The absolute virtual-cycle deadline for a request admitted now;
     /// `None` when deadlines are disabled.
-    fn deadline_from_now(&self) -> Option<u64> {
+    pub(crate) fn deadline_from_now(&self) -> Option<u64> {
         if self.policy.deadline_cycles == 0 {
             return None;
         }
@@ -947,22 +992,31 @@ impl<S: SyncFacade> Shared<S> {
     }
 
     /// Circuit breaker: whether `tile` must be refused at the queue
-    /// door. A solo top-level peek, taken before any admission lock, so
-    /// the breaker adds no lock-order edges.
-    fn breaker_trips(&self, tile: TileCoord) -> bool {
-        self.policy.breaker
+    /// door, settling the refusal as a shed when it is. The quarantine
+    /// check is a solo top-level peek, taken before any admission lock,
+    /// so the breaker adds no lock-order edges.
+    pub(crate) fn refused_at_door(&self, tile: TileCoord) -> bool {
+        let trips = self.policy.breaker
             && self
                 .shards
                 .get(&tile)
-                .is_some_and(|shard| S::lock(&shard.state).is_quarantined())
+                .is_some_and(|shard| S::lock(&shard.state).is_quarantined());
+        if trips {
+            self.settle_shed(Shed {
+                tile,
+                ticket: None,
+                victim: None,
+            });
+        }
+        trips
     }
 
     /// Settles a shed outside the admission locks: retires the displaced
-    /// ticket, bumps [`ManagerStats::shed`], emits the `sched.shed`
-    /// record at the current horizon and answers the displaced waiters
+    /// ticket, bumps `ManagerStats::shed`, emits the `sched.shed` record
+    /// at the current horizon and answers the displaced waiters
     /// with [`Error::Overloaded`]. Door refusals (no ticket assigned)
     /// trace the ticket the request would have taken.
-    fn settle_shed(&self, shed: Shed<S>) {
+    pub(crate) fn settle_shed(&self, shed: Shed<S>) {
         let ticket = match shed.ticket {
             Some(ticket) => ticket,
             None => S::lock(&self.admission).next_ticket,
@@ -1031,7 +1085,7 @@ fn answer_overloaded<S: SyncFacade>(payload: Payload<S>, tile: TileCoord) {
 /// reply. Dropping a `Pending` abandons the request (the worker's reply
 /// goes nowhere, the work still happens).
 pub struct Pending<S: SyncFacade, T: Send + 'static> {
-    rx: S::Receiver<Result<T, Error>>,
+    pub(crate) rx: S::Receiver<Result<T, Error>>,
 }
 
 impl<S: SyncFacade, T: Send + 'static> Pending<S, T> {
@@ -1046,48 +1100,27 @@ impl<S: SyncFacade, T: Send + 'static> Pending<S, T> {
     }
 
     /// A handle that is already answered (refused-at-submit requests).
-    fn ready(result: Result<T, Error>) -> Pending<S, T> {
+    pub(crate) fn ready(result: Result<T, Error>) -> Pending<S, T> {
         let (tx, rx) = S::channel();
         let _ = S::send(&tx, result);
         Pending { rx }
     }
 }
 
-/// The sharded, multi-worker front-end to the DPR protocol.
-///
-/// Cloning is cheap; clones share the same queues, shards and device
-/// core. See the [module docs](self) for the scheduling model.
 /// Join handles for the worker pool, taken once at shutdown.
-type WorkerHandles<S> =
+pub(crate) type WorkerHandles<S> =
     Arc<<S as SyncFacade>::Mutex<Option<Vec<<S as SyncFacade>::JoinHandle<()>>>>>;
 
-pub struct Scheduler<S: SyncFacade = StdSync> {
-    pub(crate) shared: Arc<Shared<S>>,
-    workers: WorkerHandles<S>,
-}
-
-impl<S: SyncFacade> Clone for Scheduler<S> {
-    fn clone(&self) -> Scheduler<S> {
-        Scheduler {
-            shared: Arc::clone(&self.shared),
-            workers: Arc::clone(&self.workers),
-        }
-    }
-}
-
-impl<S: SyncFacade> Scheduler<S> {
-    /// Boots `workers` worker threads over a SoC and registry. One shard
-    /// is created per tile in the SoC's configuration, so requests to
-    /// any grid coordinate flow through the same protocol (and fail with
-    /// the same errors) as on the deterministic manager.
-    pub(crate) fn boot(
+impl<S: SyncFacade> Shared<S> {
+    /// The state a runtime of `workers` worker threads shares: one shard
+    /// per tile in the SoC's configuration, the device core with its
+    /// verified-bitstream cache, and an idle gate and supervisor table.
+    pub(crate) fn new(
         soc: Soc,
         registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
+        config: RuntimeConfig,
         workers: usize,
-        cache_capacity: usize,
-        mutants: MutantConfig,
-    ) -> Scheduler<S> {
+    ) -> Shared<S> {
         let registry = Arc::new(registry);
         let shards: BTreeMap<TileCoord, TileShard<S>> = soc
             .config()
@@ -1109,14 +1142,14 @@ impl<S: SyncFacade> Scheduler<S> {
             stats: SchedulerStats::default(),
             heads: BTreeMap::new(),
         };
-        let shared = Arc::new(Shared {
+        Shared {
             shards,
             core: S::mutex_labeled(
                 "core",
                 DeviceCore::new_shared(
                     soc,
                     Arc::clone(&registry),
-                    BitstreamCache::new(cache_capacity),
+                    BitstreamCache::new(config.cache_capacity),
                 ),
             ),
             admission: S::mutex_labeled("sched_admission", admission),
@@ -1137,407 +1170,32 @@ impl<S: SyncFacade> Scheduler<S> {
                     stop: false,
                     claims: BTreeMap::new(),
                     dead: Vec::new(),
-                    live_workers: workers.max(1),
-                    restarts_left: policy.restart_budget,
+                    live_workers: workers,
+                    restarts_left: config.policy.restart_budget,
                     stats: SupervisorStats::default(),
                 },
             ),
             supervisor_cv: S::condvar(),
             hang_cv: S::condvar(),
             worker_faults: S::mutex_labeled("worker_faults", None),
-            policy,
-            mutants,
+            policy: config.policy,
+            mutants: config.mutants,
             racy_runs: presp_check::RaceCell::new("racy_runs", 0),
-        });
-        let handles: Vec<_> = (0..workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                S::spawn(
-                    match i {
-                        0 => "presp-worker-0",
-                        1 => "presp-worker-1",
-                        2 => "presp-worker-2",
-                        3 => "presp-worker-3",
-                        _ => "presp-worker-n",
-                    },
-                    move || worker_loop(&shared, i),
-                )
-            })
-            .collect();
-        let workers_handle: WorkerHandles<S> = Arc::new(S::mutex_labeled("worker", Some(handles)));
-        if shared.policy.supervised {
-            let sup_shared = Arc::clone(&shared);
-            let sup_workers = Arc::clone(&workers_handle);
-            let handle = S::spawn("presp-supervisor", move || {
-                supervisor_loop(&sup_shared, &sup_workers);
-            });
-            if let Some(handles) = S::lock(&workers_handle).as_mut() {
-                handles.push(handle);
-            }
-        }
-        Scheduler {
-            shared,
-            workers: workers_handle,
         }
     }
+}
 
-    /// Admits a reconfiguration request, coalescing it into an identical
-    /// queued or in-flight one when possible. With `policy.breaker` a
-    /// quarantined tile is refused at the door; a full bounded queue
-    /// refuses or sheds per `policy.overload`.
-    pub fn submit_reconfigure(&self, tile: TileCoord, kind: AcceleratorKind) -> Pending<S, ()> {
-        let (tx, rx) = S::channel();
-        if self.shared.breaker_trips(tile) {
-            self.shared.settle_shed(Shed {
-                tile,
-                ticket: None,
-                victim: None,
-            });
-            let _ = S::send(&tx, Err(Error::TileQuarantined { tile }));
-            return Pending { rx };
-        }
-        let deadline_at = self.shared.deadline_from_now();
-        let (admitted, shed) = self.shared.admit_reconfigure(tile, kind, deadline_at, tx);
-        match admitted {
-            Admitted::Enqueued => S::notify_all(&self.shared.work),
-            Admitted::Coalesced => {}
-            Admitted::Refused(e, tx) => {
-                let _ = S::send(&tx, Err(e));
-            }
-        }
-        if let Some(shed) = shed {
-            self.shared.settle_shed(shed);
-        }
-        Pending { rx }
-    }
-
-    /// Admits an accelerator invocation on `tile`. Runs never carry a
-    /// deadline — a missed deadline is a reconfiguration-ledger outcome
-    /// and plain runs are outside that ledger.
-    pub fn submit_run(&self, tile: TileCoord, op: AccelOp) -> Pending<S, AccelRun> {
-        if self.shared.breaker_trips(tile) {
-            self.shared.settle_shed(Shed {
-                tile,
-                ticket: None,
-                victim: None,
-            });
-            return Pending::ready(Err(Error::TileQuarantined { tile }));
-        }
-        let (tx, rx) = S::channel();
-        let (admitted, shed) = self.shared.admit_job(
-            tile,
-            None,
-            Payload::Run {
-                op: Box::new(op),
-                done: tx,
-            },
-        );
-        let pending = match admitted {
-            Ok(()) => {
-                S::notify_all(&self.shared.work);
-                Pending { rx }
-            }
-            Err(e) => Pending::ready(Err(e)),
-        };
-        if let Some(shed) = shed {
-            self.shared.settle_shed(shed);
-        }
-        pending
-    }
-
-    /// Admits an ensure-loaded-then-run request on `tile`.
-    pub fn submit_execute(
-        &self,
-        tile: TileCoord,
-        kind: AcceleratorKind,
-        op: AccelOp,
-    ) -> Pending<S, (AccelRun, ExecPath)> {
-        if self.shared.breaker_trips(tile) {
-            self.shared.settle_shed(Shed {
-                tile,
-                ticket: None,
-                victim: None,
-            });
-            return Pending::ready(Err(Error::TileQuarantined { tile }));
-        }
-        let deadline_at = self.shared.deadline_from_now();
-        let (tx, rx) = S::channel();
-        let (admitted, shed) = self.shared.admit_job(
-            tile,
-            deadline_at,
-            Payload::Execute {
-                kind,
-                op: Box::new(op),
-                done: tx,
-            },
-        );
-        let pending = match admitted {
-            Ok(()) => {
-                S::notify_all(&self.shared.work);
-                Pending { rx }
-            }
-            Err(e) => Pending::ready(Err(e)),
-        };
-        if let Some(shed) = shed {
-            self.shared.settle_shed(shed);
-        }
-        pending
-    }
-
-    /// Waits (bounded) for a reconfiguration to complete on `tile`, or
-    /// fails fast when the tile is quarantined. Used by blocking callers
-    /// that found the tile mid-swap.
-    pub(crate) fn wait_for_reconfig(&self, tile: TileCoord) -> Result<(), Error> {
-        let shard = self
-            .shared
-            .shards
-            .get(&tile)
-            .ok_or(Error::Soc(presp_soc::Error::NoSuchTile { coord: tile }))?;
-        let state = S::lock(&shard.state);
-        if state.is_quarantined() {
-            return Err(Error::TileQuarantined { tile });
-        }
-        let _unused = S::wait_timeout(&shard.reconfig_done, state, Duration::from_millis(50));
-        Ok(())
-    }
-
-    /// Monotone count of head-job checkouts on `tile`. Latching probe for
-    /// open-loop harnesses that must order a burst after a pinning
-    /// request has actually been picked up: sample before submitting,
-    /// then spin until the count moves — a short-lived claim window can't
-    /// be missed the way polling an instantaneous "claimed" flag could.
-    /// Unknown tiles read as zero.
-    pub fn tile_claims(&self, tile: TileCoord) -> u64 {
-        self.shared
-            .shards
-            .get(&tile)
-            .map_or(0, |shard| S::lock(&shard.queue).claims)
-    }
-
-    /// Aggregate manager statistics. Post-mortem path: recovers from a
-    /// poisoned core lock.
-    pub fn stats(&self) -> ManagerStats {
-        S::lock_recover(&self.shared.core).stats()
-    }
-
-    /// Wall-clock scheduling metrics, plus a fragmentation snapshot when
-    /// amorphous floorplanning is enabled. Recovers from poisoned locks.
-    /// Two-phase: the admission guard is scoped closed before the core
-    /// lock is taken, so this read path adds no `sched_admission` →
-    /// `core` lock-order edge.
-    pub fn scheduler_stats(&self) -> SchedulerStats {
-        let mut stats = {
-            let adm = S::lock_recover(&self.shared.admission);
-            adm.stats.clone()
-        };
-        let core = S::lock_recover(&self.shared.core);
-        if let Some(frag) = core.allocator().map(|a| a.stats()) {
-            stats.free_columns = frag.free_columns as u64;
-            stats.largest_free_span = frag.largest_free_span as u64;
-            stats.external_fragmentation = frag.external_fragmentation();
-        }
-        stats
-    }
-
-    /// Switches the device core from fixed sockets to amorphous
-    /// floorplanning over the whole fabric. Must run before the first
-    /// load; see the device core's `enable_regions`.
-    ///
-    /// # Errors
-    ///
-    /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
-    pub fn enable_regions(&self, policy: FitPolicy) -> Result<(), Error> {
-        S::lock(&self.shared.core).enable_regions(policy, None)
-    }
-
-    /// [`Scheduler::enable_regions`] confined to the column window
-    /// `window` — the PR share of the fabric, with the static system
-    /// outside it.
-    ///
-    /// # Errors
-    ///
-    /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
-    pub fn enable_regions_within(
-        &self,
-        policy: FitPolicy,
-        window: std::ops::Range<u32>,
-    ) -> Result<(), Error> {
-        S::lock(&self.shared.core).enable_regions(policy, Some(window))
-    }
-
-    /// Fragmentation snapshot of the region allocator; `None` on the
-    /// fixed-socket path.
-    pub fn fragmentation(&self) -> Option<FragmentationStats> {
-        S::lock_recover(&self.shared.core)
-            .allocator()
-            .map(|a| a.stats())
-    }
-
-    /// The live region lease of `tile` (amorphous floorplanning only);
-    /// `None` for unknown tiles, unloaded tiles, or the fixed-socket
-    /// path.
-    pub fn tile_lease(&self, tile: TileCoord) -> Option<presp_floorplan::RegionLease> {
-        self.shared
-            .shards
-            .get(&tile)
-            .and_then(|shard| S::lock(&shard.state).lease().cloned())
-    }
-
-    /// Hit/miss counters of the verified-bitstream cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        S::lock_recover(&self.shared.core).cache_stats()
-    }
-
-    /// Latest completion cycle on the shared virtual clock. Recovers from
-    /// a poisoned core lock.
-    pub fn makespan(&self) -> u64 {
-        S::lock_recover(&self.shared.core).soc().horizon()
-    }
-
-    /// Attaches a trace sink to the underlying SoC. Post-mortem path like
-    /// [`Scheduler::stats`]: recovers from a poisoned core lock so traces
-    /// remain reachable after a worker crash.
-    pub fn attach_tracer(&self, sink: presp_events::SharedSink) {
-        S::lock_recover(&self.shared.core)
-            .soc_mut()
-            .attach_tracer(sink);
-    }
-
-    /// Attaches a sharded trace sink: worker `i` commits through shard
-    /// `i mod sink.len()`, so concurrent commits never contend on one
-    /// sink mutex. The tracer's seq counter survives per-commit shard
-    /// re-attachment and commits are gate-serialized, so
-    /// [`presp_events::ShardedSink::drain_merged`] reproduces the exact
-    /// single-sink log byte for byte at any worker count.
-    pub fn attach_sharded_tracer(&self, sink: &presp_events::ShardedSink) {
-        let mut core = S::lock_recover(&self.shared.core);
-        core.set_trace_shards((0..sink.len()).map(|i| sink.shard(i)).collect());
-        // Attach shard 0 immediately so emissions before the first
-        // worker commit (boot-time spans, scrubber passes) are recorded.
-        core.soc_mut().attach_tracer(sink.shard(0));
-    }
-
-    /// Installs (or disarms, with `None`) a fault plan on the underlying
-    /// SoC. Spec-driven harnesses arm a seeded plan before driving a
-    /// workload and disarm it before a confirmation sweep; quiesce the
-    /// workload first — swapping the plan mid-request changes which hook
-    /// draws the in-flight request sees.
-    pub fn set_fault_plan(&self, plan: Option<presp_fpga::fault::FaultPlan>) {
-        S::lock_recover(&self.shared.core)
-            .soc_mut()
-            .set_fault_plan(plan);
-    }
-
-    /// Faults the installed plan has injected so far (all zero when no
-    /// plan is armed). Post-mortem path: recovers from a poisoned core
-    /// lock.
-    pub fn injected_faults(&self) -> presp_fpga::fault::InjectedFaults {
-        S::lock_recover(&self.shared.core)
-            .soc()
-            .fault_plan()
-            .map(presp_fpga::fault::FaultPlan::injected)
-            .unwrap_or_default()
-    }
-
-    /// Tiles currently quarantined, in coordinate order. Post-mortem
-    /// path: recovers from poisoned shard locks.
-    pub fn quarantined_tiles(&self) -> Vec<TileCoord> {
-        self.shared
-            .shards
-            .iter()
-            .filter(|(_, shard)| S::lock_recover(&shard.state).is_quarantined())
-            .map(|(&coord, _)| coord)
-            .collect()
-    }
-
-    /// Caller-side unlocked read the `unsynced_stats` mutant races with.
-    #[doc(hidden)]
-    pub fn unsynced_runs(&self) -> u64 {
-        self.shared.racy_runs.read()
-    }
-
-    /// Installs (or disarms, with `None`) a worker-software-fault plan.
-    /// Only a supervised scheduler (`policy.supervised`) consults the
-    /// plan; arm it before driving a workload.
-    pub fn set_worker_fault_plan(&self, plan: Option<WorkerFaultPlan>) {
-        *S::lock_recover(&self.shared.worker_faults) = plan;
-    }
-
-    /// Supervision counters, with the installed fault plan's injection
-    /// counters folded in. Post-mortem path: recovers from poisoned
-    /// locks.
-    pub fn supervisor_stats(&self) -> SupervisorStats {
-        let mut stats = S::lock_recover(&self.shared.supervisor).stats;
-        if let Some(plan) = S::lock_recover(&self.shared.worker_faults).as_ref() {
-            stats.merge_injections(plan.injected());
-        }
-        stats
-    }
-
-    /// Tickets admitted but neither committed nor retired, plus claims
-    /// still registered with the supervisor. Zero on any quiesced
-    /// scheduler — the "no orphaned tickets" invariant the supervision
-    /// layer preserves across worker deaths, hangs and sheds.
-    pub fn orphaned_tickets(&self) -> u64 {
-        let claims = S::lock_recover(&self.shared.supervisor).claims.len() as u64;
-        let next_ticket = S::lock_recover(&self.shared.admission).next_ticket;
-        let gate_next = S::lock_recover(&self.shared.gate).next;
-        claims + next_ticket.saturating_sub(gate_next)
-    }
-
-    /// Stops the workers and joins them: pending unclaimed jobs are
-    /// answered with [`Error::ManagerStopped`], their tickets retired so
-    /// in-flight workers still pass the gate; hung claims are released
-    /// the same way and the supervisor thread is told to exit.
-    /// Idempotent and tolerant of poisoned locks.
-    pub fn shutdown(&self) {
-        self.shared.drain_to_stop();
-        S::notify_all(&self.shared.work);
-        // Supervised teardown: release wedged workers and their claims.
-        let wedged: Vec<(u64, Payload<S>)> = {
-            let mut sup = S::lock_recover(&self.shared.supervisor);
-            sup.stop = true;
-            let hung: Vec<u64> = sup
-                .claims
-                .iter()
-                .filter(|(_, c)| c.hung && !c.committing && !c.stolen)
-                .map(|(&ticket, _)| ticket)
-                .collect();
-            hung.into_iter()
-                .map(|ticket| {
-                    let claim = sup.claims.remove(&ticket).expect("listed above");
-                    (ticket, claim.stash)
-                })
-                .collect()
-        };
-        S::notify_all(&self.shared.supervisor_cv);
-        S::notify_all(&self.shared.hang_cv);
-        if !wedged.is_empty() {
-            {
-                let mut gate = S::lock_recover(&self.shared.gate);
-                for (ticket, _) in &wedged {
-                    gate.retire(*ticket);
-                }
-            }
-            S::notify_all(&self.shared.gate_cv);
-            for (_, stash) in wedged {
-                answer_stopped::<S>(stash);
-            }
-        }
-        // Take the handles in a standalone statement: the workers-lock
-        // guard must drop before joining, or a supervisor respawn racing
-        // shutdown would deadlock pushing into the held lock.
-        let handles = S::lock_recover(&self.workers).take();
-        if let Some(handles) = handles {
-            for handle in handles {
-                let _ = S::join(handle);
-            }
-        }
-        // Unblock any thread parked in a blocking wait loop.
-        for shard in self.shared.shards.values() {
-            S::notify_all(&shard.reconfig_done);
-        }
-    }
+/// Starts the worker thread for pool slot `slot`, named
+/// `presp-worker-{slot}` so a panic message says which worker died. A
+/// respawn reuses the dead worker's slot, hence its name.
+pub(crate) fn spawn_worker<S: SyncFacade>(
+    shared: &Arc<Shared<S>>,
+    slot: usize,
+) -> S::JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    S::spawn(&format!("presp-worker-{slot}"), move || {
+        worker_loop(&shared, slot);
+    })
 }
 
 /// Emulated behavioral-evaluation latency, from
@@ -1936,7 +1594,7 @@ enum Duty<S: SyncFacade> {
 /// ticket the gate is blocked on is ever scanned — that is the one claim
 /// whose owner being wedged stalls the whole scheduler — making the scan
 /// `supervisor` → `gate`, the one declared supervision lock edge.
-fn supervisor_loop<S: SyncFacade>(shared: &Arc<Shared<S>>, workers: &WorkerHandles<S>) {
+pub(crate) fn supervisor_loop<S: SyncFacade>(shared: &Arc<Shared<S>>, workers: &WorkerHandles<S>) {
     /// Watchdog poll interval when nothing signals. Under the model
     /// checker the timeout fires at quiescence instead, which is exactly
     /// "every live worker is parked" — the wedge the watchdog exists
@@ -1985,8 +1643,7 @@ fn supervisor_loop<S: SyncFacade>(shared: &Arc<Shared<S>>, workers: &WorkerHandl
         match duty {
             Duty::Stop => return,
             Duty::Respawn(slot) => {
-                let sh = Arc::clone(shared);
-                let handle = S::spawn("presp-worker-r", move || worker_loop(&sh, slot));
+                let handle = spawn_worker(shared, slot);
                 // `None` means shutdown already took the handles; the
                 // respawned worker then sees `stopping` and exits on its
                 // own, just unjoined.

@@ -5,7 +5,7 @@
 //! port, repairs single-bit upsets with the per-frame ECC, and raises an
 //! alarm on uncorrectable damage. This module is that daemon for the
 //! simulated stack: a maintenance worker attached to the sharded
-//! [`crate::scheduler::Scheduler`]. A scrub pass takes the target tile's
+//! [`crate::threaded::ThreadedManager`]. A scrub pass takes the target tile's
 //! shard lock and then the device-core lock — the same `tile_state` →
 //! `core` order every scheduler worker commits under — so scrub passes
 //! and reconfiguration requests serialize on the shared ICAP exactly like
@@ -148,7 +148,7 @@ impl<S: SyncFacade> ScrubberDaemon<S> {
         manager: &ThreadedManager<S>,
         #[cfg(test)] mutants: ScrubMutantConfig,
     ) -> ScrubberDaemon<S> {
-        let shared = Arc::clone(&manager.sched.shared);
+        let shared = Arc::clone(&manager.shared);
         let stats = Arc::new(S::mutex_labeled("scrub_stats", ScrubberStats::default()));
         let (tx, rx) = S::channel::<ScrubRequest<S>>();
         let worker_shared = Arc::clone(&shared);
@@ -359,7 +359,7 @@ mod tests {
     /// Arms a fault plan with one forced SEU at the current makespan
     /// (drained by the next scrub pass), through the shared device lock.
     fn force_seu(mgr: &ThreadedManager, double_bit: bool) {
-        let mut core = mgr.sched.shared.core.lock().unwrap();
+        let mut core = mgr.shared.core.lock().unwrap();
         let at = core.soc().horizon();
         let mut plan = FaultPlan::new(11, FaultConfig::uniform(0.0));
         plan.force_seu(at, double_bit);
@@ -465,10 +465,10 @@ mod tests {
         registry
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_policy(
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(
             soc,
             registry,
-            crate::manager::RecoveryPolicy::default(),
+            crate::threaded::RuntimeConfig::default(),
         );
         let scrubber = ScrubberDaemon::attach_with_mutants(&mgr, mutants);
         (mgr, scrubber, tile)

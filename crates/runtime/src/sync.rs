@@ -5,7 +5,8 @@
 //! [`CheckSync`] under the `presp-check` model checker — the same
 //! protocol source is shipped and explored. This module is the one place
 //! in `presp-runtime` allowed to name `std::sync` / `std::thread`
-//! directly; `presp-lint` enforces that everywhere else goes through it.
+//! directly; `presp-analyze` enforces that everywhere else goes through
+//! it.
 
 pub use presp_check::facade::{CheckSync, StdSync, SyncFacade, TryRecv};
 

@@ -1,13 +1,14 @@
-//! The OS-threaded workqueue front-end.
+//! The OS-threaded workqueue runtime: [`ThreadedManager`], the one
+//! handle applications, benches and maintenance daemons hold.
 //!
 //! The paper's manager "uses the built-in kernel workqueue to manage
 //! multiple reconfiguration requests": application threads enqueue
 //! requests; the queue executes them as soon as the PRC is ready; callers
-//! wait for completion. This module is the blocking API over the sharded
-//! [`crate::scheduler::Scheduler`]: per-tile queues drained by a pool of
-//! worker threads, with only the ICAP/NoC critical section serializing
-//! (in global ticket order, so results are reproducible for any worker
-//! count — see the scheduler docs).
+//! wait for completion. [`ThreadedManager`] is that API: per-tile queues
+//! drained by a pool of worker threads, with only the ICAP/NoC critical
+//! section serializing (in global ticket order, so results are
+//! reproducible for any worker count). The claim/gate/commit protocol
+//! itself lives in [`crate::scheduler`].
 //!
 //! The whole protocol is generic over [`SyncFacade`]: production code
 //! instantiates [`ThreadedManager`] (= `ThreadedManager<StdSync>`, plain
@@ -21,17 +22,57 @@ use crate::cache::CacheStats;
 use crate::error::Error;
 use crate::manager::{ExecPath, ManagerStats, RecoveryPolicy};
 use crate::registry::BitstreamRegistry;
-use crate::scheduler::{MutantConfig, Pending, Scheduler, SchedulerStats, DEFAULT_CACHE_CAPACITY};
-use crate::sync::{StdSync, SyncFacade};
+use crate::scheduler::{
+    spawn_worker, supervisor_loop, Admitted, MutantConfig, Payload, Pending, SchedulerStats,
+    Shared, WorkerHandles, DEFAULT_CACHE_CAPACITY,
+};
+use crate::supervisor::{SupervisorStats, WorkerFaultPlan};
+use crate::sync::{Arc, StdSync, SyncFacade};
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::AccelOp;
+use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, Soc};
+use std::time::Duration;
 
-/// A thread-safe handle to the DPR runtime: clone it into as many
-/// application threads as you like. Requests to independent tiles are
+/// Boot-time settings of a [`ThreadedManager`].
+/// `RuntimeConfig::default()` is what [`ThreadedManager::spawn`] boots
+/// with.
+#[derive(Debug, Clone)]
+pub struct RuntimeConfig {
+    /// Retry, supervision, deadline and admission-control policy.
+    pub policy: RecoveryPolicy,
+    /// Worker threads; `None` starts one per reconfigurable tile. Any
+    /// count produces identical virtual-time results (see
+    /// [`crate::scheduler`]); `Some(1)` is the single-worker workqueue.
+    pub workers: Option<usize>,
+    /// Capacity of the verified-bitstream LRU; `0` disables the cache.
+    pub cache_capacity: usize,
+    /// Deliberate protocol bugs for checker validation; all off by
+    /// default.
+    #[doc(hidden)]
+    pub mutants: MutantConfig,
+}
+
+impl Default for RuntimeConfig {
+    fn default() -> RuntimeConfig {
+        RuntimeConfig {
+            policy: RecoveryPolicy::default(),
+            workers: None,
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
+            mutants: MutantConfig::default(),
+        }
+    }
+}
+
+/// The sharded, multi-worker front-end to the DPR protocol: a
+/// thread-safe handle to the runtime. Requests to independent tiles are
 /// prepared concurrently by the worker pool; the shared device commits
 /// them in admission order.
+///
+/// Cloning is cheap; clones share the same queues, shards and device
+/// core, so clone it into as many application threads as you like. See
+/// the [`crate::scheduler`] docs for the scheduling model.
 ///
 /// # Example
 ///
@@ -51,118 +92,105 @@ use presp_soc::sim::{AccelRun, Soc};
 /// # Ok(()) }
 /// ```
 pub struct ThreadedManager<S: SyncFacade = StdSync> {
-    pub(crate) sched: Scheduler<S>,
+    pub(crate) shared: Arc<Shared<S>>,
+    workers: WorkerHandles<S>,
 }
 
 impl<S: SyncFacade> Clone for ThreadedManager<S> {
     fn clone(&self) -> ThreadedManager<S> {
         ThreadedManager {
-            sched: self.sched.clone(),
+            shared: Arc::clone(&self.shared),
+            workers: Arc::clone(&self.workers),
         }
     }
 }
 
 impl ThreadedManager<StdSync> {
-    /// Boots the worker pool over a SoC and registry with the default
-    /// [`RecoveryPolicy`], one worker per reconfigurable tile and the
-    /// default verified-bitstream cache.
+    /// Boots with [`RuntimeConfig::default`]: the default
+    /// [`RecoveryPolicy`], one worker per reconfigurable tile and a
+    /// 16-entry verified-bitstream cache.
     pub fn spawn(soc: Soc, registry: BitstreamRegistry) -> ThreadedManager {
-        ThreadedManager::spawn_with_policy(soc, registry, RecoveryPolicy::default())
+        ThreadedManager::spawn_with(soc, registry, RuntimeConfig::default())
     }
 }
 
 impl<S: SyncFacade> ThreadedManager<S> {
-    /// Boots with an explicit recovery policy, under any sync facade.
-    /// Worker count defaults to the number of reconfigurable tiles.
-    pub fn spawn_with_policy(
+    /// Boots the worker pool over a SoC and registry, under any sync
+    /// facade. One shard is created per tile in the SoC's configuration,
+    /// so requests to any grid coordinate flow through the same protocol
+    /// (and fail with the same errors) as on the deterministic manager.
+    pub fn spawn_with(
         soc: Soc,
         registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
+        config: RuntimeConfig,
     ) -> ThreadedManager<S> {
-        let workers = soc.config().reconfigurable_tiles().len().max(1);
-        ThreadedManager::spawn_with_workers(soc, registry, policy, workers)
-    }
-
-    /// Boots an explicit number of worker threads. `workers = 1` degrades
-    /// to the old single-worker workqueue; any count produces identical
-    /// virtual-time results (see [`crate::scheduler`]).
-    pub fn spawn_with_workers(
-        soc: Soc,
-        registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
-        workers: usize,
-    ) -> ThreadedManager<S> {
+        let workers = config
+            .workers
+            .unwrap_or_else(|| soc.config().reconfigurable_tiles().len())
+            .max(1);
+        let shared = Arc::new(Shared::new(soc, registry, config, workers));
+        let handles: Vec<_> = (0..workers)
+            .map(|slot| spawn_worker(&shared, slot))
+            .collect();
+        let workers_handle: WorkerHandles<S> = Arc::new(S::mutex_labeled("worker", Some(handles)));
+        if shared.policy.supervised {
+            let sup_shared = Arc::clone(&shared);
+            let sup_workers = Arc::clone(&workers_handle);
+            let handle = S::spawn("presp-supervisor", move || {
+                supervisor_loop(&sup_shared, &sup_workers);
+            });
+            if let Some(handles) = S::lock(&workers_handle).as_mut() {
+                handles.push(handle);
+            }
+        }
         ThreadedManager {
-            sched: Scheduler::boot(
-                soc,
-                registry,
-                policy,
-                workers,
-                DEFAULT_CACHE_CAPACITY,
-                MutantConfig::default(),
-            ),
+            shared,
+            workers: workers_handle,
         }
     }
 
-    /// Boots with every spec-driven knob explicit: worker count and
-    /// verified-bitstream cache capacity (`0` disables the cache). This
-    /// is the constructor declarative scenario harnesses use — every
-    /// argument maps one-to-one onto a scenario-file field.
-    pub fn spawn_with_config(
-        soc: Soc,
-        registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
-        workers: usize,
-        cache_capacity: usize,
-    ) -> ThreadedManager<S> {
-        ThreadedManager {
-            sched: Scheduler::boot(
-                soc,
-                registry,
-                policy,
-                workers,
-                cache_capacity,
-                MutantConfig::default(),
-            ),
-        }
-    }
-
-    /// Boots with explicit mutants enabled — checker-validation only.
-    #[doc(hidden)]
-    pub fn spawn_with_mutants(
-        soc: Soc,
-        registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
-        workers: usize,
-        mutants: MutantConfig,
-    ) -> ThreadedManager<S> {
-        ThreadedManager {
-            sched: Scheduler::boot(
-                soc,
-                registry,
-                policy,
-                workers,
-                DEFAULT_CACHE_CAPACITY,
-                mutants,
-            ),
-        }
-    }
-
-    /// The underlying scheduler (asynchronous submissions, scheduling
-    /// metrics).
-    pub fn scheduler(&self) -> &Scheduler<S> {
-        &self.sched
-    }
-
-    /// Submits a reconfiguration without blocking; identical pending
-    /// requests coalesce into one load.
+    /// Submits a reconfiguration without blocking, coalescing it into an
+    /// identical queued or in-flight one when possible. With
+    /// `policy.breaker` a quarantined tile is refused at the door; a full
+    /// bounded queue refuses or sheds per `policy.overload`.
     pub fn submit_reconfigure(&self, tile: TileCoord, kind: AcceleratorKind) -> Pending<S, ()> {
-        self.sched.submit_reconfigure(tile, kind)
+        let (tx, rx) = S::channel();
+        if self.shared.refused_at_door(tile) {
+            let _ = S::send(&tx, Err(Error::TileQuarantined { tile }));
+            return Pending { rx };
+        }
+        let deadline_at = self.shared.deadline_from_now();
+        let (admitted, shed) = self.shared.admit_reconfigure(tile, kind, deadline_at, tx);
+        match admitted {
+            Admitted::Enqueued => S::notify_all(&self.shared.work),
+            Admitted::Coalesced => {}
+            Admitted::Refused(e, tx) => {
+                let _ = S::send(&tx, Err(e));
+            }
+        }
+        if let Some(shed) = shed {
+            self.shared.settle_shed(shed);
+        }
+        Pending { rx }
     }
 
-    /// Submits an accelerator invocation without blocking.
+    /// Submits an accelerator invocation without blocking. Runs never
+    /// carry a deadline — a missed deadline is a reconfiguration-ledger
+    /// outcome and plain runs are outside that ledger.
     pub fn submit_run(&self, tile: TileCoord, op: AccelOp) -> Pending<S, AccelRun> {
-        self.sched.submit_run(tile, op)
+        if self.shared.refused_at_door(tile) {
+            return Pending::ready(Err(Error::TileQuarantined { tile }));
+        }
+        let (tx, rx) = S::channel();
+        self.submit_job(
+            tile,
+            None,
+            Payload::Run {
+                op: Box::new(op),
+                done: tx,
+            },
+            rx,
+        )
     }
 
     /// Submits an ensure-loaded-then-run request without blocking.
@@ -172,7 +200,44 @@ impl<S: SyncFacade> ThreadedManager<S> {
         kind: AcceleratorKind,
         op: AccelOp,
     ) -> Pending<S, (AccelRun, ExecPath)> {
-        self.sched.submit_execute(tile, kind, op)
+        if self.shared.refused_at_door(tile) {
+            return Pending::ready(Err(Error::TileQuarantined { tile }));
+        }
+        let deadline_at = self.shared.deadline_from_now();
+        let (tx, rx) = S::channel();
+        self.submit_job(
+            tile,
+            deadline_at,
+            Payload::Execute {
+                kind,
+                op: Box::new(op),
+                done: tx,
+            },
+            rx,
+        )
+    }
+
+    /// Admits a run or execute job whose reply arrives on `rx`, wakes a
+    /// worker, and settles any shed the bounded queue produced.
+    fn submit_job<T: Send + 'static>(
+        &self,
+        tile: TileCoord,
+        deadline_at: Option<u64>,
+        payload: Payload<S>,
+        rx: S::Receiver<Result<T, Error>>,
+    ) -> Pending<S, T> {
+        let (admitted, shed) = self.shared.admit_job(tile, deadline_at, payload);
+        let pending = match admitted {
+            Ok(()) => {
+                S::notify_all(&self.shared.work);
+                Pending { rx }
+            }
+            Err(e) => Pending::ready(Err(e)),
+        };
+        if let Some(shed) = shed {
+            self.shared.settle_shed(shed);
+        }
+        pending
     }
 
     /// Enqueues a reconfiguration and blocks until it completes.
@@ -186,7 +251,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
         tile: TileCoord,
         kind: AcceleratorKind,
     ) -> Result<(), Error> {
-        self.sched.submit_reconfigure(tile, kind).wait()
+        self.submit_reconfigure(tile, kind).wait()
     }
 
     /// Enqueues an accelerator invocation and blocks for its result.
@@ -202,12 +267,12 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// SoC errors.
     pub fn run_blocking(&self, tile: TileCoord, op: AccelOp) -> Result<AccelRun, Error> {
         loop {
-            match self.sched.submit_run(tile, op.clone()).wait() {
+            match self.submit_run(tile, op.clone()).wait() {
                 Err(Error::NoDriver { .. }) => {
                     // Wait for a reconfiguration to finish, then retry —
                     // unless the tile was quarantined, in which case no
                     // reconfiguration will ever complete here.
-                    self.sched.wait_for_reconfig(tile)?;
+                    self.wait_for_reconfig(tile)?;
                 }
                 other => return other,
             }
@@ -230,64 +295,115 @@ impl<S: SyncFacade> ThreadedManager<S> {
         kind: AcceleratorKind,
         op: AccelOp,
     ) -> Result<(AccelRun, ExecPath), Error> {
-        self.sched.submit_execute(tile, kind, op).wait()
+        self.submit_execute(tile, kind, op).wait()
     }
 
-    /// Manager statistics snapshot.
+    /// Waits (bounded) for a reconfiguration to complete on `tile`, or
+    /// fails fast when the tile is quarantined. Used by blocking callers
+    /// that found the tile mid-swap.
+    fn wait_for_reconfig(&self, tile: TileCoord) -> Result<(), Error> {
+        let shard = self
+            .shared
+            .shards
+            .get(&tile)
+            .ok_or(Error::Soc(presp_soc::Error::NoSuchTile { coord: tile }))?;
+        let state = S::lock(&shard.state);
+        if state.is_quarantined() {
+            return Err(Error::TileQuarantined { tile });
+        }
+        let _unused = S::wait_timeout(&shard.reconfig_done, state, Duration::from_millis(50));
+        Ok(())
+    }
+
+    /// Monotone count of head-job checkouts on `tile`. Latching probe for
+    /// open-loop harnesses that must order a burst after a pinning
+    /// request has actually been picked up: sample before submitting,
+    /// then spin until the count moves — a short-lived claim window can't
+    /// be missed the way polling an instantaneous "claimed" flag could.
+    /// Unknown tiles read as zero.
+    pub fn tile_claims(&self, tile: TileCoord) -> u64 {
+        self.shared
+            .shards
+            .get(&tile)
+            .map_or(0, |shard| S::lock(&shard.queue).claims)
+    }
+
+    /// Aggregate manager statistics.
     ///
     /// Read-only post-mortem path: recovers from a poisoned device-core
     /// lock (a panicking worker must not take crash forensics down with
     /// it).
     pub fn stats(&self) -> ManagerStats {
-        self.sched.stats()
+        S::lock_recover(&self.shared.core).stats()
     }
 
-    /// Wall-clock scheduling metrics: queue-wait percentiles, coalesced
-    /// submissions, backlog high-water mark.
+    /// Wall-clock scheduling metrics (queue-wait percentiles, coalesced
+    /// submissions, backlog high-water mark), plus a fragmentation
+    /// snapshot when amorphous floorplanning is enabled. Recovers from
+    /// poisoned locks. Two-phase: the admission guard is scoped closed
+    /// before the core lock is taken, so this read path adds no
+    /// `sched_admission` → `core` lock-order edge.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.sched.scheduler_stats()
+        let mut stats = {
+            let adm = S::lock_recover(&self.shared.admission);
+            adm.stats.clone()
+        };
+        let core = S::lock_recover(&self.shared.core);
+        if let Some(frag) = core.allocator().map(|a| a.stats()) {
+            stats.free_columns = frag.free_columns as u64;
+            stats.largest_free_span = frag.largest_free_span as u64;
+            stats.external_fragmentation = frag.external_fragmentation();
+        }
+        stats
     }
 
     /// Hit/miss counters of the verified-bitstream cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.sched.cache_stats()
+        S::lock_recover(&self.shared.core).cache_stats()
     }
 
     /// Switches the device core from fixed sockets to amorphous
-    /// floorplanning over the whole fabric — see
-    /// [`crate::scheduler::Scheduler::enable_regions`]. Must run before
-    /// the first load.
+    /// floorplanning over the whole fabric. Must run before the first
+    /// load; see the device core's `enable_regions`.
     ///
     /// # Errors
     ///
     /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
-    pub fn enable_regions(&self, policy: presp_floorplan::FitPolicy) -> Result<(), Error> {
-        self.sched.enable_regions(policy)
+    pub fn enable_regions(&self, policy: FitPolicy) -> Result<(), Error> {
+        S::lock(&self.shared.core).enable_regions(policy, None)
     }
 
     /// [`ThreadedManager::enable_regions`] confined to the column window
-    /// `window` — the PR share of the fabric.
+    /// `window` — the PR share of the fabric, with the static system
+    /// outside it.
     ///
     /// # Errors
     ///
     /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
     pub fn enable_regions_within(
         &self,
-        policy: presp_floorplan::FitPolicy,
+        policy: FitPolicy,
         window: std::ops::Range<u32>,
     ) -> Result<(), Error> {
-        self.sched.enable_regions_within(policy, window)
+        S::lock(&self.shared.core).enable_regions(policy, Some(window))
     }
 
     /// Fragmentation snapshot of the region allocator; `None` on the
     /// fixed-socket path.
-    pub fn fragmentation(&self) -> Option<presp_floorplan::FragmentationStats> {
-        self.sched.fragmentation()
+    pub fn fragmentation(&self) -> Option<FragmentationStats> {
+        S::lock_recover(&self.shared.core)
+            .allocator()
+            .map(|a| a.stats())
     }
 
-    /// The live region lease of `tile` (amorphous floorplanning only).
-    pub fn tile_lease(&self, tile: TileCoord) -> Option<presp_floorplan::RegionLease> {
-        self.sched.tile_lease(tile)
+    /// The live region lease of `tile` (amorphous floorplanning only);
+    /// `None` for unknown tiles, unloaded tiles, or the fixed-socket
+    /// path.
+    pub fn tile_lease(&self, tile: TileCoord) -> Option<RegionLease> {
+        self.shared
+            .shards
+            .get(&tile)
+            .and_then(|shard| S::lock(&shard.state).lease().cloned())
     }
 
     /// Latest completion cycle on the shared virtual clock — the
@@ -297,7 +413,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
     ///
     /// Like [`ThreadedManager::stats`], survives a poisoned core lock.
     pub fn makespan(&self) -> u64 {
-        self.sched.makespan()
+        S::lock_recover(&self.shared.core).soc().horizon()
     }
 
     /// Attaches a trace sink to the underlying SoC: worker-dispatched
@@ -305,67 +421,113 @@ impl<S: SyncFacade> ThreadedManager<S> {
     ///
     /// Post-mortem path like [`ThreadedManager::stats`]: recovers from a
     /// poisoned core lock, so a crashed worker cannot make the trace log
-    /// unreachable. (This used to go through the panicking lock and died
-    /// exactly when forensics were needed.)
+    /// unreachable.
     pub fn attach_tracer(&self, sink: presp_events::SharedSink) {
-        self.sched.attach_tracer(sink);
+        S::lock_recover(&self.shared.core).attach_tracer(sink);
     }
 
     /// Attaches a sharded trace sink: worker `i` commits through shard
     /// `i mod sink.len()`, so concurrent commits never contend on one
-    /// sink mutex, and [`presp_events::ShardedSink::drain_merged`]
-    /// reproduces the exact single-sink log byte for byte at any worker
-    /// count — see [`crate::scheduler::Scheduler::attach_sharded_tracer`].
+    /// sink mutex. The tracer's seq counter survives per-commit shard
+    /// re-attachment and commits are gate-serialized, so
+    /// [`presp_events::ShardedSink::drain_merged`] reproduces the exact
+    /// single-sink log byte for byte at any worker count.
     pub fn attach_sharded_tracer(&self, sink: &presp_events::ShardedSink) {
-        self.sched.attach_sharded_tracer(sink);
+        let mut core = S::lock_recover(&self.shared.core);
+        core.set_trace_shards((0..sink.len()).map(|i| sink.shard(i)).collect());
+        // Attach shard 0 immediately so emissions before the first
+        // worker commit (boot-time spans, scrubber passes) are recorded.
+        core.attach_tracer(sink.shard(0));
     }
 
-    /// Installs (or disarms) a fault plan on the underlying SoC — see
-    /// [`crate::scheduler::Scheduler::set_fault_plan`].
+    /// Installs (or disarms, with `None`) a fault plan on the underlying
+    /// SoC. Spec-driven harnesses arm a seeded plan before driving a
+    /// workload and disarm it before a confirmation sweep; quiesce the
+    /// workload first — swapping the plan mid-request changes which hook
+    /// draws the in-flight request sees.
     pub fn set_fault_plan(&self, plan: Option<presp_fpga::fault::FaultPlan>) {
-        self.sched.set_fault_plan(plan);
+        S::lock_recover(&self.shared.core).set_fault_plan(plan);
     }
 
-    /// Faults the installed plan has injected so far.
+    /// Faults the installed plan has injected so far (all zero when no
+    /// plan is armed). Post-mortem path: recovers from a poisoned core
+    /// lock.
     pub fn injected_faults(&self) -> presp_fpga::fault::InjectedFaults {
-        self.sched.injected_faults()
+        S::lock_recover(&self.shared.core)
+            .soc()
+            .fault_plan()
+            .map(presp_fpga::fault::FaultPlan::injected)
+            .unwrap_or_default()
     }
 
-    /// Tiles currently quarantined, in coordinate order.
+    /// Tiles currently quarantined, in coordinate order. Post-mortem
+    /// path: recovers from poisoned shard locks.
     pub fn quarantined_tiles(&self) -> Vec<TileCoord> {
-        self.sched.quarantined_tiles()
-    }
-
-    /// Installs (or disarms) a worker-software-fault plan — see
-    /// [`crate::scheduler::Scheduler::set_worker_fault_plan`]. Only a
-    /// supervised manager (`RecoveryPolicy::supervised`) consults it.
-    pub fn set_worker_fault_plan(&self, plan: Option<crate::supervisor::WorkerFaultPlan>) {
-        self.sched.set_worker_fault_plan(plan);
-    }
-
-    /// Supervision counters (deaths, respawns, steals, redispatches)
-    /// with the fault plan's injection counters folded in.
-    pub fn supervisor_stats(&self) -> crate::supervisor::SupervisorStats {
-        self.sched.supervisor_stats()
-    }
-
-    /// Tickets admitted but neither committed nor retired. Zero on any
-    /// quiesced manager — the supervision layer's "no orphaned tickets"
-    /// invariant.
-    pub fn orphaned_tickets(&self) -> u64 {
-        self.sched.orphaned_tickets()
+        self.shared
+            .shards
+            .iter()
+            .filter(|(_, shard)| S::lock_recover(&shard.state).is_quarantined())
+            .map(|(&coord, _)| coord)
+            .collect()
     }
 
     /// Caller-side unlocked read the `unsynced_stats` mutant races with.
     #[doc(hidden)]
     pub fn unsynced_runs(&self) -> u64 {
-        self.sched.unsynced_runs()
+        self.shared.racy_runs.read()
     }
 
-    /// Stops the workers and joins them. Idempotent, and — like the other
-    /// post-mortem paths — tolerant of poisoned locks.
+    /// Installs (or disarms, with `None`) a worker-software-fault plan.
+    /// Only a supervised manager (`policy.supervised`) consults the
+    /// plan; arm it before driving a workload.
+    pub fn set_worker_fault_plan(&self, plan: Option<WorkerFaultPlan>) {
+        *S::lock_recover(&self.shared.worker_faults) = plan;
+    }
+
+    /// Supervision counters (deaths, respawns, steals, redispatches),
+    /// with the installed fault plan's injection counters folded in.
+    /// Post-mortem path: recovers from poisoned locks.
+    pub fn supervisor_stats(&self) -> SupervisorStats {
+        let mut stats = S::lock_recover(&self.shared.supervisor).stats;
+        if let Some(plan) = S::lock_recover(&self.shared.worker_faults).as_ref() {
+            stats.merge_injections(plan.injected());
+        }
+        stats
+    }
+
+    /// Tickets admitted but neither committed nor retired, plus claims
+    /// still registered with the supervisor. Zero on any quiesced
+    /// manager — the "no orphaned tickets" invariant the supervision
+    /// layer preserves across worker deaths, hangs and sheds.
+    pub fn orphaned_tickets(&self) -> u64 {
+        let claims = S::lock_recover(&self.shared.supervisor).claims.len() as u64;
+        let next_ticket = S::lock_recover(&self.shared.admission).next_ticket;
+        let gate_next = S::lock_recover(&self.shared.gate).next;
+        claims + next_ticket.saturating_sub(gate_next)
+    }
+
+    /// Stops the workers and joins them: pending unclaimed jobs are
+    /// answered with [`Error::ManagerStopped`], their tickets retired so
+    /// in-flight workers still pass the gate; hung claims are released
+    /// the same way and the supervisor thread is told to exit.
+    /// Idempotent and tolerant of poisoned locks.
     pub fn shutdown(&self) {
-        self.sched.shutdown();
+        self.shared.drain_to_stop();
+        S::notify_all(&self.shared.work);
+        self.shared.stop_supervision();
+        // Take the handles in a standalone statement: the workers-lock
+        // guard must drop before joining, or a supervisor respawn racing
+        // shutdown would deadlock pushing into the held lock.
+        let handles = S::lock_recover(&self.workers).take();
+        if let Some(handles) = handles {
+            for handle in handles {
+                let _ = S::join(handle);
+            }
+        }
+        // Unblock any thread parked in a blocking wait loop.
+        for shard in self.shared.shards.values() {
+            S::notify_all(&shard.reconfig_done);
+        }
     }
 }
 
@@ -390,14 +552,11 @@ mod tests {
     }
 
     fn boot(n: usize) -> (ThreadedManager, Vec<TileCoord>) {
-        boot_with(n, RecoveryPolicy::default(), n.max(1))
+        boot_with(n, RecoveryPolicy::default())
     }
 
-    fn boot_with(
-        n: usize,
-        policy: RecoveryPolicy,
-        workers: usize,
-    ) -> (ThreadedManager, Vec<TileCoord>) {
+    /// Boots `n` reconfigurable tiles with one worker each.
+    fn boot_with(n: usize, policy: RecoveryPolicy) -> (ThreadedManager, Vec<TileCoord>) {
         let cfg = SocConfig::grid_3x3_reconf("threaded", n).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let tiles = cfg.reconfigurable_tiles();
@@ -410,10 +569,11 @@ mod tests {
                 .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
                 .unwrap();
         }
-        (
-            ThreadedManager::spawn_with_workers(soc, registry, policy, workers),
-            tiles,
-        )
+        let config = RuntimeConfig {
+            policy,
+            ..RuntimeConfig::default()
+        };
+        (ThreadedManager::spawn_with(soc, registry, config), tiles)
     }
 
     fn supervised_policy() -> RecoveryPolicy {
@@ -435,8 +595,16 @@ mod tests {
         panic!("condition not reached within 2s");
     }
 
-    /// Boots a model-checked manager inside an exploration body.
+    /// Boots a model-checked manager inside an exploration body: one
+    /// tile, one worker.
     fn boot_checked(mutants: MutantConfig) -> (ThreadedManager<CheckSync>, Vec<TileCoord>) {
+        boot_checked_with(RecoveryPolicy::default(), mutants)
+    }
+
+    fn boot_checked_with(
+        policy: RecoveryPolicy,
+        mutants: MutantConfig,
+    ) -> (ThreadedManager<CheckSync>, Vec<TileCoord>) {
         let cfg = SocConfig::grid_3x3_reconf("model", 1).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let tiles = cfg.reconfigurable_tiles();
@@ -444,12 +612,15 @@ mod tests {
         registry
             .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_mutants(
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(
             soc,
             registry,
-            RecoveryPolicy::default(),
-            1,
-            mutants,
+            RuntimeConfig {
+                policy,
+                workers: Some(1),
+                mutants,
+                ..RuntimeConfig::default()
+            },
         );
         (mgr, tiles)
     }
@@ -656,7 +827,7 @@ mod tests {
             .unwrap();
         let poisoner = mgr.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.sched.shared.core.lock().unwrap();
+            let _guard = poisoner.shared.core.lock().unwrap();
             panic!("crash while holding the core lock");
         })
         .join();
@@ -680,7 +851,7 @@ mod tests {
             .unwrap();
         let poisoner = mgr.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.sched.shared.core.lock().unwrap();
+            let _guard = poisoner.shared.core.lock().unwrap();
             panic!("crash while holding the core lock");
         })
         .join();
@@ -688,7 +859,7 @@ mod tests {
         // succeed and the sink must really reach the SoC.
         let sink = presp_events::MemorySink::shared();
         mgr.attach_tracer(sink.clone());
-        let mut core = match mgr.sched.shared.core.lock() {
+        let mut core = match mgr.shared.core.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
@@ -712,7 +883,7 @@ mod tests {
     #[test]
     fn panicking_worker_is_healed_and_respawned() {
         install_quiet_panic_hook();
-        let (mgr, tiles) = boot_with(2, supervised_policy(), 2);
+        let (mgr, tiles) = boot_with(2, supervised_policy());
         mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Panic)])));
         // Ticket 0's worker panics mid-prepare: the claim guard heals the
         // gate and the job is redispatched under the same ticket, so the
@@ -743,7 +914,7 @@ mod tests {
 
     #[test]
     fn hung_worker_claim_is_stolen_and_redispatched() {
-        let (mgr, tiles) = boot_with(1, supervised_policy(), 1);
+        let (mgr, tiles) = boot_with(1, supervised_policy());
         mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
         // The only worker wedges after prepare; the watchdog steals the
         // claim blocking the gate and the released worker redoes it.
@@ -766,7 +937,7 @@ mod tests {
             deadline_cycles: 1,
             ..supervised_policy()
         };
-        let (mgr, tiles) = boot_with(1, policy, 1);
+        let (mgr, tiles) = boot_with(1, policy);
         mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
         // A hangs until the watchdog steals it (wall-clock), so B is
         // admitted meanwhile with a deadline 1 virtual cycle out. A
@@ -795,7 +966,7 @@ mod tests {
             deadline_cycles: 1,
             ..supervised_policy()
         };
-        let (mgr, tiles) = boot_with(1, policy, 1);
+        let (mgr, tiles) = boot_with(1, policy);
         mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
         let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
         let b = mgr.submit_execute(
@@ -824,7 +995,7 @@ mod tests {
             queue_capacity: 1,
             ..supervised_policy()
         };
-        let (mgr, tiles) = boot_with(1, policy, 1);
+        let (mgr, tiles) = boot_with(1, policy);
         mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
         let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
         // Once A is claimed (and hung) the queue is empty again; B fills
@@ -858,7 +1029,7 @@ mod tests {
             overload: OverloadPolicy::ShedOldest,
             ..supervised_policy()
         };
-        let (mgr, tiles) = boot_with(1, policy, 1);
+        let (mgr, tiles) = boot_with(1, policy);
         mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
         let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
         wait_until(|| mgr.supervisor_stats().hangs_injected == 1);
@@ -894,7 +1065,7 @@ mod tests {
             breaker: true,
             ..supervised_policy()
         };
-        let (mgr, tiles) = boot_with(1, policy, 1);
+        let (mgr, tiles) = boot_with(1, policy);
         let mut plan = FaultPlan::new(11, FaultConfig::uniform(0.0));
         for n in 0..4 {
             plan.force_icap_fault(n);
@@ -1049,21 +1220,7 @@ mod tests {
     fn boot_checked_supervised(
         mutants: MutantConfig,
     ) -> (ThreadedManager<CheckSync>, Vec<TileCoord>) {
-        let cfg = SocConfig::grid_3x3_reconf("model", 1).unwrap();
-        let soc = Soc::new(&cfg).unwrap();
-        let tiles = cfg.reconfigurable_tiles();
-        let mut registry = BitstreamRegistry::new();
-        registry
-            .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
-            .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with_mutants(
-            soc,
-            registry,
-            supervised_policy(),
-            1,
-            mutants,
-        );
-        (mgr, tiles)
+        boot_checked_with(supervised_policy(), mutants)
     }
 
     fn supervised_hang_model() {

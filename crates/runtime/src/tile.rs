@@ -13,10 +13,10 @@
 //!
 //! `TileState` is pure data with no locking of its own. The deterministic
 //! [`crate::manager::ReconfigManager`] owns its shards directly; the
-//! OS-threaded [`crate::scheduler::Scheduler`] wraps each one in a
+//! OS-threaded [`crate::threaded::ThreadedManager`] wraps each one in a
 //! per-tile mutex (label `"tile_state"`) and is the only doorway through
 //! which shard state is mutated on the concurrent path — a boundary
-//! `presp-lint` enforces.
+//! `presp-analyze` enforces.
 
 use crate::driver::DriverEvent;
 use presp_accel::catalog::AcceleratorKind;

@@ -31,7 +31,7 @@ use presp_runtime::manager::ExecPath;
 use presp_runtime::registry::BitstreamRegistry;
 use presp_runtime::scrubber::ScrubberDaemon;
 use presp_runtime::supervisor::{install_quiet_panic_hook, WorkerFaultPlan};
-use presp_runtime::threaded::ThreadedManager;
+use presp_runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp_soc::config::{SocConfig, TileCoord};
 use presp_soc::sim::Soc;
 use std::collections::{BTreeMap, VecDeque};
@@ -298,12 +298,15 @@ fn run_cell(
             }
         }
     }
-    let manager: ThreadedManager = ThreadedManager::spawn_with_config(
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
         soc,
         registry,
-        spec.policy,
-        workers,
-        spec.cache_capacity,
+        RuntimeConfig {
+            policy: spec.policy,
+            workers: Some(workers),
+            cache_capacity: spec.cache_capacity,
+            ..RuntimeConfig::default()
+        },
     );
     if spec.regions.enabled {
         match spec.regions.window {
@@ -583,14 +586,14 @@ fn drive_overload_burst(
     tally: &mut DriveTally,
 ) {
     let big: Vec<f32> = (0..pin_sort_len).rev().map(|i| i as f32).collect();
-    let claims_before = manager.scheduler().tile_claims(tiles[1]);
+    let claims_before = manager.tile_claims(tiles[1]);
     let busy = manager.submit_execute(tiles[1], AcceleratorKind::Sort, AccelOp::Sort { data: big });
     // The burst must race the bounded queue, not worker startup: spin
     // until the pin sort has been checked out (the claim counter is
     // latching, so a fast completion can't be missed), so a worker is
     // provably pinned when the burst begins and the shed count is
     // reproducible.
-    while manager.scheduler().tile_claims(tiles[1]) == claims_before {
+    while manager.tile_claims(tiles[1]) == claims_before {
         std::thread::yield_now();
     }
     let pending: Vec<_> = (0..burst)

@@ -20,8 +20,7 @@ use presp::check::{CheckSync, Checker, Config};
 use presp::fpga::bitstream::{BitstreamBuilder, BitstreamKind};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::registry::BitstreamRegistry;
-use presp::runtime::threaded::ThreadedManager;
-use presp::runtime::RecoveryPolicy;
+use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::soc::config::SocConfig;
 use presp::soc::sim::Soc;
 
@@ -52,8 +51,7 @@ fn dpr_protocol_model() {
         .register(tile, AcceleratorKind::Mac, b.build(true))
         .expect("fresh registry");
 
-    let mgr =
-        ThreadedManager::<CheckSync>::spawn_with_policy(soc, registry, RecoveryPolicy::default());
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
     let app = mgr.clone();
     let worker = spawn_named("app", move || {
         app.reconfigure_blocking(tile, AcceleratorKind::Mac)

@@ -20,8 +20,7 @@ use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::registry::BitstreamRegistry;
 use presp::runtime::scrubber::ScrubberDaemon;
-use presp::runtime::threaded::ThreadedManager;
-use presp::runtime::RecoveryPolicy;
+use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::soc::config::SocConfig;
 use presp::soc::sim::Soc;
 use std::collections::BTreeSet;
@@ -48,11 +47,13 @@ fn sharded_model() {
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2 + i as u32))
             .unwrap();
     }
-    let mgr = ThreadedManager::<CheckSync>::spawn_with_workers(
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(
         soc,
         registry,
-        RecoveryPolicy::default(),
-        2,
+        RuntimeConfig {
+            workers: Some(2),
+            ..RuntimeConfig::default()
+        },
     );
     let pendings: Vec<_> = tiles
         .iter()
@@ -84,8 +85,7 @@ fn scrubbed_model() {
     registry
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
-    let mgr =
-        ThreadedManager::<CheckSync>::spawn_with_policy(soc, registry, RecoveryPolicy::default());
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
     let scrubber = ScrubberDaemon::attach(&mgr);
     let report = scrubber.scrub_blocking(tiles[0]).unwrap();
     assert!(report.uncorrectable.is_empty());

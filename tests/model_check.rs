@@ -23,7 +23,7 @@ use presp::events::timeline::ResourceTimeline;
 use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::registry::BitstreamRegistry;
-use presp::runtime::threaded::ThreadedManager;
+use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::runtime::RecoveryPolicy;
 use presp::soc::config::{SocConfig, TileCoord};
 use presp::soc::sim::Soc;
@@ -54,8 +54,7 @@ fn boot_checked() -> (ThreadedManager<CheckSync>, Vec<TileCoord>) {
     registry
         .register(tiles[1], AcceleratorKind::Mac, bitstream(&soc, 3))
         .unwrap();
-    let mgr =
-        ThreadedManager::<CheckSync>::spawn_with_policy(soc, registry, RecoveryPolicy::default());
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
     (mgr, tiles)
 }
 
@@ -219,11 +218,13 @@ fn sharded_multi_worker_model() {
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2 + i as u32))
             .unwrap();
     }
-    let mgr = ThreadedManager::<CheckSync>::spawn_with_workers(
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(
         soc,
         registry,
-        RecoveryPolicy::default(),
-        4,
+        RuntimeConfig {
+            workers: Some(4),
+            ..RuntimeConfig::default()
+        },
     );
     // Sharded tracing in the model: every worker commits through its own
     // shard, so the sink protocol itself is under exploration too.
@@ -318,14 +319,16 @@ fn sharded_inversion_model() {
         .unwrap();
     // One worker: the inversion is a two-party cycle (worker vs scrub
     // daemon); extra workers only dilute the bounded exploration.
-    let mgr = ThreadedManager::<CheckSync>::spawn_with_mutants(
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(
         soc,
         registry,
-        RecoveryPolicy::default(),
-        1,
-        MutantConfig {
-            shard_core_inversion: true,
-            ..MutantConfig::default()
+        RuntimeConfig {
+            workers: Some(1),
+            mutants: MutantConfig {
+                shard_core_inversion: true,
+                ..MutantConfig::default()
+            },
+            ..RuntimeConfig::default()
         },
     );
     let scrubber = ScrubberDaemon::attach(&mgr);
@@ -391,7 +394,15 @@ fn supervised_recovery_model() {
         supervised: true,
         ..RecoveryPolicy::default()
     };
-    let mgr = ThreadedManager::<CheckSync>::spawn_with_workers(soc, registry, policy, 1);
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(
+        soc,
+        registry,
+        RuntimeConfig {
+            policy,
+            workers: Some(1),
+            ..RuntimeConfig::default()
+        },
+    );
     mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
     let tile = tiles[0];
     let app = {
@@ -465,14 +476,17 @@ fn supervisor_gate_inversion_model() {
         supervised: true,
         ..RecoveryPolicy::default()
     };
-    let mgr = ThreadedManager::<CheckSync>::spawn_with_mutants(
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(
         soc,
         registry,
-        policy,
-        1,
-        MutantConfig {
-            supervisor_gate_inversion: true,
-            ..MutantConfig::default()
+        RuntimeConfig {
+            policy,
+            workers: Some(1),
+            mutants: MutantConfig {
+                supervisor_gate_inversion: true,
+                ..MutantConfig::default()
+            },
+            ..RuntimeConfig::default()
         },
     );
     mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
@@ -527,14 +541,16 @@ fn queue_admission_inversion_model() {
     registry
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
-    let mgr = ThreadedManager::<CheckSync>::spawn_with_mutants(
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(
         soc,
         registry,
-        RecoveryPolicy::default(),
-        1,
-        MutantConfig {
-            queue_admission_inversion: true,
-            ..MutantConfig::default()
+        RuntimeConfig {
+            workers: Some(1),
+            mutants: MutantConfig {
+                queue_admission_inversion: true,
+                ..MutantConfig::default()
+            },
+            ..RuntimeConfig::default()
         },
     );
     let tile = tiles[0];
@@ -608,8 +624,7 @@ fn defrag_model() {
     registry
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
-    let mgr =
-        ThreadedManager::<CheckSync>::spawn_with_policy(soc, registry, RecoveryPolicy::default());
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
     mgr.enable_regions(FitPolicy::FirstFit).unwrap();
     let defrag = Defragmenter::attach(&mgr);
     let tile = tiles[0];
@@ -663,8 +678,7 @@ fn defrag_inversion_model() {
     registry
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
-    let mgr =
-        ThreadedManager::<CheckSync>::spawn_with_policy(soc, registry, RecoveryPolicy::default());
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
     let defrag = Defragmenter::attach_with_mutants(
         &mgr,
         DefragMutantConfig {

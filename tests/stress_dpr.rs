@@ -20,7 +20,7 @@ use presp::fpga::fault::{FaultConfig, FaultPlan, InjectedFaults, SplitMix64};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::manager::{ExecPath, ManagerStats, ReconfigManager, RecoveryPolicy};
 use presp::runtime::registry::BitstreamRegistry;
-use presp::runtime::threaded::ThreadedManager;
+use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::runtime::Error as RuntimeError;
 use presp::soc::config::{SocConfig, TileCoord};
 use presp::soc::sim::{csr, Soc};
@@ -50,6 +50,24 @@ fn stress_policy() -> RecoveryPolicy {
         cpu_fallback: true,
         ..RecoveryPolicy::default()
     }
+}
+
+/// The threaded runtime under [`stress_policy`]; `workers: None` starts
+/// one worker per reconfigurable tile.
+fn stress_runtime(
+    soc: Soc,
+    registry: BitstreamRegistry,
+    workers: Option<usize>,
+) -> ThreadedManager {
+    ThreadedManager::spawn_with(
+        soc,
+        registry,
+        RuntimeConfig {
+            policy: stress_policy(),
+            workers,
+            ..RuntimeConfig::default()
+        },
+    )
 }
 
 fn boot(seed: u64, rate: f64) -> (ReconfigManager, Vec<TileCoord>) {
@@ -499,8 +517,7 @@ fn run_threaded_schedule(seed: u64, workers: usize) -> (ManagerStats, u64, Strin
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, stress_policy(), workers);
+    let manager = stress_runtime(soc, registry, Some(workers));
 
     // Single blocking submitter: each request completes before the next
     // is admitted, so the submission order — and therefore the ticket
@@ -581,8 +598,7 @@ fn run_async_burst(seed: u64, workers: usize) -> (ManagerStats, u64) {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, stress_policy(), workers);
+    let manager = stress_runtime(soc, registry, Some(workers));
 
     let mut queues: Vec<VecDeque<(TileCoord, AcceleratorKind, AccelOp, AccelValue)>> = (0
         ..APP_THREADS)
@@ -652,8 +668,7 @@ fn coalesced_reconfigure_burst_loads_once_and_answers_everyone() {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, stress_policy(), 1);
+    let manager = stress_runtime(soc, registry, Some(1));
 
     // Occupy the single worker: its lock-free behavioral evaluation of a
     // two-million-element sort takes real wall time, during which it
@@ -711,8 +726,7 @@ fn os_thread_stress_with_faults_completes_and_shuts_down_cleanly() {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_policy(soc, registry, stress_policy());
+    let manager = stress_runtime(soc, registry, None);
 
     let handles: Vec<_> = (0..APP_THREADS)
         .map(|t| {

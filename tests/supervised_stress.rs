@@ -31,7 +31,7 @@ use presp::runtime::scrubber::ScrubberDaemon;
 use presp::runtime::supervisor::{
     install_quiet_panic_hook, SupervisorStats, WorkerFaultConfig, WorkerFaultPlan,
 };
-use presp::runtime::threaded::ThreadedManager;
+use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::soc::config::{SocConfig, TileCoord};
 use presp::soc::sim::Soc;
 use std::collections::VecDeque;
@@ -136,8 +136,15 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let manager: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, supervised_policy(), workers);
+    let manager: ThreadedManager = ThreadedManager::spawn_with(
+        soc,
+        registry,
+        RuntimeConfig {
+            policy: supervised_policy(),
+            workers: Some(workers),
+            ..RuntimeConfig::default()
+        },
+    );
     manager.set_worker_fault_plan(Some(WorkerFaultPlan::seeded(seed, worker_faults())));
     let scrubber = ScrubberDaemon::attach(&manager);
 
@@ -337,8 +344,15 @@ fn unsupervised_fault_free_storms_still_hold() {
             cpu_fallback: true,
             ..RecoveryPolicy::default()
         };
-        let manager: ThreadedManager =
-            ThreadedManager::spawn_with_workers(soc, registry, policy, WORKERS);
+        let manager: ThreadedManager = ThreadedManager::spawn_with(
+            soc,
+            registry,
+            RuntimeConfig {
+                policy,
+                workers: Some(WORKERS),
+                ..RuntimeConfig::default()
+            },
+        );
         for t in 0..APP_THREADS {
             for j in 0..OPS_PER_THREAD {
                 let (kind, op, expected) = job_op(t, j);

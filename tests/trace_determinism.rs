@@ -9,7 +9,9 @@ use presp::core::platform::deploy_wami;
 use presp::events::trace::{chrome_trace_json, log_lines};
 use presp::events::{json, MemorySink, TraceRecord};
 use presp::fpga::fault::{FaultConfig, FaultPlan};
-use presp::runtime::manager::RecoveryPolicy;
+use presp::runtime::cache::CacheStats;
+use presp::runtime::manager::{ManagerStats, RecoveryPolicy};
+use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::wami::frames::SceneGenerator;
 
 /// Runs a seeded WAMI deployment under injected ICAP faults with tracing
@@ -104,21 +106,23 @@ fn sequence_numbers_are_dense_and_ordered() {
 
 /// Drives the OS-threaded scheduler with `workers` workers and a sharded
 /// trace sink (one shard per worker), fanning out batches of asynchronous
-/// requests from a single submitter thread, and returns the merged trace
-/// plus the virtual-time makespan.
+/// requests from a single submitter thread, and returns the merged trace,
+/// the virtual-time makespan and the final counters.
 ///
 /// A single submitter makes the admission order — and therefore the
 /// global ticket order — deterministic; the commit-order gate then
 /// serializes every traced critical section by ticket, so the merged log
 /// must be identical for any worker count even though 16 workers overlap
 /// their lock-free prepare stages.
-fn sharded_threaded_run(workers: usize) -> (Vec<TraceRecord>, u64) {
+///
+/// `None` boots with [`ThreadedManager::spawn`], `Some` with
+/// [`ThreadedManager::spawn_with`]; the sink gets one shard per worker.
+fn sharded_threaded_run(config: Option<RuntimeConfig>) -> ShardedRun {
     use presp::accel::{AccelOp, AcceleratorKind};
     use presp::events::ShardedSink;
     use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
     use presp::fpga::frame::FrameAddress;
     use presp::runtime::registry::BitstreamRegistry;
-    use presp::runtime::threaded::ThreadedManager;
     use presp::soc::config::SocConfig;
     use presp::soc::sim::Soc;
 
@@ -143,8 +147,14 @@ fn sharded_threaded_run(workers: usize) -> (Vec<TraceRecord>, u64) {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let mgr: ThreadedManager =
-        ThreadedManager::spawn_with_workers(soc, registry, RecoveryPolicy::default(), workers);
+    let workers = config
+        .as_ref()
+        .and_then(|c| c.workers)
+        .unwrap_or(tiles.len());
+    let mgr: ThreadedManager = match config {
+        None => ThreadedManager::spawn(soc, registry),
+        Some(config) => ThreadedManager::spawn_with(soc, registry, config),
+    };
     let sink = ShardedSink::new(workers);
     mgr.attach_sharded_tracer(&sink);
 
@@ -188,27 +198,63 @@ fn sharded_threaded_run(workers: usize) -> (Vec<TraceRecord>, u64) {
     mgr.shutdown();
     let records = sink.drain_merged();
     assert!(!records.is_empty(), "sharded run emitted nothing");
-    (records, makespan)
+    ShardedRun {
+        records,
+        makespan,
+        stats: mgr.stats(),
+        cache: mgr.cache_stats(),
+    }
+}
+
+/// What one [`sharded_threaded_run`] observed.
+struct ShardedRun {
+    records: Vec<TraceRecord>,
+    makespan: u64,
+    stats: ManagerStats,
+    cache: CacheStats,
+}
+
+fn with_workers(workers: usize) -> Option<RuntimeConfig> {
+    Some(RuntimeConfig {
+        workers: Some(workers),
+        ..RuntimeConfig::default()
+    })
 }
 
 #[test]
 fn sharded_trace_merge_is_byte_identical_across_worker_counts() {
-    let (one, makespan_one) = sharded_threaded_run(1);
-    let (sixteen, makespan_sixteen) = sharded_threaded_run(16);
+    let one = sharded_threaded_run(with_workers(1));
+    let sixteen = sharded_threaded_run(with_workers(16));
     assert_eq!(
-        makespan_one, makespan_sixteen,
+        one.makespan, sixteen.makespan,
         "virtual-time makespan diverged across worker counts"
     );
     assert_eq!(
-        log_lines(&one),
-        log_lines(&sixteen),
+        log_lines(&one.records),
+        log_lines(&sixteen.records),
         "merged trace logs diverged between 1 and 16 workers"
+    );
+}
+
+/// `spawn` boots exactly what `spawn_with(.., RuntimeConfig::default())`
+/// boots: same counters, same cache behaviour, same merged trace.
+#[test]
+fn spawn_boots_the_default_runtime_config() {
+    let spawned = sharded_threaded_run(None);
+    let configured = sharded_threaded_run(Some(RuntimeConfig::default()));
+    assert_eq!(spawned.stats, configured.stats);
+    assert_eq!(spawned.cache, configured.cache);
+    assert!(spawned.cache.hits > 0, "the default cache never hit");
+    assert_eq!(
+        log_lines(&spawned.records),
+        log_lines(&configured.records),
+        "merged trace logs diverged between spawn and the default config"
     );
 }
 
 #[test]
 fn sharded_trace_merge_has_dense_ordered_sequence_numbers() {
-    let (records, _) = sharded_threaded_run(16);
+    let records = sharded_threaded_run(with_workers(16)).records;
     for (i, r) in records.iter().enumerate() {
         assert_eq!(r.seq, i as u64, "gap in merged trace sequence at {i}");
     }
