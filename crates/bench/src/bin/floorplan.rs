@@ -14,7 +14,7 @@
 //! * **repack** — the reject-to-admit arc from DESIGN.md §16 driven
 //!   end to end through the threaded scheduler: pack a 7-tile window,
 //!   open non-adjacent holes, get the 3-wide GEMM refused, time one
-//!   daemon repack pass, and confirm the retry is admitted. Reports the
+//!   repack pass, and confirm the retry is admitted. Reports the
 //!   pass latency and the moves/frames it applied.
 //!
 //! Writes `BENCH_floorplan.json` (schema `presp-bench-floorplan/v1`);
@@ -32,7 +32,6 @@ use presp_fpga::fabric::{ColumnKind, Device};
 use presp_fpga::fault::SplitMix64;
 use presp_fpga::frame::FrameAddress;
 use presp_fpga::part::FpgaPart;
-use presp_runtime::defrag::Defragmenter;
 use presp_runtime::error::Error;
 use presp_runtime::registry::BitstreamRegistry;
 use presp_runtime::threaded::ThreadedManager;
@@ -193,7 +192,7 @@ fn span_bitstream(soc: &Soc, cols: std::ops::Range<u32>, frames: u32) -> Bitstre
 
 /// The measured reject-to-admit arc: seven 1-column MAC loads pack the
 /// `1..12` window, a SORT swap opens non-adjacent holes, the 3-column
-/// GEMM is refused, one timed daemon pass heals the fragmentation, and
+/// GEMM is refused, one timed repack pass heals the fragmentation, and
 /// the retry is admitted.
 fn run_repack() -> RepackCell {
     let cfg = SocConfig::grid_reconf("bench_floorplan", 7).unwrap();
@@ -214,7 +213,6 @@ fn run_repack() -> RepackCell {
     let mgr = ThreadedManager::spawn(soc, registry);
     mgr.enable_regions_within(FitPolicy::FirstFit, 1..12)
         .unwrap();
-    let defrag = Defragmenter::attach(&mgr);
     for &t in &tiles {
         mgr.reconfigure_blocking(t, AcceleratorKind::Mac).unwrap();
     }
@@ -226,13 +224,12 @@ fn run_repack() -> RepackCell {
         "the fragmented window admitted a 3-wide region: {refused:?}"
     );
     let start = Instant::now();
-    let report = defrag.repack_blocking().expect("repack pass completes");
+    let report = mgr.repack_blocking().expect("repack pass completes");
     let repack_micros = start.elapsed().as_micros() as u64;
     mgr.reconfigure_blocking(tiles[1], AcceleratorKind::Gemm)
         .expect("repacked window admits the retry");
     let stats = mgr.stats();
     assert!(stats.consistent(), "inconsistent stats: {stats:?}");
-    defrag.shutdown();
     mgr.shutdown();
     RepackCell {
         repack_micros,

@@ -18,17 +18,6 @@ use std::ops::DerefMut;
 use std::sync::PoisonError;
 use std::time::Duration;
 
-/// Outcome of a facade-level non-blocking receive.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecv<T> {
-    /// A message was available.
-    Value(T),
-    /// No message queued (yet).
-    Empty,
-    /// No message queued and every sender is gone.
-    Disconnected,
-}
-
 /// Family of synchronization primitives the runtime is generic over.
 pub trait SyncFacade: Sized + Send + Sync + 'static {
     /// Mutual-exclusion lock around `T`.
@@ -85,8 +74,6 @@ pub trait SyncFacade: Sized + Send + Sync + 'static {
     fn send<T: Send + 'static>(tx: &Self::Sender<T>, value: T) -> Result<(), T>;
     /// Blocks for the next message; `None` when all senders are gone.
     fn recv<T: Send + 'static>(rx: &Self::Receiver<T>) -> Option<T>;
-    /// Non-blocking receive.
-    fn try_recv<T: Send + 'static>(rx: &Self::Receiver<T>) -> TryRecv<T>;
 
     /// Spawns a named thread.
     fn spawn<T, F>(name: &str, f: F) -> Self::JoinHandle<T>
@@ -190,14 +177,6 @@ impl SyncFacade for StdSync {
         rx.recv().ok()
     }
 
-    fn try_recv<T: Send + 'static>(rx: &Self::Receiver<T>) -> TryRecv<T> {
-        match rx.try_recv() {
-            Ok(value) => TryRecv::Value(value),
-            Err(std::sync::mpsc::TryRecvError::Empty) => TryRecv::Empty,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => TryRecv::Disconnected,
-        }
-    }
-
     fn spawn<T, F>(name: &str, f: F) -> Self::JoinHandle<T>
     where
         T: Send + 'static,
@@ -290,14 +269,6 @@ impl SyncFacade for CheckSync {
 
     fn recv<T: Send + 'static>(rx: &Self::Receiver<T>) -> Option<T> {
         rx.recv().ok()
-    }
-
-    fn try_recv<T: Send + 'static>(rx: &Self::Receiver<T>) -> TryRecv<T> {
-        match rx.try_recv() {
-            Ok(value) => TryRecv::Value(value),
-            Err(shim::TryRecvError::Empty) => TryRecv::Empty,
-            Err(shim::TryRecvError::Disconnected) => TryRecv::Disconnected,
-        }
     }
 
     fn spawn<T, F>(name: &str, f: F) -> Self::JoinHandle<T>

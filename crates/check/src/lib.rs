@@ -60,7 +60,7 @@ mod vc;
 pub mod facade;
 pub mod sync;
 
-pub use facade::{CheckSync, StdSync, SyncFacade, TryRecv};
+pub use facade::{CheckSync, StdSync, SyncFacade};
 pub use lockorder::LockOrderGraph;
 pub use race::RaceCell;
 pub use report::{Failure, FailureKind, Report};

@@ -17,26 +17,28 @@
 //!   live in one [`device::DeviceCore`].
 //! * [`threaded`] — the runtime handle, [`threaded::ThreadedManager`]:
 //!   booted from one [`threaded::RuntimeConfig`], it offers blocking and
-//!   asynchronous submission APIs for real OS threads plus every stats,
-//!   trace and fault-plan accessor. Generic over [`sync::SyncFacade`],
+//!   asynchronous submission APIs for real OS threads, the scrub and
+//!   repack maintenance passes, plus every stats, trace and fault-plan
+//!   accessor. Generic over [`sync::SyncFacade`],
 //!   so the same protocol runs in production (`std::sync`) and under
 //!   the `presp-check` model checker.
 //! * [`scheduler`] — the protocol behind that handle: per-tile request
 //!   queues drained by a worker pool, with request coalescing, a
 //!   commit-order ticket gate that keeps results identical for any
 //!   worker count, and lock-free evaluation of behavioral results.
-//! * [`scrubber`] — the configuration-memory scrubber daemon: a
-//!   maintenance worker sharing the scheduler's tile shards and device
-//!   core that walks configuration frames, repairs SEUs with the
-//!   per-frame ECC, and quarantines tiles with uncorrectable damage.
+//! * [`scrubber`] — configuration-memory scrubbing as handle methods
+//!   (`scrub_blocking`, `scrub_all_blocking`, `scrubber_stats`): a pass
+//!   runs on the calling thread under the scheduler's tile-shard and
+//!   device-core locks, walks configuration frames, repairs SEUs with
+//!   the per-frame ECC, and quarantines tiles with uncorrectable damage.
 //!   Model-checked alongside the scheduler.
-//! * [`defrag`] — the online defragmenter daemon: under amorphous
-//!   floorplanning (flexible-boundary regions leased from a
-//!   [`presp_floorplan`] allocator instead of fixed sockets), a
-//!   maintenance worker that quiesces the commit gate, plans the
-//!   allocator's left-slide compaction and relocates idle regions so an
-//!   oversized request refused for fragmentation can be admitted.
-//!   Model-checked alongside the scheduler.
+//! * [`defrag`] — online defragmentation as handle methods
+//!   (`repack_blocking`, `defrag_stats`): under amorphous floorplanning
+//!   (flexible-boundary regions leased from a [`presp_floorplan`]
+//!   allocator instead of fixed sockets), a pass quiesces the commit
+//!   gate, plans the allocator's left-slide compaction and relocates
+//!   idle regions so an oversized request refused for fragmentation can
+//!   be admitted. Model-checked alongside the scheduler.
 //! * [`supervisor`] — worker supervision: seeded software-fault plans
 //!   (worker panics, hangs, stalls) and the watchdog counters. The
 //!   scheduler's supervisor thread heals the commit-order gate by
@@ -94,11 +96,11 @@ pub mod sync;
 pub mod threaded;
 pub mod tile;
 
-pub use defrag::{DefragStats, Defragmenter};
+pub use defrag::DefragStats;
 pub use error::Error;
 pub use manager::{ExecPath, ReconfigManager, RecoveryPolicy, RepackReport, TileHealth};
 pub use registry::BitstreamRegistry;
-pub use scrubber::{ScrubberDaemon, ScrubberStats};
+pub use scrubber::ScrubberStats;
 pub use supervisor::{
     install_quiet_panic_hook, SupervisorStats, WorkerFault, WorkerFaultConfig, WorkerFaultPlan,
 };

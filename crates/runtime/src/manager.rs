@@ -466,15 +466,7 @@ impl ReconfigManager {
                 Err(_) => report.skipped += 1,
             }
         }
-        let now = self.core.soc().horizon().max(at);
-        self.core.soc_mut().tracer_mut().instant(
-            presp_events::trace::ClockDomain::SocCycles,
-            now,
-            || presp_events::TraceEvent::DefragPass {
-                moves: report.moves,
-                frames: report.frames_moved,
-            },
-        );
+        protocol::trace_repack_pass(&mut self.core, &report, at);
         Ok(report)
     }
 

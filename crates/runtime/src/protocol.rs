@@ -17,7 +17,7 @@
 
 use crate::device::{loc, DeviceCore};
 use crate::error::Error;
-use crate::manager::{ExecPath, RecoveryPolicy};
+use crate::manager::{ExecPath, RecoveryPolicy, RepackReport};
 use crate::sync::Arc;
 use crate::tile::{TileHealth, TileState};
 use presp_accel::catalog::AcceleratorKind;
@@ -374,6 +374,18 @@ pub(crate) fn repack_move(
             Err(e)
         }
     }
+}
+
+/// Closes a repack pass anchored at `at`: emits its `defrag.pass`
+/// record at the later of `at` and the current horizon.
+pub(crate) fn trace_repack_pass(core: &mut DeviceCore, report: &RepackReport, at: u64) {
+    let now = core.soc().horizon().max(at);
+    core.soc_mut()
+        .tracer_mut()
+        .instant(ClockDomain::SocCycles, now, || TraceEvent::DefragPass {
+            moves: report.moves,
+            frames: report.frames_moved,
+        });
 }
 
 /// The physical half of [`repack_move`]: decouple the tile, slide its

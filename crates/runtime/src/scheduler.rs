@@ -69,17 +69,21 @@
 //! exploration): `sched_admission` → `tile_queue` on the admission side
 //! (never interleaved with the commit-side locks), `gate` →
 //! `tile_state` → `core` on the commit side, and `supervisor` → `gate`
-//! in the watchdog's steal scan. Everything else the supervision layer
+//! in the watchdog's steal scan. The maintenance passes add `defrag` →
+//! `gate` (a repack quiesces commits) and `core` → `scrub_stats` (scrub
+//! counter snapshots). Everything else the supervision layer
 //! touches (fault plan, breaker peek, shed settlement) uses top-level
 //! acquisitions only. The committed [`MutantConfig`] variants invert
 //! edges of this graph so the model-check suite can prove it notices.
 
 use crate::cache::BitstreamCache;
+use crate::defrag::DefragStats;
 use crate::device::{loc, DeviceCore};
 use crate::error::Error;
 use crate::manager::{ExecPath, OverloadPolicy, RecoveryPolicy};
 use crate::protocol::{self, Precomputed, PreparedBitstream};
 use crate::registry::BitstreamRegistry;
+use crate::scrubber::ScrubberStats;
 use crate::supervisor::{InjectedWorkerPanic, SupervisorStats, WorkerFault, WorkerFaultPlan};
 use crate::sync::{Arc, SyncFacade};
 use crate::threaded::RuntimeConfig;
@@ -111,8 +115,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MutantConfig {
     /// The worker commits reconfigurations acquiring `core` →
-    /// `tile_state`, the reverse of the scrubber's (and every other
-    /// path's) `tile_state` → `core`: a cross-daemon lock-order
+    /// `tile_state`, the reverse of a scrub pass's (and every other
+    /// path's) `tile_state` → `core`: a worker-vs-caller lock-order
     /// inversion.
     pub shard_core_inversion: bool,
     /// The worker bumps a run counter *after* replying, outside any lock,
@@ -128,6 +132,19 @@ pub struct MutantConfig {
     /// the watchdog's steal scan (`supervisor` → `gate`): worker and
     /// supervisor deadlock.
     pub supervisor_gate_inversion: bool,
+    /// A scrub pass takes `scrub_stats` → `tile_state` → `core`
+    /// (updating its counters inside one big critical section) while
+    /// [`ThreadedManager::scrubber_stats`](crate::threaded::ThreadedManager::scrubber_stats)
+    /// takes `core` → `scrub_stats`: a lock-order inversion between a
+    /// scrubbing caller and a snapshotting one.
+    #[cfg(test)]
+    pub scrub_stats_inversion: bool,
+    /// A repack pass probes every shard's `tile_state` *before* taking
+    /// the commit gate — the reverse of every worker's `gate` →
+    /// `tile_state` commit acquisition. A worker inside its commit slot
+    /// (gate held, shard lock pending) and the pass (shard lock held,
+    /// gate pending) deadlock.
+    pub defrag_gate_inversion: bool,
 }
 
 /// Wall-clock scheduling metrics, aggregated across all workers.
@@ -439,15 +456,15 @@ impl<S: SyncFacade> Drop for ClaimGuard<'_, S> {
     }
 }
 
-/// State shared between submitters, the worker pool and the maintenance
-/// daemons (scrubber, defragmenter).
+/// State shared between submitters, the worker pool and the callers of
+/// the maintenance passes (scrub, repack).
 pub(crate) struct Shared<S: SyncFacade> {
     pub(crate) shards: BTreeMap<TileCoord, TileShard<S>>,
     pub(crate) core: S::Mutex<DeviceCore>,
     pub(crate) admission: S::Mutex<Admission>,
     /// Signalled when a job is admitted or a tile becomes claimable.
     pub(crate) work: S::Condvar,
-    /// The commit-order ticket gate. `pub(crate)` for the defragmenter:
+    /// The commit-order ticket gate. `pub(crate)` for the repack pass:
     /// holding this mutex quiesces every worker's commit critical
     /// section, keeping a compaction plan valid move to move.
     pub(crate) gate: S::Mutex<Gate>,
@@ -466,8 +483,14 @@ pub(crate) struct Shared<S: SyncFacade> {
     /// The installed worker-software-fault plan (`worker_faults` lock);
     /// `None` injects nothing.
     pub(crate) worker_faults: S::Mutex<Option<WorkerFaultPlan>>,
+    /// Scrub-pass counters (`scrub_stats` lock), updated after the pass
+    /// releases the device locks.
+    pub(crate) scrub_stats: S::Mutex<ScrubberStats>,
+    /// Repack-pass counters (`defrag` lock), held across the whole pass
+    /// so a snapshot never observes a half-counted one.
+    pub(crate) defrag_stats: S::Mutex<DefragStats>,
     pub(crate) policy: RecoveryPolicy,
-    mutants: MutantConfig,
+    pub(crate) mutants: MutantConfig,
     /// Storage the `unsynced_stats` mutant shares without a lock; under
     /// the checker every access is happens-before verified.
     pub(crate) racy_runs: presp_check::RaceCell<u64>,
@@ -979,6 +1002,12 @@ impl<S: SyncFacade> Shared<S> {
         }
     }
 
+    /// Whether shutdown has begun. A solo top-level peek, so callers
+    /// may take it before any protocol lock without adding an edge.
+    pub(crate) fn is_stopping(&self) -> bool {
+        S::lock_recover(&self.admission).stopping
+    }
+
     // ---- deadlines & admission control ---------------------------------
 
     /// The absolute virtual-cycle deadline for a request admitted now;
@@ -1178,6 +1207,8 @@ impl<S: SyncFacade> Shared<S> {
             supervisor_cv: S::condvar(),
             hang_cv: S::condvar(),
             worker_faults: S::mutex_labeled("worker_faults", None),
+            scrub_stats: S::mutex_labeled("scrub_stats", ScrubberStats::default()),
+            defrag_stats: S::mutex_labeled("defrag", DefragStats::default()),
             policy: config.policy,
             mutants: config.mutants,
             racy_runs: presp_check::RaceCell::new("racy_runs", 0),
@@ -1381,7 +1412,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         let commit_started = Instant::now();
         let reply: Reply<S> = {
             let (mut state, mut core) = if shared.mutants.shard_core_inversion && is_reconfigure {
-                // MUTANT: nested acquisition opposite to the scrubber's
+                // MUTANT: nested acquisition opposite to a scrub pass's
                 // (and submit path's) tile_state → core.
                 let core = S::lock(&shared.core); // presp-analyze: mutant
                 let state = S::lock(&shard.state); // presp-analyze: mutant

@@ -1,36 +1,31 @@
-//! The configuration-memory scrubber daemon.
+//! Configuration-memory scrubbing on the threaded runtime.
 //!
 //! Real DPR systems run a background scrubber (Xilinx SEM, or a soft SEU
 //! controller) that walks configuration frames through the ICAP readback
 //! port, repairs single-bit upsets with the per-frame ECC, and raises an
-//! alarm on uncorrectable damage. This module is that daemon for the
-//! simulated stack: a maintenance worker attached to the sharded
-//! [`crate::threaded::ThreadedManager`]. A scrub pass takes the target tile's
-//! shard lock and then the device-core lock — the same `tile_state` →
-//! `core` order every scheduler worker commits under — so scrub passes
-//! and reconfiguration requests serialize on the shared ICAP exactly like
-//! two kernel work items contending for one PRC. Scrubs are maintenance,
-//! not requests: they bypass the admission queue and the ticket gate.
-//!
-//! Like [`crate::threaded`], the daemon is generic over [`SyncFacade`]:
-//! production uses `ScrubberDaemon` (= `ScrubberDaemon<StdSync>`), while
-//! the model-check suites drive `ScrubberDaemon<CheckSync>` through
-//! `presp-check`'s schedule explorer — including a committed lock-order
-//! mutant the checker must catch and replay.
+//! alarm on uncorrectable damage. On the simulated stack a scrub is a
+//! method of [`ThreadedManager`] that runs on the calling thread, so a
+//! periodic scrubber is just a caller that sweeps from its own loop. A
+//! scrub pass takes the target tile's shard lock and then the device-core
+//! lock — the same `tile_state` → `core` order every scheduler worker
+//! commits under — so scrub passes and reconfiguration requests
+//! serialize on the shared ICAP exactly like two kernel work items
+//! contending for one PRC. Scrubs are maintenance, not requests: they
+//! bypass the admission queue and the ticket gate.
 //!
 //! Lock order invariant: `tile_state` → `core` for the pass itself, and
-//! `core` → `scrub_stats` for consistent snapshots; the worker updates
-//! its own counters only *after* releasing the device locks.
+//! `core` → `scrub_stats` for consistent snapshots; a pass updates the
+//! counters only *after* releasing the device locks.
 
 use crate::error::Error;
 use crate::protocol;
 use crate::scheduler::Shared;
-use crate::sync::{Arc, StdSync, SyncFacade, TryRecv};
+use crate::sync::SyncFacade;
 use crate::threaded::ThreadedManager;
 use presp_soc::config::TileCoord;
 use presp_soc::sim::ScrubReport;
 
-/// Counters the daemon keeps across scrub passes.
+/// Counters of the scrub passes a [`ThreadedManager`] has run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubberStats {
     /// Completed scrub passes (one per scrubbed tile).
@@ -57,276 +52,146 @@ impl ScrubberStats {
     }
 }
 
-/// Committed known-bad protocol variants for checker validation, mirroring
-/// [`crate::scheduler`]'s mutants: off by default, compiled only into this
-/// crate's own test build.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ScrubMutantConfig {
-    /// The scrub worker acquires `scrub_stats` → `tile_state` → `core`
-    /// (updating its counters *inside* one big critical section) while
-    /// [`ScrubberDaemon::stats`] acquires `core` → `scrub_stats`: a
-    /// lock-order inversion across the two threads.
-    pub lock_inversion: bool,
-}
-
-/// A request travelling to the scrub worker.
-enum ScrubRequest<S: SyncFacade> {
-    Scrub {
-        tile: TileCoord,
-        done: S::Sender<Result<ScrubReport, Error>>,
-    },
-    ScrubAll {
-        done: S::Sender<Result<Vec<(TileCoord, ScrubReport)>, Error>>,
-    },
-    Stop,
-}
-
-/// A background scrubber attached to a [`ThreadedManager`].
-///
-/// # Example
-///
-/// ```no_run
-/// # use presp_runtime::threaded::ThreadedManager;
-/// # use presp_runtime::scrubber::ScrubberDaemon;
-/// # use presp_runtime::registry::BitstreamRegistry;
-/// # use presp_soc::{config::SocConfig, sim::Soc};
-/// # use presp_accel::AcceleratorKind;
-/// # fn demo() -> Result<(), presp_runtime::Error> {
-/// let config = SocConfig::grid_3x3_reconf("demo", 1)?;
-/// let soc = Soc::new(&config)?;
-/// let manager = ThreadedManager::spawn(soc, BitstreamRegistry::new());
-/// let scrubber = ScrubberDaemon::attach(&manager);
-/// let tile = config.reconfigurable_tiles()[0];
-/// manager.reconfigure_blocking(tile, AcceleratorKind::Mac)?;
-/// let report = scrubber.scrub_blocking(tile)?;
-/// assert!(report.is_clean());
-/// scrubber.shutdown();
-/// manager.shutdown();
-/// # Ok(()) }
-/// ```
-pub struct ScrubberDaemon<S: SyncFacade = StdSync> {
-    queue: S::Sender<ScrubRequest<S>>,
-    shared: Arc<Shared<S>>,
-    stats: Arc<S::Mutex<ScrubberStats>>,
-    worker: Arc<S::Mutex<Option<S::JoinHandle<()>>>>,
-}
-
-impl<S: SyncFacade> Clone for ScrubberDaemon<S> {
-    fn clone(&self) -> ScrubberDaemon<S> {
-        ScrubberDaemon {
-            queue: S::clone_sender(&self.queue),
-            shared: Arc::clone(&self.shared),
-            stats: Arc::clone(&self.stats),
-            worker: Arc::clone(&self.worker),
+impl<S: SyncFacade> ThreadedManager<S> {
+    /// Scrubs `tile`'s configuration frames on the calling thread and
+    /// returns the pass's report.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ManagerStopped`] once shutdown has begun,
+    /// [`Error::TileQuarantined`] for quarantined tiles, plus SoC errors.
+    ///
+    /// # Example
+    ///
+    /// ```no_run
+    /// # use presp_runtime::threaded::ThreadedManager;
+    /// # use presp_runtime::registry::BitstreamRegistry;
+    /// # use presp_soc::{config::SocConfig, sim::Soc};
+    /// # use presp_accel::AcceleratorKind;
+    /// # fn demo() -> Result<(), presp_runtime::Error> {
+    /// let config = SocConfig::grid_3x3_reconf("demo", 1)?;
+    /// let soc = Soc::new(&config)?;
+    /// let manager = ThreadedManager::spawn(soc, BitstreamRegistry::new());
+    /// let tile = config.reconfigurable_tiles()[0];
+    /// manager.reconfigure_blocking(tile, AcceleratorKind::Mac)?;
+    /// let report = manager.scrub_blocking(tile)?;
+    /// assert!(report.is_clean());
+    /// manager.shutdown();
+    /// # Ok(()) }
+    /// ```
+    pub fn scrub_blocking(&self, tile: TileCoord) -> Result<ScrubReport, Error> {
+        if self.shared.is_stopping() {
+            return Err(Error::ManagerStopped);
         }
-    }
-}
-
-impl<S: SyncFacade> ScrubberDaemon<S> {
-    /// Attaches a scrubber to `manager`, spawning its worker thread. The
-    /// daemon shares the manager's tile shards and device core; scrubs
-    /// interleave safely with reconfigurations and accelerator runs.
-    pub fn attach(manager: &ThreadedManager<S>) -> ScrubberDaemon<S> {
-        Self::boot(
-            manager,
-            #[cfg(test)]
-            ScrubMutantConfig::default(),
-        )
-    }
-
-    /// Attaches with explicit mutants enabled — checker-validation only.
-    #[cfg(test)]
-    pub(crate) fn attach_with_mutants(
-        manager: &ThreadedManager<S>,
-        mutants: ScrubMutantConfig,
-    ) -> ScrubberDaemon<S> {
-        Self::boot(manager, mutants)
-    }
-
-    fn boot(
-        manager: &ThreadedManager<S>,
-        #[cfg(test)] mutants: ScrubMutantConfig,
-    ) -> ScrubberDaemon<S> {
-        let shared = Arc::clone(&manager.shared);
-        let stats = Arc::new(S::mutex_labeled("scrub_stats", ScrubberStats::default()));
-        let (tx, rx) = S::channel::<ScrubRequest<S>>();
-        let worker_shared = Arc::clone(&shared);
-        let worker_stats = Arc::clone(&stats);
-        let handle = S::spawn("presp-scrubber", move || {
-            while let Some(request) = S::recv(&rx) {
-                match request {
-                    ScrubRequest::Scrub { tile, done } => {
-                        #[cfg(test)]
-                        let result = if mutants.lock_inversion {
-                            // MUTANT: counters updated inside one big
-                            // critical section, stats grabbed first —
-                            // scrub_stats → tile_state → core, the
-                            // reverse of `stats()`.
-                            let mut st = S::lock(&worker_stats); // presp-analyze: mutant
-                            let result = Self::scrub_pass(&worker_shared, tile);
-                            if let Ok(report) = &result {
-                                st.record(report);
-                            }
-                            result
-                        } else {
-                            Self::scrub_one(&worker_shared, &worker_stats, tile)
-                        };
-                        #[cfg(not(test))]
-                        let result = Self::scrub_one(&worker_shared, &worker_stats, tile);
-                        // A pass may quarantine the tile: wake any thread
-                        // parked in `run_blocking` so it can observe that.
-                        if let Some(shard) = worker_shared.shards.get(&tile) {
-                            S::notify_all(&shard.reconfig_done);
-                        }
-                        let _ = S::send(&done, result);
-                    }
-                    ScrubRequest::ScrubAll { done } => {
-                        let result = Self::scrub_sweep(&worker_shared, &worker_stats);
-                        for shard in worker_shared.shards.values() {
-                            S::notify_all(&shard.reconfig_done);
-                        }
-                        let _ = S::send(&done, result);
-                    }
-                    ScrubRequest::Stop => break,
-                }
+        #[cfg(test)]
+        let result = if self.shared.mutants.scrub_stats_inversion {
+            // MUTANT: counters updated inside one big critical section,
+            // stats grabbed first — scrub_stats → tile_state → core, the
+            // reverse of `scrubber_stats()`.
+            let mut st = S::lock(&self.shared.scrub_stats); // presp-analyze: mutant
+            let result = scrub_pass(&self.shared, tile);
+            if let Ok(report) = &result {
+                st.record(report);
             }
-            // Drain: answer every pending request before exiting, exactly
-            // like the scheduler workers.
-            loop {
-                match S::try_recv(&rx) {
-                    TryRecv::Value(ScrubRequest::Scrub { done, .. }) => {
-                        let _ = S::send(&done, Err(Error::ManagerStopped));
-                    }
-                    TryRecv::Value(ScrubRequest::ScrubAll { done, .. }) => {
-                        let _ = S::send(&done, Err(Error::ManagerStopped));
-                    }
-                    TryRecv::Value(ScrubRequest::Stop) => {}
-                    TryRecv::Empty | TryRecv::Disconnected => break,
-                }
-            }
-        });
-        ScrubberDaemon {
-            queue: tx,
-            shared,
-            stats,
-            worker: Arc::new(S::mutex_labeled("scrub_worker", Some(handle))),
-        }
-    }
-
-    /// One pass over `tile`: shard lock → core lock → scrub → release.
-    fn scrub_pass(shared: &Shared<S>, tile: TileCoord) -> Result<ScrubReport, Error> {
-        let shard = shared
-            .shards
-            .get(&tile)
-            .ok_or(Error::Soc(presp_soc::Error::NoSuchTile { coord: tile }))?;
-        let mut state = S::lock(&shard.state);
-        let mut core = S::lock(&shared.core);
-        let at = core.soc().horizon();
-        protocol::scrub_tile_at(&mut state, &mut core, at)
-    }
-
-    /// The clean protocol: device locks → scrub → release → own counters.
-    fn scrub_one(
-        shared: &Shared<S>,
-        stats: &S::Mutex<ScrubberStats>,
-        tile: TileCoord,
-    ) -> Result<ScrubReport, Error> {
-        let result = Self::scrub_pass(shared, tile);
-        if let Ok(report) = &result {
-            let mut st = S::lock(stats);
-            st.record(report);
+            result
+        } else {
+            scrub_one(&self.shared, tile)
+        };
+        #[cfg(not(test))]
+        let result = scrub_one(&self.shared, tile);
+        // A pass may quarantine the tile: wake any thread parked in
+        // `run_blocking` so it can observe that.
+        if let Some(shard) = self.shared.shards.get(&tile) {
+            S::notify_all(&shard.reconfig_done);
         }
         result
     }
 
-    /// A full sweep: every configured, non-quarantined tile, one at a
-    /// time (the shard locks are never held pairwise), all anchored at
-    /// the sweep's starting horizon like the deterministic manager's
-    /// `scrub_all_at`.
-    fn scrub_sweep(
-        shared: &Shared<S>,
-        stats: &S::Mutex<ScrubberStats>,
-    ) -> Result<Vec<(TileCoord, ScrubReport)>, Error> {
-        let at = S::lock(&shared.core).soc().horizon();
-        let mut reports = Vec::new();
-        for (&tile, shard) in &shared.shards {
-            let report = {
-                let mut state = S::lock(&shard.state);
-                if state.is_quarantined() {
-                    continue;
-                }
-                let mut core = S::lock(&shared.core);
-                if core.soc().tile_region(tile).is_empty() {
-                    continue;
-                }
-                protocol::scrub_tile_at(&mut state, &mut core, at)?
-            };
-            let mut st = S::lock(stats);
-            st.record(&report);
-            drop(st);
-            reports.push((tile, report));
-        }
-        Ok(reports)
-    }
-
-    /// Enqueues a scrub pass over `tile`'s configuration frames and blocks
-    /// for its report.
+    /// Sweeps every configured, non-quarantined tile on the calling
+    /// thread and returns the per-tile reports.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ManagerStopped`] after shutdown,
-    /// [`Error::TileQuarantined`] for quarantined tiles, plus SoC errors.
-    pub fn scrub_blocking(&self, tile: TileCoord) -> Result<ScrubReport, Error> {
-        let (done_tx, done_rx) = S::channel();
-        S::send(
-            &self.queue,
-            ScrubRequest::Scrub {
-                tile,
-                done: done_tx,
-            },
-        )
-        .map_err(|_| Error::ManagerStopped)?;
-        S::recv(&done_rx).ok_or(Error::ManagerStopped)?
-    }
-
-    /// Enqueues a full scrub sweep (every configured, non-quarantined
-    /// tile) and blocks for the per-tile reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ManagerStopped`] after shutdown, plus SoC errors.
+    /// Returns [`Error::ManagerStopped`] once shutdown has begun, plus
+    /// SoC errors.
     pub fn scrub_all_blocking(&self) -> Result<Vec<(TileCoord, ScrubReport)>, Error> {
-        let (done_tx, done_rx) = S::channel();
-        S::send(&self.queue, ScrubRequest::ScrubAll { done: done_tx })
-            .map_err(|_| Error::ManagerStopped)?;
-        S::recv(&done_rx).ok_or(Error::ManagerStopped)?
+        if self.shared.is_stopping() {
+            return Err(Error::ManagerStopped);
+        }
+        let result = scrub_sweep(&self.shared);
+        for shard in self.shared.shards.values() {
+            S::notify_all(&shard.reconfig_done);
+        }
+        result
     }
 
-    /// Daemon counters, snapshotted consistently with the manager's own
+    /// Scrub counters, snapshotted consistently with the manager's own
     /// scrub bookkeeping: takes the device-core lock first (the
     /// crate-wide `core` → `scrub_stats` order), so a scrub pass is never
-    /// half counted.
-    pub fn stats(&self) -> ScrubberStats {
+    /// half counted. All zero until the first pass.
+    pub fn scrubber_stats(&self) -> ScrubberStats {
         let _core = S::lock(&self.shared.core);
-        *S::lock(&self.stats)
+        *S::lock(&self.shared.scrub_stats)
     }
+}
 
-    /// Stops the scrub worker and joins it. Idempotent and tolerant of
-    /// poisoned locks, like [`ThreadedManager::shutdown`].
-    pub fn shutdown(&self) {
-        let _ = S::send(&self.queue, ScrubRequest::Stop);
-        if let Some(handle) = S::lock_recover(&self.worker).take() {
-            let _ = S::join(handle);
-        }
+/// One pass over `tile`: shard lock → core lock → scrub → release.
+fn scrub_pass<S: SyncFacade>(shared: &Shared<S>, tile: TileCoord) -> Result<ScrubReport, Error> {
+    let shard = shared
+        .shards
+        .get(&tile)
+        .ok_or(Error::Soc(presp_soc::Error::NoSuchTile { coord: tile }))?;
+    let mut state = S::lock(&shard.state);
+    let mut core = S::lock(&shared.core);
+    let at = core.soc().horizon();
+    protocol::scrub_tile_at(&mut state, &mut core, at)
+}
+
+/// The clean protocol: device locks → scrub → release → counters.
+fn scrub_one<S: SyncFacade>(shared: &Shared<S>, tile: TileCoord) -> Result<ScrubReport, Error> {
+    let result = scrub_pass(shared, tile);
+    if let Ok(report) = &result {
+        let mut st = S::lock(&shared.scrub_stats);
+        st.record(report);
     }
+    result
+}
+
+/// A full sweep: every configured, non-quarantined tile, one at a time
+/// (the shard locks are never held pairwise), all anchored at the
+/// sweep's starting horizon like the deterministic manager's
+/// `scrub_all_at`.
+fn scrub_sweep<S: SyncFacade>(shared: &Shared<S>) -> Result<Vec<(TileCoord, ScrubReport)>, Error> {
+    let at = S::lock(&shared.core).soc().horizon();
+    let mut reports = Vec::new();
+    for (&tile, shard) in &shared.shards {
+        let report = {
+            let mut state = S::lock(&shard.state);
+            if state.is_quarantined() {
+                continue;
+            }
+            let mut core = S::lock(&shared.core);
+            if core.soc().tile_region(tile).is_empty() {
+                continue;
+            }
+            protocol::scrub_tile_at(&mut state, &mut core, at)?
+        };
+        let mut st = S::lock(&shared.scrub_stats);
+        st.record(&report);
+        drop(st);
+        reports.push((tile, report));
+    }
+    Ok(reports)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::BitstreamRegistry;
+    use crate::scheduler::MutantConfig;
+    use crate::threaded::RuntimeConfig;
     use presp_accel::catalog::AcceleratorKind;
+    use presp_accel::AccelOp;
     use presp_check::{CheckSync, Checker, Config, FailureKind};
     use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
     use presp_fpga::fault::{FaultConfig, FaultPlan};
@@ -343,7 +208,7 @@ mod tests {
         b.build(true)
     }
 
-    fn boot() -> (ThreadedManager, ScrubberDaemon, TileCoord) {
+    fn boot() -> (ThreadedManager, TileCoord) {
         let cfg = SocConfig::grid_3x3_reconf("scrub", 1).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let tile = cfg.reconfigurable_tiles()[0];
@@ -351,9 +216,7 @@ mod tests {
         registry
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2))
             .unwrap();
-        let mgr = ThreadedManager::spawn(soc, registry);
-        let scrubber = ScrubberDaemon::attach(&mgr);
-        (mgr, scrubber, tile)
+        (ThreadedManager::spawn(soc, registry), tile)
     }
 
     /// Arms a fault plan with one forced SEU at the current makespan
@@ -366,98 +229,115 @@ mod tests {
         core.soc_mut().set_fault_plan(Some(plan));
     }
 
+    fn mac() -> AccelOp {
+        AccelOp::Mac {
+            a: vec![1.0],
+            b: vec![2.0],
+        }
+    }
+
     #[test]
     fn scrub_repairs_a_forced_upset() {
-        let (mgr, scrubber, tile) = boot();
+        let (mgr, tile) = boot();
+        assert_eq!(mgr.scrubber_stats(), ScrubberStats::default());
         mgr.reconfigure_blocking(tile, AcceleratorKind::Mac)
             .unwrap();
-        let report = scrubber.scrub_blocking(tile).unwrap();
+        let report = mgr.scrub_blocking(tile).unwrap();
         assert!(report.is_clean());
         force_seu(&mgr, false);
-        let report = scrubber.scrub_blocking(tile).unwrap();
+        let report = mgr.scrub_blocking(tile).unwrap();
         assert_eq!(report.corrected.len(), 1);
-        let stats = scrubber.stats();
+        let stats = mgr.scrubber_stats();
         assert_eq!(stats.passes, 2);
         assert_eq!(stats.clean_passes, 1);
         assert_eq!(stats.frames_repaired, 1);
         assert_eq!(stats.quarantines, 0);
-        scrubber.shutdown();
         mgr.shutdown();
     }
 
     #[test]
     fn scrub_all_quarantines_a_double_bit_upset() {
-        let (mgr, scrubber, tile) = boot();
+        let (mgr, tile) = boot();
         mgr.reconfigure_blocking(tile, AcceleratorKind::Mac)
             .unwrap();
         force_seu(&mgr, true);
-        let reports = scrubber.scrub_all_blocking().unwrap();
+        let reports = mgr.scrub_all_blocking().unwrap();
         assert_eq!(reports.len(), 1);
         assert!(!reports[0].1.uncorrectable.is_empty());
-        assert_eq!(scrubber.stats().quarantines, 1);
+        assert_eq!(mgr.scrubber_stats().quarantines, 1);
         // The quarantined tile refuses further scrubs …
         assert!(matches!(
-            scrubber.scrub_blocking(tile),
+            mgr.scrub_blocking(tile),
             Err(Error::TileQuarantined { .. })
         ));
         // … and a subsequent sweep skips it entirely.
-        assert!(scrubber.scrub_all_blocking().unwrap().is_empty());
-        scrubber.shutdown();
-        mgr.shutdown();
-    }
-
-    #[test]
-    fn scrubber_shutdown_is_idempotent_and_stops_requests() {
-        let (mgr, scrubber, tile) = boot();
-        scrubber.shutdown();
-        scrubber.shutdown();
-        assert!(matches!(
-            scrubber.scrub_blocking(tile),
-            Err(Error::ManagerStopped)
-        ));
+        assert!(mgr.scrub_all_blocking().unwrap().is_empty());
         mgr.shutdown();
     }
 
     #[test]
     fn scrubbing_under_reconfiguration_load_stays_consistent() {
-        let (mgr, scrubber, tile) = boot();
+        let (mgr, tile) = boot();
         mgr.reconfigure_blocking(tile, AcceleratorKind::Mac)
             .unwrap();
         let swapper = {
             let mgr = mgr.clone();
             std::thread::spawn(move || {
                 for _ in 0..10 {
-                    let _ = mgr.execute_blocking(
-                        tile,
-                        AcceleratorKind::Mac,
-                        presp_accel::AccelOp::Mac {
-                            a: vec![1.0],
-                            b: vec![2.0],
-                        },
-                    );
+                    let _ = mgr.execute_blocking(tile, AcceleratorKind::Mac, mac());
                 }
             })
         };
         for _ in 0..10 {
-            scrubber.scrub_blocking(tile).unwrap();
+            mgr.scrub_blocking(tile).unwrap();
         }
         swapper.join().unwrap();
-        let stats = scrubber.stats();
-        assert_eq!(stats.passes, 10);
+        assert_eq!(mgr.scrubber_stats().passes, 10);
         assert!(mgr.stats().consistent());
-        scrubber.shutdown();
         mgr.shutdown();
+    }
+
+    /// The scrub counters and the manager's scrub ledger count the same
+    /// passes: a seeded SEU storm with periodic sweeps, at least one of
+    /// which quarantines a tile on a double-bit upset, leaves them equal.
+    #[test]
+    fn scrub_counters_match_the_manager_ledger_under_an_seu_storm() {
+        let cfg = SocConfig::grid_3x3_reconf("scrub_ledger", 3).unwrap();
+        let mut soc = Soc::new(&cfg).unwrap();
+        soc.set_fault_plan(Some(FaultPlan::new(
+            7,
+            FaultConfig::uniform(0.0).with_seu(400.0, 0.3),
+        )));
+        let tiles = cfg.reconfigurable_tiles();
+        let mut registry = BitstreamRegistry::new();
+        for (i, &tile) in tiles.iter().enumerate() {
+            registry
+                .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2 + i as u32))
+                .unwrap();
+        }
+        let mgr = ThreadedManager::spawn(soc, registry);
+        for round in 0..40 {
+            let tile = tiles[round % tiles.len()];
+            mgr.execute_blocking(tile, AcceleratorKind::Mac, mac())
+                .unwrap();
+            if round % 3 == 2 {
+                mgr.scrub_all_blocking().unwrap();
+            }
+        }
+        mgr.scrub_all_blocking().unwrap();
+        mgr.shutdown();
+        let scrub = mgr.scrubber_stats();
+        let ledger = mgr.stats();
+        assert!(scrub.frames_repaired > 0, "{scrub:?}");
+        assert!(scrub.quarantines > 0, "{scrub:?}");
+        assert_eq!(scrub.passes, ledger.scrub_passes);
+        assert_eq!(scrub.frames_repaired, ledger.frames_repaired);
+        assert_eq!(scrub.quarantines, ledger.scrub_quarantines);
     }
 
     // ---- model-checked protocol (CheckSync) ---------------------------
 
-    fn boot_checked(
-        mutants: ScrubMutantConfig,
-    ) -> (
-        ThreadedManager<CheckSync>,
-        ScrubberDaemon<CheckSync>,
-        TileCoord,
-    ) {
+    fn boot_checked(mutants: MutantConfig) -> (ThreadedManager<CheckSync>, TileCoord) {
         let cfg = SocConfig::grid_3x3_reconf("scrub_model", 1).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let tile = cfg.reconfigurable_tiles()[0];
@@ -468,10 +348,12 @@ mod tests {
         let mgr = ThreadedManager::<CheckSync>::spawn_with(
             soc,
             registry,
-            crate::threaded::RuntimeConfig::default(),
+            RuntimeConfig {
+                mutants,
+                ..RuntimeConfig::default()
+            },
         );
-        let scrubber = ScrubberDaemon::attach_with_mutants(&mgr, mutants);
-        (mgr, scrubber, tile)
+        (mgr, tile)
     }
 
     fn mutant_checker() -> Checker {
@@ -482,20 +364,25 @@ mod tests {
         })
     }
 
-    fn lock_inversion_model() {
-        let (mgr, scrubber, tile) = boot_checked(ScrubMutantConfig {
-            lock_inversion: true,
-        });
-        let worker = scrubber.clone();
+    /// A scrubbing caller racing a snapshotting one.
+    fn scrub_vs_snapshot(mutants: MutantConfig) {
+        let (mgr, tile) = boot_checked(mutants);
+        let caller = mgr.clone();
         let s = presp_check::sync::spawn_named("scrub_caller", move || {
-            let _ = worker.scrub_blocking(tile);
+            let _ = caller.scrub_blocking(tile);
         });
-        // `stats()` takes core → scrub_stats while the mutant worker
+        // `scrubber_stats()` takes core → scrub_stats; the mutant pass
         // takes scrub_stats → tile_state → core.
-        let _snapshot = scrubber.stats();
+        let _snapshot = mgr.scrubber_stats();
         s.join().unwrap();
-        scrubber.shutdown();
         mgr.shutdown();
+    }
+
+    fn lock_inversion_model() {
+        scrub_vs_snapshot(MutantConfig {
+            scrub_stats_inversion: true,
+            ..MutantConfig::default()
+        });
     }
 
     #[test]
@@ -520,25 +407,15 @@ mod tests {
 
     #[test]
     fn clean_scrub_protocol_explores_without_findings() {
-        // Scrubber + scheduler, mutants off: a quick bounded sweep here;
-        // the 10k-schedule sweep lives in the workspace-level model_check
-        // suite.
+        // Scrub pass + scheduler, mutants off: a quick bounded sweep
+        // here; the 10k-schedule sweep lives in the workspace-level
+        // model_check suite.
         let report = Checker::new(Config {
             max_schedules: 500,
             preemption_bound: Some(2),
             max_steps: 20_000,
         })
-        .explore(|| {
-            let (mgr, scrubber, tile) = boot_checked(ScrubMutantConfig::default());
-            let worker = scrubber.clone();
-            let s = presp_check::sync::spawn_named("scrub_caller", move || {
-                let _ = worker.scrub_blocking(tile);
-            });
-            let _snapshot = scrubber.stats();
-            s.join().unwrap();
-            scrubber.shutdown();
-            mgr.shutdown();
-        });
+        .explore(|| scrub_vs_snapshot(MutantConfig::default()));
         assert!(report.ok(), "{report}");
     }
 }

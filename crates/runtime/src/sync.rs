@@ -8,7 +8,7 @@
 //! directly; `presp-analyze` enforces that everywhere else goes through
 //! it.
 
-pub use presp_check::facade::{CheckSync, StdSync, SyncFacade, TryRecv};
+pub use presp_check::facade::{CheckSync, StdSync, SyncFacade};
 
 // `Arc` is pure reference counting with no scheduling-visible blocking,
 // so both worlds share the std type.

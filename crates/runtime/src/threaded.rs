@@ -1,5 +1,6 @@
 //! The OS-threaded workqueue runtime: [`ThreadedManager`], the one
-//! handle applications, benches and maintenance daemons hold.
+//! handle applications, benches and maintenance callers hold. Its scrub
+//! and repack passes live in [`crate::scrubber`] and [`crate::defrag`].
 //!
 //! The paper's manager "uses the built-in kernel workqueue to manage
 //! multiple reconfiguration requests": application threads enqueue
@@ -16,7 +17,8 @@
 //! `ThreadedManager<CheckSync>` and run the *same*
 //! claim/gate/commit/reply protocol under `presp-check`'s schedule
 //! explorer. Lock labels (`"sched_admission"`, `"tile_queue"`, `"gate"`,
-//! `"tile_state"`, `"core"`, `"worker"`) feed its lock-order graph.
+//! `"tile_state"`, `"core"`, `"worker"`, `"scrub_stats"`, `"defrag"`)
+//! feed its lock-order graph.
 
 use crate::cache::CacheStats;
 use crate::error::Error;
@@ -741,6 +743,26 @@ mod tests {
     }
 
     #[test]
+    fn maintenance_passes_stop_with_the_manager() {
+        let (mgr, tiles) = boot(1);
+        for _ in 0..2 {
+            mgr.shutdown();
+            assert!(matches!(
+                mgr.scrub_blocking(tiles[0]),
+                Err(Error::ManagerStopped)
+            ));
+            assert!(matches!(
+                mgr.scrub_all_blocking(),
+                Err(Error::ManagerStopped)
+            ));
+            assert!(matches!(mgr.repack_blocking(), Err(Error::ManagerStopped)));
+        }
+        // The counters stay readable and untouched.
+        assert_eq!(mgr.scrubber_stats().passes, 0);
+        assert_eq!(mgr.defrag_stats().passes, 0);
+    }
+
+    #[test]
     fn shutdown_under_load_answers_every_caller() {
         // Shut down while four threads are mid-burst: every call must get
         // an answer — a result or ManagerStopped — and every thread must
@@ -989,6 +1011,26 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// Submits A — ticket 0, scripted to hang — and returns once the
+    /// only worker has claimed it, holding the fault plan: the worker
+    /// blocks drawing A's fault, so A stays claimed (its tile queue
+    /// empty) and the watchdog has no hung claim to steal until the
+    /// returned guard drops. Whatever the test submits meanwhile queues
+    /// behind A in program order, independent of watchdog timing.
+    fn pin_hung_claim(
+        mgr: &ThreadedManager,
+        tile: TileCoord,
+    ) -> (
+        Pending<StdSync, ()>,
+        <StdSync as SyncFacade>::Guard<'_, Option<WorkerFaultPlan>>,
+    ) {
+        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
+        let plan = StdSync::lock(&mgr.shared.worker_faults);
+        let a = mgr.submit_reconfigure(tile, AcceleratorKind::Mac);
+        wait_until(|| mgr.tile_claims(tile) == 1);
+        (a, plan)
+    }
+
     #[test]
     fn bounded_queue_rejects_new_requests_when_full() {
         let policy = RecoveryPolicy {
@@ -996,11 +1038,9 @@ mod tests {
             ..supervised_policy()
         };
         let (mgr, tiles) = boot_with(1, policy);
-        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
-        let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
-        // Once A is claimed (and hung) the queue is empty again; B fills
-        // the single slot and C finds the door closed.
-        wait_until(|| mgr.supervisor_stats().hangs_injected == 1);
+        let (a, plan) = pin_hung_claim(&mgr, tiles[0]);
+        // A is claimed, so B fills the single slot and C finds the door
+        // closed.
         let b = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Sort);
         let err = mgr
             .submit_run(
@@ -1012,8 +1052,11 @@ mod tests {
             )
             .wait();
         assert!(matches!(err, Err(Error::Overloaded { .. })), "got {err:?}");
+        // Released, A hangs and is stolen and redone; B follows it.
+        drop(plan);
         a.wait().unwrap();
         b.wait().unwrap();
+        assert_eq!(mgr.supervisor_stats().hangs_injected, 1);
         assert_eq!(mgr.stats().shed, 1);
         // Quiescent invariant: the replying worker may still be mid
         // post-commit bookkeeping when the waiter wakes, so poll.
@@ -1030,9 +1073,7 @@ mod tests {
             ..supervised_policy()
         };
         let (mgr, tiles) = boot_with(1, policy);
-        mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
-        let a = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Mac);
-        wait_until(|| mgr.supervisor_stats().hangs_injected == 1);
+        let (a, plan) = pin_hung_claim(&mgr, tiles[0]);
         let b = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Sort);
         // C displaces the oldest queued request (B): B's waiter learns it
         // was shed, C takes the slot and completes.
@@ -1045,9 +1086,11 @@ mod tests {
         );
         let err = b.wait();
         assert!(matches!(err, Err(Error::Overloaded { .. })), "got {err:?}");
+        drop(plan);
         a.wait().unwrap();
         let run = c.wait().unwrap();
         assert_eq!(run.value, AccelValue::Scalar(6.0));
+        assert_eq!(mgr.supervisor_stats().hangs_injected, 1);
         assert_eq!(mgr.stats().shed, 1);
         // Quiescent invariant: the replying worker may still be mid
         // post-commit bookkeeping when the waiter wakes, so poll.
@@ -1101,16 +1144,14 @@ mod tests {
             shard_core_inversion: true,
             ..MutantConfig::default()
         });
-        let scrubber = crate::scrubber::ScrubberDaemon::attach(&mgr);
         let app = mgr.clone();
         let tile = tiles[0];
         let h = presp_check::sync::spawn_named("app", move || {
             app.reconfigure_blocking(tile, AcceleratorKind::Mac)
                 .unwrap();
         });
-        let _ = scrubber.scrub_blocking(tile);
+        let _ = mgr.scrub_blocking(tile);
         h.join().unwrap();
-        scrubber.shutdown();
         mgr.shutdown();
     }
 

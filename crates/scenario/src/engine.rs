@@ -2,9 +2,10 @@
 //! observations and assertion verdicts out.
 //!
 //! Per `(seed, worker-count)` cell of the matrix the engine boots a
-//! fresh `Soc` + [`ThreadedManager`] (and a [`ScrubberDaemon`] when the
-//! spec asks for one), arms a seeded [`FaultPlan`], drives the declared
-//! workload through a *single blocking submitter*, and snapshots every
+//! fresh `Soc` + [`ThreadedManager`], arms a seeded [`FaultPlan`], drives
+//! the declared workload through a *single blocking submitter* (which
+//! also runs the scrub sweeps and repack passes the spec enables on the
+//! same thread), and snapshots every
 //! virtual-time observable. Blocking submission makes the admission
 //! order — and therefore the ticket order the scheduler's gate commits
 //! in — a pure function of the seed, so the stats, makespan and trace
@@ -25,11 +26,9 @@ use presp_events::MemorySink;
 use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp_fpga::fault::{FaultPlan, InjectedFaults, SplitMix64};
 use presp_fpga::frame::FrameAddress;
-use presp_runtime::defrag::Defragmenter;
 use presp_runtime::error::Error;
 use presp_runtime::manager::ExecPath;
 use presp_runtime::registry::BitstreamRegistry;
-use presp_runtime::scrubber::ScrubberDaemon;
 use presp_runtime::supervisor::{install_quiet_panic_hook, WorkerFaultPlan};
 use presp_runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp_soc::config::{SocConfig, TileCoord};
@@ -315,17 +314,12 @@ fn run_cell(
         }
         .expect("region window validated at parse names managed columns");
     }
-    let defrag = spec.regions.defrag.then(|| Defragmenter::attach(&manager));
     if any_worker_fault_configured(spec) {
         if spec.worker_faults.panic_rate > 0.0 {
             install_quiet_panic_hook();
         }
         manager.set_worker_fault_plan(Some(WorkerFaultPlan::seeded(seed, spec.worker_faults)));
     }
-    let scrubber = spec
-        .scrubber
-        .enabled
-        .then(|| ScrubberDaemon::attach(&manager));
 
     let mut tally = DriveTally::default();
     match spec.workload {
@@ -336,7 +330,6 @@ fn run_cell(
             spec,
             seed,
             &manager,
-            scrubber.as_ref(),
             &tiles,
             clients,
             ops_per_client,
@@ -351,34 +344,28 @@ fn run_cell(
             pin_sort_len,
         } => drive_overload_burst(&manager, &tiles, burst, pin_sort_len, &mut tally),
         WorkloadSpec::DefragProbe => {
-            drive_defrag_probe(&manager, defrag.as_ref(), &tiles, &mut tally)
+            drive_defrag_probe(&manager, spec.regions.defrag, &tiles, &mut tally)
         }
-        WorkloadSpec::FragmentChurn { rounds } => {
-            drive_fragment_churn(seed, &manager, defrag.as_ref(), &tiles, rounds, &mut tally)
-        }
+        WorkloadSpec::FragmentChurn { rounds } => drive_fragment_churn(
+            seed,
+            &manager,
+            spec.regions.defrag,
+            &tiles,
+            rounds,
+            &mut tally,
+        ),
     }
 
     // Final sweep: drain whatever struck during the storm, disarm the
     // fault source, and confirm every tile reads back clean.
-    if let Some(daemon) = scrubber.as_ref() {
-        if spec.scrubber.final_sweep {
-            let _ = daemon.scrub_all_blocking();
-            manager.set_fault_plan(None);
-            if let Ok(confirm) = daemon.scrub_all_blocking() {
-                tally.final_sweep_dirty +=
-                    confirm.iter().filter(|(_, r)| !r.is_clean()).count() as u64;
-            }
+    if spec.scrubber.enabled && spec.scrubber.final_sweep {
+        let _ = manager.scrub_all_blocking();
+        manager.set_fault_plan(None);
+        if let Ok(confirm) = manager.scrub_all_blocking() {
+            tally.final_sweep_dirty += confirm.iter().filter(|(_, r)| !r.is_clean()).count() as u64;
         }
     }
 
-    let scrubber_stats = scrubber.as_ref().map(|d| d.stats());
-    if let Some(daemon) = scrubber {
-        daemon.shutdown();
-    }
-    let defrag_stats = defrag.as_ref().map(|d| d.stats());
-    if let Some(daemon) = defrag {
-        daemon.shutdown();
-    }
     // Snapshot only after shutdown joins the workers: a blocking
     // submitter's reply can land while the worker is still mid
     // post-commit bookkeeping, so pre-shutdown counters (and the
@@ -392,6 +379,8 @@ fn run_cell(
     let makespan = manager.makespan();
     let sup_stats = manager.supervisor_stats();
     let orphaned_tickets = manager.orphaned_tickets();
+    let scrub = manager.scrubber_stats();
+    let defrag = manager.defrag_stats();
     let records = presp_events::sink::snapshot(&sink);
     let trace_log = log_lines(&records);
     let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
@@ -421,7 +410,6 @@ fn run_cell(
     stats.insert("oversized_rejected", mgr_stats.oversized_rejected);
     stats.insert("oversized_admitted", mgr_stats.oversized_admitted);
     stats.insert("repack_admitted", mgr_stats.repack_admitted);
-    let defrag = defrag_stats.unwrap_or_default();
     stats.insert("defrag_passes", defrag.passes);
     stats.insert("defrag_moves", defrag.moves);
     stats.insert("frames_moved", defrag.frames_moved);
@@ -438,7 +426,6 @@ fn run_cell(
     stats.insert("bitstream_cache_hits", cache_stats.hits);
     stats.insert("bitstream_cache_misses", cache_stats.misses);
     stats.insert("bitstream_cache_evictions", cache_stats.evictions);
-    let scrub = scrubber_stats.unwrap_or_default();
     stats.insert("scrubber_passes", scrub.passes);
     stats.insert("scrubber_clean_passes", scrub.clean_passes);
     stats.insert("scrubber_frames_repaired", scrub.frames_repaired);
@@ -479,12 +466,10 @@ fn run_cell(
 /// The seeded blocking submitter: fixed per-client scripts, a seeded
 /// draw picking which client issues next, every operation awaited before
 /// the next is admitted.
-#[allow(clippy::too_many_arguments)]
 fn drive_blocking(
     spec: &ScenarioSpec,
     seed: u64,
     manager: &ThreadedManager,
-    scrubber: Option<&ScrubberDaemon>,
     tiles: &[TileCoord],
     clients: usize,
     ops_per_client: usize,
@@ -523,11 +508,9 @@ fn drive_blocking(
             }
             Err(e) => tally.record_error(&e),
         }
-        if let Some(daemon) = scrubber {
-            let every = spec.scrubber.sweep_every_ops;
-            if every > 0 && tally.submitted.is_multiple_of(every) {
-                let _ = daemon.scrub_all_blocking();
-            }
+        let every = spec.scrubber.sweep_every_ops;
+        if spec.scrubber.enabled && every > 0 && tally.submitted.is_multiple_of(every) {
+            let _ = manager.scrub_all_blocking();
         }
     }
 }
@@ -651,14 +634,13 @@ fn drive_overload_burst(
 /// 1-column MAC loads pack the region window, one BRAM-sort swap opens
 /// two non-adjacent holes, and the 3-column GEMM request is refused for
 /// fragmentation (`region_rejections` and the manager's
-/// `oversized_rejected` both record it). With a defragmenter attached,
-/// one synchronous repack pass slides the fragmented leases left and the
-/// retry must be admitted (`repack_admitted`); without one the request
-/// stays refused — the same spec with `regions.defrag` toggled proves
-/// both directions.
+/// `oversized_rejected` both record it). With `defrag` on, one repack
+/// pass slides the fragmented leases left and the retry must be
+/// admitted (`repack_admitted`); with it off the request stays refused —
+/// the same spec with `regions.defrag` toggled proves both directions.
 fn drive_defrag_probe(
     manager: &ThreadedManager,
-    defrag: Option<&Defragmenter>,
+    defrag: bool,
     tiles: &[TileCoord],
     tally: &mut DriveTally,
 ) {
@@ -676,8 +658,8 @@ fn drive_defrag_probe(
     // Free columns exist now, but no 3-wide span: the wide request is
     // refused at admission.
     reconfigure(tiles[1], AcceleratorKind::Gemm, tally);
-    if let Some(daemon) = defrag {
-        let _ = daemon.repack_blocking();
+    if defrag {
+        let _ = manager.repack_blocking();
         reconfigure(tiles[1], AcceleratorKind::Gemm, tally);
     }
 }
@@ -685,12 +667,12 @@ fn drive_defrag_probe(
 /// Seeded region churn: every round each tile draws MAC / sort / GEMM
 /// from a seeded stream and reconfigures to it, fragmenting the window
 /// as 1- and 3-column leases come and go. A fragmentation refusal
-/// triggers one repack-and-retry when a defragmenter is attached; the
-/// retry's verdict answers the original request either way.
+/// triggers one repack-and-retry when `defrag` is on; the retry's
+/// verdict answers the original request either way.
 fn drive_fragment_churn(
     seed: u64,
     manager: &ThreadedManager,
-    defrag: Option<&Defragmenter>,
+    defrag: bool,
     tiles: &[TileCoord],
     rounds: usize,
     tally: &mut DriveTally,
@@ -707,16 +689,13 @@ fn drive_fragment_churn(
             tally.submitted += 1;
             match manager.reconfigure_blocking(tile, kind) {
                 Ok(()) => tally.completed_ok += 1,
-                Err(refusal @ Error::RegionUnavailable { .. }) => match defrag {
-                    Some(daemon) => {
-                        let _ = daemon.repack_blocking();
-                        match manager.reconfigure_blocking(tile, kind) {
-                            Ok(()) => tally.completed_ok += 1,
-                            Err(e) => tally.record_error(&e),
-                        }
+                Err(Error::RegionUnavailable { .. }) if defrag => {
+                    let _ = manager.repack_blocking();
+                    match manager.reconfigure_blocking(tile, kind) {
+                        Ok(()) => tally.completed_ok += 1,
+                        Err(e) => tally.record_error(&e),
                     }
-                    None => tally.record_error(&refusal),
-                },
+                }
                 Err(e) => tally.record_error(&e),
             }
         }

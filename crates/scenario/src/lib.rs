@@ -9,9 +9,9 @@
 //! * [`spec`] — the scenario language: a strict parser over the
 //!   workspace's hand-rolled JSON module, with actionable rejection
 //!   messages and an exact `parse(serialize(spec)) == spec` round-trip.
-//! * [`engine`] — wires a spec into a live `Soc` +
-//!   `ThreadedManager` + `ScrubberDaemon`, drives the declared workload
-//!   deterministically under each seed, and evaluates the declared
+//! * [`engine`] — wires a spec into a live `Soc` + `ThreadedManager`,
+//!   drives the declared workload (with any scrub sweeps and repack
+//!   passes) deterministically under each seed, and evaluates the declared
 //!   assertions against virtual-time observations only.
 //! * [`report`] — the byte-deterministic JSON report.
 //! * [`junit`] — JUnit XML for CI test surfaces.

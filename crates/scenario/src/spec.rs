@@ -89,10 +89,11 @@ pub struct SeedSpec {
     pub count: u64,
 }
 
-/// Scrubber-daemon policy for the run.
+/// Scrub policy for the run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubberSpec {
-    /// Whether a [`presp_runtime::scrubber::ScrubberDaemon`] is attached.
+    /// Whether the submitter runs scrub sweeps
+    /// ([`presp_runtime::threaded::ThreadedManager::scrub_all_blocking`]).
     pub enabled: bool,
     /// Synchronous full sweep every N submitted operations (0 = never).
     pub sweep_every_ops: u64,
@@ -103,7 +104,7 @@ pub struct ScrubberSpec {
 
 /// Amorphous-floorplanning policy for the run: flexible-boundary
 /// regions leased from the [`presp_floorplan`] allocator instead of
-/// fixed sockets, with an optional online defragmenter.
+/// fixed sockets, with optional online defragmentation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionsSpec {
     /// Whether admission goes through the dynamic region allocator.
@@ -113,9 +114,9 @@ pub struct RegionsSpec {
     /// Reconfigurable column window `[lo, hi)`; `None` manages every
     /// reconfigurable column of the device.
     pub window: Option<(u32, u32)>,
-    /// Whether a [`presp_runtime::defrag::Defragmenter`] is attached —
-    /// and whether a request refused for fragmentation is retried after
-    /// one synchronous repack pass.
+    /// Whether a request refused for fragmentation is retried after one
+    /// repack pass
+    /// ([`presp_runtime::threaded::ThreadedManager::repack_blocking`]).
     pub defrag: bool,
 }
 
@@ -279,7 +280,7 @@ pub const STAT_KEYS: &[&str] = &[
     "oversized_rejected",
     "oversized_admitted",
     "repack_admitted",
-    // Defragmenter counters
+    // Repack counters (DefragStats)
     "defrag_passes",
     "defrag_moves",
     "frames_moved",
@@ -299,7 +300,7 @@ pub const STAT_KEYS: &[&str] = &[
     "bitstream_cache_hits",
     "bitstream_cache_misses",
     "bitstream_cache_evictions",
-    // ScrubberDaemon counters
+    // Scrub counters (ScrubberStats)
     "scrubber_passes",
     "scrubber_clean_passes",
     "scrubber_frames_repaired",

@@ -19,7 +19,6 @@ use presp::check::{CheckSync, Checker, Config};
 use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::registry::BitstreamRegistry;
-use presp::runtime::scrubber::ScrubberDaemon;
 use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::soc::config::SocConfig;
 use presp::soc::sim::Soc;
@@ -76,7 +75,8 @@ fn sharded_model() {
     mgr.shutdown();
 }
 
-/// Scrubber alongside a swap: exercises the `core -> scrub_stats` edge.
+/// A scrub pass and a counter snapshot: exercises the `core ->
+/// scrub_stats` edge.
 fn scrubbed_model() {
     let cfg = SocConfig::grid_3x3_reconf("xchk2", 2).unwrap();
     let soc = Soc::new(&cfg).unwrap();
@@ -86,11 +86,9 @@ fn scrubbed_model() {
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
     let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
-    let scrubber = ScrubberDaemon::attach(&mgr);
-    let report = scrubber.scrub_blocking(tiles[0]).unwrap();
+    let report = mgr.scrub_blocking(tiles[0]).unwrap();
     assert!(report.uncorrectable.is_empty());
-    let _snapshot = scrubber.stats();
-    scrubber.shutdown();
+    let _snapshot = mgr.scrubber_stats();
     mgr.shutdown();
 }
 

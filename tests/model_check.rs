@@ -143,15 +143,14 @@ fn dpr_runtime_protocol_is_clean_across_schedules() {
     );
 }
 
-/// Scrubber + manager: the scrub daemon shares the device lock with the
-/// reconfiguration worker, so its readback passes interleave with swaps
-/// and stats snapshots. Every explored schedule must stay race-free,
-/// deadlock-free, and lock-order acyclic (`manager` → `scrub_stats`).
+/// Scrub passes + manager: a scrubbing caller shares the device lock
+/// with the reconfiguration worker, so its readback passes interleave
+/// with swaps and stats snapshots. Every explored schedule must stay
+/// race-free, deadlock-free, and lock-order acyclic (`core` →
+/// `scrub_stats`).
 fn scrubbed_dpr_model() {
-    use presp::runtime::scrubber::ScrubberDaemon;
     let (mgr, tiles) = boot_checked();
     let tile = tiles[0];
-    let scrubber = ScrubberDaemon::attach(&mgr);
 
     let swapper = {
         let mgr = mgr.clone();
@@ -161,22 +160,21 @@ fn scrubbed_dpr_model() {
         })
     };
     let scrub_caller = {
-        let scrubber = scrubber.clone();
+        let mgr = mgr.clone();
         presp::check::sync::spawn_named("scrub_caller", move || {
-            let report = scrubber.scrub_blocking(tile).unwrap();
+            let report = mgr.scrub_blocking(tile).unwrap();
             assert!(report.uncorrectable.is_empty());
         })
     };
 
-    // Main thread races a stats snapshot (manager → scrub_stats order)
-    // against both workers.
-    let _snapshot = scrubber.stats();
+    // Main thread races a stats snapshot (core → scrub_stats order)
+    // against both callers and the worker.
+    let _snapshot = mgr.scrubber_stats();
     swapper.join().unwrap();
     scrub_caller.join().unwrap();
 
     let stats = mgr.stats();
     assert!(stats.consistent(), "inconsistent stats: {stats:?}");
-    scrubber.shutdown();
     mgr.shutdown();
 }
 
@@ -304,11 +302,10 @@ fn sharded_multi_worker_protocol_is_clean_across_schedules() {
 
 /// The committed shard↔core lock-inversion mutant: the worker commits
 /// reconfigurations acquiring `core` → `tile_state`, the reverse of the
-/// scrubber's (and every other path's) `tile_state` → `core`. Racing a
+/// scrub pass's (and every other path's) `tile_state` → `core`. Racing a
 /// reconfiguration against a scrub pass must deadlock some schedule.
 fn sharded_inversion_model() {
     use presp::runtime::scheduler::MutantConfig;
-    use presp::runtime::scrubber::ScrubberDaemon;
 
     let cfg = SocConfig::grid_3x3_reconf("mutant", 1).unwrap();
     let soc = Soc::new(&cfg).unwrap();
@@ -317,8 +314,9 @@ fn sharded_inversion_model() {
     registry
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
-    // One worker: the inversion is a two-party cycle (worker vs scrub
-    // daemon); extra workers only dilute the bounded exploration.
+    // One worker: the inversion is a two-party cycle (worker vs
+    // scrubbing caller); extra workers only dilute the bounded
+    // exploration.
     let mgr = ThreadedManager::<CheckSync>::spawn_with(
         soc,
         registry,
@@ -331,7 +329,6 @@ fn sharded_inversion_model() {
             ..RuntimeConfig::default()
         },
     );
-    let scrubber = ScrubberDaemon::attach(&mgr);
     let tile = tiles[0];
     let app = {
         let mgr = mgr.clone();
@@ -340,9 +337,8 @@ fn sharded_inversion_model() {
                 .unwrap();
         })
     };
-    let _ = scrubber.scrub_blocking(tile);
+    let _ = mgr.scrub_blocking(tile);
     app.join().unwrap();
-    scrubber.shutdown();
     mgr.shutdown();
 }
 
@@ -609,13 +605,12 @@ fn sweep_catches_and_replays_the_queue_admission_inversion_mutant() {
 
 /// The amorphous-floorplanning protocol under exploration: regions
 /// enabled on the only tile, one app thread swapping the accelerator
-/// (region allocate/release through the scheduler) racing the defrag
-/// daemon's gate-quiesced repack pass. Every schedule must leave the
+/// (region allocate/release through the scheduler) racing the main
+/// thread's gate-quiesced repack pass. Every schedule must leave the
 /// stats consistent and the `defrag` → `gate` → `tile_state` → `core`
 /// lock order acyclic.
 fn defrag_model() {
     use presp::floorplan::FitPolicy;
-    use presp::runtime::defrag::Defragmenter;
 
     let cfg = SocConfig::grid_3x3_reconf("defrag_ws", 1).unwrap();
     let soc = Soc::new(&cfg).unwrap();
@@ -626,7 +621,6 @@ fn defrag_model() {
         .unwrap();
     let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
     mgr.enable_regions(FitPolicy::FirstFit).unwrap();
-    let defrag = Defragmenter::attach(&mgr);
     let tile = tiles[0];
     let app = {
         let mgr = mgr.clone();
@@ -635,11 +629,10 @@ fn defrag_model() {
                 .unwrap();
         })
     };
-    defrag.repack_blocking().unwrap();
+    mgr.repack_blocking().unwrap();
     app.join().unwrap();
     let stats = mgr.stats();
     assert!(stats.consistent(), "inconsistent stats: {stats:?}");
-    defrag.shutdown();
     mgr.shutdown();
 }
 
@@ -669,7 +662,7 @@ fn defrag_protocol_is_clean_across_schedules() {
 /// so a worker inside its commit slot and the pass deadlock in some
 /// schedule.
 fn defrag_inversion_model() {
-    use presp::runtime::defrag::{DefragMutantConfig, Defragmenter};
+    use presp::runtime::scheduler::MutantConfig;
 
     let cfg = SocConfig::grid_3x3_reconf("defrag_mutant", 1).unwrap();
     let soc = Soc::new(&cfg).unwrap();
@@ -678,11 +671,15 @@ fn defrag_inversion_model() {
     registry
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
-    let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
-    let defrag = Defragmenter::attach_with_mutants(
-        &mgr,
-        DefragMutantConfig {
-            gate_inversion: true,
+    let mgr = ThreadedManager::<CheckSync>::spawn_with(
+        soc,
+        registry,
+        RuntimeConfig {
+            mutants: MutantConfig {
+                defrag_gate_inversion: true,
+                ..MutantConfig::default()
+            },
+            ..RuntimeConfig::default()
         },
     );
     let tile = tiles[0];
@@ -692,9 +689,8 @@ fn defrag_inversion_model() {
             let _ = mgr.reconfigure_blocking(tile, AcceleratorKind::Mac);
         })
     };
-    let _ = defrag.repack_blocking();
+    let _ = mgr.repack_blocking();
     app.join().unwrap();
-    defrag.shutdown();
     mgr.shutdown();
 }
 

@@ -27,7 +27,6 @@ use presp::fpga::fault::{FaultConfig, FaultPlan, SplitMix64};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::manager::{ManagerStats, RecoveryPolicy};
 use presp::runtime::registry::BitstreamRegistry;
-use presp::runtime::scrubber::ScrubberDaemon;
 use presp::runtime::supervisor::{
     install_quiet_panic_hook, SupervisorStats, WorkerFaultConfig, WorkerFaultPlan,
 };
@@ -119,7 +118,7 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
     let cfg = SocConfig::grid_3x3_reconf("sup-stress", TILES).unwrap();
     let mut soc = Soc::new(&cfg).unwrap();
     // CRC faults exercise retry/fallback underneath the healed claims;
-    // SEUs keep the scrubber busy during the storm.
+    // SEUs keep the scrub sweeps busy during the storm.
     soc.set_fault_plan(Some(FaultPlan::new(
         seed,
         FaultConfig::uniform(0.05).with_seu(200.0, 0.15),
@@ -146,7 +145,6 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
         },
     );
     manager.set_worker_fault_plan(Some(WorkerFaultPlan::seeded(seed, worker_faults())));
-    let scrubber = ScrubberDaemon::attach(&manager);
 
     let mut queues: Vec<VecDeque<(TileCoord, AcceleratorKind, AccelOp, AccelValue)>> = (0
         ..APP_THREADS)
@@ -183,7 +181,7 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
         );
         // Periodic scrub sweep interleaved with the crash storm.
         if submitted.is_multiple_of(4) {
-            let _ = scrubber.scrub_all_blocking();
+            let _ = manager.scrub_all_blocking();
         }
     }
     assert_eq!(submitted, (APP_THREADS * OPS_PER_THREAD) as u64);
@@ -191,9 +189,9 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
     // Drain whatever struck during the storm, disarm the fault source,
     // and confirm the fabric converged: every frame clean on the final
     // sweep, even though workers were dying while upsets landed.
-    let _ = scrubber.scrub_all_blocking();
+    let _ = manager.scrub_all_blocking();
     manager.set_fault_plan(None);
-    if let Ok(confirm) = scrubber.scrub_all_blocking() {
+    if let Ok(confirm) = manager.scrub_all_blocking() {
         for (tile, report) in &confirm {
             assert!(
                 report.is_clean(),
@@ -201,7 +199,6 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
             );
         }
     }
-    scrubber.shutdown();
 
     // Snapshot only after shutdown joins the workers and the supervisor:
     // supervision counters (and the orphaned-ticket gauge) are quiescent
