@@ -151,6 +151,39 @@ pub fn decode_header(word: u32) -> Result<PacketHeader, Error> {
     }
 }
 
+/// Reflected CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-4 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// shifting byte `b` through eight polynomial steps, and
+/// `CRC_TABLES[k][b]` the same byte followed by `k` zero bytes. CRC-32 is
+/// linear over GF(2), so a word folds in as four independent lookups.
+const CRC_TABLES: [[u32; 256]; 4] = {
+    let mut tables = [[0u32; 256]; 4];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut step = 0;
+        while step < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            step += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// Running CRC accumulator used by both the builder and the ICAP.
 ///
 /// A CRC-32 (reflected 0xEDB88320 polynomial) folded over every frame payload
@@ -164,14 +197,14 @@ impl CrcAccumulator {
         CrcAccumulator(0xFFFF_FFFF)
     }
 
-    /// Folds one word into the accumulator.
+    /// Folds one word into the accumulator (slicing-by-4, least
+    /// significant byte first — the same register as 32 single-bit steps).
     pub fn update(&mut self, word: u32) {
-        let mut crc = self.0 ^ word;
-        for _ in 0..32 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-        self.0 = crc;
+        let c = self.0 ^ word;
+        self.0 = CRC_TABLES[3][(c & 0xFF) as usize]
+            ^ CRC_TABLES[2][((c >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[1][((c >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[0][(c >> 24) as usize];
     }
 
     /// Current CRC value.
@@ -266,31 +299,13 @@ impl Bitstream {
     /// against corrupted copies.
     pub fn with_words(&self, words: Vec<u32>) -> Bitstream {
         Bitstream {
-            words,
-            ..self.clone()
-        }
-    }
-
-    /// An exact copy whose word stream is written into `buf` (cleared
-    /// first), reusing its allocation. The zero-alloc clone for arena
-    /// callers that recycle decompressed-stream buffers across requests;
-    /// pair with [`Bitstream::into_words`] to recover the buffer.
-    pub fn clone_reusing(&self, mut buf: Vec<u32>) -> Bitstream {
-        buf.clear();
-        buf.extend_from_slice(&self.words);
-        Bitstream {
             kind: self.kind,
             idcode: self.idcode,
             compressed: self.compressed,
-            words: buf,
+            words,
             frames: self.frames,
             integrity: self.integrity,
         }
-    }
-
-    /// Consumes the bitstream, returning its word buffer for reuse.
-    pub fn into_words(self) -> Vec<u32> {
-        self.words
     }
 }
 
@@ -783,28 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_reusing_reuses_the_buffer_and_roundtrips() {
-        let d = device();
-        let mut builder = BitstreamBuilder::new(&d, BitstreamKind::Partial);
-        builder
-            .add_frame(FrameAddress::new(0, 1, 0), frame_of(&d, 0xAB))
-            .unwrap();
-        let bs = builder.build(true);
-        let buf: Vec<u32> = Vec::with_capacity(bs.words().len() + 7);
-        let ptr = buf.as_ptr();
-        let cap = buf.capacity();
-        let copy = bs.clone_reusing(buf);
-        assert_eq!(copy.words(), bs.words());
-        assert_eq!(copy.frame_count(), bs.frame_count());
-        assert_eq!(copy.integrity(), bs.integrity());
-        assert!(copy.verify_integrity());
-        let recovered = copy.into_words();
-        // The allocation survived the round trip untouched.
-        assert_eq!(recovered.as_ptr(), ptr);
-        assert_eq!(recovered.capacity(), cap);
-    }
-
-    #[test]
     fn compression_does_not_help_unique_frames() {
         let d = device();
         let mut builder = BitstreamBuilder::new(&d, BitstreamKind::Partial);
@@ -849,6 +842,93 @@ mod tests {
             .unwrap();
         let text = format!("{}", builder.build(false));
         assert!(text.contains("1 frames"));
+    }
+
+    /// The slicing-by-4 kernel against the bit-at-a-time definition.
+    mod crc_kernel {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Reference CRC-32 register update: 32 shift-xor steps per word.
+        fn update_bitwise(state: u32, word: u32) -> u32 {
+            let mut crc = state ^ word;
+            for _ in 0..32 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+            crc
+        }
+
+        fn stream_bitwise(words: &[u32]) -> u32 {
+            words
+                .iter()
+                .fold(0xFFFF_FFFF, |crc, &w| update_bitwise(crc, w))
+                ^ 0xFFFF_FFFF
+        }
+
+        #[test]
+        fn every_byte_in_every_lane_matches_the_bitwise_crc() {
+            for state in [0, 0xFFFF_FFFF, 0x1234_5678] {
+                for lane in 0..4 {
+                    for byte in 0u32..256 {
+                        let word = byte << (8 * lane);
+                        let mut acc = CrcAccumulator(state);
+                        acc.update(word);
+                        assert_eq!(
+                            acc.0,
+                            update_bitwise(state, word),
+                            "state {state:#x} lane {lane} byte {byte:#x}"
+                        );
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn word_sequences_match_the_bitwise_crc(
+                state in 0u32..u32::MAX,
+                words in proptest::collection::vec(0u32..u32::MAX, 0..64),
+            ) {
+                let mut acc = CrcAccumulator(state);
+                let mut reference = state;
+                for &w in &words {
+                    acc.update(w);
+                    reference = update_bitwise(reference, w);
+                    prop_assert_eq!(acc.0, reference);
+                }
+            }
+
+            /// Whole built streams: the storage-integrity CRC and the
+            /// in-stream CRC word both equal the bitwise definition.
+            #[test]
+            fn built_stream_crcs_match_the_bitwise_crc(
+                values in proptest::collection::vec(0u32..u32::MAX, 1..6),
+            ) {
+                let d = device();
+                let mut builder = BitstreamBuilder::new(&d, BitstreamKind::Partial);
+                let far = FrameAddress::new(1, 2, 0);
+                let mut covered = vec![far.pack()];
+                for (minor, v) in values.iter().enumerate() {
+                    let f = frame_of(&d, *v);
+                    covered.extend_from_slice(&f);
+                    builder.add_frame(FrameAddress::new(1, 2, minor as u32), f).unwrap();
+                }
+                for compressed in [false, true] {
+                    let bs = builder.build(compressed);
+                    prop_assert!(bs.verify_integrity());
+                    prop_assert_eq!(bs.integrity(), stream_bitwise(bs.words()));
+                }
+                // Linear single-run layout: the in-stream CRC covers the FAR
+                // value and every payload word, and sits three words from
+                // the end ([CRC hdr, CRC, CMD hdr, DESYNC]).
+                let linear = builder.build(false);
+                let words = linear.words();
+                prop_assert_eq!(words[words.len() - 3], stream_bitwise(&covered));
+            }
+        }
     }
 
     mod roundtrip {

@@ -8,39 +8,54 @@
 //! in-fabric upset precisely because it does *not* touch the check codes.
 //! `presp-analyze` forbids direct `frames` map manipulation anywhere else in
 //! the crate.
+//!
+//! The doorway also keeps the **undo log** behind transactional
+//! reconfiguration ([`crate::icap::Icap::load_or_rollback`]): while a load
+//! is open, every write that changes a frame's payload or check codes
+//! records what it displaced, moved out of the maps rather than copied, so
+//! a failed load unwinds exactly the frames it touched and a successful one
+//! costs nothing beyond its own writes.
 
 use crate::ecc::{scrub_frame_words, FrameEcc, FrameRepair};
 use crate::error::Error;
 use crate::fabric::Device;
 use crate::frame::FrameAddress;
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One configuration frame's payload.
 pub type Frame = Vec<u32>;
 
-/// A bit-exact copy of a set of frames and their check codes, used both as
-/// the per-tile golden store and as the pre-transaction image a failed
-/// reconfiguration rolls back to.
+/// A bit-exact copy of a set of frames and their check codes, used as the
+/// per-tile golden store and as the source image of a region move.
+///
+/// The snapshot is sparse: it keeps the sorted list of every captured
+/// address, but payload and check codes only for frames that are not
+/// erased (an erased frame is all-zero payload under an all-zero code).
+/// That form is canonical — one fabric state has exactly one snapshot — so
+/// equality, [`ConfigMemory::restore`] and [`RegionSnapshot::shift_columns`]
+/// mean what they would over a dense copy of every frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionSnapshot {
+    addresses: Vec<FrameAddress>,
     frames: BTreeMap<FrameAddress, (Frame, FrameEcc)>,
     frame_words: usize,
 }
 
 impl RegionSnapshot {
-    /// Addresses captured by this snapshot.
+    /// Addresses captured by this snapshot, in address order.
     pub fn addresses(&self) -> Vec<FrameAddress> {
-        self.frames.keys().copied().collect()
+        self.addresses.clone()
     }
 
-    /// Number of captured frames.
+    /// Number of captured frames, erased ones included.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.addresses.len()
     }
 
     /// `true` when no frames are captured.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.addresses.is_empty()
     }
 
     /// Returns a copy of this snapshot re-addressed `col_delta` columns
@@ -56,8 +71,7 @@ impl RegionSnapshot {
     /// Returns [`Error::BadFrameAddress`] when a shifted address leaves the
     /// fabric or lands on a column of a different kind.
     pub fn shift_columns(&self, device: &Device, col_delta: i64) -> Result<RegionSnapshot, Error> {
-        let mut frames = BTreeMap::new();
-        for (addr, entry) in &self.frames {
+        let shift = |addr: FrameAddress| -> Result<FrameAddress, Error> {
             let col = addr.column as i64 + col_delta;
             if col < 0 || col as usize >= device.columns() {
                 return Err(Error::BadFrameAddress {
@@ -80,12 +94,54 @@ impl RegionSnapshot {
             }
             let new = FrameAddress::new(addr.row, col as u32, addr.minor);
             device.validate_frame(new)?;
-            frames.insert(new, entry.clone());
-        }
+            Ok(new)
+        };
+        let mut addresses = self
+            .addresses
+            .iter()
+            .map(|&a| shift(a))
+            .collect::<Result<Vec<_>, _>>()?;
+        addresses.sort_unstable();
+        let frames = self
+            .frames
+            .iter()
+            .map(|(&a, entry)| Ok((shift(a)?, entry.clone())))
+            .collect::<Result<_, Error>>()?;
         Ok(RegionSnapshot {
+            addresses,
             frames,
             frame_words: self.frame_words,
         })
+    }
+}
+
+/// What one journaled write displaced: for each of the payload and ECC
+/// maps, `None` when the write left that side as it was, else the entry it
+/// held before (`Some(None)`: the address was absent).
+#[derive(Debug, Clone)]
+struct Undo {
+    addr: FrameAddress,
+    frame: Option<Option<Frame>>,
+    ecc: Option<Option<FrameEcc>>,
+}
+
+/// Puts `new` at `addr` (removing the entry for `None`) with one map
+/// lookup, and returns what it displaced by move: `None` when the entry
+/// already held exactly `new`, else `Some(previous)`.
+fn swap_entry<T: PartialEq>(
+    map: &mut BTreeMap<FrameAddress, T>,
+    addr: FrameAddress,
+    new: Option<T>,
+) -> Option<Option<T>> {
+    match (map.entry(addr), new) {
+        (Entry::Occupied(e), Some(v)) if *e.get() == v => None,
+        (Entry::Occupied(mut e), Some(v)) => Some(Some(e.insert(v))),
+        (Entry::Occupied(e), None) => Some(Some(e.remove())),
+        (Entry::Vacant(e), Some(v)) => {
+            e.insert(v);
+            Some(None)
+        }
+        (Entry::Vacant(_), None) => None,
     }
 }
 
@@ -116,6 +172,8 @@ pub struct ConfigMemory {
     frame_words: usize,
     frames: BTreeMap<FrameAddress, Frame>,
     ecc: BTreeMap<FrameAddress, FrameEcc>,
+    /// The open load's undo log, oldest write first (`None`: no load open).
+    journal: Option<Vec<Undo>>,
 }
 
 impl ConfigMemory {
@@ -126,6 +184,7 @@ impl ConfigMemory {
             frame_words: device.part().family().frame_words(),
             frames: BTreeMap::new(),
             ecc: BTreeMap::new(),
+            journal: None,
         }
     }
 
@@ -159,13 +218,58 @@ impl ConfigMemory {
         if data.iter().all(|&w| w == 0) {
             // All-zero equals the erased state; keep the map sparse. The
             // implicit check code of an erased frame is all-zero too.
-            self.frames.remove(&addr);
-            self.ecc.remove(&addr);
+            self.put(addr, None, None);
         } else {
-            self.ecc.insert(addr, FrameEcc::encode(&data));
-            self.frames.insert(addr, data);
+            let ecc = FrameEcc::encode(&data);
+            self.put(addr, Some(data), Some(ecc));
         }
         Ok(())
+    }
+
+    /// Sets both sides of the doorway at `addr` (`None` removes), logging
+    /// what changed to the open journal, if any.
+    fn put(&mut self, addr: FrameAddress, frame: Option<Frame>, ecc: Option<FrameEcc>) {
+        let frame = swap_entry(&mut self.frames, addr, frame);
+        let ecc = swap_entry(&mut self.ecc, addr, ecc);
+        if let Some(log) = &mut self.journal {
+            if frame.is_some() || ecc.is_some() {
+                log.push(Undo { addr, frame, ecc });
+            }
+        }
+    }
+
+    /// Opens the undo log of a transactional load.
+    pub(crate) fn begin_journal(&mut self) {
+        debug_assert!(self.journal.is_none(), "journal already open");
+        self.journal = Some(Vec::new());
+    }
+
+    /// Closes the undo log, keeping every write since it opened.
+    pub(crate) fn commit_journal(&mut self) {
+        self.journal = None;
+    }
+
+    /// Closes the undo log and unwinds every write since it opened, newest
+    /// first, leaving payload and check codes exactly as they were.
+    /// Returns how many frames the writes had left with a different
+    /// payload (frames rewritten back to their old content do not count).
+    pub(crate) fn rollback_journal(&mut self) -> usize {
+        let log = self.journal.take().unwrap_or_default();
+        let touched: BTreeSet<FrameAddress> = log.iter().map(|u| u.addr).collect();
+        let after: Vec<(FrameAddress, Frame)> =
+            touched.into_iter().map(|a| (a, self.frame(a))).collect();
+        for undo in log.into_iter().rev() {
+            if let Some(frame) = undo.frame {
+                swap_entry(&mut self.frames, undo.addr, frame);
+            }
+            if let Some(ecc) = undo.ecc {
+                swap_entry(&mut self.ecc, undo.addr, ecc);
+            }
+        }
+        after
+            .into_iter()
+            .filter(|(a, frame)| self.frame(*a) != *frame)
+            .count()
     }
 
     /// Reads back one frame (all-zero if never written).
@@ -241,12 +345,10 @@ impl ConfigMemory {
             // Erased frames are implicitly clean (zero payload, zero code).
             return Ok(FrameRepair::Clean);
         };
-        let ecc = self
-            .ecc
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| FrameEcc::erased(self.frame_words));
-        let repair = scrub_frame_words(frame, &ecc);
+        let repair = match self.ecc.get(&addr) {
+            Some(ecc) => scrub_frame_words(frame, ecc),
+            None => scrub_frame_words(frame, &FrameEcc::erased(self.frame_words)),
+        };
         if matches!(repair, FrameRepair::Corrected { .. }) {
             // Re-latch both sides of the doorway: a repaired frame gets a
             // fresh code, and a frame repaired back to all-zero returns to
@@ -257,7 +359,8 @@ impl ConfigMemory {
         Ok(repair)
     }
 
-    /// Captures a bit-exact snapshot (payload + check codes) of `addrs`.
+    /// Captures a bit-exact snapshot (payload + check codes) of `addrs`,
+    /// copying only the frames that are not erased.
     ///
     /// # Errors
     ///
@@ -266,32 +369,44 @@ impl ConfigMemory {
         &self,
         addrs: I,
     ) -> Result<RegionSnapshot, Error> {
+        let mut addresses = Vec::new();
         let mut frames = BTreeMap::new();
-        for addr in addrs {
-            self.device.validate_frame(*addr)?;
-            frames.insert(*addr, (self.frame(*addr), self.frame_ecc(*addr)));
+        for &addr in addrs {
+            self.device.validate_frame(addr)?;
+            addresses.push(addr);
+            let erased = self
+                .frames
+                .get(&addr)
+                .is_none_or(|f| f.iter().all(|&w| w == 0))
+                && self.ecc.get(&addr).is_none_or(FrameEcc::is_erased);
+            if !erased {
+                frames.insert(addr, (self.frame(addr), self.frame_ecc(addr)));
+            }
         }
+        addresses.sort_unstable();
+        addresses.dedup();
         Ok(RegionSnapshot {
+            addresses,
             frames,
             frame_words: self.frame_words,
         })
     }
 
-    /// Restores every frame in `snap` bit-for-bit, check codes included.
+    /// Restores every frame in `snap` bit-for-bit, check codes included;
+    /// captured frames the snapshot holds as erased are erased.
     ///
     /// # Errors
     ///
     /// Returns an error on the first invalid address (only possible when the
     /// snapshot came from a different device geometry).
     pub fn restore(&mut self, snap: &RegionSnapshot) -> Result<(), Error> {
-        for (addr, (data, ecc)) in &snap.frames {
+        for addr in &snap.addresses {
             self.device.validate_frame(*addr)?;
-            if data.iter().all(|&w| w == 0) {
-                self.frames.remove(addr);
-                self.ecc.remove(addr);
-            } else {
-                self.frames.insert(*addr, data.clone());
-                self.ecc.insert(*addr, ecc.clone());
+            match snap.frames.get(addr) {
+                Some((data, ecc)) if data.iter().any(|&w| w != 0) => {
+                    self.put(*addr, Some(data.clone()), Some(ecc.clone()));
+                }
+                _ => self.put(*addr, None, None),
             }
         }
         Ok(())
@@ -308,8 +423,7 @@ impl ConfigMemory {
     ) -> Result<(), Error> {
         for addr in addrs {
             self.device.validate_frame(*addr)?;
-            self.frames.remove(addr);
-            self.ecc.remove(addr);
+            self.put(*addr, None, None);
         }
         Ok(())
     }
@@ -471,6 +585,70 @@ mod tests {
         assert_eq!(m.frame(a2), vec![4; words]);
         assert_eq!(m.scrub_frame(a1).unwrap(), FrameRepair::Clean);
         assert_eq!(m.scrub_frame(a2).unwrap(), FrameRepair::Clean);
+    }
+
+    #[test]
+    fn sparse_snapshot_restores_a_mixed_region_bit_exact() {
+        let mut m = mem();
+        let words = m.frame_words();
+        let region: Vec<FrameAddress> =
+            (0..8).map(|minor| FrameAddress::new(1, 3, minor)).collect();
+        // Configured, erased, upset-in-configured (ECC disagrees), upset
+        // in an erased frame, and a frame upset back to an all-zero payload
+        // under a non-zero code.
+        m.write_frame(region[0], vec![0x1111_0000; words]).unwrap();
+        m.write_frame(region[2], (1..=words as u32).collect())
+            .unwrap();
+        m.corrupt_bit(region[2], 5, 9).unwrap();
+        m.corrupt_bit(region[3], 0, 31).unwrap();
+        let mut one = vec![0; words];
+        one[7] = 1 << 4;
+        m.write_frame(region[4], one).unwrap();
+        m.corrupt_bit(region[4], 7, 4).unwrap();
+        let snap = m.snapshot(region.iter().rev()).unwrap();
+        assert_eq!(snap.addresses(), region, "every address, in order");
+        assert_eq!(snap.len(), region.len());
+        let before: Vec<(Frame, FrameEcc)> = region
+            .iter()
+            .map(|&a| (m.frame(a), m.frame_ecc(a)))
+            .collect();
+
+        for &a in &region {
+            m.write_frame(a, vec![0xFFFF_0000 + a.minor; words])
+                .unwrap();
+        }
+        m.restore(&snap).unwrap();
+        for (i, &a) in region.iter().enumerate() {
+            let (frame, ecc) = &before[i];
+            assert_eq!(&m.frame(a), frame, "payload of {a:?}");
+            if i == 4 {
+                // An all-zero payload restores as erased, as it always has.
+                assert!(!m.is_configured(a));
+                assert!(m.frame_ecc(a).is_erased());
+            } else {
+                assert_eq!(&m.frame_ecc(a), ecc, "check codes of {a:?}");
+            }
+        }
+        // The upsets survived the round trip, still detectable.
+        assert!(matches!(
+            m.scrub_frame(region[2]).unwrap(),
+            FrameRepair::Corrected { .. }
+        ));
+        assert!(matches!(
+            m.scrub_frame(region[3]).unwrap(),
+            FrameRepair::Corrected { .. }
+        ));
+        // Canonical: an erased frame held as an explicit zero entry
+        // snapshots exactly like one that was never written.
+        let mut n = mem();
+        let erased = [FrameAddress::new(1, 3, 1)];
+        n.corrupt_bit(erased[0], 0, 0).unwrap();
+        n.corrupt_bit(erased[0], 0, 0).unwrap();
+        assert!(n.is_configured(erased[0]));
+        assert_eq!(
+            n.snapshot(erased.iter()).unwrap(),
+            mem().snapshot(erased.iter()).unwrap()
+        );
     }
 
     #[test]

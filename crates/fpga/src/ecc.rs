@@ -22,9 +22,9 @@ const CODE_TOP: u32 = 38;
 const PARITY_BIT: u8 = 1 << 6;
 
 /// Codeword position (1-based) of data bit `bit` (0-based LSB-first).
-fn data_position(bit: u32) -> u32 {
+const fn data_position(bit: u32) -> u32 {
     // Positions 1, 2, 4, 8, 16, 32 are check bits; data fills the rest
-    // in order. Precomputing the skip count keeps this branch-free-ish.
+    // in order.
     let mut pos = bit + 3; // positions 1 and 2 are always check bits
     if pos >= 4 {
         pos += 1;
@@ -50,15 +50,38 @@ fn position_data_bit(pos: u32) -> Option<u32> {
     Some(pos - 1 - skipped)
 }
 
+/// Hamming check bits per byte lane: `CHECK_TABLES[k][b]` is the XOR of
+/// the codeword positions of the set bits of byte `b` placed in lane `k`.
+/// The code is linear over GF(2), so a word's checks are the XOR of its
+/// four lanes' entries.
+const CHECK_TABLES: [[u8; 256]; 4] = {
+    let mut tables = [[0u8; 256]; 4];
+    let mut lane = 0;
+    while lane < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut checks = 0u32;
+            let mut bit = 0;
+            while bit < 8 {
+                if b >> bit & 1 == 1 {
+                    checks ^= data_position(8 * lane + bit) & 0x3F;
+                }
+                bit += 1;
+            }
+            tables[lane as usize][b as usize] = checks as u8;
+            b += 1;
+        }
+        lane += 1;
+    }
+    tables
+};
+
 /// Hamming check bits (low 6 bits) for `word`.
 fn hamming_checks(word: u32) -> u8 {
-    let mut checks = 0u8;
-    for bit in 0..32 {
-        if word >> bit & 1 == 1 {
-            checks ^= (data_position(bit) & 0x3F) as u8;
-        }
-    }
-    checks
+    CHECK_TABLES[0][(word & 0xFF) as usize]
+        ^ CHECK_TABLES[1][((word >> 8) & 0xFF) as usize]
+        ^ CHECK_TABLES[2][((word >> 16) & 0xFF) as usize]
+        ^ CHECK_TABLES[3][(word >> 24) as usize]
 }
 
 /// Encodes one 32-bit word into its 7-bit SECDED check code.
@@ -127,6 +150,11 @@ impl FrameEcc {
         FrameEcc {
             checks: vec![0; frame_words],
         }
+    }
+
+    /// `true` when every check byte is zero (the code of an erased frame).
+    pub(crate) fn is_erased(&self) -> bool {
+        self.checks.iter().all(|&c| c == 0)
     }
 
     /// The stored check byte for word `index`.
@@ -247,6 +275,48 @@ mod tests {
                 FrameRepair::Uncorrectable { word }
             );
             prop_assert_eq!(upset, expected, "no miscorrection of a double flip");
+        }
+    }
+
+    /// Reference Hamming checks: one position XOR per set data bit.
+    fn hamming_checks_bitwise(word: u32) -> u8 {
+        let mut checks = 0u8;
+        for bit in 0..32 {
+            if word >> bit & 1 == 1 {
+                checks ^= (data_position(bit) & 0x3F) as u8;
+            }
+        }
+        checks
+    }
+
+    #[test]
+    fn every_byte_in_every_lane_matches_the_position_loop() {
+        for lane in 0..4 {
+            for byte in 0u32..256 {
+                let word = byte << (8 * lane);
+                assert_eq!(
+                    hamming_checks(word),
+                    hamming_checks_bitwise(word),
+                    "lane {lane} byte {byte:#x}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_checks_match_the_position_loop(
+            frame in proptest::collection::vec(0u32..u32::MAX, 1..64),
+        ) {
+            let ecc = FrameEcc::encode(&frame);
+            for (i, &word) in frame.iter().enumerate() {
+                let checks = hamming_checks_bitwise(word);
+                prop_assert_eq!(hamming_checks(word), checks);
+                let overall = (word.count_ones() + u32::from(checks).count_ones()) & 1;
+                prop_assert_eq!(ecc.check(i), checks | ((overall as u8) << CHECK_BITS));
+            }
         }
     }
 

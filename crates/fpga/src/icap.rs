@@ -122,6 +122,33 @@ impl Icap {
         &self.last_written
     }
 
+    /// Streams a bitstream through the port as one transaction: either
+    /// every write lands, or none does.
+    ///
+    /// The configuration memory journals what each write displaces while
+    /// the load runs (see [`ConfigMemory`]); on error it unwinds that
+    /// journal, so the fabric is bit-identical — payload and check codes —
+    /// to its state before the call. The cost is proportional to the
+    /// frames the stream writes, not to the device.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Icap::load`] error together with the number of frames
+    /// whose payload the failed stream had changed before the rollback.
+    pub fn load_or_rollback(
+        &mut self,
+        bitstream: &Bitstream,
+    ) -> Result<IcapReport, (Error, usize)> {
+        self.memory.begin_journal();
+        match self.load(bitstream) {
+            Ok(report) => {
+                self.memory.commit_journal();
+                Ok(report)
+            }
+            Err(e) => Err((e, self.memory.rollback_journal())),
+        }
+    }
+
     /// Streams a bitstream through the port, applying frame writes.
     ///
     /// # Errors
@@ -131,14 +158,17 @@ impl Icap {
     /// the received payload, and [`Error::MalformedBitstream`] for packet
     /// layer violations. On error the configuration memory may be partially
     /// updated — exactly like real silicon, which is why the DFX controller
-    /// resorts to loading a known-good bitstream after a failed transfer.
+    /// resorts to loading a known-good bitstream after a failed transfer
+    /// (and why the runtime loads through [`Icap::load_or_rollback`]).
     pub fn load(&mut self, bitstream: &Bitstream) -> Result<IcapReport, Error> {
         self.last_written.clear();
         let words = bitstream.words();
         let mut state = State::Unsynced;
         let mut crc = CrcAccumulator::new();
         let mut far: Option<FrameAddress> = None;
-        let mut shadow: Vec<u32> = Vec::new();
+        // The multi-frame shadow register: the last FDRI frame, borrowed
+        // from the stream.
+        let mut shadow: &[u32] = &[];
         let mut frames_written = 0usize;
         let mut multi_frame = false;
         let mut desynced = false;
@@ -216,7 +246,7 @@ impl Icap {
                                             detail: "MFWR with empty frame shadow register".into(),
                                         });
                                     }
-                                    self.memory.write_frame(addr, shadow.clone())?;
+                                    self.memory.write_frame(addr, shadow.to_vec())?;
                                     self.last_written.push(addr);
                                     frames_written += 1;
                                 }
@@ -261,12 +291,12 @@ impl Icap {
     /// Writes a burst of whole frames starting at the current FAR,
     /// auto-incrementing the minor address, and latches the last frame into
     /// the multi-frame shadow register.
-    fn write_burst(
+    fn write_burst<'a>(
         &mut self,
         far: &mut Option<FrameAddress>,
-        payload: &[u32],
+        payload: &'a [u32],
         crc: &mut CrcAccumulator,
-        shadow: &mut Vec<u32>,
+        shadow: &mut &'a [u32],
     ) -> Result<usize, Error> {
         if !payload.len().is_multiple_of(self.frame_words) {
             return Err(Error::MalformedBitstream {
@@ -287,7 +317,7 @@ impl Icap {
             }
             self.memory.write_frame(addr, chunk.to_vec())?;
             self.last_written.push(addr);
-            *shadow = chunk.to_vec();
+            *shadow = chunk;
             written += 1;
             addr = FrameAddress::new(addr.row, addr.column, addr.minor + 1);
         }
@@ -406,6 +436,130 @@ mod tests {
         let report = icap.load(&bs).unwrap();
         assert_eq!(report.words, bs.words().len());
         assert!((report.micros - report.words as f64 / 100.0).abs() < 1e-9);
+    }
+
+    /// Reference rollback: clone the whole memory before the load, count
+    /// the frames whose payload differs afterwards, and put the clone back
+    /// on error.
+    fn clone_and_diff_load(icap: &mut Icap, bs: &Bitstream) -> Result<IcapReport, (Error, usize)> {
+        let pre_image = icap.memory().clone();
+        icap.load(bs).map_err(|e| {
+            let dirty = pre_image.diff(icap.memory()).len();
+            *icap.memory_mut() = pre_image;
+            (e, dirty)
+        })
+    }
+
+    /// A compressed stream writing each `(address, frame)` pair; repeated
+    /// payloads take the MFW path.
+    fn compressed_stream(d: &Device, frames: Vec<(FrameAddress, Vec<u32>)>) -> Bitstream {
+        let mut builder = BitstreamBuilder::new(d, BitstreamKind::Partial);
+        for (addr, f) in frames {
+            builder.add_frame(addr, f).unwrap();
+        }
+        builder.build(true)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Undo-log rollback leaves exactly the state, and reports exactly
+        /// the dirty count, of the clone-and-diff reference — over pre-states
+        /// with SEU-corrupted frames (payload and ECC disagree) and upsets
+        /// in erased frames, streams that rewrite frames several times
+        /// (concatenated compressed passes, MFW replays included) or
+        /// rewrite an upset frame with its own payload (a code-only
+        /// change), and corrupted words that may redirect a FAR outside
+        /// the footprint.
+        #[test]
+        fn undo_log_rollback_matches_clone_and_diff(
+            pre in proptest::collection::vec((0u32..3, 10u32..16, 0u32..6, 0u32..4), 0..24),
+            upsets in proptest::collection::vec((0u32..3, 10u32..16, 0u32..6, 0u32..101, 0u32..32), 0..8),
+            passes in proptest::collection::vec(
+                proptest::collection::vec((0u32..3, 10u32..16, 0u32..6, 0u32..4), 1..12),
+                1..4,
+            ),
+            echo_upsets in proptest::bool::ANY,
+            corruption in 0u32..4,
+            pick in 0usize..1_000_000,
+            bit in 0u32..32,
+        ) {
+            let d = device();
+            let valid = |(r, c, m): (u32, u32, u32)| {
+                let a = FrameAddress::new(r, c, m);
+                d.validate_frame(a).is_ok().then_some(a)
+            };
+            let mut icap = Icap::new(&d);
+            for &(r, c, m, v) in &pre {
+                if let Some(a) = valid((r, c, m)) {
+                    icap.memory_mut().write_frame(a, frame(&d, v)).unwrap();
+                }
+            }
+            for &(r, c, m, word, b) in &upsets {
+                if let Some(a) = valid((r, c, m)) {
+                    let word = word as usize % icap.memory().frame_words();
+                    icap.memory_mut().corrupt_bit(a, word, b).unwrap();
+                }
+            }
+            let mut words = Vec::new();
+            for (i, pass) in passes.iter().enumerate() {
+                let mut frames: Vec<(FrameAddress, Vec<u32>)> = pass
+                    .iter()
+                    .filter_map(|&(r, c, m, v)| valid((r, c, m)).map(|a| (a, frame(&d, v))))
+                    .collect();
+                if i == 0 && echo_upsets {
+                    // Rewrite upset frames with the payload they now hold:
+                    // only their check codes change.
+                    for &(r, c, m, _, _) in &upsets {
+                        if let Some(a) = valid((r, c, m)) {
+                            frames.push((a, icap.memory().frame(a)));
+                        }
+                    }
+                }
+                if !frames.is_empty() {
+                    words.extend_from_slice(compressed_stream(&d, frames).words());
+                }
+            }
+            prop_assume!(!words.is_empty());
+            // 0: intact; 1: a flipped FAR column bit; 2: a flipped
+            // last word before the final CRC; 3: a truncated stream.
+            let fars: Vec<usize> = (0..words.len() - 1)
+                .filter(|&i| words[i] == crate::bitstream::type1_write(ConfigReg::Far, 1))
+                .map(|i| i + 1)
+                .collect();
+            match corruption {
+                1 => words[fars[pick % fars.len()]] ^= 1 << (8 + bit % 6),
+                2 => {
+                    let at = words.len() - 5;
+                    words[at] ^= 1 << bit;
+                }
+                3 => words.truncate(words.len() - 1 - pick % (words.len() - 1)),
+                _ => {}
+            }
+            let stream = compressed_stream(&d, vec![(FrameAddress::new(0, 10, 0), frame(&d, 1))])
+                .with_words(words);
+
+            let mut reference = icap.clone();
+            let expected = clone_and_diff_load(&mut reference, &stream);
+            let before = icap.clone();
+            let got = icap.load_or_rollback(&stream);
+            prop_assert_eq!(got.is_ok(), expected.is_ok());
+            if let (Err((_, dirty)), Err((_, want))) = (&got, &expected) {
+                prop_assert_eq!(dirty, want);
+                // The fabric is back where it started, map presence included.
+                prop_assert_eq!(
+                    icap.memory().configured_addresses(),
+                    before.memory().configured_addresses()
+                );
+            }
+            let mut touched: Vec<FrameAddress> = reference.last_written().to_vec();
+            touched.extend(icap.last_written());
+            touched.extend(before.memory().configured_addresses());
+            for a in touched {
+                prop_assert_eq!(icap.memory().frame(a), reference.memory().frame(a));
+                prop_assert_eq!(icap.memory().frame_ecc(a), reference.memory().frame_ecc(a));
+            }
+        }
     }
 
     proptest! {

@@ -103,11 +103,12 @@ impl BitstreamCache {
     }
 
     /// [`BitstreamCache::lookup`] with an optionally prepared stream: on
-    /// a miss, a verified copy the caller fetched from the same registry
+    /// a miss, a verified stream the caller fetched from the same registry
     /// ahead of time (outside the device-core lock) is consumed instead
-    /// of paying the registry's verified clone here. Hit/miss accounting,
-    /// cache contents and results are identical either way — the registry
-    /// is immutable after boot, so a prepared copy cannot go stale.
+    /// of paying the registry's integrity re-check here. Hit/miss
+    /// accounting, cache contents and results are identical either way —
+    /// the registry is immutable after boot, so a prepared stream cannot
+    /// go stale.
     ///
     /// # Errors
     ///
@@ -131,7 +132,7 @@ impl BitstreamCache {
         self.stats.misses += 1;
         let stream = match prepared.take() {
             Some(stream) => stream,
-            None => Arc::new(registry.lookup(tile, kind)?.clone()),
+            None => registry.lookup(tile, kind)?,
         };
         if self.capacity > 0 {
             if self.entries.len() >= self.capacity {

@@ -15,8 +15,12 @@
 //! * every [`BitstreamRegistry::lookup`] re-verifies the bitstream's
 //!   build-time integrity checksum, so a stream corrupted after
 //!   registration is caught *before* it is ever handed to the DFXC.
+//!
+//! Streams are stored behind an [`Arc`]: a verified lookup hands out a
+//! reference count, not a copy of the stream.
 
 use crate::error::Error;
+use crate::sync::Arc;
 use presp_accel::catalog::AcceleratorKind;
 use presp_fpga::bitstream::Bitstream;
 use presp_soc::config::TileCoord;
@@ -25,7 +29,7 @@ use std::collections::BTreeMap;
 /// The registry: `(tile, accelerator) → partial bitstream`.
 #[derive(Debug, Clone, Default)]
 pub struct BitstreamRegistry {
-    entries: BTreeMap<(TileCoord, AcceleratorKind), Bitstream>,
+    entries: BTreeMap<(TileCoord, AcceleratorKind), Arc<Bitstream>>,
 }
 
 impl BitstreamRegistry {
@@ -50,7 +54,7 @@ impl BitstreamRegistry {
         if self.entries.contains_key(&(tile, kind)) {
             return Err(Error::AlreadyRegistered { tile, kind });
         }
-        self.entries.insert((tile, kind), bitstream);
+        self.entries.insert((tile, kind), Arc::new(bitstream));
         Ok(())
     }
 
@@ -61,8 +65,8 @@ impl BitstreamRegistry {
         tile: TileCoord,
         kind: AcceleratorKind,
         bitstream: Bitstream,
-    ) -> Option<Bitstream> {
-        self.entries.insert((tile, kind), bitstream)
+    ) -> Option<Arc<Bitstream>> {
+        self.entries.insert((tile, kind), Arc::new(bitstream))
     }
 
     /// Looks up the bitstream for `(tile, kind)`, re-verifying its
@@ -73,7 +77,7 @@ impl BitstreamRegistry {
     /// Returns [`Error::BitstreamNotRegistered`] for unknown pairs and
     /// [`Error::CorruptBitstream`] when the stored stream no longer
     /// matches the checksum computed when it was built.
-    pub fn lookup(&self, tile: TileCoord, kind: AcceleratorKind) -> Result<&Bitstream, Error> {
+    pub fn lookup(&self, tile: TileCoord, kind: AcceleratorKind) -> Result<Arc<Bitstream>, Error> {
         let bitstream = self
             .entries
             .get(&(tile, kind))
@@ -81,7 +85,7 @@ impl BitstreamRegistry {
         if !bitstream.verify_integrity() {
             return Err(Error::CorruptBitstream { tile, kind });
         }
-        Ok(bitstream)
+        Ok(Arc::clone(bitstream))
     }
 
     /// Accelerators registered for a tile.

@@ -1247,31 +1247,6 @@ fn bench_eval_delay() -> Option<Duration> {
     })
 }
 
-/// A per-worker pool of word buffers recycled across prepared bitstream
-/// clones, so the steady-state prepare stage allocates nothing: the
-/// buffer travels into the prepared `Arc<Bitstream>` and comes back via
-/// [`presp_fpga::bitstream::Bitstream::into_words`] when the commit did
-/// not retain the copy.
-#[derive(Default)]
-struct PrepareArena {
-    pool: Vec<Vec<u32>>,
-}
-
-impl PrepareArena {
-    /// How many idle buffers a worker keeps; one in flight + one spare.
-    const KEEP: usize = 2;
-
-    fn take(&mut self) -> Vec<u32> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    fn give(&mut self, buf: Vec<u32>) {
-        if self.pool.len() < Self::KEEP {
-            self.pool.push(buf);
-        }
-    }
-}
-
 /// A committed job's reply, sent after all locks are released.
 enum Reply<S: SyncFacade> {
     Reconfigure {
@@ -1290,7 +1265,6 @@ enum Reply<S: SyncFacade> {
 }
 
 fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
-    let mut arena = PrepareArena::default();
     let supervised = shared.policy.supervised;
     loop {
         // -- claim: pop the lowest claimable head ticket ----------------
@@ -1350,9 +1324,9 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         };
         // -- prepare: pre-fetch the verified bitstream outside the core
         // lock. The registry is immutable after boot, so the verified
-        // clone (into a recycled arena buffer) is exactly what the
-        // commit-time cache miss would have produced; lookup errors are
-        // left for the commit path to reproduce. A brief solo peek at
+        // stream (a shared reference) is exactly what the commit-time
+        // cache miss would have produced; lookup errors are left for the
+        // commit path to reproduce. A brief solo peek at
         // the tile state skips the work when the driver is already
         // loaded or the tile is out of service.
         let mut prepared: PreparedBitstream = match &job.payload {
@@ -1364,11 +1338,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                 if skip {
                     None
                 } else {
-                    shared
-                        .registry
-                        .lookup(tile, *kind)
-                        .ok()
-                        .map(|stream| Arc::new(stream.clone_reusing(arena.take())))
+                    shared.registry.lookup(tile, *kind).ok()
                 }
             }
             Payload::Run { .. } => None,
@@ -1548,13 +1518,6 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
             gate_wait: (commit_started - gate_started).as_nanos() as u64,
             commit: commit_started.elapsed().as_nanos() as u64,
         };
-        // Recycle the prepared buffer when the commit did not retain the
-        // copy (cache hit, services short-circuit, or an error path).
-        if let Some(arc) = prepared.take() {
-            if let Ok(stream) = Arc::try_unwrap(arc) {
-                arena.give(stream.into_words());
-            }
-        }
         if matches!(reply, Reply::Reconfigure { .. } | Reply::Execute { .. }) {
             S::notify_all(&shard.reconfig_done);
         }

@@ -91,26 +91,31 @@ impl Dfxc {
         self.icap.last_written()
     }
 
-    /// Streams a (fetched) bitstream through the ICAP.
+    /// Streams a (fetched) bitstream through the ICAP as one transaction
+    /// ([`Icap::load_or_rollback`]).
     ///
     /// # Errors
     ///
     /// Propagates ICAP errors (CRC mismatch, wrong IDCODE, malformed
-    /// stream); the status register latches [`DfxcStatus::Error`] and the
-    /// fabric may be partially written, exactly like the real controller.
-    pub fn load(&mut self, bitstream: &Bitstream) -> Result<IcapReport, Error> {
+    /// stream) with the number of frames the failed stream had changed;
+    /// the status register latches [`DfxcStatus::Error`] and the fabric is
+    /// rolled back to its pre-load state.
+    pub fn load_or_rollback(
+        &mut self,
+        bitstream: &Bitstream,
+    ) -> Result<IcapReport, (Error, usize)> {
         self.status = DfxcStatus::Loading;
-        match self.icap.load(bitstream) {
+        match self.icap.load_or_rollback(bitstream) {
             Ok(report) => {
                 self.status = DfxcStatus::Done;
                 self.completed += 1;
                 self.busy_micros += report.micros;
                 Ok(report)
             }
-            Err(e) => {
+            Err((e, dirty)) => {
                 self.status = DfxcStatus::Error;
                 self.failed += 1;
-                Err(Error::Fpga(e))
+                Err((Error::Fpga(e), dirty))
             }
         }
     }
@@ -140,7 +145,7 @@ mod tests {
         let d = device();
         let mut dfxc = Dfxc::new(&d);
         assert_eq!(dfxc.status(), DfxcStatus::Idle);
-        let report = dfxc.load(&small_bitstream(&d)).unwrap();
+        let report = dfxc.load_or_rollback(&small_bitstream(&d)).unwrap();
         assert_eq!(dfxc.status(), DfxcStatus::Done);
         assert_eq!(dfxc.completed(), 1);
         assert!(report.frames_written > 0);
@@ -155,11 +160,13 @@ mod tests {
         let n = words.len();
         words[n - 10] ^= 1; // corrupt payload → CRC failure
         let corrupted = bs.with_words(words);
-        assert!(dfxc.load(&corrupted).is_err());
+        let (_, dirty) = dfxc.load_or_rollback(&corrupted).unwrap_err();
+        assert_eq!(dirty, 1, "the corrupted frame landed before the CRC check");
+        assert_eq!(dfxc.config_memory().configured_frames(), 0, "rolled back");
         assert_eq!(dfxc.status(), DfxcStatus::Error);
         assert_eq!(dfxc.failed(), 1);
         // A good load recovers the controller.
-        dfxc.load(&small_bitstream(&d)).unwrap();
+        dfxc.load_or_rollback(&small_bitstream(&d)).unwrap();
         assert_eq!(dfxc.status(), DfxcStatus::Done);
     }
 
@@ -168,7 +175,7 @@ mod tests {
         let d = device();
         let mut dfxc = Dfxc::new(&d);
         assert_eq!(dfxc.config_memory().configured_frames(), 0);
-        dfxc.load(&small_bitstream(&d)).unwrap();
+        dfxc.load_or_rollback(&small_bitstream(&d)).unwrap();
         assert_eq!(dfxc.config_memory().configured_frames(), 1);
     }
 }

@@ -199,7 +199,8 @@ pub struct Soc {
     decoupled_rejections: u64,
     /// Union of every frame each tile's successful loads have written.
     tile_regions: HashMap<TileCoord, BTreeSet<FrameAddress>>,
-    /// Per-tile golden (known-good, post-load) frame images.
+    /// Per-tile golden (known-good, post-load) frame images, sparse over
+    /// erased frames.
     golden: HashMap<TileCoord, RegionSnapshot>,
     seu_log: Vec<SeuRecord>,
 }
@@ -396,11 +397,10 @@ impl Soc {
         let snap = self
             .golden
             .get(&tile)
-            .cloned()
             .ok_or(Error::NoSuchTile { coord: tile })?;
         self.dfxc
             .config_memory_mut()
-            .restore(&snap)
+            .restore(snap)
             .map_err(Error::Fpga)?;
         Ok(snap.len())
     }
@@ -979,20 +979,20 @@ impl Soc {
                 .as_mut()
                 .and_then(|p| p.next_icap_fault(words))
         };
-        // Transactional write: capture the pre-transaction image so a
-        // stream that faults mid-write can roll the fabric back instead of
-        // leaving it partially configured.
-        let pre_image = self.dfxc.config_memory().clone();
+        // Transactional write: the configuration memory journals what
+        // each frame write displaces, so a stream that faults mid-write
+        // rolls the fabric back instead of leaving it partially
+        // configured, at a cost proportional to the frames it wrote.
         let loaded = match fault {
             Some(flip) => {
                 let corrupted = bitstream.with_words(flip.corrupt(bitstream.words()));
-                self.dfxc.load(&corrupted)
+                self.dfxc.load_or_rollback(&corrupted)
             }
-            None => self.dfxc.load(bitstream),
+            None => self.dfxc.load_or_rollback(bitstream),
         };
         let report = match loaded {
             Ok(report) => report,
-            Err(e) => {
+            Err((e, dirty)) => {
                 // A failed stream still occupied the ICAP for its full
                 // length, and virtual time advances past the attempt.
                 let wasted = (bitstream.words().len() as f64 / ICAP_CLOCK_MHZ
@@ -1017,15 +1017,14 @@ impl Soc {
                             ok: false,
                         }
                     });
-                // Roll the configuration memory back to the
-                // pre-transaction image: the failed stream's partial
-                // writes never become visible fabric state.
-                let dirty = pre_image.diff(self.dfxc.config_memory()).len() as u64;
-                *self.dfxc.config_memory_mut() = pre_image;
+                // The undo log already restored the pre-transaction
+                // state: the failed stream's partial writes never become
+                // visible fabric state. `dirty` counts the frames they
+                // had changed.
                 self.tracer.instant(ClockDomain::SocCycles, r.end, || {
                     TraceEvent::RollbackCompleted {
                         tile: loc(tile),
-                        frames: dirty,
+                        frames: dirty as u64,
                     }
                 });
                 self.clock.observe(r.end);
@@ -1055,9 +1054,13 @@ impl Soc {
         state.timeline.claim(at, icap_start, icap_done);
         // Region bookkeeping: the union of frames this tile's loads have
         // written defines its region, and the post-load image becomes its
-        // golden (known-good) store for scrubber escalation and rollback.
-        let written: Vec<FrameAddress> = self.dfxc.last_written().to_vec();
-        self.tile_regions.entry(tile).or_default().extend(written);
+        // golden (known-good) store for scrubber escalation. The snapshot
+        // is sparse: erased frames in the region cost an address, not a
+        // copy.
+        self.tile_regions
+            .entry(tile)
+            .or_default()
+            .extend(self.dfxc.last_written().iter().copied());
         let snap = self
             .dfxc
             .config_memory()
