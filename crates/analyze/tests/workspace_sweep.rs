@@ -80,8 +80,12 @@ fn committed_mutants_are_flagged_statically_at_marked_lines() {
         "shard_core_inversion mutant must surface: {edges:?}"
     );
     assert!(
-        edges.iter().any(|e| e.contains("`scrub_stats ->")),
-        "scrubber lock_inversion mutant must surface: {edges:?}"
+        edges.iter().any(|e| e.contains("`gate -> supervisor`")),
+        "supervisor_gate_inversion mutant must surface: {edges:?}"
+    );
+    assert!(
+        edges.iter().any(|e| e.contains("`tile_state -> gate`")),
+        "defrag_gate_inversion mutant must surface: {edges:?}"
     );
 
     let cycles = analysis
@@ -89,7 +93,10 @@ fn committed_mutants_are_flagged_statically_at_marked_lines() {
         .iter()
         .filter(|f| f.rule == "lock-cycle")
         .count();
-    assert!(cycles >= 2, "both inversions close cycles, found {cycles}");
+    assert!(
+        cycles >= 2,
+        "the admission and commit-side inversions close cycles, found {cycles}"
+    );
 
     // Exact-line precision without hardcoding numbers: a direct finding
     // sits on a line literally carrying the mutant marker; a finding

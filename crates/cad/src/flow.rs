@@ -128,11 +128,6 @@ impl CadFlow {
         CadFlow::default()
     }
 
-    /// A flow on a custom host.
-    pub fn with_host(host: HostMachine) -> CadFlow {
-        CadFlow { host }
-    }
-
     /// The host machine.
     pub fn host(&self) -> &HostMachine {
         &self.host

@@ -13,7 +13,6 @@ use presp_floorplan::{Floorplan, Floorplanner, RegionRequest};
 use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp_fpga::fabric::{ColumnKind, Device};
 use presp_fpga::frame::{frames_per_column, FrameAddress};
-use presp_fpga::pblock::Pblock;
 use presp_fpga::resources::Resources;
 use presp_soc::config::TileCoord;
 
@@ -50,14 +49,6 @@ pub struct FlowOutput {
 }
 
 impl FlowOutput {
-    /// The partial bitstreams targeting `tile`.
-    pub fn bitstreams_for_tile(&self, tile: TileCoord) -> Vec<&PartialBitstreamInfo> {
-        self.partial_bitstreams
-            .iter()
-            .filter(|p| p.tile == Some(tile))
-            .collect()
-    }
-
     /// Mean compressed pbs size per region, in KB (Table VI's `pbs (KB)`).
     pub fn mean_pbs_kb(&self, region: &str) -> Option<f64> {
         let sizes: Vec<usize> = self
@@ -102,12 +93,6 @@ impl PrEspFlow {
     /// during reconfiguration").
     pub fn with_compression(mut self, compressed: bool) -> PrEspFlow {
         self.compressed = compressed;
-        self
-    }
-
-    /// Replaces the CAD engine (e.g. for a different host machine).
-    pub fn with_cad(mut self, cad: CadFlow) -> PrEspFlow {
-        self.cad = cad;
         self
     }
 
@@ -298,15 +283,6 @@ fn build_full_bitstream(
         }
     }
     Ok(builder.build(true))
-}
-
-/// Returns `(pblock, region)` pairs for convenience in reports.
-pub fn region_pblocks(floorplan: &Floorplan) -> Vec<(String, Pblock)> {
-    floorplan
-        .pblocks()
-        .iter()
-        .map(|(n, p)| (n.clone(), *p))
-        .collect()
 }
 
 #[cfg(test)]

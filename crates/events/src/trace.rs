@@ -762,11 +762,6 @@ impl Tracer {
         self.sink = Some(sink);
     }
 
-    /// Detaches and returns the current sink, disabling the tracer.
-    pub fn detach(&mut self) -> Option<SharedSink> {
-        self.sink.take()
-    }
-
     /// Whether a sink is attached.
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()

@@ -102,11 +102,6 @@ impl Resources {
         }
     }
 
-    /// Returns `true` if every component is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == Resources::ZERO
-    }
-
     /// LUT utilization of `self` against a capacity, as a fraction in
     /// `[0, +inf)`. Returns 0.0 for a zero-LUT capacity.
     pub fn lut_fraction_of(&self, capacity: &Resources) -> f64 {

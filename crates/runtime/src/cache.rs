@@ -157,12 +157,6 @@ impl BitstreamCache {
         }
         Ok((stream, false))
     }
-
-    /// Drops the cached entry for `(tile, kind)`, if any — e.g. after the
-    /// registry's stream was replaced.
-    pub fn invalidate(&mut self, tile: TileCoord, kind: AcceleratorKind) {
-        self.entries.remove(&(tile, kind));
-    }
 }
 
 #[cfg(test)]

@@ -23,11 +23,10 @@
 //!    second (decouple → frame move → recouple), allocator rolled back
 //!    if the fabric refuses. Quarantined owners are skipped.
 //!
-//! Lock order invariant: `defrag` → `gate` → `tile_state` → `core` for
-//! the pass; [`ThreadedManager::defrag_stats`] takes `defrag` alone (the
-//! pass updates its counters under the same `defrag` guard it holds
-//! across the whole pass, so a snapshot can never observe a half-counted
-//! pass).
+//! Lock order invariant: `gate` → `tile_state` → `core` for the pass.
+//! Its counters — passes, moves, frames moved — are the ledger's
+//! [`crate::manager::ManagerStats`] fields, updated by the protocol
+//! layer under the `core` lock.
 
 use crate::error::Error;
 use crate::manager::RepackReport;
@@ -36,33 +35,6 @@ use crate::scheduler::Shared;
 use crate::sync::SyncFacade;
 use crate::threaded::ThreadedManager;
 use presp_soc::config::TileCoord;
-
-/// Counters of the repack passes a [`ThreadedManager`] has run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DefragStats {
-    /// Completed repack passes.
-    pub passes: u64,
-    /// Passes whose compaction plan was empty (nothing to slide).
-    pub idle_passes: u64,
-    /// Region moves applied across all passes.
-    pub moves: u64,
-    /// Configuration frames physically relocated across all passes.
-    pub frames_moved: u64,
-    /// Planned moves skipped (owner quarantined, vanished, or refused).
-    pub skipped: u64,
-}
-
-impl DefragStats {
-    fn record(&mut self, report: &RepackReport) {
-        self.passes += 1;
-        if report.moves == 0 && report.skipped == 0 {
-            self.idle_passes += 1;
-        }
-        self.moves += report.moves;
-        self.frames_moved += report.frames_moved;
-        self.skipped += report.skipped;
-    }
-}
 
 impl<S: SyncFacade> ThreadedManager<S> {
     /// Runs one gate-quiesced repack pass on the calling thread and
@@ -98,7 +70,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
         let result = if self.shared.mutants.defrag_gate_inversion {
             repack_inverted(&self.shared)
         } else {
-            repack_once(&self.shared)
+            repack_pass(&self.shared)
         };
         // A pass moves idle horizons: wake any thread parked on a tile
         // completion so it re-checks.
@@ -107,23 +79,6 @@ impl<S: SyncFacade> ThreadedManager<S> {
         }
         result
     }
-
-    /// Repack counters. Consistent by construction: a pass updates them
-    /// under the same `defrag` guard it holds across the whole pass, so
-    /// a snapshot never observes a half-counted pass. All zero until the
-    /// first pass.
-    pub fn defrag_stats(&self) -> DefragStats {
-        *S::lock(&self.shared.defrag_stats)
-    }
-}
-
-/// The clean protocol: counters held across the pass, then the
-/// gate-quiesced pass itself.
-fn repack_once<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Error> {
-    let mut counters = S::lock(&shared.defrag_stats);
-    let report = repack_pass(shared)?;
-    counters.record(&report);
-    Ok(report)
 }
 
 /// The known-bad variant for checker validation: a shard probe *before*
@@ -141,12 +96,13 @@ fn repack_inverted<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Er
     let quiesce = S::lock(&shared.gate); // presp-analyze: mutant
     drop(quiesce);
     drop(probes);
-    repack_once(shared)
+    repack_pass(shared)
 }
 
 /// One gate-quiesced repack pass: plan under `core`, then one
 /// `tile_state` → `core` move at a time, all anchored at the pass's
-/// starting horizon like the deterministic manager's `repack_at`.
+/// starting horizon like the deterministic manager's `repack_at`, and
+/// closed (counted and traced) under `core` before the gate opens.
 fn repack_pass<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Error> {
     // Quiesce commits: workers take the gate before their shard + core
     // critical section, so holding it pins every lease where the
@@ -185,7 +141,7 @@ fn repack_pass<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Error>
             Err(_) => report.skipped += 1,
         }
     }
-    protocol::trace_repack_pass(&mut S::lock(&shared.core), &report, at);
+    protocol::close_repack_pass(&mut S::lock(&shared.core), &report, at);
     drop(quiesced);
     Ok(report)
 }
@@ -277,10 +233,10 @@ mod tests {
         assert_eq!(report.moves, 1);
         assert_eq!(report.skipped, 0);
         assert!(report.frames_moved > 0);
-        let stats = mgr.defrag_stats();
-        assert_eq!(stats.passes, 1);
-        assert_eq!(stats.moves, 1);
-        assert_eq!(stats.idle_passes, 0);
+        let stats = mgr.stats();
+        assert_eq!(stats.repack_passes, 1);
+        assert_eq!(stats.repack_moves, 1);
+        assert_eq!(stats.frames_moved, report.frames_moved);
         // …and the retry is admitted and attributed to the repack.
         mgr.reconfigure_blocking(tiles[1], AcceleratorKind::Gemm)
             .unwrap();
@@ -299,11 +255,14 @@ mod tests {
         let cfg = SocConfig::grid_3x3_reconf("defrag_idle", 1).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let mgr = ThreadedManager::spawn(soc, BitstreamRegistry::new());
-        assert_eq!(mgr.defrag_stats(), DefragStats::default());
+        assert_eq!(mgr.stats().repack_passes, 0);
         let report = mgr.repack_blocking().unwrap();
         assert_eq!(report, RepackReport::default());
-        let stats = mgr.defrag_stats();
-        assert_eq!((stats.passes, stats.idle_passes), (1, 1));
+        let stats = mgr.stats();
+        assert_eq!(
+            (stats.repack_passes, stats.repack_moves, stats.frames_moved),
+            (1, 0, 0)
+        );
         mgr.shutdown();
     }
 
@@ -343,7 +302,7 @@ mod tests {
             mgr.repack_blocking().unwrap();
         }
         swapper.join().unwrap();
-        assert_eq!(mgr.defrag_stats().passes, 10);
+        assert_eq!(mgr.stats().repack_passes, 10);
         assert!(mgr.stats().consistent());
         mgr.shutdown();
     }
@@ -438,7 +397,7 @@ mod tests {
             let d = presp_check::sync::spawn_named("defrag_caller", move || {
                 let _ = repacker.repack_blocking();
             });
-            let _snapshot = mgr.defrag_stats();
+            let _snapshot = mgr.stats();
             d.join().unwrap();
             s.join().unwrap();
             mgr.shutdown();

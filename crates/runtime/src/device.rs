@@ -53,9 +53,6 @@ pub struct DeviceCore {
     /// were built); `Some` routes every load through footprint → lease →
     /// relocation.
     allocator: Option<RegionAllocator>,
-    /// Completed defragmentation moves, monotone. Compared against the
-    /// per-tile oversized watermark to attribute an admit to a repack.
-    repack_moves: u64,
 }
 
 impl fmt::Debug for DeviceCore {
@@ -93,7 +90,6 @@ impl DeviceCore {
             stats: ManagerStats::default(),
             trace_shards: Vec::new(),
             allocator: None,
-            repack_moves: 0,
         }
     }
 
@@ -136,16 +132,6 @@ impl DeviceCore {
     /// Mutable access to the region allocator.
     pub(crate) fn allocator_mut(&mut self) -> Option<&mut RegionAllocator> {
         self.allocator.as_mut()
-    }
-
-    /// Completed defragmentation moves so far.
-    pub(crate) fn repack_moves(&self) -> u64 {
-        self.repack_moves
-    }
-
-    /// Records one completed defragmentation move.
-    pub(crate) fn record_repack_move(&mut self) {
-        self.repack_moves += 1;
     }
 
     /// The underlying SoC.

@@ -27,13 +27,13 @@
 //!   commit-order ticket gate that keeps results identical for any
 //!   worker count, and lock-free evaluation of behavioral results.
 //! * [`scrubber`] — configuration-memory scrubbing as handle methods
-//!   (`scrub_blocking`, `scrub_all_blocking`, `scrubber_stats`): a pass
-//!   runs on the calling thread under the scheduler's tile-shard and
-//!   device-core locks, walks configuration frames, repairs SEUs with
-//!   the per-frame ECC, and quarantines tiles with uncorrectable damage.
-//!   Model-checked alongside the scheduler.
-//! * [`defrag`] — online defragmentation as handle methods
-//!   (`repack_blocking`, `defrag_stats`): under amorphous floorplanning
+//!   (`scrub_blocking`, `scrub_all_blocking`): a pass runs on the
+//!   calling thread under the scheduler's tile-shard and device-core
+//!   locks, walks configuration frames, repairs SEUs with the per-frame
+//!   ECC, quarantines tiles with uncorrectable damage, and counts itself
+//!   in the manager's stats. Model-checked alongside the scheduler.
+//! * [`defrag`] — online defragmentation as a handle method
+//!   (`repack_blocking`): under amorphous floorplanning
 //!   (flexible-boundary regions leased from a [`presp_floorplan`]
 //!   allocator instead of fixed sockets), a pass quiesces the commit
 //!   gate, plans the allocator's left-slide compaction and relocates
@@ -96,11 +96,9 @@ pub mod sync;
 pub mod threaded;
 pub mod tile;
 
-pub use defrag::DefragStats;
 pub use error::Error;
 pub use manager::{ExecPath, ReconfigManager, RecoveryPolicy, RepackReport, TileHealth};
 pub use registry::BitstreamRegistry;
-pub use scrubber::ScrubberStats;
 pub use supervisor::{
     install_quiet_panic_hook, SupervisorStats, WorkerFault, WorkerFaultConfig, WorkerFaultPlan,
 };

@@ -173,6 +173,9 @@ pub struct ManagerStats {
     /// Scrub passes performed (outside the request-accounting invariant:
     /// scrubs are maintenance, not reconfiguration requests).
     pub scrub_passes: u64,
+    /// Scrub passes that found nothing to repair (a subset of
+    /// [`ManagerStats::scrub_passes`]).
+    pub scrub_clean_passes: u64,
     /// Frames repaired by scrub passes.
     pub frames_repaired: u64,
     /// Quarantines triggered by uncorrectable upsets (also counted in
@@ -205,6 +208,16 @@ pub struct ManagerStats {
     /// the span (a subset of [`ManagerStats::oversized_admitted`]).
     #[serde(default)]
     pub repack_admitted: u64,
+    /// Defragmentation (repack) passes completed, idle ones included.
+    pub repack_passes: u64,
+    /// Region moves applied across all repack passes. Also the oversized
+    /// watermark: an admit counts toward
+    /// [`ManagerStats::repack_admitted`] when this grew since the
+    /// tile's refusal.
+    pub repack_moves: u64,
+    /// Configuration frames physically relocated across all repack
+    /// passes.
+    pub frames_moved: u64,
 }
 
 impl ManagerStats {
@@ -466,7 +479,7 @@ impl ReconfigManager {
                 Err(_) => report.skipped += 1,
             }
         }
-        protocol::trace_repack_pass(&mut self.core, &report, at);
+        protocol::close_repack_pass(&mut self.core, &report, at);
         Ok(report)
     }
 
@@ -584,7 +597,7 @@ impl ReconfigManager {
             .tiles
             .entry(tile)
             .or_insert_with(|| TileState::new(tile));
-        protocol::run_at(shard, &mut self.core, op, at, None)
+        protocol::run_at(shard, &mut self.core, op, at, protocol::evaluate(op))
     }
 
     /// Runs `op` on `tile` at the tile's own idle time.
@@ -604,7 +617,7 @@ impl ReconfigManager {
     ///
     /// Propagates SoC errors.
     pub fn run_on_cpu_at(&mut self, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
-        protocol::run_on_cpu_at(&mut self.core, op, at, None)
+        protocol::run_on_cpu_at(&mut self.core, op, at, protocol::evaluate(op))
     }
 
     /// Ensures `kind` is loaded in `tile` and runs `op` there, degrading to
@@ -635,7 +648,7 @@ impl ReconfigManager {
             kind,
             op,
             at,
-            None,
+            protocol::evaluate(op),
             &mut None,
         )
     }
@@ -838,8 +851,11 @@ mod tests {
         let report = mgr.scrub_tile_at(tile, mgr.makespan() + 10).unwrap();
         assert_eq!(report.corrected.len(), 1);
         assert_eq!(mgr.tile_health(tile), TileHealth::Degraded);
-        assert_eq!(mgr.stats().scrub_passes, 2);
-        assert_eq!(mgr.stats().frames_repaired, 1);
+        let stats = mgr.stats();
+        assert_eq!(stats.scrub_passes, 2);
+        assert_eq!(stats.scrub_clean_passes, 1);
+        assert_eq!(stats.frames_repaired, 1);
+        assert_eq!(stats.scrub_quarantines, 0);
         // A successful reconfiguration rewrites the region: Healthy again.
         mgr.request_reconfiguration(tile, AcceleratorKind::Sort)
             .unwrap();
@@ -1012,6 +1028,10 @@ mod tests {
         assert_eq!(report.moves, 1);
         assert_eq!(report.skipped, 0);
         assert!(report.frames_moved > 0);
+        let stats = mgr.stats();
+        assert_eq!(stats.repack_passes, 1);
+        assert_eq!(stats.repack_moves, 1);
+        assert_eq!(stats.frames_moved, report.frames_moved);
         assert_eq!(mgr.tile_lease(tiles[6]).unwrap().base, 8);
         assert_eq!(mgr.fragmentation().unwrap().largest_free_span, 3);
         // Retry: admitted into the repacked span and attributed to it.

@@ -10,10 +10,11 @@
 //! update and virtual-time decision lives here, so both paths are
 //! byte-identical by construction.
 //!
-//! The `precomputed` parameters carry a behavioral result evaluated
-//! *outside* the locks (accelerator instances are stateless, so the
-//! value is a pure function of the operation); passing `None` evaluates
-//! it in place, which is what the deterministic manager does.
+//! The `value` parameters carry an operation's behavioral result, which
+//! every caller evaluates before calling in (accelerator instances are
+//! stateless, so the value is a pure function of the operation): the
+//! deterministic manager just ahead of the call, the threaded workers
+//! outside the locks.
 
 use crate::device::{loc, DeviceCore};
 use crate::error::Error;
@@ -21,7 +22,7 @@ use crate::manager::{ExecPath, RecoveryPolicy, RepackReport};
 use crate::sync::Arc;
 use crate::tile::{TileHealth, TileState};
 use presp_accel::catalog::AcceleratorKind;
-use presp_accel::{AccelOp, AccelValue};
+use presp_accel::{AccelInstance, AccelOp, AccelValue};
 use presp_events::trace::ClockDomain;
 use presp_events::{backoff, TraceEvent};
 use presp_floorplan::RegionMove;
@@ -30,9 +31,14 @@ use presp_fpga::fabric::Device;
 use presp_fpga::fault::FaultPlan;
 use presp_soc::sim::{csr, AccelRun, ReconfigRun, ScrubReport};
 
-/// A behavioral result evaluated ahead of time, outside any lock.
-/// `None` means "evaluate in place".
-pub(crate) type Precomputed = Option<Result<AccelValue, presp_accel::Error>>;
+/// An operation's behavioral result, evaluated by the caller.
+pub(crate) type Evaluated = Result<AccelValue, presp_accel::Error>;
+
+/// Evaluates `op`'s behavioral result. Accelerator instances are
+/// stateless, so this needs no tile, lock or virtual time.
+pub(crate) fn evaluate(op: &AccelOp) -> Evaluated {
+    AccelInstance::new(op.kind()).execute(op)
+}
 
 /// A verified bitstream fetched ahead of time, outside any lock (the
 /// registry is immutable after boot, so a prepared copy cannot go
@@ -120,7 +126,7 @@ pub(crate) fn request_reconfiguration_at(
                 tile_state.set_health(TileHealth::Healthy);
                 if let Some(mark) = tile_state.take_oversized_mark() {
                     core.stats_mut().oversized_admitted += 1;
-                    if core.repack_moves() > mark {
+                    if core.stats().repack_moves > mark {
                         core.stats_mut().repack_admitted += 1;
                     }
                 }
@@ -289,7 +295,7 @@ fn place_bitstream(
                 tile_state.set_lease(restored);
             }
             core.stats_mut().oversized_rejected += 1;
-            let mark = core.repack_moves();
+            let mark = core.stats().repack_moves;
             tile_state.mark_oversized(mark);
             Err(Error::RegionUnavailable { tile, width })
         }
@@ -326,7 +332,9 @@ pub(crate) fn plan_repack(core: &DeviceCore) -> Vec<RegionMove> {
 /// frame/ECC/golden move → re-couple) is skipped for a lease that never
 /// loaded; otherwise the tile's idle horizon advances past the
 /// re-couple, so the move occupies the tile's own timeline as well as
-/// the shared ICAP. Returns the number of frames physically moved.
+/// the shared ICAP. A completed move is counted in the ledger's
+/// `repack_moves` and `frames_moved`. Returns the number of frames
+/// physically moved.
 pub(crate) fn repack_move(
     tile_state: &mut TileState,
     core: &mut DeviceCore,
@@ -363,7 +371,9 @@ pub(crate) fn repack_move(
                 lease.base = mv.to;
                 tile_state.set_lease(Some(lease));
             }
-            core.record_repack_move();
+            let stats = core.stats_mut();
+            stats.repack_moves += 1;
+            stats.frames_moved += frames;
             Ok(frames)
         }
         Err(e) => {
@@ -376,9 +386,11 @@ pub(crate) fn repack_move(
     }
 }
 
-/// Closes a repack pass anchored at `at`: emits its `defrag.pass`
-/// record at the later of `at` and the current horizon.
-pub(crate) fn trace_repack_pass(core: &mut DeviceCore, report: &RepackReport, at: u64) {
+/// Closes a repack pass anchored at `at`: counts it in the ledger's
+/// `repack_passes` and emits its `defrag.pass` record at the later of
+/// `at` and the current horizon.
+pub(crate) fn close_repack_pass(core: &mut DeviceCore, report: &RepackReport, at: u64) {
+    core.stats_mut().repack_passes += 1;
     let now = core.soc().horizon().max(at);
     core.soc_mut()
         .tracer_mut()
@@ -459,7 +471,7 @@ pub(crate) fn run_at(
     core: &mut DeviceCore,
     op: &AccelOp,
     at: u64,
-    precomputed: Precomputed,
+    value: Evaluated,
 ) -> Result<AccelRun, Error> {
     let tile = tile_state.coord();
     let active = tile_state.active_driver().ok_or(Error::NoDriver {
@@ -473,12 +485,9 @@ pub(crate) fn run_at(
         });
     }
     let start = at.max(tile_state.idle_at());
-    let run = match precomputed {
-        Some(outcome) => core
-            .soc_mut()
-            .run_accelerator_prepared_at(tile, op, start, outcome)?,
-        None => core.soc_mut().run_accelerator_at(tile, op, start)?,
-    };
+    let run = core
+        .soc_mut()
+        .run_accelerator_prepared_at(tile, op, start, value)?;
     tile_state.set_idle_at(run.end);
     core.stats_mut().runs += 1;
     Ok(run)
@@ -489,16 +498,16 @@ pub(crate) fn run_on_cpu_at(
     core: &mut DeviceCore,
     op: &AccelOp,
     at: u64,
-    precomputed: Precomputed,
+    value: Evaluated,
 ) -> Result<AccelRun, Error> {
-    Ok(match precomputed {
-        Some(outcome) => core.soc_mut().run_on_cpu_prepared_at(op, at, outcome)?,
-        None => core.soc_mut().run_on_cpu_at(op, at)?,
-    })
+    Ok(core.soc_mut().run_on_cpu_prepared_at(op, at, value)?)
 }
 
 /// Reconfigure-then-run with CPU degradation. See
 /// [`crate::manager::ReconfigManager::run_with_fallback_at`].
+///
+/// Only the reconfiguration can fail degradably — [`run_at`]'s errors
+/// never are — so `value` goes to exactly one of the two paths.
 #[allow(clippy::too_many_arguments)] // mirrors the manager API's full knob set
 pub(crate) fn run_with_fallback_at(
     tile_state: &mut TileState,
@@ -507,14 +516,11 @@ pub(crate) fn run_with_fallback_at(
     kind: AcceleratorKind,
     op: &AccelOp,
     at: u64,
-    precomputed: Precomputed,
+    value: Evaluated,
     prepared: &mut PreparedBitstream,
 ) -> Result<(AccelRun, ExecPath), Error> {
-    let attempted = request_reconfiguration_at(tile_state, core, policy, kind, at, prepared)
-        .map(|_| ())
-        .and_then(|()| run_at(tile_state, core, op, at, precomputed.clone()));
-    match attempted {
-        Ok(run) => Ok((run, ExecPath::Accelerator)),
+    match request_reconfiguration_at(tile_state, core, policy, kind, at, prepared) {
+        Ok(_) => run_at(tile_state, core, op, at, value).map(|run| (run, ExecPath::Accelerator)),
         Err(e) if e.is_degradable() && policy.cpu_fallback => {
             // Start the software run after the failed recovery
             // concluded on this tile's timeline.
@@ -524,7 +530,7 @@ pub(crate) fn run_with_fallback_at(
                 .instant(ClockDomain::SocCycles, start, || TraceEvent::CpuFallback {
                     kind: kind.name(),
                 });
-            let run = run_on_cpu_at(core, op, start, precomputed)?;
+            let run = run_on_cpu_at(core, op, start, value)?;
             core.stats_mut().fallback_runs += 1;
             Ok((run, ExecPath::CpuFallback))
         }
@@ -571,6 +577,7 @@ pub(crate) fn scrub_tile_at(
                 });
         }
     } else if report.corrected.is_empty() {
+        core.stats_mut().scrub_clean_passes += 1;
         tile_state.set_health(TileHealth::Healthy);
     } else {
         tile_state.set_health(TileHealth::Degraded);

@@ -17,8 +17,8 @@
 //!   minimum (O(log tiles), not an O(tiles) scan), then evaluate the
 //!   behavioral accelerator result *outside any lock* — accelerator
 //!   instances are stateless, so the value is a pure function of the
-//!   operation — and pre-fetch the verified bitstream from the
-//!   boot-immutable registry into a per-worker arena. Only the short
+//!   operation — and pre-fetch the verified bitstream (a shared
+//!   reference) from the boot-immutable registry. Only the short
 //!   ICAP/NoC/virtual-time critical section then runs under the shard +
 //!   device-core locks.
 //! * **The ticket gate.** Every admitted job carries a global ticket and
@@ -69,27 +69,26 @@
 //! exploration): `sched_admission` → `tile_queue` on the admission side
 //! (never interleaved with the commit-side locks), `gate` →
 //! `tile_state` → `core` on the commit side, and `supervisor` → `gate`
-//! in the watchdog's steal scan. The maintenance passes add `defrag` →
-//! `gate` (a repack quiesces commits) and `core` → `scrub_stats` (scrub
-//! counter snapshots). Everything else the supervision layer
+//! in the watchdog's steal scan. The maintenance passes add no edge of
+//! their own: a scrub pass takes `tile_state` → `core` and a repack pass
+//! `gate` → `tile_state` → `core`, counting into the ledger under
+//! `core`. Everything else the supervision layer
 //! touches (fault plan, breaker peek, shed settlement) uses top-level
 //! acquisitions only. The committed [`MutantConfig`] variants invert
 //! edges of this graph so the model-check suite can prove it notices.
 
 use crate::cache::BitstreamCache;
-use crate::defrag::DefragStats;
 use crate::device::{loc, DeviceCore};
 use crate::error::Error;
 use crate::manager::{ExecPath, OverloadPolicy, RecoveryPolicy};
-use crate::protocol::{self, Precomputed, PreparedBitstream};
+use crate::protocol::{self, Evaluated, PreparedBitstream};
 use crate::registry::BitstreamRegistry;
-use crate::scrubber::ScrubberStats;
 use crate::supervisor::{InjectedWorkerPanic, SupervisorStats, WorkerFault, WorkerFaultPlan};
 use crate::sync::{Arc, SyncFacade};
 use crate::threaded::RuntimeConfig;
 use crate::tile::TileState;
 use presp_accel::catalog::AcceleratorKind;
-use presp_accel::{AccelInstance, AccelOp};
+use presp_accel::AccelOp;
 
 /// Reply channels of requests that coalesced into an in-flight
 /// reconfiguration, collected at completion and answered together.
@@ -132,13 +131,6 @@ pub struct MutantConfig {
     /// the watchdog's steal scan (`supervisor` → `gate`): worker and
     /// supervisor deadlock.
     pub supervisor_gate_inversion: bool,
-    /// A scrub pass takes `scrub_stats` → `tile_state` → `core`
-    /// (updating its counters inside one big critical section) while
-    /// [`ThreadedManager::scrubber_stats`](crate::threaded::ThreadedManager::scrubber_stats)
-    /// takes `core` → `scrub_stats`: a lock-order inversion between a
-    /// scrubbing caller and a snapshotting one.
-    #[cfg(test)]
-    pub scrub_stats_inversion: bool,
     /// A repack pass probes every shard's `tile_state` *before* taking
     /// the commit gate — the reverse of every worker's `gate` →
     /// `tile_state` commit acquisition. A worker inside its commit slot
@@ -257,6 +249,55 @@ impl<S: SyncFacade> Payload<S> {
             },
         }
     }
+
+    /// The prepare stage's behavioral evaluation, run outside every lock:
+    /// each operation gets its value (a pure function of the operation,
+    /// since accelerator instances are stateless); the protocol consumes
+    /// it only after its own driver checks pass.
+    fn evaluate(self) -> Prepared<S> {
+        let evaluate = |op: &AccelOp| {
+            if let Some(delay) = bench_eval_delay() {
+                // Wall-clock pacing only, never set under the model
+                // checker; no synchronization.
+                std::thread::sleep(delay); // presp-lint: allow — bench pacing
+            }
+            protocol::evaluate(op)
+        };
+        match self {
+            Payload::Reconfigure { kind, done } => Prepared::Reconfigure { kind, done },
+            Payload::Run { op, done } => Prepared::Run {
+                value: evaluate(&op),
+                op,
+                done,
+            },
+            Payload::Execute { kind, op, done } => Prepared::Execute {
+                kind,
+                value: evaluate(&op),
+                op,
+                done,
+            },
+        }
+    }
+}
+
+/// A claimed job after [`Payload::evaluate`]: operations carry their
+/// behavioral value into the commit critical section.
+enum Prepared<S: SyncFacade> {
+    Reconfigure {
+        kind: AcceleratorKind,
+        done: Vec<S::Sender<Result<(), Error>>>,
+    },
+    Run {
+        op: Box<AccelOp>,
+        value: Evaluated,
+        done: S::Sender<Result<AccelRun, Error>>,
+    },
+    Execute {
+        kind: AcceleratorKind,
+        op: Box<AccelOp>,
+        value: Evaluated,
+        done: S::Sender<Result<(AccelRun, ExecPath), Error>>,
+    },
 }
 
 /// One healed fault in a job's history, carried inside the rebuilt job
@@ -483,12 +524,6 @@ pub(crate) struct Shared<S: SyncFacade> {
     /// The installed worker-software-fault plan (`worker_faults` lock);
     /// `None` injects nothing.
     pub(crate) worker_faults: S::Mutex<Option<WorkerFaultPlan>>,
-    /// Scrub-pass counters (`scrub_stats` lock), updated after the pass
-    /// releases the device locks.
-    pub(crate) scrub_stats: S::Mutex<ScrubberStats>,
-    /// Repack-pass counters (`defrag` lock), held across the whole pass
-    /// so a snapshot never observes a half-counted one.
-    pub(crate) defrag_stats: S::Mutex<DefragStats>,
     pub(crate) policy: RecoveryPolicy,
     pub(crate) mutants: MutantConfig,
     /// Storage the `unsynced_stats` mutant shares without a lock; under
@@ -1207,8 +1242,6 @@ impl<S: SyncFacade> Shared<S> {
             supervisor_cv: S::condvar(),
             hang_cv: S::condvar(),
             worker_faults: S::mutex_labeled("worker_faults", None),
-            scrub_stats: S::mutex_labeled("scrub_stats", ScrubberStats::default()),
-            defrag_stats: S::mutex_labeled("defrag", DefragStats::default()),
             policy: config.policy,
             mutants: config.mutants,
             racy_runs: presp_check::RaceCell::new("racy_runs", 0),
@@ -1307,21 +1340,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         }
         let prepare_started = Instant::now();
         // -- prepare: evaluate the behavioral result outside any lock ---
-        // Accelerator instances are stateless and `execute` re-checks
-        // kind compatibility itself, so this is a pure function of the
-        // operation; the protocol only consumes it after its own driver
-        // checks pass.
-        let precomputed: Precomputed = match &job.payload {
-            Payload::Run { op, .. } | Payload::Execute { op, .. } => {
-                if let Some(delay) = bench_eval_delay() {
-                    // Wall-clock pacing only, never set under the model
-                    // checker; no synchronization.
-                    std::thread::sleep(delay); // presp-lint: allow — bench pacing
-                }
-                Some(AccelInstance::new(op.kind()).execute(op))
-            }
-            Payload::Reconfigure { .. } => None,
-        };
+        let payload = job.payload.evaluate();
         // -- prepare: pre-fetch the verified bitstream outside the core
         // lock. The registry is immutable after boot, so the verified
         // stream (a shared reference) is exactly what the commit-time
@@ -1329,8 +1348,8 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         // commit path to reproduce. A brief solo peek at
         // the tile state skips the work when the driver is already
         // loaded or the tile is out of service.
-        let mut prepared: PreparedBitstream = match &job.payload {
-            Payload::Reconfigure { kind, .. } | Payload::Execute { kind, .. } => {
+        let mut prepared: PreparedBitstream = match &payload {
+            Prepared::Reconfigure { kind, .. } | Prepared::Execute { kind, .. } => {
                 let skip = {
                     let state = S::lock(&shard.state);
                     state.is_quarantined() || state.services(*kind)
@@ -1341,9 +1360,9 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                     shared.registry.lookup(tile, *kind).ok()
                 }
             }
-            Payload::Run { .. } => None,
+            Prepared::Run { .. } => None,
         };
-        let is_reconfigure = matches!(job.payload, Payload::Reconfigure { .. });
+        let is_reconfigure = matches!(payload, Prepared::Reconfigure { .. });
         if matches!(fault, Some(WorkerFault::Hang)) {
             // Wedge before the commit slot. The supervisor steals the
             // claim and redispatches the stash under the same ticket;
@@ -1453,13 +1472,13 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                         }
                     });
             }
-            match job.payload {
-                Payload::Reconfigure { kind, done } if deadline_missed => Reply::Reconfigure {
+            match payload {
+                Prepared::Reconfigure { kind, done } if deadline_missed => Reply::Reconfigure {
                     kind,
                     done,
                     result: Err(Error::DeadlineExceeded { tile }),
                 },
-                Payload::Reconfigure { kind, done } => Reply::Reconfigure {
+                Prepared::Reconfigure { kind, done } => Reply::Reconfigure {
                     kind,
                     done,
                     result: protocol::request_reconfiguration_at(
@@ -1472,11 +1491,16 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                     )
                     .map(|_| ()),
                 },
-                Payload::Run { op, done } => Reply::Run {
+                Prepared::Run { op, value, done } => Reply::Run {
                     done,
-                    result: protocol::run_at(&mut state, &mut core, &op, at, precomputed),
+                    result: protocol::run_at(&mut state, &mut core, &op, at, value),
                 },
-                Payload::Execute { kind, op, done } if deadline_missed => Reply::Execute {
+                Prepared::Execute {
+                    kind,
+                    op,
+                    value,
+                    done,
+                } if deadline_missed => Reply::Execute {
                     done,
                     result: if shared.policy.cpu_fallback {
                         // Too late for the accelerator path; degrade to
@@ -1486,7 +1510,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                             .instant(ClockDomain::SocCycles, begin, || TraceEvent::CpuFallback {
                                 kind: kind.name(),
                             });
-                        let run = protocol::run_on_cpu_at(&mut core, &op, begin, precomputed);
+                        let run = protocol::run_on_cpu_at(&mut core, &op, begin, value);
                         if run.is_ok() {
                             core.stats_mut().fallback_runs += 1;
                         }
@@ -1495,7 +1519,12 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                         Err(Error::DeadlineExceeded { tile })
                     },
                 },
-                Payload::Execute { kind, op, done } => Reply::Execute {
+                Prepared::Execute {
+                    kind,
+                    op,
+                    value,
+                    done,
+                } => Reply::Execute {
                     done,
                     result: protocol::run_with_fallback_at(
                         &mut state,
@@ -1504,7 +1533,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                         kind,
                         &op,
                         at,
-                        precomputed,
+                        value,
                         &mut prepared,
                     ),
                 },

@@ -13,9 +13,11 @@
 //! contending for one PRC. Scrubs are maintenance, not requests: they
 //! bypass the admission queue and the ticket gate.
 //!
-//! Lock order invariant: `tile_state` → `core` for the pass itself, and
-//! `core` → `scrub_stats` for consistent snapshots; a pass updates the
-//! counters only *after* releasing the device locks.
+//! Lock order invariant: `tile_state` → `core`. A pass's counters —
+//! passes, clean passes, frames repaired, quarantines — are the ledger's
+//! [`crate::manager::ManagerStats`] fields, updated by the protocol
+//! layer in the same `core` critical section as the repairs, so no
+//! [`ThreadedManager::stats`] snapshot can observe a half-counted pass.
 
 use crate::error::Error;
 use crate::protocol;
@@ -24,33 +26,6 @@ use crate::sync::SyncFacade;
 use crate::threaded::ThreadedManager;
 use presp_soc::config::TileCoord;
 use presp_soc::sim::ScrubReport;
-
-/// Counters of the scrub passes a [`ThreadedManager`] has run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScrubberStats {
-    /// Completed scrub passes (one per scrubbed tile).
-    pub passes: u64,
-    /// Passes that found nothing to repair.
-    pub clean_passes: u64,
-    /// Frames whose single-bit upsets the ECC corrected.
-    pub frames_repaired: u64,
-    /// Passes that hit an uncorrectable (double-bit) frame and left the
-    /// tile quarantined.
-    pub quarantines: u64,
-}
-
-impl ScrubberStats {
-    fn record(&mut self, report: &ScrubReport) {
-        self.passes += 1;
-        if report.is_clean() {
-            self.clean_passes += 1;
-        }
-        self.frames_repaired += report.corrected.len() as u64;
-        if !report.uncorrectable.is_empty() {
-            self.quarantines += 1;
-        }
-    }
-}
 
 impl<S: SyncFacade> ThreadedManager<S> {
     /// Scrubs `tile`'s configuration frames on the calling thread and
@@ -83,22 +58,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
         if self.shared.is_stopping() {
             return Err(Error::ManagerStopped);
         }
-        #[cfg(test)]
-        let result = if self.shared.mutants.scrub_stats_inversion {
-            // MUTANT: counters updated inside one big critical section,
-            // stats grabbed first — scrub_stats → tile_state → core, the
-            // reverse of `scrubber_stats()`.
-            let mut st = S::lock(&self.shared.scrub_stats); // presp-analyze: mutant
-            let result = scrub_pass(&self.shared, tile);
-            if let Ok(report) = &result {
-                st.record(report);
-            }
-            result
-        } else {
-            scrub_one(&self.shared, tile)
-        };
-        #[cfg(not(test))]
-        let result = scrub_one(&self.shared, tile);
+        let result = scrub_pass(&self.shared, tile);
         // A pass may quarantine the tile: wake any thread parked in
         // `run_blocking` so it can observe that.
         if let Some(shard) = self.shared.shards.get(&tile) {
@@ -124,15 +84,6 @@ impl<S: SyncFacade> ThreadedManager<S> {
         }
         result
     }
-
-    /// Scrub counters, snapshotted consistently with the manager's own
-    /// scrub bookkeeping: takes the device-core lock first (the
-    /// crate-wide `core` → `scrub_stats` order), so a scrub pass is never
-    /// half counted. All zero until the first pass.
-    pub fn scrubber_stats(&self) -> ScrubberStats {
-        let _core = S::lock(&self.shared.core);
-        *S::lock(&self.shared.scrub_stats)
-    }
 }
 
 /// One pass over `tile`: shard lock → core lock → scrub → release.
@@ -147,16 +98,6 @@ fn scrub_pass<S: SyncFacade>(shared: &Shared<S>, tile: TileCoord) -> Result<Scru
     protocol::scrub_tile_at(&mut state, &mut core, at)
 }
 
-/// The clean protocol: device locks → scrub → release → counters.
-fn scrub_one<S: SyncFacade>(shared: &Shared<S>, tile: TileCoord) -> Result<ScrubReport, Error> {
-    let result = scrub_pass(shared, tile);
-    if let Ok(report) = &result {
-        let mut st = S::lock(&shared.scrub_stats);
-        st.record(report);
-    }
-    result
-}
-
 /// A full sweep: every configured, non-quarantined tile, one at a time
 /// (the shard locks are never held pairwise), all anchored at the
 /// sweep's starting horizon like the deterministic manager's
@@ -165,21 +106,15 @@ fn scrub_sweep<S: SyncFacade>(shared: &Shared<S>) -> Result<Vec<(TileCoord, Scru
     let at = S::lock(&shared.core).soc().horizon();
     let mut reports = Vec::new();
     for (&tile, shard) in &shared.shards {
-        let report = {
-            let mut state = S::lock(&shard.state);
-            if state.is_quarantined() {
-                continue;
-            }
-            let mut core = S::lock(&shared.core);
-            if core.soc().tile_region(tile).is_empty() {
-                continue;
-            }
-            protocol::scrub_tile_at(&mut state, &mut core, at)?
-        };
-        let mut st = S::lock(&shared.scrub_stats);
-        st.record(&report);
-        drop(st);
-        reports.push((tile, report));
+        let mut state = S::lock(&shard.state);
+        if state.is_quarantined() {
+            continue;
+        }
+        let mut core = S::lock(&shared.core);
+        if core.soc().tile_region(tile).is_empty() {
+            continue;
+        }
+        reports.push((tile, protocol::scrub_tile_at(&mut state, &mut core, at)?));
     }
     Ok(reports)
 }
@@ -188,11 +123,10 @@ fn scrub_sweep<S: SyncFacade>(shared: &Shared<S>) -> Result<Vec<(TileCoord, Scru
 mod tests {
     use super::*;
     use crate::registry::BitstreamRegistry;
-    use crate::scheduler::MutantConfig;
     use crate::threaded::RuntimeConfig;
     use presp_accel::catalog::AcceleratorKind;
     use presp_accel::AccelOp;
-    use presp_check::{CheckSync, Checker, Config, FailureKind};
+    use presp_check::{CheckSync, Checker, Config};
     use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
     use presp_fpga::fault::{FaultConfig, FaultPlan};
     use presp_fpga::frame::FrameAddress;
@@ -239,7 +173,7 @@ mod tests {
     #[test]
     fn scrub_repairs_a_forced_upset() {
         let (mgr, tile) = boot();
-        assert_eq!(mgr.scrubber_stats(), ScrubberStats::default());
+        assert_eq!(mgr.stats().scrub_passes, 0);
         mgr.reconfigure_blocking(tile, AcceleratorKind::Mac)
             .unwrap();
         let report = mgr.scrub_blocking(tile).unwrap();
@@ -247,11 +181,11 @@ mod tests {
         force_seu(&mgr, false);
         let report = mgr.scrub_blocking(tile).unwrap();
         assert_eq!(report.corrected.len(), 1);
-        let stats = mgr.scrubber_stats();
-        assert_eq!(stats.passes, 2);
-        assert_eq!(stats.clean_passes, 1);
+        let stats = mgr.stats();
+        assert_eq!(stats.scrub_passes, 2);
+        assert_eq!(stats.scrub_clean_passes, 1);
         assert_eq!(stats.frames_repaired, 1);
-        assert_eq!(stats.quarantines, 0);
+        assert_eq!(stats.scrub_quarantines, 0);
         mgr.shutdown();
     }
 
@@ -264,7 +198,7 @@ mod tests {
         let reports = mgr.scrub_all_blocking().unwrap();
         assert_eq!(reports.len(), 1);
         assert!(!reports[0].1.uncorrectable.is_empty());
-        assert_eq!(mgr.scrubber_stats().quarantines, 1);
+        assert_eq!(mgr.stats().scrub_quarantines, 1);
         // The quarantined tile refuses further scrubs …
         assert!(matches!(
             mgr.scrub_blocking(tile),
@@ -292,52 +226,16 @@ mod tests {
             mgr.scrub_blocking(tile).unwrap();
         }
         swapper.join().unwrap();
-        assert_eq!(mgr.scrubber_stats().passes, 10);
+        assert_eq!(mgr.stats().scrub_passes, 10);
         assert!(mgr.stats().consistent());
         mgr.shutdown();
     }
 
-    /// The scrub counters and the manager's scrub ledger count the same
-    /// passes: a seeded SEU storm with periodic sweeps, at least one of
-    /// which quarantines a tile on a double-bit upset, leaves them equal.
-    #[test]
-    fn scrub_counters_match_the_manager_ledger_under_an_seu_storm() {
-        let cfg = SocConfig::grid_3x3_reconf("scrub_ledger", 3).unwrap();
-        let mut soc = Soc::new(&cfg).unwrap();
-        soc.set_fault_plan(Some(FaultPlan::new(
-            7,
-            FaultConfig::uniform(0.0).with_seu(400.0, 0.3),
-        )));
-        let tiles = cfg.reconfigurable_tiles();
-        let mut registry = BitstreamRegistry::new();
-        for (i, &tile) in tiles.iter().enumerate() {
-            registry
-                .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2 + i as u32))
-                .unwrap();
-        }
-        let mgr = ThreadedManager::spawn(soc, registry);
-        for round in 0..40 {
-            let tile = tiles[round % tiles.len()];
-            mgr.execute_blocking(tile, AcceleratorKind::Mac, mac())
-                .unwrap();
-            if round % 3 == 2 {
-                mgr.scrub_all_blocking().unwrap();
-            }
-        }
-        mgr.scrub_all_blocking().unwrap();
-        mgr.shutdown();
-        let scrub = mgr.scrubber_stats();
-        let ledger = mgr.stats();
-        assert!(scrub.frames_repaired > 0, "{scrub:?}");
-        assert!(scrub.quarantines > 0, "{scrub:?}");
-        assert_eq!(scrub.passes, ledger.scrub_passes);
-        assert_eq!(scrub.frames_repaired, ledger.frames_repaired);
-        assert_eq!(scrub.quarantines, ledger.scrub_quarantines);
-    }
-
     // ---- model-checked protocol (CheckSync) ---------------------------
 
-    fn boot_checked(mutants: MutantConfig) -> (ThreadedManager<CheckSync>, TileCoord) {
+    /// A scrubbing caller racing a snapshotting one: the pass counts
+    /// under `core`, the snapshot reads under `core`.
+    fn scrub_vs_snapshot() {
         let cfg = SocConfig::grid_3x3_reconf("scrub_model", 1).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let tile = cfg.reconfigurable_tiles()[0];
@@ -345,77 +243,27 @@ mod tests {
         registry
             .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2))
             .unwrap();
-        let mgr = ThreadedManager::<CheckSync>::spawn_with(
-            soc,
-            registry,
-            RuntimeConfig {
-                mutants,
-                ..RuntimeConfig::default()
-            },
-        );
-        (mgr, tile)
-    }
-
-    fn mutant_checker() -> Checker {
-        Checker::new(Config {
-            max_schedules: 5_000,
-            preemption_bound: Some(2),
-            max_steps: 20_000,
-        })
-    }
-
-    /// A scrubbing caller racing a snapshotting one.
-    fn scrub_vs_snapshot(mutants: MutantConfig) {
-        let (mgr, tile) = boot_checked(mutants);
+        let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
         let caller = mgr.clone();
         let s = presp_check::sync::spawn_named("scrub_caller", move || {
             let _ = caller.scrub_blocking(tile);
         });
-        // `scrubber_stats()` takes core → scrub_stats; the mutant pass
-        // takes scrub_stats → tile_state → core.
-        let _snapshot = mgr.scrubber_stats();
+        let _snapshot = mgr.stats();
         s.join().unwrap();
         mgr.shutdown();
     }
 
-    fn lock_inversion_model() {
-        scrub_vs_snapshot(MutantConfig {
-            scrub_stats_inversion: true,
-            ..MutantConfig::default()
-        });
-    }
-
-    #[test]
-    fn checker_catches_scrubber_lock_order_inversion_mutant() {
-        let report = mutant_checker().explore(lock_inversion_model);
-        let failure = report
-            .failure
-            .expect("the scrubber inversion mutant must deadlock some schedule");
-        assert!(
-            matches!(failure.kind, FailureKind::Deadlock { .. }),
-            "expected deadlock, got: {failure}"
-        );
-        let replay = mutant_checker().replay(&failure.schedule, lock_inversion_model);
-        assert!(
-            matches!(
-                replay.failure.as_ref().map(|f| &f.kind),
-                Some(FailureKind::Deadlock { .. })
-            ),
-            "replay must reproduce the deadlock: {replay}"
-        );
-    }
-
     #[test]
     fn clean_scrub_protocol_explores_without_findings() {
-        // Scrub pass + scheduler, mutants off: a quick bounded sweep
-        // here; the 10k-schedule sweep lives in the workspace-level
-        // model_check suite.
+        // Scrub pass + scheduler: a quick bounded sweep here; the
+        // 10k-schedule sweep lives in the workspace-level model_check
+        // suite.
         let report = Checker::new(Config {
             max_schedules: 500,
             preemption_bound: Some(2),
             max_steps: 20_000,
         })
-        .explore(|| scrub_vs_snapshot(MutantConfig::default()));
+        .explore(scrub_vs_snapshot);
         assert!(report.ok(), "{report}");
     }
 }

@@ -17,8 +17,8 @@
 //! `ThreadedManager<CheckSync>` and run the *same*
 //! claim/gate/commit/reply protocol under `presp-check`'s schedule
 //! explorer. Lock labels (`"sched_admission"`, `"tile_queue"`, `"gate"`,
-//! `"tile_state"`, `"core"`, `"worker"`, `"scrub_stats"`, `"defrag"`)
-//! feed its lock-order graph.
+//! `"tile_state"`, `"core"`, `"supervisor"`, `"worker_faults"`,
+//! `"worker"`) feed its lock-order graph.
 
 use crate::cache::CacheStats;
 use crate::error::Error;
@@ -757,9 +757,10 @@ mod tests {
             ));
             assert!(matches!(mgr.repack_blocking(), Err(Error::ManagerStopped)));
         }
-        // The counters stay readable and untouched.
-        assert_eq!(mgr.scrubber_stats().passes, 0);
-        assert_eq!(mgr.defrag_stats().passes, 0);
+        // The ledger stays readable and counts no maintenance pass.
+        let stats = mgr.stats();
+        assert_eq!((stats.scrub_passes, stats.scrub_clean_passes), (0, 0));
+        assert_eq!((stats.repack_passes, stats.repack_moves), (0, 0));
     }
 
     #[test]

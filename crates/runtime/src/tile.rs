@@ -213,8 +213,8 @@ impl TileState {
         self.lease.take()
     }
 
-    /// Stamps the oversized-rejection watermark with the device's current
-    /// repack-move count.
+    /// Stamps the oversized-rejection watermark with the ledger's current
+    /// [`crate::manager::ManagerStats::repack_moves`].
     pub(crate) fn mark_oversized(&mut self, repack_moves: u64) {
         self.oversized_mark = Some(repack_moves);
     }

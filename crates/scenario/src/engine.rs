@@ -379,8 +379,6 @@ fn run_cell(
     let makespan = manager.makespan();
     let sup_stats = manager.supervisor_stats();
     let orphaned_tickets = manager.orphaned_tickets();
-    let scrub = manager.scrubber_stats();
-    let defrag = manager.defrag_stats();
     let records = presp_events::sink::snapshot(&sink);
     let trace_log = log_lines(&records);
     let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
@@ -410,9 +408,9 @@ fn run_cell(
     stats.insert("oversized_rejected", mgr_stats.oversized_rejected);
     stats.insert("oversized_admitted", mgr_stats.oversized_admitted);
     stats.insert("repack_admitted", mgr_stats.repack_admitted);
-    stats.insert("defrag_passes", defrag.passes);
-    stats.insert("defrag_moves", defrag.moves);
-    stats.insert("frames_moved", defrag.frames_moved);
+    stats.insert("defrag_passes", mgr_stats.repack_passes);
+    stats.insert("defrag_moves", mgr_stats.repack_moves);
+    stats.insert("frames_moved", mgr_stats.frames_moved);
     stats.insert("worker_deaths", sup_stats.worker_deaths);
     stats.insert("worker_respawns", sup_stats.worker_respawns);
     stats.insert("redispatches", sup_stats.redispatches);
@@ -426,10 +424,10 @@ fn run_cell(
     stats.insert("bitstream_cache_hits", cache_stats.hits);
     stats.insert("bitstream_cache_misses", cache_stats.misses);
     stats.insert("bitstream_cache_evictions", cache_stats.evictions);
-    stats.insert("scrubber_passes", scrub.passes);
-    stats.insert("scrubber_clean_passes", scrub.clean_passes);
-    stats.insert("scrubber_frames_repaired", scrub.frames_repaired);
-    stats.insert("scrubber_quarantines", scrub.quarantines);
+    stats.insert("scrubber_passes", mgr_stats.scrub_passes);
+    stats.insert("scrubber_clean_passes", mgr_stats.scrub_clean_passes);
+    stats.insert("scrubber_frames_repaired", mgr_stats.frames_repaired);
+    stats.insert("scrubber_quarantines", mgr_stats.scrub_quarantines);
     stats.insert("injected_total", injected.total());
     stats.insert("injected_icap_corruptions", injected.icap_corruptions);
     stats.insert("injected_dfxc_stalls", injected.dfxc_stalls);

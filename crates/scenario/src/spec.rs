@@ -280,7 +280,8 @@ pub const STAT_KEYS: &[&str] = &[
     "oversized_rejected",
     "oversized_admitted",
     "repack_admitted",
-    // Repack counters (DefragStats)
+    // Repack counters (ManagerStats repack_passes / repack_moves /
+    // frames_moved)
     "defrag_passes",
     "defrag_moves",
     "frames_moved",
@@ -300,7 +301,8 @@ pub const STAT_KEYS: &[&str] = &[
     "bitstream_cache_hits",
     "bitstream_cache_misses",
     "bitstream_cache_evictions",
-    // Scrub counters (ScrubberStats)
+    // Scrub counters (ManagerStats scrub_passes / scrub_clean_passes /
+    // frames_repaired / scrub_quarantines, under their historical names)
     "scrubber_passes",
     "scrubber_clean_passes",
     "scrubber_frames_repaired",

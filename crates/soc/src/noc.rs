@@ -106,16 +106,6 @@ impl Noc {
         self.transfers
     }
 
-    /// Total cycles packets spent waiting for busy links, all planes —
-    /// the mesh-level contention the Fig. 4 scaling study trades against
-    /// tile count.
-    pub fn contention_cycles(&self) -> u64 {
-        self.links
-            .values()
-            .map(ResourceTimeline::contention_cycles)
-            .sum()
-    }
-
     /// The XY route from `src` to `dst` (inclusive of both endpoints).
     pub fn route(src: TileCoord, dst: TileCoord) -> Vec<TileCoord> {
         let mut path = vec![src];

@@ -174,9 +174,6 @@ struct TileState {
     wrapper: WrapperState,
     /// Occupancy of the tile's wrapper (accelerator runs, ICAP writes).
     timeline: ResourceTimeline,
-    /// Software kernel instances (CPU tile only): keeps per-kernel state
-    /// like the change-detection background model across software calls.
-    software: HashMap<AcceleratorKind, AccelInstance>,
 }
 
 /// The simulated SoC.
@@ -227,7 +224,7 @@ impl Soc {
         for (coord, kind) in config.iter() {
             meter.provision(kind.static_resources());
             let wrapper = match kind {
-                TileKind::Accel(k) => WrapperState::Configured(AccelInstance::new(k)),
+                TileKind::Accel(k) => WrapperState::Configured(k),
                 _ => WrapperState::Empty,
             };
             tiles.insert(
@@ -236,7 +233,6 @@ impl Soc {
                     kind,
                     wrapper,
                     timeline: ResourceTimeline::new(),
-                    software: HashMap::new(),
                 },
             );
         }
@@ -291,11 +287,6 @@ impl Soc {
         self.tracer.attach(sink);
     }
 
-    /// Detaches the trace sink, if any, disabling tracing.
-    pub fn detach_tracer(&mut self) -> Option<SharedSink> {
-        self.tracer.detach()
-    }
-
     /// The SoC's tracer. Runtime layers driving this SoC emit their own
     /// records (retries, quarantine transitions) through the same handle
     /// so one sink sees the whole story in order.
@@ -303,20 +294,10 @@ impl Soc {
         &mut self.tracer
     }
 
-    /// Cycles requests spent waiting for the DRAM channel.
-    pub fn dram_contention_cycles(&self) -> u64 {
-        self.dram.contention_cycles()
-    }
-
     /// Cycles reconfigurations spent waiting for the shared ICAP
     /// (including fault-injected DFXC stalls).
     pub fn icap_contention_cycles(&self) -> u64 {
         self.icap.contention_cycles()
-    }
-
-    /// Cycles packets spent waiting for busy NoC links, all planes.
-    pub fn noc_contention_cycles(&self) -> u64 {
-        self.noc.contention_cycles()
     }
 
     /// All tiles currently able to execute accelerator operations (static
@@ -863,7 +844,7 @@ impl Soc {
                     // harmless otherwise.
                     if let WrapperState::Decoupled { previous } = &state.wrapper {
                         state.wrapper = match previous {
-                            Some(kind) => WrapperState::Configured(AccelInstance::new(*kind)),
+                            Some(kind) => WrapperState::Configured(*kind),
                             None => WrapperState::Empty,
                         };
                     }
@@ -1098,41 +1079,31 @@ impl Soc {
         op: &AccelOp,
         at: u64,
     ) -> Result<AccelRun, Error> {
-        self.run_accelerator_inner(tile, op, at, None)
+        let value = AccelInstance::new(op.kind()).execute(op);
+        self.run_accelerator_prepared_at(tile, op, at, value)
     }
 
-    /// [`Soc::run_accelerator_at`] with the behavioral result computed
-    /// ahead of time.
+    /// [`Soc::run_accelerator_at`] with the behavioral result `value`
+    /// evaluated by the caller.
     ///
     /// Accelerator instances are stateless between invocations, so the
     /// value an operation produces is a pure function of the operation
-    /// itself. A caller that executed the behavioral model outside the
-    /// device lock passes the outcome here; the SoC performs the exact
-    /// same protocol (decoupler check, DMA timing, power metering, trace
-    /// emission, timeline claim) and substitutes `precomputed` where it
-    /// would have invoked the wrapper's model. The trace and every cycle
-    /// count are byte-identical to the unprepared path.
+    /// itself, and a caller may evaluate it anywhere — the threaded
+    /// runtime does so outside its device lock. The SoC runs the protocol
+    /// (decoupler check, DMA timing, power metering, trace emission,
+    /// timeline claim) and takes `value` at the point the wrapper
+    /// completes.
     ///
     /// # Errors
     ///
-    /// See [`Soc::run_accelerator_at`]; a precomputed `Err` surfaces at
-    /// the same protocol point as an in-place execution failure.
+    /// See [`Soc::run_accelerator_at`]; an `Err` value surfaces after
+    /// the run's protocol checks and DMA, where the wrapper completes.
     pub fn run_accelerator_prepared_at(
         &mut self,
         tile: TileCoord,
         op: &AccelOp,
         at: u64,
-        precomputed: Result<AccelValue, presp_accel::Error>,
-    ) -> Result<AccelRun, Error> {
-        self.run_accelerator_inner(tile, op, at, Some(precomputed))
-    }
-
-    fn run_accelerator_inner(
-        &mut self,
-        tile: TileCoord,
-        op: &AccelOp,
-        at: u64,
-        precomputed: Option<Result<AccelValue, presp_accel::Error>>,
+        value: Result<AccelValue, presp_accel::Error>,
     ) -> Result<AccelRun, Error> {
         self.advance_seus_to(at);
         let mem = self.config.mem();
@@ -1142,7 +1113,7 @@ impl Soc {
             .ok_or(Error::NoSuchTile { coord: tile })?;
         let kind = match (&state.kind, &state.wrapper) {
             (TileKind::Accel(k), _) => *k,
-            (TileKind::Reconfigurable, WrapperState::Configured(instance)) => instance.kind(),
+            (TileKind::Reconfigurable, WrapperState::Configured(kind)) => *kind,
             (TileKind::Reconfigurable, WrapperState::Decoupled { .. }) => {
                 // Rejected here, before any DMA is issued: decoupled tiles
                 // never observe NoC traffic.
@@ -1211,15 +1182,8 @@ impl Soc {
                 direction: "out",
             },
         );
-        // Execute the behavioral model (or substitute the precomputed
-        // result at the same protocol point).
-        let value = match precomputed {
-            Some(outcome) => outcome?,
-            None => match &mut self.tile_mut(tile)?.wrapper {
-                WrapperState::Configured(instance) => instance.execute(op)?,
-                _ => unreachable!("kind resolution guaranteed a configured wrapper"),
-            },
-        };
+        // The wrapper completes: its behavioral result is the run's.
+        let value = value?;
         let end = self.deliver_irq(dram_out, tile);
         self.tile_mut(tile)?.timeline.claim(at, start, end);
         // Every completion of this run folds into the clock in one batch
@@ -1243,44 +1207,29 @@ impl Soc {
     ///
     /// Returns accelerator execution errors.
     pub fn run_on_cpu_at(&mut self, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
-        self.run_on_cpu_inner(op, at, None)
+        let value = AccelInstance::new(op.kind()).execute(op);
+        self.run_on_cpu_prepared_at(op, at, value)
     }
 
-    /// [`Soc::run_on_cpu_at`] with the behavioral result computed ahead of
-    /// time — the CPU-path counterpart of
+    /// [`Soc::run_on_cpu_at`] with the behavioral result `value`
+    /// evaluated by the caller — the CPU-path counterpart of
     /// [`Soc::run_accelerator_prepared_at`].
     ///
     /// # Errors
     ///
-    /// See [`Soc::run_on_cpu_at`].
+    /// See [`Soc::run_on_cpu_at`]; an `Err` value surfaces after the CPU
+    /// timeline is reserved.
     pub fn run_on_cpu_prepared_at(
         &mut self,
         op: &AccelOp,
         at: u64,
-        precomputed: Result<AccelValue, presp_accel::Error>,
-    ) -> Result<AccelRun, Error> {
-        self.run_on_cpu_inner(op, at, Some(precomputed))
-    }
-
-    fn run_on_cpu_inner(
-        &mut self,
-        op: &AccelOp,
-        at: u64,
-        precomputed: Option<Result<AccelValue, presp_accel::Error>>,
+        value: Result<AccelValue, presp_accel::Error>,
     ) -> Result<AccelRun, Error> {
         let cpu = self.config.cpu();
         let cycles = software_cycles(op);
-        let state = self.tile_mut(cpu)?;
-        let r = state.timeline.reserve(at, cycles);
+        let r = self.tile_mut(cpu)?.timeline.reserve(at, cycles);
         let (start, end) = (r.start, r.end);
-        let instance = state
-            .software
-            .entry(op.kind())
-            .or_insert_with(|| AccelInstance::new(op.kind()));
-        let value = match precomputed {
-            Some(outcome) => outcome?,
-            None => instance.execute(op)?,
-        };
+        let value = value?;
         self.meter
             .add_active(dynamic_power_w(AcceleratorKind::Cpu), cycles);
         self.tracer.emit(ClockDomain::SocCycles, start, cycles, || {

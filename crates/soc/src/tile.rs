@@ -81,8 +81,8 @@ impl fmt::Display for TileKind {
 pub enum WrapperState {
     /// Nothing loaded (post-boot, or after loading a blanking bitstream).
     Empty,
-    /// An accelerator is configured and coupled to the NoC.
-    Configured(presp_accel::AccelInstance),
+    /// An accelerator of this kind is configured and coupled to the NoC.
+    Configured(AcceleratorKind),
     /// The decoupler isolates the wrapper; reconfiguration may proceed.
     Decoupled {
         /// Kind that was loaded before decoupling, if any (its logic is
@@ -95,7 +95,7 @@ impl WrapperState {
     /// The configured accelerator kind, if coupled.
     pub fn configured_kind(&self) -> Option<AcceleratorKind> {
         match self {
-            WrapperState::Configured(instance) => Some(instance.kind()),
+            WrapperState::Configured(kind) => Some(*kind),
             _ => None,
         }
     }
@@ -152,7 +152,7 @@ mod tests {
             previous: Some(AcceleratorKind::Mac),
         };
         assert!(dec.is_decoupled());
-        let cfg = WrapperState::Configured(presp_accel::AccelInstance::new(AcceleratorKind::Mac));
+        let cfg = WrapperState::Configured(AcceleratorKind::Mac);
         assert_eq!(cfg.configured_kind(), Some(AcceleratorKind::Mac));
     }
 }

@@ -75,8 +75,8 @@ fn sharded_model() {
     mgr.shutdown();
 }
 
-/// A scrub pass and a counter snapshot: exercises the `core ->
-/// scrub_stats` edge.
+/// A scrub pass and a ledger snapshot: the pass nests `tile_state ->
+/// core` and counts under `core`, where the snapshot reads.
 fn scrubbed_model() {
     let cfg = SocConfig::grid_3x3_reconf("xchk2", 2).unwrap();
     let soc = Soc::new(&cfg).unwrap();
@@ -88,7 +88,8 @@ fn scrubbed_model() {
     let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
     let report = mgr.scrub_blocking(tiles[0]).unwrap();
     assert!(report.uncorrectable.is_empty());
-    let _snapshot = mgr.scrubber_stats();
+    let snapshot = mgr.stats();
+    assert_eq!(snapshot.scrub_passes, 1);
     mgr.shutdown();
 }
 

@@ -146,8 +146,8 @@ fn dpr_runtime_protocol_is_clean_across_schedules() {
 /// Scrub passes + manager: a scrubbing caller shares the device lock
 /// with the reconfiguration worker, so its readback passes interleave
 /// with swaps and stats snapshots. Every explored schedule must stay
-/// race-free, deadlock-free, and lock-order acyclic (`core` →
-/// `scrub_stats`).
+/// race-free, deadlock-free, and lock-order acyclic; the pass counts
+/// itself in the ledger under `core`, so no snapshot sees half a pass.
 fn scrubbed_dpr_model() {
     let (mgr, tiles) = boot_checked();
     let tile = tiles[0];
@@ -167,9 +167,10 @@ fn scrubbed_dpr_model() {
         })
     };
 
-    // Main thread races a stats snapshot (core → scrub_stats order)
-    // against both callers and the worker.
-    let _snapshot = mgr.scrubber_stats();
+    // Main thread races a ledger snapshot against both callers and the
+    // worker.
+    let snapshot = mgr.stats();
+    assert!(snapshot.scrub_passes <= 1, "{snapshot:?}");
     swapper.join().unwrap();
     scrub_caller.join().unwrap();
 
@@ -607,8 +608,8 @@ fn sweep_catches_and_replays_the_queue_admission_inversion_mutant() {
 /// enabled on the only tile, one app thread swapping the accelerator
 /// (region allocate/release through the scheduler) racing the main
 /// thread's gate-quiesced repack pass. Every schedule must leave the
-/// stats consistent and the `defrag` → `gate` → `tile_state` → `core`
-/// lock order acyclic.
+/// stats consistent and the `gate` → `tile_state` → `core` lock order
+/// acyclic.
 fn defrag_model() {
     use presp::floorplan::FitPolicy;
 

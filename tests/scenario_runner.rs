@@ -1,7 +1,10 @@
 //! The committed `scenarios/` matrix is itself a test surface: every
 //! data file under `scenarios/` must load, run and pass, and the JSON
 //! report must be byte-identical across back-to-back runs — the same
-//! determinism contract `presp test` advertises and CI diffs.
+//! determinism contract `presp test` advertises and CI diffs — and to
+//! the committed `tests/golden/scenario_report.json`. Regenerate that
+//! file deliberately with
+//! `UPDATE_GOLDEN=1 cargo test --test scenario_runner committed_matrix`.
 //!
 //! The storm scenario is additionally pinned to the stress_dpr
 //! parameters it ports (policy, seed matrix, fault rates), so the
@@ -11,7 +14,7 @@
 use presp_scenario::engine;
 use presp_scenario::runner;
 use presp_scenario::spec::{ScenarioSpec, WorkloadSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios")
@@ -19,7 +22,12 @@ fn scenarios_dir() -> PathBuf {
 
 #[test]
 fn committed_matrix_is_green_and_byte_deterministic() {
-    let first = runner::run_paths(&[scenarios_dir()]).expect("scenarios/ must resolve");
+    // Integration tests run from the package root; the relative path
+    // keeps the report's `file` fields independent of the checkout's
+    // location, so the report matches `presp test scenarios` run from
+    // the repository root.
+    let matrix = PathBuf::from("scenarios");
+    let first = runner::run_paths(std::slice::from_ref(&matrix)).expect("scenarios/ must resolve");
     assert!(
         first.entries.len() >= 5,
         "the committed matrix must keep at least 5 scenarios, found {}",
@@ -34,11 +42,27 @@ fn committed_matrix_is_green_and_byte_deterministic() {
         );
     }
 
-    let second = runner::run_paths(&[scenarios_dir()]).expect("scenarios/ must resolve");
+    let report = first.report_json();
+    let second = runner::run_paths(&[matrix]).expect("scenarios/ must resolve");
     assert_eq!(
-        first.report_json(),
+        report,
         second.report_json(),
         "scenario reports must be byte-identical across runs"
+    );
+
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/scenario_report.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden, &report).unwrap();
+        eprintln!("golden file updated: {}", golden.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden)
+        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", golden.display()));
+    assert!(
+        report == expected,
+        "scenario report drifted from {}; if the change is intentional, \
+         regenerate with UPDATE_GOLDEN=1",
+        golden.display()
     );
 }
 
