@@ -25,7 +25,7 @@
 
 use presp_accel::AcceleratorKind;
 use presp_bench::export;
-use presp_events::json::JsonValue;
+use presp_events::json::{int, num, obj, string, JsonValue};
 use presp_floorplan::{FitPolicy, RegionAllocator};
 use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp_fpga::fabric::{ColumnKind, Device};
@@ -243,27 +243,6 @@ fn run_repack() -> RepackCell {
 // ---------------------------------------------------------------------------
 // Document and modes.
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn int(v: u64) -> JsonValue {
-    JsonValue::Number(v as f64)
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
-fn s(v: &str) -> JsonValue {
-    JsonValue::String(v.to_string())
-}
-
 fn policy_token(policy: FitPolicy) -> &'static str {
     match policy {
         FitPolicy::FirstFit => "first_fit",
@@ -273,7 +252,7 @@ fn policy_token(policy: FitPolicy) -> &'static str {
 
 fn document(churn: &[ChurnCell], reloc: &RelocCell, repack: &RepackCell) -> JsonValue {
     obj(vec![
-        ("schema", s("presp-bench-floorplan/v1")),
+        ("schema", string("presp-bench-floorplan/v1")),
         (
             "allocator",
             JsonValue::Array(
@@ -281,7 +260,7 @@ fn document(churn: &[ChurnCell], reloc: &RelocCell, repack: &RepackCell) -> Json
                     .iter()
                     .map(|c| {
                         obj(vec![
-                            ("policy", s(policy_token(c.policy))),
+                            ("policy", string(policy_token(c.policy))),
                             ("ops", int(c.ops)),
                             (
                                 "ops_per_sec",
@@ -388,7 +367,7 @@ fn main() {
     let doc = document(&churn, &reloc, &repack);
     export::write_json("BENCH_floorplan.json", &doc).expect("write BENCH_floorplan.json");
 
-    if export::json_requested() {
+    if std::env::args().any(|a| a == "--json") {
         println!("{}", doc.pretty());
         return;
     }

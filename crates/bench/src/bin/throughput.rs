@@ -435,7 +435,7 @@ fn main() {
     let doc = export::runtime_document(&workload, &runs);
     export::write_json("BENCH_runtime.json", &doc).expect("write BENCH_runtime.json");
 
-    if export::json_requested() {
+    if std::env::args().any(|a| a == "--json") {
         println!("{}", doc.pretty());
         return;
     }

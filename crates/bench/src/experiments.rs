@@ -4,7 +4,7 @@ use presp_accel::catalog::AcceleratorKind;
 use presp_accel::latency::cycles_to_micros;
 use presp_accel::AccelOp;
 use presp_cad::flow::{CadFlow, Strategy};
-use presp_core::design::{region_name, SocDesign};
+use presp_core::design::{region_name, SocDesign, TABLE4_SOCS};
 use presp_core::flow::PrEspFlow;
 use presp_core::platform::deploy_wami;
 use presp_core::strategy::{choose_strategy, SizeClass};
@@ -185,26 +185,16 @@ impl Table4Row {
     }
 }
 
-/// The four Table IV WAMI SoCs.
+/// The four Table IV WAMI SoCs ([`TABLE4_SOCS`]) with their Fig. 3
+/// kernel indices.
 pub fn table4_designs() -> Vec<(SocDesign, Vec<usize>)> {
-    vec![
-        (
-            SocDesign::wami_table4("soc_a", &[4, 8, 10, 9]).unwrap(),
-            vec![4, 8, 10, 9],
-        ),
-        (
-            SocDesign::wami_table4("soc_b", &[2, 3, 11, 1]).unwrap(),
-            vec![2, 3, 11, 1],
-        ),
-        (
-            SocDesign::wami_table4("soc_c", &[7, 11, 8, 2]).unwrap(),
-            vec![7, 11, 8, 2],
-        ),
-        (
-            SocDesign::wami_table4("soc_d", &[4, 5, 9, 2]).unwrap(),
-            vec![4, 5, 9, 2],
-        ),
-    ]
+    TABLE4_SOCS
+        .iter()
+        .map(|(name, indices)| {
+            let design = SocDesign::wami_table4(*name, indices).expect("Table IV SoCs are valid");
+            (design, indices.to_vec())
+        })
+        .collect()
 }
 
 /// Table IV: P&R parallelism evaluation on the WAMI SoCs.

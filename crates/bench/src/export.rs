@@ -1,21 +1,15 @@
 //! Machine-readable export of the experiment results.
 //!
 //! Each regenerator has a converter from its row type to a
-//! [`JsonValue`] document, so the binaries can emit the numbers next to
-//! the rendered ASCII tables: `all_experiments` writes
-//! `BENCH_tables.json` / `BENCH_wami.json`, and every per-table binary
-//! prints the same document to stdout under the shared `--json` flag.
+//! [`JsonValue`] document. `presp repro <artifact> --json` prints one of
+//! them, and `presp repro all` writes `BENCH_tables.json` and
+//! `BENCH_wami.json` from the same converters.
 
 use crate::experiments::{
     CompressionAblationRow, Fig3Row, Fig4Row, PrefetchAblationRow, Table2Row, Table3Row, Table4Row,
     Table5Row, Table6Row,
 };
-use presp_events::json::JsonValue;
-
-/// Whether the process was invoked with the shared `--json` flag.
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
+use presp_events::json::{int, num, obj, string, JsonValue};
 
 /// Writes `doc` to `path` as pretty-printed JSON with a trailing newline.
 ///
@@ -24,27 +18,6 @@ pub fn json_requested() -> bool {
 /// Propagates I/O errors from the underlying write.
 pub fn write_json(path: &str, doc: &JsonValue) -> std::io::Result<()> {
     std::fs::write(path, doc.pretty() + "\n")
-}
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
-fn int(v: u64) -> JsonValue {
-    JsonValue::Number(v as f64)
-}
-
-fn s(v: &str) -> JsonValue {
-    JsonValue::String(v.to_string())
 }
 
 fn opt(v: Option<f64>) -> JsonValue {
@@ -164,7 +137,7 @@ pub fn merge_overload(doc: JsonValue, run: &OverloadRun) -> JsonValue {
             JsonValue::Object(fields)
         }
         _ => obj(vec![
-            ("schema", s(RUNTIME_SCHEMA)),
+            ("schema", string(RUNTIME_SCHEMA)),
             ("overload", overload_json(run)),
         ]),
     }
@@ -223,7 +196,7 @@ pub fn runtime_document(workload: &RuntimeWorkload, runs: &[RuntimeRun]) -> Json
         _ => JsonValue::Null,
     };
     obj(vec![
-        ("schema", s(RUNTIME_SCHEMA)),
+        ("schema", string(RUNTIME_SCHEMA)),
         (
             "workload",
             obj(vec![
@@ -243,10 +216,10 @@ pub fn runtime_document(workload: &RuntimeWorkload, runs: &[RuntimeRun]) -> Json
 pub fn table1_json(rows: &[(&str, &str, &str, &str)]) -> JsonValue {
     arr(rows, |(label, lo, eq, hi)| {
         obj(vec![
-            ("row", s(label)),
-            ("gamma_lt_1", s(lo)),
-            ("gamma_eq_1", s(eq)),
-            ("gamma_gt_1", s(hi)),
+            ("row", string(label)),
+            ("gamma_lt_1", string(lo)),
+            ("gamma_eq_1", string(eq)),
+            ("gamma_gt_1", string(hi)),
         ])
     })
 }
@@ -254,7 +227,7 @@ pub fn table1_json(rows: &[(&str, &str, &str, &str)]) -> JsonValue {
 /// Table II as a JSON array of `{component, luts}` rows.
 pub fn table2_json(rows: &[Table2Row]) -> JsonValue {
     arr(rows, |r| {
-        obj(vec![("component", s(&r.name)), ("luts", int(r.luts))])
+        obj(vec![("component", string(&r.name)), ("luts", int(r.luts))])
     })
 }
 
@@ -262,7 +235,7 @@ pub fn table2_json(rows: &[Table2Row]) -> JsonValue {
 pub fn table3_json(rows: &[Table3Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
-            ("soc", s(&r.soc)),
+            ("soc", string(&r.soc)),
             ("alpha_av_pct", num(r.alpha_av)),
             ("kappa_pct", num(r.kappa)),
             ("gamma", num(r.gamma)),
@@ -282,40 +255,30 @@ pub fn table3_json(rows: &[Table3Row]) -> JsonValue {
     })
 }
 
-fn strategy_triple(
-    name: &str,
-    (t_static, max_omega, total): (f64, f64, f64),
-) -> (String, JsonValue) {
-    (
-        name.to_string(),
-        obj(vec![
-            ("t_static_min", num(t_static)),
-            ("max_omega_min", num(max_omega)),
-            ("total_min", num(total)),
-        ]),
-    )
+fn strategy_triple((t_static, max_omega, total): (f64, f64, f64)) -> JsonValue {
+    obj(vec![
+        ("t_static_min", num(t_static)),
+        ("max_omega_min", num(max_omega)),
+        ("total_min", num(total)),
+    ])
 }
 
 /// Table IV as a JSON array of per-SoC strategy comparisons.
 pub fn table4_json(rows: &[Table4Row]) -> JsonValue {
     arr(rows, |r| {
-        let mut fields = vec![
-            ("soc".to_string(), s(&r.soc)),
-            (
-                "accelerators".to_string(),
-                arr(&r.accels, |a| int(*a as u64)),
-            ),
-            ("class".to_string(), s(&r.class.to_string())),
-            ("alpha_av_pct".to_string(), num(r.metrics.0)),
-            ("kappa_pct".to_string(), num(r.metrics.1)),
-            ("gamma".to_string(), num(r.metrics.2)),
-        ];
-        fields.push(strategy_triple("fully_parallel", r.fully));
-        fields.push(strategy_triple("semi_parallel", r.semi));
-        fields.push(("serial_min".to_string(), num(r.serial)));
-        fields.push(("chosen".to_string(), s(&r.chosen.to_string())));
-        fields.push(("chosen_total_min".to_string(), num(r.chosen_total())));
-        JsonValue::Object(fields)
+        obj(vec![
+            ("soc", string(&r.soc)),
+            ("accelerators", arr(&r.accels, |a| int(*a as u64))),
+            ("class", string(&r.class.to_string())),
+            ("alpha_av_pct", num(r.metrics.0)),
+            ("kappa_pct", num(r.metrics.1)),
+            ("gamma", num(r.metrics.2)),
+            ("fully_parallel", strategy_triple(r.fully)),
+            ("semi_parallel", strategy_triple(r.semi)),
+            ("serial_min", num(r.serial)),
+            ("chosen", string(&r.chosen.to_string())),
+            ("chosen_total_min", num(r.chosen_total())),
+        ])
     })
 }
 
@@ -323,12 +286,12 @@ pub fn table4_json(rows: &[Table4Row]) -> JsonValue {
 pub fn table5_json(rows: &[Table5Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
-            ("soc", s(&r.soc)),
+            ("soc", string(&r.soc)),
             ("synth_min", num(r.synth)),
             ("t_static_min", num(r.t_static)),
             ("max_omega_min", num(r.max_omega)),
             ("total_min", num(r.total)),
-            ("strategy", s(&r.strategy.to_string())),
+            ("strategy", string(&r.strategy.to_string())),
             ("mono_synth_min", num(r.mono_synth)),
             ("mono_pnr_min", num(r.mono_pnr)),
             ("mono_total_min", num(r.mono_total)),
@@ -341,8 +304,8 @@ pub fn table5_json(rows: &[Table5Row]) -> JsonValue {
 pub fn table6_json(rows: &[Table6Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
-            ("soc", s(&r.soc)),
-            ("tile", s(&r.tile)),
+            ("soc", string(&r.soc)),
+            ("tile", string(&r.tile)),
             ("kernels", arr(&r.kernels, |k| int(*k as u64))),
             ("pbs_kb", num(r.pbs_kb)),
         ])
@@ -354,7 +317,7 @@ pub fn fig3_json(rows: &[Fig3Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
             ("index", int(r.index as u64)),
-            ("kernel", s(r.name)),
+            ("kernel", string(r.name)),
             ("luts", int(r.luts)),
             ("exec_micros", num(r.micros)),
         ])
@@ -365,7 +328,7 @@ pub fn fig3_json(rows: &[Fig3Row]) -> JsonValue {
 pub fn fig4_json(rows: &[Fig4Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
-            ("soc", s(&r.soc)),
+            ("soc", string(&r.soc)),
             ("reconfigurable_tiles", int(r.tiles as u64)),
             ("ms_per_frame", num(r.ms_per_frame)),
             ("mj_per_frame", num(r.mj_per_frame)),
@@ -380,29 +343,37 @@ pub fn fig4_json(rows: &[Fig4Row]) -> JsonValue {
     })
 }
 
-/// The prefetch ablation as a JSON array.
-pub fn prefetch_ablation_json(rows: &[PrefetchAblationRow]) -> JsonValue {
-    arr(rows, |r| {
-        obj(vec![
-            ("soc", s(&r.soc)),
-            ("prefetch_ms_per_frame", num(r.prefetch_ms)),
-            ("no_prefetch_ms_per_frame", num(r.no_prefetch_ms)),
-            ("speedup", num(r.speedup())),
-        ])
-    })
-}
-
-/// The compression ablation as a JSON array.
-pub fn compression_ablation_json(rows: &[CompressionAblationRow]) -> JsonValue {
-    arr(rows, |r| {
-        obj(vec![
-            ("module", s(&r.module)),
-            ("raw_kb", num(r.raw_kb)),
-            ("compressed_kb", num(r.compressed_kb)),
-            ("raw_icap_ms", num(r.raw_ms)),
-            ("compressed_icap_ms", num(r.compressed_ms)),
-        ])
-    })
+/// The ablations as one object: the prefetch rows under `prefetch`, the
+/// compression rows under `compression`.
+pub fn ablations_json(
+    prefetch: &[PrefetchAblationRow],
+    compression: &[CompressionAblationRow],
+) -> JsonValue {
+    obj(vec![
+        (
+            "prefetch",
+            arr(prefetch, |r| {
+                obj(vec![
+                    ("soc", string(&r.soc)),
+                    ("prefetch_ms_per_frame", num(r.prefetch_ms)),
+                    ("no_prefetch_ms_per_frame", num(r.no_prefetch_ms)),
+                    ("speedup", num(r.speedup())),
+                ])
+            }),
+        ),
+        (
+            "compression",
+            arr(compression, |r| {
+                obj(vec![
+                    ("module", string(&r.module)),
+                    ("raw_kb", num(r.raw_kb)),
+                    ("compressed_kb", num(r.compressed_kb)),
+                    ("raw_icap_ms", num(r.raw_ms)),
+                    ("compressed_icap_ms", num(r.compressed_ms)),
+                ])
+            }),
+        ),
+    ])
 }
 
 /// The `BENCH_tables.json` document: Tables I–VI plus Fig. 3 in one object.
@@ -470,9 +441,9 @@ mod tests {
             elapsed_secs: 0.5,
         };
         let doc = obj(vec![
-            ("schema", s(RUNTIME_SCHEMA)),
+            ("schema", string(RUNTIME_SCHEMA)),
             ("runs", JsonValue::Array(vec![int(1)])),
-            ("overload", s("stale")),
+            ("overload", string("stale")),
         ]);
         let merged = merge_overload(doc, &run);
         let text = merged.pretty();

@@ -1,7 +1,8 @@
 //! Experiment regenerators for every table and figure in the PR-ESP paper,
-//! shared by the `table*`/`fig*` binaries, the repository benchmark
-//! (`perfbench/`) and the integration tests.
+//! shared by `presp repro`, the repository benchmark (`perfbench/`) and
+//! the integration tests.
 
 pub mod experiments;
 pub mod export;
 pub mod render;
+pub mod repro;

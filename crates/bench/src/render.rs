@@ -1,4 +1,4 @@
-//! Minimal ASCII table rendering for the experiment binaries.
+//! Minimal ASCII table rendering for `presp repro` and the bench binaries.
 
 /// Renders a table with a header row, column-aligned.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {

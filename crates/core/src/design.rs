@@ -37,7 +37,46 @@ pub fn region_name(coord: TileCoord) -> String {
     format!("rt_r{}c{}", coord.row, coord.col)
 }
 
+/// The Table IV WAMI SoCs: each name with the Fig. 3 indices of the
+/// accelerators in its four reconfigurable tiles.
+pub const TABLE4_SOCS: [(&str, [usize; 4]); 4] = [
+    ("soc_a", [4, 8, 10, 9]),
+    ("soc_b", [2, 3, 11, 1]),
+    ("soc_c", [7, 11, 8, 2]),
+    ("soc_d", [4, 5, 9, 2]),
+];
+
 impl SocDesign {
+    /// Every design the paper evaluates, in paper order: SOC_1–SOC_4
+    /// (Table III), SoC_A–SoC_D (Table IV, from [`TABLE4_SOCS`]) and
+    /// SoC_X–SoC_Z (Table VI).
+    pub fn builtins() -> Vec<SocDesign> {
+        let table4 = TABLE4_SOCS
+            .iter()
+            .map(|(name, indices)| SocDesign::wami_table4(*name, indices));
+        [
+            SocDesign::characterization_soc1(),
+            SocDesign::characterization_soc2(),
+            SocDesign::characterization_soc3(),
+            SocDesign::characterization_soc4(),
+        ]
+        .into_iter()
+        .chain(table4)
+        .chain([
+            SocDesign::wami_soc_x(),
+            SocDesign::wami_soc_y(),
+            SocDesign::wami_soc_z(),
+        ])
+        .map(|design| design.expect("built-in designs are valid"))
+        .collect()
+    }
+
+    /// The built-in design called `name`, if there is one (see
+    /// [`SocDesign::builtins`]).
+    pub fn builtin(name: &str) -> Option<SocDesign> {
+        SocDesign::builtins().into_iter().find(|d| d.name == name)
+    }
+
     /// Builds a design over a 3×3 grid with one reconfigurable tile per
     /// accelerator set in `tile_accels` (row-major assignment).
     ///
@@ -298,18 +337,34 @@ mod tests {
     #[test]
     fn table4_socs_classify_as_in_the_paper() {
         let expectations = [
-            ("soc_a", &[4usize, 8, 10, 9][..], SizeClass::Class1_2),
-            ("soc_b", &[2, 3, 11, 1][..], SizeClass::Class1_1),
-            ("soc_c", &[7, 11, 8, 2][..], SizeClass::Class1_3),
-            ("soc_d", &[4, 5, 9, 2][..], SizeClass::Class2_1),
+            SizeClass::Class1_2,
+            SizeClass::Class1_1,
+            SizeClass::Class1_3,
+            SizeClass::Class2_1,
         ];
-        for (name, indices, expected) in expectations {
-            let spec = SocDesign::wami_table4(name, indices)
+        for ((name, indices), expected) in TABLE4_SOCS.iter().zip(expectations) {
+            let spec = SocDesign::wami_table4(*name, indices)
                 .unwrap()
                 .to_spec()
                 .unwrap();
             assert_eq!(classify(&spec).unwrap(), expected, "{name}");
         }
+    }
+
+    #[test]
+    fn builtins_come_in_paper_order_and_resolve_by_name() {
+        let names: Vec<String> = SocDesign::builtins().into_iter().map(|d| d.name).collect();
+        assert_eq!(
+            names,
+            [
+                "soc_1", "soc_2", "soc_3", "soc_4", "soc_a", "soc_b", "soc_c", "soc_d", "soc_x",
+                "soc_y", "soc_z"
+            ]
+        );
+        for name in &names {
+            assert_eq!(&SocDesign::builtin(name).unwrap().name, name);
+        }
+        assert!(SocDesign::builtin("soc_e").is_none());
     }
 
     #[test]

@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn soc_b_runs_serially_and_emits_four_pbs() {
-        let design = SocDesign::wami_table4("soc_b", &[2, 3, 11, 1]).unwrap();
+        let design = SocDesign::builtin("soc_b").unwrap();
         let out = PrEspFlow::new().run(&design).unwrap();
         assert_eq!(out.class, SizeClass::Class1_1);
         assert_eq!(out.strategy, Strategy::Serial);
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn soc_a_goes_fully_parallel_and_beats_monolithic() {
-        let design = SocDesign::wami_table4("soc_a", &[4, 8, 10, 9]).unwrap();
+        let design = SocDesign::builtin("soc_a").unwrap();
         let out = PrEspFlow::new().run(&design).unwrap();
         assert_eq!(out.class, SizeClass::Class1_2);
         assert_eq!(out.strategy, Strategy::FullyParallel);
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn soc_d_emits_a_cpu_bitstream() {
-        let design = SocDesign::wami_table4("soc_d", &[4, 5, 9, 2]).unwrap();
+        let design = SocDesign::builtin("soc_d").unwrap();
         let out = PrEspFlow::new().run(&design).unwrap();
         assert_eq!(out.class, SizeClass::Class2_1);
         assert_eq!(out.partial_bitstreams.len(), 5);
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn compression_flag_changes_pbs_sizes() {
-        let design = SocDesign::wami_table4("soc_b", &[2, 3, 11, 1]).unwrap();
+        let design = SocDesign::builtin("soc_b").unwrap();
         let compressed = PrEspFlow::new().run(&design).unwrap();
         let raw = PrEspFlow::new()
             .with_compression(false)
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn full_bitstream_covers_the_static_fabric() {
-        let design = SocDesign::wami_table4("soc_b", &[2, 3, 11, 1]).unwrap();
+        let design = SocDesign::builtin("soc_b").unwrap();
         let out = PrEspFlow::new().run(&design).unwrap();
         assert!(out.full_bitstream.frame_count() > 10_000);
         assert!(out.full_bitstream.size_bytes() > 100_000);
@@ -370,7 +370,7 @@ mod tests {
     #[test]
     fn pbs_loads_through_the_icap() {
         use presp_fpga::icap::Icap;
-        let design = SocDesign::wami_table4("soc_c", &[7, 11, 8, 2]).unwrap();
+        let design = SocDesign::builtin("soc_c").unwrap();
         let out = PrEspFlow::new().run(&design).unwrap();
         let device = design.part.device();
         let mut icap = Icap::new(&device);

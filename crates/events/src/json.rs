@@ -116,6 +116,33 @@ impl JsonValue {
     }
 }
 
+/// An object with `fields` in the given order. With [`num`], [`int`] and
+/// [`string`] it is the shorthand the bench exports, the scenario report
+/// and the `presp` CLI build their documents with.
+pub fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A number.
+pub fn num(v: f64) -> JsonValue {
+    JsonValue::Number(v)
+}
+
+/// A count, as a number.
+pub fn int(v: u64) -> JsonValue {
+    JsonValue::Number(v as f64)
+}
+
+/// A string.
+pub fn string(v: &str) -> JsonValue {
+    JsonValue::String(v.to_string())
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

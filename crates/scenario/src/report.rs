@@ -8,7 +8,7 @@
 //! reports is a complete determinism check.
 
 use crate::engine::ScenarioVerdict;
-use presp_events::json::JsonValue;
+use presp_events::json::{int, obj, string, JsonValue};
 
 /// Schema tag stamped into every report.
 pub const REPORT_SCHEMA: &str = "presp-scenario-report/v1";
@@ -54,30 +54,13 @@ impl ReportEntry {
     }
 }
 
-fn s(v: &str) -> JsonValue {
-    JsonValue::String(v.to_string())
-}
-
-fn n(v: u64) -> JsonValue {
-    JsonValue::Number(v as f64)
-}
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn entry_json(entry: &ReportEntry) -> JsonValue {
     match entry {
         ReportEntry::LoadFailed { file, error } => obj(vec![
-            ("name", s(&entry.name())),
-            ("file", s(file)),
+            ("name", string(&entry.name())),
+            ("file", string(file)),
             ("passed", JsonValue::Bool(false)),
-            ("load_error", s(error)),
+            ("load_error", string(error)),
         ]),
         ReportEntry::Ran { file, verdict } => {
             let totals = crate::engine::totals(&verdict.observations.runs);
@@ -86,27 +69,34 @@ fn entry_json(entry: &ReportEntry) -> JsonValue {
                 .iter()
                 .map(|r| {
                     obj(vec![
-                        ("check", s(&r.check)),
+                        ("check", string(&r.check)),
                         ("passed", JsonValue::Bool(r.passed)),
-                        ("detail", s(&r.detail)),
-                        ("replay_seed", n(r.replay_seed)),
+                        ("detail", string(&r.detail)),
+                        ("replay_seed", int(r.replay_seed)),
                     ])
                 })
                 .collect();
             obj(vec![
-                ("name", s(&verdict.spec.name)),
-                ("file", s(file)),
+                ("name", string(&verdict.spec.name)),
+                ("file", string(file)),
                 ("passed", JsonValue::Bool(verdict.passed())),
-                ("runs", n(verdict.observations.runs.len() as u64)),
+                ("runs", int(verdict.observations.runs.len() as u64)),
                 (
                     "workers",
-                    JsonValue::Array(verdict.spec.workers.iter().map(|&w| n(w as u64)).collect()),
+                    JsonValue::Array(
+                        verdict
+                            .spec
+                            .workers
+                            .iter()
+                            .map(|&w| int(w as u64))
+                            .collect(),
+                    ),
                 ),
                 (
                     "seeds",
                     obj(vec![
-                        ("start", n(verdict.spec.seeds.start)),
-                        ("count", n(verdict.spec.seeds.count)),
+                        ("start", int(verdict.spec.seeds.start)),
+                        ("count", int(verdict.spec.seeds.count)),
                     ]),
                 ),
                 (
@@ -114,7 +104,7 @@ fn entry_json(entry: &ReportEntry) -> JsonValue {
                     JsonValue::Object(
                         totals
                             .iter()
-                            .map(|(k, &v)| ((*k).to_string(), n(v)))
+                            .map(|(k, &v)| ((*k).to_string(), int(v)))
                             .collect(),
                     ),
                 ),
@@ -130,10 +120,10 @@ fn entry_json(entry: &ReportEntry) -> JsonValue {
 pub fn render(entries: &[ReportEntry]) -> String {
     let passed = entries.iter().filter(|e| e.passed()).count() as u64;
     let doc = obj(vec![
-        ("schema", s(REPORT_SCHEMA)),
-        ("total", n(entries.len() as u64)),
-        ("passed", n(passed)),
-        ("failed", n(entries.len() as u64 - passed)),
+        ("schema", string(REPORT_SCHEMA)),
+        ("total", int(entries.len() as u64)),
+        ("passed", int(passed)),
+        ("failed", int(entries.len() as u64 - passed)),
         (
             "scenarios",
             JsonValue::Array(entries.iter().map(entry_json).collect()),

@@ -10,16 +10,8 @@ use presp::core::flow::PrEspFlow;
 use presp::core::strategy::choose_strategy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let designs = vec![
-        SocDesign::characterization_soc1()?,
-        SocDesign::characterization_soc2()?,
-        SocDesign::characterization_soc3()?,
-        SocDesign::characterization_soc4()?,
-        SocDesign::wami_table4("soc_a", &[4, 8, 10, 9])?,
-        SocDesign::wami_table4("soc_b", &[2, 3, 11, 1])?,
-        SocDesign::wami_table4("soc_c", &[7, 11, 8, 2])?,
-        SocDesign::wami_table4("soc_d", &[4, 5, 9, 2])?,
-    ];
+    // The Table III and Table IV designs: SOC_1–SOC_4 and SoC_A–SoC_D.
+    let designs = SocDesign::builtins().into_iter().take(8);
 
     let cad = CadFlow::new();
     let flow = PrEspFlow::new();

@@ -1,7 +1,8 @@
 //! The PR-ESP command-line front-end — the analogue of the paper's "single
 //! make target" that turns an SoC configuration into full and partial
 //! bitstreams, plus the declarative scenario runner that does the same
-//! for runtime experiments.
+//! for runtime experiments, and the regenerator of every table and figure
+//! of the paper's evaluation.
 //!
 //! ```text
 //! presp designs [--json]               list the built-in paper designs
@@ -10,46 +11,28 @@
 //! presp config <design>                dump the SoC configuration as JSON
 //! presp test <path>... [--json] [--junit <file>] [--report <file>]
 //!            [--trace-dir <dir>]       run declarative scenario files
+//! presp repro <artifact> [--json]      regenerate one paper artifact
+//! presp repro all                      Tables I–VI, Fig. 3 and Fig. 4, and
+//!                                      write BENCH_tables.json, BENCH_wami.json
 //! ```
 //!
 //! Exit codes: `0` success, `1` operational failure (unknown design,
-//! failed flow, failed scenario assertion), `2` usage or load error.
-//! `--json` emits the same machine-readable documents the bench
-//! binaries produce (`presp_events::json` pretty form, snake_case keys).
+//! failed flow, failed scenario assertion), `2` usage, load or write
+//! error. `--json` emits `presp_events::json` documents (pretty form,
+//! snake_case keys).
 
 use presp::core::design::SocDesign;
 use presp::core::flow::PrEspFlow;
 use presp::core::strategy::choose_strategy;
-use presp::events::json::JsonValue;
+use presp::events::json::{int, num, obj, string, JsonValue};
+use presp_bench::{export, repro};
 use presp_scenario::report::ReportEntry;
 use presp_scenario::runner;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn builtin(name: &str) -> Option<SocDesign> {
-    let design = match name {
-        "soc_1" => SocDesign::characterization_soc1(),
-        "soc_2" => SocDesign::characterization_soc2(),
-        "soc_3" => SocDesign::characterization_soc3(),
-        "soc_4" => SocDesign::characterization_soc4(),
-        "soc_a" => SocDesign::wami_table4("soc_a", &[4, 8, 10, 9]),
-        "soc_b" => SocDesign::wami_table4("soc_b", &[2, 3, 11, 1]),
-        "soc_c" => SocDesign::wami_table4("soc_c", &[7, 11, 8, 2]),
-        "soc_d" => SocDesign::wami_table4("soc_d", &[4, 5, 9, 2]),
-        "soc_x" => SocDesign::wami_soc_x(),
-        "soc_y" => SocDesign::wami_soc_y(),
-        "soc_z" => SocDesign::wami_soc_z(),
-        _ => return None,
-    };
-    Some(design.expect("built-in designs are valid"))
-}
-
-const DESIGNS: [&str; 11] = [
-    "soc_1", "soc_2", "soc_3", "soc_4", "soc_a", "soc_b", "soc_c", "soc_d", "soc_x", "soc_y",
-    "soc_z",
-];
-
 fn usage() -> ExitCode {
+    let designs: Vec<String> = SocDesign::builtins().into_iter().map(|d| d.name).collect();
     eprintln!("usage: presp <command> [args]");
     eprintln!("  designs [--json]                      list the built-in paper designs");
     eprintln!("  classify <design> [--json]            size metrics, class and strategy");
@@ -57,44 +40,24 @@ fn usage() -> ExitCode {
     eprintln!("  config <design>                       dump the SoC configuration as JSON");
     eprintln!("  test <path>... [--json] [--junit <file>] [--report <file>] [--trace-dir <dir>]");
     eprintln!("                                        run declarative scenario files");
-    eprintln!("  designs: {}", DESIGNS.join(", "));
+    eprintln!("  repro <artifact> [--json]             regenerate one paper artifact");
+    eprintln!("  repro all                             Tables I-VI, Fig. 3 and Fig. 4, and write");
+    eprintln!("                                        BENCH_tables.json and BENCH_wami.json");
+    eprintln!("  designs: {}", designs.join(", "));
+    eprintln!("  artifacts: table1..table6, fig3, fig4, ablations");
     ExitCode::from(2)
-}
-
-// JSON helpers in the bench `export` style (snake_case keys, pretty
-// printing, trailing newline on emit).
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
-fn int(v: u64) -> JsonValue {
-    JsonValue::Number(v as f64)
-}
-
-fn s(v: &str) -> JsonValue {
-    JsonValue::String(v.to_string())
 }
 
 fn emit(doc: &JsonValue) {
     println!("{}", doc.pretty());
 }
 
-fn design_row(name: &str) -> JsonValue {
-    let d = builtin(name).expect("listed designs exist");
+fn design_row(d: &SocDesign) -> JsonValue {
     let spec = d.to_spec().expect("built-ins are buildable");
     let (kappa, alpha, gamma) = spec.size_metrics();
     obj(vec![
-        ("design", s(name)),
-        ("part", s(&d.part.to_string())),
+        ("design", string(&d.name)),
+        ("part", string(&d.part.to_string())),
         ("tiles", int((d.config.rows() * d.config.cols()) as u64)),
         (
             "reconfigurable_tiles",
@@ -107,18 +70,17 @@ fn design_row(name: &str) -> JsonValue {
 }
 
 fn cmd_designs(json: bool) -> ExitCode {
+    let designs = SocDesign::builtins();
     if json {
-        emit(&JsonValue::Array(
-            DESIGNS.iter().map(|name| design_row(name)).collect(),
-        ));
+        emit(&JsonValue::Array(designs.iter().map(design_row).collect()));
         return ExitCode::SUCCESS;
     }
-    for name in DESIGNS {
-        let d = builtin(name).expect("listed designs exist");
+    for d in designs {
         let spec = d.to_spec().expect("built-ins are buildable");
         let (kappa, alpha, gamma) = spec.size_metrics();
         println!(
-            "{name:<6} {} tiles={} rms={} κ={:.3} α_av={:.3} γ={:.2}",
+            "{:<6} {} tiles={} rms={} κ={:.3} α_av={:.3} γ={:.2}",
+            d.name,
             d.part,
             d.config.rows() * d.config.cols(),
             spec.reconfigurable().len(),
@@ -137,12 +99,12 @@ fn cmd_classify(design: &SocDesign, json: bool) -> ExitCode {
         Ok((class, strategy)) => {
             if json {
                 emit(&obj(vec![
-                    ("design", s(&design.name)),
+                    ("design", string(&design.name)),
                     ("kappa_pct", num(kappa)),
                     ("alpha_av_pct", num(alpha)),
                     ("gamma", num(gamma)),
-                    ("class", s(&class.to_string())),
-                    ("strategy", s(&strategy.to_string())),
+                    ("class", string(&class.to_string())),
+                    ("strategy", string(&strategy.to_string())),
                 ]));
             } else {
                 println!("κ = {kappa:.3}, α_av = {alpha:.3}, γ = {gamma:.2}");
@@ -167,16 +129,16 @@ fn cmd_flow(design: &SocDesign, compressed: bool, json: bool) -> ExitCode {
                     .iter()
                     .map(|info| {
                         obj(vec![
-                            ("region", s(&info.region)),
-                            ("kind", s(&info.kind.name())),
+                            ("region", string(&info.region)),
+                            ("kind", string(&info.kind.name())),
                             ("size_bytes", int(info.bitstream.size_bytes() as u64)),
                         ])
                     })
                     .collect();
                 emit(&obj(vec![
-                    ("design", s(&design.name)),
-                    ("class", s(&out.class.to_string())),
-                    ("strategy", s(&out.strategy.to_string())),
+                    ("design", string(&design.name)),
+                    ("class", string(&out.class.to_string())),
+                    ("strategy", string(&out.strategy.to_string())),
                     ("synth_min", num(out.report.synth.wall.0)),
                     (
                         "t_static_min",
@@ -337,6 +299,43 @@ fn cmd_test(args: &[String]) -> ExitCode {
     }
 }
 
+/// `presp repro`: prints one artifact (its text table, or its JSON
+/// document under `--json`), or under `all` prints Tables I–VI, Fig. 3 and
+/// Fig. 4 and writes `BENCH_tables.json` and `BENCH_wami.json` to the
+/// working directory. Exits `2` on a usage error or a failed write.
+fn cmd_repro(args: &[String]) -> ExitCode {
+    let json = args.iter().any(|a| a == "--json");
+    let names: Vec<&String> = args.iter().filter(|a| *a != "--json").collect();
+    let [name] = names[..] else {
+        eprintln!("presp repro takes one artifact");
+        return usage();
+    };
+    if name == "all" {
+        if json {
+            eprintln!(
+                "presp repro all always writes its JSON documents; --json is for one artifact"
+            );
+            return usage();
+        }
+        let evaluation = repro::evaluation();
+        print!("{}", evaluation.text);
+        for (path, doc) in &evaluation.documents {
+            if let Err(e) = export::write_json(path, doc) {
+                eprintln!("cannot write {path}: {e}");
+                return ExitCode::from(2);
+            }
+            println!("wrote {path}");
+        }
+        return ExitCode::SUCCESS;
+    }
+    let Some(out) = repro::artifact(name, json) else {
+        eprintln!("unknown artifact '{name}'");
+        return usage();
+    };
+    print!("{out}");
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -347,11 +346,12 @@ fn main() -> ExitCode {
     match command.as_str() {
         "designs" => cmd_designs(json),
         "test" => cmd_test(&args[1..]),
+        "repro" => cmd_repro(&args[1..]),
         "classify" | "flow" | "config" => {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let Some(design) = builtin(name) else {
+            let Some(design) = SocDesign::builtin(name) else {
                 eprintln!("unknown design '{name}' — try `presp designs`");
                 return ExitCode::FAILURE;
             };

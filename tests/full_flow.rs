@@ -9,26 +9,10 @@ use presp::core::strategy::SizeClass;
 use presp::fpga::icap::Icap;
 use presp::wami::frames::SceneGenerator;
 
-fn all_paper_designs() -> Vec<SocDesign> {
-    vec![
-        SocDesign::characterization_soc1().unwrap(),
-        SocDesign::characterization_soc2().unwrap(),
-        SocDesign::characterization_soc3().unwrap(),
-        SocDesign::characterization_soc4().unwrap(),
-        SocDesign::wami_table4("soc_a", &[4, 8, 10, 9]).unwrap(),
-        SocDesign::wami_table4("soc_b", &[2, 3, 11, 1]).unwrap(),
-        SocDesign::wami_table4("soc_c", &[7, 11, 8, 2]).unwrap(),
-        SocDesign::wami_table4("soc_d", &[4, 5, 9, 2]).unwrap(),
-        SocDesign::wami_soc_x().unwrap(),
-        SocDesign::wami_soc_y().unwrap(),
-        SocDesign::wami_soc_z().unwrap(),
-    ]
-}
-
 #[test]
 fn every_paper_design_compiles_end_to_end() {
     let flow = PrEspFlow::new();
-    for design in all_paper_designs() {
+    for design in SocDesign::builtins() {
         let out = flow
             .run(&design)
             .unwrap_or_else(|e| panic!("{} failed: {e}", design.name));
@@ -80,7 +64,7 @@ fn strategy_choices_match_paper_classes() {
         ("soc_c", SizeClass::Class1_3),
         ("soc_d", SizeClass::Class2_1),
     ];
-    for design in all_paper_designs() {
+    for design in SocDesign::builtins() {
         if let Some((_, class)) = expect.iter().find(|(n, _)| *n == design.name) {
             let out = flow.run(&design).unwrap();
             assert_eq!(out.class, *class, "{}", design.name);
@@ -137,7 +121,7 @@ fn flow_supports_the_other_evaluation_boards() {
     use presp::fpga::part::FpgaPart;
     let flow = PrEspFlow::new();
     for part in [FpgaPart::Vcu118, FpgaPart::Vcu128] {
-        let mut design = SocDesign::wami_table4("soc_a", &[4, 8, 10, 9]).unwrap();
+        let mut design = SocDesign::builtin("soc_a").unwrap();
         design.part = part;
         let out = flow.run(&design).unwrap_or_else(|e| panic!("{part}: {e}"));
         assert_eq!(out.partial_bitstreams.len(), 4, "{part}");
@@ -156,7 +140,7 @@ fn flow_supports_the_other_evaluation_boards() {
 #[test]
 fn bitstreams_from_one_part_do_not_load_on_another() {
     use presp::fpga::part::FpgaPart;
-    let design = SocDesign::wami_table4("soc_b", &[2, 3, 11, 1]).unwrap();
+    let design = SocDesign::builtin("soc_b").unwrap();
     let out = PrEspFlow::new().run(&design).unwrap();
     let wrong_device = FpgaPart::Vcu118.device();
     let mut icap = Icap::new(&wrong_device);

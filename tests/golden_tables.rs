@@ -1,27 +1,37 @@
-//! Golden-file regression test: Tables II–VI must be bit-identical across
-//! refactors of the timing kernel.
+//! Golden-file regression tests: Tables II–VI and the `BENCH_tables.json`
+//! document must be bit-identical across refactors of the timing kernel.
 //!
-//! The golden file was generated from the pre-`presp-events` tree, so any
-//! drift in virtual-time arithmetic, CAD-model evaluation order or
-//! bitstream generation shows up as a diff here. Regenerate deliberately
-//! with `UPDATE_GOLDEN=1 cargo test --test golden_tables`.
+//! `tables_2_to_6.txt` was generated from the pre-`presp-events` tree, so
+//! any drift in virtual-time arithmetic, CAD-model evaluation order or
+//! bitstream generation shows up as a diff here. `BENCH_tables.json` holds
+//! the same rows plus Table I and Fig. 3 as `presp repro all` writes them.
+//! Regenerate deliberately with
+//! `UPDATE_GOLDEN=1 cargo test --test golden_tables`.
 
+use presp_bench::experiments::{self, Table2Row, Table3Row, Table4Row, Table5Row, Table6Row};
+use presp_bench::{export, repro};
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// Formats Tables II–VI into one deterministic text document. Floats are
 /// rendered with `{:?}` (shortest round-trip), so any bit-level change in a
 /// result is visible.
-fn render_tables() -> String {
+fn render_tables(
+    t2: &[Table2Row],
+    t3: &[Table3Row],
+    t4: &[Table4Row],
+    t5: &[Table5Row],
+    t6: &[Table6Row],
+) -> String {
     let mut out = String::new();
 
     writeln!(out, "## Table II").unwrap();
-    for r in presp_bench::experiments::table2() {
+    for r in t2 {
         writeln!(out, "{} {}", r.name, r.luts).unwrap();
     }
 
     writeln!(out, "## Table III").unwrap();
-    for row in presp_bench::experiments::table3() {
+    for row in t3 {
         writeln!(
             out,
             "{} alpha_av={:?} kappa={:?} gamma={:?} best_tau={}",
@@ -43,7 +53,7 @@ fn render_tables() -> String {
     }
 
     writeln!(out, "## Table IV").unwrap();
-    for r in presp_bench::experiments::table4() {
+    for r in t4 {
         writeln!(
             out,
             "{} accels={:?} class={} metrics={:?} chosen={} fully={:?} semi={:?} serial={:?}",
@@ -53,7 +63,7 @@ fn render_tables() -> String {
     }
 
     writeln!(out, "## Table V").unwrap();
-    for r in presp_bench::experiments::table5() {
+    for r in t5 {
         writeln!(
             out,
             "{} synth={:?} t_static={:?} max_omega={:?} total={:?} strategy={} mono_synth={:?} mono_pnr={:?} mono_total={:?}",
@@ -71,7 +81,7 @@ fn render_tables() -> String {
     }
 
     writeln!(out, "## Table VI").unwrap();
-    for r in presp_bench::experiments::table6() {
+    for r in t6 {
         writeln!(
             out,
             "{} {} kernels={:?} pbs_kb={:?}",
@@ -83,13 +93,15 @@ fn render_tables() -> String {
     out
 }
 
-#[test]
-fn tables_2_to_6_match_golden() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/tables_2_to_6.txt");
-    let rendered = render_tables();
+/// Compares `rendered` with `tests/golden/<name>`, or rewrites the golden
+/// under `UPDATE_GOLDEN`.
+fn check_golden(name: &str, rendered: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
+        std::fs::write(&path, rendered).unwrap();
         eprintln!("golden file updated: {}", path.display());
         return;
     }
@@ -97,7 +109,22 @@ fn tables_2_to_6_match_golden() {
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
     assert_eq!(
         rendered, golden,
-        "Tables II–VI drifted from the golden output; if the change is \
+        "{name} drifted from the golden output; if the change is \
          intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// Computes the rows once and checks them against both goldens.
+#[test]
+fn tables_2_to_6_match_golden() {
+    let t1 = experiments::table1();
+    let t2 = experiments::table2();
+    let t3 = experiments::table3();
+    let t4 = experiments::table4();
+    let t5 = experiments::table5();
+    let t6 = experiments::table6();
+    let f3 = experiments::fig3(repro::FIG3_SIZE);
+    check_golden("tables_2_to_6.txt", &render_tables(&t2, &t3, &t4, &t5, &t6));
+    let doc = export::tables_document(&t1, &t2, &t3, &t4, &t5, &t6, &f3);
+    check_golden("BENCH_tables.json", &(doc.pretty() + "\n"));
 }

@@ -1,0 +1,50 @@
+//! `presp repro` end to end: runs the built `presp` binary on the cheap
+//! artifacts and on malformed command lines. The expensive artifacts
+//! (`all`, `fig4`, `ablations`) are diffed against their goldens in CI's
+//! release build instead.
+
+use presp::events::json;
+use std::path::Path;
+use std::process::{Command, Output};
+
+fn presp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_presp"))
+        .args(args)
+        .output()
+        .expect("presp runs")
+}
+
+#[test]
+fn table2_json_matches_the_golden_bench_tables_member() {
+    let out = presp(&["repro", "table2", "--json"]);
+    assert!(out.status.success(), "{out:?}");
+    let printed = json::parse(&String::from_utf8(out.stdout).unwrap()).expect("valid JSON");
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/BENCH_tables.json");
+    let golden = json::parse(&std::fs::read_to_string(golden_path).unwrap()).unwrap();
+    assert_eq!(Some(&printed), golden.get("table2"));
+}
+
+#[test]
+fn table1_prints_the_strategy_matrix() {
+    let out = presp(&["repro", "table1"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.starts_with("Table I — size-driven implementation strategies in PR-ESP\n\n"),
+        "{text}"
+    );
+    assert!(text.contains("γ < 1   γ ≈ 1          γ > 1"), "{text}");
+}
+
+#[test]
+fn malformed_repro_command_lines_are_usage_errors() {
+    for args in [
+        &["repro"][..],
+        &["repro", "nope"],
+        &["repro", "all", "--json"],
+    ] {
+        let out = presp(args);
+        assert_eq!(out.status.code(), Some(2), "presp {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "presp {args:?} printed a result");
+    }
+}
