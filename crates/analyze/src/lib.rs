@@ -201,7 +201,7 @@ impl<'a> Workspace<'a> {
             let mut allow_lines = BTreeSet::new();
             let mut mutant_lines = BTreeSet::new();
             for (idx, raw) in source.lines().enumerate() {
-                if raw.contains("presp-lint: allow") || raw.contains("presp-analyze: allow") {
+                if raw.contains("presp-analyze: allow") {
                     allow_lines.insert(idx + 1);
                 }
                 if raw.contains("presp-analyze: mutant") {

@@ -147,6 +147,22 @@ fn doorway_breach_pattern_rule_fires_only_on_code() {
 }
 
 #[test]
+fn allow_marker_suppresses_only_its_own_line() {
+    let analysis = run(r#"{
+  "schema": "presp-analyze/v1",
+  "pattern_rules": [
+    {
+      "name": "sync-facade",
+      "roots": ["allow_marker.rs"],
+      "forbidden": ["std::sync"],
+      "why": "facade doorway"
+    }
+  ]
+}"#);
+    assert_flagged_exactly(&analysis, "allow_marker.rs");
+}
+
+#[test]
 fn wait_on_wrong_lock_is_flagged() {
     let analysis = run(r#"{
   "schema": "presp-analyze/v1",

@@ -1,8 +1,10 @@
 //! Experiment regenerators for every table and figure in the PR-ESP paper,
 //! shared by `presp repro`, the repository benchmark (`perfbench/`) and
-//! the integration tests.
+//! the integration tests, and the floorplanning cells behind
+//! `presp bench floorplan`.
 
 pub mod experiments;
 pub mod export;
+pub mod floorplan;
 pub mod render;
 pub mod repro;

@@ -1,4 +1,4 @@
-//! Minimal ASCII table rendering for `presp repro` and the bench binaries.
+//! Minimal ASCII table rendering for `presp repro` and `presp bench`.
 
 /// Renders a table with a header row, column-aligned.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {

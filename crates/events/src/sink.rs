@@ -295,11 +295,11 @@ mod tests {
         // recover the guard — trace records are plain data.
         let sink = RingBufferSink::shared(8);
         for i in 0..4 {
-            sink.lock().unwrap().record(irq(i)); // presp-lint: allow
+            sink.lock().unwrap().record(irq(i)); // presp-analyze: allow
         }
         let poisoner = sink.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap(); // presp-lint: allow
+            let _guard = poisoner.lock().unwrap(); // presp-analyze: allow
             panic!("poison the sink mutex");
         })
         .join();
@@ -314,7 +314,7 @@ mod tests {
         let sink = MemorySink::shared();
         let poisoner = sink.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap(); // presp-lint: allow
+            let _guard = poisoner.lock().unwrap(); // presp-analyze: allow
             panic!("poison the sink mutex");
         })
         .join();

@@ -587,7 +587,7 @@ impl BitstreamBuilder {
                 ),
             });
         }
-        self.frames.insert(addr, data); // presp-lint: allow — builder staging map, not live config memory
+        self.frames.insert(addr, data); // presp-analyze: allow — builder staging map, not live config memory
         Ok(())
     }
 

@@ -98,9 +98,6 @@ use presp_events::TraceEvent;
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, Soc};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-// Not a protocol primitive: caches an env read once, immutable after
-// init, so there is no schedule-dependent behavior to explore.
-use std::sync::OnceLock; // presp-lint: allow — init-once env cache
 use std::time::{Duration, Instant};
 
 /// Default capacity of the verified-bitstream LRU on the threaded path.
@@ -255,24 +252,16 @@ impl<S: SyncFacade> Payload<S> {
     /// since accelerator instances are stateless); the protocol consumes
     /// it only after its own driver checks pass.
     fn evaluate(self) -> Prepared<S> {
-        let evaluate = |op: &AccelOp| {
-            if let Some(delay) = bench_eval_delay() {
-                // Wall-clock pacing only, never set under the model
-                // checker; no synchronization.
-                std::thread::sleep(delay); // presp-lint: allow — bench pacing
-            }
-            protocol::evaluate(op)
-        };
         match self {
             Payload::Reconfigure { kind, done } => Prepared::Reconfigure { kind, done },
             Payload::Run { op, done } => Prepared::Run {
-                value: evaluate(&op),
+                value: protocol::evaluate(&op),
                 op,
                 done,
             },
             Payload::Execute { kind, op, done } => Prepared::Execute {
                 kind,
-                value: evaluate(&op),
+                value: protocol::evaluate(&op),
                 op,
                 done,
             },
@@ -1259,24 +1248,6 @@ pub(crate) fn spawn_worker<S: SyncFacade>(
     let shared = Arc::clone(shared);
     S::spawn(&format!("presp-worker-{slot}"), move || {
         worker_loop(&shared, slot);
-    })
-}
-
-/// Emulated behavioral-evaluation latency, from
-/// `PRESP_BENCH_EVAL_DELAY_MICROS`. The throughput benchmark sets this to
-/// stand in for the wall-clock cost a real device or RTL evaluation would
-/// have during the lock-free prepare stage: blocking time overlaps across
-/// workers even on a single-core host, so the measurement reflects the
-/// lock structure rather than the machine's core count. Unset (the
-/// default for every test and production path) this is free.
-fn bench_eval_delay() -> Option<Duration> {
-    static DELAY: OnceLock<Option<Duration>> = OnceLock::new();
-    *DELAY.get_or_init(|| {
-        std::env::var("PRESP_BENCH_EVAL_DELAY_MICROS")
-            .ok()?
-            .parse()
-            .ok()
-            .map(Duration::from_micros)
     })
 }
 

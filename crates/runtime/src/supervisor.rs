@@ -24,7 +24,7 @@ use presp_fpga::fault::SplitMix64;
 use std::collections::{BTreeMap, BTreeSet};
 // Not a protocol primitive: guards one-time installation of a global
 // panic hook, immutable after init.
-use std::sync::OnceLock; // presp-lint: allow — init-once hook guard
+use std::sync::OnceLock; // presp-analyze: allow — init-once hook guard
 
 /// Domain separator so a worker-fault plan seeded like a fabric fault
 /// plan still draws an independent stream.

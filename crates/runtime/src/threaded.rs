@@ -1034,36 +1034,64 @@ mod tests {
 
     #[test]
     fn bounded_queue_rejects_new_requests_when_full() {
-        let policy = RecoveryPolicy {
-            queue_capacity: 1,
-            ..supervised_policy()
-        };
-        let (mgr, tiles) = boot_with(1, policy);
-        let (a, plan) = pin_hung_claim(&mgr, tiles[0]);
-        // A is claimed, so B fills the single slot and C finds the door
-        // closed.
-        let b = mgr.submit_reconfigure(tiles[0], AcceleratorKind::Sort);
-        let err = mgr
-            .submit_run(
+        // Two cases: the bare bounded queue, and the overload regime with
+        // deadlines and the CPU fallback on, where the queued execute
+        // misses its one-cycle deadline and degrades instead of failing.
+        // Either way every submission is answered or shed.
+        for deadline_cycles in [0, 1] {
+            let policy = RecoveryPolicy {
+                queue_capacity: 1,
+                overload: OverloadPolicy::RejectNew,
+                deadline_cycles,
+                cpu_fallback: deadline_cycles > 0,
+                ..supervised_policy()
+            };
+            let (mgr, tiles) = boot_with(1, policy);
+            let (a, plan) = pin_hung_claim(&mgr, tiles[0]);
+            // A is claimed, so B fills the single slot and C finds the
+            // door closed.
+            let b = mgr.submit_execute(
                 tiles[0],
-                AccelOp::Mac {
-                    a: vec![1.0],
-                    b: vec![1.0],
+                AcceleratorKind::Sort,
+                AccelOp::Sort {
+                    data: vec![3.0, 1.0, 2.0],
                 },
-            )
-            .wait();
-        assert!(matches!(err, Err(Error::Overloaded { .. })), "got {err:?}");
-        // Released, A hangs and is stolen and redone; B follows it.
-        drop(plan);
-        a.wait().unwrap();
-        b.wait().unwrap();
-        assert_eq!(mgr.supervisor_stats().hangs_injected, 1);
-        assert_eq!(mgr.stats().shed, 1);
-        // Quiescent invariant: the replying worker may still be mid
-        // post-commit bookkeeping when the waiter wakes, so poll.
-        wait_until(|| mgr.orphaned_tickets() == 0);
-        assert!(mgr.stats().consistent(), "{:?}", mgr.stats());
-        mgr.shutdown();
+            );
+            let err = mgr
+                .submit_run(
+                    tiles[0],
+                    AccelOp::Mac {
+                        a: vec![1.0],
+                        b: vec![1.0],
+                    },
+                )
+                .wait();
+            assert!(matches!(err, Err(Error::Overloaded { .. })), "got {err:?}");
+            // Released, A hangs and is stolen and redone; B follows it.
+            drop(plan);
+            a.wait().unwrap();
+            let (run, path) = b.wait().unwrap();
+            assert_eq!(run.value, AccelValue::Vector(vec![1.0, 2.0, 3.0]));
+            let missed = u64::from(deadline_cycles > 0);
+            let expected = if missed == 1 {
+                ExecPath::CpuFallback
+            } else {
+                ExecPath::Accelerator
+            };
+            assert_eq!(path, expected);
+            assert_eq!(mgr.supervisor_stats().hangs_injected, 1);
+            // Quiescent invariant: the replying worker may still be mid
+            // post-commit bookkeeping when the waiter wakes, so poll.
+            wait_until(|| mgr.orphaned_tickets() == 0);
+            let stats = mgr.stats();
+            let (submitted, completed) = (3, 2);
+            assert_eq!(stats.shed, 1);
+            assert_eq!(completed + stats.shed, submitted, "{stats:?}");
+            assert_eq!(stats.deadline_misses, missed);
+            assert_eq!(stats.fallback_runs, missed);
+            assert!(stats.consistent(), "{stats:?}");
+            mgr.shutdown();
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The PR-ESP command-line front-end — the analogue of the paper's "single
 //! make target" that turns an SoC configuration into full and partial
 //! bitstreams, plus the declarative scenario runner that does the same
-//! for runtime experiments, and the regenerator of every table and figure
-//! of the paper's evaluation.
+//! for runtime experiments, the regenerator of every table and figure of
+//! the paper's evaluation, and the floorplanning benchmark.
 //!
 //! ```text
 //! presp designs [--json]               list the built-in paper designs
@@ -14,18 +14,20 @@
 //! presp repro <artifact> [--json]      regenerate one paper artifact
 //! presp repro all                      Tables I–VI, Fig. 3 and Fig. 4, and
 //!                                      write BENCH_tables.json, BENCH_wami.json
+//! presp bench floorplan [--json]       time the allocator, relocation and
+//!                                      repack on this host; check relocation
 //! ```
 //!
 //! Exit codes: `0` success, `1` operational failure (unknown design,
-//! failed flow, failed scenario assertion), `2` usage, load or write
-//! error. `--json` emits `presp_events::json` documents (pretty form,
+//! failed flow, failed scenario assertion, failed relocation check), `2`
+//! usage, load or write error. `--json` emits `presp_events::json` documents (pretty form,
 //! snake_case keys).
 
 use presp::core::design::SocDesign;
 use presp::core::flow::PrEspFlow;
 use presp::core::strategy::choose_strategy;
 use presp::events::json::{int, num, obj, string, JsonValue};
-use presp_bench::{export, repro};
+use presp_bench::{export, floorplan, repro};
 use presp_scenario::report::ReportEntry;
 use presp_scenario::runner;
 use std::path::PathBuf;
@@ -43,6 +45,8 @@ fn usage() -> ExitCode {
     eprintln!("  repro <artifact> [--json]             regenerate one paper artifact");
     eprintln!("  repro all                             Tables I-VI, Fig. 3 and Fig. 4, and write");
     eprintln!("                                        BENCH_tables.json and BENCH_wami.json");
+    eprintln!("  bench floorplan [--json]              time the allocator, relocation and repack");
+    eprintln!("                                        on this host; exit 1 if relocation is slow");
     eprintln!("  designs: {}", designs.join(", "));
     eprintln!("  artifacts: table1..table6, fig3, fig4, ablations");
     ExitCode::from(2)
@@ -336,6 +340,35 @@ fn cmd_repro(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `presp bench floorplan`: runs the floorplanning cells once, prints
+/// their text rendering (or the JSON document under `--json`) and exits
+/// `1` when relocation's per-frame time exceeds
+/// [`floorplan::RELOCATION_LIMIT`] verification passes. Writes no file.
+fn cmd_bench(args: &[String]) -> ExitCode {
+    let json = args.iter().any(|a| a == "--json");
+    let names: Vec<&String> = args.iter().filter(|a| *a != "--json").collect();
+    if names[..] != ["floorplan"] {
+        eprintln!("presp bench takes one benchmark: floorplan");
+        return usage();
+    }
+    let report = floorplan::run(&floorplan::FULL);
+    if json {
+        emit(&report.json());
+    } else {
+        print!("{}", report.text());
+    }
+    if report.reloc.passes() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "FAIL: relocation costs {:.2} verification passes per frame (limit {:.2})",
+            report.reloc.ratio(),
+            floorplan::RELOCATION_LIMIT
+        );
+        ExitCode::FAILURE
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -347,6 +380,7 @@ fn main() -> ExitCode {
         "designs" => cmd_designs(json),
         "test" => cmd_test(&args[1..]),
         "repro" => cmd_repro(&args[1..]),
+        "bench" => cmd_bench(&args[1..]),
         "classify" | "flow" | "config" => {
             let Some(name) = args.get(1) else {
                 return usage();

@@ -1,7 +1,8 @@
-//! `presp repro` end to end: runs the built `presp` binary on the cheap
-//! artifacts and on malformed command lines. The expensive artifacts
-//! (`all`, `fig4`, `ablations`) are diffed against their goldens in CI's
-//! release build instead.
+//! `presp repro` and `presp bench` end to end: runs the built `presp`
+//! binary on the cheap artifacts and on malformed command lines. The
+//! expensive artifacts (`all`, `fig4`, `ablations`) are diffed against
+//! their goldens, and `bench floorplan` is timed, in CI's release build
+//! instead.
 
 use presp::events::json;
 use std::path::Path;
@@ -38,11 +39,17 @@ fn table1_prints_the_strategy_matrix() {
 
 #[test]
 fn malformed_repro_command_lines_are_usage_errors() {
-    for args in [
-        &["repro"][..],
-        &["repro", "nope"],
-        &["repro", "all", "--json"],
-    ] {
+    assert_usage_errors(&[&["repro"], &["repro", "nope"], &["repro", "all", "--json"]]);
+}
+
+#[test]
+fn malformed_bench_command_lines_are_usage_errors() {
+    assert_usage_errors(&[&["bench"], &["bench", "nope"]]);
+}
+
+/// Each command line exits 2 and prints nothing on stdout.
+fn assert_usage_errors(command_lines: &[&[&str]]) {
+    for args in command_lines {
         let out = presp(args);
         assert_eq!(out.status.code(), Some(2), "presp {args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "presp {args:?} printed a result");
