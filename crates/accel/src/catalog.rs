@@ -2,11 +2,10 @@
 
 use presp_fpga::resources::Resources;
 use presp_wami::graph::WamiKernel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The HLS flow an accelerator was developed with (Section IV of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HlsFlow {
     /// ESP's Vivado HLS accelerator flow (C/C++).
     VivadoHls,
@@ -17,7 +16,7 @@ pub enum HlsFlow {
 }
 
 /// Every accelerator (and the relocatable CPU tile) known to PR-ESP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AcceleratorKind {
     /// Multiply-accumulate — the SOC_1 characterization accelerator.
     Mac,

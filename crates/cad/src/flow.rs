@@ -8,10 +8,9 @@ use crate::spec::DprDesignSpec;
 use crate::synth::{monolithic_synthesis, parallel_synthesis, SynthReport};
 use presp_events::trace::ClockDomain;
 use presp_events::{milliminutes, TraceEvent, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// A P&R implementation strategy (Section IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// τ = 1: a single instance implements the whole design.
     Serial,
@@ -63,7 +62,7 @@ impl std::fmt::Display for Strategy {
 }
 
 /// One concurrent in-context P&R instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupRun {
     /// RM names implemented by this instance.
     pub modules: Vec<String>,
@@ -72,7 +71,7 @@ pub struct GroupRun {
 }
 
 /// The result of one P&R schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PnrReport {
     /// Strategy executed.
     pub strategy: Strategy,
@@ -94,7 +93,7 @@ impl PnrReport {
 }
 
 /// A full-flow result: synthesis + P&R.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FullFlowReport {
     /// Parallel synthesis stage.
     pub synth: SynthReport,
@@ -106,7 +105,7 @@ pub struct FullFlowReport {
 
 /// The monolithic baseline: single-instance synthesis + single-instance P&R
 /// (the standard Xilinx DPR flow of Table V).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonolithicReport {
     /// Whole-design synthesis time.
     pub synth: Minutes,

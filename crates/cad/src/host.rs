@@ -7,7 +7,6 @@
 //! bandwidth first, cores later.
 
 use crate::model::Minutes;
-use serde::{Deserialize, Serialize};
 
 /// Cores a single CAD instance grabs while running (Vivado's default
 /// `maxThreads` era behaviour: a handful of threads spinning even when the
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub const CORES_PER_INSTANCE: usize = 8;
 
 /// A host machine with a fixed core count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostMachine {
     cores: usize,
 }

@@ -18,8 +18,6 @@
 //! * in-context RM run: `ctx(S) + Σ (fixed + slope·rm)` — the per-RM cost is
 //!   close to linear in the paper's Ω data.
 
-use serde::{Deserialize, Serialize};
-
 /// Monolithic P&R coefficient: `minutes = C · (kLUTs)^P`.
 pub const BASE_COEFF: f64 = 0.10626;
 /// Exponent of the size term (fitted on SOC_1/SOC_2 serial runs).
@@ -57,7 +55,7 @@ pub const SYNTH_STATIC_FACTOR: f64 = 1.2;
 pub const SYNTH_MONO_FACTOR: f64 = 1.0;
 
 /// Simulated compile time in minutes.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Minutes(pub f64);
 
 impl Minutes {

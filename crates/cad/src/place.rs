@@ -15,7 +15,6 @@ use presp_fpga::fabric::Device;
 use presp_fpga::frame::{frames_per_column, FrameAddress};
 use presp_fpga::pblock::Pblock;
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of a fully-utilized column's frames that carry configuration
 /// content distinct from the erased background.
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 pub const FRAME_CONTENT_DENSITY: f64 = 0.18;
 
 /// Per-kind fill fractions of a placed region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FillFractions {
     /// CLB-column fill.
     pub lut: f64,
@@ -39,7 +38,7 @@ pub struct FillFractions {
 }
 
 /// A module placed into a region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionPlacement {
     /// The region rectangle.
     pub pblock: Pblock,

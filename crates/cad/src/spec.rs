@@ -3,11 +3,10 @@
 use crate::error::Error;
 use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One reconfigurable module (the contents of one reconfigurable tile).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RmSpec {
     /// Instance name (unique within a design).
     pub name: String,
@@ -18,7 +17,7 @@ pub struct RmSpec {
 /// A complete DPR design: the static part plus its reconfigurable modules.
 ///
 /// Built with [`DprDesignSpec::builder`]; see the crate-level example.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DprDesignSpec {
     name: String,
     part: FpgaPart,

@@ -6,10 +6,9 @@ use crate::host::HostMachine;
 use crate::model::{monolithic_synth, ooc_synth, static_synth, Minutes};
 use crate::spec::DprDesignSpec;
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 
 /// A synthesized netlist checkpoint (the analogue of a post-synth DCP).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynthCheckpoint {
     /// Module name.
     pub module: String,
@@ -22,7 +21,7 @@ pub struct SynthCheckpoint {
 }
 
 /// Result of the parallel synthesis stage (Fig. 1, first stage).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthReport {
     /// The static checkpoint with black-boxed accelerators.
     pub static_checkpoint: SynthCheckpoint,

@@ -12,12 +12,11 @@ use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
 use presp_soc::config::{SocConfig, TileCoord};
 use presp_soc::tile::TileKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A complete PR-ESP design: the SoC configuration plus, for every
 /// reconfigurable tile, the set of accelerators that may be loaded into it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocDesign {
     /// Design name.
     pub name: String,

@@ -12,7 +12,6 @@
 use crate::error::Error;
 use presp_cad::flow::Strategy;
 use presp_cad::spec::DprDesignSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// γ is "≈ 1" within this band.
@@ -25,7 +24,7 @@ pub const KAPPA_ALPHA_BAND: (f64, f64) = (0.4, 2.5);
 pub const SEMI_PARALLEL_TAU: usize = 2;
 
 /// The five size classes of Section IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeClass {
     /// κ ≫ α_av, γ < 1: large static, small total reconfigurable area.
     Class1_1,

@@ -29,6 +29,6 @@ pub mod timeline;
 pub mod trace;
 
 pub use clock::{cycles_to_micros, cycles_to_seconds, VirtualClock, SOC_CLOCK_MHZ};
-pub use sink::{MemorySink, RingBufferSink, ShardedSink, SharedSink};
+pub use sink::{MemorySink, ShardedSink, SharedSink};
 pub use timeline::{Reservation, ResourceTimeline, TimelineEpoch};
 pub use trace::{milliminutes, ClockDomain, Loc, TraceEvent, TraceRecord, TraceSink, Tracer};

@@ -12,7 +12,6 @@
 //! enforces the doorway.
 
 use crate::trace::{TraceRecord, TraceSink};
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The shared handle a [`crate::Tracer`] writes through. `Arc<Mutex<_>>`
@@ -84,60 +83,6 @@ impl TraceSink for MemorySink {
 
     fn drain(&mut self) -> Vec<TraceRecord> {
         self.take()
-    }
-}
-
-/// A bounded sink that keeps only the most recent records — the
-/// always-on flight recorder for long simulations.
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    capacity: usize,
-    records: VecDeque<TraceRecord>,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// A ring holding at most `capacity` records.
-    pub fn new(capacity: usize) -> RingBufferSink {
-        RingBufferSink {
-            capacity: capacity.max(1),
-            records: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// A shareable ring, ready to attach to tracers.
-    pub fn shared(capacity: usize) -> Arc<Mutex<RingBufferSink>> {
-        Arc::new(Mutex::new(RingBufferSink::new(capacity)))
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.iter().cloned().collect()
-    }
-
-    /// Records evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn record(&mut self, record: TraceRecord) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-
-    fn collected(&self) -> Vec<TraceRecord> {
-        self.records()
-    }
-
-    fn drain(&mut self) -> Vec<TraceRecord> {
-        self.dropped = 0;
-        std::mem::take(&mut self.records).into()
     }
 }
 
@@ -224,16 +169,6 @@ impl ShardedSink {
         all.sort_unstable_by_key(|r| r.seq);
         all
     }
-
-    /// The merged records retained so far without draining the shards.
-    pub fn collected_merged(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = Vec::new();
-        for shard in &self.shards {
-            all.extend(snapshot(shard));
-        }
-        all.sort_unstable_by_key(|r| r.seq);
-        all
-    }
 }
 
 #[cfg(test)]
@@ -265,35 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_keeps_the_most_recent() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..10 {
-            ring.record(irq(i));
-        }
-        let kept = ring.records();
-        assert_eq!(kept.len(), 3);
-        assert_eq!(kept[0].seq, 7);
-        assert_eq!(kept[2].seq, 9);
-        assert_eq!(ring.dropped(), 7);
-    }
-
-    #[test]
-    fn drain_resets_the_ring() {
-        let mut ring = RingBufferSink::new(3);
-        for i in 0..5 {
-            ring.record(irq(i));
-        }
-        assert_eq!(TraceSink::drain(&mut ring).len(), 3);
-        assert_eq!(ring.dropped(), 0);
-        assert!(ring.records().is_empty());
-    }
-
-    #[test]
-    fn poisoned_ring_sink_still_drains() {
+    fn poisoned_sink_still_drains() {
         // Regression: a worker panicking mid-record used to poison the
         // sink mutex and panic the drain path. The doorway helpers
         // recover the guard — trace records are plain data.
-        let sink = RingBufferSink::shared(8);
+        let sink = MemorySink::shared();
         for i in 0..4 {
             sink.lock().unwrap().record(irq(i)); // presp-analyze: allow
         }
@@ -332,9 +243,7 @@ mod tests {
         for seq in 0..12 {
             record_to(&sharded.shard(seq as usize), irq(seq));
         }
-        let collected = sharded.collected_merged();
         let merged = sharded.drain_merged();
-        assert_eq!(collected, merged);
         let seqs: Vec<u64> = merged.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..12).collect::<Vec<u64>>());
         assert!(sharded.drain_merged().is_empty());

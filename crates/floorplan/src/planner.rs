@@ -5,11 +5,10 @@ use crate::region::RegionAllocator;
 use presp_fpga::fabric::Device;
 use presp_fpga::pblock::Pblock;
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A reconfigurable region to be floorplanned.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionRequest {
     /// Region name (e.g. the reconfigurable tile's instance name).
     pub name: String,
@@ -29,7 +28,7 @@ impl RegionRequest {
 }
 
 /// Floorplanner tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Target fill of a pblock: the rectangle must provide at least
     /// `required / max_utilization` so the router has slack. Vivado DPR
@@ -46,7 +45,7 @@ impl Default for PlannerConfig {
 }
 
 /// The result of floorplanning: one pblock per request plus headroom stats.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     pblocks: BTreeMap<String, Pblock>,
     /// Total LUTs provided by all pblocks minus total LUTs requested.
@@ -55,7 +54,6 @@ pub struct Floorplan {
     static_headroom: Resources,
     /// Sum of the resources every region requested — kept so the headroom
     /// metrics can be recomputed after regions move at runtime.
-    #[serde(default)]
     requested: Resources,
 }
 

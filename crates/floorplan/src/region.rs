@@ -21,11 +21,10 @@
 use crate::error::Error;
 use presp_fpga::fabric::{ColumnKind, Device};
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Span-selection policy for [`RegionAllocator::allocate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitPolicy {
     /// Lowest matching span wins.
     #[default]
@@ -36,7 +35,7 @@ pub enum FitPolicy {
 }
 
 /// A live lease of a contiguous column span.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionLease {
     /// Stable lease identifier (unique within one allocator).
     pub id: u64,
@@ -60,7 +59,7 @@ impl RegionLease {
 }
 
 /// One planned compaction step: slide lease `id` from `from` to `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionMove {
     /// Lease being moved.
     pub id: u64,
@@ -79,7 +78,7 @@ impl RegionMove {
 }
 
 /// Snapshot of the allocator's fragmentation state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FragmentationStats {
     /// Columns the allocator manages (every reconfigurable column).
     pub managed_columns: u32,
@@ -105,7 +104,7 @@ impl FragmentationStats {
 }
 
 /// Dynamic allocator of column-span leases over one device's fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionAllocator {
     kinds: Vec<ColumnKind>,
     /// Lease id occupying each column, `None` when free. Non-reconfigurable
@@ -117,7 +116,6 @@ pub struct RegionAllocator {
     /// Managed column window `[start, end)`; `None` manages the whole
     /// fabric. Columns outside the window belong to the static system and
     /// are never leased, exactly like non-reconfigurable columns.
-    #[serde(default)]
     window: Option<(u32, u32)>,
 }
 

@@ -11,7 +11,6 @@ use crate::config_memory::Frame;
 use crate::error::Error;
 use crate::fabric::Device;
 use crate::frame::FrameAddress;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -214,7 +213,7 @@ impl CrcAccumulator {
 }
 
 /// Whether a bitstream reconfigures the whole device or a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitstreamKind {
     /// Full-device bitstream.
     Full,
@@ -223,7 +222,7 @@ pub enum BitstreamKind {
 }
 
 /// A built bitstream: the exact word stream an ICAP consumes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream {
     kind: BitstreamKind,
     idcode: u32,

@@ -12,10 +12,9 @@ use crate::frame::{frames_per_column, FrameAddress};
 use crate::part::FpgaPart;
 use crate::pblock::Pblock;
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 
 /// Resource kind held by a fabric column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnKind {
     /// Configurable logic block column (LUTs + flip-flops).
     Clb,
@@ -65,7 +64,7 @@ impl ColumnKind {
 /// let err = (modeled.lut as f64 - nominal.lut as f64).abs() / nominal.lut as f64;
 /// assert!(err < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     part: FpgaPart,
     rows: usize,

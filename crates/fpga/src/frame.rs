@@ -6,7 +6,6 @@
 //! contiguous minor runs — the order Vivado's bitstream generator emits them.
 
 use crate::fabric::ColumnKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of configuration frames needed to describe one column within one
@@ -30,7 +29,7 @@ pub fn frames_per_column(kind: ColumnKind) -> usize {
 /// This is a simplified FAR — the real register packs block type, top/bottom
 /// flag, row, column and minor into 32 bits; the simulation keeps the fields
 /// separate and packs only when serializing into a bitstream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameAddress {
     /// Clock-region row.
     pub row: u32,

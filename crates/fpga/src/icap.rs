@@ -14,14 +14,13 @@ use crate::config_memory::ConfigMemory;
 use crate::error::Error;
 use crate::fabric::Device;
 use crate::frame::FrameAddress;
-use serde::{Deserialize, Serialize};
 
 /// Nominal ICAP clock in MHz (both ICAPE2 and ICAPE3 are commonly run at
 /// 100 MHz with a 32-bit data path).
 pub const ICAP_CLOCK_MHZ: f64 = 100.0;
 
 /// Outcome of streaming one bitstream through the ICAP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IcapReport {
     /// Words consumed (one per ICAP clock cycle).
     pub words: usize,

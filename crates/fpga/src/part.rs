@@ -2,14 +2,13 @@
 
 use crate::fabric::Device;
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration-architecture family of a part.
 ///
 /// The family decides the ICAP primitive (ICAPE2 vs ICAPE3) and the
 /// configuration frame geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Xilinx 7-series (VC707). 101-word frames, ICAPE2.
     Series7,
@@ -28,7 +27,7 @@ impl Family {
 }
 
 /// The evaluation boards supported by PR-ESP (Section IV of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpgaPart {
     /// Xilinx VC707 (XC7VX485T, 7-series) — the paper's evaluation board.
     Vc707,

@@ -1,7 +1,6 @@
 //! Placement blocks (pblocks) for reconfigurable partitions.
 
 use crate::error::Error;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
@@ -22,7 +21,7 @@ use std::ops::Range;
 /// assert!(!a.overlaps(&b)); // ranges are half-open
 /// # Ok::<(), presp_fpga::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pblock {
     col_start: usize,
     col_end: usize,

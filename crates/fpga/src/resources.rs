@@ -1,6 +1,5 @@
 //! Resource vectors for utilization accounting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// assert_eq!((a + b).lut, 150);
 /// assert!(b.fits_in(&a));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Resources {
     /// Look-up tables.
     pub lut: u64,

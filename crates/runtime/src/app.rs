@@ -26,11 +26,10 @@ use presp_wami::change_detection::{ChangeDetector, GmmConfig};
 use presp_wami::graph::WamiKernel;
 use presp_wami::image::{BayerImage, GrayImage};
 use presp_wami::warp::AffineParams;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A kernel→tile allocation (one Table VI column).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WamiAllocation {
     map: BTreeMap<WamiKernel, TileCoord>,
 }

@@ -9,11 +9,10 @@
 
 use presp_accel::catalog::AcceleratorKind;
 use presp_soc::config::TileCoord;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Lifecycle events recorded for observability and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverEvent {
     /// A driver was probed (bound) to a tile.
     Probed {

@@ -36,14 +36,13 @@ use presp_accel::AccelOp;
 use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, ReconfigRun, ScrubReport, Soc};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 pub use crate::tile::TileHealth;
 
 /// What the admission controller does when a bounded per-tile queue is
 /// already at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
     /// Refuse the incoming request with [`Error::Overloaded`]; the queued
     /// backlog is untouched.
@@ -56,7 +55,7 @@ pub enum OverloadPolicy {
 }
 
 /// How the manager responds to reconfiguration failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Retries allowed after the first failed attempt.
     pub max_retries: u32,
@@ -75,37 +74,25 @@ pub struct RecoveryPolicy {
     /// deadline is cancelled with [`Error::DeadlineExceeded`]; an execute
     /// past its deadline skips the accelerator and degrades to the CPU
     /// path. Only the threaded scheduler enforces deadlines.
-    #[serde(default)]
     pub deadline_cycles: u64,
     /// Bound on each per-tile queue; 0 means unbounded (the pre-admission
     /// behavior). Only the threaded scheduler enforces the bound.
-    #[serde(default)]
     pub queue_capacity: u64,
     /// What to do with a request that would overflow a bounded queue.
-    #[serde(default)]
     pub overload: OverloadPolicy,
     /// Per-tile circuit breaker: refuse admission to quarantined tiles at
     /// the queue door instead of enqueueing work that will fail at commit.
-    #[serde(default)]
     pub breaker: bool,
     /// Whether the threaded scheduler boots its supervisor thread:
     /// workers register their claims, dead or wedged tickets are
     /// redispatched under the same ticket, and dead workers are
     /// respawned out of [`RecoveryPolicy::restart_budget`]. Off by
     /// default — unsupervised schedulers pay zero bookkeeping.
-    #[serde(default)]
     pub supervised: bool,
     /// How many worker respawns the supervisor may perform over the
     /// scheduler's lifetime (only meaningful with
     /// [`RecoveryPolicy::supervised`]).
-    #[serde(default = "default_restart_budget")]
     pub restart_budget: u32,
-}
-
-/// Serde default for [`RecoveryPolicy::restart_budget`] (also used by
-/// [`RecoveryPolicy::default`]).
-fn default_restart_budget() -> u32 {
-    4
 }
 
 impl Default for RecoveryPolicy {
@@ -121,7 +108,7 @@ impl Default for RecoveryPolicy {
             overload: OverloadPolicy::RejectNew,
             breaker: false,
             supervised: false,
-            restart_budget: default_restart_budget(),
+            restart_budget: 4,
         }
     }
 }
@@ -141,7 +128,7 @@ pub enum ExecPath {
 /// by [`ManagerStats::consistent`]: every request is accounted exactly
 /// once as a performed reconfiguration, a cache hit, a coalesced
 /// duplicate, a retry-exhausted failure or a rejection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ManagerStats {
     /// Reconfiguration requests received (including ones that failed).
     pub reconfig_requests: u64,
@@ -184,29 +171,24 @@ pub struct ManagerStats {
     /// Requests cancelled (or degraded to CPU) because their virtual-time
     /// deadline elapsed before commit. Part of the request-accounting
     /// invariant: a deadline miss is the request's single outcome.
-    #[serde(default)]
     pub deadline_misses: u64,
     /// Requests shed at the queue door by the admission controller
     /// (outside the request-accounting invariant: a shed request never
     /// reaches the reconfiguration ledger).
-    #[serde(default)]
     pub shed: u64,
     /// Requests refused with [`Error::RegionUnavailable`] — the fabric,
     /// as fragmented at that moment, had no free span wide enough for
     /// the bitstream's footprint. A subset of
     /// [`ManagerStats::rejected`], so the accounting invariant is
     /// untouched.
-    #[serde(default)]
     pub oversized_rejected: u64,
     /// Reconfigurations that succeeded on a tile whose previous request
     /// was refused for fragmentation (a subset of
     /// [`ManagerStats::reconfigurations`]).
-    #[serde(default)]
     pub oversized_admitted: u64,
     /// Oversized admits where at least one defragmentation move landed
     /// between the refusal and the admit — the repack is what created
     /// the span (a subset of [`ManagerStats::oversized_admitted`]).
-    #[serde(default)]
     pub repack_admitted: u64,
     /// Defragmentation (repack) passes completed, idle ones included.
     pub repack_passes: u64,
@@ -235,7 +217,7 @@ impl ManagerStats {
 }
 
 /// Result of one defragmentation (repack) pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepackReport {
     /// Region moves applied (allocator and fabric in lockstep).
     pub moves: u64,

@@ -161,18 +161,6 @@ pub struct SchedulerStats {
     /// Wall-clock nanoseconds workers spent inside the shard + core
     /// commit critical section, summed across workers.
     pub stage_commit_nanos: u64,
-    /// Managed columns currently unleased (amorphous floorplanning only;
-    /// zero on the fixed-socket path). Snapshotted from the allocator at
-    /// [`ThreadedManager::scheduler_stats`](crate::threaded::ThreadedManager::scheduler_stats)
-    /// time.
-    pub free_columns: u64,
-    /// Longest contiguous run of free managed columns at snapshot time.
-    pub largest_free_span: u64,
-    /// External-fragmentation ratio in `[0, 1]`: the share of free
-    /// columns a request sized to the largest free span cannot use
-    /// (`1 − largest_free_span / free_columns`; `0` when nothing is
-    /// free or regions are disabled).
-    pub external_fragmentation: f64,
     wait_micros: Vec<u64>,
 }
 

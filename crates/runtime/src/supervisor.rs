@@ -209,21 +209,9 @@ pub struct SupervisorStats {
     /// Claims returned to their tile queue after their claimant died or
     /// wedged (same ticket, so commit order is preserved).
     pub redispatches: u64,
-    /// Injected panics (from the installed [`WorkerFaultPlan`]).
-    pub panics_injected: u64,
-    /// Injected hangs.
-    pub hangs_injected: u64,
-    /// Injected stalls.
-    pub stalls_injected: u64,
-}
-
-impl SupervisorStats {
-    /// Folds a fault plan's injection counters into the snapshot.
-    pub(crate) fn merge_injections(&mut self, injected: InjectedWorkerFaults) {
-        self.panics_injected = injected.panics;
-        self.hangs_injected = injected.hangs;
-        self.stalls_injected = injected.stalls;
-    }
+    /// Faults the installed [`WorkerFaultPlan`] has fired (all zero
+    /// without a plan).
+    pub injected: InjectedWorkerFaults,
 }
 
 /// Panic payload of an injected worker death; the quiet hook filters it

@@ -340,23 +340,11 @@ impl<S: SyncFacade> ThreadedManager<S> {
     }
 
     /// Wall-clock scheduling metrics (queue-wait percentiles, coalesced
-    /// submissions, backlog high-water mark), plus a fragmentation
-    /// snapshot when amorphous floorplanning is enabled. Recovers from
-    /// poisoned locks. Two-phase: the admission guard is scoped closed
-    /// before the core lock is taken, so this read path adds no
-    /// `sched_admission` → `core` lock-order edge.
+    /// submissions, backlog high-water mark). Takes only the admission
+    /// lock; fragmentation is read through
+    /// [`ThreadedManager::fragmentation`]. Recovers from a poisoned lock.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        let mut stats = {
-            let adm = S::lock_recover(&self.shared.admission);
-            adm.stats.clone()
-        };
-        let core = S::lock_recover(&self.shared.core);
-        if let Some(frag) = core.allocator().map(|a| a.stats()) {
-            stats.free_columns = frag.free_columns as u64;
-            stats.largest_free_span = frag.largest_free_span as u64;
-            stats.external_fragmentation = frag.external_fragmentation();
-        }
-        stats
+        S::lock_recover(&self.shared.admission).stats.clone()
     }
 
     /// Hit/miss counters of the verified-bitstream cache.
@@ -487,12 +475,12 @@ impl<S: SyncFacade> ThreadedManager<S> {
     }
 
     /// Supervision counters (deaths, respawns, steals, redispatches),
-    /// with the installed fault plan's injection counters folded in.
+    /// with the installed fault plan's injection counters.
     /// Post-mortem path: recovers from poisoned locks.
     pub fn supervisor_stats(&self) -> SupervisorStats {
         let mut stats = S::lock_recover(&self.shared.supervisor).stats;
         if let Some(plan) = S::lock_recover(&self.shared.worker_faults).as_ref() {
-            stats.merge_injections(plan.injected());
+            stats.injected = plan.injected();
         }
         stats
     }
@@ -927,7 +915,7 @@ mod tests {
         let sup = mgr.supervisor_stats();
         assert_eq!(sup.worker_deaths, 1);
         assert_eq!(sup.redispatches, 1);
-        assert_eq!(sup.panics_injected, 1);
+        assert_eq!(sup.injected.panics, 1);
         // Quiescent invariant: the replying worker may still be mid
         // post-commit bookkeeping when the waiter wakes, so poll.
         wait_until(|| mgr.orphaned_tickets() == 0);
@@ -944,7 +932,7 @@ mod tests {
         mgr.reconfigure_blocking(tiles[0], AcceleratorKind::Mac)
             .unwrap();
         let sup = mgr.supervisor_stats();
-        assert_eq!(sup.hangs_injected, 1);
+        assert_eq!(sup.injected.hangs, 1);
         assert_eq!(sup.redispatches, 1);
         assert_eq!(sup.worker_deaths, 0);
         // Quiescent invariant: the replying worker may still be mid
@@ -1079,7 +1067,7 @@ mod tests {
                 ExecPath::Accelerator
             };
             assert_eq!(path, expected);
-            assert_eq!(mgr.supervisor_stats().hangs_injected, 1);
+            assert_eq!(mgr.supervisor_stats().injected.hangs, 1);
             // Quiescent invariant: the replying worker may still be mid
             // post-commit bookkeeping when the waiter wakes, so poll.
             wait_until(|| mgr.orphaned_tickets() == 0);
@@ -1119,7 +1107,7 @@ mod tests {
         a.wait().unwrap();
         let run = c.wait().unwrap();
         assert_eq!(run.value, AccelValue::Scalar(6.0));
-        assert_eq!(mgr.supervisor_stats().hangs_injected, 1);
+        assert_eq!(mgr.supervisor_stats().injected.hangs, 1);
         assert_eq!(mgr.stats().shed, 1);
         // Quiescent invariant: the replying worker may still be mid
         // post-commit bookkeeping when the waiter wakes, so poll.
@@ -1311,7 +1299,7 @@ mod tests {
         mgr.shutdown();
         assert_eq!(mgr.orphaned_tickets(), 0, "healed gate left orphans");
         let sup = mgr.supervisor_stats();
-        assert_eq!(sup.hangs_injected, 1);
+        assert_eq!(sup.injected.hangs, 1);
         assert_eq!(sup.redispatches, 1);
     }
 

@@ -32,7 +32,7 @@ use presp_soc::config::TileCoord;
 /// is correct again but took hits), and an uncorrectable upset removes it
 /// from service. A successful reconfiguration rewrites every frame and
 /// resets the tile to `Healthy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileHealth {
     /// No known upsets.
     Healthy,

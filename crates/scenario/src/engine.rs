@@ -26,10 +26,12 @@ use presp_events::MemorySink;
 use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp_fpga::fault::{FaultPlan, InjectedFaults, SplitMix64};
 use presp_fpga::frame::FrameAddress;
+use presp_runtime::cache::CacheStats;
 use presp_runtime::error::Error;
-use presp_runtime::manager::ExecPath;
+use presp_runtime::manager::{ExecPath, ManagerStats};
 use presp_runtime::registry::BitstreamRegistry;
-use presp_runtime::supervisor::{install_quiet_panic_hook, WorkerFaultPlan};
+use presp_runtime::scheduler::SchedulerStats;
+use presp_runtime::supervisor::{install_quiet_panic_hook, SupervisorStats, WorkerFaultPlan};
 use presp_runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp_soc::config::{SocConfig, TileCoord};
 use presp_soc::sim::Soc;
@@ -52,7 +54,7 @@ pub struct RunObservation {
     pub seed: u64,
     /// The worker count it ran with.
     pub workers: usize,
-    /// Deterministic totals, keyed by [`crate::spec::STAT_KEYS`] entries.
+    /// Deterministic totals, one per [`STATS`] row.
     pub stats: BTreeMap<&'static str, u64>,
     /// Whether `ManagerStats::consistent()` held.
     pub stats_consistent: bool,
@@ -224,6 +226,95 @@ impl DriveTally {
     }
 }
 
+/// The post-shutdown snapshot of one run that every [`STATS`] row
+/// reads.
+#[derive(Debug)]
+pub struct Observed {
+    manager: ManagerStats,
+    scheduler: SchedulerStats,
+    cache: CacheStats,
+    injected: InjectedFaults,
+    supervisor: SupervisorStats,
+    orphaned_tickets: u64,
+    quarantined: u64,
+    tally: DriveTally,
+}
+
+/// One [`STATS`] row: the key and how to read it from a run.
+pub type Stat = (&'static str, fn(&Observed) -> u64);
+
+/// Every stat key the `stat_min`/`stat_max`/`stat_eq` assertions accept,
+/// each with the one place its value is read from. A run's `stats` map,
+/// the report's `totals` and the parser's key check all iterate this
+/// table. Totals are summed across all runs of the scenario.
+pub const STATS: &[Stat] = &[
+    // ManagerStats
+    ("reconfig_requests", |o| o.manager.reconfig_requests),
+    ("reconfigurations", |o| o.manager.reconfigurations),
+    ("driver_cache_hits", |o| o.manager.cache_hits),
+    ("coalesced", |o| o.manager.coalesced),
+    ("retries_exhausted", |o| o.manager.retries_exhausted),
+    ("rejected", |o| o.manager.rejected),
+    ("retries", |o| o.manager.retries),
+    ("quarantines", |o| o.manager.quarantines),
+    ("reconfig_cycles", |o| o.manager.reconfig_cycles),
+    ("runs", |o| o.manager.runs),
+    ("fallback_runs", |o| o.manager.fallback_runs),
+    ("scrub_passes", |o| o.manager.scrub_passes),
+    ("frames_repaired", |o| o.manager.frames_repaired),
+    ("scrub_quarantines", |o| o.manager.scrub_quarantines),
+    ("deadline_misses", |o| o.manager.deadline_misses),
+    ("shed", |o| o.manager.shed),
+    // Amorphous-floorplanning accounting (ManagerStats)
+    ("oversized_rejected", |o| o.manager.oversized_rejected),
+    ("oversized_admitted", |o| o.manager.oversized_admitted),
+    ("repack_admitted", |o| o.manager.repack_admitted),
+    // Repack counters under their historical names
+    ("defrag_passes", |o| o.manager.repack_passes),
+    ("defrag_moves", |o| o.manager.repack_moves),
+    ("frames_moved", |o| o.manager.frames_moved),
+    // SupervisorStats
+    ("worker_deaths", |o| o.supervisor.worker_deaths),
+    ("worker_respawns", |o| o.supervisor.worker_respawns),
+    ("redispatches", |o| o.supervisor.redispatches),
+    ("injected_worker_panics", |o| o.supervisor.injected.panics),
+    ("injected_worker_hangs", |o| o.supervisor.injected.hangs),
+    ("injected_worker_stalls", |o| o.supervisor.injected.stalls),
+    ("orphaned_tickets", |o| o.orphaned_tickets),
+    // SchedulerStats (the deterministic subset)
+    ("sched_admitted", |o| o.scheduler.admitted),
+    ("sched_completed", |o| o.scheduler.completed),
+    ("sched_coalesced", |o| o.scheduler.coalesced),
+    // Verified-bitstream cache
+    ("bitstream_cache_hits", |o| o.cache.hits),
+    ("bitstream_cache_misses", |o| o.cache.misses),
+    ("bitstream_cache_evictions", |o| o.cache.evictions),
+    // Scrub counters under their historical names
+    ("scrubber_passes", |o| o.manager.scrub_passes),
+    ("scrubber_clean_passes", |o| o.manager.scrub_clean_passes),
+    ("scrubber_frames_repaired", |o| o.manager.frames_repaired),
+    ("scrubber_quarantines", |o| o.manager.scrub_quarantines),
+    // Injected faults
+    ("injected_total", |o| o.injected.total()),
+    ("injected_icap_corruptions", |o| o.injected.icap_corruptions),
+    ("injected_dfxc_stalls", |o| o.injected.dfxc_stalls),
+    ("injected_registry_misses", |o| o.injected.registry_misses),
+    ("injected_decoupler_delays", |o| o.injected.decoupler_delays),
+    ("injected_seu_upsets", |o| o.injected.seu_upsets),
+    ("injected_seu_double_bits", |o| o.injected.seu_double_bits),
+    // Engine-level accounting
+    ("submitted", |o| o.tally.submitted),
+    ("completed_ok", |o| o.tally.completed_ok),
+    ("cpu_fallback_completions", |o| o.tally.cpu_fallbacks),
+    ("value_mismatches", |o| o.tally.value_mismatches),
+    ("lost_requests", |o| o.tally.lost_requests),
+    ("overloaded_rejections", |o| o.tally.overloaded),
+    ("deadline_cancellations", |o| o.tally.deadline_missed),
+    ("quarantined_tiles", |o| o.quarantined),
+    ("final_sweep_dirty", |o| o.tally.final_sweep_dirty),
+    ("region_rejections", |o| o.tally.region_rejections),
+];
+
 fn any_fault_configured(spec: &ScenarioSpec) -> bool {
     let f = &spec.faults;
     f.icap_flip_rate > 0.0
@@ -371,14 +462,17 @@ fn run_cell(
     // post-commit bookkeeping, so pre-shutdown counters (and the
     // orphaned-ticket gauge) are not yet quiescent.
     manager.shutdown();
-    let mgr_stats = manager.stats();
-    let sched_stats = manager.scheduler_stats();
-    let cache_stats = manager.cache_stats();
-    let injected: InjectedFaults = manager.injected_faults();
     let quarantined = manager.quarantined_tiles();
-    let makespan = manager.makespan();
-    let sup_stats = manager.supervisor_stats();
-    let orphaned_tickets = manager.orphaned_tickets();
+    let observed = Observed {
+        manager: manager.stats(),
+        scheduler: manager.scheduler_stats(),
+        cache: manager.cache_stats(),
+        injected: manager.injected_faults(),
+        supervisor: manager.supervisor_stats(),
+        orphaned_tickets: manager.orphaned_tickets(),
+        quarantined: quarantined.len() as u64,
+        tally,
+    };
     let records = presp_events::sink::snapshot(&sink);
     let trace_log = log_lines(&records);
     let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
@@ -388,71 +482,16 @@ fn run_cell(
             .or_insert(0) += 1;
     }
 
-    let mut stats: BTreeMap<&'static str, u64> = BTreeMap::new();
-    stats.insert("reconfig_requests", mgr_stats.reconfig_requests);
-    stats.insert("reconfigurations", mgr_stats.reconfigurations);
-    stats.insert("driver_cache_hits", mgr_stats.cache_hits);
-    stats.insert("coalesced", mgr_stats.coalesced);
-    stats.insert("retries_exhausted", mgr_stats.retries_exhausted);
-    stats.insert("rejected", mgr_stats.rejected);
-    stats.insert("retries", mgr_stats.retries);
-    stats.insert("quarantines", mgr_stats.quarantines);
-    stats.insert("reconfig_cycles", mgr_stats.reconfig_cycles);
-    stats.insert("runs", mgr_stats.runs);
-    stats.insert("fallback_runs", mgr_stats.fallback_runs);
-    stats.insert("scrub_passes", mgr_stats.scrub_passes);
-    stats.insert("frames_repaired", mgr_stats.frames_repaired);
-    stats.insert("scrub_quarantines", mgr_stats.scrub_quarantines);
-    stats.insert("deadline_misses", mgr_stats.deadline_misses);
-    stats.insert("shed", mgr_stats.shed);
-    stats.insert("oversized_rejected", mgr_stats.oversized_rejected);
-    stats.insert("oversized_admitted", mgr_stats.oversized_admitted);
-    stats.insert("repack_admitted", mgr_stats.repack_admitted);
-    stats.insert("defrag_passes", mgr_stats.repack_passes);
-    stats.insert("defrag_moves", mgr_stats.repack_moves);
-    stats.insert("frames_moved", mgr_stats.frames_moved);
-    stats.insert("worker_deaths", sup_stats.worker_deaths);
-    stats.insert("worker_respawns", sup_stats.worker_respawns);
-    stats.insert("redispatches", sup_stats.redispatches);
-    stats.insert("injected_worker_panics", sup_stats.panics_injected);
-    stats.insert("injected_worker_hangs", sup_stats.hangs_injected);
-    stats.insert("injected_worker_stalls", sup_stats.stalls_injected);
-    stats.insert("orphaned_tickets", orphaned_tickets);
-    stats.insert("sched_admitted", sched_stats.admitted);
-    stats.insert("sched_completed", sched_stats.completed);
-    stats.insert("sched_coalesced", sched_stats.coalesced);
-    stats.insert("bitstream_cache_hits", cache_stats.hits);
-    stats.insert("bitstream_cache_misses", cache_stats.misses);
-    stats.insert("bitstream_cache_evictions", cache_stats.evictions);
-    stats.insert("scrubber_passes", mgr_stats.scrub_passes);
-    stats.insert("scrubber_clean_passes", mgr_stats.scrub_clean_passes);
-    stats.insert("scrubber_frames_repaired", mgr_stats.frames_repaired);
-    stats.insert("scrubber_quarantines", mgr_stats.scrub_quarantines);
-    stats.insert("injected_total", injected.total());
-    stats.insert("injected_icap_corruptions", injected.icap_corruptions);
-    stats.insert("injected_dfxc_stalls", injected.dfxc_stalls);
-    stats.insert("injected_registry_misses", injected.registry_misses);
-    stats.insert("injected_decoupler_delays", injected.decoupler_delays);
-    stats.insert("injected_seu_upsets", injected.seu_upsets);
-    stats.insert("injected_seu_double_bits", injected.seu_double_bits);
-    stats.insert("submitted", tally.submitted);
-    stats.insert("completed_ok", tally.completed_ok);
-    stats.insert("cpu_fallback_completions", tally.cpu_fallbacks);
-    stats.insert("value_mismatches", tally.value_mismatches);
-    stats.insert("lost_requests", tally.lost_requests);
-    stats.insert("overloaded_rejections", tally.overloaded);
-    stats.insert("deadline_cancellations", tally.deadline_missed);
-    stats.insert("quarantined_tiles", quarantined.len() as u64);
-    stats.insert("final_sweep_dirty", tally.final_sweep_dirty);
-    stats.insert("region_rejections", tally.region_rejections);
-
     (
         RunObservation {
             seed,
             workers,
-            stats,
-            stats_consistent: mgr_stats.consistent(),
-            makespan,
+            stats: STATS
+                .iter()
+                .map(|&(key, read)| (key, read(&observed)))
+                .collect(),
+            stats_consistent: observed.manager.consistent(),
+            makespan: manager.makespan(),
             trace_log,
             event_counts,
             quarantined,
@@ -722,18 +761,15 @@ pub fn observe(spec: &ScenarioSpec) -> ScenarioObservations {
 
 /// Totals a stat across every run.
 fn total(runs: &[RunObservation], key: &str) -> u64 {
-    runs.iter()
-        .map(|r| r.stats.get(key).copied().unwrap_or(0))
-        .sum()
+    runs.iter().map(|r| r.stats[key]).sum()
 }
 
 /// Totals every stat across every run (the report's `totals` object).
 pub fn totals(runs: &[RunObservation]) -> BTreeMap<&'static str, u64> {
-    let mut out = BTreeMap::new();
-    for key in crate::spec::STAT_KEYS {
-        out.insert(*key, total(runs, key));
-    }
-    out
+    STATS
+        .iter()
+        .map(|&(key, _)| (key, total(runs, key)))
+        .collect()
 }
 
 fn pass(check: &str, detail: String, seed: u64) -> AssertionResult {
@@ -1115,6 +1151,33 @@ mod tests {
 
     fn spec(doc: &str) -> ScenarioSpec {
         ScenarioSpec::parse(doc).expect("valid spec")
+    }
+
+    #[test]
+    fn stat_keys_are_unique() {
+        let mut keys: Vec<&str> = STATS.iter().map(|&(key, _)| key).collect();
+        keys.sort_unstable();
+        let before = keys.len();
+        keys.dedup();
+        assert_eq!(keys.len(), before, "a duplicate key would overwrite a stat");
+    }
+
+    #[test]
+    fn a_run_observes_exactly_the_table_keys() {
+        let obs = observe(&spec(
+            r#"{
+                "name": "engine_keys",
+                "fabric": {"soc_name": "engine-keys", "reconf_tiles": 1},
+                "catalog": ["mac"],
+                "seeds": {"count": 1},
+                "workload": {"kind": "blocking", "clients": 1, "ops_per_client": 2},
+                "assertions": [{"check": "stats_consistent"}]
+            }"#,
+        ));
+        let observed: Vec<&str> = obs.runs[0].stats.keys().copied().collect();
+        let mut declared: Vec<&str> = STATS.iter().map(|&(key, _)| key).collect();
+        declared.sort_unstable();
+        assert_eq!(observed, declared);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! `parse(serialize(spec)) == spec` for every valid spec (property-tested
 //! in `tests/parser_roundtrip.rs`).
 
+use crate::engine::STATS;
 use presp_events::json::{self, JsonValue};
 use presp_floorplan::FitPolicy;
 use presp_fpga::fault::FaultConfig;
@@ -203,21 +204,21 @@ pub enum Assertion {
     FinalScrubClean,
     /// The named stat, totalled across all runs, is at least `value`.
     StatMin {
-        /// A key from [`STAT_KEYS`].
+        /// A key from [`STATS`].
         stat: String,
         /// Inclusive lower bound.
         value: u64,
     },
     /// The named stat, totalled across all runs, is at most `value`.
     StatMax {
-        /// A key from [`STAT_KEYS`].
+        /// A key from [`STATS`].
         stat: String,
         /// Inclusive upper bound.
         value: u64,
     },
     /// The named stat, totalled across all runs, equals `value` exactly.
     StatEq {
-        /// A key from [`STAT_KEYS`].
+        /// A key from [`STATS`].
         stat: String,
         /// Expected total.
         value: u64,
@@ -255,78 +256,6 @@ pub enum Assertion {
     /// supervisor failed to heal.
     NoOrphanedTickets,
 }
-
-/// Every stat key the `stat_min`/`stat_max`/`stat_eq` assertions accept.
-/// Totals are summed across all runs of the scenario.
-pub const STAT_KEYS: &[&str] = &[
-    // ManagerStats
-    "reconfig_requests",
-    "reconfigurations",
-    "driver_cache_hits",
-    "coalesced",
-    "retries_exhausted",
-    "rejected",
-    "retries",
-    "quarantines",
-    "reconfig_cycles",
-    "runs",
-    "fallback_runs",
-    "scrub_passes",
-    "frames_repaired",
-    "scrub_quarantines",
-    "deadline_misses",
-    "shed",
-    // Amorphous-floorplanning accounting (ManagerStats)
-    "oversized_rejected",
-    "oversized_admitted",
-    "repack_admitted",
-    // Repack counters (ManagerStats repack_passes / repack_moves /
-    // frames_moved)
-    "defrag_passes",
-    "defrag_moves",
-    "frames_moved",
-    // SupervisorStats
-    "worker_deaths",
-    "worker_respawns",
-    "redispatches",
-    "injected_worker_panics",
-    "injected_worker_hangs",
-    "injected_worker_stalls",
-    "orphaned_tickets",
-    // SchedulerStats (the deterministic subset)
-    "sched_admitted",
-    "sched_completed",
-    "sched_coalesced",
-    // Verified-bitstream cache
-    "bitstream_cache_hits",
-    "bitstream_cache_misses",
-    "bitstream_cache_evictions",
-    // Scrub counters (ManagerStats scrub_passes / scrub_clean_passes /
-    // frames_repaired / scrub_quarantines, under their historical names)
-    "scrubber_passes",
-    "scrubber_clean_passes",
-    "scrubber_frames_repaired",
-    "scrubber_quarantines",
-    // Injected faults
-    "injected_total",
-    "injected_icap_corruptions",
-    "injected_dfxc_stalls",
-    "injected_registry_misses",
-    "injected_decoupler_delays",
-    "injected_seu_upsets",
-    "injected_seu_double_bits",
-    // Engine-level accounting
-    "submitted",
-    "completed_ok",
-    "cpu_fallback_completions",
-    "value_mismatches",
-    "lost_requests",
-    "overloaded_rejections",
-    "deadline_cancellations",
-    "quarantined_tiles",
-    "final_sweep_dirty",
-    "region_rejections",
-];
 
 /// A complete declarative scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -853,10 +782,11 @@ fn parse_assertion(value: &JsonValue, index: usize) -> Result<Assertion, Scenari
     let stat_arg = |value: &JsonValue| -> Result<(String, u64), ScenarioError> {
         reject_unknown_keys(value, &ctx, &["check", "stat", "value"])?;
         let stat = get_str(value, &ctx, "stat")?;
-        if !STAT_KEYS.contains(&stat.as_str()) {
+        if !STATS.iter().any(|&(key, _)| key == stat) {
+            let keys: Vec<&str> = STATS.iter().map(|&(key, _)| key).collect();
             return err(format!(
                 "unknown stat '{stat}' in {ctx} (expected one of: {})",
-                STAT_KEYS.join(", ")
+                keys.join(", ")
             ));
         }
         let v = get_u64(value, &ctx, "value")?;

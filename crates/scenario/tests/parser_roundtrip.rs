@@ -11,6 +11,7 @@ use presp_floorplan::FitPolicy;
 use presp_fpga::fault::FaultConfig;
 use presp_runtime::manager::{OverloadPolicy, RecoveryPolicy};
 use presp_runtime::supervisor::WorkerFaultConfig;
+use presp_scenario::engine::STATS;
 use presp_scenario::spec::{
     Assertion, CatalogKind, FabricSpec, RegionsSpec, ScenarioSpec, ScrubberSpec, SeedSpec,
     WorkloadSpec,
@@ -138,8 +139,7 @@ proptest! {
             },
         };
 
-        let stat = presp_scenario::spec::STAT_KEYS[stat_sel % presp_scenario::spec::STAT_KEYS.len()]
-            .to_string();
+        let stat = STATS[stat_sel % STATS.len()].0.to_string();
         let mut assertions = vec![Assertion::StatsConsistent];
         if assertion_sel & 1 != 0 {
             assertions.push(Assertion::NoLostRequests);

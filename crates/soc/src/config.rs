@@ -5,11 +5,10 @@ use crate::json::{self, JsonValue};
 use crate::tile::TileKind;
 use presp_accel::catalog::AcceleratorKind;
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tile position in the grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileCoord {
     /// Grid row.
     pub row: usize,
@@ -40,7 +39,7 @@ impl fmt::Display for TileCoord {
 /// Round-trips through JSON files (the analogue of ESP's `esp_defconfig`)
 /// via [`SocConfig::to_json`] / [`SocConfig::from_json`]; tiles are encoded
 /// as variant strings such as `"Aux"` or `"Accel(gemm)"`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocConfig {
     name: String,
     rows: usize,

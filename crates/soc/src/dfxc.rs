@@ -13,11 +13,10 @@ use crate::error::Error;
 use presp_fpga::bitstream::Bitstream;
 use presp_fpga::fabric::Device;
 use presp_fpga::icap::{Icap, IcapReport};
-use serde::{Deserialize, Serialize};
 
 /// DFXC status values (the subset of the IP's VSM states the software
 /// stack cares about).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DfxcStatus {
     /// Ready for a trigger.
     Idle,

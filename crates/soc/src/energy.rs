@@ -10,12 +10,11 @@
 
 use presp_accel::power::{leakage_w, BASE_POWER_W, RECONFIG_POWER_W};
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 
 pub use presp_events::cycles_to_seconds;
 
 /// An energy meter for one simulation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EnergyMeter {
     dynamic_j: f64,
     reconfig_j: f64,
@@ -23,7 +22,7 @@ pub struct EnergyMeter {
 }
 
 /// A finalized energy report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Dynamic energy of accelerator/CPU activity, Joules.
     pub dynamic_j: f64,

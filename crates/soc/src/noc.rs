@@ -10,7 +10,6 @@
 
 use crate::config::TileCoord;
 use presp_events::ResourceTimeline;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Link width: bytes moved per cycle per link.
@@ -21,7 +20,7 @@ pub const HOP_LATENCY: u64 = 4;
 pub const HEADER_FLITS: u64 = 2;
 
 /// The six physical NoC planes of the ESP architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Plane {
     /// Coherence requests.
     Coherence,
@@ -62,7 +61,7 @@ impl Plane {
 }
 
 /// A completed transfer's timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     /// Cycle the first flit left the source.
     pub start: u64,

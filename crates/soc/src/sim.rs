@@ -36,7 +36,6 @@ use presp_fpga::frame::FrameAddress;
 use presp_fpga::icap::ICAP_CLOCK_MHZ;
 use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// The tile's location as a trace record coordinate.
@@ -85,7 +84,7 @@ impl AccelRun {
 }
 
 /// Timing of one partial reconfiguration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigRun {
     /// Cycle the DFXC accepted the trigger.
     pub start: u64,
@@ -107,7 +106,7 @@ impl ReconfigRun {
 }
 
 /// Timing of one transactional region move (amorphous floorplanning).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionMoveRun {
     /// Cycle the readback actually started on the ICAP.
     pub start: u64,
@@ -122,7 +121,7 @@ pub struct RegionMoveRun {
 }
 
 /// One configuration-memory upset applied by the fault plan's SEU stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeuRecord {
     /// Cycle the upset struck.
     pub cycle: u64,
@@ -159,7 +158,7 @@ impl ScrubReport {
 }
 
 /// An interrupt delivered to the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IrqEvent {
     /// Source tile.
     pub source: TileCoord,

@@ -2,7 +2,6 @@
 
 use presp_accel::catalog::AcceleratorKind;
 use presp_fpga::resources::Resources;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Socket overhead of a reconfigurable tile: the NoC proxies, the
@@ -11,7 +10,7 @@ use std::fmt;
 pub const RECONF_SOCKET: Resources = Resources::new(4_600, 6_100, 2, 0);
 
 /// The tile kinds of the (PR-)ESP architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileKind {
     /// Processor tile (Leon3 in the paper's evaluation).
     Cpu,

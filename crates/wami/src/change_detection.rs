@@ -6,13 +6,12 @@
 
 use crate::error::Error;
 use crate::image::{GrayImage, Image};
-use serde::{Deserialize, Serialize};
 
 /// Number of Gaussians per pixel.
 pub const K: usize = 3;
 
 /// One Gaussian component of a pixel's background mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Component {
     /// Mixture weight.
     pub weight: f32,
@@ -33,7 +32,7 @@ impl Default for Component {
 }
 
 /// Tuning parameters of the mixture model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GmmConfig {
     /// Learning rate for weights and matched components.
     pub alpha: f32,

@@ -1,6 +1,5 @@
 //! The WAMI-App dataflow graph (Fig. 3 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The twelve WAMI accelerator kernels, numbered as in Fig. 3.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Kernels #3–#11 are the decomposition of the Lucas-Kanade registration
 /// stage; the paper splits LK "into multiple accelerators to further
 /// parallelize its execution".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WamiKernel {
     /// #1 — Bayer demosaic.
     Debayer,

@@ -1,7 +1,6 @@
 //! Image containers shared by all WAMI kernels.
 
 use crate::error::Error;
-use serde::{Deserialize, Serialize};
 
 /// A row-major 2D image.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(img.get(2, 1), 0.5);
 /// assert_eq!(img.width(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image<T> {
     width: usize,
     height: usize,

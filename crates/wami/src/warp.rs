@@ -2,7 +2,6 @@
 
 use crate::error::Error;
 use crate::image::GrayImage;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 6-parameter affine warp in the Lucas-Kanade parameterization:
@@ -27,7 +26,7 @@ use std::fmt;
 /// assert!((x - 5.0).abs() < 1e-6 && (y - 5.0).abs() < 1e-6);
 /// # Ok::<(), presp_wami::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AffineParams {
     /// The six parameters `[p1, p2, p3, p4, p5, p6]`.
     pub p: [f64; 6],

@@ -429,7 +429,7 @@ fn supervised_recovery_model() {
     let stats = mgr.stats();
     assert!(stats.consistent(), "inconsistent stats: {stats:?}");
     let sup = mgr.supervisor_stats();
-    assert_eq!(sup.hangs_injected, 1, "scripted hang must fire: {sup:?}");
+    assert_eq!(sup.injected.hangs, 1, "scripted hang must fire: {sup:?}");
     assert!(sup.redispatches >= 1, "steal must redispatch: {sup:?}");
 }
 

@@ -219,7 +219,7 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
     // the restart budget bought exactly one respawn; every healed claim
     // (dead or wedged) was redispatched under its original ticket.
     assert_eq!(
-        sup.worker_deaths, sup.panics_injected,
+        sup.worker_deaths, sup.injected.panics,
         "seed {seed}: deaths and injected panics disagree: {sup:?}"
     );
     assert_eq!(
@@ -228,7 +228,7 @@ fn run_supervised(seed: u64, workers: usize) -> Outcome {
         "seed {seed}: respawns are not min(deaths, budget): {sup:?}"
     );
     assert!(
-        sup.redispatches >= sup.worker_deaths + sup.hangs_injected,
+        sup.redispatches >= sup.worker_deaths + sup.injected.hangs,
         "seed {seed}: a healed claim was never redispatched: {sup:?}"
     );
     let orphaned = manager.orphaned_tickets();
@@ -258,9 +258,9 @@ fn two_hundred_seeded_crash_storms_lose_nothing() {
     let mut total_repairs = 0u64;
     for seed in 0..SEEDS {
         let outcome = run_supervised(seed, WORKERS);
-        total_panics += outcome.sup.panics_injected;
-        total_hangs += outcome.sup.hangs_injected;
-        total_stalls += outcome.sup.stalls_injected;
+        total_panics += outcome.sup.injected.panics;
+        total_hangs += outcome.sup.injected.hangs;
+        total_stalls += outcome.sup.injected.stalls;
         total_respawns += outcome.sup.worker_respawns;
         total_repairs += outcome.stats.frames_repaired;
     }
