@@ -24,10 +24,9 @@ use crate::render::table;
 use presp_accel::AcceleratorKind;
 use presp_events::json::{int, num, obj, string, JsonValue};
 use presp_floorplan::{FitPolicy, RegionAllocator};
-use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
+use presp_fpga::bitstream::Bitstream;
 use presp_fpga::fabric::{ColumnKind, Device};
 use presp_fpga::fault::SplitMix64;
-use presp_fpga::frame::FrameAddress;
 use presp_fpga::part::FpgaPart;
 use presp_runtime::error::Error;
 use presp_runtime::registry::BitstreamRegistry;
@@ -234,19 +233,6 @@ fn run_churn(device: &Device, policy: FitPolicy, ops: usize) -> ChurnCell {
 // ---------------------------------------------------------------------------
 // Cell 2: bitstream relocation.
 
-/// A partial CLB bitstream: `frames` minor frames in each of `cols`.
-fn span_bitstream(device: &Device, cols: std::ops::Range<u32>, frames: u32) -> Bitstream {
-    let mut b = BitstreamBuilder::new(device, BitstreamKind::Partial);
-    let words = device.part().family().frame_words();
-    for col in cols {
-        for minor in 0..frames {
-            b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-                .expect("canonical frame address is in range");
-        }
-    }
-    b.build(true)
-}
-
 /// Hop a deep bitstream between the fabric's first and last CLB columns,
 /// re-deriving both CRCs on every hop (that is what `relocate` does),
 /// with as many verification passes over the same stream timed in
@@ -261,7 +247,8 @@ fn run_relocation(device: &Device, wl: &Workload) -> RelocCell {
         .expect("the fabric model has CLB columns") as u32;
     assert!(last > first, "need two distinct CLB columns to hop between");
     let delta = (last - first) as i64;
-    let mut current = span_bitstream(device, first..first + 1, wl.reloc_frames);
+    let mut current = Bitstream::synthetic_partial(device, first..first + 1, wl.reloc_frames)
+        .expect("canonical frame address is in range");
     let frames = current.frame_count() as u64;
     let batch = wl.reloc_reps.div_ceil(RELOCATION_BATCHES).max(1);
     let (mut reps, mut elapsed) = (0usize, Duration::ZERO);
@@ -319,7 +306,12 @@ fn run_repack() -> RepackCell {
             (AcceleratorKind::Gemm, 7..10),
         ] {
             registry
-                .register(tile, kind, span_bitstream(&device, cols, 4))
+                .register(
+                    tile,
+                    kind,
+                    Bitstream::synthetic_partial(&device, cols, 4)
+                        .expect("canonical frame address is in range"),
+                )
                 .unwrap();
         }
     }

@@ -13,6 +13,7 @@ use crate::fabric::Device;
 use crate::frame::FrameAddress;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Dummy pad word at the head of every bitstream.
 pub const DUMMY_WORD: u32 = 0xFFFF_FFFF;
@@ -305,6 +306,30 @@ impl Bitstream {
             frames: self.frames,
             integrity: self.integrity,
         }
+    }
+
+    /// A synthetic compressed partial bitstream for tests, scenarios and
+    /// benches: `frames` minor frames in row 0 of every column in
+    /// `cols`, with frame `(col, minor)` holding the word `col + minor`
+    /// throughout. The words set the compressed size, and so the virtual
+    /// reconfiguration time, of every stream built this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a frame address is invalid for `device`.
+    pub fn synthetic_partial(
+        device: &Device,
+        cols: Range<u32>,
+        frames: u32,
+    ) -> Result<Bitstream, Error> {
+        let mut builder = BitstreamBuilder::new(device, BitstreamKind::Partial);
+        let words = device.part().family().frame_words();
+        for col in cols {
+            for minor in 0..frames {
+                builder.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])?;
+            }
+        }
+        Ok(builder.build(true))
     }
 }
 
@@ -769,6 +794,29 @@ mod tests {
     #[test]
     fn dummy_word_is_not_a_valid_packet() {
         assert!(decode_header(DUMMY_WORD).is_err());
+    }
+
+    #[test]
+    fn synthetic_partial_writes_col_plus_minor_into_every_frame() {
+        let d = device();
+        let bs = Bitstream::synthetic_partial(&d, 3..5, 2).unwrap();
+        assert_eq!(bs.kind(), BitstreamKind::Partial);
+        assert!(bs.compressed());
+        assert_eq!(bs.frame_count(), 4);
+        let mut icap = crate::icap::Icap::new(&d);
+        icap.load(&bs).unwrap();
+        let addresses: Vec<_> = [(3, 0), (3, 1), (4, 0), (4, 1)]
+            .map(|(col, minor)| FrameAddress::new(0, col, minor))
+            .into();
+        assert_eq!(icap.memory().configured_addresses(), addresses);
+        for addr in addresses {
+            assert_eq!(
+                icap.memory().frame(addr),
+                frame_of(&d, addr.column + addr.minor),
+                "{addr:?}"
+            );
+        }
+        assert!(Bitstream::synthetic_partial(&d, 0..1, 1_000_000).is_err());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! and caches the result.
 //!
 //! A capacity of zero disables the cache entirely (every lookup goes to
-//! the registry) — the default for the deterministic
-//! [`crate::manager::ReconfigManager`], whose trace log is a
-//! semantics-preservation oracle and must not change.
+//! the registry). The deterministic [`crate::manager::ReconfigManager`]
+//! always runs with the cache disabled: its trace log is a
+//! semantics-preservation oracle and must not gain cache events. Only the
+//! threaded runtime sizes the cache (`RuntimeConfig::cache_capacity`).
 
 use crate::error::Error;
 use crate::registry::BitstreamRegistry;

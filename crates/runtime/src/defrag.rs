@@ -155,33 +155,12 @@ mod tests {
     use presp_accel::catalog::AcceleratorKind;
     use presp_check::{CheckSync, Checker, Config, FailureKind};
     use presp_floorplan::FitPolicy;
-    use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
-    use presp_fpga::frame::FrameAddress;
+    use presp_fpga::bitstream::Bitstream;
     use presp_soc::config::SocConfig;
     use presp_soc::sim::Soc;
 
     fn bitstream(soc: &Soc, col: u32, frames: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        for minor in 0..frames {
-            b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-                .unwrap();
-        }
-        b.build(true)
-    }
-
-    fn span_bitstream(soc: &Soc, cols: std::ops::Range<u32>, frames: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        for col in cols {
-            for minor in 0..frames {
-                b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-                    .unwrap();
-            }
-        }
-        b.build(true)
+        Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, frames).unwrap()
     }
 
     /// The manager-side amorphous recipe (see `manager::tests`), driven
@@ -203,7 +182,11 @@ mod tests {
                 .register(tile, AcceleratorKind::Sort, bitstream(&soc, 3, 4))
                 .unwrap();
             registry
-                .register(tile, AcceleratorKind::Gemm, span_bitstream(&soc, 7..10, 4))
+                .register(
+                    tile,
+                    AcceleratorKind::Gemm,
+                    Bitstream::synthetic_partial(&soc.part().device(), 7..10, 4).unwrap(),
+                )
                 .unwrap();
         }
         let mgr = ThreadedManager::spawn(soc, registry);

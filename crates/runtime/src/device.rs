@@ -183,11 +183,6 @@ impl DeviceCore {
         self.cache.stats()
     }
 
-    /// Replaces the verified-bitstream cache (e.g. to change capacity).
-    pub(crate) fn set_cache(&mut self, cache: BitstreamCache) {
-        self.cache = cache;
-    }
-
     /// Installs the scheduler's per-worker trace shards; worker `i`
     /// re-attaches its shard before each commit.
     pub(crate) fn set_trace_shards(&mut self, shards: Vec<SharedSink>) {

@@ -260,22 +260,9 @@ impl ReconfigManager {
         }
     }
 
-    /// The active recovery policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
     /// Replaces the recovery policy.
     pub fn set_policy(&mut self, policy: RecoveryPolicy) {
         self.policy = policy;
-    }
-
-    /// Enables (capacity > 0) or disables (capacity 0) the LRU cache of
-    /// verified bitstreams in front of the registry. Disabled by default:
-    /// the deterministic manager's trace log doubles as a
-    /// semantics-preservation oracle and must not gain cache events.
-    pub fn set_bitstream_cache_capacity(&mut self, capacity: usize) {
-        self.core.set_cache(BitstreamCache::new(capacity));
     }
 
     /// Hit/miss counters of the verified-bitstream cache.
@@ -655,33 +642,11 @@ impl ReconfigManager {
 mod tests {
     use super::*;
     use presp_accel::AccelValue;
-    use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
-    use presp_fpga::frame::FrameAddress;
+    use presp_fpga::bitstream::Bitstream;
     use presp_soc::config::SocConfig;
 
     fn bitstream(soc: &Soc, col: u32, frames: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        for minor in 0..frames {
-            b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-                .unwrap();
-        }
-        b.build(true)
-    }
-
-    /// A partial stream with `frames` frames in each of `cols`.
-    fn span_bitstream(soc: &Soc, cols: std::ops::Range<u32>, frames: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        for col in cols {
-            for minor in 0..frames {
-                b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-                    .unwrap();
-            }
-        }
-        b.build(true)
+        Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, frames).unwrap()
     }
 
     fn manager(n_tiles: usize) -> (ReconfigManager, Vec<TileCoord>) {
@@ -972,7 +937,11 @@ mod tests {
                 .register(tile, AcceleratorKind::Sort, bitstream(&soc, 3, 4))
                 .unwrap();
             registry
-                .register(tile, AcceleratorKind::Gemm, span_bitstream(&soc, 7..10, 4))
+                .register(
+                    tile,
+                    AcceleratorKind::Gemm,
+                    Bitstream::synthetic_partial(&soc.part().device(), 7..10, 4).unwrap(),
+                )
                 .unwrap();
         }
         let mut mgr = ReconfigManager::new(soc, registry);
@@ -1044,24 +1013,5 @@ mod tests {
         let report = mgr.repack_at(0).unwrap();
         assert_eq!(report, RepackReport::default());
         assert!(mgr.fragmentation().is_none());
-    }
-
-    #[test]
-    fn enabled_bitstream_cache_skips_reverification_on_swaps() {
-        let (mut mgr, tiles) = manager(1);
-        let tile = tiles[0];
-        mgr.set_bitstream_cache_capacity(4);
-        for _ in 0..3 {
-            mgr.request_reconfiguration(tile, AcceleratorKind::Mac)
-                .unwrap();
-            mgr.request_reconfiguration(tile, AcceleratorKind::Sort)
-                .unwrap();
-        }
-        let cache = mgr.bitstream_cache_stats();
-        // Each swap performs a precheck lookup plus one per attempt; after
-        // the first Mac/Sort misses everything is served from the cache.
-        assert_eq!(cache.misses, 2);
-        assert!(cache.hits >= 8, "cache hits: {}", cache.hits);
-        assert!(mgr.stats().consistent());
     }
 }

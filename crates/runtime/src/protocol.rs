@@ -7,8 +7,18 @@
 //! them with its directly-owned shards, and the OS-threaded
 //! [`crate::threaded::ThreadedManager`] calls them while holding the per-tile
 //! shard lock and the device-core lock. Every trace event, counter
-//! update and virtual-time decision lives here, so both paths are
-//! byte-identical by construction.
+//! update and virtual-time decision of a request's outcome lives here —
+//! including the CPU degrade and the deadline-miss booking — so both
+//! paths are byte-identical by construction.
+//!
+//! The scheduler emits only its own scheduling records, which the
+//! deterministic manager has no counterpart for: `sched.dispatch`,
+//! `sched.redispatch` and `sched.worker_died` at a job's commit slot,
+//! `sched.shed` (with the `shed` counter) when admission control refuses
+//! or displaces a request, and `sched.coalesced` (with the `coalesced`
+//! and folded `reconfig_requests` counts) when a load answers folded
+//! waiters. Maintenance passes count through [`scrub_tile_at`] and
+//! [`close_repack_pass`].
 //!
 //! The `value` parameters carry an operation's behavioral result, which
 //! every caller evaluates before calling in (accelerator instances are
@@ -29,6 +39,7 @@ use presp_floorplan::RegionMove;
 use presp_fpga::bitstream::Bitstream;
 use presp_fpga::fabric::Device;
 use presp_fpga::fault::FaultPlan;
+use presp_soc::config::TileCoord;
 use presp_soc::sim::{csr, AccelRun, ReconfigRun, ScrubReport};
 
 /// An operation's behavioral result, evaluated by the caller.
@@ -521,21 +532,60 @@ pub(crate) fn run_with_fallback_at(
 ) -> Result<(AccelRun, ExecPath), Error> {
     match request_reconfiguration_at(tile_state, core, policy, kind, at, prepared) {
         Ok(_) => run_at(tile_state, core, op, at, value).map(|run| (run, ExecPath::Accelerator)),
+        // Start the software run after the failed recovery concluded on
+        // this tile's timeline.
         Err(e) if e.is_degradable() && policy.cpu_fallback => {
-            // Start the software run after the failed recovery
-            // concluded on this tile's timeline.
-            let start = at.max(tile_state.idle_at());
-            core.soc_mut()
-                .tracer_mut()
-                .instant(ClockDomain::SocCycles, start, || TraceEvent::CpuFallback {
-                    kind: kind.name(),
-                });
-            let run = run_on_cpu_at(core, op, start, value)?;
-            core.stats_mut().fallback_runs += 1;
-            Ok((run, ExecPath::CpuFallback))
+            degrade_to_cpu_at(core, kind, op, at.max(tile_state.idle_at()), value)
         }
         Err(e) => Err(e),
     }
+}
+
+/// Degrades a request for `kind` to the CPU software path starting at
+/// cycle `start`: traces the `cpu.fallback` record, runs `op` on the CPU
+/// tile and counts a completed run in `fallback_runs`. The one degrade
+/// step, shared by a degradable reconfiguration failure
+/// ([`run_with_fallback_at`]) and the scheduler's missed deadline.
+pub(crate) fn degrade_to_cpu_at(
+    core: &mut DeviceCore,
+    kind: AcceleratorKind,
+    op: &AccelOp,
+    start: u64,
+    value: Evaluated,
+) -> Result<(AccelRun, ExecPath), Error> {
+    core.soc_mut()
+        .tracer_mut()
+        .instant(ClockDomain::SocCycles, start, || TraceEvent::CpuFallback {
+            kind: kind.name(),
+        });
+    let run = run_on_cpu_at(core, op, start, value)?;
+    core.stats_mut().fallback_runs += 1;
+    Ok((run, ExecPath::CpuFallback))
+}
+
+/// Books a request that reached its commit slot `late` cycles past its
+/// deadline, with its virtual start at `begin`. The miss is the
+/// request's single ledger outcome — one reconfiguration request, one
+/// deadline miss, one `sched.deadline_miss` record — and the protocol
+/// call that would have counted it is skipped.
+pub(crate) fn miss_deadline(
+    core: &mut DeviceCore,
+    tile: TileCoord,
+    ticket: u64,
+    begin: u64,
+    late: u64,
+) {
+    core.stats_mut().reconfig_requests += 1;
+    core.stats_mut().deadline_misses += 1;
+    core.soc_mut()
+        .tracer_mut()
+        .instant(ClockDomain::SocCycles, begin, || {
+            TraceEvent::DeadlineMissed {
+                tile: loc(tile),
+                ticket,
+                late,
+            }
+        });
 }
 
 /// Scrubs the shard's tile starting no earlier than `at`. See

@@ -9,6 +9,14 @@
 //! the [`Pending`] completion handle; the public methods live on the
 //! runtime handle. The design:
 //!
+//! * **One request path.** Reconfigure, run and execute are the three
+//!   variants of one `Payload` and take one path from `submit_*` to the
+//!   reply: the handle's breaker check, the deadline stamp, one admission
+//!   (`Shared::admit`: stop flag, unknown tile, coalescing for a
+//!   reconfiguration, the bounded queue, the ticketed push), the claim,
+//!   the lock-free prepare, the gate-ordered commit and the reply. Every
+//!   refusal, shed, drain and released hang answers all of a payload's
+//!   waiters through one `Payload::fail`.
 //! * **Per-tile queues, N workers.** Each tile's FIFO lives in its own
 //!   shard behind a `tile_queue` mutex; a small `sched_admission` lock
 //!   holds only the global ticket counter, the aggregate stats and the
@@ -42,7 +50,6 @@
 //!   ([`presp_events::TraceEvent::RequestCoalesced`]).
 //! * **The bitstream cache.** The device core fronts registry lookups
 //!   with a bounded LRU of verified streams ([`crate::cache`]).
-//!
 //! * **Supervision** (`policy.supervised`). Workers register every
 //!   claim (a recoverable stash of the job) with a supervisor table; a
 //!   watchdog thread steals claims whose owner wedged before its commit
@@ -56,7 +63,8 @@
 //! * **Deadlines and admission control.** `policy.deadline_cycles`
 //!   stamps every reconfigure/execute with a virtual-time deadline at
 //!   submission; a job reaching its commit slot late is cancelled
-//!   ([`Error::DeadlineExceeded`]) or degraded to the CPU, accounted in
+//!   ([`Error::DeadlineExceeded`]) or degraded to the CPU through the
+//!   protocol's one degrade step, and booked by the protocol in
 //!   [`crate::manager::ManagerStats::deadline_misses`].
 //!   `policy.queue_capacity` bounds each tile queue: overflow either
 //!   refuses the newcomer or sheds the oldest queued request
@@ -81,7 +89,7 @@ use crate::cache::BitstreamCache;
 use crate::device::{loc, DeviceCore};
 use crate::error::Error;
 use crate::manager::{ExecPath, OverloadPolicy, RecoveryPolicy};
-use crate::protocol::{self, Evaluated, PreparedBitstream};
+use crate::protocol::{self, PreparedBitstream};
 use crate::registry::BitstreamRegistry;
 use crate::supervisor::{InjectedWorkerPanic, SupervisorStats, WorkerFault, WorkerFaultPlan};
 use crate::sync::{Arc, SyncFacade};
@@ -194,13 +202,15 @@ impl SchedulerStats {
     }
 }
 
-/// A request travelling through a tile queue.
+/// A request travelling through a tile queue: the one spelling of the
+/// three request kinds, from admission to reply.
 pub(crate) enum Payload<S: SyncFacade> {
     Reconfigure {
         kind: AcceleratorKind,
-        /// Primary caller plus any submissions tail-coalesced before a
-        /// worker claimed the job: all answered by one load.
-        done: Vec<S::Sender<Result<(), Error>>>,
+        done: S::Sender<Result<(), Error>>,
+        /// Submissions tail-coalesced before a worker claimed the job:
+        /// all answered by the one load.
+        coalesced: Vec<S::Sender<Result<(), Error>>>,
     },
     Run {
         op: Box<AccelOp>,
@@ -219,9 +229,14 @@ impl<S: SyncFacade> Payload<S> {
     /// worker's job can be redispatched without losing its waiters.
     fn stash(&self) -> Payload<S> {
         match self {
-            Payload::Reconfigure { kind, done } => Payload::Reconfigure {
+            Payload::Reconfigure {
+                kind,
+                done,
+                coalesced,
+            } => Payload::Reconfigure {
                 kind: *kind,
-                done: done.iter().map(|tx| S::clone_sender(tx)).collect(),
+                done: S::clone_sender(done),
+                coalesced: coalesced.iter().map(|tx| S::clone_sender(tx)).collect(),
             },
             Payload::Run { op, done } => Payload::Run {
                 op: op.clone(),
@@ -235,46 +250,26 @@ impl<S: SyncFacade> Payload<S> {
         }
     }
 
-    /// The prepare stage's behavioral evaluation, run outside every lock:
-    /// each operation gets its value (a pure function of the operation,
-    /// since accelerator instances are stateless); the protocol consumes
-    /// it only after its own driver checks pass.
-    fn evaluate(self) -> Prepared<S> {
+    /// Answers every waiter with `error`: the one refusal, shared by
+    /// refused submissions, sheds, the shutdown drain and released
+    /// hangs. Call it with no lock held.
+    pub(crate) fn fail(self, error: Error) {
         match self {
-            Payload::Reconfigure { kind, done } => Prepared::Reconfigure { kind, done },
-            Payload::Run { op, done } => Prepared::Run {
-                value: protocol::evaluate(&op),
-                op,
-                done,
-            },
-            Payload::Execute { kind, op, done } => Prepared::Execute {
-                kind,
-                value: protocol::evaluate(&op),
-                op,
-                done,
-            },
+            Payload::Reconfigure {
+                done, coalesced, ..
+            } => {
+                for tx in std::iter::once(done).chain(coalesced) {
+                    let _ = S::send(&tx, Err(error.clone()));
+                }
+            }
+            Payload::Run { done, .. } => {
+                let _ = S::send(&done, Err(error));
+            }
+            Payload::Execute { done, .. } => {
+                let _ = S::send(&done, Err(error));
+            }
         }
     }
-}
-
-/// A claimed job after [`Payload::evaluate`]: operations carry their
-/// behavioral value into the commit critical section.
-enum Prepared<S: SyncFacade> {
-    Reconfigure {
-        kind: AcceleratorKind,
-        done: Vec<S::Sender<Result<(), Error>>>,
-    },
-    Run {
-        op: Box<AccelOp>,
-        value: Evaluated,
-        done: S::Sender<Result<AccelRun, Error>>,
-    },
-    Execute {
-        kind: AcceleratorKind,
-        op: Box<AccelOp>,
-        value: Evaluated,
-        done: S::Sender<Result<(AccelRun, ExecPath), Error>>,
-    },
 }
 
 /// One healed fault in a job's history, carried inside the rebuilt job
@@ -335,6 +330,47 @@ impl<S: SyncFacade> TileQueue<S> {
             inflight: None,
         }
     }
+
+    /// Folds a reconfiguration into an identical queued or in-flight
+    /// one; hands any other payload back for queueing.
+    fn coalesce(&mut self, payload: Payload<S>) -> Result<(), Payload<S>> {
+        let Payload::Reconfigure {
+            kind,
+            done,
+            coalesced,
+        } = payload
+        else {
+            return Err(payload);
+        };
+        let waiters = match (self.jobs.back_mut(), self.inflight.as_mut()) {
+            // Tail coalescing: identical to the youngest queued request —
+            // folding preserves per-tile FIFO semantics exactly.
+            (
+                Some(Job {
+                    payload:
+                        Payload::Reconfigure {
+                            kind: tail,
+                            coalesced: waiters,
+                            ..
+                        },
+                    ..
+                }),
+                _,
+            ) if *tail == kind => waiters,
+            // In-flight coalescing: nothing queued behind the claimed job,
+            // so joining it cannot reorder anything.
+            (None, Some(inflight)) if inflight.kind == kind => &mut inflight.extra_waiters,
+            _ => {
+                return Err(Payload::Reconfigure {
+                    kind,
+                    done,
+                    coalesced,
+                })
+            }
+        };
+        waiters.push(done);
+        Ok(())
+    }
 }
 
 /// Everything guarded by the `sched_admission` lock: the global ticket
@@ -352,14 +388,10 @@ pub(crate) struct Admission {
     heads: BTreeMap<u64, TileCoord>,
 }
 
-pub(crate) enum Admitted<S: SyncFacade> {
-    /// A fresh job joined the queue — wake a worker.
-    Enqueued,
-    /// Folded into a queued or in-flight reconfiguration.
-    Coalesced,
-    /// Refused before queueing; answer the caller directly.
-    Refused(Error, S::Sender<Result<(), Error>>),
-}
+/// A request [`Shared::admit`] refused before queueing, handed back
+/// with the error to [`Payload::fail`] it with once the locks are
+/// released.
+pub(crate) type Refusal<S> = (Error, Payload<S>);
 
 /// A request displaced (or refused) by the bounded-queue admission
 /// controller, settled by [`Shared::settle_shed`] after the admission
@@ -370,9 +402,9 @@ pub(crate) struct Shed<S: SyncFacade> {
     /// before a ticket was assigned (the `sched.shed` record then traces
     /// the ticket the request would have taken).
     ticket: Option<u64>,
-    /// The displaced payload, answered with [`Error::Overloaded`];
-    /// `None` when a refused newcomer's waiters are answered on the
-    /// submit side instead.
+    /// The displaced or refused payload, answered with
+    /// [`Error::Overloaded`]; `None` at the circuit breaker, whose caller
+    /// answers with [`Error::TileQuarantined`] instead.
     victim: Option<Payload<S>>,
 }
 
@@ -509,144 +541,78 @@ pub(crate) struct Shared<S: SyncFacade> {
 }
 
 impl<S: SyncFacade> Shared<S> {
-    /// Admits a reconfiguration, coalescing where possible. Lock order:
-    /// `sched_admission` → `tile_queue`. The second return is a shed the
-    /// caller must settle *after* releasing its interest in the reply
-    /// channel (see [`Shared::settle_shed`]).
-    pub(crate) fn admit_reconfigure(
-        &self,
-        tile: TileCoord,
-        kind: AcceleratorKind,
-        deadline_at: Option<u64>,
-        done: S::Sender<Result<(), Error>>,
-    ) -> (Admitted<S>, Option<Shed<S>>) {
-        let mut adm = S::lock(&self.admission);
-        if adm.stopping {
-            return (Admitted::Refused(Error::ManagerStopped, done), None);
-        }
-        let Some(shard) = self.shards.get(&tile) else {
-            return (
-                Admitted::Refused(
-                    Error::Soc(presp_soc::Error::NoSuchTile { coord: tile }),
-                    done,
-                ),
-                None,
-            );
-        };
-        let mut tq = S::lock(&shard.queue);
-        // Tail coalescing: identical to the youngest queued request —
-        // folding preserves per-tile FIFO semantics exactly.
-        if let Some(Job {
-            payload:
-                Payload::Reconfigure {
-                    kind: tail,
-                    done: waiters,
-                },
-            ..
-        }) = tq.jobs.back_mut()
-        {
-            if *tail == kind {
-                waiters.push(done);
-                adm.stats.coalesced += 1;
-                return (Admitted::Coalesced, None);
-            }
-        }
-        // In-flight coalescing: nothing queued behind the claimed job, so
-        // joining it cannot reorder anything.
-        if tq.jobs.is_empty() {
-            if let Some(inflight) = tq.inflight.as_mut() {
-                if inflight.kind == kind {
-                    inflight.extra_waiters.push(done);
-                    adm.stats.coalesced += 1;
-                    return (Admitted::Coalesced, None);
-                }
-            }
-        }
-        let shed = match self.check_capacity(&mut adm, &mut tq, tile) {
-            Ok(shed) => shed,
-            Err(door) => {
-                return (
-                    Admitted::Refused(Error::Overloaded { tile }, done),
-                    Some(door),
-                )
-            }
-        };
-        Self::push(
-            &mut adm,
-            &mut tq,
-            tile,
-            Payload::Reconfigure {
-                kind,
-                done: vec![done],
-            },
-            deadline_at,
-        );
-        (Admitted::Enqueued, shed)
-    }
-
-    /// Admits a non-coalescable job; the caller answers with the error
-    /// when the scheduler is stopping, the tile is unknown or the queue
-    /// refused the newcomer — and settles the shed, if any, after.
-    pub(crate) fn admit_job(
+    /// The one admission, for every request kind. Lock order:
+    /// `sched_admission` → `tile_queue`. A reconfiguration first tries to
+    /// fold into an identical queued or in-flight one; otherwise the
+    /// bounded-queue check runs and the job is pushed under a fresh
+    /// ticket. `Ok` carries whether a worker needs waking (a job joined
+    /// the queue) and a shed the caller settles after the locks are
+    /// released (see [`Shared::settle_shed`]) — a displaced victim, or the
+    /// newcomer itself when a full `RejectNew` queue refuses it. `Err`
+    /// hands back the payload of a request refused because the scheduler
+    /// is stopping or the tile is unknown, for the caller to
+    /// [`Payload::fail`].
+    pub(crate) fn admit(
         &self,
         tile: TileCoord,
         deadline_at: Option<u64>,
         payload: Payload<S>,
-    ) -> (Result<(), Error>, Option<Shed<S>>) {
+    ) -> Result<(bool, Option<Shed<S>>), Refusal<S>> {
         let mut adm = S::lock(&self.admission);
         if adm.stopping {
-            return (Err(Error::ManagerStopped), None);
+            return Err((Error::ManagerStopped, payload));
         }
         let Some(shard) = self.shards.get(&tile) else {
-            return (
-                Err(Error::Soc(presp_soc::Error::NoSuchTile { coord: tile })),
-                None,
-            );
+            return Err((
+                Error::Soc(presp_soc::Error::NoSuchTile { coord: tile }),
+                payload,
+            ));
         };
         let mut tq = S::lock(&shard.queue);
-        let shed = match self.check_capacity(&mut adm, &mut tq, tile) {
-            Ok(shed) => shed,
-            Err(door) => return (Err(Error::Overloaded { tile }), Some(door)),
+        let payload = match tq.coalesce(payload) {
+            Ok(()) => {
+                adm.stats.coalesced += 1;
+                return Ok((false, None));
+            }
+            Err(payload) => payload,
+        };
+        // The bounded queue: coalesced submissions never reach here —
+        // folding does not grow the queue, so it is always allowed at
+        // capacity — and a claimed job does not count against the bound.
+        let cap = self.policy.queue_capacity;
+        let shed = if cap == 0 || (tq.jobs.len() as u64) < cap {
+            None
+        } else {
+            match self.policy.overload {
+                OverloadPolicy::RejectNew => {
+                    let refused = Shed {
+                        tile,
+                        ticket: None,
+                        victim: Some(payload),
+                    };
+                    return Ok((false, Some(refused)));
+                }
+                OverloadPolicy::ShedOldest => Some(Self::shed_oldest(&mut adm, &mut tq, tile)),
+            }
         };
         Self::push(&mut adm, &mut tq, tile, payload, deadline_at);
-        (Ok(()), shed)
+        Ok((true, shed))
     }
 
-    /// Bounded-queue admission check, `sched_admission` + `tile_queue`
-    /// held (no new lock edges). Coalesced submissions never reach here —
-    /// folding does not grow the queue, so it is always allowed at
-    /// capacity — and a claimed job does not count against the bound.
-    /// `Err` means the newcomer itself must be refused.
-    fn check_capacity(
-        &self,
-        adm: &mut Admission,
-        tq: &mut TileQueue<S>,
-        tile: TileCoord,
-    ) -> Result<Option<Shed<S>>, Shed<S>> {
-        let cap = self.policy.queue_capacity;
-        if cap == 0 || (tq.jobs.len() as u64) < cap {
-            return Ok(None);
-        }
-        match self.policy.overload {
-            OverloadPolicy::RejectNew => Err(Shed {
-                tile,
-                ticket: None,
-                victim: None,
-            }),
-            OverloadPolicy::ShedOldest => {
-                let victim = tq.jobs.pop_front().expect("full queue has a front");
-                adm.heads.remove(&victim.ticket);
-                if !tq.checked_out {
-                    if let Some(front) = tq.jobs.front() {
-                        adm.heads.insert(front.ticket, tile);
-                    }
-                }
-                Ok(Some(Shed {
-                    tile,
-                    ticket: Some(victim.ticket),
-                    victim: Some(victim.payload),
-                }))
+    /// Displaces the oldest queued job of a full `ShedOldest` queue,
+    /// `sched_admission` + `tile_queue` held (no new lock edges).
+    fn shed_oldest(adm: &mut Admission, tq: &mut TileQueue<S>, tile: TileCoord) -> Shed<S> {
+        let victim = tq.jobs.pop_front().expect("full queue has a front");
+        adm.heads.remove(&victim.ticket);
+        if !tq.checked_out {
+            if let Some(front) = tq.jobs.front() {
+                adm.heads.insert(front.ticket, tile);
             }
+        }
+        Shed {
+            tile,
+            ticket: Some(victim.ticket),
+            victim: Some(victim.payload),
         }
     }
 
@@ -836,7 +802,7 @@ impl<S: SyncFacade> Shared<S> {
                     gate.retire(ticket);
                 }
                 S::notify_all(&self.gate_cv);
-                answer_stopped::<S>(claim.stash);
+                claim.stash.fail(Error::ManagerStopped);
                 return;
             }
             sup = S::wait(&self.hang_cv, sup);
@@ -941,7 +907,7 @@ impl<S: SyncFacade> Shared<S> {
                     gate.retire(ticket);
                 }
                 S::notify_all(&self.gate_cv);
-                answer_stopped::<S>(stash);
+                stash.fail(Error::ManagerStopped);
             }
             None => S::notify_all(&self.work),
         }
@@ -972,7 +938,7 @@ impl<S: SyncFacade> Shared<S> {
         }
         S::notify_all(&self.gate_cv);
         for job in drained {
-            answer_stopped::<S>(job.payload);
+            job.payload.fail(Error::ManagerStopped);
         }
     }
 
@@ -1009,7 +975,7 @@ impl<S: SyncFacade> Shared<S> {
             }
             S::notify_all(&self.gate_cv);
             for (_, stash) in wedged {
-                answer_stopped::<S>(stash);
+                stash.fail(Error::ManagerStopped);
             }
         }
     }
@@ -1054,8 +1020,8 @@ impl<S: SyncFacade> Shared<S> {
 
     /// Settles a shed outside the admission locks: retires the displaced
     /// ticket, bumps `ManagerStats::shed`, emits the `sched.shed` record
-    /// at the current horizon and answers the displaced waiters
-    /// with [`Error::Overloaded`]. Door refusals (no ticket assigned)
+    /// at the current horizon and answers the displaced or refused
+    /// waiters with [`Error::Overloaded`]. Refusals (no ticket assigned)
     /// trace the ticket the request would have taken.
     pub(crate) fn settle_shed(&self, shed: Shed<S>) {
         let ticket = match shed.ticket {
@@ -1081,41 +1047,7 @@ impl<S: SyncFacade> Shared<S> {
                 });
         }
         if let Some(victim) = shed.victim {
-            answer_overloaded::<S>(victim, shed.tile);
-        }
-    }
-}
-
-/// Answers every waiter of a payload with [`Error::ManagerStopped`].
-fn answer_stopped<S: SyncFacade>(payload: Payload<S>) {
-    match payload {
-        Payload::Reconfigure { done, .. } => {
-            for tx in done {
-                let _ = S::send(&tx, Err(Error::ManagerStopped));
-            }
-        }
-        Payload::Run { done, .. } => {
-            let _ = S::send(&done, Err(Error::ManagerStopped));
-        }
-        Payload::Execute { done, .. } => {
-            let _ = S::send(&done, Err(Error::ManagerStopped));
-        }
-    }
-}
-
-/// Answers every waiter of a shed payload with [`Error::Overloaded`].
-fn answer_overloaded<S: SyncFacade>(payload: Payload<S>, tile: TileCoord) {
-    match payload {
-        Payload::Reconfigure { done, .. } => {
-            for tx in done {
-                let _ = S::send(&tx, Err(Error::Overloaded { tile }));
-            }
-        }
-        Payload::Run { done, .. } => {
-            let _ = S::send(&done, Err(Error::Overloaded { tile }));
-        }
-        Payload::Execute { done, .. } => {
-            let _ = S::send(&done, Err(Error::Overloaded { tile }));
+            victim.fail(Error::Overloaded { tile: shed.tile });
         }
     }
 }
@@ -1138,13 +1070,6 @@ impl<S: SyncFacade, T: Send + 'static> Pending<S, T> {
     /// answering, plus whatever the request itself produced.
     pub fn wait(self) -> Result<T, Error> {
         S::recv(&self.rx).ok_or(Error::ManagerStopped)?
-    }
-
-    /// A handle that is already answered (refused-at-submit requests).
-    pub(crate) fn ready(result: Result<T, Error>) -> Pending<S, T> {
-        let (tx, rx) = S::channel();
-        let _ = S::send(&tx, result);
-        Pending { rx }
     }
 }
 
@@ -1243,7 +1168,8 @@ pub(crate) fn spawn_worker<S: SyncFacade>(
 enum Reply<S: SyncFacade> {
     Reconfigure {
         kind: AcceleratorKind,
-        done: Vec<S::Sender<Result<(), Error>>>,
+        done: S::Sender<Result<(), Error>>,
+        coalesced: Vec<S::Sender<Result<(), Error>>>,
         result: Result<(), Error>,
     },
     Run {
@@ -1298,8 +1224,15 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
             S::stall(Duration::from_micros(micros));
         }
         let prepare_started = Instant::now();
-        // -- prepare: evaluate the behavioral result outside any lock ---
-        let payload = job.payload.evaluate();
+        // -- prepare: evaluate the behavioral result outside any lock.
+        // Accelerator instances are stateless, so an operation's value is
+        // a pure function of it; the protocol consumes the value only
+        // after its own driver checks pass.
+        let payload = job.payload;
+        let value = match &payload {
+            Payload::Run { op, .. } | Payload::Execute { op, .. } => Some(protocol::evaluate(op)),
+            Payload::Reconfigure { .. } => None,
+        };
         // -- prepare: pre-fetch the verified bitstream outside the core
         // lock. The registry is immutable after boot, so the verified
         // stream (a shared reference) is exactly what the commit-time
@@ -1308,7 +1241,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         // the tile state skips the work when the driver is already
         // loaded or the tile is out of service.
         let mut prepared: PreparedBitstream = match &payload {
-            Prepared::Reconfigure { kind, .. } | Prepared::Execute { kind, .. } => {
+            Payload::Reconfigure { kind, .. } | Payload::Execute { kind, .. } => {
                 let skip = {
                     let state = S::lock(&shard.state);
                     state.is_quarantined() || state.services(*kind)
@@ -1319,9 +1252,9 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                     shared.registry.lookup(tile, *kind).ok()
                 }
             }
-            Prepared::Run { .. } => None,
+            Payload::Run { .. } => None,
         };
-        let is_reconfigure = matches!(payload, Prepared::Reconfigure { .. });
+        let is_reconfigure = matches!(payload, Payload::Reconfigure { .. });
         if matches!(fault, Some(WorkerFault::Hang)) {
             // Wedge before the commit slot. The supervisor steals the
             // claim and redispatches the stash under the same ticket;
@@ -1417,85 +1350,62 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                 .map_or(0, |deadline| begin.saturating_sub(deadline));
             let deadline_missed = late > 0;
             if deadline_missed {
-                // The miss is the request's single ledger outcome: the
-                // protocol call that would count it is skipped.
-                core.stats_mut().reconfig_requests += 1;
-                core.stats_mut().deadline_misses += 1;
-                core.soc_mut()
-                    .tracer_mut()
-                    .instant(ClockDomain::SocCycles, begin, || {
-                        TraceEvent::DeadlineMissed {
-                            tile: loc(tile),
-                            ticket,
-                            late,
-                        }
-                    });
+                protocol::miss_deadline(&mut core, tile, ticket, begin, late);
             }
-            match payload {
-                Prepared::Reconfigure { kind, done } if deadline_missed => Reply::Reconfigure {
-                    kind,
-                    done,
-                    result: Err(Error::DeadlineExceeded { tile }),
-                },
-                Prepared::Reconfigure { kind, done } => Reply::Reconfigure {
-                    kind,
-                    done,
-                    result: protocol::request_reconfiguration_at(
-                        &mut state,
-                        &mut core,
-                        &shared.policy,
+            match (payload, value) {
+                (
+                    Payload::Reconfigure {
                         kind,
-                        at,
-                        &mut prepared,
-                    )
-                    .map(|_| ()),
+                        done,
+                        coalesced,
+                    },
+                    _,
+                ) => Reply::Reconfigure {
+                    kind,
+                    done,
+                    coalesced,
+                    result: if deadline_missed {
+                        Err(Error::DeadlineExceeded { tile })
+                    } else {
+                        protocol::request_reconfiguration_at(
+                            &mut state,
+                            &mut core,
+                            &shared.policy,
+                            kind,
+                            at,
+                            &mut prepared,
+                        )
+                        .map(|_| ())
+                    },
                 },
-                Prepared::Run { op, value, done } => Reply::Run {
+                (Payload::Run { op, done }, Some(value)) => Reply::Run {
                     done,
                     result: protocol::run_at(&mut state, &mut core, &op, at, value),
                 },
-                Prepared::Execute {
-                    kind,
-                    op,
-                    value,
+                (Payload::Execute { kind, op, done }, Some(value)) => Reply::Execute {
                     done,
-                } if deadline_missed => Reply::Execute {
-                    done,
-                    result: if shared.policy.cpu_fallback {
+                    result: if !deadline_missed {
+                        protocol::run_with_fallback_at(
+                            &mut state,
+                            &mut core,
+                            &shared.policy,
+                            kind,
+                            &op,
+                            at,
+                            value,
+                            &mut prepared,
+                        )
+                    } else if shared.policy.cpu_fallback {
                         // Too late for the accelerator path; degrade to
                         // the CPU so application work still completes.
-                        core.soc_mut()
-                            .tracer_mut()
-                            .instant(ClockDomain::SocCycles, begin, || TraceEvent::CpuFallback {
-                                kind: kind.name(),
-                            });
-                        let run = protocol::run_on_cpu_at(&mut core, &op, begin, value);
-                        if run.is_ok() {
-                            core.stats_mut().fallback_runs += 1;
-                        }
-                        run.map(|run| (run, ExecPath::CpuFallback))
+                        protocol::degrade_to_cpu_at(&mut core, kind, &op, begin, value)
                     } else {
                         Err(Error::DeadlineExceeded { tile })
                     },
                 },
-                Prepared::Execute {
-                    kind,
-                    op,
-                    value,
-                    done,
-                } => Reply::Execute {
-                    done,
-                    result: protocol::run_with_fallback_at(
-                        &mut state,
-                        &mut core,
-                        &shared.policy,
-                        kind,
-                        &op,
-                        at,
-                        value,
-                        &mut prepared,
-                    ),
-                },
+                (Payload::Run { .. } | Payload::Execute { .. }, None) => {
+                    unreachable!("prepare evaluates every operation")
+                }
             }
         };
         gate.retire(ticket);
@@ -1516,8 +1426,13 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         }
         // -- reply ------------------------------------------------------
         match reply {
-            Reply::Reconfigure { kind, done, result } => {
-                let folded = (done.len() - 1 + extra_waiters.len()) as u64;
+            Reply::Reconfigure {
+                kind,
+                done,
+                coalesced,
+                result,
+            } => {
+                let folded = (coalesced.len() + extra_waiters.len()) as u64;
                 if folded > 0 {
                     let mut core = S::lock(&shared.core);
                     core.stats_mut().reconfig_requests += folded;
@@ -1533,7 +1448,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                             }
                         });
                 }
-                for tx in done.into_iter().chain(extra_waiters) {
+                for tx in std::iter::once(done).chain(coalesced).chain(extra_waiters) {
                     let _ = S::send(&tx, result.clone());
                 }
             }

@@ -127,19 +127,13 @@ mod tests {
     use presp_accel::catalog::AcceleratorKind;
     use presp_accel::AccelOp;
     use presp_check::{CheckSync, Checker, Config};
-    use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
+    use presp_fpga::bitstream::Bitstream;
     use presp_fpga::fault::{FaultConfig, FaultPlan};
-    use presp_fpga::frame::FrameAddress;
     use presp_soc::config::SocConfig;
     use presp_soc::sim::Soc;
 
     fn bitstream(soc: &Soc, col: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        b.add_frame(FrameAddress::new(0, col, 0), vec![col; words])
-            .unwrap();
-        b.build(true)
+        Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, 1).unwrap()
     }
 
     fn boot() -> (ThreadedManager, TileCoord) {

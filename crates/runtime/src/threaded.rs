@@ -25,8 +25,8 @@ use crate::error::Error;
 use crate::manager::{ExecPath, ManagerStats, RecoveryPolicy};
 use crate::registry::BitstreamRegistry;
 use crate::scheduler::{
-    spawn_worker, supervisor_loop, Admitted, MutantConfig, Payload, Pending, SchedulerStats,
-    Shared, WorkerHandles, DEFAULT_CACHE_CAPACITY,
+    spawn_worker, supervisor_loop, MutantConfig, Payload, Pending, SchedulerStats, Shared,
+    WorkerHandles, DEFAULT_CACHE_CAPACITY,
 };
 use crate::supervisor::{SupervisorStats, WorkerFaultPlan};
 use crate::sync::{Arc, StdSync, SyncFacade};
@@ -156,43 +156,22 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// `policy.breaker` a quarantined tile is refused at the door; a full
     /// bounded queue refuses or sheds per `policy.overload`.
     pub fn submit_reconfigure(&self, tile: TileCoord, kind: AcceleratorKind) -> Pending<S, ()> {
-        let (tx, rx) = S::channel();
-        if self.shared.refused_at_door(tile) {
-            let _ = S::send(&tx, Err(Error::TileQuarantined { tile }));
-            return Pending { rx };
-        }
-        let deadline_at = self.shared.deadline_from_now();
-        let (admitted, shed) = self.shared.admit_reconfigure(tile, kind, deadline_at, tx);
-        match admitted {
-            Admitted::Enqueued => S::notify_all(&self.shared.work),
-            Admitted::Coalesced => {}
-            Admitted::Refused(e, tx) => {
-                let _ = S::send(&tx, Err(e));
-            }
-        }
-        if let Some(shed) = shed {
-            self.shared.settle_shed(shed);
-        }
-        Pending { rx }
+        let (done, rx) = S::channel();
+        let payload = Payload::Reconfigure {
+            kind,
+            done,
+            coalesced: Vec::new(),
+        };
+        self.submit(tile, payload, rx)
     }
 
     /// Submits an accelerator invocation without blocking. Runs never
     /// carry a deadline — a missed deadline is a reconfiguration-ledger
     /// outcome and plain runs are outside that ledger.
     pub fn submit_run(&self, tile: TileCoord, op: AccelOp) -> Pending<S, AccelRun> {
-        if self.shared.refused_at_door(tile) {
-            return Pending::ready(Err(Error::TileQuarantined { tile }));
-        }
-        let (tx, rx) = S::channel();
-        self.submit_job(
-            tile,
-            None,
-            Payload::Run {
-                op: Box::new(op),
-                done: tx,
-            },
-            rx,
-        )
+        let (done, rx) = S::channel();
+        let op = Box::new(op);
+        self.submit(tile, Payload::Run { op, done }, rx)
     }
 
     /// Submits an ensure-loaded-then-run request without blocking.
@@ -202,44 +181,41 @@ impl<S: SyncFacade> ThreadedManager<S> {
         kind: AcceleratorKind,
         op: AccelOp,
     ) -> Pending<S, (AccelRun, ExecPath)> {
-        if self.shared.refused_at_door(tile) {
-            return Pending::ready(Err(Error::TileQuarantined { tile }));
-        }
-        let deadline_at = self.shared.deadline_from_now();
-        let (tx, rx) = S::channel();
-        self.submit_job(
-            tile,
-            deadline_at,
-            Payload::Execute {
-                kind,
-                op: Box::new(op),
-                done: tx,
-            },
-            rx,
-        )
+        let (done, rx) = S::channel();
+        let op = Box::new(op);
+        self.submit(tile, Payload::Execute { kind, op, done }, rx)
     }
 
-    /// Admits a run or execute job whose reply arrives on `rx`, wakes a
-    /// worker, and settles any shed the bounded queue produced.
-    fn submit_job<T: Send + 'static>(
+    /// The one request path, for every kind: door check → deadline stamp
+    /// → admission → wake a worker → settle a shed. Every refusal answers
+    /// the request's own channel through [`Payload::fail`], so the caller
+    /// always holds the same kind of [`Pending`].
+    fn submit<T: Send + 'static>(
         &self,
         tile: TileCoord,
-        deadline_at: Option<u64>,
         payload: Payload<S>,
         rx: S::Receiver<Result<T, Error>>,
     ) -> Pending<S, T> {
-        let (admitted, shed) = self.shared.admit_job(tile, deadline_at, payload);
-        let pending = match admitted {
-            Ok(()) => {
-                S::notify_all(&self.shared.work);
-                Pending { rx }
-            }
-            Err(e) => Pending::ready(Err(e)),
-        };
-        if let Some(shed) = shed {
-            self.shared.settle_shed(shed);
+        if self.shared.refused_at_door(tile) {
+            payload.fail(Error::TileQuarantined { tile });
+            return Pending { rx };
         }
-        pending
+        let deadline_at = match payload {
+            Payload::Run { .. } => None,
+            _ => self.shared.deadline_from_now(),
+        };
+        match self.shared.admit(tile, deadline_at, payload) {
+            Ok((wake, shed)) => {
+                if wake {
+                    S::notify_all(&self.shared.work);
+                }
+                if let Some(shed) = shed {
+                    self.shared.settle_shed(shed);
+                }
+            }
+            Err((error, payload)) => payload.fail(error),
+        }
+        Pending { rx }
     }
 
     /// Enqueues a reconfiguration and blocks until it completes.
@@ -528,17 +504,11 @@ mod tests {
     use crate::supervisor::{install_quiet_panic_hook, WorkerFault, WorkerFaultPlan};
     use presp_accel::AccelValue;
     use presp_check::{CheckSync, Checker, Config, FailureKind};
-    use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
-    use presp_fpga::frame::FrameAddress;
+    use presp_fpga::bitstream::Bitstream;
     use presp_soc::config::SocConfig;
 
     fn bitstream(soc: &Soc, col: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        b.add_frame(FrameAddress::new(0, col, 0), vec![col; words])
-            .unwrap();
-        b.build(true)
+        Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, 1).unwrap()
     }
 
     fn boot(n: usize) -> (ThreadedManager, Vec<TileCoord>) {
@@ -803,29 +773,6 @@ mod tests {
             },
         );
         assert!(matches!(err, Err(Error::ManagerStopped)));
-    }
-
-    #[test]
-    fn unknown_tile_is_refused_not_hung() {
-        let (mgr, _tiles) = boot(1);
-        let off_grid = TileCoord::new(9, 9);
-        let err = mgr.reconfigure_blocking(off_grid, AcceleratorKind::Mac);
-        assert!(matches!(
-            err,
-            Err(Error::Soc(presp_soc::Error::NoSuchTile { .. }))
-        ));
-        let err = mgr.run_blocking(
-            off_grid,
-            AccelOp::Mac {
-                a: vec![1.0],
-                b: vec![1.0],
-            },
-        );
-        assert!(matches!(
-            err,
-            Err(Error::Soc(presp_soc::Error::NoSuchTile { .. }))
-        ));
-        mgr.shutdown();
     }
 
     #[test]
@@ -1116,9 +1063,26 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// Quarantines `tile` (a `breaker` policy with `max_retries: 0` and
+    /// `quarantine_after: 1`): a forced ICAP fault exhausts the only
+    /// attempt of one reconfiguration.
+    fn quarantine(mgr: &ThreadedManager, tile: TileCoord) {
+        use presp_fpga::fault::{FaultConfig, FaultPlan};
+        let mut plan = FaultPlan::new(11, FaultConfig::uniform(0.0));
+        for n in 0..4 {
+            plan.force_icap_fault(n);
+        }
+        mgr.set_fault_plan(Some(plan));
+        let err = mgr.reconfigure_blocking(tile, AcceleratorKind::Mac);
+        assert!(
+            matches!(err, Err(Error::RetriesExhausted { .. })),
+            "got {err:?}"
+        );
+        assert_eq!(mgr.quarantined_tiles(), vec![tile]);
+    }
+
     #[test]
     fn circuit_breaker_refuses_quarantined_tiles_at_the_door() {
-        use presp_fpga::fault::{FaultConfig, FaultPlan};
         let policy = RecoveryPolicy {
             max_retries: 0,
             quarantine_after: 1,
@@ -1126,17 +1090,7 @@ mod tests {
             ..supervised_policy()
         };
         let (mgr, tiles) = boot_with(1, policy);
-        let mut plan = FaultPlan::new(11, FaultConfig::uniform(0.0));
-        for n in 0..4 {
-            plan.force_icap_fault(n);
-        }
-        mgr.set_fault_plan(Some(plan));
-        let err = mgr.reconfigure_blocking(tiles[0], AcceleratorKind::Mac);
-        assert!(
-            matches!(err, Err(Error::RetriesExhausted { .. })),
-            "got {err:?}"
-        );
-        assert_eq!(mgr.quarantined_tiles(), vec![tiles[0]]);
+        quarantine(&mgr, tiles[0]);
         // The breaker now refuses at the queue door: no ticket burned, no
         // worker woken, the shed counter records the refusal.
         let err = mgr.reconfigure_blocking(tiles[0], AcceleratorKind::Sort);
@@ -1152,6 +1106,89 @@ mod tests {
         // post-commit bookkeeping when the waiter wakes, so poll.
         wait_until(|| mgr.orphaned_tickets() == 0);
         mgr.shutdown();
+    }
+
+    #[test]
+    fn every_request_kind_is_refused_alike() {
+        // One row per refusal: its policy and the sheds its three
+        // refusals count. The row's setup names the error every request
+        // kind must get.
+        let breaker = RecoveryPolicy {
+            max_retries: 0,
+            quarantine_after: 1,
+            breaker: true,
+            ..supervised_policy()
+        };
+        let bounded = RecoveryPolicy {
+            queue_capacity: 1,
+            overload: OverloadPolicy::RejectNew,
+            ..supervised_policy()
+        };
+        let rows = [
+            ("unknown tile", RecoveryPolicy::default(), 0),
+            ("after shutdown", RecoveryPolicy::default(), 0),
+            ("quarantined tile", breaker, 3),
+            ("full queue", bounded, 3),
+        ];
+        let mac = || AccelOp::Mac {
+            a: vec![1.0],
+            b: vec![1.0],
+        };
+        for (row, policy, sheds) in rows {
+            let (mgr, tiles) = boot_with(1, policy);
+            let mut tile = tiles[0];
+            let mut held = None;
+            let expected = match row {
+                "unknown tile" => {
+                    tile = TileCoord::new(9, 9);
+                    Error::Soc(presp_soc::Error::NoSuchTile { coord: tile })
+                }
+                "after shutdown" => {
+                    mgr.shutdown();
+                    Error::ManagerStopped
+                }
+                "quarantined tile" => {
+                    quarantine(&mgr, tile);
+                    Error::TileQuarantined { tile }
+                }
+                _ => {
+                    // A is claimed and B (not a reconfiguration, so
+                    // nothing folds into it) fills the single slot.
+                    let (a, plan) = pin_hung_claim(&mgr, tile);
+                    let b = mgr.submit_execute(
+                        tile,
+                        AcceleratorKind::Sort,
+                        AccelOp::Sort { data: vec![1.0] },
+                    );
+                    held = Some((a, b, plan));
+                    Error::Overloaded { tile }
+                }
+            };
+            let errors = [
+                mgr.submit_reconfigure(tile, AcceleratorKind::Mac)
+                    .wait()
+                    .err(),
+                mgr.submit_run(tile, mac()).wait().err(),
+                mgr.submit_execute(tile, AcceleratorKind::Mac, mac())
+                    .wait()
+                    .err(),
+            ];
+            for (kind, err) in ["reconfigure", "run", "execute"].into_iter().zip(errors) {
+                assert_eq!(err.as_ref(), Some(&expected), "{row}: {kind}");
+            }
+            if let Some((a, b, plan)) = held {
+                drop(plan);
+                a.wait().unwrap();
+                b.wait().unwrap();
+            }
+            // Quiescent invariant: the replying worker may still be mid
+            // post-commit bookkeeping when the waiter wakes, so poll.
+            wait_until(|| mgr.orphaned_tickets() == 0);
+            let stats = mgr.stats();
+            assert_eq!(stats.shed, sheds, "{row}");
+            assert!(stats.consistent(), "{row}: {stats:?}");
+            mgr.shutdown();
+        }
     }
 
     // ---- model-checked protocol (CheckSync) ---------------------------

@@ -138,33 +138,13 @@ fn column_base(kind: CatalogKind) -> u32 {
     }
 }
 
-/// A deeper partial bitstream: `frames` minor frames in one column.
-/// Region workloads use multi-frame footprints so relocation moves a
-/// measurable number of frames.
-fn deep_bitstream(soc: &Soc, col: u32, frames: u32) -> Bitstream {
-    let device = soc.part().device();
-    let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-    let words = device.part().family().frame_words();
-    for minor in 0..frames {
-        b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-            .expect("canonical frame address is in range");
-    }
-    b.build(true)
-}
-
-/// A column-spanning partial bitstream: the wide (multi-column) GEMM
-/// footprint the region workloads use to provoke fragmentation refusals.
-fn span_bitstream(soc: &Soc, cols: std::ops::Range<u32>, frames: u32) -> Bitstream {
-    let device = soc.part().device();
-    let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-    let words = device.part().family().frame_words();
-    for col in cols {
-        for minor in 0..frames {
-            b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-                .expect("canonical frame address is in range");
-        }
-    }
-    b.build(true)
+/// A region workload's partial bitstream: `frames` minor frames in each
+/// of `cols`. Multi-frame footprints make relocation move a measurable
+/// number of frames; the wide (multi-column) GEMM footprint provokes
+/// fragmentation refusals.
+fn region_bitstream(soc: &Soc, cols: std::ops::Range<u32>, frames: u32) -> Bitstream {
+    Bitstream::synthetic_partial(&soc.part().device(), cols, frames)
+        .expect("canonical frame address is in range")
 }
 
 /// Operation `j` of logical client `t`'s script: cycles through the
@@ -366,13 +346,17 @@ fn run_cell(
         // the footprint shape.
         for &tile in &tiles {
             registry
-                .register(tile, AcceleratorKind::Mac, deep_bitstream(&soc, 1, 4))
+                .register(tile, AcceleratorKind::Mac, region_bitstream(&soc, 1..2, 4))
                 .expect("tile/kind pairs are unique");
             registry
-                .register(tile, AcceleratorKind::Sort, deep_bitstream(&soc, 3, 4))
+                .register(tile, AcceleratorKind::Sort, region_bitstream(&soc, 3..4, 4))
                 .expect("tile/kind pairs are unique");
             registry
-                .register(tile, AcceleratorKind::Gemm, span_bitstream(&soc, 7..10, 4))
+                .register(
+                    tile,
+                    AcceleratorKind::Gemm,
+                    region_bitstream(&soc, 7..10, 4),
+                )
                 .expect("tile/kind pairs are unique");
         }
     } else {

@@ -16,8 +16,7 @@ use presp::accel::{AccelOp, AccelValue};
 use presp::analyze::manifest::Manifest;
 use presp::analyze::{analyze, Options};
 use presp::check::{CheckSync, Checker, Config};
-use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
-use presp::fpga::frame::FrameAddress;
+use presp::fpga::bitstream::Bitstream;
 use presp::runtime::registry::BitstreamRegistry;
 use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::soc::config::SocConfig;
@@ -26,12 +25,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 fn bitstream(soc: &Soc, col: u32) -> Bitstream {
-    let device = soc.part().device();
-    let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-    let words = device.part().family().frame_words();
-    b.add_frame(FrameAddress::new(0, col, 0), vec![col; words])
-        .unwrap();
-    b.build(true)
+    Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, 1).unwrap()
 }
 
 /// Sharded multi-worker fan-out: exercises the admission, queue, gate,

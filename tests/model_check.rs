@@ -20,8 +20,7 @@ use presp::accel::catalog::AcceleratorKind;
 use presp::accel::{AccelOp, AccelValue};
 use presp::check::{CheckSync, Checker, Config};
 use presp::events::timeline::ResourceTimeline;
-use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
-use presp::fpga::frame::FrameAddress;
+use presp::fpga::bitstream::Bitstream;
 use presp::runtime::registry::BitstreamRegistry;
 use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::runtime::RecoveryPolicy;
@@ -29,12 +28,7 @@ use presp::soc::config::{SocConfig, TileCoord};
 use presp::soc::sim::Soc;
 
 fn bitstream(soc: &Soc, col: u32) -> Bitstream {
-    let device = soc.part().device();
-    let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-    let words = device.part().family().frame_words();
-    b.add_frame(FrameAddress::new(0, col, 0), vec![col; words])
-        .unwrap();
-    b.build(true)
+    Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, 1).unwrap()
 }
 
 /// Boots the production protocol under the checking facade. Everything is

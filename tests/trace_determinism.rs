@@ -120,19 +120,13 @@ fn sequence_numbers_are_dense_and_ordered() {
 fn sharded_threaded_run(config: Option<RuntimeConfig>) -> ShardedRun {
     use presp::accel::{AccelOp, AcceleratorKind};
     use presp::events::ShardedSink;
-    use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
-    use presp::fpga::frame::FrameAddress;
+    use presp::fpga::bitstream::Bitstream;
     use presp::runtime::registry::BitstreamRegistry;
     use presp::soc::config::SocConfig;
     use presp::soc::sim::Soc;
 
     fn bitstream(soc: &Soc, col: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        b.add_frame(FrameAddress::new(0, col, 0), vec![col; words])
-            .unwrap();
-        b.build(true)
+        Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, 1).unwrap()
     }
 
     let cfg = SocConfig::grid_3x3_reconf("shard-trace", 4).unwrap();
@@ -267,22 +261,14 @@ fn sharded_trace_merge_has_dense_ordered_sequence_numbers() {
 /// across runtime refactors.
 fn golden_single_tile_run() -> String {
     use presp::accel::{AccelOp, AcceleratorKind};
-    use presp::fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
-    use presp::fpga::frame::FrameAddress;
+    use presp::fpga::bitstream::Bitstream;
     use presp::runtime::manager::ReconfigManager;
     use presp::runtime::registry::BitstreamRegistry;
     use presp::soc::config::SocConfig;
     use presp::soc::sim::Soc;
 
     fn bitstream(soc: &Soc, col: u32, frames: u32) -> Bitstream {
-        let device = soc.part().device();
-        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
-        for minor in 0..frames {
-            b.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])
-                .unwrap();
-        }
-        b.build(true)
+        Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, frames).unwrap()
     }
 
     let cfg = SocConfig::grid_3x3_reconf("golden-dpr", 1).unwrap();
