@@ -101,595 +101,390 @@ impl fmt::Display for Loc {
     }
 }
 
-/// One typed trace event. Variants cover the full stack: SoC fabric
-/// operations, runtime recovery decisions, WAMI frame stages and CAD
-/// flow stages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// One DRAM channel access.
-    DramAccess {
-        /// Bytes moved.
-        bytes: u64,
-        /// Cycles spent waiting for the channel.
-        waited: u64,
-    },
-    /// One NoC packet, source to sink.
-    NocTransfer {
-        /// Physical plane name.
-        plane: &'static str,
-        /// Source tile.
-        src: Loc,
-        /// Destination tile.
-        dst: Loc,
-        /// Payload bytes.
-        bytes: u64,
-        /// Flits moved (including header).
-        flits: u64,
-        /// Hops traversed.
-        hops: u64,
-        /// Cycles lost to link contention along the path.
-        waited: u64,
-    },
-    /// One accelerator DMA burst (DRAM access + NoC transfer).
-    DmaBurst {
-        /// Accelerator tile.
-        tile: Loc,
-        /// Bytes moved.
-        bytes: u64,
-        /// `"in"` (memory → tile) or `"out"` (tile → memory).
-        direction: &'static str,
-    },
-    /// A decoupler handshake on a reconfigurable tile.
-    DecouplerHandshake {
-        /// The tile.
-        tile: Loc,
-        /// `true` = decouple, `false` = re-couple.
-        decouple: bool,
-        /// Fault-injected acknowledge delay, cycles.
-        delay: u64,
-    },
-    /// One bitstream streamed through the ICAP.
-    IcapWrite {
-        /// Target tile.
-        tile: Loc,
-        /// Configuration words streamed.
-        words: u64,
-        /// Whether the CRC check passed.
-        ok: bool,
-        /// Cycles spent waiting for the shared ICAP (plus DFXC stalls).
-        waited: u64,
-    },
-    /// A full partial reconfiguration (fetch + ICAP + completion IRQ).
-    Reconfiguration {
-        /// Target tile.
-        tile: Loc,
-        /// Accelerator kind loaded.
-        kind: String,
-        /// Bitstream size, bytes.
-        bytes: u64,
-        /// Whether the load succeeded.
-        ok: bool,
-    },
-    /// An accelerator compute interval.
-    Compute {
-        /// The tile.
-        tile: Loc,
-        /// Accelerator kind.
-        kind: String,
-        /// Compute cycles.
-        cycles: u64,
-    },
-    /// A software kernel run on the CPU tile.
-    CpuCompute {
-        /// Kernel kind.
-        kind: String,
-        /// Compute cycles.
-        cycles: u64,
-    },
-    /// An interrupt delivered to the CPU.
-    Irq {
-        /// Source tile.
-        source: Loc,
-    },
-    /// A single-event upset striking configuration memory.
-    SeuInjected {
-        /// Packed frame address (FAR encoding) of the struck frame.
-        frame: u64,
-        /// Word index within the frame.
-        word: u64,
-        /// First flipped bit.
-        bit: u64,
-        /// Whether a second bit of the same word flipped (uncorrectable).
-        double_bit: bool,
-    },
-    /// One readback-scrub pass over a frame region.
-    ScrubPass {
-        /// Frames read back.
-        frames: u64,
-        /// Frames repaired by SECDED.
-        corrected: u64,
-        /// Frames found uncorrectable.
-        uncorrectable: u64,
-        /// Cycles the readback waited for the shared ICAP.
-        waited: u64,
-    },
-    /// One frame repaired in place by ECC during scrubbing.
-    FrameRepaired {
-        /// Packed frame address (FAR encoding).
-        frame: u64,
-        /// Words corrected within the frame.
-        words: u64,
-    },
-    /// A failed reconfiguration rolled back to the pre-transaction state.
-    RollbackCompleted {
-        /// The tile whose region was rolled back.
-        tile: Loc,
-        /// Frames restored to their pre-transaction content.
-        frames: u64,
-    },
-    /// A tile's region physically relocated to a new column base.
-    RegionMoved {
-        /// The tile whose region moved.
-        tile: Loc,
-        /// Frames rewritten at the new base.
-        frames: u64,
-        /// Signed column delta of the move.
-        delta: i64,
-    },
-    /// A tile's region erased and retired (its lease was switched or
-    /// vacated); the fabric columns return to the free pool.
-    RegionReleased {
-        /// The tile whose region was retired.
-        tile: Loc,
-        /// Frames erased.
-        frames: u64,
-    },
-    /// One runtime reconfiguration attempt (manager retry loop).
-    ReconfigAttempt {
-        /// Target tile.
-        tile: Loc,
-        /// Accelerator kind.
-        kind: String,
-        /// 1-based attempt number.
-        attempt: u64,
-        /// Whether the attempt succeeded.
-        ok: bool,
-    },
-    /// A backoff wait between reconfiguration attempts.
-    RetryBackoff {
-        /// Target tile.
-        tile: Loc,
-        /// The attempt that just failed (1-based).
-        attempt: u64,
-        /// Backoff length, cycles.
-        cycles: u64,
-    },
-    /// A tile entering or leaving quarantine.
-    Quarantine {
-        /// The tile.
-        tile: Loc,
-        /// `true` on entry, `false` on release.
-        entered: bool,
-    },
-    /// A reconfiguration skipped because the kind was already loaded.
-    BitstreamCacheHit {
-        /// The tile.
-        tile: Loc,
-        /// Accelerator kind.
-        kind: String,
-    },
-    /// An operation degraded to the CPU software path.
-    CpuFallback {
-        /// Kernel kind.
-        kind: String,
-    },
-    /// A scheduler worker committed a queued request to the device core.
-    SchedDispatch {
-        /// The tile whose queue the request travelled through.
-        tile: Loc,
-        /// Global admission ticket (commit order across all tiles).
-        ticket: u64,
-        /// Backlog depth of the tile's queue when the request was
-        /// admitted (the request itself included).
-        depth: u64,
-    },
-    /// A queued reconfiguration folded into an identical pending one.
-    RequestCoalesced {
-        /// The tile.
-        tile: Loc,
-        /// Accelerator kind.
-        kind: String,
-        /// Callers answered by the single underlying reconfiguration.
-        waiters: u64,
-    },
-    /// A verified partial bitstream was served from the LRU cache,
-    /// skipping the registry's integrity re-check.
-    PbsCacheHit {
-        /// The tile.
-        tile: Loc,
-        /// Accelerator kind.
-        kind: String,
-    },
-    /// A scheduler worker died (panicked) while holding a commit-order
-    /// ticket; the supervisor detected the death and will heal the gate.
-    WorkerDied {
-        /// Death ordinal (gate-ordered): the how-many-th worker death
-        /// recorded, not an OS worker slot — slots are wall-clock
-        /// dependent, ordinals keep the trace deterministic per seed.
-        worker: u64,
-        /// The ticket the worker held when it died.
-        ticket: u64,
-    },
-    /// A claimed-but-uncommitted job was returned to its tile queue by
-    /// the supervisor after its claimant died or wedged; a surviving
-    /// worker re-claims it under the same ticket, so commit order is
-    /// preserved.
-    TicketRedispatched {
-        /// The tile whose queue the job returned to.
-        tile: Loc,
-        /// The preserved admission ticket.
-        ticket: u64,
-        /// How many times this job has been redispatched (1-based).
-        attempt: u64,
-    },
-    /// A request reached its commit slot after its virtual-time deadline;
-    /// it was cancelled (reconfigure) or degraded to the CPU (execute).
-    DeadlineMissed {
-        /// The tile the request targeted.
-        tile: Loc,
-        /// The request's admission ticket.
-        ticket: u64,
-        /// Virtual cycles past the deadline at commit.
-        late: u64,
-    },
-    /// A request shed at the queue door by the admission controller.
-    RequestShed {
-        /// The tile whose queue was at capacity.
-        tile: Loc,
-        /// The shed request's admission ticket.
-        ticket: u64,
-    },
-    /// One defragmenter repack pass over the fabric.
-    DefragPass {
-        /// Region moves applied this pass.
-        moves: u64,
-        /// Frames physically relocated.
-        frames: u64,
-    },
-    /// One WAMI pipeline stage of one frame.
-    FrameStage {
-        /// Frame index.
-        frame: u64,
-        /// Stage (kernel) name.
-        stage: String,
-    },
-    /// One complete WAMI frame.
-    FrameDone {
-        /// Frame index.
-        frame: u64,
-        /// Reconfigurations triggered while processing it.
-        reconfigurations: u64,
-    },
-    /// One CAD flow stage (synthesis, placement, routing, ...).
-    FlowStage {
-        /// Design / SoC name.
-        design: String,
-        /// Stage name.
-        stage: String,
-        /// Reconfigurable region, or empty for design-wide stages.
-        region: String,
-    },
-    /// A (partial) bitstream emitted by the implementation flow.
-    BitstreamGenerated {
-        /// Design / SoC name.
-        design: String,
-        /// Region the bitstream targets.
-        region: String,
-        /// Accelerator kind implemented.
-        kind: String,
-        /// Bitstream size, bytes.
-        bytes: u64,
-    },
+/// A payload field's value in [`TraceEvent::args`]: numbers as `f64`,
+/// strings as-is, tile locations through their `Display`.
+trait ArgValue {
+    fn arg_value(&self) -> JsonValue;
 }
 
-impl TraceEvent {
-    /// Stable event name (used as the Chrome trace `name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::DramAccess { .. } => "dram.access",
-            TraceEvent::NocTransfer { .. } => "noc.transfer",
-            TraceEvent::DmaBurst { .. } => "dma.burst",
-            TraceEvent::DecouplerHandshake { .. } => "decoupler.handshake",
-            TraceEvent::IcapWrite { .. } => "icap.write",
-            TraceEvent::Reconfiguration { .. } => "reconfiguration",
-            TraceEvent::Compute { .. } => "accel.compute",
-            TraceEvent::CpuCompute { .. } => "cpu.compute",
-            TraceEvent::Irq { .. } => "irq.deliver",
-            TraceEvent::SeuInjected { .. } => "seu.injected",
-            TraceEvent::ScrubPass { .. } => "scrub.pass",
-            TraceEvent::FrameRepaired { .. } => "frame.repaired",
-            TraceEvent::RollbackCompleted { .. } => "rollback.completed",
-            TraceEvent::RegionMoved { .. } => "region.moved",
-            TraceEvent::RegionReleased { .. } => "region.released",
-            TraceEvent::DefragPass { .. } => "defrag.pass",
-            TraceEvent::ReconfigAttempt { .. } => "reconfig.attempt",
-            TraceEvent::RetryBackoff { .. } => "retry.backoff",
-            TraceEvent::Quarantine { .. } => "quarantine",
-            TraceEvent::BitstreamCacheHit { .. } => "bitstream.cache_hit",
-            TraceEvent::CpuFallback { .. } => "cpu.fallback",
-            TraceEvent::SchedDispatch { .. } => "sched.dispatch",
-            TraceEvent::RequestCoalesced { .. } => "sched.coalesced",
-            TraceEvent::PbsCacheHit { .. } => "pbs_cache.hit",
-            TraceEvent::WorkerDied { .. } => "sched.worker_died",
-            TraceEvent::TicketRedispatched { .. } => "sched.redispatch",
-            TraceEvent::DeadlineMissed { .. } => "sched.deadline_miss",
-            TraceEvent::RequestShed { .. } => "sched.shed",
-            TraceEvent::FrameStage { .. } => "frame.stage",
-            TraceEvent::FrameDone { .. } => "frame",
-            TraceEvent::FlowStage { .. } => "flow.stage",
-            TraceEvent::BitstreamGenerated { .. } => "bitstream.generated",
-        }
+impl ArgValue for u64 {
+    fn arg_value(&self) -> JsonValue {
+        JsonValue::Number(*self as f64)
     }
+}
 
-    /// Layer the event belongs to (Chrome trace `cat` / thread).
-    pub fn category(&self) -> &'static str {
-        match self {
-            TraceEvent::DramAccess { .. }
-            | TraceEvent::DmaBurst { .. }
-            | TraceEvent::DecouplerHandshake { .. }
-            | TraceEvent::IcapWrite { .. }
-            | TraceEvent::Reconfiguration { .. }
-            | TraceEvent::Compute { .. }
-            | TraceEvent::CpuCompute { .. }
-            | TraceEvent::Irq { .. }
-            | TraceEvent::SeuInjected { .. }
-            | TraceEvent::ScrubPass { .. }
-            | TraceEvent::FrameRepaired { .. }
-            | TraceEvent::RollbackCompleted { .. }
-            | TraceEvent::RegionMoved { .. }
-            | TraceEvent::RegionReleased { .. } => "soc",
-            TraceEvent::NocTransfer { .. } => "noc",
-            TraceEvent::ReconfigAttempt { .. }
-            | TraceEvent::RetryBackoff { .. }
-            | TraceEvent::Quarantine { .. }
-            | TraceEvent::BitstreamCacheHit { .. }
-            | TraceEvent::CpuFallback { .. }
-            | TraceEvent::SchedDispatch { .. }
-            | TraceEvent::RequestCoalesced { .. }
-            | TraceEvent::PbsCacheHit { .. }
-            | TraceEvent::WorkerDied { .. }
-            | TraceEvent::TicketRedispatched { .. }
-            | TraceEvent::DeadlineMissed { .. }
-            | TraceEvent::RequestShed { .. }
-            | TraceEvent::DefragPass { .. } => "runtime",
-            TraceEvent::FrameStage { .. } | TraceEvent::FrameDone { .. } => "wami",
-            TraceEvent::FlowStage { .. } | TraceEvent::BitstreamGenerated { .. } => "cad",
-        }
+impl ArgValue for i64 {
+    fn arg_value(&self) -> JsonValue {
+        JsonValue::Number(*self as f64)
     }
+}
 
-    /// The event payload as ordered key/value pairs.
-    pub fn args(&self) -> Vec<(&'static str, JsonValue)> {
-        fn n(v: u64) -> JsonValue {
-            JsonValue::Number(v as f64)
+impl ArgValue for bool {
+    fn arg_value(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+}
+
+/// Covers `String` and `&'static str` fields alike, through auto-deref.
+impl ArgValue for str {
+    fn arg_value(&self) -> JsonValue {
+        JsonValue::String(self.to_string())
+    }
+}
+
+impl ArgValue for Loc {
+    fn arg_value(&self) -> JsonValue {
+        JsonValue::String(self.to_string())
+    }
+}
+
+/// Declares [`TraceEvent`] once. Each variant carries its stable name
+/// and its layer next to its fields (`Variant = "name" in layer { .. }`);
+/// the enum, [`TraceEvent::NAMES`], `name()`, `category()` and `args()`
+/// all come from that one declaration, with `args()` keyed by the field
+/// names in declaration order.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $name:literal in $cat:ident {
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty,)*
+                },
+            )*
         }
-        fn s(v: &str) -> JsonValue {
-            JsonValue::String(v.to_string())
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $($(#[$fmeta])* $field: $ty,)*
+                },
+            )*
         }
-        fn loc(v: Loc) -> JsonValue {
-            JsonValue::String(v.to_string())
+
+        impl TraceEvent {
+            /// Every stable event name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// Stable event name (used as the Chrome trace `name`).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Layer the event belongs to (Chrome trace `cat` / thread).
+            pub fn category(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => stringify!($cat),)*
+                }
+            }
+
+            /// The event payload as ordered key/value pairs.
+            pub fn args(&self) -> Vec<(&'static str, JsonValue)> {
+                match self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        vec![$((stringify!($field), $field.arg_value())),*]
+                    })*
+                }
+            }
         }
-        match self {
-            TraceEvent::DramAccess { bytes, waited } => {
-                vec![("bytes", n(*bytes)), ("waited", n(*waited))]
-            }
-            TraceEvent::NocTransfer {
-                plane,
-                src,
-                dst,
-                bytes,
-                flits,
-                hops,
-                waited,
-            } => vec![
-                ("plane", s(plane)),
-                ("src", loc(*src)),
-                ("dst", loc(*dst)),
-                ("bytes", n(*bytes)),
-                ("flits", n(*flits)),
-                ("hops", n(*hops)),
-                ("waited", n(*waited)),
-            ],
-            TraceEvent::DmaBurst {
-                tile,
-                bytes,
-                direction,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("bytes", n(*bytes)),
-                ("direction", s(direction)),
-            ],
-            TraceEvent::DecouplerHandshake {
-                tile,
-                decouple,
-                delay,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("decouple", JsonValue::Bool(*decouple)),
-                ("delay", n(*delay)),
-            ],
-            TraceEvent::IcapWrite {
-                tile,
-                words,
-                ok,
-                waited,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("words", n(*words)),
-                ("ok", JsonValue::Bool(*ok)),
-                ("waited", n(*waited)),
-            ],
-            TraceEvent::Reconfiguration {
-                tile,
-                kind,
-                bytes,
-                ok,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("kind", s(kind)),
-                ("bytes", n(*bytes)),
-                ("ok", JsonValue::Bool(*ok)),
-            ],
-            TraceEvent::Compute { tile, kind, cycles } => vec![
-                ("tile", loc(*tile)),
-                ("kind", s(kind)),
-                ("cycles", n(*cycles)),
-            ],
-            TraceEvent::CpuCompute { kind, cycles } => {
-                vec![("kind", s(kind)), ("cycles", n(*cycles))]
-            }
-            TraceEvent::Irq { source } => vec![("source", loc(*source))],
-            TraceEvent::SeuInjected {
-                frame,
-                word,
-                bit,
-                double_bit,
-            } => vec![
-                ("frame", n(*frame)),
-                ("word", n(*word)),
-                ("bit", n(*bit)),
-                ("double_bit", JsonValue::Bool(*double_bit)),
-            ],
-            TraceEvent::ScrubPass {
-                frames,
-                corrected,
-                uncorrectable,
-                waited,
-            } => vec![
-                ("frames", n(*frames)),
-                ("corrected", n(*corrected)),
-                ("uncorrectable", n(*uncorrectable)),
-                ("waited", n(*waited)),
-            ],
-            TraceEvent::FrameRepaired { frame, words } => {
-                vec![("frame", n(*frame)), ("words", n(*words))]
-            }
-            TraceEvent::RollbackCompleted { tile, frames } => {
-                vec![("tile", loc(*tile)), ("frames", n(*frames))]
-            }
-            TraceEvent::RegionMoved {
-                tile,
-                frames,
-                delta,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("frames", n(*frames)),
-                ("delta", JsonValue::Number(*delta as f64)),
-            ],
-            TraceEvent::RegionReleased { tile, frames } => {
-                vec![("tile", loc(*tile)), ("frames", n(*frames))]
-            }
-            TraceEvent::ReconfigAttempt {
-                tile,
-                kind,
-                attempt,
-                ok,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("kind", s(kind)),
-                ("attempt", n(*attempt)),
-                ("ok", JsonValue::Bool(*ok)),
-            ],
-            TraceEvent::RetryBackoff {
-                tile,
-                attempt,
-                cycles,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("attempt", n(*attempt)),
-                ("cycles", n(*cycles)),
-            ],
-            TraceEvent::Quarantine { tile, entered } => {
-                vec![("tile", loc(*tile)), ("entered", JsonValue::Bool(*entered))]
-            }
-            TraceEvent::BitstreamCacheHit { tile, kind } => {
-                vec![("tile", loc(*tile)), ("kind", s(kind))]
-            }
-            TraceEvent::CpuFallback { kind } => vec![("kind", s(kind))],
-            TraceEvent::SchedDispatch {
-                tile,
-                ticket,
-                depth,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("ticket", n(*ticket)),
-                ("depth", n(*depth)),
-            ],
-            TraceEvent::RequestCoalesced {
-                tile,
-                kind,
-                waiters,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("kind", s(kind)),
-                ("waiters", n(*waiters)),
-            ],
-            TraceEvent::PbsCacheHit { tile, kind } => {
-                vec![("tile", loc(*tile)), ("kind", s(kind))]
-            }
-            TraceEvent::WorkerDied { worker, ticket } => {
-                vec![("worker", n(*worker)), ("ticket", n(*ticket))]
-            }
-            TraceEvent::TicketRedispatched {
-                tile,
-                ticket,
-                attempt,
-            } => vec![
-                ("tile", loc(*tile)),
-                ("ticket", n(*ticket)),
-                ("attempt", n(*attempt)),
-            ],
-            TraceEvent::DeadlineMissed { tile, ticket, late } => vec![
-                ("tile", loc(*tile)),
-                ("ticket", n(*ticket)),
-                ("late", n(*late)),
-            ],
-            TraceEvent::RequestShed { tile, ticket } => {
-                vec![("tile", loc(*tile)), ("ticket", n(*ticket))]
-            }
-            TraceEvent::DefragPass { moves, frames } => {
-                vec![("moves", n(*moves)), ("frames", n(*frames))]
-            }
-            TraceEvent::FrameStage { frame, stage } => {
-                vec![("frame", n(*frame)), ("stage", s(stage))]
-            }
-            TraceEvent::FrameDone {
-                frame,
-                reconfigurations,
-            } => vec![
-                ("frame", n(*frame)),
-                ("reconfigurations", n(*reconfigurations)),
-            ],
-            TraceEvent::FlowStage {
-                design,
-                stage,
-                region,
-            } => vec![
-                ("design", s(design)),
-                ("stage", s(stage)),
-                ("region", s(region)),
-            ],
-            TraceEvent::BitstreamGenerated {
-                design,
-                region,
-                kind,
-                bytes,
-            } => vec![
-                ("design", s(design)),
-                ("region", s(region)),
-                ("kind", s(kind)),
-                ("bytes", n(*bytes)),
-            ],
-        }
+    };
+}
+
+trace_events! {
+    /// One typed trace event. Variants cover the full stack: SoC fabric
+    /// operations, runtime recovery decisions, WAMI frame stages and CAD
+    /// flow stages.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// One DRAM channel access.
+        DramAccess = "dram.access" in soc {
+            /// Bytes moved.
+            bytes: u64,
+            /// Cycles spent waiting for the channel.
+            waited: u64,
+        },
+        /// One NoC packet, source to sink.
+        NocTransfer = "noc.transfer" in noc {
+            /// Physical plane name.
+            plane: &'static str,
+            /// Source tile.
+            src: Loc,
+            /// Destination tile.
+            dst: Loc,
+            /// Payload bytes.
+            bytes: u64,
+            /// Flits moved (including header).
+            flits: u64,
+            /// Hops traversed.
+            hops: u64,
+            /// Cycles lost to link contention along the path.
+            waited: u64,
+        },
+        /// One accelerator DMA burst (DRAM access + NoC transfer).
+        DmaBurst = "dma.burst" in soc {
+            /// Accelerator tile.
+            tile: Loc,
+            /// Bytes moved.
+            bytes: u64,
+            /// `"in"` (memory → tile) or `"out"` (tile → memory).
+            direction: &'static str,
+        },
+        /// A decoupler handshake on a reconfigurable tile.
+        DecouplerHandshake = "decoupler.handshake" in soc {
+            /// The tile.
+            tile: Loc,
+            /// `true` = decouple, `false` = re-couple.
+            decouple: bool,
+            /// Fault-injected acknowledge delay, cycles.
+            delay: u64,
+        },
+        /// One bitstream streamed through the ICAP.
+        IcapWrite = "icap.write" in soc {
+            /// Target tile.
+            tile: Loc,
+            /// Configuration words streamed.
+            words: u64,
+            /// Whether the CRC check passed.
+            ok: bool,
+            /// Cycles spent waiting for the shared ICAP (plus DFXC stalls).
+            waited: u64,
+        },
+        /// A full partial reconfiguration (fetch + ICAP + completion IRQ).
+        Reconfiguration = "reconfiguration" in soc {
+            /// Target tile.
+            tile: Loc,
+            /// Accelerator kind loaded.
+            kind: String,
+            /// Bitstream size, bytes.
+            bytes: u64,
+            /// Whether the load succeeded.
+            ok: bool,
+        },
+        /// An accelerator compute interval.
+        Compute = "accel.compute" in soc {
+            /// The tile.
+            tile: Loc,
+            /// Accelerator kind.
+            kind: String,
+            /// Compute cycles.
+            cycles: u64,
+        },
+        /// A software kernel run on the CPU tile.
+        CpuCompute = "cpu.compute" in soc {
+            /// Kernel kind.
+            kind: String,
+            /// Compute cycles.
+            cycles: u64,
+        },
+        /// An interrupt delivered to the CPU.
+        Irq = "irq.deliver" in soc {
+            /// Source tile.
+            source: Loc,
+        },
+        /// A single-event upset striking configuration memory.
+        SeuInjected = "seu.injected" in soc {
+            /// Packed frame address (FAR encoding) of the struck frame.
+            frame: u64,
+            /// Word index within the frame.
+            word: u64,
+            /// First flipped bit.
+            bit: u64,
+            /// Whether a second bit of the same word flipped (uncorrectable).
+            double_bit: bool,
+        },
+        /// One readback-scrub pass over a frame region.
+        ScrubPass = "scrub.pass" in soc {
+            /// Frames read back.
+            frames: u64,
+            /// Frames repaired by SECDED.
+            corrected: u64,
+            /// Frames found uncorrectable.
+            uncorrectable: u64,
+            /// Cycles the readback waited for the shared ICAP.
+            waited: u64,
+        },
+        /// One frame repaired in place by ECC during scrubbing.
+        FrameRepaired = "frame.repaired" in soc {
+            /// Packed frame address (FAR encoding).
+            frame: u64,
+            /// Words corrected within the frame.
+            words: u64,
+        },
+        /// A failed reconfiguration rolled back to the pre-transaction state.
+        RollbackCompleted = "rollback.completed" in soc {
+            /// The tile whose region was rolled back.
+            tile: Loc,
+            /// Frames restored to their pre-transaction content.
+            frames: u64,
+        },
+        /// A tile's region physically relocated to a new column base.
+        RegionMoved = "region.moved" in soc {
+            /// The tile whose region moved.
+            tile: Loc,
+            /// Frames rewritten at the new base.
+            frames: u64,
+            /// Signed column delta of the move.
+            delta: i64,
+        },
+        /// A tile's region erased and retired (its lease was switched or
+        /// vacated); the fabric columns return to the free pool.
+        RegionReleased = "region.released" in soc {
+            /// The tile whose region was retired.
+            tile: Loc,
+            /// Frames erased.
+            frames: u64,
+        },
+        /// One runtime reconfiguration attempt (manager retry loop).
+        ReconfigAttempt = "reconfig.attempt" in runtime {
+            /// Target tile.
+            tile: Loc,
+            /// Accelerator kind.
+            kind: String,
+            /// 1-based attempt number.
+            attempt: u64,
+            /// Whether the attempt succeeded.
+            ok: bool,
+        },
+        /// A backoff wait between reconfiguration attempts.
+        RetryBackoff = "retry.backoff" in runtime {
+            /// Target tile.
+            tile: Loc,
+            /// The attempt that just failed (1-based).
+            attempt: u64,
+            /// Backoff length, cycles.
+            cycles: u64,
+        },
+        /// A tile entering or leaving quarantine.
+        Quarantine = "quarantine" in runtime {
+            /// The tile.
+            tile: Loc,
+            /// `true` on entry, `false` on release.
+            entered: bool,
+        },
+        /// A reconfiguration skipped because the kind was already loaded.
+        BitstreamCacheHit = "bitstream.cache_hit" in runtime {
+            /// The tile.
+            tile: Loc,
+            /// Accelerator kind.
+            kind: String,
+        },
+        /// An operation degraded to the CPU software path.
+        CpuFallback = "cpu.fallback" in runtime {
+            /// Kernel kind.
+            kind: String,
+        },
+        /// A scheduler worker committed a queued request to the device core.
+        SchedDispatch = "sched.dispatch" in runtime {
+            /// The tile whose queue the request travelled through.
+            tile: Loc,
+            /// Global admission ticket (commit order across all tiles).
+            ticket: u64,
+            /// Backlog depth of the tile's queue when the request was
+            /// admitted (the request itself included).
+            depth: u64,
+        },
+        /// A queued reconfiguration folded into an identical pending one.
+        RequestCoalesced = "sched.coalesced" in runtime {
+            /// The tile.
+            tile: Loc,
+            /// Accelerator kind.
+            kind: String,
+            /// Callers answered by the single underlying reconfiguration.
+            waiters: u64,
+        },
+        /// A verified partial bitstream was served from the LRU cache,
+        /// skipping the registry's integrity re-check.
+        PbsCacheHit = "pbs_cache.hit" in runtime {
+            /// The tile.
+            tile: Loc,
+            /// Accelerator kind.
+            kind: String,
+        },
+        /// A scheduler worker died (panicked) while holding a commit-order
+        /// ticket; the supervisor detected the death and will heal the gate.
+        WorkerDied = "sched.worker_died" in runtime {
+            /// Death ordinal (gate-ordered): the how-many-th worker death
+            /// recorded, not an OS worker slot — slots are wall-clock
+            /// dependent, ordinals keep the trace deterministic per seed.
+            worker: u64,
+            /// The ticket the worker held when it died.
+            ticket: u64,
+        },
+        /// A claimed-but-uncommitted job was returned to its tile queue by
+        /// the supervisor after its claimant died or wedged; a surviving
+        /// worker re-claims it under the same ticket, so commit order is
+        /// preserved.
+        TicketRedispatched = "sched.redispatch" in runtime {
+            /// The tile whose queue the job returned to.
+            tile: Loc,
+            /// The preserved admission ticket.
+            ticket: u64,
+            /// How many times this job has been redispatched (1-based).
+            attempt: u64,
+        },
+        /// A request reached its commit slot after its virtual-time deadline;
+        /// it was cancelled (reconfigure) or degraded to the CPU (execute).
+        DeadlineMissed = "sched.deadline_miss" in runtime {
+            /// The tile the request targeted.
+            tile: Loc,
+            /// The request's admission ticket.
+            ticket: u64,
+            /// Virtual cycles past the deadline at commit.
+            late: u64,
+        },
+        /// A request shed at the queue door by the admission controller.
+        RequestShed = "sched.shed" in runtime {
+            /// The tile whose queue was at capacity.
+            tile: Loc,
+            /// The shed request's admission ticket.
+            ticket: u64,
+        },
+        /// One defragmenter repack pass over the fabric.
+        DefragPass = "defrag.pass" in runtime {
+            /// Region moves applied this pass.
+            moves: u64,
+            /// Frames physically relocated.
+            frames: u64,
+        },
+        /// One WAMI pipeline stage of one frame.
+        FrameStage = "frame.stage" in wami {
+            /// Frame index.
+            frame: u64,
+            /// Stage (kernel) name.
+            stage: String,
+        },
+        /// One complete WAMI frame.
+        FrameDone = "frame" in wami {
+            /// Frame index.
+            frame: u64,
+            /// Reconfigurations triggered while processing it.
+            reconfigurations: u64,
+        },
+        /// One CAD flow stage (synthesis, placement, routing, ...).
+        FlowStage = "flow.stage" in cad {
+            /// Design / SoC name.
+            design: String,
+            /// Stage name.
+            stage: String,
+            /// Reconfigurable region, or empty for design-wide stages.
+            region: String,
+        },
+        /// A (partial) bitstream emitted by the implementation flow.
+        BitstreamGenerated = "bitstream.generated" in cad {
+            /// Design / SoC name.
+            design: String,
+            /// Region the bitstream targets.
+            region: String,
+            /// Accelerator kind implemented.
+            kind: String,
+            /// Bitstream size, bytes.
+            bytes: u64,
+        },
     }
 }
 
@@ -981,7 +776,10 @@ mod tests {
         // 2 domains × (1 process + 2 threads) metadata + 2 payload events.
         assert_eq!(events.len(), 8);
         let payload = &events[events.len() - 2];
-        assert_eq!(payload.get("name").unwrap().as_str(), Some("dram.access"));
+        assert_eq!(
+            payload.get("name").unwrap().as_str(),
+            Some(records[0].event.name())
+        );
         assert_eq!(payload.get("ph").unwrap().as_str(), Some("X"));
     }
 
@@ -1157,10 +955,20 @@ mod tests {
                 bytes: 1,
             },
         ];
+        let names: Vec<&str> = events.iter().map(TraceEvent::name).collect();
+        assert_eq!(names, TraceEvent::NAMES, "one name per variant, in order");
         for e in events {
             assert!(!e.name().is_empty());
             assert!(!e.category().is_empty());
             assert!(!e.args().is_empty());
         }
+    }
+
+    #[test]
+    fn event_names_are_unique() {
+        let mut names = TraceEvent::NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), TraceEvent::NAMES.len());
     }
 }

@@ -196,9 +196,10 @@ impl WamiApp {
     ///
     /// If the accelerator path is unavailable for a degradable reason
     /// (quarantined tile, exhausted reconfiguration retries, missing
-    /// bitstream), the kernel degrades to the CPU software path so the
-    /// frame still completes; the software kernels are bit-identical, only
-    /// timing changes.
+    /// bitstream) and [`crate::manager::RecoveryPolicy::cpu_fallback`]
+    /// allows it, the kernel degrades to the CPU software path so the
+    /// frame still completes; the software kernels are bit-identical,
+    /// only timing changes.
     fn exec(
         &mut self,
         kernel: WamiKernel,
@@ -228,9 +229,14 @@ impl WamiApp {
                         }
                         Ok(None) => {}
                         Err(e) if e.is_degradable() => {
-                            frame_stats.cpu_fallbacks += 1;
                             let at = ready.max(self.manager.tile_idle_at(tile));
-                            let run = self.manager.run_on_cpu_at(&op, at)?;
+                            let run = self.manager.degrade_to_cpu_at(
+                                AcceleratorKind::Wami(kernel),
+                                &op,
+                                at,
+                                e,
+                            )?;
+                            frame_stats.cpu_fallbacks += 1;
                             break 'run (run.value, run.end);
                         }
                         Err(e) => return Err(e),

@@ -66,8 +66,10 @@ pub struct RecoveryPolicy {
     /// Consecutive retry-exhausted requests on one tile before it is
     /// quarantined.
     pub quarantine_after: u32,
-    /// Whether [`ReconfigManager::run_with_fallback_at`] may degrade to
-    /// the CPU software path when the accelerator path is unavailable.
+    /// Whether a request may degrade to the CPU software path when the
+    /// accelerator path is unavailable. It governs every degrade:
+    /// [`ReconfigManager::run_with_fallback_at`], the WAMI application's
+    /// kernels and the threaded scheduler's execute requests.
     pub cpu_fallback: bool,
     /// Per-request deadline in virtual cycles, measured from admission to
     /// commit; 0 disables deadline accounting. A reconfiguration past its
@@ -587,6 +589,24 @@ impl ReconfigManager {
     /// Propagates SoC errors.
     pub fn run_on_cpu_at(&mut self, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
         protocol::run_on_cpu_at(&mut self.core, op, at, protocol::evaluate(op))
+    }
+
+    /// Degrades a request for `kind` to the CPU software path at cycle
+    /// `at` after the degradable failure `cause`, through the same step
+    /// as [`Self::run_with_fallback_at`]; returns `cause` when
+    /// [`RecoveryPolicy::cpu_fallback`] is disabled.
+    pub(crate) fn degrade_to_cpu_at(
+        &mut self,
+        kind: AcceleratorKind,
+        op: &AccelOp,
+        at: u64,
+        cause: Error,
+    ) -> Result<AccelRun, Error> {
+        if !self.policy.cpu_fallback {
+            return Err(cause);
+        }
+        protocol::degrade_to_cpu_at(&mut self.core, kind, op, at, protocol::evaluate(op))
+            .map(|(run, _)| run)
     }
 
     /// Ensures `kind` is loaded in `tile` and runs `op` there, degrading to

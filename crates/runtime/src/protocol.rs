@@ -545,7 +545,8 @@ pub(crate) fn run_with_fallback_at(
 /// cycle `start`: traces the `cpu.fallback` record, runs `op` on the CPU
 /// tile and counts a completed run in `fallback_runs`. The one degrade
 /// step, shared by a degradable reconfiguration failure
-/// ([`run_with_fallback_at`]) and the scheduler's missed deadline.
+/// ([`run_with_fallback_at`] and the WAMI application's kernels) and the
+/// scheduler's missed deadline.
 pub(crate) fn degrade_to_cpu_at(
     core: &mut DeviceCore,
     kind: AcceleratorKind,

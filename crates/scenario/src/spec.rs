@@ -16,6 +16,7 @@
 
 use crate::engine::STATS;
 use presp_events::json::{self, JsonValue};
+use presp_events::TraceEvent;
 use presp_floorplan::FitPolicy;
 use presp_fpga::fault::FaultConfig;
 use presp_runtime::manager::{OverloadPolicy, RecoveryPolicy};
@@ -226,12 +227,13 @@ pub enum Assertion {
     /// At least one run's trace contains an event with this name (the
     /// stable name from `TraceEvent::name()`, e.g. `"seu.injected"`).
     TraceContains {
-        /// Trace event name.
+        /// A name from [`TraceEvent::NAMES`]; the parser rejects others.
         event: String,
     },
     /// No run's trace contains an event with this name.
     TraceAbsent {
-        /// Trace event name.
+        /// A name from [`TraceEvent::NAMES`]; the parser rejects others,
+        /// so a misspelled name cannot pass for an absent event.
         event: String,
     },
     /// Every run's virtual-time makespan is at most `value` cycles.
@@ -792,6 +794,17 @@ fn parse_assertion(value: &JsonValue, index: usize) -> Result<Assertion, Scenari
         let v = get_u64(value, &ctx, "value")?;
         Ok((stat, v))
     };
+    let event_arg = |value: &JsonValue| -> Result<String, ScenarioError> {
+        reject_unknown_keys(value, &ctx, &["check", "event"])?;
+        let event = get_str(value, &ctx, "event")?;
+        if !TraceEvent::NAMES.contains(&event.as_str()) {
+            return err(format!(
+                "unknown trace event '{event}' in {ctx} (expected one of: {})",
+                TraceEvent::NAMES.join(", ")
+            ));
+        }
+        Ok(event)
+    };
     let bare = |value: &JsonValue, a: Assertion| -> Result<Assertion, ScenarioError> {
         reject_unknown_keys(value, &ctx, &["check"])?;
         Ok(a)
@@ -806,18 +819,8 @@ fn parse_assertion(value: &JsonValue, index: usize) -> Result<Assertion, Scenari
         "stat_min" => stat_arg(value).map(|(stat, value)| Assertion::StatMin { stat, value }),
         "stat_max" => stat_arg(value).map(|(stat, value)| Assertion::StatMax { stat, value }),
         "stat_eq" => stat_arg(value).map(|(stat, value)| Assertion::StatEq { stat, value }),
-        "trace_contains" => {
-            reject_unknown_keys(value, &ctx, &["check", "event"])?;
-            Ok(Assertion::TraceContains {
-                event: get_str(value, &ctx, "event")?,
-            })
-        }
-        "trace_absent" => {
-            reject_unknown_keys(value, &ctx, &["check", "event"])?;
-            Ok(Assertion::TraceAbsent {
-                event: get_str(value, &ctx, "event")?,
-            })
-        }
+        "trace_contains" => event_arg(value).map(|event| Assertion::TraceContains { event }),
+        "trace_absent" => event_arg(value).map(|event| Assertion::TraceAbsent { event }),
         "makespan_max" => {
             reject_unknown_keys(value, &ctx, &["check", "value"])?;
             Ok(Assertion::MakespanMax {
@@ -1392,6 +1395,19 @@ mod tests {
         let e = ScenarioSpec::parse(&doc).unwrap_err();
         assert!(e.0.contains("unknown stat 'retrys'"), "{e}");
         assert!(e.0.contains("retries"), "{e}");
+    }
+
+    #[test]
+    fn unknown_trace_event_lists_the_valid_names() {
+        for check in ["trace_contains", "trace_absent"] {
+            let doc = minimal().replace(
+                "{\"check\": \"stats_consistent\"}",
+                &format!("{{\"check\": \"{check}\", \"event\": \"cpu.falback\"}}"),
+            );
+            let e = ScenarioSpec::parse(&doc).unwrap_err();
+            assert!(e.0.contains("unknown trace event 'cpu.falback'"), "{e}");
+            assert!(e.0.contains("cpu.fallback"), "{e}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! kinds, every assertion shape, optional sections present and absent —
 //! within the parser's own validity envelope.
 
+use presp_events::TraceEvent;
 use presp_floorplan::FitPolicy;
 use presp_fpga::fault::FaultConfig;
 use presp_runtime::manager::{OverloadPolicy, RecoveryPolicy};
@@ -52,6 +53,7 @@ proptest! {
         pin_extra in 0usize..100_000,
         assertion_sel in 0u64..512,
         stat_sel in 0usize..1_000,
+        event_sel in 0usize..1_000,
         bound in 0u64..1_000_000,
         supervised in proptest::bool::ANY,
         deadline in 0u64..100_000,
@@ -154,8 +156,11 @@ proptest! {
             assertions.push(Assertion::StatMax { stat: stat.clone(), value: bound });
         }
         if assertion_sel & 16 != 0 {
-            assertions.push(Assertion::TraceContains { event: "seu.injected".to_string() });
-            assertions.push(Assertion::TraceAbsent { event: "cpu.fallback".to_string() });
+            let names = TraceEvent::NAMES;
+            let present = names[event_sel % names.len()].to_string();
+            let absent = names[event_sel / names.len() % names.len()].to_string();
+            assertions.push(Assertion::TraceContains { event: present });
+            assertions.push(Assertion::TraceAbsent { event: absent });
         }
         if assertion_sel & 32 != 0 {
             assertions.push(Assertion::MakespanMax { value: bound });

@@ -52,6 +52,11 @@ pub const DRAM_LATENCY: u64 = 24;
 /// while the SoC runs at 78 MHz, so one ICAP microsecond is 78 SoC cycles.
 pub const SOC_CYCLES_PER_MICRO: f64 = 78.0;
 
+/// SoC cycles the ICAP spends streaming `words` configuration words.
+fn icap_cycles(words: u64) -> u64 {
+    (words as f64 / ICAP_CLOCK_MHZ * SOC_CYCLES_PER_MICRO).ceil() as u64
+}
+
 /// CSR offsets of a reconfigurable tile (Fig. 2B's configuration
 /// registers).
 pub mod csr {
@@ -265,19 +270,9 @@ impl Soc {
         self.part
     }
 
-    /// Current convenience clock (used by the `_at`-less wrappers).
-    pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
     /// Latest completion cycle observed on any resource.
     pub fn horizon(&self) -> u64 {
         self.clock.horizon()
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
     }
 
     /// Attaches a trace sink: every subsequent timed operation emits a
@@ -414,24 +409,7 @@ impl Soc {
         at: u64,
     ) -> Result<RegionMoveRun, Error> {
         self.advance_seus_to(at);
-        {
-            let state = self
-                .tiles
-                .get(&tile)
-                .ok_or(Error::NoSuchTile { coord: tile })?;
-            if !matches!(state.kind, TileKind::Reconfigurable) {
-                return Err(Error::WrongTileKind {
-                    coord: tile,
-                    expected: "reconfigurable",
-                });
-            }
-            if !state.wrapper.is_decoupled() {
-                return Err(Error::DecouplerProtocol {
-                    coord: tile,
-                    detail: "region move while coupled to the NoC".into(),
-                });
-            }
-        }
+        self.require_decoupled(tile, "region move")?;
         let old_region = self.tile_regions.get(&tile).cloned().unwrap_or_default();
         if old_region.is_empty() {
             return Err(Error::RegionConflict {
@@ -486,8 +464,7 @@ impl Soc {
             .map_err(Error::Fpga)?;
         // ICAP cost: readback of the region plus rewrite at the new base.
         let words = 2 * old_region.len() as u64 * self.dfxc.config_memory().frame_words() as u64;
-        let cycles = (words as f64 / ICAP_CLOCK_MHZ * SOC_CYCLES_PER_MICRO).ceil() as u64;
-        let r = self.icap.reserve(at, cycles);
+        let r = self.icap.reserve(at, icap_cycles(words));
         let state = self.tile_mut(tile)?;
         state.timeline.claim(at, r.start, r.end);
         // Region bookkeeping and the golden store move with the frames.
@@ -539,24 +516,7 @@ impl Soc {
     /// coupled, and [`Error::Fpga`] when the erase itself fails.
     pub fn release_tile_region(&mut self, tile: TileCoord, at: u64) -> Result<usize, Error> {
         self.advance_seus_to(at);
-        {
-            let state = self
-                .tiles
-                .get(&tile)
-                .ok_or(Error::NoSuchTile { coord: tile })?;
-            if !matches!(state.kind, TileKind::Reconfigurable) {
-                return Err(Error::WrongTileKind {
-                    coord: tile,
-                    expected: "reconfigurable",
-                });
-            }
-            if !state.wrapper.is_decoupled() {
-                return Err(Error::DecouplerProtocol {
-                    coord: tile,
-                    detail: "region release while coupled to the NoC".into(),
-                });
-            }
-        }
+        self.require_decoupled(tile, "region release")?;
         let Some(region) = self.tile_regions.remove(&tile) else {
             return Ok(0);
         };
@@ -567,8 +527,7 @@ impl Soc {
             .map_err(Error::Fpga)?;
         let frames = region.len();
         let words = frames as u64 * self.dfxc.config_memory().frame_words() as u64;
-        let cycles = (words as f64 / ICAP_CLOCK_MHZ * SOC_CYCLES_PER_MICRO).ceil() as u64;
-        let r = self.icap.reserve(at, cycles);
+        let r = self.icap.reserve(at, icap_cycles(words));
         let state = self.tile_mut(tile)?;
         state.timeline.claim(at, r.start, r.end);
         self.tracer
@@ -652,8 +611,7 @@ impl Soc {
     ) -> Result<ScrubReport, Error> {
         self.advance_seus_to(at);
         let words = addrs.len() as u64 * self.dfxc.config_memory().frame_words() as u64;
-        let cycles = (words as f64 / ICAP_CLOCK_MHZ * SOC_CYCLES_PER_MICRO).ceil() as u64;
-        let r = self.icap.reserve(at, cycles);
+        let r = self.icap.reserve(at, icap_cycles(words));
         let mut corrected = Vec::new();
         let mut uncorrectable = Vec::new();
         for &addr in addrs {
@@ -728,6 +686,29 @@ impl Soc {
             TileKind::Accel(k) => Some(*k),
             _ => state.wrapper.configured_kind(),
         })
+    }
+
+    /// The precondition of every fabric write to `tile`'s region: the tile
+    /// exists, is reconfigurable and is decoupled from the NoC. `action`
+    /// names the refused operation in the error detail.
+    fn require_decoupled(&self, tile: TileCoord, action: &str) -> Result<(), Error> {
+        let state = self
+            .tiles
+            .get(&tile)
+            .ok_or(Error::NoSuchTile { coord: tile })?;
+        if !matches!(state.kind, TileKind::Reconfigurable) {
+            return Err(Error::WrongTileKind {
+                coord: tile,
+                expected: "reconfigurable",
+            });
+        }
+        if !state.wrapper.is_decoupled() {
+            return Err(Error::DecouplerProtocol {
+                coord: tile,
+                detail: format!("{action} while coupled to the NoC"),
+            });
+        }
+        Ok(())
     }
 
     fn tile_mut(&mut self, coord: TileCoord) -> Result<&mut TileState, Error> {
@@ -919,24 +900,7 @@ impl Soc {
         self.advance_seus_to(at);
         let aux = self.config.aux();
         let mem = self.config.mem();
-        {
-            let state = self
-                .tiles
-                .get(&tile)
-                .ok_or(Error::NoSuchTile { coord: tile })?;
-            if !matches!(state.kind, TileKind::Reconfigurable) {
-                return Err(Error::WrongTileKind {
-                    coord: tile,
-                    expected: "reconfigurable",
-                });
-            }
-            if !state.wrapper.is_decoupled() {
-                return Err(Error::DecouplerProtocol {
-                    coord: tile,
-                    detail: "reconfigure while coupled to the NoC".into(),
-                });
-            }
-        }
+        self.require_decoupled(tile, "reconfigure")?;
         let bytes = bitstream.size_bytes() as u64;
         let words = bitstream.words().len() as u64;
         // DFXC fetches the bitstream from DRAM over the DFX plane.
@@ -975,10 +939,9 @@ impl Soc {
             Err((e, dirty)) => {
                 // A failed stream still occupied the ICAP for its full
                 // length, and virtual time advances past the attempt.
-                let wasted = (bitstream.words().len() as f64 / ICAP_CLOCK_MHZ
-                    * SOC_CYCLES_PER_MICRO)
-                    .ceil() as u64;
-                let r = self.icap.claim(fetch.end, icap_start, icap_start + wasted);
+                let r = self
+                    .icap
+                    .claim(fetch.end, icap_start, icap_start + icap_cycles(words));
                 self.tracer
                     .emit(ClockDomain::SocCycles, r.start, r.duration(), || {
                         TraceEvent::IcapWrite {

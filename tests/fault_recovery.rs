@@ -304,34 +304,38 @@ fn release_quarantine_restores_the_accelerator_path() {
     assert_eq!(path, ExecPath::Accelerator);
 }
 
-#[test]
-fn wami_frame_completes_on_cpu_after_tiles_quarantine() {
-    // Every ICAP load is corrupted: no accelerator ever comes up, every
-    // tile quarantines, and the full WAMI frame still completes — each
-    // kernel degrading to the bit-identical software path.
+/// A WAMI app on `wami_soc_x` whose every ICAP load is corrupted, so no
+/// accelerator ever comes up and every tile quarantines.
+fn all_loads_corrupted_wami(cpu_fallback: bool) -> presp::runtime::app::WamiApp {
     let design = SocDesign::wami_soc_x().unwrap();
     let out = PrEspFlow::new().run(&design).unwrap();
     let mut app = deploy_wami(&design, &out, 2).unwrap();
-    {
-        let manager = app.manager_mut();
-        manager.set_policy(RecoveryPolicy {
-            max_retries: 1,
-            backoff_cycles: 16,
-            backoff_multiplier: 2,
-            quarantine_after: 1,
-            cpu_fallback: true,
-            ..RecoveryPolicy::default()
-        });
-        manager
-            .soc_mut()
-            .set_fault_plan(Some(presp::fpga::fault::FaultPlan::new(
-                99,
-                FaultConfig {
-                    icap_flip_rate: 1.0,
-                    ..FaultConfig::default()
-                },
-            )));
-    }
+    let manager = app.manager_mut();
+    manager.set_policy(RecoveryPolicy {
+        max_retries: 1,
+        backoff_cycles: 16,
+        backoff_multiplier: 2,
+        quarantine_after: 1,
+        cpu_fallback,
+        ..RecoveryPolicy::default()
+    });
+    manager
+        .soc_mut()
+        .set_fault_plan(Some(presp::fpga::fault::FaultPlan::new(
+            99,
+            FaultConfig {
+                icap_flip_rate: 1.0,
+                ..FaultConfig::default()
+            },
+        )));
+    app
+}
+
+#[test]
+fn wami_frame_completes_on_cpu_after_tiles_quarantine() {
+    // The full WAMI frame still completes — each kernel degrading to the
+    // bit-identical software path.
+    let mut app = all_loads_corrupted_wami(true);
 
     let mut scene = SceneGenerator::new(32, 32, 7);
     let r1 = app.process_frame(&scene.next_frame()).unwrap();
@@ -342,6 +346,11 @@ fn wami_frame_completes_on_cpu_after_tiles_quarantine() {
 
     let stats = app.manager().stats();
     assert!(stats.consistent(), "{stats:?}");
+    assert_eq!(
+        stats.fallback_runs,
+        r1.cpu_fallbacks + r2.cpu_fallbacks,
+        "every kernel degrade is counted once"
+    );
     assert!(stats.quarantines > 0, "persistent faults quarantined tiles");
     assert_eq!(
         stats.reconfigurations, 0,
@@ -365,4 +374,16 @@ fn wami_frame_completes_on_cpu_after_tiles_quarantine() {
     sw.process(&scene.next_frame()).unwrap();
     let sw2 = sw.process(&scene.next_frame()).unwrap();
     assert_eq!(r2.changed_pixels, sw2.changed_pixels);
+}
+
+#[test]
+fn wami_frame_fails_when_cpu_fallback_is_off() {
+    let mut app = all_loads_corrupted_wami(false);
+    let mut scene = SceneGenerator::new(32, 32, 7);
+    let e = app.process_frame(&scene.next_frame()).unwrap_err();
+    assert!(
+        e.is_degradable(),
+        "the reconfiguration failure surfaces: {e}"
+    );
+    assert_eq!(app.manager().stats().fallback_runs, 0);
 }
