@@ -756,41 +756,28 @@ pub fn totals(runs: &[RunObservation]) -> BTreeMap<&'static str, u64> {
         .collect()
 }
 
-fn pass(check: &str, detail: String, seed: u64) -> AssertionResult {
-    AssertionResult {
-        check: check.to_string(),
-        passed: true,
-        detail,
-        replay_seed: seed,
-    }
+/// A check's outcome: whether it held, the detail and the replay seed.
+type Outcome = (bool, String, u64);
+
+fn pass(detail: String, seed: u64) -> Outcome {
+    (true, detail, seed)
 }
 
-fn fail(check: &str, detail: String, seed: u64) -> AssertionResult {
-    AssertionResult {
-        check: check.to_string(),
-        passed: false,
-        detail,
-        replay_seed: seed,
-    }
+fn fail(detail: String, seed: u64) -> Outcome {
+    (false, detail, seed)
 }
 
 /// Evaluates one assertion against the observation set.
-fn evaluate(
-    assertion: &Assertion,
-    spec: &ScenarioSpec,
-    obs: &ScenarioObservations,
-) -> AssertionResult {
+fn evaluate(assertion: &Assertion, spec: &ScenarioSpec, obs: &ScenarioObservations) -> Outcome {
     let runs = &obs.runs;
     let first_seed = spec.seeds.start;
     match assertion {
         Assertion::StatsConsistent => match runs.iter().find(|r| !r.stats_consistent) {
             None => pass(
-                "stats_consistent",
                 format!("ManagerStats::consistent() held across {} runs", runs.len()),
                 first_seed,
             ),
             Some(r) => fail(
-                "stats_consistent",
                 format!(
                     "request accounting inconsistent at seed {} / {} workers",
                     r.seed, r.workers
@@ -809,7 +796,6 @@ fn evaluate(
                 r.stats["lost_requests"] != 0 || answered != r.stats["submitted"]
             }) {
                 None => pass(
-                    "no_lost_requests",
                     format!(
                         "all {} submitted operations were answered \
                          (completed, shed, deadline-cancelled, or refused \
@@ -819,7 +805,6 @@ fn evaluate(
                     first_seed,
                 ),
                 Some(r) => fail(
-                    "no_lost_requests",
                     format!(
                         "seed {} / {} workers: {} of {} submissions answered ({} lost)",
                         r.seed,
@@ -838,12 +823,10 @@ fn evaluate(
         Assertion::BitIdenticalOutputs => {
             match runs.iter().find(|r| r.stats["value_mismatches"] != 0) {
                 None => pass(
-                    "bit_identical_outputs",
                     "every completed value matched the CPU model bit for bit".to_string(),
                     first_seed,
                 ),
                 Some(r) => fail(
-                    "bit_identical_outputs",
                     format!(
                         "seed {} / {} workers: {} values diverged from the CPU model",
                         r.seed, r.workers, r.stats["value_mismatches"]
@@ -867,7 +850,6 @@ fn evaluate(
             }
             if diffs.is_empty() {
                 pass(
-                    "same_seed_trace_identical",
                     format!(
                         "re-running seed {} / {} workers reproduced stats, makespan \
                          and trace byte for byte",
@@ -877,7 +859,6 @@ fn evaluate(
                 )
             } else {
                 fail(
-                    "same_seed_trace_identical",
                     format!(
                         "seed {} / {} workers diverged on replay: {}",
                         first.seed,
@@ -907,7 +888,6 @@ fn evaluate(
                     }
                     if !diffs.is_empty() {
                         return fail(
-                            "outcome_equality_across_workers",
                             format!(
                                 "seed {}: workers={} and workers={} diverged on {}",
                                 base.seed,
@@ -921,7 +901,6 @@ fn evaluate(
                 }
             }
             pass(
-                "outcome_equality_across_workers",
                 format!(
                     "worker counts {:?} produced identical outcomes across {} seeds",
                     spec.workers, spec.seeds.count
@@ -932,12 +911,10 @@ fn evaluate(
         Assertion::FinalScrubClean => {
             match runs.iter().find(|r| r.stats["final_sweep_dirty"] != 0) {
                 None => pass(
-                    "final_scrub_clean",
                     "every confirmation sweep came back clean".to_string(),
                     first_seed,
                 ),
                 Some(r) => fail(
-                    "final_scrub_clean",
                     format!(
                         "seed {} / {} workers: {} tiles still dirty after the \
                          confirmation sweep",
@@ -950,14 +927,9 @@ fn evaluate(
         Assertion::StatMin { stat, value } => {
             let observed = total(runs, stat);
             if observed >= *value {
-                pass(
-                    "stat_min",
-                    format!("total {stat} = {observed} >= {value}"),
-                    first_seed,
-                )
+                pass(format!("total {stat} = {observed} >= {value}"), first_seed)
             } else {
                 fail(
-                    "stat_min",
                     format!("total {stat} = {observed}, expected at least {value}"),
                     first_seed,
                 )
@@ -966,14 +938,9 @@ fn evaluate(
         Assertion::StatMax { stat, value } => {
             let observed = total(runs, stat);
             if observed <= *value {
-                pass(
-                    "stat_max",
-                    format!("total {stat} = {observed} <= {value}"),
-                    first_seed,
-                )
+                pass(format!("total {stat} = {observed} <= {value}"), first_seed)
             } else {
                 fail(
-                    "stat_max",
                     format!("total {stat} = {observed}, expected at most {value}"),
                     first_seed,
                 )
@@ -982,10 +949,9 @@ fn evaluate(
         Assertion::StatEq { stat, value } => {
             let observed = total(runs, stat);
             if observed == *value {
-                pass("stat_eq", format!("total {stat} = {observed}"), first_seed)
+                pass(format!("total {stat} = {observed}"), first_seed)
             } else {
                 fail(
-                    "stat_eq",
                     format!("total {stat} = {observed}, expected exactly {value}"),
                     first_seed,
                 )
@@ -998,7 +964,6 @@ fn evaluate(
                 .sum();
             if hits > 0 {
                 pass(
-                    "trace_contains",
                     format!("event '{event}' appeared {hits} times across all traces"),
                     first_seed,
                 )
@@ -1015,7 +980,7 @@ fn evaluate(
                     }
                     let _ = write!(detail, "{name}");
                 }
-                fail("trace_contains", detail, first_seed)
+                fail(detail, first_seed)
             }
         }
         Assertion::TraceAbsent { event } => {
@@ -1024,12 +989,10 @@ fn evaluate(
                 .find(|r| r.event_counts.get(event).copied().unwrap_or(0) > 0)
             {
                 None => pass(
-                    "trace_absent",
                     format!("event '{event}' never appeared, as required"),
                     first_seed,
                 ),
                 Some(r) => fail(
-                    "trace_absent",
                     format!(
                         "seed {} / {} workers: forbidden event '{event}' appeared {} times",
                         r.seed, r.workers, r.event_counts[event]
@@ -1040,7 +1003,6 @@ fn evaluate(
         }
         Assertion::MakespanMax { value } => match runs.iter().max_by_key(|r| r.makespan) {
             Some(r) if r.makespan > *value => fail(
-                "makespan_max",
                 format!(
                     "seed {} / {} workers: makespan {} cycles exceeds the {} bound",
                     r.seed, r.workers, r.makespan, value
@@ -1048,23 +1010,20 @@ fn evaluate(
                 r.seed,
             ),
             Some(r) => pass(
-                "makespan_max",
                 format!("worst makespan {} cycles <= {} bound", r.makespan, value),
                 first_seed,
             ),
-            None => fail("makespan_max", "no runs observed".to_string(), first_seed),
+            None => fail("no runs observed".to_string(), first_seed),
         },
         Assertion::DeadlineMissMax { value } => {
             let observed = total(runs, "deadline_misses");
             if observed <= *value {
                 pass(
-                    "deadline_miss_max",
                     format!("total deadline_misses = {observed} <= {value}"),
                     first_seed,
                 )
             } else {
                 fail(
-                    "deadline_miss_max",
                     format!("total deadline_misses = {observed}, expected at most {value}"),
                     first_seed,
                 )
@@ -1077,13 +1036,11 @@ fn evaluate(
             // without rounding surprises.
             if shed * 100 <= *percent * submitted {
                 pass(
-                    "shed_rate_max",
                     format!("{shed} of {submitted} submissions shed, within the {percent}% bound"),
                     first_seed,
                 )
             } else {
                 fail(
-                    "shed_rate_max",
                     format!("{shed} of {submitted} submissions shed, above the {percent}% bound"),
                     first_seed,
                 )
@@ -1092,7 +1049,6 @@ fn evaluate(
         Assertion::NoOrphanedTickets => {
             match runs.iter().find(|r| r.stats["orphaned_tickets"] != 0) {
                 None => pass(
-                    "no_orphaned_tickets",
                     format!(
                         "every run quiesced with zero claimed-but-uncommitted \
                          tickets across {} runs",
@@ -1101,7 +1057,6 @@ fn evaluate(
                     first_seed,
                 ),
                 Some(r) => fail(
-                    "no_orphaned_tickets",
                     format!(
                         "seed {} / {} workers: {} tickets were claimed but never \
                          committed or retired",
@@ -1120,7 +1075,15 @@ pub fn run(spec: &ScenarioSpec) -> ScenarioVerdict {
     let results = spec
         .assertions
         .iter()
-        .map(|a| evaluate(a, spec, &observations))
+        .map(|a| {
+            let (passed, detail, replay_seed) = evaluate(a, spec, &observations);
+            AssertionResult {
+                check: a.check().to_string(),
+                passed,
+                detail,
+                replay_seed,
+            }
+        })
         .collect();
     ScenarioVerdict {
         spec: spec.clone(),

@@ -10,6 +10,17 @@
 //! typo in a data file fails loudly instead of silently weakening a
 //! scenario.
 //!
+//! The codec is declared once. Every section key, enum token, workload
+//! kind and assertion check is written in one `codec!` invocation below,
+//! next to its value kind (which fixes its JSON form), its default and
+//! its bound. The parser, the canonical serializer, the unknown-key check
+//! and every "expected one of" message are generated from those
+//! declarations, so a key cannot be parsed without being serialized and
+//! listed. What is validation rather than codec is written by hand: the
+//! cross-field rules of `validate()`, the name charset, the
+//! `faults.uniform_rate` shorthand, the duplicate-free `catalog` and
+//! `workers` arrays and the `regions.window` pair check.
+//!
 //! The parser and serializer round-trip exactly:
 //! `parse(serialize(spec)) == spec` for every valid spec (property-tested
 //! in `tests/parser_roundtrip.rs`).
@@ -22,6 +33,8 @@ use presp_fpga::fault::FaultConfig;
 use presp_runtime::manager::{OverloadPolicy, RecoveryPolicy};
 use presp_runtime::supervisor::WorkerFaultConfig;
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::{Bound, RangeBounds};
 
 /// A scenario-language error: parse failures and semantic validation
 /// failures, always with an actionable message.
@@ -49,24 +62,6 @@ pub enum CatalogKind {
     Mac,
     /// Vector sort.
     Sort,
-}
-
-impl CatalogKind {
-    /// The JSON token.
-    pub fn token(self) -> &'static str {
-        match self {
-            CatalogKind::Mac => "mac",
-            CatalogKind::Sort => "sort",
-        }
-    }
-
-    fn from_token(token: &str) -> Option<CatalogKind> {
-        match token {
-            "mac" => Some(CatalogKind::Mac),
-            "sort" => Some(CatalogKind::Sort),
-            _ => None,
-        }
-    }
 }
 
 /// The simulated fabric: an ESP-style grid (CPU + MEM + AUX) with
@@ -294,582 +289,673 @@ pub struct ScenarioSpec {
     pub assertions: Vec<Assertion>,
 }
 
-// ---- parsing helpers -----------------------------------------------------
+// ---- the codec -------------------------------------------------------------
 
-/// Checks an object for keys outside `allowed`, reporting the context.
-fn reject_unknown_keys(
-    value: &JsonValue,
-    ctx: &str,
-    allowed: &[&str],
-) -> Result<(), ScenarioError> {
-    let JsonValue::Object(fields) = value else {
-        return err(format!("{ctx} must be a JSON object"));
-    };
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return err(format!(
-                "unknown key '{key}' in {ctx} (expected one of: {})",
-                allowed.join(", ")
-            ));
+/// Where a value sits in a document: the path of the object that holds
+/// it (empty at the top level, else e.g. `policy` or `assertions[2]`)
+/// and its key in that object.
+#[derive(Clone, Copy)]
+struct At<'a> {
+    ctx: &'a str,
+    key: &'a str,
+}
+
+/// Names the object at path `ctx` in messages.
+fn holder(ctx: &str) -> String {
+    if ctx.is_empty() {
+        "the top-level scenario object".to_string()
+    } else {
+        format!("'{ctx}'")
+    }
+}
+
+impl At<'_> {
+    /// The value's own path, e.g. `policy.overload`; for an object, the
+    /// context of its keys.
+    fn path(self) -> String {
+        if self.ctx.is_empty() {
+            self.key.to_string()
+        } else {
+            format!("{}.{}", self.ctx, self.key)
         }
     }
-    Ok(())
-}
 
-fn get_str(value: &JsonValue, ctx: &str, key: &str) -> Result<String, ScenarioError> {
-    match value.get(key) {
-        Some(JsonValue::String(s)) => Ok(s.clone()),
-        Some(_) => err(format!("'{key}' in {ctx} must be a string")),
-        None => err(format!("missing required key '{key}' in {ctx}")),
+    /// The value has the wrong shape: `'key' in <holder> <what>`.
+    fn error(self, what: &str) -> ScenarioError {
+        ScenarioError(format!("'{}' in {} {what}", self.key, holder(self.ctx)))
+    }
+
+    /// A token outside `accepted`, which the message lists.
+    fn unknown(self, what: &str, got: &str, accepted: &[&str]) -> ScenarioError {
+        ScenarioError(format!(
+            "unknown {what} '{got}' in '{}' (expected one of: {})",
+            self.path(),
+            accepted.join(", ")
+        ))
+    }
+
+    /// A value outside its bound, which the message names.
+    fn out_of_bound<T: fmt::Display>(self, got: T, bound: &impl RangeBounds<T>) -> ScenarioError {
+        let limit = match (bound.start_bound(), bound.end_bound()) {
+            (Bound::Included(lo), Bound::Included(hi)) => format!("between {lo} and {hi}"),
+            (Bound::Included(lo), _) => format!("at least {lo}"),
+            (_, Bound::Included(hi)) => format!("at most {hi}"),
+            _ => "within its bound".to_string(),
+        };
+        ScenarioError(format!("'{}' must be {limit} (got {got})", self.path()))
     }
 }
 
-fn get_usize(value: &JsonValue, ctx: &str, key: &str) -> Result<usize, ScenarioError> {
-    match value.get(key) {
-        Some(v) => v.as_usize().ok_or_else(|| {
-            ScenarioError(format!("'{key}' in {ctx} must be a non-negative integer"))
-        }),
-        None => err(format!("missing required key '{key}' in {ctx}")),
+/// Checks a value against its declared bound.
+fn within<T: PartialOrd + fmt::Display>(
+    v: T,
+    bound: impl RangeBounds<T>,
+    at: At,
+) -> Result<T, ScenarioError> {
+    if bound.contains(&v) {
+        Ok(v)
+    } else {
+        Err(at.out_of_bound(v, &bound))
     }
 }
 
-fn get_u64(value: &JsonValue, ctx: &str, key: &str) -> Result<u64, ScenarioError> {
-    get_usize(value, ctx, key).map(|v| v as u64)
-}
-
-fn opt_u64(value: &JsonValue, ctx: &str, key: &str, default: u64) -> Result<u64, ScenarioError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(_) => get_u64(value, ctx, key),
-    }
-}
-
-fn opt_bool(value: &JsonValue, ctx: &str, key: &str, default: bool) -> Result<bool, ScenarioError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        Some(_) => err(format!("'{key}' in {ctx} must be true or false")),
-    }
-}
-
-/// A probability knob: must be a number in `[0, 1]`.
-fn opt_rate(value: &JsonValue, ctx: &str, key: &str, default: f64) -> Result<f64, ScenarioError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(JsonValue::Number(n)) if (0.0..=1.0).contains(n) => Ok(*n),
-        Some(JsonValue::Number(n)) => err(format!(
-            "'{key}' in {ctx} must be a probability between 0 and 1 (got {n})"
+/// Checks that `v` is an object whose keys are all in `keys`.
+fn check_keys(v: &JsonValue, ctx: &str, keys: &[&str]) -> Result<(), ScenarioError> {
+    let JsonValue::Object(fields) = v else {
+        return err(format!("{} must be a JSON object", holder(ctx)));
+    };
+    match fields.iter().find(|(key, _)| !keys.contains(&key.as_str())) {
+        Some((key, _)) => err(format!(
+            "unknown key '{key}' in {} (expected one of: {})",
+            holder(ctx),
+            keys.join(", ")
         )),
-        Some(_) => err(format!("'{key}' in {ctx} must be a number")),
+        None => Ok(()),
     }
 }
 
-fn opt_nonneg(value: &JsonValue, ctx: &str, key: &str, default: f64) -> Result<f64, ScenarioError> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(JsonValue::Number(n)) if *n >= 0.0 => Ok(*n),
-        Some(JsonValue::Number(n)) => {
-            err(format!("'{key}' in {ctx} must be non-negative (got {n})"))
-        }
-        Some(_) => err(format!("'{key}' in {ctx} must be a number")),
-    }
-}
-
-// ---- section parsers -----------------------------------------------------
-
-fn parse_fabric(doc: &JsonValue) -> Result<FabricSpec, ScenarioError> {
-    let Some(fabric) = doc.get("fabric") else {
-        return err("missing required key 'fabric' at the top level");
-    };
-    reject_unknown_keys(fabric, "'fabric'", &["soc_name", "reconf_tiles"])?;
-    let soc_name = get_str(fabric, "'fabric'", "soc_name")?;
-    let reconf_tiles = get_usize(fabric, "'fabric'", "reconf_tiles")?;
-    if !(1..=64).contains(&reconf_tiles) {
-        return err(format!(
-            "'fabric.reconf_tiles' must be between 1 and 64 (got {reconf_tiles}): \
-             up to 6 tiles boot the canonical 3x3 grid, larger counts a \
-             near-square scaled grid"
-        ));
-    }
-    Ok(FabricSpec {
-        soc_name,
-        reconf_tiles,
-    })
-}
-
-fn parse_catalog(doc: &JsonValue) -> Result<Vec<CatalogKind>, ScenarioError> {
-    let Some(catalog) = doc.get("catalog") else {
-        return err("missing required key 'catalog' at the top level");
-    };
-    let Some(items) = catalog.as_array() else {
-        return err("'catalog' must be an array of accelerator kinds");
-    };
-    if items.is_empty() {
-        return err("'catalog' must name at least one accelerator kind");
-    }
-    let mut kinds = Vec::with_capacity(items.len());
-    for item in items {
-        let token = item
-            .as_str()
-            .ok_or_else(|| ScenarioError("'catalog' entries must be strings".into()))?;
-        let kind = CatalogKind::from_token(token).ok_or_else(|| {
+/// Reads the value of kind `K` under `at.key` of `obj`: `default` when
+/// the key is absent, an error when it is absent and `default` is `None`.
+fn field<K: Kind>(
+    obj: &JsonValue,
+    at: At,
+    default: Option<K::Value>,
+) -> Result<K::Value, ScenarioError> {
+    match obj.get(at.key) {
+        Some(v) => K::read(v, at),
+        None => default.ok_or_else(|| {
             ScenarioError(format!(
-                "unknown accelerator kind '{token}' in 'catalog' (expected one of: mac, sort)"
+                "missing required key '{}' in {}",
+                at.key,
+                holder(at.ctx)
             ))
-        })?;
-        if kinds.contains(&kind) {
-            return err(format!("duplicate accelerator kind '{token}' in 'catalog'"));
+        }),
+    }
+}
+
+/// An object from `(key, value)` pairs; a `Null` value is an absent
+/// optional one, and its key is omitted.
+fn object(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    json::obj(
+        fields
+            .into_iter()
+            .filter(|(_, v)| !matches!(v, JsonValue::Null))
+            .collect(),
+    )
+}
+
+/// How one kind of value is read from and written to a scenario
+/// document. A kind is the Rust type the value is stored as, or a marker
+/// type where that Rust type has a narrower JSON form (a probability is
+/// an `f64` in `[0, 1]`).
+trait Kind {
+    /// The type the value is stored as.
+    type Value;
+    /// Reads the value present at `at`.
+    fn read(v: &JsonValue, at: At) -> Result<Self::Value, ScenarioError>;
+    /// The canonical JSON form.
+    fn write(v: &Self::Value) -> JsonValue;
+}
+
+impl Kind for String {
+    type Value = String;
+    fn read(v: &JsonValue, at: At) -> Result<String, ScenarioError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| at.error("must be a string"))
+    }
+    fn write(v: &String) -> JsonValue {
+        json::string(v)
+    }
+}
+
+impl Kind for bool {
+    type Value = bool;
+    fn read(v: &JsonValue, at: At) -> Result<bool, ScenarioError> {
+        match v {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(at.error("must be true or false")),
         }
-        kinds.push(kind);
     }
-    Ok(kinds)
+    fn write(v: &bool) -> JsonValue {
+        JsonValue::Bool(*v)
+    }
 }
 
-fn parse_seeds(doc: &JsonValue) -> Result<SeedSpec, ScenarioError> {
-    let Some(seeds) = doc.get("seeds") else {
-        return err("missing required key 'seeds' at the top level");
-    };
-    reject_unknown_keys(seeds, "'seeds'", &["start", "count"])?;
-    let start = opt_u64(seeds, "'seeds'", "start", 0)?;
-    let count = get_u64(seeds, "'seeds'", "count")?;
-    if !(1..=10_000).contains(&count) {
-        return err(format!(
-            "'seeds.count' must be between 1 and 10000 (got {count})"
-        ));
+impl Kind for usize {
+    type Value = usize;
+    fn read(v: &JsonValue, at: At) -> Result<usize, ScenarioError> {
+        v.as_usize()
+            .ok_or_else(|| at.error("must be a non-negative integer"))
     }
-    Ok(SeedSpec { start, count })
+    fn write(v: &usize) -> JsonValue {
+        json::int(*v as u64)
+    }
 }
 
-fn parse_workers(doc: &JsonValue) -> Result<Vec<usize>, ScenarioError> {
-    let Some(workers) = doc.get("workers") else {
-        return Ok(vec![1]);
-    };
-    let Some(items) = workers.as_array() else {
-        return err("'workers' must be an array of worker counts, e.g. [1, 4]");
-    };
-    if items.is_empty() {
-        return err("'workers' must list at least one worker count");
+impl Kind for u64 {
+    type Value = u64;
+    fn read(v: &JsonValue, at: At) -> Result<u64, ScenarioError> {
+        usize::read(v, at).map(|n| n as u64)
     }
-    let mut counts = Vec::with_capacity(items.len());
-    for item in items {
-        let n = item
-            .as_usize()
-            .ok_or_else(|| ScenarioError("'workers' entries must be positive integers".into()))?;
-        if !(1..=64).contains(&n) {
+    fn write(v: &u64) -> JsonValue {
+        json::int(*v)
+    }
+}
+
+impl Kind for u32 {
+    type Value = u32;
+    fn read(v: &JsonValue, at: At) -> Result<u32, ScenarioError> {
+        let n = u64::read(v, at)?;
+        u32::try_from(n).map_err(|_| at.out_of_bound(n, &(..=u64::from(u32::MAX))))
+    }
+    fn write(v: &u32) -> JsonValue {
+        json::int(u64::from(*v))
+    }
+}
+
+impl Kind for f64 {
+    type Value = f64;
+    fn read(v: &JsonValue, at: At) -> Result<f64, ScenarioError> {
+        match v {
+            JsonValue::Number(n) => Ok(*n),
+            _ => Err(at.error("must be a number")),
+        }
+    }
+    fn write(v: &f64) -> JsonValue {
+        JsonValue::Number(*v)
+    }
+}
+
+/// A probability: an `f64` in `[0, 1]`.
+struct Probability;
+
+impl Kind for Probability {
+    type Value = f64;
+    fn read(v: &JsonValue, at: At) -> Result<f64, ScenarioError> {
+        let n = f64::read(v, at)?;
+        if (0.0..=1.0).contains(&n) {
+            Ok(n)
+        } else {
+            Err(at.error(&format!("must be a probability between 0 and 1 (got {n})")))
+        }
+    }
+    fn write(v: &f64) -> JsonValue {
+        f64::write(v)
+    }
+}
+
+/// The scenario name: a non-empty identifier of `[a-zA-Z0-9_]`, since
+/// it names the JUnit test case and the trace file.
+struct Name;
+
+impl Kind for Name {
+    type Value = String;
+    fn read(v: &JsonValue, at: At) -> Result<String, ScenarioError> {
+        let name = String::read(v, at)?;
+        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
             return err(format!(
-                "'workers' entries must be between 1 and 64 (got {n})"
+                "'{}' must be a non-empty identifier of [a-zA-Z0-9_] (got '{name}')",
+                at.path()
             ));
         }
-        if counts.contains(&n) {
-            return err(format!("duplicate worker count {n} in 'workers'"));
+        Ok(name)
+    }
+    fn write(v: &String) -> JsonValue {
+        String::write(v)
+    }
+}
+
+/// A counter key from [`STATS`].
+struct StatKey;
+
+impl Kind for StatKey {
+    type Value = String;
+    fn read(v: &JsonValue, at: At) -> Result<String, ScenarioError> {
+        let stat = String::read(v, at)?;
+        if STATS.iter().any(|&(key, _)| key == stat) {
+            return Ok(stat);
         }
-        counts.push(n);
+        let keys: Vec<&str> = STATS.iter().map(|&(key, _)| key).collect();
+        Err(at.unknown("stat", &stat, &keys))
     }
-    Ok(counts)
-}
-
-const FAULT_KEYS: &[&str] = &[
-    "uniform_rate",
-    "icap_flip_rate",
-    "dfxc_stall_rate",
-    "dfxc_stall_max_cycles",
-    "registry_miss_rate",
-    "decoupler_delay_rate",
-    "decoupler_delay_max_cycles",
-    "seu_per_mcycle",
-    "seu_double_bit_rate",
-];
-
-fn parse_faults(doc: &JsonValue) -> Result<FaultConfig, ScenarioError> {
-    let Some(faults) = doc.get("faults") else {
-        return Ok(FaultConfig::default());
-    };
-    reject_unknown_keys(faults, "'faults'", FAULT_KEYS)?;
-    let ctx = "'faults'";
-    // `uniform_rate` seeds every probability knob; explicit keys override.
-    let base = match faults.get("uniform_rate") {
-        Some(_) => FaultConfig::uniform(opt_rate(faults, ctx, "uniform_rate", 0.0)?),
-        None => FaultConfig::default(),
-    };
-    Ok(FaultConfig {
-        icap_flip_rate: opt_rate(faults, ctx, "icap_flip_rate", base.icap_flip_rate)?,
-        dfxc_stall_rate: opt_rate(faults, ctx, "dfxc_stall_rate", base.dfxc_stall_rate)?,
-        dfxc_stall_max_cycles: opt_u64(
-            faults,
-            ctx,
-            "dfxc_stall_max_cycles",
-            base.dfxc_stall_max_cycles,
-        )?,
-        registry_miss_rate: opt_rate(faults, ctx, "registry_miss_rate", base.registry_miss_rate)?,
-        decoupler_delay_rate: opt_rate(
-            faults,
-            ctx,
-            "decoupler_delay_rate",
-            base.decoupler_delay_rate,
-        )?,
-        decoupler_delay_max_cycles: opt_u64(
-            faults,
-            ctx,
-            "decoupler_delay_max_cycles",
-            base.decoupler_delay_max_cycles,
-        )?,
-        seu_per_mcycle: opt_nonneg(faults, ctx, "seu_per_mcycle", 0.0)?,
-        seu_double_bit_rate: opt_rate(faults, ctx, "seu_double_bit_rate", 0.0)?,
-    })
-}
-
-/// The JSON token of an overload policy.
-fn overload_token(policy: OverloadPolicy) -> &'static str {
-    match policy {
-        OverloadPolicy::RejectNew => "reject_new",
-        OverloadPolicy::ShedOldest => "shed_oldest",
+    fn write(v: &String) -> JsonValue {
+        String::write(v)
     }
 }
 
-fn parse_policy(doc: &JsonValue) -> Result<RecoveryPolicy, ScenarioError> {
-    let Some(policy) = doc.get("policy") else {
-        return Ok(RecoveryPolicy::default());
-    };
-    reject_unknown_keys(
-        policy,
-        "'policy'",
-        &[
-            "max_retries",
-            "backoff_cycles",
-            "backoff_multiplier",
-            "quarantine_after",
-            "cpu_fallback",
-            "deadline_cycles",
-            "queue_capacity",
-            "overload",
-            "breaker",
-            "supervised",
-            "restart_budget",
-        ],
-    )?;
-    let ctx = "'policy'";
-    let default = RecoveryPolicy::default();
-    let overload = match policy.get("overload") {
-        None => default.overload,
-        Some(JsonValue::String(s)) => match s.as_str() {
-            "reject_new" => OverloadPolicy::RejectNew,
-            "shed_oldest" => OverloadPolicy::ShedOldest,
-            other => {
+/// A trace event name from [`TraceEvent::NAMES`].
+struct EventName;
+
+impl Kind for EventName {
+    type Value = String;
+    fn read(v: &JsonValue, at: At) -> Result<String, ScenarioError> {
+        let event = String::read(v, at)?;
+        if TraceEvent::NAMES.contains(&event.as_str()) {
+            Ok(event)
+        } else {
+            Err(at.unknown("trace event", &event, TraceEvent::NAMES))
+        }
+    }
+    fn write(v: &String) -> JsonValue {
+        String::write(v)
+    }
+}
+
+/// A column window `[lo, hi)` with `lo < hi`; `None` is written by
+/// omitting the key.
+struct Window;
+
+impl Kind for Window {
+    type Value = Option<(u32, u32)>;
+    fn read(v: &JsonValue, at: At) -> Result<Option<(u32, u32)>, ScenarioError> {
+        let bad = || {
+            err(format!(
+                "'{}' must be a two-element array [lo, hi] of column indices with lo < hi",
+                at.path()
+            ))
+        };
+        let Some([lo, hi]) = v.as_array() else {
+            return bad();
+        };
+        let (lo, hi) = (u32::read(lo, at)?, u32::read(hi, at)?);
+        if lo < hi {
+            Ok(Some((lo, hi)))
+        } else {
+            bad()
+        }
+    }
+    fn write(v: &Option<(u32, u32)>) -> JsonValue {
+        match v {
+            Some((lo, hi)) => JsonValue::Array(vec![u32::write(lo), u32::write(hi)]),
+            None => JsonValue::Null,
+        }
+    }
+}
+
+/// A non-empty array of distinct `K` values.
+struct Set<K>(PhantomData<K>);
+
+impl<K: Kind> Kind for Set<K>
+where
+    K::Value: PartialEq,
+{
+    type Value = Vec<K::Value>;
+    fn read(v: &JsonValue, at: At) -> Result<Vec<K::Value>, ScenarioError> {
+        let items = match v.as_array() {
+            Some(items) if !items.is_empty() => items,
+            _ => return Err(at.error("must be a non-empty array")),
+        };
+        let mut values = Vec::with_capacity(items.len());
+        for item in items {
+            let value = K::read(item, at)?;
+            if values.contains(&value) {
                 return err(format!(
-                    "unknown 'policy.overload' value '{other}' \
-                     (expected one of: reject_new, shed_oldest)"
-                ))
+                    "duplicate entry {} in '{}'",
+                    item.pretty(),
+                    at.path()
+                ));
             }
-        },
-        Some(_) => return err("'overload' in 'policy' must be a string"),
-    };
-    Ok(RecoveryPolicy {
-        max_retries: opt_u64(policy, ctx, "max_retries", u64::from(default.max_retries))? as u32,
-        backoff_cycles: opt_u64(policy, ctx, "backoff_cycles", default.backoff_cycles)?,
-        backoff_multiplier: opt_u64(
-            policy,
-            ctx,
-            "backoff_multiplier",
-            default.backoff_multiplier,
-        )?,
-        quarantine_after: opt_u64(
-            policy,
-            ctx,
-            "quarantine_after",
-            u64::from(default.quarantine_after),
-        )? as u32,
-        cpu_fallback: opt_bool(policy, ctx, "cpu_fallback", default.cpu_fallback)?,
-        deadline_cycles: opt_u64(policy, ctx, "deadline_cycles", default.deadline_cycles)?,
-        queue_capacity: opt_u64(policy, ctx, "queue_capacity", default.queue_capacity)?,
-        overload,
-        breaker: opt_bool(policy, ctx, "breaker", default.breaker)?,
-        supervised: opt_bool(policy, ctx, "supervised", default.supervised)?,
-        restart_budget: opt_u64(
-            policy,
-            ctx,
-            "restart_budget",
-            u64::from(default.restart_budget),
-        )? as u32,
-    })
-}
-
-const WORKER_FAULT_KEYS: &[&str] = &[
-    "panic_rate",
-    "hang_rate",
-    "stall_rate",
-    "stall_max_micros",
-    "max_panics",
-    "max_hangs",
-];
-
-fn parse_worker_faults(doc: &JsonValue) -> Result<WorkerFaultConfig, ScenarioError> {
-    let Some(wf) = doc.get("worker_faults") else {
-        return Ok(WorkerFaultConfig::default());
-    };
-    reject_unknown_keys(wf, "'worker_faults'", WORKER_FAULT_KEYS)?;
-    let ctx = "'worker_faults'";
-    Ok(WorkerFaultConfig {
-        panic_rate: opt_rate(wf, ctx, "panic_rate", 0.0)?,
-        hang_rate: opt_rate(wf, ctx, "hang_rate", 0.0)?,
-        stall_rate: opt_rate(wf, ctx, "stall_rate", 0.0)?,
-        stall_max_micros: opt_u64(wf, ctx, "stall_max_micros", 0)?,
-        max_panics: opt_u64(wf, ctx, "max_panics", 0)?,
-        max_hangs: opt_u64(wf, ctx, "max_hangs", 0)?,
-    })
-}
-
-fn parse_scrubber(doc: &JsonValue) -> Result<ScrubberSpec, ScenarioError> {
-    let Some(scrubber) = doc.get("scrubber") else {
-        return Ok(ScrubberSpec::default());
-    };
-    reject_unknown_keys(
-        scrubber,
-        "'scrubber'",
-        &["enabled", "sweep_every_ops", "final_sweep"],
-    )?;
-    let ctx = "'scrubber'";
-    Ok(ScrubberSpec {
-        enabled: opt_bool(scrubber, ctx, "enabled", false)?,
-        sweep_every_ops: opt_u64(scrubber, ctx, "sweep_every_ops", 0)?,
-        final_sweep: opt_bool(scrubber, ctx, "final_sweep", false)?,
-    })
-}
-
-/// The JSON token of a fit policy.
-fn fit_token(policy: FitPolicy) -> &'static str {
-    match policy {
-        FitPolicy::FirstFit => "first_fit",
-        FitPolicy::BestFit => "best_fit",
+            values.push(value);
+        }
+        Ok(values)
+    }
+    fn write(v: &Vec<K::Value>) -> JsonValue {
+        JsonValue::Array(v.iter().map(K::write).collect())
     }
 }
 
-fn parse_regions(doc: &JsonValue) -> Result<RegionsSpec, ScenarioError> {
-    let Some(regions) = doc.get("regions") else {
-        return Ok(RegionsSpec::default());
+/// A worker-pool size, `1..=64`.
+struct WorkerCount;
+
+impl Kind for WorkerCount {
+    type Value = usize;
+    fn read(v: &JsonValue, at: At) -> Result<usize, ScenarioError> {
+        within(usize::read(v, at)?, 1..=64, at)
+    }
+    fn write(v: &usize) -> JsonValue {
+        usize::write(v)
+    }
+}
+
+/// The `assertions` array: at least one check, each read in its own
+/// context `assertions[i]`.
+struct Checks;
+
+impl Kind for Checks {
+    type Value = Vec<Assertion>;
+    fn read(v: &JsonValue, at: At) -> Result<Vec<Assertion>, ScenarioError> {
+        let Some(items) = v.as_array() else {
+            return Err(at.error("must be an array of checks"));
+        };
+        if items.is_empty() {
+            return Err(at.error(
+                "must contain at least one check — a scenario without assertions tests nothing",
+            ));
+        }
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                let key = format!("{}[{i}]", at.key);
+                Assertion::read(
+                    item,
+                    At {
+                        ctx: at.ctx,
+                        key: &key,
+                    },
+                )
+            })
+            .collect()
+    }
+    fn write(v: &Vec<Assertion>) -> JsonValue {
+        JsonValue::Array(v.iter().map(Assertion::write).collect())
+    }
+}
+
+/// The `faults.uniform_rate` shorthand: it seeds every probability knob
+/// ([`FaultConfig::uniform`]), and the explicit keys override it.
+const UNIFORM_RATE: &str = "uniform_rate";
+
+fn fault_base(faults: &JsonValue, ctx: &str) -> Result<FaultConfig, ScenarioError> {
+    match faults.get(UNIFORM_RATE) {
+        Some(v) => Probability::read(
+            v,
+            At {
+                ctx,
+                key: UNIFORM_RATE,
+            },
+        )
+        .map(FaultConfig::uniform),
+        None => Ok(FaultConfig::default()),
+    }
+}
+
+/// The base of a section whose absent keys keep the type's defaults.
+fn defaults<T: Default>(_: &JsonValue, _: &str) -> Result<T, ScenarioError> {
+    Ok(T::default())
+}
+
+/// Declares the codec of one type: a [`Kind`] impl generated from one
+/// list of keys or tokens, in canonical order. A key is a field name of
+/// the type, followed by its kind and an optional `[bound]`.
+///
+/// - `tokens T "what" { Variant = "token", .. }`: an enum written as
+///   one of its tokens.
+/// - `section T { key: K [bound] = default, .. }`: an object whose keys
+///   are the fields of `T`. A key without a default is required.
+/// - `section T [extra keys] from base { key: K [bound], .. }`: the
+///   same, but every absent key keeps its value in `base(object, ctx)`,
+///   which may read the extra keys.
+/// - `tagged T by tag "what" { Variant = "token" { key: K [bound], .. }, .. }`:
+///   an enum written as an object whose `tag` key names the variant;
+///   `T` also gets `pub fn tag(&self)`, which returns that token.
+macro_rules! codec {
+    (@default) => {
+        None
     };
-    reject_unknown_keys(
-        regions,
-        "'regions'",
-        &["enabled", "policy", "window", "defrag"],
-    )?;
-    let ctx = "'regions'";
-    let policy = match regions.get("policy") {
-        None => FitPolicy::default(),
-        Some(JsonValue::String(s)) => match s.as_str() {
-            "first_fit" => FitPolicy::FirstFit,
-            "best_fit" => FitPolicy::BestFit,
-            other => {
-                return err(format!(
-                    "unknown 'regions.policy' value '{other}' \
-                     (expected one of: first_fit, best_fit)"
-                ))
+    (@default $default:expr) => {
+        Some($default)
+    };
+    (@field $obj:ident, $ctx:ident, $key:ident: $K:ty, [], $default:expr) => {
+        field::<$K>($obj, At { ctx: &$ctx, key: stringify!($key) }, $default)?
+    };
+    (@field $obj:ident, $ctx:ident, $key:ident: $K:ty, [$($bound:tt)+], $default:expr) => {{
+        let at = At { ctx: &$ctx, key: stringify!($key) };
+        within(field::<$K>($obj, at, $default)?, $($bound)+, at)?
+    }};
+    (tokens $T:ident $what:literal { $($V:ident = $token:literal,)* }) => {
+        impl Kind for $T {
+            type Value = $T;
+            fn read(v: &JsonValue, at: At) -> Result<$T, ScenarioError> {
+                match String::read(v, at)?.as_str() {
+                    $($token => Ok($T::$V),)*
+                    other => Err(at.unknown($what, other, &[$($token),*])),
+                }
             }
-        },
-        Some(_) => return err("'policy' in 'regions' must be a string"),
+            fn write(v: &$T) -> JsonValue {
+                json::string(match v {
+                    $($T::$V => $token,)*
+                })
+            }
+        }
     };
-    let window = match regions.get("window") {
-        None => None,
-        Some(JsonValue::Array(items)) => {
-            let bounds: Option<Vec<u32>> = items
-                .iter()
-                .map(|v| v.as_usize().map(|n| n as u32))
-                .collect();
-            match bounds.as_deref() {
-                Some([lo, hi]) if lo < hi => Some((*lo, *hi)),
-                _ => {
-                    return err("'regions.window' must be a two-element array [lo, hi] \
-                         of column indices with lo < hi")
+    (section $T:ident { $($key:ident: $K:ty $([$($bound:tt)+])? $(= $default:expr)?,)* }) => {
+        impl Kind for $T {
+            type Value = $T;
+            fn read(v: &JsonValue, at: At) -> Result<$T, ScenarioError> {
+                let ctx = at.path();
+                check_keys(v, &ctx, &[$(stringify!($key)),*])?;
+                Ok($T {
+                    $($key: codec!(
+                        @field v, ctx, $key: $K, [$($($bound)+)?], codec!(@default $($default)?)
+                    ),)*
+                })
+            }
+            fn write(v: &$T) -> JsonValue {
+                object(vec![$((stringify!($key), <$K as Kind>::write(&v.$key))),*])
+            }
+        }
+    };
+    (section $T:ident $([$($extra:expr),*])? from $base:path {
+        $($key:ident: $K:ty $([$($bound:tt)+])?,)*
+    }) => {
+        impl Kind for $T {
+            type Value = $T;
+            fn read(v: &JsonValue, at: At) -> Result<$T, ScenarioError> {
+                let ctx = at.path();
+                check_keys(v, &ctx, &[$($($extra,)*)? $(stringify!($key)),*])?;
+                let base: $T = $base(v, &ctx)?;
+                Ok($T {
+                    $($key: codec!(@field v, ctx, $key: $K, [$($($bound)+)?], Some(base.$key)),)*
+                })
+            }
+            fn write(v: &$T) -> JsonValue {
+                object(vec![$((stringify!($key), <$K as Kind>::write(&v.$key))),*])
+            }
+        }
+    };
+    (tagged $T:ident by $tag:ident $what:literal {
+        $($V:ident = $token:literal { $($key:ident: $K:ty $([$($bound:tt)+])?),* },)*
+    }) => {
+        impl $T {
+            #[doc = concat!("The `", stringify!($tag), "` token that names this ", $what, ".")]
+            pub fn $tag(&self) -> &'static str {
+                match self {
+                    $($T::$V { .. } => $token,)*
                 }
             }
         }
-        Some(_) => {
-            return err("'regions.window' must be a two-element array [lo, hi] \
-                 of column indices with lo < hi")
+
+        impl Kind for $T {
+            type Value = $T;
+            fn read(v: &JsonValue, at: At) -> Result<$T, ScenarioError> {
+                let ctx = at.path();
+                let tag_at = At { ctx: &ctx, key: stringify!($tag) };
+                match field::<String>(v, tag_at, None)?.as_str() {
+                    $($token => {
+                        check_keys(v, &ctx, &[stringify!($tag), $(stringify!($key)),*])?;
+                        Ok($T::$V {
+                            $($key: codec!(@field v, ctx, $key: $K, [$($($bound)+)?], None),)*
+                        })
+                    })*
+                    other => Err(tag_at.unknown($what, other, &[$($token),*])),
+                }
+            }
+            fn write(v: &$T) -> JsonValue {
+                match v {
+                    $($T::$V { $($key),* } => object(vec![
+                        (stringify!($tag), json::string(v.$tag())),
+                        $((stringify!($key), <$K as Kind>::write($key)),)*
+                    ]),)*
+                }
+            }
         }
     };
-    Ok(RegionsSpec {
-        enabled: opt_bool(regions, ctx, "enabled", false)?,
-        policy,
-        window,
-        defrag: opt_bool(regions, ctx, "defrag", false)?,
-    })
 }
 
-fn parse_workload(doc: &JsonValue) -> Result<WorkloadSpec, ScenarioError> {
-    let Some(workload) = doc.get("workload") else {
-        return err("missing required key 'workload' at the top level");
-    };
-    let kind = get_str(workload, "'workload'", "kind")?;
-    match kind.as_str() {
-        "blocking" => {
-            reject_unknown_keys(
-                workload,
-                "'workload'",
-                &["kind", "clients", "ops_per_client"],
-            )?;
-            let clients = get_usize(workload, "'workload'", "clients")?;
-            let ops = get_usize(workload, "'workload'", "ops_per_client")?;
-            if clients == 0 || ops == 0 {
-                return err(format!(
-                    "'workload.clients' and 'workload.ops_per_client' must be at least 1 \
-                     (got {clients} and {ops})"
-                ));
-            }
-            Ok(WorkloadSpec::Blocking {
-                clients,
-                ops_per_client: ops,
-            })
-        }
-        "coalesce_burst" => {
-            reject_unknown_keys(workload, "'workload'", &["kind", "burst", "pin_sort_len"])?;
-            let burst = get_usize(workload, "'workload'", "burst")?;
-            let pin = get_usize(workload, "'workload'", "pin_sort_len")?;
-            if burst < 2 {
-                return err(format!(
-                    "'workload.burst' must be at least 2 to observe coalescing (got {burst})"
-                ));
-            }
-            if pin < 1000 {
-                return err(format!(
-                    "'workload.pin_sort_len' must be at least 1000 to pin the worker (got {pin})"
-                ));
-            }
-            Ok(WorkloadSpec::CoalesceBurst {
-                burst,
-                pin_sort_len: pin,
-            })
-        }
-        "overload_burst" => {
-            reject_unknown_keys(workload, "'workload'", &["kind", "burst", "pin_sort_len"])?;
-            let burst = get_usize(workload, "'workload'", "burst")?;
-            let pin = get_usize(workload, "'workload'", "pin_sort_len")?;
-            if burst < 1 {
-                return err("'workload.burst' must be at least 1 (got 0)".to_string());
-            }
-            if pin < 1000 {
-                return err(format!(
-                    "'workload.pin_sort_len' must be at least 1000 to pin the worker (got {pin})"
-                ));
-            }
-            Ok(WorkloadSpec::OverloadBurst {
-                burst,
-                pin_sort_len: pin,
-            })
-        }
-        "defrag_probe" => {
-            reject_unknown_keys(workload, "'workload'", &["kind"])?;
-            Ok(WorkloadSpec::DefragProbe)
-        }
-        "fragment_churn" => {
-            reject_unknown_keys(workload, "'workload'", &["kind", "rounds"])?;
-            let rounds = get_usize(workload, "'workload'", "rounds")?;
-            if !(1..=1_000).contains(&rounds) {
-                return err(format!(
-                    "'workload.rounds' must be between 1 and 1000 (got {rounds})"
-                ));
-            }
-            Ok(WorkloadSpec::FragmentChurn { rounds })
-        }
-        other => err(format!(
-            "unknown workload kind '{other}' \
-             (expected one of: blocking, coalesce_burst, overload_burst, \
-             defrag_probe, fragment_churn)"
-        )),
+// ---- the declaration: every key, token, workload kind and check ----------
+
+codec! {
+    section ScenarioSpec {
+        name: Name,
+        description: String = String::new(),
+        fabric: FabricSpec,
+        catalog: Set<CatalogKind>,
+        seeds: SeedSpec,
+        workers: Set<WorkerCount> = vec![1],
+        cache_capacity: usize = 0,
+        faults: FaultConfig = FaultConfig::default(),
+        worker_faults: WorkerFaultConfig = WorkerFaultConfig::default(),
+        policy: RecoveryPolicy = RecoveryPolicy::default(),
+        scrubber: ScrubberSpec = ScrubberSpec::default(),
+        regions: RegionsSpec = RegionsSpec::default(),
+        workload: WorkloadSpec,
+        assertions: Checks,
     }
 }
 
-fn parse_assertion(value: &JsonValue, index: usize) -> Result<Assertion, ScenarioError> {
-    let ctx = format!("'assertions[{index}]'");
-    let check = get_str(value, &ctx, "check")?;
-    let stat_arg = |value: &JsonValue| -> Result<(String, u64), ScenarioError> {
-        reject_unknown_keys(value, &ctx, &["check", "stat", "value"])?;
-        let stat = get_str(value, &ctx, "stat")?;
-        if !STATS.iter().any(|&(key, _)| key == stat) {
-            let keys: Vec<&str> = STATS.iter().map(|&(key, _)| key).collect();
-            return err(format!(
-                "unknown stat '{stat}' in {ctx} (expected one of: {})",
-                keys.join(", ")
-            ));
-        }
-        let v = get_u64(value, &ctx, "value")?;
-        Ok((stat, v))
-    };
-    let event_arg = |value: &JsonValue| -> Result<String, ScenarioError> {
-        reject_unknown_keys(value, &ctx, &["check", "event"])?;
-        let event = get_str(value, &ctx, "event")?;
-        if !TraceEvent::NAMES.contains(&event.as_str()) {
-            return err(format!(
-                "unknown trace event '{event}' in {ctx} (expected one of: {})",
-                TraceEvent::NAMES.join(", ")
-            ));
-        }
-        Ok(event)
-    };
-    let bare = |value: &JsonValue, a: Assertion| -> Result<Assertion, ScenarioError> {
-        reject_unknown_keys(value, &ctx, &["check"])?;
-        Ok(a)
-    };
-    match check.as_str() {
-        "stats_consistent" => bare(value, Assertion::StatsConsistent),
-        "no_lost_requests" => bare(value, Assertion::NoLostRequests),
-        "bit_identical_outputs" => bare(value, Assertion::BitIdenticalOutputs),
-        "same_seed_trace_identical" => bare(value, Assertion::SameSeedTraceIdentical),
-        "outcome_equality_across_workers" => bare(value, Assertion::OutcomeEqualityAcrossWorkers),
-        "final_scrub_clean" => bare(value, Assertion::FinalScrubClean),
-        "stat_min" => stat_arg(value).map(|(stat, value)| Assertion::StatMin { stat, value }),
-        "stat_max" => stat_arg(value).map(|(stat, value)| Assertion::StatMax { stat, value }),
-        "stat_eq" => stat_arg(value).map(|(stat, value)| Assertion::StatEq { stat, value }),
-        "trace_contains" => event_arg(value).map(|event| Assertion::TraceContains { event }),
-        "trace_absent" => event_arg(value).map(|event| Assertion::TraceAbsent { event }),
-        "makespan_max" => {
-            reject_unknown_keys(value, &ctx, &["check", "value"])?;
-            Ok(Assertion::MakespanMax {
-                value: get_u64(value, &ctx, "value")?,
-            })
-        }
-        "deadline_miss_max" => {
-            reject_unknown_keys(value, &ctx, &["check", "value"])?;
-            Ok(Assertion::DeadlineMissMax {
-                value: get_u64(value, &ctx, "value")?,
-            })
-        }
-        "shed_rate_max" => {
-            reject_unknown_keys(value, &ctx, &["check", "percent"])?;
-            let percent = get_u64(value, &ctx, "percent")?;
-            if percent > 100 {
-                return err(format!(
-                    "'percent' in {ctx} must be between 0 and 100 (got {percent})"
-                ));
-            }
-            Ok(Assertion::ShedRateMax { percent })
-        }
-        "no_orphaned_tickets" => bare(value, Assertion::NoOrphanedTickets),
-        other => err(format!(
-            "unknown check '{other}' in {ctx} (expected one of: stats_consistent, \
-             no_lost_requests, bit_identical_outputs, same_seed_trace_identical, \
-             outcome_equality_across_workers, final_scrub_clean, stat_min, stat_max, \
-             stat_eq, trace_contains, trace_absent, makespan_max, deadline_miss_max, \
-             shed_rate_max, no_orphaned_tickets)"
-        )),
+codec! {
+    section FabricSpec {
+        soc_name: String,
+        reconf_tiles: usize [1..=64],
     }
 }
 
-const TOP_KEYS: &[&str] = &[
-    "name",
-    "description",
-    "fabric",
-    "catalog",
-    "seeds",
-    "workers",
-    "cache_capacity",
-    "faults",
-    "worker_faults",
-    "policy",
-    "scrubber",
-    "regions",
-    "workload",
-    "assertions",
-];
+codec! {
+    tokens CatalogKind "accelerator kind" {
+        Mac = "mac",
+        Sort = "sort",
+    }
+}
+
+codec! {
+    section SeedSpec {
+        start: u64 = 0,
+        count: u64 [1..=10_000],
+    }
+}
+
+codec! {
+    section FaultConfig [UNIFORM_RATE] from fault_base {
+        icap_flip_rate: Probability,
+        dfxc_stall_rate: Probability,
+        dfxc_stall_max_cycles: u64,
+        registry_miss_rate: Probability,
+        decoupler_delay_rate: Probability,
+        decoupler_delay_max_cycles: u64,
+        seu_per_mcycle: f64 [0.0..],
+        seu_double_bit_rate: Probability,
+    }
+}
+
+codec! {
+    section WorkerFaultConfig from defaults {
+        panic_rate: Probability,
+        hang_rate: Probability,
+        stall_rate: Probability,
+        stall_max_micros: u64,
+        max_panics: u64,
+        max_hangs: u64,
+    }
+}
+
+codec! {
+    section RecoveryPolicy from defaults {
+        max_retries: u32,
+        backoff_cycles: u64,
+        backoff_multiplier: u64,
+        quarantine_after: u32,
+        cpu_fallback: bool,
+        deadline_cycles: u64,
+        queue_capacity: u64,
+        overload: OverloadPolicy,
+        breaker: bool,
+        supervised: bool,
+        restart_budget: u32,
+    }
+}
+
+codec! {
+    tokens OverloadPolicy "overload policy" {
+        RejectNew = "reject_new",
+        ShedOldest = "shed_oldest",
+    }
+}
+
+codec! {
+    section ScrubberSpec from defaults {
+        enabled: bool,
+        sweep_every_ops: u64,
+        final_sweep: bool,
+    }
+}
+
+codec! {
+    section RegionsSpec from defaults {
+        enabled: bool,
+        policy: FitPolicy,
+        window: Window,
+        defrag: bool,
+    }
+}
+
+codec! {
+    tokens FitPolicy "fit policy" {
+        FirstFit = "first_fit",
+        BestFit = "best_fit",
+    }
+}
+
+codec! {
+    tagged WorkloadSpec by kind "workload kind" {
+        Blocking = "blocking" { clients: usize [1..], ops_per_client: usize [1..] },
+        CoalesceBurst = "coalesce_burst" { burst: usize [2..], pin_sort_len: usize [1000..] },
+        OverloadBurst = "overload_burst" { burst: usize [1..], pin_sort_len: usize [1000..] },
+        DefragProbe = "defrag_probe" {},
+        FragmentChurn = "fragment_churn" { rounds: usize [1..=1000] },
+    }
+}
+
+codec! {
+    tagged Assertion by check "check" {
+        StatsConsistent = "stats_consistent" {},
+        NoLostRequests = "no_lost_requests" {},
+        BitIdenticalOutputs = "bit_identical_outputs" {},
+        SameSeedTraceIdentical = "same_seed_trace_identical" {},
+        OutcomeEqualityAcrossWorkers = "outcome_equality_across_workers" {},
+        FinalScrubClean = "final_scrub_clean" {},
+        StatMin = "stat_min" { stat: StatKey, value: u64 },
+        StatMax = "stat_max" { stat: StatKey, value: u64 },
+        StatEq = "stat_eq" { stat: StatKey, value: u64 },
+        TraceContains = "trace_contains" { event: EventName },
+        TraceAbsent = "trace_absent" { event: EventName },
+        MakespanMax = "makespan_max" { value: u64 },
+        DeadlineMissMax = "deadline_miss_max" { value: u64 },
+        ShedRateMax = "shed_rate_max" { percent: u64 [0..=100] },
+        NoOrphanedTickets = "no_orphaned_tickets" {},
+    }
+}
 
 impl ScenarioSpec {
     /// Parses and validates a scenario document.
@@ -890,65 +976,7 @@ impl ScenarioSpec {
     ///
     /// See [`ScenarioSpec::parse`].
     pub fn from_json_value(doc: &JsonValue) -> Result<ScenarioSpec, ScenarioError> {
-        reject_unknown_keys(doc, "the top-level scenario object", TOP_KEYS)?;
-        let name = get_str(doc, "the top level", "name")?;
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return err(format!(
-                "'name' must be a non-empty identifier of [a-zA-Z0-9_] (got '{name}')"
-            ));
-        }
-        let description = match doc.get("description") {
-            None => String::new(),
-            Some(JsonValue::String(s)) => s.clone(),
-            Some(_) => return err("'description' must be a string"),
-        };
-        let fabric = parse_fabric(doc)?;
-        let catalog = parse_catalog(doc)?;
-        let seeds = parse_seeds(doc)?;
-        let workers = parse_workers(doc)?;
-        let cache_capacity = match doc.get("cache_capacity") {
-            None => 0,
-            Some(_) => get_usize(doc, "the top level", "cache_capacity")?,
-        };
-        let faults = parse_faults(doc)?;
-        let worker_faults = parse_worker_faults(doc)?;
-        let policy = parse_policy(doc)?;
-        let scrubber = parse_scrubber(doc)?;
-        let regions = parse_regions(doc)?;
-        let workload = parse_workload(doc)?;
-
-        let Some(assertions_value) = doc.get("assertions") else {
-            return err("missing required key 'assertions' at the top level");
-        };
-        let Some(items) = assertions_value.as_array() else {
-            return err("'assertions' must be an array of checks");
-        };
-        if items.is_empty() {
-            return err("'assertions' must contain at least one check — \
-                        a scenario without assertions tests nothing");
-        }
-        let assertions = items
-            .iter()
-            .enumerate()
-            .map(|(i, v)| parse_assertion(v, i))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let spec = ScenarioSpec {
-            name,
-            description,
-            fabric,
-            catalog,
-            seeds,
-            workers,
-            cache_capacity,
-            faults,
-            worker_faults,
-            policy,
-            scrubber,
-            regions,
-            workload,
-            assertions,
-        };
+        let spec = ScenarioSpec::read(doc, At { ctx: "", key: "" })?;
         spec.validate()?;
         Ok(spec)
     }
@@ -1070,196 +1098,7 @@ impl ScenarioSpec {
     /// Serializes to the canonical JSON document: every section explicit,
     /// so `parse(serialize(spec)) == spec`.
     pub fn to_json_value(&self) -> JsonValue {
-        let n = |v: u64| JsonValue::Number(v as f64);
-        let f = JsonValue::Number;
-        let s = |v: &str| JsonValue::String(v.to_string());
-        let obj = |fields: Vec<(&str, JsonValue)>| {
-            JsonValue::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-
-        let workload = match &self.workload {
-            WorkloadSpec::Blocking {
-                clients,
-                ops_per_client,
-            } => obj(vec![
-                ("kind", s("blocking")),
-                ("clients", n(*clients as u64)),
-                ("ops_per_client", n(*ops_per_client as u64)),
-            ]),
-            WorkloadSpec::CoalesceBurst {
-                burst,
-                pin_sort_len,
-            } => obj(vec![
-                ("kind", s("coalesce_burst")),
-                ("burst", n(*burst as u64)),
-                ("pin_sort_len", n(*pin_sort_len as u64)),
-            ]),
-            WorkloadSpec::OverloadBurst {
-                burst,
-                pin_sort_len,
-            } => obj(vec![
-                ("kind", s("overload_burst")),
-                ("burst", n(*burst as u64)),
-                ("pin_sort_len", n(*pin_sort_len as u64)),
-            ]),
-            WorkloadSpec::DefragProbe => obj(vec![("kind", s("defrag_probe"))]),
-            WorkloadSpec::FragmentChurn { rounds } => obj(vec![
-                ("kind", s("fragment_churn")),
-                ("rounds", n(*rounds as u64)),
-            ]),
-        };
-
-        let assertion_json = |a: &Assertion| match a {
-            Assertion::StatsConsistent => obj(vec![("check", s("stats_consistent"))]),
-            Assertion::NoLostRequests => obj(vec![("check", s("no_lost_requests"))]),
-            Assertion::BitIdenticalOutputs => obj(vec![("check", s("bit_identical_outputs"))]),
-            Assertion::SameSeedTraceIdentical => {
-                obj(vec![("check", s("same_seed_trace_identical"))])
-            }
-            Assertion::OutcomeEqualityAcrossWorkers => {
-                obj(vec![("check", s("outcome_equality_across_workers"))])
-            }
-            Assertion::FinalScrubClean => obj(vec![("check", s("final_scrub_clean"))]),
-            Assertion::StatMin { stat, value } => obj(vec![
-                ("check", s("stat_min")),
-                ("stat", s(stat)),
-                ("value", n(*value)),
-            ]),
-            Assertion::StatMax { stat, value } => obj(vec![
-                ("check", s("stat_max")),
-                ("stat", s(stat)),
-                ("value", n(*value)),
-            ]),
-            Assertion::StatEq { stat, value } => obj(vec![
-                ("check", s("stat_eq")),
-                ("stat", s(stat)),
-                ("value", n(*value)),
-            ]),
-            Assertion::TraceContains { event } => {
-                obj(vec![("check", s("trace_contains")), ("event", s(event))])
-            }
-            Assertion::TraceAbsent { event } => {
-                obj(vec![("check", s("trace_absent")), ("event", s(event))])
-            }
-            Assertion::MakespanMax { value } => {
-                obj(vec![("check", s("makespan_max")), ("value", n(*value))])
-            }
-            Assertion::DeadlineMissMax { value } => obj(vec![
-                ("check", s("deadline_miss_max")),
-                ("value", n(*value)),
-            ]),
-            Assertion::ShedRateMax { percent } => obj(vec![
-                ("check", s("shed_rate_max")),
-                ("percent", n(*percent)),
-            ]),
-            Assertion::NoOrphanedTickets => obj(vec![("check", s("no_orphaned_tickets"))]),
-        };
-
-        obj(vec![
-            ("name", s(&self.name)),
-            ("description", s(&self.description)),
-            (
-                "fabric",
-                obj(vec![
-                    ("soc_name", s(&self.fabric.soc_name)),
-                    ("reconf_tiles", n(self.fabric.reconf_tiles as u64)),
-                ]),
-            ),
-            (
-                "catalog",
-                JsonValue::Array(self.catalog.iter().map(|k| s(k.token())).collect()),
-            ),
-            (
-                "seeds",
-                obj(vec![
-                    ("start", n(self.seeds.start)),
-                    ("count", n(self.seeds.count)),
-                ]),
-            ),
-            (
-                "workers",
-                JsonValue::Array(self.workers.iter().map(|&w| n(w as u64)).collect()),
-            ),
-            ("cache_capacity", n(self.cache_capacity as u64)),
-            (
-                "faults",
-                obj(vec![
-                    ("icap_flip_rate", f(self.faults.icap_flip_rate)),
-                    ("dfxc_stall_rate", f(self.faults.dfxc_stall_rate)),
-                    (
-                        "dfxc_stall_max_cycles",
-                        n(self.faults.dfxc_stall_max_cycles),
-                    ),
-                    ("registry_miss_rate", f(self.faults.registry_miss_rate)),
-                    ("decoupler_delay_rate", f(self.faults.decoupler_delay_rate)),
-                    (
-                        "decoupler_delay_max_cycles",
-                        n(self.faults.decoupler_delay_max_cycles),
-                    ),
-                    ("seu_per_mcycle", f(self.faults.seu_per_mcycle)),
-                    ("seu_double_bit_rate", f(self.faults.seu_double_bit_rate)),
-                ]),
-            ),
-            (
-                "worker_faults",
-                obj(vec![
-                    ("panic_rate", f(self.worker_faults.panic_rate)),
-                    ("hang_rate", f(self.worker_faults.hang_rate)),
-                    ("stall_rate", f(self.worker_faults.stall_rate)),
-                    ("stall_max_micros", n(self.worker_faults.stall_max_micros)),
-                    ("max_panics", n(self.worker_faults.max_panics)),
-                    ("max_hangs", n(self.worker_faults.max_hangs)),
-                ]),
-            ),
-            (
-                "policy",
-                obj(vec![
-                    ("max_retries", n(u64::from(self.policy.max_retries))),
-                    ("backoff_cycles", n(self.policy.backoff_cycles)),
-                    ("backoff_multiplier", n(self.policy.backoff_multiplier)),
-                    (
-                        "quarantine_after",
-                        n(u64::from(self.policy.quarantine_after)),
-                    ),
-                    ("cpu_fallback", JsonValue::Bool(self.policy.cpu_fallback)),
-                    ("deadline_cycles", n(self.policy.deadline_cycles)),
-                    ("queue_capacity", n(self.policy.queue_capacity)),
-                    ("overload", s(overload_token(self.policy.overload))),
-                    ("breaker", JsonValue::Bool(self.policy.breaker)),
-                    ("supervised", JsonValue::Bool(self.policy.supervised)),
-                    ("restart_budget", n(u64::from(self.policy.restart_budget))),
-                ]),
-            ),
-            (
-                "scrubber",
-                obj(vec![
-                    ("enabled", JsonValue::Bool(self.scrubber.enabled)),
-                    ("sweep_every_ops", n(self.scrubber.sweep_every_ops)),
-                    ("final_sweep", JsonValue::Bool(self.scrubber.final_sweep)),
-                ]),
-            ),
-            ("regions", {
-                let mut fields = vec![
-                    ("enabled", JsonValue::Bool(self.regions.enabled)),
-                    ("policy", s(fit_token(self.regions.policy))),
-                ];
-                if let Some((lo, hi)) = self.regions.window {
-                    fields.push(("window", JsonValue::Array(vec![n(lo as u64), n(hi as u64)])));
-                }
-                fields.push(("defrag", JsonValue::Bool(self.regions.defrag)));
-                obj(fields)
-            }),
-            ("workload", workload),
-            (
-                "assertions",
-                JsonValue::Array(self.assertions.iter().map(assertion_json).collect()),
-            ),
-        ])
+        ScenarioSpec::write(self)
     }
 
     /// Serializes to pretty-printed canonical JSON.
@@ -1508,5 +1347,24 @@ mod tests {
         let doc = minimal().replace("\"reconf_tiles\": 2", "\"reconf_tiles\": 0");
         let e = ScenarioSpec::parse(&doc).unwrap_err();
         assert!(e.0.contains("between 1 and 64"), "{e}");
+    }
+
+    #[test]
+    fn values_above_u32_max_are_rejected_not_truncated() {
+        let with = |section: &str| {
+            minimal().replace("\"assertions\"", &format!("{section}, \"assertions\""))
+        };
+        for key in ["max_retries", "quarantine_after", "restart_budget"] {
+            let max = ScenarioSpec::parse(&with(&format!("\"policy\": {{\"{key}\": 4294967295}}")));
+            assert!(max.is_ok(), "{key} = u32::MAX must parse: {max:?}");
+            let doc = with(&format!("\"policy\": {{\"{key}\": 4294967296}}"));
+            let e = ScenarioSpec::parse(&doc).unwrap_err();
+            assert!(e.0.contains(&format!("'policy.{key}'")), "{e}");
+            assert!(e.0.contains("at most 4294967295 (got 4294967296)"), "{e}");
+        }
+        let doc = with("\"regions\": {\"enabled\": true, \"window\": [4294967297, 4294967300]}");
+        let e = ScenarioSpec::parse(&doc).unwrap_err();
+        assert!(e.0.contains("'regions.window'"), "{e}");
+        assert!(e.0.contains("at most 4294967295 (got 4294967297)"), "{e}");
     }
 }

@@ -3,9 +3,9 @@
 //! The contract under test is exact: `parse(serialize(spec)) == spec`
 //! for every valid spec, and every malformed document is rejected with a
 //! message that names the offending key and the accepted values. Specs
-//! are generated over the full surface of the language — both workload
-//! kinds, every assertion shape, optional sections present and absent —
-//! within the parser's own validity envelope.
+//! are generated over the full surface of the language — all five
+//! workload kinds, every assertion shape, optional sections present and
+//! absent — within the parser's own validity envelope.
 
 use presp_events::TraceEvent;
 use presp_floorplan::FitPolicy;
@@ -45,8 +45,8 @@ proptest! {
         scrub_enabled in proptest::bool::ANY,
         sweep_every in 0u64..9,
         final_sweep in proptest::bool::ANY,
-        coalesce_workload in proptest::bool::ANY,
-        overload_workload in proptest::bool::ANY,
+        workload_sel in 0u64..5,
+        rounds in 1usize..1001,
         clients in 1usize..8,
         ops in 1usize..12,
         burst in 2usize..16,
@@ -68,9 +68,12 @@ proptest! {
         win_lo in 1u32..5,
         win_width in 2u32..9,
     ) {
-        // Coalesce-burst validity demands a single worker and a mac+sort
-        // catalog; everything else roams freely.
-        let workers = if coalesce_workload {
+        // Coalesce-burst validity demands a single worker; every workload
+        // but the blocking one demands a mac+sort catalog; the defrag probe
+        // also needs seven tiles, and both region workloads need the region
+        // allocator (the defrag probe with a window). Everything else roams
+        // freely.
+        let workers = if workload_sel == 1 {
             vec![1]
         } else {
             match workers_sel {
@@ -80,10 +83,7 @@ proptest! {
                 _ => vec![2, 3, 5],
             }
         };
-        // Overload-burst shares coalesce-burst's mac+sort / two-tile
-        // envelope but allows any worker vector.
-        let overload_workload = overload_workload && !coalesce_workload;
-        let catalog = if coalesce_workload || overload_workload {
+        let catalog = if workload_sel != 0 {
             vec![CatalogKind::Mac, CatalogKind::Sort]
         } else {
             match catalog_sel {
@@ -92,12 +92,18 @@ proptest! {
                 _ => vec![CatalogKind::Mac, CatalogKind::Sort],
             }
         };
-        let workload = if coalesce_workload {
-            WorkloadSpec::CoalesceBurst { burst, pin_sort_len: 1000 + pin_extra }
-        } else if overload_workload {
-            WorkloadSpec::OverloadBurst { burst, pin_sort_len: 1000 + pin_extra }
-        } else {
-            WorkloadSpec::Blocking { clients, ops_per_client: ops }
+        let workload = match workload_sel {
+            0 => WorkloadSpec::Blocking { clients, ops_per_client: ops },
+            1 => WorkloadSpec::CoalesceBurst { burst, pin_sort_len: 1000 + pin_extra },
+            2 => WorkloadSpec::OverloadBurst { burst, pin_sort_len: 1000 + pin_extra },
+            3 => WorkloadSpec::DefragProbe,
+            _ => WorkloadSpec::FragmentChurn { rounds },
+        };
+        let tiles = if workload_sel == 3 { tiles + 5 } else { tiles };
+        let regions_sel = match workload_sel {
+            3 => 2 + regions_sel % 2,
+            4 => 1 + regions_sel % 3,
+            _ => regions_sel,
         };
         // Panic/hang injection is only valid under a supervised policy
         // (the parser rejects the combination otherwise).

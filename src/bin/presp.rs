@@ -205,8 +205,9 @@ fn cmd_flow(design: &SocDesign, compressed: bool, json: bool) -> ExitCode {
 
 /// `presp test`: runs scenario files/directories, prints a verdict per
 /// scenario (or the JSON report under `--json`), writes the requested
-/// artifacts, and exits `0` (all passed), `1` (assertion failures) or
-/// `2` (usage/load errors).
+/// artifacts, and exits `0` (all passed), `1` (an assertion failed or a
+/// file did not parse, printed as `LOAD FAIL`) or `2` (usage errors, a
+/// missing path, or an artifact that could not be written).
 fn cmd_test(args: &[String]) -> ExitCode {
     let mut paths = Vec::new();
     let mut json = false;

@@ -1,5 +1,6 @@
-//! `presp repro` and `presp bench` end to end: runs the built `presp`
-//! binary on the cheap artifacts and on malformed command lines. The
+//! `presp repro`, `presp bench` and `presp test` end to end: runs the
+//! built `presp` binary on the cheap artifacts, on malformed command
+//! lines and on a malformed scenario file. The
 //! expensive artifacts (`all`, `fig4`, `ablations`) are diffed against
 //! their goldens, and `bench floorplan` is timed, in CI's release build
 //! instead.
@@ -45,6 +46,37 @@ fn malformed_repro_command_lines_are_usage_errors() {
 #[test]
 fn malformed_bench_command_lines_are_usage_errors() {
     assert_usage_errors(&[&["bench"], &["bench", "nope"]]);
+}
+
+#[test]
+fn test_reports_a_malformed_spec_as_a_load_failure() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed_scenario.json");
+    let doc = r#"{
+        "name": "malformed",
+        "fabric": {"soc_name": "malformed", "reconf_tiles": 1},
+        "catalog": ["mac"],
+        "seeds": {"count": 1},
+        "policy": {"max_retrys": 2},
+        "workload": {"kind": "blocking", "clients": 1, "ops_per_client": 1},
+        "assertions": [{"check": "stats_consistent"}]
+    }"#;
+    std::fs::write(&path, doc).unwrap();
+    let out = presp(&["test", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("LOAD FAIL "))
+        .unwrap_or_default();
+    assert!(
+        line.contains("unknown key 'max_retrys' in 'policy'"),
+        "{text}"
+    );
+}
+
+#[test]
+fn malformed_test_command_lines_are_usage_errors() {
+    assert_usage_errors(&[&["test"], &["test", "no/such/scenarios.json"]]);
 }
 
 /// Each command line exits 2 and prints nothing on stdout.

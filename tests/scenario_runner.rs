@@ -12,6 +12,7 @@
 //! suite it replaced.
 
 use presp_scenario::engine;
+use presp_scenario::report::ReportEntry;
 use presp_scenario::runner;
 use presp_scenario::spec::{ScenarioSpec, WorkloadSpec};
 use std::path::{Path, PathBuf};
@@ -40,6 +41,16 @@ fn committed_matrix_is_green_and_byte_deterministic() {
             entry.name(),
             first.report_json()
         );
+        // The canonical form of every committed spec parses back to it.
+        if let ReportEntry::Ran { verdict, .. } = entry {
+            let spec = &verdict.spec;
+            assert_eq!(
+                ScenarioSpec::parse(&spec.serialize()).as_ref(),
+                Ok(spec),
+                "{}",
+                entry.name()
+            );
+        }
     }
 
     let report = first.report_json();
