@@ -44,8 +44,8 @@ pub struct RegionSnapshot {
 
 impl RegionSnapshot {
     /// Addresses captured by this snapshot, in address order.
-    pub fn addresses(&self) -> Vec<FrameAddress> {
-        self.addresses.clone()
+    pub fn addresses(&self) -> &[FrameAddress] {
+        &self.addresses
     }
 
     /// Number of captured frames, erased ones included.

@@ -15,15 +15,18 @@
 //!    section, so holding it keeps every lease exactly where the
 //!    compaction plan saw it — no move can race a reconfiguration.
 //! 2. The plan is computed under the device-core lock (the allocator's
-//!    greedy left-slide compaction).
-//! 3. Each move then takes the owning tile's shard lock and the core
+//!    greedy left-slide compaction), and each move's owner is resolved
+//!    there too: the core is the one record of which tile holds which
+//!    lease.
+//! 3. Each move then takes only its owner's shard lock and the core
 //!    lock — the same `tile_state` → `core` order every worker and every
 //!    scrub pass use — and runs the protocol layer's `repack_move`:
 //!    allocator first (validated against every live lease), fabric
 //!    second (decouple → frame move → recouple), allocator rolled back
 //!    if the fabric refuses. Quarantined owners are skipped.
 //!
-//! Lock order invariant: `gate` → `tile_state` → `core` for the pass.
+//! Lock order invariant: `gate` → `core` for the plan, then `gate` →
+//! `tile_state` → `core` per move.
 //! Its counters — passes, moves, frames moved — are the ledger's
 //! [`crate::manager::ManagerStats`] fields, updated by the protocol
 //! layer under the `core` lock.
@@ -34,7 +37,6 @@ use crate::protocol;
 use crate::scheduler::Shared;
 use crate::sync::SyncFacade;
 use crate::threaded::ThreadedManager;
-use presp_soc::config::TileCoord;
 
 impl<S: SyncFacade> ThreadedManager<S> {
     /// Runs one gate-quiesced repack pass on the calling thread and
@@ -99,7 +101,7 @@ fn repack_inverted<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Er
     repack_pass(shared)
 }
 
-/// One gate-quiesced repack pass: plan under `core`, then one
+/// One gate-quiesced repack pass: plan and owners under `core`, then one
 /// `tile_state` → `core` move at a time, all anchored at the pass's
 /// starting horizon like the deterministic manager's `repack_at`, and
 /// closed (counted and traced) under `core` before the gate opens.
@@ -110,20 +112,11 @@ fn repack_pass<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Error>
     let quiesced = S::lock(&shared.gate);
     let (at, plan) = {
         let core = S::lock(&shared.core);
-        (core.soc().horizon(), protocol::plan_repack(&core))
+        (core.soc().horizon(), core.plan_repack())
     };
     let mut report = RepackReport::default();
-    for mv in &plan {
-        // Locate the owning shard by lease id — one shard lock at a
-        // time, never two nested.
-        let mut owner: Option<TileCoord> = None;
-        for (tile, shard) in &shared.shards {
-            let probe = S::lock(&shard.state);
-            if probe.lease().is_some_and(|l| l.id == mv.id) {
-                owner = Some(*tile);
-            }
-        }
-        let Some(shard) = owner.and_then(|tile| shared.shards.get(&tile)) else {
+    for (mv, tile) in &plan {
+        let Some(shard) = shared.shards.get(tile) else {
             report.skipped += 1;
             continue;
         };
@@ -149,28 +142,87 @@ fn repack_pass<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Error>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::{ManagerStats, ReconfigManager};
     use crate::registry::BitstreamRegistry;
     use crate::scheduler::MutantConfig;
     use crate::threaded::RuntimeConfig;
     use presp_accel::catalog::AcceleratorKind;
     use presp_check::{CheckSync, Checker, Config, FailureKind};
-    use presp_floorplan::FitPolicy;
+    use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
     use presp_fpga::bitstream::Bitstream;
-    use presp_soc::config::SocConfig;
+    use presp_soc::config::{SocConfig, TileCoord};
     use presp_soc::sim::Soc;
 
     fn bitstream(soc: &Soc, col: u32, frames: u32) -> Bitstream {
         Bitstream::synthetic_partial(&soc.part().device(), col..col + 1, frames).unwrap()
     }
 
-    /// The manager-side amorphous recipe (see `manager::tests`), driven
-    /// end to end through the threaded scheduler: seven 1-column loads
-    /// pack the window, a swap opens non-adjacent holes, the 3-column
-    /// request is refused, one repack pass heals the fragmentation, and
-    /// the retry is admitted and attributed.
-    #[test]
-    fn threaded_repack_turns_reject_into_admit() {
-        let cfg = SocConfig::grid_reconf("defrag_threaded", 7).unwrap();
+    /// The two region paths in one recipe: seven 1-column loads pack a
+    /// column window, a swap opens non-adjacent holes, a 3-column request
+    /// is refused, one repack pass heals the fragmentation and the retry
+    /// is admitted and attributed to it. The sequential manager and the
+    /// threaded one drive the same arc through the same protocol layer.
+    trait RegionPath {
+        fn load(&mut self, tile: TileCoord, kind: AcceleratorKind) -> Result<(), Error>;
+        fn repack(&mut self) -> RepackReport;
+        fn lease(&self, tile: TileCoord) -> Option<RegionLease>;
+        fn fragmentation(&self) -> Option<FragmentationStats>;
+        fn ledger(&self) -> (ManagerStats, u64);
+    }
+
+    impl RegionPath for ReconfigManager {
+        fn load(&mut self, tile: TileCoord, kind: AcceleratorKind) -> Result<(), Error> {
+            self.request_reconfiguration(tile, kind).map(drop)
+        }
+        fn repack(&mut self) -> RepackReport {
+            self.repack_at(self.makespan()).unwrap()
+        }
+        fn lease(&self, tile: TileCoord) -> Option<RegionLease> {
+            self.tile_lease(tile)
+        }
+        fn fragmentation(&self) -> Option<FragmentationStats> {
+            ReconfigManager::fragmentation(self)
+        }
+        fn ledger(&self) -> (ManagerStats, u64) {
+            (self.stats(), self.makespan())
+        }
+    }
+
+    impl RegionPath for ThreadedManager {
+        fn load(&mut self, tile: TileCoord, kind: AcceleratorKind) -> Result<(), Error> {
+            self.reconfigure_blocking(tile, kind)
+        }
+        fn repack(&mut self) -> RepackReport {
+            self.repack_blocking().unwrap()
+        }
+        fn lease(&self, tile: TileCoord) -> Option<RegionLease> {
+            self.tile_lease(tile)
+        }
+        fn fragmentation(&self) -> Option<FragmentationStats> {
+            ThreadedManager::fragmentation(self)
+        }
+        fn ledger(&self) -> (ManagerStats, u64) {
+            (self.stats(), self.makespan())
+        }
+    }
+
+    /// Everything the recipe leaves observable, compared whole across
+    /// the two paths.
+    #[derive(Debug, PartialEq)]
+    struct RecipeOutcome {
+        /// Fragmentation after the swap, the refusal, the repack and the
+        /// admit.
+        fragmentation: [Option<FragmentationStats>; 4],
+        /// Every tile's lease after the refusal and after the admit.
+        refused_leases: Vec<Option<RegionLease>>,
+        admitted_leases: Vec<Option<RegionLease>>,
+        repack: RepackReport,
+        stats: ManagerStats,
+        makespan: u64,
+    }
+
+    fn recipe_soc() -> (Soc, BitstreamRegistry, Vec<TileCoord>) {
+        let cfg = SocConfig::grid_reconf("amorphous", 7).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let tiles = cfg.reconfigurable_tiles();
         let mut registry = BitstreamRegistry::new();
@@ -189,45 +241,107 @@ mod tests {
                 )
                 .unwrap();
         }
-        let mgr = ThreadedManager::spawn(soc, registry);
-        mgr.enable_regions_within(FitPolicy::FirstFit, 1..12)
-            .unwrap();
-        for &t in &tiles {
-            mgr.reconfigure_blocking(t, AcceleratorKind::Mac).unwrap();
+        (soc, registry, tiles)
+    }
+
+    fn run_recipe(mgr: &mut impl RegionPath, tiles: &[TileCoord]) -> RecipeOutcome {
+        let leases = |mgr: &dyn RegionPath| tiles.iter().map(|&t| mgr.lease(t)).collect();
+        for &t in tiles {
+            mgr.load(t, AcceleratorKind::Mac).unwrap();
         }
-        mgr.reconfigure_blocking(tiles[5], AcceleratorKind::Sort)
-            .unwrap();
-        let frag = mgr.fragmentation().unwrap();
-        assert_eq!(frag.free_columns, 4);
-        assert_eq!(frag.largest_free_span, 2);
-        // Oversized: free columns exist, but no 3-wide span.
-        let err = mgr.reconfigure_blocking(tiles[1], AcceleratorKind::Gemm);
+        mgr.load(tiles[5], AcceleratorKind::Sort).unwrap();
+        let swapped = mgr.fragmentation();
+        let err = mgr.load(tiles[1], AcceleratorKind::Gemm);
         assert!(
             matches!(err, Err(Error::RegionUnavailable { width: 3, .. })),
             "{err:?}"
         );
-        assert_eq!(mgr.stats().oversized_rejected, 1);
-        assert!(mgr.fragmentation().unwrap().external_fragmentation() > 0.0);
-        // One repack pass heals the fragmentation…
-        let report = mgr.repack_blocking().unwrap();
-        assert_eq!(report.moves, 1);
-        assert_eq!(report.skipped, 0);
-        assert!(report.frames_moved > 0);
-        let stats = mgr.stats();
-        assert_eq!(stats.repack_passes, 1);
-        assert_eq!(stats.repack_moves, 1);
-        assert_eq!(stats.frames_moved, report.frames_moved);
-        // …and the retry is admitted and attributed to the repack.
-        mgr.reconfigure_blocking(tiles[1], AcceleratorKind::Gemm)
+        let refused = mgr.fragmentation();
+        let refused_leases = leases(mgr);
+        let repack = mgr.repack();
+        let repacked = mgr.fragmentation();
+        mgr.load(tiles[1], AcceleratorKind::Gemm).unwrap();
+        let (stats, makespan) = mgr.ledger();
+        RecipeOutcome {
+            fragmentation: [swapped, refused, repacked, mgr.fragmentation()],
+            refused_leases,
+            admitted_leases: leases(mgr),
+            repack,
+            stats,
+            makespan,
+        }
+    }
+
+    #[test]
+    fn amorphous_recipe_agrees_across_managers() {
+        use presp_fpga::fabric::ColumnKind::{Bram, Clb, Dsp};
+        let (soc, registry, tiles) = recipe_soc();
+        // The recipe is pinned to the Vc707 column interleave — assert
+        // it so a fabric-model change fails loudly here.
+        let d = soc.part().device();
+        let expect = [Clb, Clb, Bram, Clb, Clb, Dsp, Clb, Clb, Clb, Clb, Clb];
+        for (i, kind) in expect.iter().enumerate() {
+            assert_eq!(d.column_kind(i + 1), *kind, "column {}", i + 1);
+        }
+        let mut mgr = ReconfigManager::new(soc, registry);
+        mgr.enable_regions_within(FitPolicy::FirstFit, 1..12)
             .unwrap();
-        let after = mgr.stats();
-        assert_eq!(after.oversized_admitted, 1);
-        assert_eq!(after.repack_admitted, 1);
-        assert!(after.consistent());
+        let sequential = run_recipe(&mut mgr, &tiles);
+        assert!(mgr.driver_services(tiles[1], AcceleratorKind::Gemm));
+
+        // The pinned numbers. Seven 1-column loads pack the window's CLB
+        // columns first-fit at bases 1, 2, 4, 5, 7, 8, 9 (3 and 6 are
+        // BRAM/DSP); the swap moves the tile at 8 onto the BRAM column,
+        // leaving free the DSP column 6, the vacated 8 and [10, 11].
+        let bases = |leases: &[Option<RegionLease>]| -> Vec<u32> {
+            leases.iter().map(|l| l.as_ref().unwrap().base).collect()
+        };
+        assert_eq!(bases(&sequential.refused_leases), [1, 2, 4, 5, 7, 3, 9]);
+        let swapped = sequential.fragmentation[0].unwrap();
+        assert_eq!((swapped.free_columns, swapped.largest_free_span), (4, 2));
+        // The refusal changes nothing but the ledger; free columns exist
+        // but no 3-wide CLB span.
+        let refused = sequential.fragmentation[1].unwrap();
+        assert_eq!(refused, swapped);
+        assert!(refused.external_fragmentation() > 0.0);
+        // One repack move (9 → 8) heals the fragmentation, and the retry
+        // lands in the healed span, vacating column 2.
+        assert_eq!(
+            sequential.repack,
+            RepackReport {
+                moves: 1,
+                skipped: 0,
+                frames_moved: 4,
+            }
+        );
+        assert_eq!(sequential.fragmentation[2].unwrap().largest_free_span, 3);
+        assert_eq!(bases(&sequential.admitted_leases), [1, 9, 4, 5, 7, 3, 8]);
+        assert_eq!(sequential.admitted_leases[1].as_ref().unwrap().width(), 3);
         // Left behind: the vacated column 2 and the DSP column 6.
-        assert_eq!(mgr.fragmentation().unwrap().free_columns, 2);
-        assert_eq!(mgr.tile_lease(tiles[1]).unwrap().base, 9);
-        mgr.shutdown();
+        assert_eq!(sequential.fragmentation[3].unwrap().free_columns, 2);
+        let stats = sequential.stats;
+        assert_eq!((stats.oversized_rejected, stats.oversized_admitted), (1, 1));
+        assert_eq!((stats.repack_admitted, stats.repack_passes), (1, 1));
+        assert_eq!((stats.repack_moves, stats.frames_moved), (1, 4));
+        assert!(stats.consistent());
+        assert_eq!(sequential.makespan, 5736);
+
+        // The threaded path, at one and at four workers, ends in the
+        // same leases, fragmentation, report, ledger and makespan.
+        for workers in [1, 4] {
+            let (soc, registry, tiles) = recipe_soc();
+            let config = RuntimeConfig {
+                workers: Some(workers),
+                ..RuntimeConfig::default()
+            };
+            let mut threaded = ThreadedManager::spawn_with(soc, registry, config);
+            threaded
+                .enable_regions_within(FitPolicy::FirstFit, 1..12)
+                .unwrap();
+            let outcome = run_recipe(&mut threaded, &tiles);
+            threaded.shutdown();
+            assert_eq!(outcome, sequential, "{workers} workers");
+        }
     }
 
     #[test]

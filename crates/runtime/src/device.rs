@@ -9,6 +9,12 @@
 //! [`crate::registry::BitstreamRegistry`] and the
 //! [`crate::cache::BitstreamCache`] fronting it.
 //!
+//! Under amorphous floorplanning the core is also the one record of
+//! every tile's region: the [`RegionAllocator`] holds each lease's span,
+//! the core maps each tile to its lease id, and the SoC's golden images
+//! hold the frames. Tile shards keep no copy, so a repack plan resolves
+//! every move's owner here, under the one `core` lock.
+//!
 //! On the deterministic path the [`crate::manager::ReconfigManager`] owns
 //! a `DeviceCore` directly; on the OS-threaded path the
 //! [`crate::scheduler`] wraps it in a single mutex (label `"core"`) that
@@ -23,10 +29,12 @@ use crate::sync::Arc;
 use presp_accel::catalog::AcceleratorKind;
 use presp_events::trace::ClockDomain;
 use presp_events::{Loc, SharedSink, TraceEvent};
-use presp_floorplan::{FitPolicy, RegionAllocator};
+use presp_floorplan::{FitPolicy, FragmentationStats, RegionAllocator, RegionLease, RegionMove};
 use presp_fpga::bitstream::Bitstream;
+use presp_fpga::fabric::ColumnKind;
 use presp_soc::config::TileCoord;
 use presp_soc::sim::Soc;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The tile's location as a trace record coordinate.
@@ -51,8 +59,11 @@ pub struct DeviceCore {
     /// The amorphous-floorplanning placement authority: `None` keeps the
     /// legacy fixed-socket behavior (bitstreams load exactly where they
     /// were built); `Some` routes every load through footprint → lease →
-    /// relocation.
+    /// relocation. The allocator is the one record of each lease.
     allocator: Option<RegionAllocator>,
+    /// The id of the lease each tile holds. Written only with the
+    /// allocator, so every live lease has exactly one owner here.
+    leases: BTreeMap<TileCoord, u64>,
 }
 
 impl fmt::Debug for DeviceCore {
@@ -90,6 +101,7 @@ impl DeviceCore {
             stats: ManagerStats::default(),
             trace_shards: Vec::new(),
             allocator: None,
+            leases: BTreeMap::new(),
         }
     }
 
@@ -109,7 +121,7 @@ impl DeviceCore {
         window: Option<std::ops::Range<u32>>,
     ) -> Result<(), Error> {
         for tile in self.soc.config().reconfigurable_tiles() {
-            if !self.soc.tile_region(tile).is_empty() {
+            if self.soc.has_region(tile) {
                 return Err(Error::Soc(presp_soc::Error::RegionConflict {
                     coord: tile,
                     detail: "amorphous floorplanning must be enabled before the first load".into(),
@@ -121,17 +133,87 @@ impl DeviceCore {
             Some(range) => RegionAllocator::new_within(&device, policy, range),
             None => RegionAllocator::new(&device, policy),
         });
+        self.leases.clear();
         Ok(())
     }
 
-    /// The region allocator, when amorphous floorplanning is enabled.
-    pub fn allocator(&self) -> Option<&RegionAllocator> {
-        self.allocator.as_ref()
+    /// Whether amorphous floorplanning is enabled.
+    pub(crate) fn regions_enabled(&self) -> bool {
+        self.allocator.is_some()
     }
 
-    /// Mutable access to the region allocator.
-    pub(crate) fn allocator_mut(&mut self) -> Option<&mut RegionAllocator> {
-        self.allocator.as_mut()
+    /// Fragmentation counters of the region allocator; `None` on the
+    /// fixed-socket path.
+    pub fn fragmentation(&self) -> Option<FragmentationStats> {
+        self.allocator.as_ref().map(RegionAllocator::stats)
+    }
+
+    /// The live lease `tile` holds; `None` on the fixed-socket path and
+    /// for a tile that never placed a load.
+    pub fn tile_lease(&self, tile: TileCoord) -> Option<&RegionLease> {
+        let id = self.leases.get(&tile)?;
+        self.allocator.as_ref()?.lease(*id)
+    }
+
+    /// Gives `tile` a fresh lease matching `pattern`. The old lease, if
+    /// any, returns to the allocator first, so the new span may reuse its
+    /// columns. Returns the new base column and whether an old lease was
+    /// given up; `None` when no free span fits, in which case the old
+    /// lease is re-seeded at its base (released above and handed to
+    /// nobody since, so the reservation cannot fail) and stays the
+    /// tile's. Also `None` on the fixed-socket path.
+    pub(crate) fn switch_lease(
+        &mut self,
+        tile: TileCoord,
+        pattern: &[ColumnKind],
+    ) -> Option<(u32, bool)> {
+        let alloc = self.allocator.as_mut()?;
+        let old = self
+            .leases
+            .remove(&tile)
+            .and_then(|id| alloc.lease(id).cloned());
+        if let Some(old) = &old {
+            alloc.release(old.id);
+        }
+        let Some(lease) = alloc.allocate(pattern) else {
+            if let Some(restored) = old.and_then(|old| alloc.reserve_at(old.base, &old.kinds)) {
+                self.leases.insert(tile, restored.id);
+            }
+            return None;
+        };
+        self.leases.insert(tile, lease.id);
+        Some((lease.base, old.is_some()))
+    }
+
+    /// Plans a defragmentation pass: the allocator's greedy left-slide
+    /// compaction in application order, each move paired with the tile
+    /// owning its lease. Empty on the fixed-socket path or when the
+    /// fabric is already packed.
+    pub(crate) fn plan_repack(&self) -> Vec<(RegionMove, TileCoord)> {
+        let Some(alloc) = &self.allocator else {
+            return Vec::new();
+        };
+        alloc
+            .plan_compaction()
+            .into_iter()
+            .filter_map(|mv| {
+                let owner = self.leases.iter().find(|(_, &id)| id == mv.id);
+                owner.map(|(&tile, _)| (mv, tile))
+            })
+            .collect()
+    }
+
+    /// Slides lease `id` to base column `to` in the allocator, which
+    /// validates the destination against every live lease. A no-op on
+    /// the fixed-socket path, which plans no moves.
+    ///
+    /// # Errors
+    ///
+    /// The allocator's refusal of the destination.
+    pub(crate) fn move_lease(&mut self, id: u64, to: u32) -> Result<(), presp_floorplan::Error> {
+        self.allocator
+            .as_mut()
+            .map_or(Ok(()), |alloc| alloc.apply_move(id, to))
     }
 
     /// The underlying SoC.

@@ -5,8 +5,9 @@
 //!   registered up-front and the manager keeps "a reference between the
 //!   bitstreams, their physical addresses, the tiles they will be loaded
 //!   into, and their respective drivers".
-//! * [`driver`] — the driver table: per-tile accelerator drivers that are
-//!   registered/unregistered as accelerators are swapped.
+//! * [`driver`] — driver lifecycle events: each tile's shard binds and
+//!   unbinds its accelerator driver as accelerators are swapped and
+//!   records every probe and removal.
 //! * [`manager`] — the reconfiguration manager: wait-for-idle semantics,
 //!   per-tile locking during reconfiguration, decouple → DFXC → re-couple →
 //!   driver-swap sequencing, and reconfiguration statistics.

@@ -329,7 +329,7 @@ impl ReconfigManager {
             .config()
             .reconfigurable_tiles()
             .into_iter()
-            .filter(|t| !self.is_quarantined(*t) && !self.core.soc().tile_region(*t).is_empty())
+            .filter(|t| !self.is_quarantined(*t) && self.core.soc().has_region(*t))
             .collect();
         tiles.sort_unstable();
         let mut reports = Vec::with_capacity(tiles.len());
@@ -398,13 +398,13 @@ impl ReconfigManager {
     /// Fragmentation counters of the region allocator; `None` on the
     /// fixed-socket path.
     pub fn fragmentation(&self) -> Option<FragmentationStats> {
-        self.core.allocator().map(|a| a.stats())
+        self.core.fragmentation()
     }
 
     /// The tile's live region lease, when amorphous floorplanning is
     /// enabled and the tile has loaded at least once.
     pub fn tile_lease(&self, tile: TileCoord) -> Option<RegionLease> {
-        self.tiles.get(&tile).and_then(|s| s.lease().cloned())
+        self.core.tile_lease(tile).cloned()
     }
 
     /// Runs one defragmentation pass starting no earlier than `at`:
@@ -422,22 +422,13 @@ impl ReconfigManager {
     /// threaded path; per-move refusals are folded into
     /// [`RepackReport::skipped`].
     pub fn repack_at(&mut self, at: u64) -> Result<RepackReport, Error> {
-        let plan = protocol::plan_repack(&self.core);
+        let plan = self.core.plan_repack();
         let mut report = RepackReport::default();
-        for mv in &plan {
-            let owner = self
-                .tiles
-                .values()
-                .find(|s| s.lease().is_some_and(|l| l.id == mv.id))
-                .map(TileState::coord);
-            let Some(tile) = owner else {
-                report.skipped += 1;
-                continue;
-            };
+        for (mv, tile) in &plan {
             let shard = self
                 .tiles
-                .entry(tile)
-                .or_insert_with(|| TileState::new(tile));
+                .entry(*tile)
+                .or_insert_with(|| TileState::new(*tile));
             if shard.is_quarantined() {
                 report.skipped += 1;
                 continue;
@@ -931,91 +922,6 @@ mod tests {
         );
         assert_eq!(mgr.driver_events(tiles[1]).len(), 1);
         assert_eq!(mgr.active_driver(tiles[0]), Some(AcceleratorKind::Sort));
-    }
-
-    #[test]
-    fn amorphous_regions_reject_oversized_then_repack_admits() {
-        use presp_floorplan::FitPolicy;
-        use presp_fpga::fabric::ColumnKind;
-        let cfg = SocConfig::grid_reconf("amorphous", 7).unwrap();
-        let soc = Soc::new(&cfg).unwrap();
-        let tiles = cfg.reconfigurable_tiles();
-        // The recipe below is pinned to the Vc707 column interleave —
-        // assert it so a fabric-model change fails loudly here.
-        let d = soc.part().device();
-        use ColumnKind::{Bram, Clb, Dsp};
-        let expect = [Clb, Clb, Bram, Clb, Clb, Dsp, Clb, Clb, Clb, Clb, Clb];
-        for (i, kind) in expect.iter().enumerate() {
-            assert_eq!(d.column_kind(i + 1), *kind, "column {}", i + 1);
-        }
-        let mut registry = BitstreamRegistry::new();
-        for &tile in &tiles {
-            registry
-                .register(tile, AcceleratorKind::Mac, bitstream(&soc, 1, 4))
-                .unwrap();
-            registry
-                .register(tile, AcceleratorKind::Sort, bitstream(&soc, 3, 4))
-                .unwrap();
-            registry
-                .register(
-                    tile,
-                    AcceleratorKind::Gemm,
-                    Bitstream::synthetic_partial(&soc.part().device(), 7..10, 4).unwrap(),
-                )
-                .unwrap();
-        }
-        let mut mgr = ReconfigManager::new(soc, registry);
-        mgr.enable_regions_within(FitPolicy::FirstFit, 1..12)
-            .unwrap();
-        // Seven 1-column loads pack the window's CLB columns first-fit:
-        // bases 1, 2, 4, 5, 7, 8, 9 (columns 3 and 6 are BRAM/DSP).
-        for &t in &tiles {
-            mgr.request_reconfiguration(t, AcceleratorKind::Mac)
-                .unwrap();
-        }
-        assert_eq!(mgr.tile_lease(tiles[0]).unwrap().base, 1);
-        assert_eq!(mgr.tile_lease(tiles[6]).unwrap().base, 9);
-        // Swap the tile at column 8 onto the BRAM column: its CLB column
-        // frees, leaving holes at 8 and [10, 11].
-        mgr.request_reconfiguration(tiles[5], AcceleratorKind::Sort)
-            .unwrap();
-        assert_eq!(mgr.tile_lease(tiles[5]).unwrap().base, 3);
-        let frag = mgr.fragmentation().unwrap();
-        // Free: the DSP column 6, the vacated 8 and the tail [10, 11].
-        assert_eq!(frag.free_columns, 4);
-        assert_eq!(frag.largest_free_span, 2);
-        // Oversized: columns are free but no 3-wide CLB span exists.
-        let err = mgr.request_reconfiguration(tiles[1], AcceleratorKind::Gemm);
-        assert!(
-            matches!(err, Err(Error::RegionUnavailable { width: 3, .. })),
-            "{err:?}"
-        );
-        assert_eq!(mgr.stats().oversized_rejected, 1);
-        assert!(mgr.fragmentation().unwrap().external_fragmentation() > 0.0);
-        // The refusal left the tile's old lease (and frames) intact.
-        assert_eq!(mgr.tile_lease(tiles[1]).unwrap().base, 2);
-        // One repack move (9 → 8) heals the fragmentation.
-        let report = mgr.repack_at(mgr.makespan()).unwrap();
-        assert_eq!(report.moves, 1);
-        assert_eq!(report.skipped, 0);
-        assert!(report.frames_moved > 0);
-        let stats = mgr.stats();
-        assert_eq!(stats.repack_passes, 1);
-        assert_eq!(stats.repack_moves, 1);
-        assert_eq!(stats.frames_moved, report.frames_moved);
-        assert_eq!(mgr.tile_lease(tiles[6]).unwrap().base, 8);
-        assert_eq!(mgr.fragmentation().unwrap().largest_free_span, 3);
-        // Retry: admitted into the repacked span and attributed to it.
-        mgr.request_reconfiguration(tiles[1], AcceleratorKind::Gemm)
-            .unwrap()
-            .unwrap();
-        let lease = mgr.tile_lease(tiles[1]).unwrap();
-        assert_eq!((lease.base, lease.width()), (9, 3));
-        assert!(mgr.driver_services(tiles[1], AcceleratorKind::Gemm));
-        let stats = mgr.stats();
-        assert_eq!(stats.oversized_admitted, 1);
-        assert_eq!(stats.repack_admitted, 1);
-        assert!(stats.consistent());
     }
 
     #[test]

@@ -232,15 +232,15 @@ fn attempt_load(
 ///
 /// Ordering is deliberate: a replacement span is allocated *before* the
 /// old one's frames are erased, so a refused allocation leaves the
-/// tile's current configuration intact (the old lease is re-seeded at
-/// its original base, which was never released to anyone else).
+/// tile's current configuration intact (see
+/// [`DeviceCore::switch_lease`]).
 fn place_bitstream(
     tile_state: &mut TileState,
     core: &mut DeviceCore,
     bitstream: &Arc<Bitstream>,
     at: u64,
 ) -> Result<Arc<Bitstream>, Error> {
-    if core.allocator().is_none() {
+    if !core.regions_enabled() {
         return Ok(Arc::clone(bitstream));
     }
     let tile = tile_state.coord();
@@ -263,7 +263,7 @@ fn place_bitstream(
         .collect();
     // Fast path: the live lease already provides exactly this span
     // shape — relocate straight into it.
-    if let Some(lease) = tile_state.lease() {
+    if let Some(lease) = core.tile_lease(tile) {
         if lease.kinds == pattern {
             let delta = i64::from(lease.base) - i64::from(base);
             return relocate_to(bitstream, &device, delta);
@@ -271,40 +271,22 @@ fn place_bitstream(
     }
     // Lease switch: return the old span to the allocator, claim a new
     // one, then vacate the old frames from the fabric.
-    let old = tile_state.take_lease();
-    let allocated = match core.allocator_mut() {
-        Some(alloc) => {
-            if let Some(old) = &old {
-                alloc.release(old.id);
-            }
-            alloc.allocate(&pattern)
-        }
-        None => return Ok(Arc::clone(bitstream)),
-    };
-    match allocated {
-        Some(lease) => {
-            if old.is_some() {
+    match core.switch_lease(tile, &pattern) {
+        Some((leased_base, vacated)) => {
+            if vacated {
                 // The lease moved: erase and retire the frames earlier
                 // loads wrote at the old base before the new span is
                 // written, keeping the tile's region a single span.
                 core.soc_mut().release_tile_region(tile, at)?;
             }
-            let delta = i64::from(lease.base) - i64::from(base);
-            tile_state.set_lease(Some(lease));
+            let delta = i64::from(leased_base) - i64::from(base);
             relocate_to(bitstream, &device, delta)
         }
         None => {
-            // No free span fits. Re-seed the old lease — its span was
-            // released above and handed out to nobody since, so the
-            // reservation cannot fail — stamp the tile's oversized
-            // watermark and refuse. Deliberately not transient:
-            // retrying without repacking cannot succeed.
-            if let Some(old) = old {
-                let restored = core
-                    .allocator_mut()
-                    .and_then(|a| a.reserve_at(old.base, &old.kinds));
-                tile_state.set_lease(restored);
-            }
+            // No free span fits: the old lease stays, the tile's
+            // oversized watermark is stamped and the load refused.
+            // Deliberately not transient: retrying without repacking
+            // cannot succeed.
             core.stats_mut().oversized_rejected += 1;
             let mark = core.stats().repack_moves;
             tile_state.mark_oversized(mark);
@@ -325,18 +307,10 @@ fn relocate_to(
     Ok(Arc::new(bitstream.relocate(device, delta)?))
 }
 
-/// Plans a defragmentation pass over the live leases: the allocator's
-/// greedy left-slide compaction, in application order. Empty when
-/// amorphous floorplanning is disabled or the fabric is already packed.
-pub(crate) fn plan_repack(core: &DeviceCore) -> Vec<RegionMove> {
-    core.allocator()
-        .map(|a| a.plan_compaction())
-        .unwrap_or_default()
-}
-
-/// Executes one planned compaction move on the tile owning the lease.
+/// Executes one planned compaction move (see [`DeviceCore::plan_repack`])
+/// on the tile owning the lease.
 ///
-/// The allocator commits first — [`presp_floorplan::region::RegionAllocator::apply_move`]
+/// The allocator commits first — [`DeviceCore::move_lease`]
 /// validates the destination against every live lease, including
 /// frame-less ones the fabric cannot see — and is rolled back if the
 /// physical move is refused. The physical half (decouple → lockstep
@@ -353,8 +327,8 @@ pub(crate) fn repack_move(
     at: u64,
 ) -> Result<u64, Error> {
     let tile = tile_state.coord();
-    let owned = tile_state
-        .lease()
+    let owned = core
+        .tile_lease(tile)
         .is_some_and(|l| l.id == mv.id && l.base == mv.from);
     if !owned {
         return Err(Error::Soc(presp_soc::Error::RegionConflict {
@@ -362,26 +336,20 @@ pub(crate) fn repack_move(
             detail: format!("tile does not own lease {} at column {}", mv.id, mv.from),
         }));
     }
-    if let Some(alloc) = core.allocator_mut() {
-        alloc.apply_move(mv.id, mv.to).map_err(|e| {
-            Error::Soc(presp_soc::Error::RegionConflict {
-                coord: tile,
-                detail: e.to_string(),
-            })
-        })?;
-    }
-    let physical = if core.soc().tile_region(tile).is_empty() {
+    core.move_lease(mv.id, mv.to).map_err(|e| {
+        Error::Soc(presp_soc::Error::RegionConflict {
+            coord: tile,
+            detail: e.to_string(),
+        })
+    })?;
+    let physical = if core.soc().has_region(tile) {
+        move_frames(tile_state, core, mv.delta(), at)
+    } else {
         // Never loaded: a pure bookkeeping slide.
         Ok(0)
-    } else {
-        move_frames(tile_state, core, mv.delta(), at)
     };
     match physical {
         Ok(frames) => {
-            if let Some(mut lease) = tile_state.take_lease() {
-                lease.base = mv.to;
-                tile_state.set_lease(Some(lease));
-            }
             let stats = core.stats_mut();
             stats.repack_moves += 1;
             stats.frames_moved += frames;
@@ -389,9 +357,7 @@ pub(crate) fn repack_move(
         }
         Err(e) => {
             // Roll the allocator back; the source span is still free.
-            if let Some(alloc) = core.allocator_mut() {
-                let _ = alloc.apply_move(mv.id, mv.from);
-            }
+            let _ = core.move_lease(mv.id, mv.from);
             Err(e)
         }
     }

@@ -797,11 +797,7 @@ impl<S: SyncFacade> Shared<S> {
                 // Shutdown raced the park: settle the claim ourselves.
                 let claim = sup.claims.remove(&ticket).expect("present above");
                 drop(sup);
-                {
-                    let mut gate = S::lock_recover(&self.gate);
-                    gate.retire(ticket);
-                }
-                S::notify_all(&self.gate_cv);
+                self.retire_tickets([ticket]);
                 claim.stash.fail(Error::ManagerStopped);
                 return;
             }
@@ -902,11 +898,7 @@ impl<S: SyncFacade> Shared<S> {
         }
         match stash {
             Some(stash) => {
-                {
-                    let mut gate = S::lock_recover(&self.gate);
-                    gate.retire(ticket);
-                }
-                S::notify_all(&self.gate_cv);
+                self.retire_tickets([ticket]);
                 stash.fail(Error::ManagerStopped);
             }
             None => S::notify_all(&self.work),
@@ -930,13 +922,7 @@ impl<S: SyncFacade> Shared<S> {
             }
             out
         };
-        {
-            let mut gate = S::lock_recover(&self.gate);
-            for job in &drained {
-                gate.retire(job.ticket);
-            }
-        }
-        S::notify_all(&self.gate_cv);
+        self.retire_tickets(drained.iter().map(|job| job.ticket));
         for job in drained {
             job.payload.fail(Error::ManagerStopped);
         }
@@ -967,17 +953,26 @@ impl<S: SyncFacade> Shared<S> {
         S::notify_all(&self.supervisor_cv);
         S::notify_all(&self.hang_cv);
         if !wedged.is_empty() {
-            {
-                let mut gate = S::lock_recover(&self.gate);
-                for (ticket, _) in &wedged {
-                    gate.retire(*ticket);
-                }
-            }
-            S::notify_all(&self.gate_cv);
+            self.retire_tickets(wedged.iter().map(|(ticket, _)| *ticket));
             for (_, stash) in wedged {
                 stash.fail(Error::ManagerStopped);
             }
         }
+    }
+
+    /// Retires `tickets` at the commit-order gate without committing
+    /// them — drained, shed or settled jobs whose waiters are answered
+    /// elsewhere — and wakes every worker waiting for its turn. Callers
+    /// hold no other lock; the gate is taken poison-tolerantly, so a
+    /// worker dying mid-unwind may call it too.
+    fn retire_tickets(&self, tickets: impl IntoIterator<Item = u64>) {
+        {
+            let mut gate = S::lock_recover(&self.gate);
+            for ticket in tickets {
+                gate.retire(ticket);
+            }
+        }
+        S::notify_all(&self.gate_cv);
     }
 
     /// Whether shutdown has begun. A solo top-level peek, so callers
@@ -1029,11 +1024,7 @@ impl<S: SyncFacade> Shared<S> {
             None => S::lock(&self.admission).next_ticket,
         };
         if shed.ticket.is_some() {
-            {
-                let mut gate = S::lock(&self.gate);
-                gate.retire(ticket);
-            }
-            S::notify_all(&self.gate_cv);
+            self.retire_tickets([ticket]);
         }
         {
             let mut core = S::lock(&self.core);

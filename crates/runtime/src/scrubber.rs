@@ -111,7 +111,7 @@ fn scrub_sweep<S: SyncFacade>(shared: &Shared<S>) -> Result<Vec<(TileCoord, Scru
             continue;
         }
         let mut core = S::lock(&shared.core);
-        if core.soc().tile_region(tile).is_empty() {
+        if !core.soc().has_region(tile) {
             continue;
         }
         reports.push((tile, protocol::scrub_tile_at(&mut state, &mut core, at)?));

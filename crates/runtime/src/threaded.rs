@@ -357,19 +357,14 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// Fragmentation snapshot of the region allocator; `None` on the
     /// fixed-socket path.
     pub fn fragmentation(&self) -> Option<FragmentationStats> {
-        S::lock_recover(&self.shared.core)
-            .allocator()
-            .map(|a| a.stats())
+        S::lock_recover(&self.shared.core).fragmentation()
     }
 
     /// The live region lease of `tile` (amorphous floorplanning only);
     /// `None` for unknown tiles, unloaded tiles, or the fixed-socket
     /// path.
     pub fn tile_lease(&self, tile: TileCoord) -> Option<RegionLease> {
-        self.shared
-            .shards
-            .get(&tile)
-            .and_then(|shard| S::lock(&shard.state).lease().cloned())
+        S::lock_recover(&self.shared.core).tile_lease(tile).cloned()
     }
 
     /// Latest completion cycle on the shared virtual clock — the

@@ -9,7 +9,9 @@
 //! per-tile. Two requests to *different* tiles touch disjoint
 //! `TileState`s and can proceed concurrently; only the genuinely shared
 //! device resources (ICAP, configuration memory, NoC — see
-//! [`crate::device`]) still serialize.
+//! [`crate::device`]) still serialize. A tile's region (its lease and
+//! frames under amorphous floorplanning) is device state too and lives
+//! only in the device core, never in a shard.
 //!
 //! `TileState` is pure data with no locking of its own. The deterministic
 //! [`crate::manager::ReconfigManager`] owns its shards directly; the
@@ -20,7 +22,6 @@
 
 use crate::driver::DriverEvent;
 use presp_accel::catalog::AcceleratorKind;
-use presp_floorplan::RegionLease;
 use presp_soc::config::TileCoord;
 
 /// Configuration-memory health of one reconfigurable tile, as tracked by
@@ -60,12 +61,6 @@ pub struct TileState {
     health: TileHealth,
     quarantined: bool,
     failure_streak: u32,
-    /// The tile's live region lease under amorphous floorplanning;
-    /// `None` on the fixed-socket path (regions disabled) or before the
-    /// first load. The lease's base/kinds mirror the allocator's copy in
-    /// [`crate::device::DeviceCore`] — both mutate only through the
-    /// protocol functions, under the same locks.
-    lease: Option<RegionLease>,
     /// Repack-moves watermark stamped when a load was refused for lack
     /// of a free span ([`crate::error::Error::RegionUnavailable`]);
     /// cleared on the next successful load, which is then counted as an
@@ -84,7 +79,6 @@ impl TileState {
             health: TileHealth::Healthy,
             quarantined: false,
             failure_streak: 0,
-            lease: None,
             oversized_mark: None,
         }
     }
@@ -196,21 +190,6 @@ impl TileState {
     /// Clears the failure streak (after a successful load).
     pub fn clear_failures(&mut self) {
         self.failure_streak = 0;
-    }
-
-    /// The tile's live region lease (amorphous floorplanning only).
-    pub fn lease(&self) -> Option<&RegionLease> {
-        self.lease.as_ref()
-    }
-
-    /// Installs (or clears) the tile's region lease.
-    pub(crate) fn set_lease(&mut self, lease: Option<RegionLease>) {
-        self.lease = lease;
-    }
-
-    /// Takes the tile's region lease, leaving `None`.
-    pub(crate) fn take_lease(&mut self) -> Option<RegionLease> {
-        self.lease.take()
     }
 
     /// Stamps the oversized-rejection watermark with the ledger's current

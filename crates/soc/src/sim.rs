@@ -36,7 +36,7 @@ use presp_fpga::frame::FrameAddress;
 use presp_fpga::icap::ICAP_CLOCK_MHZ;
 use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// The tile's location as a trace record coordinate.
 fn loc(coord: TileCoord) -> Loc {
@@ -198,10 +198,9 @@ pub struct Soc {
     irq_log: Vec<IrqEvent>,
     fault_plan: Option<FaultPlan>,
     decoupled_rejections: u64,
-    /// Union of every frame each tile's successful loads have written.
-    tile_regions: HashMap<TileCoord, BTreeSet<FrameAddress>>,
     /// Per-tile golden (known-good, post-load) frame images, sparse over
-    /// erased frames.
+    /// erased frames. A tile's golden addresses are its region: the
+    /// union of every frame its successful loads have written.
     golden: HashMap<TileCoord, RegionSnapshot>,
     seu_log: Vec<SeuRecord>,
 }
@@ -254,7 +253,6 @@ impl Soc {
             irq_log: Vec::new(),
             fault_plan: None,
             decoupled_rejections: 0,
-            tile_regions: HashMap::new(),
             golden: HashMap::new(),
             seu_log: Vec::new(),
         })
@@ -344,14 +342,21 @@ impl Soc {
         &self.seu_log
     }
 
-    /// Frame addresses of `tile`'s reconfigurable region: the union of
-    /// every frame its successful loads have written. Empty before the
-    /// first load.
+    /// Frame addresses of `tile`'s reconfigurable region — the union of
+    /// every frame its successful loads have written, which is the
+    /// address set of its golden image. Empty before the first load.
     pub fn tile_region(&self, tile: TileCoord) -> Vec<FrameAddress> {
-        self.tile_regions
+        self.golden
             .get(&tile)
-            .map(|s| s.iter().copied().collect())
+            .map(|g| g.addresses().to_vec())
             .unwrap_or_default()
+    }
+
+    /// Whether `tile` has a region, i.e. a successful load has written
+    /// at least one frame: [`Soc::tile_region`] is non-empty, without
+    /// building it.
+    pub fn has_region(&self, tile: TileCoord) -> bool {
+        self.golden.get(&tile).is_some_and(|g| !g.is_empty())
     }
 
     /// The tile's golden (post-load, known-good) frame image, if any load
@@ -382,8 +387,8 @@ impl Soc {
 
     /// Transactionally relocates `tile`'s whole region `col_delta` columns
     /// away: every frame (payload *and* ECC check codes, bit-exact) is
-    /// re-addressed, the old frames are erased, and the tile's region
-    /// bookkeeping and golden store move in lockstep. The wrapper state —
+    /// re-addressed, the old frames are erased, and the tile's golden
+    /// store (which is its region) moves in lockstep. The wrapper state —
     /// including the configured accelerator — is untouched: the logic
     /// simply lives at a new base.
     ///
@@ -410,7 +415,7 @@ impl Soc {
     ) -> Result<RegionMoveRun, Error> {
         self.advance_seus_to(at);
         self.require_decoupled(tile, "region move")?;
-        let old_region = self.tile_regions.get(&tile).cloned().unwrap_or_default();
+        let old_region = self.tile_region(tile);
         if old_region.is_empty() {
             return Err(Error::RegionConflict {
                 coord: tile,
@@ -438,12 +443,16 @@ impl Soc {
         let shifted = snap
             .shift_columns(&device, col_delta)
             .map_err(Error::Fpga)?;
-        let new_region: BTreeSet<FrameAddress> = shifted.addresses().into_iter().collect();
-        for (other, region) in &self.tile_regions {
+        let new_region = shifted.addresses();
+        for (other, golden) in &self.golden {
             if *other == tile {
                 continue;
             }
-            if let Some(hit) = new_region.intersection(region).next() {
+            let hit = golden
+                .addresses()
+                .iter()
+                .find(|a| new_region.binary_search(a).is_ok());
+            if let Some(hit) = hit {
                 return Err(Error::RegionConflict {
                     coord: tile,
                     detail: format!("destination frame {hit:?} belongs to tile {other}"),
@@ -467,9 +476,9 @@ impl Soc {
         let r = self.icap.reserve(at, icap_cycles(words));
         let state = self.tile_mut(tile)?;
         state.timeline.claim(at, r.start, r.end);
-        // Region bookkeeping and the golden store move with the frames.
+        // The golden store — and with it the region — moves with the
+        // frames.
         let frames = old_region.len();
-        self.tile_regions.insert(tile, new_region);
         if let Some(golden) = self.golden.remove(&tile) {
             let moved = golden
                 .shift_columns(&device, col_delta)
@@ -495,14 +504,15 @@ impl Soc {
     }
 
     /// Erases `tile`'s whole region and retires its bookkeeping: the
-    /// frames are cleared through the ICAP, the region set and the golden
-    /// store are dropped, and the fabric columns the tile occupied become
-    /// writable by other tiles again. This is the vacate half of a lease
-    /// switch in amorphous floorplanning — a tile about to be loaded at a
-    /// different base must first return its old span to the free pool,
-    /// because [`Soc::reconfigure_at`] unions every written frame into the
-    /// tile's region and stale frames would otherwise stay configured
-    /// (scrubbed, move-blocking, golden-snapshotted) forever.
+    /// frames are cleared through the ICAP, the golden store (and with
+    /// it the region) is dropped, and the fabric columns the tile
+    /// occupied become writable by other tiles again. This is the vacate
+    /// half of a lease switch in amorphous floorplanning — a tile about
+    /// to be loaded at a different base must first return its old span
+    /// to the free pool, because [`Soc::reconfigure_at`] unions every
+    /// written frame into the tile's region and stale frames would
+    /// otherwise stay configured (scrubbed, move-blocking,
+    /// golden-snapshotted) forever.
     ///
     /// The tile must be decoupled, exactly like a reconfiguration or a
     /// region move. A tile with no region is a no-op returning zero
@@ -517,15 +527,14 @@ impl Soc {
     pub fn release_tile_region(&mut self, tile: TileCoord, at: u64) -> Result<usize, Error> {
         self.advance_seus_to(at);
         self.require_decoupled(tile, "region release")?;
-        let Some(region) = self.tile_regions.remove(&tile) else {
+        let Some(golden) = self.golden.remove(&tile) else {
             return Ok(0);
         };
-        self.golden.remove(&tile);
         self.dfxc
             .config_memory_mut()
-            .clear_frames(region.iter())
+            .clear_frames(golden.addresses().iter())
             .map_err(Error::Fpga)?;
-        let frames = region.len();
+        let frames = golden.len();
         let words = frames as u64 * self.dfxc.config_memory().frame_words() as u64;
         let r = self.icap.reserve(at, icap_cycles(words));
         let state = self.tile_mut(tile)?;
@@ -996,18 +1005,18 @@ impl Soc {
         };
         state.timeline.claim(at, icap_start, icap_done);
         // Region bookkeeping: the union of frames this tile's loads have
-        // written defines its region, and the post-load image becomes its
-        // golden (known-good) store for scrubber escalation. The snapshot
-        // is sparse: erased frames in the region cost an address, not a
-        // copy.
-        self.tile_regions
-            .entry(tile)
-            .or_default()
-            .extend(self.dfxc.last_written().iter().copied());
+        // written defines its region, and the post-load image of that
+        // region becomes its golden (known-good) store for scrubber
+        // escalation. The snapshot is sparse: erased frames in the region
+        // cost an address, not a copy.
+        let mut region = self.tile_region(tile);
+        region.extend_from_slice(self.dfxc.last_written());
+        region.sort_unstable();
+        region.dedup();
         let snap = self
             .dfxc
             .config_memory()
-            .snapshot(self.tile_regions[&tile].iter())
+            .snapshot(region.iter())
             .expect("region addresses were validated when written");
         self.golden.insert(tile, snap);
         let end = self.deliver_irq(icap_done, aux);
@@ -1470,10 +1479,12 @@ mod tests {
             .unwrap();
         let old_region = soc.tile_region(tiles[0]);
         assert!(!old_region.is_empty());
+        assert!(soc.has_region(tiles[0]));
         let freed = soc.release_tile_region(tiles[0], reconf.end).unwrap();
         assert_eq!(freed, old_region.len());
         // Bookkeeping retired: no region, no golden, frames erased.
         assert!(soc.tile_region(tiles[0]).is_empty());
+        assert!(!soc.has_region(tiles[0]));
         assert!(soc.golden_snapshot(tiles[0]).is_none());
         for addr in &old_region {
             assert!(!soc.dfxc.config_memory().is_configured(*addr));
