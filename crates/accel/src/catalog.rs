@@ -100,18 +100,35 @@ impl AcceleratorKind {
     }
 
     /// Short name used in reports and RTL hierarchies.
-    pub fn name(&self) -> String {
+    pub fn name(&self) -> &'static str {
         match self {
-            AcceleratorKind::Mac => "mac".into(),
-            AcceleratorKind::Conv2d => "conv2d".into(),
-            AcceleratorKind::Gemm => "gemm".into(),
-            AcceleratorKind::Fft => "fft".into(),
-            AcceleratorKind::Sort => "sort".into(),
-            AcceleratorKind::Cpu => "cpu".into(),
-            AcceleratorKind::Wami(k) => format!("wami_{}", k.name().replace('-', "_")),
+            AcceleratorKind::Mac => "mac",
+            AcceleratorKind::Conv2d => "conv2d",
+            AcceleratorKind::Gemm => "gemm",
+            AcceleratorKind::Fft => "fft",
+            AcceleratorKind::Sort => "sort",
+            AcceleratorKind::Cpu => "cpu",
+            AcceleratorKind::Wami(k) => WAMI_NAMES[k.index() - 1],
         }
     }
 }
+
+/// The WAMI accelerator names in Fig. 3 order: `wami_` and the kernel
+/// name with `-` spelled `_`.
+const WAMI_NAMES: [&str; 12] = [
+    "wami_debayer",
+    "wami_grayscale",
+    "wami_gradient",
+    "wami_warp",
+    "wami_subtract",
+    "wami_steepest_descent",
+    "wami_hessian",
+    "wami_sd_update",
+    "wami_matrix_invert",
+    "wami_delta_p",
+    "wami_warp_iwxp",
+    "wami_change_detection",
+];
 
 impl fmt::Display for AcceleratorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -176,8 +193,18 @@ mod tests {
     }
 
     #[test]
+    fn wami_names_spell_the_kernel_names() {
+        for kind in AcceleratorKind::wami_all() {
+            let AcceleratorKind::Wami(k) = kind else {
+                unreachable!()
+            };
+            assert_eq!(kind.name(), format!("wami_{}", k.name().replace('-', "_")));
+        }
+    }
+
+    #[test]
     fn names_are_unique() {
-        let mut names: Vec<String> = AcceleratorKind::CHARACTERIZATION
+        let mut names: Vec<&str> = AcceleratorKind::CHARACTERIZATION
             .iter()
             .map(|a| a.name())
             .chain(AcceleratorKind::wami_all().iter().map(|a| a.name()))

@@ -9,7 +9,7 @@ pub enum Error {
     /// The operation does not match the accelerator kind.
     WrongOperation {
         /// The accelerator the operation was submitted to.
-        accelerator: String,
+        accelerator: &'static str,
         /// The operation that was submitted.
         operation: String,
     },

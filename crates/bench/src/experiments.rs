@@ -43,7 +43,7 @@ pub fn table2() -> Vec<Table2Row> {
     let mut rows: Vec<Table2Row> = AcceleratorKind::CHARACTERIZATION
         .iter()
         .map(|a| Table2Row {
-            name: a.name(),
+            name: a.name().to_string(),
             luts: a.resources().lut,
         })
         .collect();

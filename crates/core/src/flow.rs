@@ -195,7 +195,7 @@ impl PrEspFlow {
             TraceEvent::BitstreamGenerated {
                 design: spec.name().to_string(),
                 region: "static".to_string(),
-                kind: "full".to_string(),
+                kind: "full",
                 bytes: full_bitstream.size_bytes() as u64,
             }
         });

@@ -259,7 +259,7 @@ trace_events! {
             /// Target tile.
             tile: Loc,
             /// Accelerator kind loaded.
-            kind: String,
+            kind: &'static str,
             /// Bitstream size, bytes.
             bytes: u64,
             /// Whether the load succeeded.
@@ -270,14 +270,14 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: String,
+            kind: &'static str,
             /// Compute cycles.
             cycles: u64,
         },
         /// A software kernel run on the CPU tile.
         CpuCompute = "cpu.compute" in soc {
             /// Kernel kind.
-            kind: String,
+            kind: &'static str,
             /// Compute cycles.
             cycles: u64,
         },
@@ -344,7 +344,7 @@ trace_events! {
             /// Target tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: String,
+            kind: &'static str,
             /// 1-based attempt number.
             attempt: u64,
             /// Whether the attempt succeeded.
@@ -371,12 +371,12 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: String,
+            kind: &'static str,
         },
         /// An operation degraded to the CPU software path.
         CpuFallback = "cpu.fallback" in runtime {
             /// Kernel kind.
-            kind: String,
+            kind: &'static str,
         },
         /// A scheduler worker committed a queued request to the device core.
         SchedDispatch = "sched.dispatch" in runtime {
@@ -393,7 +393,7 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: String,
+            kind: &'static str,
             /// Callers answered by the single underlying reconfiguration.
             waiters: u64,
         },
@@ -403,7 +403,7 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: String,
+            kind: &'static str,
         },
         /// A scheduler worker died (panicked) while holding a commit-order
         /// ticket; the supervisor detected the death and will heal the gate.
@@ -481,7 +481,7 @@ trace_events! {
             /// Region the bitstream targets.
             region: String,
             /// Accelerator kind implemented.
-            kind: String,
+            kind: &'static str,
             /// Bitstream size, bytes.
             bytes: u64,
         },
@@ -839,17 +839,17 @@ mod tests {
             },
             TraceEvent::Reconfiguration {
                 tile: loc,
-                kind: "mac".into(),
+                kind: "mac",
                 bytes: 1,
                 ok: true,
             },
             TraceEvent::Compute {
                 tile: loc,
-                kind: "mac".into(),
+                kind: "mac",
                 cycles: 1,
             },
             TraceEvent::CpuCompute {
-                kind: "mac".into(),
+                kind: "mac",
                 cycles: 1,
             },
             TraceEvent::Irq { source: loc },
@@ -881,7 +881,7 @@ mod tests {
             },
             TraceEvent::ReconfigAttempt {
                 tile: loc,
-                kind: "mac".into(),
+                kind: "mac",
                 attempt: 1,
                 ok: true,
             },
@@ -896,9 +896,9 @@ mod tests {
             },
             TraceEvent::BitstreamCacheHit {
                 tile: loc,
-                kind: "mac".into(),
+                kind: "mac",
             },
-            TraceEvent::CpuFallback { kind: "mac".into() },
+            TraceEvent::CpuFallback { kind: "mac" },
             TraceEvent::SchedDispatch {
                 tile: loc,
                 ticket: 7,
@@ -906,12 +906,12 @@ mod tests {
             },
             TraceEvent::RequestCoalesced {
                 tile: loc,
-                kind: "mac".into(),
+                kind: "mac",
                 waiters: 3,
             },
             TraceEvent::PbsCacheHit {
                 tile: loc,
-                kind: "mac".into(),
+                kind: "mac",
             },
             TraceEvent::WorkerDied {
                 worker: 1,
@@ -951,7 +951,7 @@ mod tests {
             TraceEvent::BitstreamGenerated {
                 design: "d".into(),
                 region: "r".into(),
-                kind: "mac".into(),
+                kind: "mac",
                 bytes: 1,
             },
         ];

@@ -3,9 +3,10 @@
 //! The format is a faithful simplification of the Xilinx configuration packet
 //! stream: a sync word, type-1 register-write packets, frame payload through
 //! the FDRI register, optional multi-frame-write (MFW) compression, a final
-//! CRC check and a desync. The [`crate::icap`] module parses exactly this
-//! format, so everything that flows to the device round-trips through the same
-//! packet layer the hardware would see.
+//! CRC check and a desync. The [`crate::icap`] module loads exactly this
+//! format through the packet state machine defined here, so everything that
+//! flows to the device round-trips through the same packet layer the hardware
+//! would see.
 
 use crate::config_memory::Frame;
 use crate::error::Error;
@@ -14,6 +15,7 @@ use crate::frame::FrameAddress;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Dummy pad word at the head of every bitstream.
 pub const DUMMY_WORD: u32 = 0xFFFF_FFFF;
@@ -151,6 +153,67 @@ pub fn decode_header(word: u32) -> Result<PacketHeader, Error> {
     }
 }
 
+/// One effect of a configuration packet, as [`Bitstream::walk`] hands
+/// it over in stream order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step<'a> {
+    /// An IDCODE register write.
+    Idcode(u32),
+    /// A command register write.
+    Command(Command),
+    /// A FAR write (the packed value).
+    Far(u32),
+    /// One frame of an FDRI burst, written at the address.
+    Frame(FrameAddress, &'a [u32]),
+    /// The latched last FDRI frame, replayed at the address by an MFWR.
+    Replay(FrameAddress, &'a [u32]),
+    /// The CRC check word.
+    Crc(u32),
+}
+
+/// Extracts the single word of a one-word register write.
+fn single(payload: &[u32]) -> Result<u32, Error> {
+    if payload.len() != 1 {
+        return Err(Error::MalformedBitstream {
+            detail: format!(
+                "expected 1-word register write, got {} words",
+                payload.len()
+            ),
+        });
+    }
+    Ok(payload[0])
+}
+
+/// Hands an FDRI burst to `step` as whole frames starting at the current
+/// FAR, auto-incrementing the minor address, and latches the last frame
+/// into the multi-frame shadow register.
+fn burst<'a>(
+    payload: &'a [u32],
+    frame_words: usize,
+    far: &mut Option<FrameAddress>,
+    shadow: &mut &'a [u32],
+    step: &mut impl FnMut(Step<'a>) -> Result<(), Error>,
+) -> Result<(), Error> {
+    if !payload.len().is_multiple_of(frame_words) {
+        return Err(Error::MalformedBitstream {
+            detail: format!(
+                "FDRI payload of {} words is not a multiple of the {frame_words}-word frame",
+                payload.len()
+            ),
+        });
+    }
+    let mut addr = far.ok_or_else(|| Error::MalformedBitstream {
+        detail: "FDRI with no FAR set".into(),
+    })?;
+    for chunk in payload.chunks(frame_words) {
+        step(Step::Frame(addr, chunk))?;
+        *shadow = chunk;
+        addr = FrameAddress::new(addr.row, addr.column, addr.minor + 1);
+    }
+    *far = Some(addr);
+    Ok(())
+}
+
 /// Reflected CRC-32 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
 
@@ -223,7 +286,10 @@ pub enum BitstreamKind {
 }
 
 /// A built bitstream: the exact word stream an ICAP consumes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the stream and its metadata; the cached
+/// [`Bitstream::frame_set`] is derived from them and does not take part.
+#[derive(Debug, Clone)]
 pub struct Bitstream {
     kind: BitstreamKind,
     idcode: u32,
@@ -231,7 +297,23 @@ pub struct Bitstream {
     words: Vec<u32>,
     frames: usize,
     integrity: u32,
+    frame_words: usize,
+    frame_set: OnceLock<Arc<[FrameAddress]>>,
 }
+
+impl PartialEq for Bitstream {
+    fn eq(&self, other: &Bitstream) -> bool {
+        self.kind == other.kind
+            && self.idcode == other.idcode
+            && self.compressed == other.compressed
+            && self.words == other.words
+            && self.frames == other.frames
+            && self.integrity == other.integrity
+            && self.frame_words == other.frame_words
+    }
+}
+
+impl Eq for Bitstream {}
 
 impl Bitstream {
     /// CRC-32 over the full word stream, computed once at build time.
@@ -305,7 +387,178 @@ impl Bitstream {
             words,
             frames: self.frames,
             integrity: self.integrity,
+            frame_words: self.frame_words,
+            frame_set: OnceLock::new(),
         }
+    }
+
+    /// The sorted, duplicate-free addresses of every frame this stream
+    /// writes — the region a load of it configures. Computed by one walk
+    /// over the packets on first use and cached with the stream, so every
+    /// holder of the same `Arc<Bitstream>` shares one set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::MalformedBitstream`] for packet-layer violations
+    /// the ICAP would also reject.
+    pub fn frame_set(&self) -> Result<&Arc<[FrameAddress]>, Error> {
+        self.frame_set_like(None)
+    }
+
+    /// [`Bitstream::frame_set`], adopting `like` as the cached set when
+    /// it holds exactly the computed addresses: streams that configure
+    /// the same region then share one allocation, and comparing them is
+    /// a pointer comparison. An already cached set is returned as is.
+    pub(crate) fn frame_set_like(
+        &self,
+        like: Option<&Arc<[FrameAddress]>>,
+    ) -> Result<&Arc<[FrameAddress]>, Error> {
+        if let Some(set) = self.frame_set.get() {
+            return Ok(set);
+        }
+        let mut addrs = Vec::new();
+        self.for_each_frame_write(|addr, _| {
+            addrs.push(addr);
+            Ok(())
+        })?;
+        addrs.sort_unstable();
+        addrs.dedup();
+        let set = match like {
+            Some(like) if **like == *addrs => Arc::clone(like),
+            _ => Arc::from(addrs),
+        };
+        Ok(self.frame_set.get_or_init(|| set))
+    }
+
+    /// Visits the frame writes of this stream in stream order: every
+    /// [`Step::Frame`] and [`Step::Replay`] of [`Bitstream::walk`], so a
+    /// frame written more than once is visited once per write and the
+    /// last visit is the one that sticks. Nothing is checked beyond the
+    /// packet structure; the ICAP checks the IDCODE and CRC words.
+    ///
+    /// # Errors
+    ///
+    /// Returns `write`'s error, or [`Error::MalformedBitstream`] when the
+    /// packets cannot be walked.
+    pub(crate) fn for_each_frame_write<'a>(
+        &'a self,
+        mut write: impl FnMut(FrameAddress, &'a [u32]) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.walk(self.frame_words, |step| match step {
+            Step::Frame(addr, data) | Step::Replay(addr, data) => write(addr, data),
+            _ => Ok(()),
+        })
+    }
+
+    /// Runs the configuration logic's packet state machine over the
+    /// stream with `frame_words`-word frames and hands each effect to
+    /// `step`, in stream order, stopping at the first error. Words before
+    /// the sync word (and after a DESYNC, until the next one) are skipped;
+    /// an FDRI burst writes whole frames from the current FAR with the
+    /// minor index auto-incrementing and latches its last frame; an MFWR
+    /// replays that frame at the current FAR. This is the one decoder of
+    /// what a stream writes: [`crate::icap::Icap::load`] applies its
+    /// steps to configuration memory, and a stream's frame set and golden
+    /// image are read from the same steps.
+    ///
+    /// # Errors
+    ///
+    /// Returns `step`'s error, or [`Error::MalformedBitstream`] for
+    /// packet-layer violations: a truncated packet, a multi-word write to
+    /// a one-word register, an unknown command, a frame write with no FAR
+    /// or a partial frame, MFWR outside multi-frame-write mode or with an
+    /// empty frame shadow, and a stream that never desyncs.
+    pub(crate) fn walk<'a>(
+        &'a self,
+        frame_words: usize,
+        mut step: impl FnMut(Step<'a>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let words = &self.words[..];
+        let mut synced = false;
+        let mut desynced = false;
+        let mut far: Option<FrameAddress> = None;
+        // The multi-frame shadow register: the last FDRI frame, borrowed
+        // from the stream.
+        let mut shadow: &[u32] = &[];
+        let mut multi_frame = false;
+        let mut i = 0usize;
+        while i < words.len() {
+            let w = words[i];
+            i += 1;
+            if !synced {
+                // Dummy/pad words before sync are skipped silently.
+                synced = w == SYNC_WORD;
+                continue;
+            }
+            let (reg, count) = match decode_header(w)? {
+                PacketHeader::Nop => continue,
+                // Large FDRI continuation.
+                PacketHeader::Type2Write { count } => (None, count as usize),
+                PacketHeader::Type1Write { reg, count } => (Some(reg), count as usize),
+            };
+            if i + count > words.len() {
+                return Err(Error::MalformedBitstream {
+                    detail: format!("truncated packet: wanted {count} payload words"),
+                });
+            }
+            let payload = &words[i..i + count];
+            i += count;
+            match reg {
+                None => burst(payload, frame_words, &mut far, &mut shadow, &mut step)?,
+                Some(ConfigReg::Idcode) => step(Step::Idcode(single(payload)?))?,
+                Some(ConfigReg::Cmd) => {
+                    let command = Command::from_value(single(payload)?).ok_or_else(|| {
+                        Error::MalformedBitstream {
+                            detail: "unknown command opcode".into(),
+                        }
+                    })?;
+                    match command {
+                        Command::Wcfg => multi_frame = false,
+                        Command::Mfw => multi_frame = true,
+                        Command::Desync => {
+                            desynced = true;
+                            synced = false;
+                        }
+                        Command::Rcrc => {}
+                    }
+                    step(Step::Command(command))?;
+                }
+                Some(ConfigReg::Far) => {
+                    let v = single(payload)?;
+                    far = Some(FrameAddress::unpack(v));
+                    step(Step::Far(v))?;
+                }
+                // A zero-count FDRI write: the payload follows in a
+                // type-2 packet.
+                Some(ConfigReg::Fdri) if count == 0 => {}
+                Some(ConfigReg::Fdri) => {
+                    burst(payload, frame_words, &mut far, &mut shadow, &mut step)?
+                }
+                Some(ConfigReg::Mfwr) => {
+                    if !multi_frame {
+                        return Err(Error::MalformedBitstream {
+                            detail: "MFWR outside multi-frame-write mode".into(),
+                        });
+                    }
+                    let addr = far.ok_or_else(|| Error::MalformedBitstream {
+                        detail: "MFWR with no FAR set".into(),
+                    })?;
+                    if shadow.len() != frame_words {
+                        return Err(Error::MalformedBitstream {
+                            detail: "MFWR with empty frame shadow register".into(),
+                        });
+                    }
+                    step(Step::Replay(addr, shadow))?;
+                }
+                Some(ConfigReg::Crc) => step(Step::Crc(single(payload)?))?,
+            }
+        }
+        if !desynced {
+            return Err(Error::MalformedBitstream {
+                detail: "bitstream ended without DESYNC".into(),
+            });
+        }
+        Ok(())
     }
 
     /// A synthetic compressed partial bitstream for tests, scenarios and
@@ -547,6 +800,15 @@ impl Bitstream {
             i += count;
         }
         let integrity = Bitstream::stream_integrity(&words);
+        // A uniform column shift keeps (row, column, minor) order, so a
+        // cached frame set carries over without a re-walk or a sort.
+        let frame_set = OnceLock::new();
+        if let Some(set) = self.frame_set.get() {
+            let shift = |a: &FrameAddress| {
+                FrameAddress::new(a.row, (i64::from(a.column) + col_delta) as u32, a.minor)
+            };
+            let _ = frame_set.set(set.iter().map(shift).collect());
+        }
         Ok(Bitstream {
             kind: self.kind,
             idcode: self.idcode,
@@ -554,6 +816,8 @@ impl Bitstream {
             words,
             frames: self.frames,
             integrity,
+            frame_words: self.frame_words,
+            frame_set,
         })
     }
 }
@@ -658,6 +922,8 @@ impl BitstreamBuilder {
             words,
             frames: self.frames.len(),
             integrity,
+            frame_words: self.frame_words,
+            frame_set: OnceLock::new(),
         }
     }
 
@@ -1230,6 +1496,47 @@ mod tests {
                 icap_direct.load(&shifted.build(false)).unwrap();
                 prop_assert!(icap_raw.memory().diff(icap_cmp.memory()).is_empty());
                 prop_assert!(icap_raw.memory().diff(icap_direct.memory()).is_empty());
+            }
+
+            /// A stream's frame set is exactly what the ICAP writes when it
+            /// loads the stream — raw or MFW-compressed, relocated with its
+            /// set already cached or walked afresh.
+            #[test]
+            fn frame_set_is_what_the_icap_writes(
+                values in proptest::collection::vec(0u32..4, 1..16),
+                row in 0u32..7,
+                width in 1u32..4,
+                flags in 0u8..4,
+                dst_pick in 0usize..1000,
+            ) {
+                let (compressed, cached) = (flags & 1 != 0, flags & 2 != 0);
+                let d = device();
+                let clbs = clb_columns(&d);
+                let src = clbs[0];
+                let dst = clbs[dst_pick % clbs.len()];
+                let width = if (0..width).all(|i| d.column_kind((src + i) as usize) == ColumnKind::Clb
+                    && d.column_kind((dst + i) as usize) == ColumnKind::Clb) { width } else { 1 };
+                let mut builder = BitstreamBuilder::new(&d, BitstreamKind::Partial);
+                for (i, v) in values.iter().enumerate() {
+                    let addr = FrameAddress::new(row, src + i as u32 % width, i as u32 / width);
+                    builder.add_frame(addr, frame_of(&d, *v)).unwrap();
+                }
+                let bs = builder.build(compressed);
+                let written = |bs: &Bitstream| {
+                    let mut icap = Icap::new(&d);
+                    icap.load(bs).unwrap();
+                    let mut w = icap.last_written().to_vec();
+                    w.sort_unstable();
+                    w.dedup();
+                    w
+                };
+                prop_assert_eq!(&**bs.frame_set().unwrap(), &written(&bs)[..]);
+                let source = builder.build(compressed);
+                if cached {
+                    source.frame_set().unwrap();
+                }
+                let moved = source.relocate(&d, dst as i64 - src as i64).unwrap();
+                prop_assert_eq!(&**moved.frame_set().unwrap(), &written(&moved)[..]);
             }
 
             /// The re-folded in-stream CRC still guards the moved stream:

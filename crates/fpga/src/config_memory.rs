@@ -16,18 +16,21 @@
 //! a failed load unwinds exactly the frames it touched and a successful one
 //! costs nothing beyond its own writes.
 
+use crate::bitstream::Bitstream;
 use crate::ecc::{scrub_frame_words, FrameEcc, FrameRepair};
 use crate::error::Error;
 use crate::fabric::Device;
 use crate::frame::FrameAddress;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One configuration frame's payload.
 pub type Frame = Vec<u32>;
 
-/// A bit-exact copy of a set of frames and their check codes, used as the
-/// per-tile golden store and as the source image of a region move.
+/// A bit-exact copy of a set of frames and their check codes: the source
+/// image of a region move, the frames a [`GoldenImage`]'s stream did not
+/// write, and what a golden image materialises to.
 ///
 /// The snapshot is sparse: it keeps the sorted list of every captured
 /// address, but payload and check codes only for frames that are not
@@ -71,31 +74,7 @@ impl RegionSnapshot {
     /// Returns [`Error::BadFrameAddress`] when a shifted address leaves the
     /// fabric or lands on a column of a different kind.
     pub fn shift_columns(&self, device: &Device, col_delta: i64) -> Result<RegionSnapshot, Error> {
-        let shift = |addr: FrameAddress| -> Result<FrameAddress, Error> {
-            let col = addr.column as i64 + col_delta;
-            if col < 0 || col as usize >= device.columns() {
-                return Err(Error::BadFrameAddress {
-                    detail: format!(
-                        "shifted column {col} outside the fabric's {} columns",
-                        device.columns()
-                    ),
-                });
-            }
-            let src_kind = device.column_kind(addr.column as usize);
-            let dst_kind = device.column_kind(col as usize);
-            if src_kind != dst_kind {
-                return Err(Error::BadFrameAddress {
-                    detail: format!(
-                        "shift maps {src_kind:?} column {} onto {dst_kind:?} column {col}: \
-                         frame geometry differs",
-                        addr.column
-                    ),
-                });
-            }
-            let new = FrameAddress::new(addr.row, col as u32, addr.minor);
-            device.validate_frame(new)?;
-            Ok(new)
-        };
+        let shift = |a: FrameAddress| shift_address(device, a, col_delta);
         let mut addresses = self
             .addresses
             .iter()
@@ -111,6 +90,157 @@ impl RegionSnapshot {
             addresses,
             frames,
             frame_words: self.frame_words,
+        })
+    }
+
+    /// A snapshot of no frames.
+    fn empty(frame_words: usize) -> RegionSnapshot {
+        RegionSnapshot {
+            addresses: Vec::new(),
+            frames: BTreeMap::new(),
+            frame_words,
+        }
+    }
+}
+
+/// `addr` moved `col_delta` columns, refused when it leaves the fabric or
+/// lands on a column of a different kind (the frame geometry would
+/// differ).
+fn shift_address(
+    device: &Device,
+    addr: FrameAddress,
+    col_delta: i64,
+) -> Result<FrameAddress, Error> {
+    let col = addr.column as i64 + col_delta;
+    if col < 0 || col as usize >= device.columns() {
+        return Err(Error::BadFrameAddress {
+            detail: format!(
+                "shifted column {col} outside the fabric's {} columns",
+                device.columns()
+            ),
+        });
+    }
+    let src_kind = device.column_kind(addr.column as usize);
+    let dst_kind = device.column_kind(col as usize);
+    if src_kind != dst_kind {
+        return Err(Error::BadFrameAddress {
+            detail: format!(
+                "shift maps {src_kind:?} column {} onto {dst_kind:?} column {col}: \
+                 frame geometry differs",
+                addr.column
+            ),
+        });
+    }
+    let new = FrameAddress::new(addr.row, col as u32, addr.minor);
+    device.validate_frame(new)?;
+    Ok(new)
+}
+
+/// The addresses of sorted `a` that sorted `b` lacks, in order.
+fn sorted_difference(a: &[FrameAddress], b: &[FrameAddress]) -> Vec<FrameAddress> {
+    let mut rest = b;
+    a.iter()
+        .copied()
+        .filter(|x| {
+            let skip = rest.partition_point(|y| y < x);
+            rest = &rest[skip..];
+            rest.first() != Some(x)
+        })
+        .collect()
+}
+
+/// A region's golden (known-good, post-load) image, held by reference to
+/// the stream that configured it.
+///
+/// Regions are disjoint per tile, so what a load leaves in its region is
+/// the stream it wrote plus the region frames that stream did not write,
+/// exactly as they were at load time (upsets included). The image keeps
+/// those three facts and nothing else: the `Arc<Bitstream>` actually
+/// streamed, the sorted region address set (the stream's own cached
+/// [`Bitstream::frame_set`] whenever the stream covers the region, so a
+/// covering load copies, looks up and sorts nothing), and a sparse copy of
+/// only the uncovered frames. Frames are materialised on demand, by
+/// [`GoldenImage::snapshot`] and [`ConfigMemory::restore_golden`].
+#[derive(Debug, Clone)]
+pub struct GoldenImage {
+    stream: Arc<Bitstream>,
+    region: Arc<[FrameAddress]>,
+    uncovered: RegionSnapshot,
+}
+
+impl GoldenImage {
+    /// The region's addresses, in address order.
+    pub fn addresses(&self) -> &Arc<[FrameAddress]> {
+        &self.region
+    }
+
+    /// Number of region frames, erased ones included.
+    pub fn len(&self) -> usize {
+        self.region.len()
+    }
+
+    /// `true` when the region holds no frames.
+    pub fn is_empty(&self) -> bool {
+        self.region.is_empty()
+    }
+
+    /// The stream whose load this image records.
+    pub fn stream(&self) -> &Arc<Bitstream> {
+        &self.stream
+    }
+
+    /// Materialises the image as a bit-exact snapshot of the region: the
+    /// frames the stream wrote carry the check codes the load computed
+    /// (the last write of a frame wins, an all-zero frame is erased), and
+    /// every other region frame is the copy taken at load time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::MalformedBitstream`] only if the stream cannot be
+    /// walked, which a stream that loaded never is.
+    pub fn snapshot(&self) -> Result<RegionSnapshot, Error> {
+        let mut written = BTreeMap::new();
+        self.stream.for_each_frame_write(|addr, data| {
+            written.insert(addr, data);
+            Ok(())
+        })?;
+        let mut frames = self.uncovered.frames.clone();
+        for (addr, data) in written {
+            if data.iter().any(|&w| w != 0) {
+                frames.insert(addr, (data.to_vec(), FrameEcc::encode(data)));
+            }
+        }
+        Ok(RegionSnapshot {
+            addresses: self.region.to_vec(),
+            frames,
+            frame_words: self.uncovered.frame_words,
+        })
+    }
+
+    /// Returns this image re-addressed `col_delta` columns away: the
+    /// stream is relocated and the region and uncovered frames shift
+    /// with it, payload and check codes bit-exact.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::BadFrameAddress`] when a shifted address leaves
+    /// the fabric or lands on a column of a different kind.
+    pub fn shift_columns(&self, device: &Device, col_delta: i64) -> Result<GoldenImage, Error> {
+        let uncovered = self.uncovered.shift_columns(device, col_delta)?;
+        let covered = Arc::ptr_eq(&self.region, self.stream.frame_set()?);
+        let stream = Arc::new(self.stream.relocate(device, col_delta)?);
+        let region = if covered {
+            Arc::clone(stream.frame_set()?)
+        } else {
+            self.region
+                .iter()
+                .map(|&a| shift_address(device, a, col_delta))
+                .collect::<Result<_, _>>()?
+        };
+        Ok(GoldenImage {
+            stream,
+            region,
+            uncovered,
         })
     }
 }
@@ -412,6 +542,68 @@ impl ConfigMemory {
         Ok(())
     }
 
+    /// Captures the golden image of a region right after `stream` loaded
+    /// into it, `previous` being the region's image before the load. The
+    /// region grows to the union of the previous region and the frames
+    /// the stream wrote. When the stream covers the region this touches
+    /// no frame; otherwise only the uncovered frames are copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the stream cannot be walked or an uncovered
+    /// address is invalid.
+    pub fn capture_golden(
+        &self,
+        stream: Arc<Bitstream>,
+        previous: Option<&GoldenImage>,
+    ) -> Result<GoldenImage, Error> {
+        let old = previous.map(|g| &g.region);
+        let set = Arc::clone(stream.frame_set_like(old)?);
+        let covered = |region| GoldenImage {
+            stream: Arc::clone(&stream),
+            region,
+            uncovered: RegionSnapshot::empty(self.frame_words),
+        };
+        let old = match old {
+            Some(old) if !Arc::ptr_eq(old, &set) => old,
+            _ => return Ok(covered(set)),
+        };
+        let missed = sorted_difference(old, &set);
+        if missed.is_empty() {
+            return Ok(covered(set));
+        }
+        let extra = sorted_difference(&set, old);
+        let region = if extra.is_empty() {
+            Arc::clone(old)
+        } else {
+            let mut union = old.to_vec();
+            union.extend(extra);
+            union.sort_unstable();
+            Arc::from(union)
+        };
+        Ok(GoldenImage {
+            uncovered: self.snapshot(missed.iter())?,
+            stream,
+            region,
+        })
+    }
+
+    /// Restores a region from its golden image: the frames the stream
+    /// wrote are replayed from the stream with fresh check codes, every
+    /// other region frame is restored bit-for-bit from the image's copy.
+    /// The result equals restoring [`GoldenImage::snapshot`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the stream cannot be walked or an address is
+    /// invalid on this device.
+    pub fn restore_golden(&mut self, golden: &GoldenImage) -> Result<(), Error> {
+        golden
+            .stream
+            .for_each_frame_write(|addr, data| self.write_frame(addr, data.to_vec()))?;
+        self.restore(&golden.uncovered)
+    }
+
     /// Clears every frame in `addrs` back to the erased state.
     ///
     /// # Errors
@@ -649,6 +841,101 @@ mod tests {
             n.snapshot(erased.iter()).unwrap(),
             mem().snapshot(erased.iter()).unwrap()
         );
+    }
+
+    /// A stream over `minors` of row 0, column 2, frame `m` holding `m + base`.
+    fn stream(m: &ConfigMemory, minors: std::ops::Range<u32>, base: u32) -> Arc<Bitstream> {
+        use crate::bitstream::{BitstreamBuilder, BitstreamKind};
+        let mut b = BitstreamBuilder::new(m.device(), BitstreamKind::Partial);
+        for minor in minors {
+            b.add_frame(
+                FrameAddress::new(0, 2, minor),
+                vec![minor + base; m.frame_words()],
+            )
+            .unwrap();
+        }
+        Arc::new(b.build(true))
+    }
+
+    fn load(icap: &mut crate::icap::Icap, bs: &Bitstream) {
+        icap.load_or_rollback(bs).unwrap();
+    }
+
+    #[test]
+    fn a_covering_load_shares_the_stream_frame_set_and_copies_nothing() {
+        let mut icap = crate::icap::Icap::new(&FpgaPart::Vc707.device());
+        let first = stream(icap.memory(), 0..6, 1);
+        load(&mut icap, &first);
+        let g1 = icap
+            .memory()
+            .capture_golden(Arc::clone(&first), None)
+            .unwrap();
+        assert!(Arc::ptr_eq(g1.addresses(), first.frame_set().unwrap()));
+        assert!(g1.uncovered.is_empty());
+        // A second stream over the same region adopts the region's set, so
+        // every later load of it is a pointer comparison.
+        let second = stream(icap.memory(), 0..6, 9);
+        load(&mut icap, &second);
+        let g2 = icap
+            .memory()
+            .capture_golden(Arc::clone(&second), Some(&g1))
+            .unwrap();
+        assert!(Arc::ptr_eq(g2.addresses(), g1.addresses()));
+        assert!(Arc::ptr_eq(second.frame_set().unwrap(), g1.addresses()));
+        assert!(g2.uncovered.is_empty());
+        let region = g2.addresses().to_vec();
+        assert_eq!(
+            g2.snapshot().unwrap(),
+            icap.memory().snapshot(region.iter()).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_partial_load_copies_only_the_frames_it_did_not_write() {
+        let mut icap = crate::icap::Icap::new(&FpgaPart::Vc707.device());
+        let wide = stream(icap.memory(), 0..8, 1);
+        load(&mut icap, &wide);
+        let g1 = icap
+            .memory()
+            .capture_golden(Arc::clone(&wide), None)
+            .unwrap();
+        icap.memory_mut()
+            .corrupt_bit(FrameAddress::new(0, 2, 7), 1, 2)
+            .unwrap();
+        let narrow = stream(icap.memory(), 2..5, 40);
+        load(&mut icap, &narrow);
+        let g2 = icap
+            .memory()
+            .capture_golden(Arc::clone(&narrow), Some(&g1))
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(g2.addresses(), g1.addresses()),
+            "the region did not grow"
+        );
+        assert_eq!(g2.uncovered.len(), 5);
+        let region = g2.addresses().to_vec();
+        let live = icap.memory().snapshot(region.iter()).unwrap();
+        assert_eq!(g2.snapshot().unwrap(), live);
+        // A load that reaches past the region grows it to the union.
+        let beyond = stream(icap.memory(), 6..10, 70);
+        load(&mut icap, &beyond);
+        let g3 = icap
+            .memory()
+            .capture_golden(Arc::clone(&beyond), Some(&g2))
+            .unwrap();
+        assert_eq!(g3.len(), 10);
+        let region = g3.addresses().to_vec();
+        let live = icap.memory().snapshot(region.iter()).unwrap();
+        assert_eq!(g3.snapshot().unwrap(), live);
+        // Restoring replays the stream and the copied frames.
+        let words = icap.memory().frame_words();
+        for minor in 0..10 {
+            icap.memory_mut()
+                .write_frame(FrameAddress::new(0, 2, minor), vec![0xEE; words])
+                .unwrap();
+        }
+        icap.memory_mut().restore_golden(&g3).unwrap();
+        assert_eq!(icap.memory().snapshot(region.iter()).unwrap(), live);
     }
 
     #[test]

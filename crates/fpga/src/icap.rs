@@ -7,9 +7,7 @@
 //! the paper generates partial bitstreams in Vivado's compressed mode "to
 //! reduce the memory access latency during reconfiguration" (Section VI).
 
-use crate::bitstream::{
-    decode_header, Bitstream, Command, ConfigReg, CrcAccumulator, PacketHeader, SYNC_WORD,
-};
+use crate::bitstream::{Bitstream, Command, CrcAccumulator, Step};
 use crate::config_memory::ConfigMemory;
 use crate::error::Error;
 use crate::fabric::Device;
@@ -35,28 +33,6 @@ impl IcapReport {
     pub fn cycles(&self) -> u64 {
         self.words as u64
     }
-}
-
-/// Extracts the single word of a one-word register write.
-fn single(payload: &[u32]) -> Result<u32, Error> {
-    if payload.len() != 1 {
-        return Err(Error::MalformedBitstream {
-            detail: format!(
-                "expected 1-word register write, got {} words",
-                payload.len()
-            ),
-        });
-    }
-    Ok(payload[0])
-}
-
-/// State machine states of the configuration logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Waiting for the sync word.
-    Unsynced,
-    /// Synced, expecting a packet header.
-    Idle,
 }
 
 /// An ICAPE2/ICAPE3-style configuration port bound to a device's
@@ -161,174 +137,56 @@ impl Icap {
     /// (and why the runtime loads through [`Icap::load_or_rollback`]).
     pub fn load(&mut self, bitstream: &Bitstream) -> Result<IcapReport, Error> {
         self.last_written.clear();
-        let words = bitstream.words();
-        let mut state = State::Unsynced;
+        let idcode = self.device.part().idcode();
+        let (memory, last_written) = (&mut self.memory, &mut self.last_written);
         let mut crc = CrcAccumulator::new();
-        let mut far: Option<FrameAddress> = None;
-        // The multi-frame shadow register: the last FDRI frame, borrowed
-        // from the stream.
-        let mut shadow: &[u32] = &[];
         let mut frames_written = 0usize;
-        let mut multi_frame = false;
-        let mut desynced = false;
-        let mut i = 0usize;
-
-        while i < words.len() {
-            let w = words[i];
-            i += 1;
-            match state {
-                State::Unsynced => {
-                    if w == SYNC_WORD {
-                        state = State::Idle;
-                    }
-                    // Dummy/pad words before sync are skipped silently.
+        bitstream.walk(self.frame_words, |step| {
+            match step {
+                Step::Idcode(found) if found != idcode => {
+                    return Err(Error::IdcodeMismatch {
+                        found,
+                        device: idcode,
+                    })
                 }
-                State::Idle => {
-                    match decode_header(w)? {
-                        PacketHeader::Nop => {}
-                        PacketHeader::Type2Write { count } => {
-                            // Large FDRI continuation.
-                            let payload = self.take(words, &mut i, count as usize)?;
-                            frames_written +=
-                                self.write_burst(&mut far, payload, &mut crc, &mut shadow)?;
+                Step::Idcode(_) => {}
+                Step::Command(Command::Rcrc) => crc = CrcAccumulator::new(),
+                Step::Command(_) => {}
+                Step::Far(v) => crc.update(v),
+                Step::Frame(addr, data) | Step::Replay(addr, data) => {
+                    // Only FDRI payload is CRC-covered; an MFWR replays
+                    // a frame the CRC already folded in.
+                    if matches!(step, Step::Frame(..)) {
+                        for &w in data {
+                            crc.update(w);
                         }
-                        PacketHeader::Type1Write { reg, count } => {
-                            let payload = self.take(words, &mut i, count as usize)?;
-                            match reg {
-                                ConfigReg::Idcode => {
-                                    let id = single(payload)?;
-                                    if id != self.device.part().idcode() {
-                                        return Err(Error::IdcodeMismatch {
-                                            found: id,
-                                            device: self.device.part().idcode(),
-                                        });
-                                    }
-                                }
-                                ConfigReg::Cmd => match Command::from_value(single(payload)?) {
-                                    Some(Command::Rcrc) => crc = CrcAccumulator::new(),
-                                    Some(Command::Wcfg) => multi_frame = false,
-                                    Some(Command::Mfw) => multi_frame = true,
-                                    Some(Command::Desync) => {
-                                        desynced = true;
-                                        state = State::Unsynced;
-                                    }
-                                    None => {
-                                        return Err(Error::MalformedBitstream {
-                                            detail: "unknown command opcode".into(),
-                                        })
-                                    }
-                                },
-                                ConfigReg::Far => {
-                                    let v = single(payload)?;
-                                    crc.update(v);
-                                    far = Some(FrameAddress::unpack(v));
-                                }
-                                ConfigReg::Fdri => {
-                                    if count == 0 {
-                                        // Payload follows in a type-2 packet.
-                                        continue;
-                                    }
-                                    frames_written +=
-                                        self.write_burst(&mut far, payload, &mut crc, &mut shadow)?;
-                                }
-                                ConfigReg::Mfwr => {
-                                    if !multi_frame {
-                                        return Err(Error::MalformedBitstream {
-                                            detail: "MFWR outside multi-frame-write mode".into(),
-                                        });
-                                    }
-                                    let addr = far.ok_or_else(|| Error::MalformedBitstream {
-                                        detail: "MFWR with no FAR set".into(),
-                                    })?;
-                                    if shadow.len() != self.frame_words {
-                                        return Err(Error::MalformedBitstream {
-                                            detail: "MFWR with empty frame shadow register".into(),
-                                        });
-                                    }
-                                    self.memory.write_frame(addr, shadow.to_vec())?;
-                                    self.last_written.push(addr);
-                                    frames_written += 1;
-                                }
-                                ConfigReg::Crc => {
-                                    let expected = single(payload)?;
-                                    let computed = crc.value();
-                                    if computed != expected {
-                                        return Err(Error::CrcMismatch { computed, expected });
-                                    }
-                                }
-                            }
-                        }
+                    }
+                    memory.write_frame(addr, data.to_vec())?;
+                    last_written.push(addr);
+                    frames_written += 1;
+                }
+                Step::Crc(expected) => {
+                    let computed = crc.value();
+                    if computed != expected {
+                        return Err(Error::CrcMismatch { computed, expected });
                     }
                 }
             }
-        }
-
-        if !desynced {
-            return Err(Error::MalformedBitstream {
-                detail: "bitstream ended without DESYNC".into(),
-            });
-        }
-        Ok(IcapReport {
-            words: words.len(),
-            frames_written,
-            micros: words.len() as f64 / ICAP_CLOCK_MHZ,
-        })
-    }
-
-    /// Reads `count` payload words, advancing the cursor.
-    fn take<'a>(&self, words: &'a [u32], i: &mut usize, count: usize) -> Result<&'a [u32], Error> {
-        if *i + count > words.len() {
-            return Err(Error::MalformedBitstream {
-                detail: format!("truncated packet: wanted {count} payload words"),
-            });
-        }
-        let s = &words[*i..*i + count];
-        *i += count;
-        Ok(s)
-    }
-
-    /// Writes a burst of whole frames starting at the current FAR,
-    /// auto-incrementing the minor address, and latches the last frame into
-    /// the multi-frame shadow register.
-    fn write_burst<'a>(
-        &mut self,
-        far: &mut Option<FrameAddress>,
-        payload: &'a [u32],
-        crc: &mut CrcAccumulator,
-        shadow: &mut &'a [u32],
-    ) -> Result<usize, Error> {
-        if !payload.len().is_multiple_of(self.frame_words) {
-            return Err(Error::MalformedBitstream {
-                detail: format!(
-                    "FDRI payload of {} words is not a multiple of the {}-word frame",
-                    payload.len(),
-                    self.frame_words
-                ),
-            });
-        }
-        let mut addr = far.ok_or_else(|| Error::MalformedBitstream {
-            detail: "FDRI with no FAR set".into(),
+            Ok(())
         })?;
-        let mut written = 0usize;
-        for chunk in payload.chunks(self.frame_words) {
-            for &w in chunk {
-                crc.update(w);
-            }
-            self.memory.write_frame(addr, chunk.to_vec())?;
-            self.last_written.push(addr);
-            *shadow = chunk;
-            written += 1;
-            addr = FrameAddress::new(addr.row, addr.column, addr.minor + 1);
-        }
-        *far = Some(addr);
-        Ok(written)
+        let words = bitstream.words().len();
+        Ok(IcapReport {
+            words,
+            frames_written,
+            micros: words as f64 / ICAP_CLOCK_MHZ,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitstream::{BitstreamBuilder, BitstreamKind};
+    use crate::bitstream::{type1_write, BitstreamBuilder, BitstreamKind, ConfigReg};
     use crate::part::FpgaPart;
     use proptest::prelude::*;
 
@@ -523,7 +381,7 @@ mod tests {
             // 0: intact; 1: a flipped FAR column bit; 2: a flipped
             // last word before the final CRC; 3: a truncated stream.
             let fars: Vec<usize> = (0..words.len() - 1)
-                .filter(|&i| words[i] == crate::bitstream::type1_write(ConfigReg::Far, 1))
+                .filter(|&i| words[i] == type1_write(ConfigReg::Far, 1))
                 .map(|i| i + 1)
                 .collect();
             match corruption {

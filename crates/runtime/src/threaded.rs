@@ -820,7 +820,7 @@ mod tests {
             .tracer_mut()
             .instant(presp_events::trace::ClockDomain::SocCycles, 0, || {
                 presp_events::TraceEvent::CpuFallback {
-                    kind: "post-poison probe".into(),
+                    kind: "post-poison probe",
                 }
             });
         drop(core);

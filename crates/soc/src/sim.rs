@@ -29,7 +29,7 @@ use presp_events::{
     Loc, Reservation, ResourceTimeline, SharedSink, TimelineEpoch, TraceEvent, Tracer, VirtualClock,
 };
 use presp_fpga::bitstream::Bitstream;
-use presp_fpga::config_memory::RegionSnapshot;
+use presp_fpga::config_memory::GoldenImage;
 use presp_fpga::ecc::FrameRepair;
 use presp_fpga::fault::FaultPlan;
 use presp_fpga::frame::FrameAddress;
@@ -37,6 +37,7 @@ use presp_fpga::icap::ICAP_CLOCK_MHZ;
 use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The tile's location as a trace record coordinate.
 fn loc(coord: TileCoord) -> Loc {
@@ -198,10 +199,11 @@ pub struct Soc {
     irq_log: Vec<IrqEvent>,
     fault_plan: Option<FaultPlan>,
     decoupled_rejections: u64,
-    /// Per-tile golden (known-good, post-load) frame images, sparse over
-    /// erased frames. A tile's golden addresses are its region: the
-    /// union of every frame its successful loads have written.
-    golden: HashMap<TileCoord, RegionSnapshot>,
+    /// Per-tile golden (known-good, post-load) images, each held as the
+    /// stream the tile's last successful load wrote. A tile's golden
+    /// addresses are its region: the union of every frame its successful
+    /// loads have written.
+    golden: HashMap<TileCoord, GoldenImage>,
     seu_log: Vec<SeuRecord>,
 }
 
@@ -342,13 +344,14 @@ impl Soc {
         &self.seu_log
     }
 
-    /// Frame addresses of `tile`'s reconfigurable region — the union of
-    /// every frame its successful loads have written, which is the
-    /// address set of its golden image. Empty before the first load.
-    pub fn tile_region(&self, tile: TileCoord) -> Vec<FrameAddress> {
+    /// Frame addresses of `tile`'s reconfigurable region, in address
+    /// order — the union of every frame its successful loads have
+    /// written, which is the address set of its golden image, shared
+    /// rather than copied. Empty before the first load.
+    pub fn tile_region(&self, tile: TileCoord) -> Arc<[FrameAddress]> {
         self.golden
             .get(&tile)
-            .map(|g| g.addresses().to_vec())
+            .map(|g| Arc::clone(g.addresses()))
             .unwrap_or_default()
     }
 
@@ -359,9 +362,9 @@ impl Soc {
         self.golden.get(&tile).is_some_and(|g| !g.is_empty())
     }
 
-    /// The tile's golden (post-load, known-good) frame image, if any load
-    /// has succeeded.
-    pub fn golden_snapshot(&self, tile: TileCoord) -> Option<&RegionSnapshot> {
+    /// The tile's golden (post-load, known-good) image, if any load has
+    /// succeeded. [`GoldenImage::snapshot`] materialises its frames.
+    pub fn golden_image(&self, tile: TileCoord) -> Option<&GoldenImage> {
         self.golden.get(&tile)
     }
 
@@ -374,15 +377,15 @@ impl Soc {
     /// Returns [`Error::NoSuchTile`] when the tile has never been
     /// successfully loaded (no golden image exists).
     pub fn restore_golden(&mut self, tile: TileCoord) -> Result<usize, Error> {
-        let snap = self
+        let golden = self
             .golden
             .get(&tile)
             .ok_or(Error::NoSuchTile { coord: tile })?;
         self.dfxc
             .config_memory_mut()
-            .restore(snap)
+            .restore_golden(golden)
             .map_err(Error::Fpga)?;
-        Ok(snap.len())
+        Ok(golden.len())
     }
 
     /// Transactionally relocates `tile`'s whole region `col_delta` columns
@@ -443,6 +446,11 @@ impl Soc {
         let shifted = snap
             .shift_columns(&device, col_delta)
             .map_err(Error::Fpga)?;
+        // The golden image — and with it the region — moves with the
+        // frames; shifting it is validation too, so it happens first.
+        let moved = self.golden[&tile]
+            .shift_columns(&device, col_delta)
+            .map_err(Error::Fpga)?;
         let new_region = shifted.addresses();
         for (other, golden) in &self.golden {
             if *other == tile {
@@ -476,15 +484,8 @@ impl Soc {
         let r = self.icap.reserve(at, icap_cycles(words));
         let state = self.tile_mut(tile)?;
         state.timeline.claim(at, r.start, r.end);
-        // The golden store — and with it the region — moves with the
-        // frames.
         let frames = old_region.len();
-        if let Some(golden) = self.golden.remove(&tile) {
-            let moved = golden
-                .shift_columns(&device, col_delta)
-                .map_err(Error::Fpga)?;
-            self.golden.insert(tile, moved);
-        }
+        self.golden.insert(tile, moved);
         self.tracer
             .emit(ClockDomain::SocCycles, r.start, r.duration(), || {
                 TraceEvent::RegionMoved {
@@ -893,7 +894,9 @@ impl Soc {
     ///
     /// Protocol (Section III): the tile must be decoupled first; after the
     /// DFXC interrupt the caller re-couples via [`csr::DECOUPLE`]. The new
-    /// wrapper starts with fresh accelerator state.
+    /// wrapper starts with fresh accelerator state. A successful load
+    /// becomes the tile's golden image, which keeps a reference to the
+    /// stream it wrote rather than a copy of the region.
     ///
     /// # Errors
     ///
@@ -903,7 +906,7 @@ impl Soc {
         &mut self,
         tile: TileCoord,
         kind: AcceleratorKind,
-        bitstream: &Bitstream,
+        bitstream: &Arc<Bitstream>,
         at: u64,
     ) -> Result<ReconfigRun, Error> {
         self.advance_seus_to(at);
@@ -932,17 +935,15 @@ impl Soc {
                 .as_mut()
                 .and_then(|p| p.next_icap_fault(words))
         };
+        let streamed = match fault {
+            Some(flip) => Arc::new(bitstream.with_words(flip.corrupt(bitstream.words()))),
+            None => Arc::clone(bitstream),
+        };
         // Transactional write: the configuration memory journals what
         // each frame write displaces, so a stream that faults mid-write
         // rolls the fabric back instead of leaving it partially
         // configured, at a cost proportional to the frames it wrote.
-        let loaded = match fault {
-            Some(flip) => {
-                let corrupted = bitstream.with_words(flip.corrupt(bitstream.words()));
-                self.dfxc.load_or_rollback(&corrupted)
-            }
-            None => self.dfxc.load_or_rollback(bitstream),
-        };
+        let loaded = self.dfxc.load_or_rollback(&streamed);
         let report = match loaded {
             Ok(report) => report,
             Err((e, dirty)) => {
@@ -1007,18 +1008,23 @@ impl Soc {
         // Region bookkeeping: the union of frames this tile's loads have
         // written defines its region, and the post-load image of that
         // region becomes its golden (known-good) store for scrubber
-        // escalation. The snapshot is sparse: erased frames in the region
-        // cost an address, not a copy.
-        let mut region = self.tile_region(tile);
-        region.extend_from_slice(self.dfxc.last_written());
-        region.sort_unstable();
-        region.dedup();
-        let snap = self
+        // escalation. The image references the stream just loaded; only
+        // region frames the stream did not write are copied.
+        let golden = self
             .dfxc
             .config_memory()
-            .snapshot(region.iter())
-            .expect("region addresses were validated when written");
-        self.golden.insert(tile, snap);
+            .capture_golden(streamed, self.golden.get(&tile))
+            .expect("a stream that loaded walks, and its region addresses are valid");
+        debug_assert!(
+            golden.stream().frame_set().is_ok_and(|set| {
+                let mut written = self.dfxc.last_written().to_vec();
+                written.sort_unstable();
+                written.dedup();
+                **set == *written
+            }),
+            "the stream's frame set is what the ICAP wrote"
+        );
+        self.golden.insert(tile, golden);
         let end = self.deliver_irq(icap_done, aux);
         self.tracer.emit(ClockDomain::SocCycles, at, end - at, || {
             TraceEvent::Reconfiguration {
@@ -1239,6 +1245,7 @@ impl Soc {
 mod tests {
     use super::*;
     use presp_fpga::bitstream::{BitstreamBuilder, BitstreamKind};
+    use presp_fpga::config_memory::RegionSnapshot;
     use presp_fpga::frame::FrameAddress;
     use presp_wami::graph::WamiKernel;
 
@@ -1252,7 +1259,7 @@ mod tests {
         Soc::new(&cfg).unwrap()
     }
 
-    fn mac_bitstream(soc: &Soc, column: u32) -> Bitstream {
+    fn mac_bitstream(soc: &Soc, column: u32) -> Arc<Bitstream> {
         let device = soc.part().device();
         let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
         let words = device.part().family().frame_words();
@@ -1263,7 +1270,7 @@ mod tests {
             )
             .unwrap();
         }
-        b.build(true)
+        Arc::new(b.build(true))
     }
 
     #[test]
@@ -1360,7 +1367,7 @@ mod tests {
         // Frames live at the new base, bit-exact; the old base is erased.
         let new_region = soc.tile_region(tile);
         assert_eq!(new_region.len(), old_region.len());
-        for (old, new) in old_region.iter().zip(&new_region) {
+        for (old, new) in old_region.iter().zip(new_region.iter()) {
             assert_eq!(new.column, dst);
             assert_eq!((new.row, new.minor), (old.row, old.minor));
             assert_eq!(
@@ -1373,8 +1380,8 @@ mod tests {
         let report = soc.scrub_frames_at(&new_region, run.end).unwrap();
         assert!(report.is_clean());
         // The golden store follows, so escalation still restores correctly.
-        let golden = soc.golden_snapshot(tile).unwrap().addresses();
-        assert_eq!(golden, new_region);
+        let golden = soc.golden_image(tile).unwrap().addresses();
+        assert_eq!(*golden, new_region);
         // The wrapper (and its configured accelerator) is untouched.
         let t2 = soc.csr_write_at(tile, csr::DECOUPLE, 0, run.end).unwrap();
         let out = soc
@@ -1485,8 +1492,8 @@ mod tests {
         // Bookkeeping retired: no region, no golden, frames erased.
         assert!(soc.tile_region(tiles[0]).is_empty());
         assert!(!soc.has_region(tiles[0]));
-        assert!(soc.golden_snapshot(tiles[0]).is_none());
-        for addr in &old_region {
+        assert!(soc.golden_image(tiles[0]).is_none());
+        for addr in old_region.iter() {
             assert!(!soc.dfxc.config_memory().is_configured(*addr));
         }
         // Another tile can now move into the vacated span.
@@ -1599,11 +1606,21 @@ mod tests {
         }
         let t1 = soc.csr_write_at(tiles[0], csr::DECOUPLE, 1, 0).unwrap();
         let r_small = soc
-            .reconfigure_at(tiles[0], AcceleratorKind::Mac, &small.build(true), t1)
+            .reconfigure_at(
+                tiles[0],
+                AcceleratorKind::Mac,
+                &Arc::new(small.build(true)),
+                t1,
+            )
             .unwrap();
         let t2 = soc.csr_write_at(tiles[1], csr::DECOUPLE, 1, 0).unwrap();
         let r_large = soc
-            .reconfigure_at(tiles[1], AcceleratorKind::Mac, &large.build(true), t2)
+            .reconfigure_at(
+                tiles[1],
+                AcceleratorKind::Mac,
+                &Arc::new(large.build(true)),
+                t2,
+            )
             .unwrap();
         assert!(r_large.latency() > r_small.latency());
     }
@@ -1694,6 +1711,222 @@ mod tests {
         // A second pass reads back clean.
         let report = soc.scrub_frames_at(&region, report.end).unwrap();
         assert!(report.is_clean());
+    }
+
+    /// A stream writing `payload(minor)` into row 0 of `column`, minors
+    /// `minors`, built raw or compressed.
+    fn stream_of(
+        soc: &Soc,
+        column: u32,
+        minors: std::ops::Range<u32>,
+        payload: impl Fn(u32) -> u32,
+        compressed: bool,
+    ) -> Bitstream {
+        let device = soc.part().device();
+        let mut b = BitstreamBuilder::new(&device, BitstreamKind::Partial);
+        let words = device.part().family().frame_words();
+        for minor in minors {
+            b.add_frame(
+                FrameAddress::new(0, column, minor),
+                vec![payload(minor); words],
+            )
+            .unwrap();
+        }
+        b.build(compressed)
+    }
+
+    /// The live snapshot of `tile`'s region: what its golden image must
+    /// equal right after a load, payload and check codes included.
+    fn live_region(soc: &Soc, tile: TileCoord) -> RegionSnapshot {
+        let region = soc.tile_region(tile);
+        soc.dfxc.config_memory().snapshot(region.iter()).unwrap()
+    }
+
+    /// Loads `bs` into `tile` as a MAC (the tile must be decoupled).
+    fn load(soc: &mut Soc, tile: TileCoord, bs: &Bitstream, at: u64) -> Result<ReconfigRun, Error> {
+        soc.reconfigure_at(tile, AcceleratorKind::Mac, &Arc::new(bs.clone()), at)
+    }
+
+    /// `tile`'s golden image, materialised.
+    fn golden(soc: &Soc, tile: TileCoord) -> RegionSnapshot {
+        soc.golden_image(tile).unwrap().snapshot().unwrap()
+    }
+
+    #[test]
+    fn golden_keeps_an_uncovered_struck_frame_and_restores_it() {
+        let mut soc = reconf_soc(1);
+        let tile = soc.config().reconfigurable_tiles()[0];
+        let t1 = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
+        // The first load writes eight frames (one of them all-zero), the
+        // second only the first four: frames 4..8 stay as they were.
+        let wide = stream_of(&soc, 2, 0..8, |m| if m == 5 { 0 } else { 0x1100 + m }, true);
+        let r1 = load(&mut soc, tile, &wide, t1).unwrap();
+        let struck = FrameAddress::new(0, 2, 6);
+        soc.dfxc
+            .config_memory_mut()
+            .corrupt_bit(struck, 3, 7)
+            .unwrap();
+        let erased_struck = FrameAddress::new(0, 2, 5);
+        soc.dfxc
+            .config_memory_mut()
+            .corrupt_bit(erased_struck, 0, 1)
+            .unwrap();
+        let narrow = stream_of(&soc, 2, 0..4, |m| 0x2200 + m, false);
+        load(&mut soc, tile, &narrow, r1.end).unwrap();
+        let live = live_region(&soc, tile);
+        assert_eq!(live.len(), 8, "the region keeps every frame ever written");
+        assert_eq!(golden(&soc, tile), live, "golden = the region at load time");
+
+        // Scramble the region, then restore: the upsets come back too,
+        // still disagreeing with their check codes.
+        let words = soc.dfxc.config_memory().frame_words();
+        for minor in [0, 4, 6] {
+            soc.dfxc
+                .config_memory_mut()
+                .write_frame(FrameAddress::new(0, 2, minor), vec![0xFFFF; words])
+                .unwrap();
+        }
+        assert_eq!(soc.restore_golden(tile).unwrap(), 8);
+        assert_eq!(live_region(&soc, tile), live);
+        let memory = soc.dfxc.config_memory_mut();
+        assert!(matches!(
+            memory.scrub_frame(struck).unwrap(),
+            FrameRepair::Corrected { .. }
+        ));
+        assert!(matches!(
+            memory.scrub_frame(erased_struck).unwrap(),
+            FrameRepair::Corrected { .. }
+        ));
+    }
+
+    #[test]
+    fn a_rolled_back_load_leaves_the_golden_untouched() {
+        use presp_fpga::fault::FaultConfig;
+        let mut soc = reconf_soc(1);
+        let tile = soc.config().reconfigurable_tiles()[0];
+        let t1 = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
+        let first = stream_of(&soc, 2, 0..4, |m| 0x3300 + m, true);
+        let r1 = load(&mut soc, tile, &first, t1).unwrap();
+        let before = golden(&soc, tile);
+        let region = soc.tile_region(tile);
+        let mut plan = FaultPlan::new(3, FaultConfig::uniform(0.0));
+        plan.force_icap_fault(0);
+        soc.set_fault_plan(Some(plan));
+        let bigger = stream_of(&soc, 2, 0..12, |m| 0x4400 + m, true);
+        assert!(load(&mut soc, tile, &bigger, r1.end).is_err());
+        assert_eq!(soc.tile_region(tile), region);
+        assert_eq!(golden(&soc, tile), before);
+        assert_eq!(live_region(&soc, tile), before);
+    }
+
+    #[test]
+    fn golden_of_a_multi_frame_write_stream_matches_the_loaded_region() {
+        for compressed in [true, false] {
+            let mut soc = reconf_soc(1);
+            let tile = soc.config().reconfigurable_tiles()[0];
+            let t1 = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
+            // Three distinct payloads over twelve frames (MFWR replays
+            // them when compressed), plus all-zero frames that load erased.
+            let bs = stream_of(
+                &soc,
+                2,
+                0..12,
+                |m| [0, 0xA0, 0xB0][(m % 3) as usize],
+                compressed,
+            );
+            let r = load(&mut soc, tile, &bs, t1).unwrap();
+            let live = live_region(&soc, tile);
+            assert_eq!(live.len(), 12);
+            assert_eq!(golden(&soc, tile), live, "compressed: {compressed}");
+            // A second, different stream over the same region.
+            let bs = stream_of(&soc, 2, 0..12, |m| 0xC0 + m % 2, compressed);
+            load(&mut soc, tile, &bs, r.end).unwrap();
+            let live = live_region(&soc, tile);
+            assert_eq!(golden(&soc, tile), live, "compressed: {compressed}");
+            // It covers the region, so the region is the stream's own
+            // frame set, not a copy.
+            let image = soc.golden_image(tile).unwrap();
+            assert!(Arc::ptr_eq(
+                &soc.tile_region(tile),
+                image.stream().frame_set().unwrap()
+            ));
+            let words = soc.dfxc.config_memory().frame_words();
+            soc.dfxc
+                .config_memory_mut()
+                .write_frame(FrameAddress::new(0, 2, 1), vec![7; words])
+                .unwrap();
+            assert_eq!(soc.restore_golden(tile).unwrap(), 12);
+            assert_eq!(live_region(&soc, tile), live);
+        }
+    }
+
+    #[test]
+    fn golden_of_a_relocated_stream_matches_the_loaded_region() {
+        let mut soc = reconf_soc(1);
+        let tile = soc.config().reconfigurable_tiles()[0];
+        let (src, dst) = two_clb_columns(&soc);
+        let device = soc.part().device();
+        let t1 = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
+        let bs = stream_of(&soc, src, 0..6, |m| 0xD00 + m % 2, true)
+            .relocate(&device, dst as i64 - src as i64)
+            .unwrap();
+        load(&mut soc, tile, &bs, t1).unwrap();
+        let live = live_region(&soc, tile);
+        assert!(live.addresses().iter().all(|a| a.column == dst));
+        assert_eq!(golden(&soc, tile), live);
+    }
+
+    #[test]
+    fn golden_of_a_stream_with_duplicate_writes_keeps_the_last() {
+        use presp_fpga::bitstream::{
+            type1_write, Command, ConfigReg, CrcAccumulator, DUMMY_WORD, SYNC_WORD,
+        };
+        let mut soc = reconf_soc(1);
+        let tile = soc.config().reconfigurable_tiles()[0];
+        let words = soc.dfxc.config_memory().frame_words();
+        let idcode = soc.part().idcode();
+        // FAR a, two frames (a, a+1); FAR a again, one frame: a is written
+        // twice and the second (all-zero) write must win, loading erased.
+        let a = FrameAddress::new(0, 2, 0);
+        let mut crc = CrcAccumulator::new();
+        let mut w = vec![
+            DUMMY_WORD,
+            SYNC_WORD,
+            type1_write(ConfigReg::Cmd, 1),
+            Command::Rcrc as u32,
+            type1_write(ConfigReg::Idcode, 1),
+            idcode,
+            type1_write(ConfigReg::Cmd, 1),
+            Command::Wcfg as u32,
+        ];
+        let mut write = |w: &mut Vec<u32>, far: FrameAddress, frames: &[u32]| {
+            w.push(type1_write(ConfigReg::Far, 1));
+            w.push(far.pack());
+            crc.update(far.pack());
+            w.push(type1_write(ConfigReg::Fdri, (frames.len() * words) as u32));
+            for &v in frames {
+                for _ in 0..words {
+                    w.push(v);
+                    crc.update(v);
+                }
+            }
+        };
+        write(&mut w, a, &[0x55, 0x66]);
+        write(&mut w, a, &[0]);
+        w.push(type1_write(ConfigReg::Crc, 1));
+        w.push(crc.value());
+        w.push(type1_write(ConfigReg::Cmd, 1));
+        w.push(Command::Desync as u32);
+        let bs = stream_of(&soc, 2, 0..2, |m| m + 1, false).with_words(w);
+        let t1 = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
+        load(&mut soc, tile, &bs, t1).unwrap();
+        assert!(
+            !soc.dfxc.config_memory().is_configured(a),
+            "last write wins"
+        );
+        let live = live_region(&soc, tile);
+        assert_eq!(live.len(), 2);
+        assert_eq!(golden(&soc, tile), live);
     }
 
     #[test]

@@ -134,7 +134,7 @@ fn cmd_flow(design: &SocDesign, compressed: bool, json: bool) -> ExitCode {
                     .map(|info| {
                         obj(vec![
                             ("region", string(&info.region)),
-                            ("kind", string(&info.kind.name())),
+                            ("kind", string(info.kind.name())),
                             ("size_bytes", int(info.bitstream.size_bytes() as u64)),
                         ])
                     })

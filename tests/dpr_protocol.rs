@@ -97,7 +97,12 @@ fn corrupted_bitstream_is_rejected_by_the_icap_crc() {
     // the swap protocol, so decouple the tile manually first.
     let mut soc = manager.into_soc();
     let t = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
-    let raw = soc.reconfigure_at(tile, AcceleratorKind::Mac, &corrupted, t);
+    let raw = soc.reconfigure_at(
+        tile,
+        AcceleratorKind::Mac,
+        &std::sync::Arc::new(corrupted),
+        t,
+    );
     match raw {
         Err(SocError::Fpga(presp::fpga::Error::CrcMismatch { .. })) => {}
         Err(SocError::Fpga(presp::fpga::Error::MalformedBitstream { .. })) => {}
