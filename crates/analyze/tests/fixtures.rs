@@ -146,6 +146,27 @@ fn doorway_breach_pattern_rule_fires_only_on_code() {
     assert_flagged_exactly(&analysis, "doorway_breach.rs");
 }
 
+/// The shipped `config-memory-doorway` rule, pointed at the fixture: a
+/// slot-store access outside `config_memory.rs` is a finding.
+#[test]
+fn config_memory_doorway_rule_flags_a_slot_store_breach() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../analyze.json");
+    let shipped = Manifest::load(&root).unwrap();
+    let mut rule = shipped
+        .pattern_rules
+        .into_iter()
+        .find(|r| r.name == "config-memory-doorway")
+        .expect("analyze.json declares the doorway rule");
+    assert_eq!(rule.exempt_files, ["config_memory.rs"]);
+    rule.roots = vec!["config_memory_breach.rs".into()];
+    let manifest = Manifest {
+        pattern_rules: vec![rule],
+        ..Manifest::default()
+    };
+    let analysis = analyze(&fixtures_dir(), &manifest, &Options::default());
+    assert_flagged_exactly(&analysis, "config_memory_breach.rs");
+}
+
 #[test]
 fn allow_marker_suppresses_only_its_own_line() {
     let analysis = run(r#"{

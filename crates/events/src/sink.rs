@@ -158,14 +158,16 @@ impl ShardedSink {
     }
 
     /// Drains every shard and merges the records into tracer emission
-    /// order (ascending `seq`), recovering poisoned shard locks.
+    /// order (ascending `seq`), recovering poisoned shard locks. The
+    /// result is allocated once, at exactly the drained record count.
     pub fn drain_merged(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = Vec::new();
-        for shard in &self.shards {
-            all.extend(drain(shard));
+        let drained: Vec<Vec<TraceRecord>> = self.shards.iter().map(|s| drain(s)).collect();
+        let mut all = Vec::with_capacity(drained.iter().map(Vec::len).sum());
+        for shard in drained {
+            all.extend(shard);
         }
         // Seq numbers are unique per tracer, so the unstable sort is
-        // deterministic.
+        // deterministic, and it sorts in place.
         all.sort_unstable_by_key(|r| r.seq);
         all
     }
@@ -246,6 +248,7 @@ mod tests {
         let merged = sharded.drain_merged();
         let seqs: Vec<u64> = merged.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..12).collect::<Vec<u64>>());
+        assert_eq!(merged.capacity(), merged.len(), "one exactly sized buffer");
         assert!(sharded.drain_merged().is_empty());
     }
 

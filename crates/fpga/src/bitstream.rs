@@ -217,12 +217,13 @@ fn burst<'a>(
 /// Reflected CRC-32 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-4 tables: `CRC_TABLES[0][b]` is the CRC register after
+/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
 /// shifting byte `b` through eight polynomial steps, and
 /// `CRC_TABLES[k][b]` the same byte followed by `k` zero bytes. CRC-32 is
-/// linear over GF(2), so a word folds in as four independent lookups.
-const CRC_TABLES: [[u32; 256]; 4] = {
-    let mut tables = [[0u32; 256]; 4];
+/// linear over GF(2), so a word folds in as four independent lookups and
+/// a pair of words as eight.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -235,7 +236,7 @@ const CRC_TABLES: [[u32; 256]; 4] = {
         b += 1;
     }
     let mut k = 1;
-    while k < 4 {
+    while k < 8 {
         let mut b = 0;
         while b < 256 {
             let prev = tables[k - 1][b];
@@ -268,6 +269,27 @@ impl CrcAccumulator {
             ^ CRC_TABLES[2][((c >> 8) & 0xFF) as usize]
             ^ CRC_TABLES[1][((c >> 16) & 0xFF) as usize]
             ^ CRC_TABLES[0][(c >> 24) as usize];
+    }
+
+    /// Folds a run of words into the accumulator, two words per table
+    /// round (slicing-by-8); the register equals [`Self::update`] applied
+    /// to each word in turn.
+    pub fn update_words(&mut self, words: &[u32]) {
+        let mut pairs = words.chunks_exact(2);
+        for pair in &mut pairs {
+            let (c, d) = (self.0 ^ pair[0], pair[1]);
+            self.0 = CRC_TABLES[7][(c & 0xFF) as usize]
+                ^ CRC_TABLES[6][((c >> 8) & 0xFF) as usize]
+                ^ CRC_TABLES[5][((c >> 16) & 0xFF) as usize]
+                ^ CRC_TABLES[4][(c >> 24) as usize]
+                ^ CRC_TABLES[3][(d & 0xFF) as usize]
+                ^ CRC_TABLES[2][((d >> 8) & 0xFF) as usize]
+                ^ CRC_TABLES[1][((d >> 16) & 0xFF) as usize]
+                ^ CRC_TABLES[0][(d >> 24) as usize];
+        }
+        if let [last] = pairs.remainder() {
+            self.update(*last);
+        }
     }
 
     /// Current CRC value.
@@ -323,9 +345,7 @@ impl Bitstream {
     /// CRC word the ICAP verifies during a load.
     fn stream_integrity(words: &[u32]) -> u32 {
         let mut crc = CrcAccumulator::new();
-        for &word in words {
-            crc.update(word);
-        }
+        crc.update_words(words);
         crc.value()
     }
 
@@ -738,9 +758,7 @@ impl Bitstream {
                             detail: format!("truncated packet: wanted {count} payload words"),
                         });
                     }
-                    for k in 0..count {
-                        crc.update(words[i + k]);
-                    }
+                    crc.update_words(&words[i..i + count]);
                     count
                 }
                 PacketHeader::Type1Write { reg, count } => {
@@ -779,11 +797,7 @@ impl Bitstream {
                             words[i] = packed;
                             crc.update(packed);
                         }
-                        ConfigReg::Fdri => {
-                            for k in 0..count {
-                                crc.update(words[i + k]);
-                            }
-                        }
+                        ConfigReg::Fdri => crc.update_words(&words[i..i + count]),
                         ConfigReg::Cmd if count == 1 => match Command::from_value(words[i]) {
                             Some(Command::Rcrc) => crc = CrcAccumulator::new(),
                             Some(Command::Desync) => synced = false,
@@ -955,10 +969,9 @@ impl BitstreamBuilder {
                 words.push(type2_write(payload_words as u32));
             }
             for addr in run {
-                for &w in &self.frames[addr] {
-                    words.push(w);
-                    crc.update(w);
-                }
+                let frame = &self.frames[addr];
+                words.extend_from_slice(frame);
+                crc.update_words(frame);
             }
             i += 1;
         }
@@ -994,10 +1007,8 @@ impl BitstreamBuilder {
                 words.push(far);
                 crc.update(far);
                 words.push(type1_write(ConfigReg::Fdri, self.frame_words as u32));
-                for &w in frame {
-                    words.push(w);
-                    crc.update(w);
-                }
+                words.extend_from_slice(frame);
+                crc.update_words(frame);
             } else {
                 // Load the frame into the frame-data shadow register, switch
                 // to MFW and replay it at each address.
@@ -1006,10 +1017,8 @@ impl BitstreamBuilder {
                 words.push(far);
                 crc.update(far);
                 words.push(type1_write(ConfigReg::Fdri, self.frame_words as u32));
-                for &w in frame {
-                    words.push(w);
-                    crc.update(w);
-                }
+                words.extend_from_slice(frame);
+                crc.update_words(frame);
                 words.push(type1_write(ConfigReg::Cmd, 1));
                 words.push(Command::Mfw as u32);
                 for addr in &addrs[1..] {
@@ -1157,7 +1166,8 @@ mod tests {
         assert!(text.contains("1 frames"));
     }
 
-    /// The slicing-by-4 kernel against the bit-at-a-time definition.
+    /// The slicing-by-4 and slicing-by-8 kernels against the
+    /// bit-at-a-time definition.
     mod crc_kernel {
         use super::*;
         use proptest::prelude::*;
@@ -1197,6 +1207,17 @@ mod tests {
             }
         }
 
+        #[test]
+        fn runs_of_every_length_up_to_seventeen_match_the_bitwise_crc() {
+            let words: Vec<u32> = (1..=17u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            for len in 0..=words.len() {
+                let run = &words[..len];
+                let mut acc = CrcAccumulator::new();
+                acc.update_words(run);
+                assert_eq!(acc.value(), stream_bitwise(run), "length {len}");
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1212,6 +1233,26 @@ mod tests {
                     reference = update_bitwise(reference, w);
                     prop_assert_eq!(acc.0, reference);
                 }
+            }
+
+            /// The slicing-by-8 run fold against the bitwise definition,
+            /// over odd and even run lengths alike.
+            #[test]
+            fn word_runs_match_the_bitwise_crc(
+                state in 0u32..u32::MAX,
+                words in proptest::collection::vec(0u32..u32::MAX, 0..64),
+                split in 0usize..64,
+            ) {
+                let reference = words.iter().fold(state, |crc, &w| update_bitwise(crc, w));
+                let mut acc = CrcAccumulator(state);
+                acc.update_words(&words);
+                prop_assert_eq!(acc.0, reference);
+                // Two runs, the first of any parity, fold like one.
+                let (head, tail) = words.split_at(split.min(words.len()));
+                let mut acc = CrcAccumulator(state);
+                acc.update_words(head);
+                acc.update_words(tail);
+                prop_assert_eq!(acc.0, reference);
             }
 
             /// Whole built streams: the storage-integrity CRC and the

@@ -6,22 +6,29 @@
 //! with the payload. The only path that bypasses the shadow on purpose is
 //! [`ConfigMemory::corrupt_bit`] — the SEU backdoor, which models an
 //! in-fabric upset precisely because it does *not* touch the check codes.
-//! `presp-analyze` forbids direct `frames` map manipulation anywhere else in
-//! the crate.
+//! `presp-analyze` forbids touching the slot store's slabs, free list and
+//! slot mutators anywhere else in the crate.
+//!
+//! The store is sparse and indexed by address: a frame that is not erased
+//! owns a slot in one contiguous slab of words and a parallel slab of
+//! check bytes, and one page of slot ids per (row, column), created on the
+//! column's first non-erased write, maps an address to its slot in O(1).
+//! An erased frame costs an index test, a written one a copy and an
+//! encode. Only the index is paged per column: frame data stays sparse,
+//! since a region's columns hold mostly erased frames.
 //!
 //! The doorway also keeps the **undo log** behind transactional
 //! reconfiguration ([`crate::icap::Icap::load_or_rollback`]): while a load
-//! is open, every write that changes a frame's payload or check codes
-//! records what it displaced, moved out of the maps rather than copied, so
-//! a failed load unwinds exactly the frames it touched and a successful one
+//! is open, every write that changes a frame's payload, check codes or
+//! presence appends what it displaced to one contiguous undo buffer, so a
+//! failed load unwinds exactly the frames it touched and a successful one
 //! costs nothing beyond its own writes.
 
 use crate::bitstream::Bitstream;
-use crate::ecc::{scrub_frame_words, FrameEcc, FrameRepair};
+use crate::ecc::{encode_into, encode_word, scrub_words, FrameEcc, FrameRepair};
 use crate::error::Error;
 use crate::fabric::Device;
-use crate::frame::FrameAddress;
-use std::collections::btree_map::Entry;
+use crate::frame::{frames_per_column, FrameAddress};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -245,33 +252,32 @@ impl GoldenImage {
     }
 }
 
-/// What one journaled write displaced: for each of the payload and ECC
-/// maps, `None` when the write left that side as it was, else the entry it
-/// held before (`Some(None)`: the address was absent).
-#[derive(Debug, Clone)]
-struct Undo {
-    addr: FrameAddress,
-    frame: Option<Option<Frame>>,
-    ecc: Option<Option<FrameEcc>>,
+/// Index-page entry of a frame that holds no slot (erased).
+const ERASED: u32 = u32::MAX;
+
+/// The undo log of an open transactional load: one record per write that
+/// changed a frame, oldest first, with the displaced words and check codes
+/// of every record whose frame held a slot packed end to end. Its buffers
+/// are kept between loads, so journaling allocates only while a load
+/// writes more than any load before it.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    open: bool,
+    /// `(address, held a slot)` per journaled write.
+    entries: Vec<(FrameAddress, bool)>,
+    /// The displaced words of the entries that held a slot, in order.
+    words: Vec<u32>,
+    /// Their check codes, parallel to `words`.
+    checks: Vec<u8>,
 }
 
-/// Puts `new` at `addr` (removing the entry for `None`) with one map
-/// lookup, and returns what it displaced by move: `None` when the entry
-/// already held exactly `new`, else `Some(previous)`.
-fn swap_entry<T: PartialEq>(
-    map: &mut BTreeMap<FrameAddress, T>,
-    addr: FrameAddress,
-    new: Option<T>,
-) -> Option<Option<T>> {
-    match (map.entry(addr), new) {
-        (Entry::Occupied(e), Some(v)) if *e.get() == v => None,
-        (Entry::Occupied(mut e), Some(v)) => Some(Some(e.insert(v))),
-        (Entry::Occupied(e), None) => Some(Some(e.remove())),
-        (Entry::Vacant(e), Some(v)) => {
-            e.insert(v);
-            Some(None)
-        }
-        (Entry::Vacant(_), None) => None,
+impl Journal {
+    /// Forgets every record, keeping the buffers.
+    fn clear(&mut self) {
+        self.open = false;
+        self.entries.clear();
+        self.words.clear();
+        self.checks.clear();
     }
 }
 
@@ -279,8 +285,15 @@ fn swap_entry<T: PartialEq>(
 ///
 /// Frames that were never written read back as all-zero (the post-PROG state
 /// of the real device). An erased frame implicitly carries an all-zero check
-/// code, which is exactly `FrameEcc::encode(&zeros)` — the sparse map and the
-/// ECC shadow agree by construction.
+/// code, which is exactly `FrameEcc::encode(&zeros)` — the sparse store and
+/// the ECC shadow agree by construction.
+///
+/// Storage is a sparse slot store. Every frame that is not erased owns one
+/// slot: `frame_words` words in one contiguous slab and as many check bytes
+/// in a parallel slab, freed slots being reused before the slabs grow. A
+/// frame address finds its slot in O(1) through a page of slot ids per
+/// (row, column), allocated on the column's first non-erased write, so an
+/// erased frame costs an index test and a written one a copy and an encode.
 ///
 /// # Example
 ///
@@ -292,7 +305,7 @@ fn swap_entry<T: PartialEq>(
 /// let device = FpgaPart::Vc707.device();
 /// let mut mem = ConfigMemory::new(&device);
 /// let addr = FrameAddress::new(0, 1, 0);
-/// mem.write_frame(addr, vec![0xDEAD_BEEF; mem.frame_words()])?;
+/// mem.write_frame(addr, &vec![0xDEAD_BEEF; mem.frame_words()])?;
 /// assert_eq!(mem.frame(addr)[0], 0xDEAD_BEEF);
 /// # Ok::<(), presp_fpga::Error>(())
 /// ```
@@ -300,10 +313,16 @@ fn swap_entry<T: PartialEq>(
 pub struct ConfigMemory {
     device: Device,
     frame_words: usize,
-    frames: BTreeMap<FrameAddress, Frame>,
-    ecc: BTreeMap<FrameAddress, FrameEcc>,
-    /// The open load's undo log, oldest write first (`None`: no load open).
-    journal: Option<Vec<Undo>>,
+    /// One slot-id page per `row * columns + column`, one entry per minor
+    /// frame ([`ERASED`]: no slot); `None` until the column's first slot.
+    index: Vec<Option<Box<[u32]>>>,
+    /// Slot `s` holds words `s * frame_words..(s + 1) * frame_words`.
+    slot_words: Vec<u32>,
+    /// Check codes, parallel to `slot_words`.
+    slot_checks: Vec<u8>,
+    /// Slots holding no frame.
+    free_slots: Vec<u32>,
+    journal: Journal,
 }
 
 impl ConfigMemory {
@@ -312,9 +331,11 @@ impl ConfigMemory {
         ConfigMemory {
             device: device.clone(),
             frame_words: device.part().family().frame_words(),
-            frames: BTreeMap::new(),
-            ecc: BTreeMap::new(),
-            journal: None,
+            index: vec![None; device.rows() * device.columns()],
+            slot_words: Vec::new(),
+            slot_checks: Vec::new(),
+            free_slots: Vec::new(),
+            journal: Journal::default(),
         }
     }
 
@@ -334,7 +355,39 @@ impl ConfigMemory {
     ///
     /// Returns [`Error::BadFrameAddress`] if the address does not exist on the
     /// device or the payload length differs from the frame size.
-    pub fn write_frame(&mut self, addr: FrameAddress, data: Frame) -> Result<(), Error> {
+    pub fn write_frame(&mut self, addr: FrameAddress, data: &[u32]) -> Result<(), Error> {
+        self.check_write(addr, data)?;
+        if data.iter().all(|&w| w == 0) {
+            // All-zero equals the erased state; keep the store sparse. The
+            // implicit check code of an erased frame is all-zero too.
+            self.erase_slot(addr);
+        } else {
+            self.put_slot(addr, data, None);
+        }
+        Ok(())
+    }
+
+    /// [`ConfigMemory::write_frame`] with the caller's zero test and check
+    /// codes: `checks` is `None` for an all-zero `data`, else
+    /// `FrameEcc::encode(data)`. This is how the ICAP replays its MFWR
+    /// shadow frame without rescanning and re-encoding it.
+    pub(crate) fn write_encoded(
+        &mut self,
+        addr: FrameAddress,
+        data: &[u32],
+        checks: Option<&[u8]>,
+    ) -> Result<(), Error> {
+        self.check_write(addr, data)?;
+        debug_assert_eq!(checks.is_none(), data.iter().all(|&w| w == 0));
+        match checks {
+            None => self.erase_slot(addr),
+            Some(checks) => self.put_slot(addr, data, Some(checks)),
+        }
+        Ok(())
+    }
+
+    /// Refuses an address the device lacks or a payload of the wrong length.
+    fn check_write(&self, addr: FrameAddress, data: &[u32]) -> Result<(), Error> {
         self.device.validate_frame(addr)?;
         if data.len() != self.frame_words {
             return Err(Error::BadFrameAddress {
@@ -345,57 +398,152 @@ impl ConfigMemory {
                 ),
             });
         }
-        if data.iter().all(|&w| w == 0) {
-            // All-zero equals the erased state; keep the map sparse. The
-            // implicit check code of an erased frame is all-zero too.
-            self.put(addr, None, None);
-        } else {
-            let ecc = FrameEcc::encode(&data);
-            self.put(addr, Some(data), Some(ecc));
-        }
         Ok(())
     }
 
-    /// Sets both sides of the doorway at `addr` (`None` removes), logging
-    /// what changed to the open journal, if any.
-    fn put(&mut self, addr: FrameAddress, frame: Option<Frame>, ecc: Option<FrameEcc>) {
-        let frame = swap_entry(&mut self.frames, addr, frame);
-        let ecc = swap_entry(&mut self.ecc, addr, ecc);
-        if let Some(log) = &mut self.journal {
-            if frame.is_some() || ecc.is_some() {
-                log.push(Undo { addr, frame, ecc });
+    /// The slot holding `addr`, if the frame is not erased (`None` as well
+    /// for an address the device lacks).
+    fn slot(&self, addr: FrameAddress) -> Option<usize> {
+        if addr.column as usize >= self.device.columns() {
+            return None;
+        }
+        let page = self.index.get(self.page(addr))?.as_deref()?;
+        match *page.get(addr.minor as usize)? {
+            ERASED => None,
+            slot => Some(slot as usize),
+        }
+    }
+
+    /// Index of the page of a valid address's (row, column).
+    fn page(&self, addr: FrameAddress) -> usize {
+        addr.row as usize * self.device.columns() + addr.column as usize
+    }
+
+    /// The slab range of `slot`.
+    fn span(&self, slot: usize) -> std::ops::Range<usize> {
+        slot * self.frame_words..(slot + 1) * self.frame_words
+    }
+
+    /// Gives valid `addr`, which holds no slot, a slot with unspecified
+    /// contents, creating its column's index page if needed.
+    fn alloc_slot(&mut self, addr: FrameAddress) -> usize {
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slot_words.len() / self.frame_words)
+                    .expect("fewer slots than a device has frames");
+                self.slot_words
+                    .resize(self.slot_words.len() + self.frame_words, 0);
+                self.slot_checks
+                    .resize(self.slot_checks.len() + self.frame_words, 0);
+                slot
             }
+        };
+        let minors = frames_per_column(self.device.column_kind(addr.column as usize));
+        let page = self.page(addr);
+        self.index[page].get_or_insert_with(|| vec![ERASED; minors].into())[addr.minor as usize] =
+            slot;
+        slot as usize
+    }
+
+    /// Gives valid `addr` a slot holding `data` under `checks` (`None`:
+    /// encode `data`), journaling what it displaces when a load is open.
+    fn put_slot(&mut self, addr: FrameAddress, data: &[u32], checks: Option<&[u8]>) {
+        let slot = match self.slot(addr) {
+            Some(slot) => {
+                if self.journal.open {
+                    let span = self.span(slot);
+                    let old = &self.slot_checks[span.clone()];
+                    let unchanged = self.slot_words[span] == *data
+                        && match checks {
+                            Some(checks) => old == checks,
+                            None => old.iter().zip(data).all(|(&c, &w)| c == encode_word(w)),
+                        };
+                    if unchanged {
+                        return;
+                    }
+                }
+                self.record_undo(addr, Some(slot));
+                slot
+            }
+            None => {
+                self.record_undo(addr, None);
+                self.alloc_slot(addr)
+            }
+        };
+        let span = self.span(slot);
+        self.slot_words[span.clone()].copy_from_slice(data);
+        match checks {
+            Some(checks) => self.slot_checks[span].copy_from_slice(checks),
+            None => encode_into(data, &mut self.slot_checks[span]),
+        }
+    }
+
+    /// Returns valid `addr` to the erased state, journaling what it held
+    /// when a load is open. An erased frame costs one index test.
+    fn erase_slot(&mut self, addr: FrameAddress) {
+        let Some(slot) = self.slot(addr) else {
+            return;
+        };
+        self.record_undo(addr, Some(slot));
+        let page = self.page(addr);
+        if let Some(page) = &mut self.index[page] {
+            page[addr.minor as usize] = ERASED;
+        }
+        self.free_slots.push(slot as u32);
+    }
+
+    /// Appends what `addr` holds before a write (the words and check
+    /// codes of `slot`, or no slot) to the undo log, if a load is open.
+    fn record_undo(&mut self, addr: FrameAddress, slot: Option<usize>) {
+        if !self.journal.open {
+            return;
+        }
+        self.journal.entries.push((addr, slot.is_some()));
+        if let Some(slot) = slot {
+            let span = self.span(slot);
+            self.journal
+                .words
+                .extend_from_slice(&self.slot_words[span.clone()]);
+            self.journal
+                .checks
+                .extend_from_slice(&self.slot_checks[span]);
         }
     }
 
     /// Opens the undo log of a transactional load.
     pub(crate) fn begin_journal(&mut self) {
-        debug_assert!(self.journal.is_none(), "journal already open");
-        self.journal = Some(Vec::new());
+        debug_assert!(!self.journal.open, "journal already open");
+        self.journal.clear();
+        self.journal.open = true;
     }
 
     /// Closes the undo log, keeping every write since it opened.
     pub(crate) fn commit_journal(&mut self) {
-        self.journal = None;
+        self.journal.clear();
     }
 
     /// Closes the undo log and unwinds every write since it opened, newest
-    /// first, leaving payload and check codes exactly as they were.
-    /// Returns how many frames the writes had left with a different
+    /// first, leaving payload, check codes and presence exactly as they
+    /// were. Returns how many frames the writes had left with a different
     /// payload (frames rewritten back to their old content do not count).
     pub(crate) fn rollback_journal(&mut self) -> usize {
-        let log = self.journal.take().unwrap_or_default();
-        let touched: BTreeSet<FrameAddress> = log.iter().map(|u| u.addr).collect();
+        let mut log = std::mem::take(&mut self.journal);
+        let touched: BTreeSet<FrameAddress> = log.entries.iter().map(|&(a, _)| a).collect();
         let after: Vec<(FrameAddress, Frame)> =
             touched.into_iter().map(|a| (a, self.frame(a))).collect();
-        for undo in log.into_iter().rev() {
-            if let Some(frame) = undo.frame {
-                swap_entry(&mut self.frames, undo.addr, frame);
-            }
-            if let Some(ecc) = undo.ecc {
-                swap_entry(&mut self.ecc, undo.addr, ecc);
+        let mut end = log.words.len();
+        for &(addr, held) in log.entries.iter().rev() {
+            if held {
+                let start = end - self.frame_words;
+                self.put_slot(addr, &log.words[start..end], Some(&log.checks[start..end]));
+                end = start;
+            } else {
+                self.erase_slot(addr);
             }
         }
+        log.clear();
+        self.journal = log;
         after
             .into_iter()
             .filter(|(a, frame)| self.frame(*a) != *frame)
@@ -404,34 +552,47 @@ impl ConfigMemory {
 
     /// Reads back one frame (all-zero if never written).
     pub fn frame(&self, addr: FrameAddress) -> Frame {
-        self.frames
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| vec![0; self.frame_words])
+        match self.slot(addr) {
+            Some(slot) => self.slot_words[self.span(slot)].to_vec(),
+            None => vec![0; self.frame_words],
+        }
     }
 
     /// The SECDED check codes currently shadowing `addr` (the implicit
     /// all-zero code for erased frames).
     pub fn frame_ecc(&self, addr: FrameAddress) -> FrameEcc {
-        self.ecc
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| FrameEcc::erased(self.frame_words))
+        match self.slot(addr) {
+            Some(slot) => FrameEcc::from_checks(&self.slot_checks[self.span(slot)]),
+            None => FrameEcc::erased(self.frame_words),
+        }
     }
 
-    /// Returns `true` if the frame was written with non-zero content.
+    /// Returns `true` if the frame holds a slot: it was written with
+    /// non-zero content, or upset since it was last erased.
     pub fn is_configured(&self, addr: FrameAddress) -> bool {
-        self.frames.contains_key(&addr)
+        self.slot(addr).is_some()
     }
 
-    /// Number of frames holding non-zero content.
+    /// Number of frames holding a slot.
     pub fn configured_frames(&self) -> usize {
-        self.frames.len()
+        self.slot_words.len() / self.frame_words - self.free_slots.len()
     }
 
-    /// Addresses of every configured (non-erased) frame, in address order.
+    /// Addresses of every configured frame, in address order.
     pub fn configured_addresses(&self) -> Vec<FrameAddress> {
-        self.frames.keys().copied().collect()
+        let columns = self.device.columns();
+        let mut out = Vec::with_capacity(self.configured_frames());
+        for (p, page) in self.index.iter().enumerate() {
+            let Some(page) = page else { continue };
+            let (row, column) = ((p / columns) as u32, (p % columns) as u32);
+            out.extend(
+                (0u32..)
+                    .zip(page.iter())
+                    .filter(|&(_, &slot)| slot != ERASED)
+                    .map(|(minor, _)| FrameAddress::new(row, column, minor)),
+            );
+        }
+        out
     }
 
     /// Flips one payload bit **without** updating the check codes: the SEU
@@ -449,14 +610,21 @@ impl ConfigMemory {
                 detail: format!("upset target word {word} bit {bit} outside frame"),
             });
         }
-        let frame = self
-            .frames
-            .entry(addr)
-            .or_insert_with(|| vec![0; self.frame_words]);
-        frame[word] ^= 1 << bit;
+        let slot = match self.slot(addr) {
+            Some(slot) => slot,
+            None => {
+                // An upset in an erased frame: all-zero payload under the
+                // implicit all-zero code, now held in a slot.
+                let slot = self.alloc_slot(addr);
+                let span = self.span(slot);
+                self.slot_words[span.clone()].fill(0);
+                self.slot_checks[span].fill(0);
+                slot
+            }
+        };
+        self.slot_words[slot * self.frame_words + word] ^= 1 << bit;
         // Deliberately no ECC refresh: the shadow now disagrees with the
-        // payload, exactly as a real upset leaves the fabric. An upset in a
-        // previously-erased frame is covered by the implicit all-zero code.
+        // payload, exactly as a real upset leaves the fabric.
         Ok(())
     }
 
@@ -464,27 +632,33 @@ impl ConfigMemory {
     ///
     /// On a correctable upset the payload is restored and (for check-code
     /// upsets) the shadow re-encoded; an uncorrectable frame is left
-    /// untouched so a golden restore can still be attempted.
+    /// untouched so a golden restore can still be attempted. An erased
+    /// frame is clean at the cost of one index test.
     ///
     /// # Errors
     ///
     /// Returns [`Error::BadFrameAddress`] for an invalid address.
     pub fn scrub_frame(&mut self, addr: FrameAddress) -> Result<FrameRepair, Error> {
         self.device.validate_frame(addr)?;
-        let Some(frame) = self.frames.get_mut(&addr) else {
+        let Some(slot) = self.slot(addr) else {
             // Erased frames are implicitly clean (zero payload, zero code).
             return Ok(FrameRepair::Clean);
         };
-        let repair = match self.ecc.get(&addr) {
-            Some(ecc) => scrub_frame_words(frame, ecc),
-            None => scrub_frame_words(frame, &FrameEcc::erased(self.frame_words)),
-        };
+        // A load holds the memory for its whole walk, so no journal is
+        // open here and the in-place repair needs no undo record.
+        debug_assert!(!self.journal.open, "scrub inside a transactional load");
+        let span = self.span(slot);
+        let words = &mut self.slot_words[span.clone()];
+        let repair = scrub_words(words, &self.slot_checks[span.clone()]);
         if matches!(repair, FrameRepair::Corrected { .. }) {
             // Re-latch both sides of the doorway: a repaired frame gets a
             // fresh code, and a frame repaired back to all-zero returns to
             // the sparse erased state.
-            let data = frame.clone();
-            self.write_frame(addr, data)?;
+            if words.iter().all(|&w| w == 0) {
+                self.erase_slot(addr);
+            } else {
+                encode_into(words, &mut self.slot_checks[span]);
+            }
         }
         Ok(repair)
     }
@@ -504,13 +678,13 @@ impl ConfigMemory {
         for &addr in addrs {
             self.device.validate_frame(addr)?;
             addresses.push(addr);
-            let erased = self
-                .frames
-                .get(&addr)
-                .is_none_or(|f| f.iter().all(|&w| w == 0))
-                && self.ecc.get(&addr).is_none_or(FrameEcc::is_erased);
-            if !erased {
-                frames.insert(addr, (self.frame(addr), self.frame_ecc(addr)));
+            let Some(slot) = self.slot(addr) else {
+                continue;
+            };
+            let span = self.span(slot);
+            let (words, checks) = (&self.slot_words[span.clone()], &self.slot_checks[span]);
+            if words.iter().any(|&w| w != 0) || checks.iter().any(|&c| c != 0) {
+                frames.insert(addr, (words.to_vec(), FrameEcc::from_checks(checks)));
             }
         }
         addresses.sort_unstable();
@@ -530,13 +704,13 @@ impl ConfigMemory {
     /// Returns an error on the first invalid address (only possible when the
     /// snapshot came from a different device geometry).
     pub fn restore(&mut self, snap: &RegionSnapshot) -> Result<(), Error> {
-        for addr in &snap.addresses {
-            self.device.validate_frame(*addr)?;
-            match snap.frames.get(addr) {
+        for &addr in &snap.addresses {
+            self.device.validate_frame(addr)?;
+            match snap.frames.get(&addr) {
                 Some((data, ecc)) if data.iter().any(|&w| w != 0) => {
-                    self.put(*addr, Some(data.clone()), Some(ecc.clone()));
+                    self.put_slot(addr, data, Some(ecc.checks()));
                 }
-                _ => self.put(*addr, None, None),
+                _ => self.erase_slot(addr),
             }
         }
         Ok(())
@@ -600,7 +774,7 @@ impl ConfigMemory {
     pub fn restore_golden(&mut self, golden: &GoldenImage) -> Result<(), Error> {
         golden
             .stream
-            .for_each_frame_write(|addr, data| self.write_frame(addr, data.to_vec()))?;
+            .for_each_frame_write(|addr, data| self.write_frame(addr, data))?;
         self.restore(&golden.uncovered)
     }
 
@@ -613,21 +787,17 @@ impl ConfigMemory {
         &mut self,
         addrs: I,
     ) -> Result<(), Error> {
-        for addr in addrs {
-            self.device.validate_frame(*addr)?;
-            self.put(*addr, None, None);
+        for &addr in addrs {
+            self.device.validate_frame(addr)?;
+            self.erase_slot(addr);
         }
         Ok(())
     }
 
     /// Addresses whose content differs between `self` and `other`.
     pub fn diff(&self, other: &ConfigMemory) -> Vec<FrameAddress> {
-        let mut addrs: Vec<FrameAddress> = self
-            .frames
-            .keys()
-            .chain(other.frames.keys())
-            .copied()
-            .collect();
+        let mut addrs = self.configured_addresses();
+        addrs.extend(other.configured_addresses());
         addrs.sort_unstable();
         addrs.dedup();
         addrs
@@ -636,6 +806,9 @@ impl ConfigMemory {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -659,7 +832,7 @@ mod tests {
         let mut m = mem();
         let addr = FrameAddress::new(1, 2, 3);
         let data: Frame = (0..m.frame_words() as u32).collect();
-        m.write_frame(addr, data.clone()).unwrap();
+        m.write_frame(addr, &data).unwrap();
         assert_eq!(m.frame(addr), data);
         assert_eq!(m.configured_frames(), 1);
     }
@@ -668,8 +841,8 @@ mod tests {
     fn zero_write_erases() {
         let mut m = mem();
         let addr = FrameAddress::new(1, 2, 3);
-        m.write_frame(addr, vec![7; m.frame_words()]).unwrap();
-        m.write_frame(addr, vec![0; m.frame_words()]).unwrap();
+        m.write_frame(addr, &vec![7; m.frame_words()]).unwrap();
+        m.write_frame(addr, &vec![0; m.frame_words()]).unwrap();
         assert!(!m.is_configured(addr));
     }
 
@@ -677,7 +850,7 @@ mod tests {
     fn wrong_length_is_rejected() {
         let mut m = mem();
         let addr = FrameAddress::new(0, 1, 0);
-        assert!(m.write_frame(addr, vec![1, 2, 3]).is_err());
+        assert!(m.write_frame(addr, &[1, 2, 3]).is_err());
     }
 
     #[test]
@@ -685,7 +858,7 @@ mod tests {
         let mut m = mem();
         let words = m.frame_words();
         assert!(m
-            .write_frame(FrameAddress::new(999, 0, 0), vec![1; words])
+            .write_frame(FrameAddress::new(999, 0, 0), &vec![1; words])
             .is_err());
     }
 
@@ -696,9 +869,9 @@ mod tests {
         let f1 = FrameAddress::new(0, 1, 0);
         let f2 = FrameAddress::new(0, 1, 1);
         let words = a.frame_words();
-        a.write_frame(f1, vec![1; words]).unwrap();
-        b.write_frame(f1, vec![1; words]).unwrap();
-        b.write_frame(f2, vec![2; words]).unwrap();
+        a.write_frame(f1, &vec![1; words]).unwrap();
+        b.write_frame(f1, &vec![1; words]).unwrap();
+        b.write_frame(f2, &vec![2; words]).unwrap();
         assert_eq!(a.diff(&b), vec![f2]);
         assert_eq!(a.diff(&a), Vec::new());
     }
@@ -707,7 +880,7 @@ mod tests {
     fn clear_frames_restores_erased_state() {
         let mut m = mem();
         let addr = FrameAddress::new(3, 4, 2);
-        m.write_frame(addr, vec![9; m.frame_words()]).unwrap();
+        m.write_frame(addr, &vec![9; m.frame_words()]).unwrap();
         m.clear_frames(std::iter::once(&addr)).unwrap();
         assert_eq!(m.configured_frames(), 0);
     }
@@ -717,7 +890,7 @@ mod tests {
         let mut m = mem();
         let addr = FrameAddress::new(0, 1, 0);
         let data: Frame = (1..=m.frame_words() as u32).collect();
-        m.write_frame(addr, data.clone()).unwrap();
+        m.write_frame(addr, &data).unwrap();
         m.corrupt_bit(addr, 4, 13).unwrap();
         assert_ne!(m.frame(addr), data);
         assert_eq!(
@@ -732,7 +905,7 @@ mod tests {
     fn double_bit_upset_is_uncorrectable_and_untouched() {
         let mut m = mem();
         let addr = FrameAddress::new(0, 1, 0);
-        m.write_frame(addr, vec![0xCAFE_F00D; m.frame_words()])
+        m.write_frame(addr, &vec![0xCAFE_F00D; m.frame_words()])
             .unwrap();
         m.corrupt_bit(addr, 2, 5).unwrap();
         m.corrupt_bit(addr, 2, 30).unwrap();
@@ -766,12 +939,12 @@ mod tests {
         let a1 = FrameAddress::new(0, 1, 0);
         let a2 = FrameAddress::new(0, 1, 1);
         let words = m.frame_words();
-        m.write_frame(a1, vec![3; words]).unwrap();
-        m.write_frame(a2, vec![4; words]).unwrap();
+        m.write_frame(a1, &vec![3; words]).unwrap();
+        m.write_frame(a2, &vec![4; words]).unwrap();
         let snap = m.snapshot([a1, a2].iter()).unwrap();
         assert_eq!(snap.len(), 2);
         m.corrupt_bit(a1, 0, 7).unwrap();
-        m.write_frame(a2, vec![9; words]).unwrap();
+        m.write_frame(a2, &vec![9; words]).unwrap();
         m.restore(&snap).unwrap();
         assert_eq!(m.frame(a1), vec![3; words]);
         assert_eq!(m.frame(a2), vec![4; words]);
@@ -788,14 +961,14 @@ mod tests {
         // Configured, erased, upset-in-configured (ECC disagrees), upset
         // in an erased frame, and a frame upset back to an all-zero payload
         // under a non-zero code.
-        m.write_frame(region[0], vec![0x1111_0000; words]).unwrap();
-        m.write_frame(region[2], (1..=words as u32).collect())
+        m.write_frame(region[0], &vec![0x1111_0000; words]).unwrap();
+        m.write_frame(region[2], &(1..=words as u32).collect::<Vec<_>>())
             .unwrap();
         m.corrupt_bit(region[2], 5, 9).unwrap();
         m.corrupt_bit(region[3], 0, 31).unwrap();
         let mut one = vec![0; words];
         one[7] = 1 << 4;
-        m.write_frame(region[4], one).unwrap();
+        m.write_frame(region[4], &one).unwrap();
         m.corrupt_bit(region[4], 7, 4).unwrap();
         let snap = m.snapshot(region.iter().rev()).unwrap();
         assert_eq!(snap.addresses(), region, "every address, in order");
@@ -806,7 +979,7 @@ mod tests {
             .collect();
 
         for &a in &region {
-            m.write_frame(a, vec![0xFFFF_0000 + a.minor; words])
+            m.write_frame(a, &vec![0xFFFF_0000 + a.minor; words])
                 .unwrap();
         }
         m.restore(&snap).unwrap();
@@ -931,7 +1104,7 @@ mod tests {
         let words = icap.memory().frame_words();
         for minor in 0..10 {
             icap.memory_mut()
-                .write_frame(FrameAddress::new(0, 2, minor), vec![0xEE; words])
+                .write_frame(FrameAddress::new(0, 2, minor), &vec![0xEE; words])
                 .unwrap();
         }
         icap.memory_mut().restore_golden(&g3).unwrap();
@@ -943,8 +1116,289 @@ mod tests {
         let mut m = mem();
         let addr = FrameAddress::new(2, 2, 0);
         let snap = m.snapshot(std::iter::once(&addr)).unwrap();
-        m.write_frame(addr, vec![5; m.frame_words()]).unwrap();
+        m.write_frame(addr, &vec![5; m.frame_words()]).unwrap();
         m.restore(&snap).unwrap();
         assert!(!m.is_configured(addr));
+    }
+
+    #[test]
+    fn an_erased_frame_costs_an_index_test() {
+        let mut m = mem();
+        let words = m.frame_words();
+        let erased = FrameAddress::new(3, 7, 2);
+        let page = m.page(erased);
+        m.begin_journal();
+        m.write_frame(erased, &vec![0; words]).unwrap();
+        assert_eq!(m.scrub_frame(erased).unwrap(), FrameRepair::Clean);
+        assert!(
+            m.journal.entries.is_empty(),
+            "erased over erased journals nothing"
+        );
+        assert!(m.index[page].is_none(), "and creates no index page");
+        assert!(
+            m.slot_words.is_empty() && m.slot_checks.is_empty(),
+            "nor a slot"
+        );
+        // Erasing a written frame journals it once and frees its slot for
+        // the next write.
+        m.write_frame(erased, &vec![1; words]).unwrap();
+        m.write_frame(erased, &vec![0; words]).unwrap();
+        assert_eq!(m.journal.entries, [(erased, false), (erased, true)]);
+        m.commit_journal();
+        let other = FrameAddress::new(3, 7, 3);
+        m.write_frame(other, &vec![2; words]).unwrap();
+        assert_eq!(m.slot_words.len(), words, "the freed slot is reused");
+        assert_eq!(m.configured_addresses(), [other]);
+    }
+
+    /// One step of the differential test, over a small address universe
+    /// so that writes, upsets, snapshots and loads keep colliding.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Writes value `v` (0: an all-zero frame) to every word, word `i`
+        /// xor-ed with `i` when `ramp` is set.
+        Write {
+            a: usize,
+            v: u32,
+            ramp: bool,
+        },
+        Corrupt {
+            a: usize,
+            word: usize,
+            bit: u32,
+            second: Option<u32>,
+        },
+        Scrub {
+            a: usize,
+        },
+        Snapshot {
+            from: usize,
+            len: usize,
+        },
+        Restore {
+            which: usize,
+        },
+        Clear {
+            from: usize,
+            len: usize,
+        },
+        /// A transactional load of `frames` (value 0: all-zero frames,
+        /// replayed by MFWR when compressed), `fault` 0–1 intact, 2 a
+        /// flipped payload word, 3 a flipped FAR column bit, 4 truncated.
+        Load {
+            frames: Vec<(usize, u32)>,
+            compressed: bool,
+            fault: u32,
+            pick: usize,
+        },
+    }
+
+    /// Rows 0–1, columns 10–12, minors 0–5: valid on every column kind.
+    fn universe() -> Vec<FrameAddress> {
+        let mut out = Vec::new();
+        for row in 0..2 {
+            for column in 10..13 {
+                for minor in 0..6 {
+                    out.push(FrameAddress::new(row, column, minor));
+                }
+            }
+        }
+        out
+    }
+
+    /// A frame value: all-zero half the time, else one of a few shared
+    /// values (so compressed streams replay them) or an arbitrary one.
+    fn value(sel: u32, x: usize) -> u32 {
+        match sel {
+            0..=3 => 0,
+            4 => 0x5A5A_0000,
+            5 | 6 => 1 + (x % 3) as u32,
+            _ => (x as u32).wrapping_mul(0x9E37_79B9),
+        }
+    }
+
+    /// One drawn step: kind, address index, value selector, a free
+    /// draw, a bit, a flag and the frames a load would write.
+    type Drawn = (u32, usize, u32, usize, u32, bool, Vec<(usize, u32)>);
+
+    /// Decodes one drawn tuple into a step.
+    fn op_of((kind, a, sel, x, bit, flag, frames): Drawn) -> Op {
+        let n = universe().len();
+        match kind {
+            0..=3 => Op::Write {
+                a,
+                v: value(sel, x),
+                ramp: flag,
+            },
+            4..=6 => Op::Corrupt {
+                a,
+                word: x % 101,
+                bit,
+                second: flag.then_some((x >> 8) as u32 % 32),
+            },
+            7 | 8 => Op::Scrub { a },
+            9 => Op::Snapshot {
+                from: a,
+                len: 1 + x % n,
+            },
+            10 => Op::Restore { which: x },
+            11 => Op::Clear {
+                from: a,
+                len: 1 + x % 8,
+            },
+            _ => Op::Load {
+                frames: frames
+                    .into_iter()
+                    .map(|(a, sel)| (a, value(sel, x)))
+                    .collect(),
+                compressed: flag,
+                fault: bit % 5,
+                pick: x,
+            },
+        }
+    }
+
+    fn stream_of(device: &Device, universe: &[FrameAddress], op: &Op) -> Bitstream {
+        use crate::bitstream::{type1_write, BitstreamBuilder, BitstreamKind, ConfigReg};
+        let Op::Load {
+            frames,
+            compressed,
+            fault,
+            pick,
+        } = op
+        else {
+            unreachable!("only loads stream")
+        };
+        let words = device.part().family().frame_words();
+        let mut builder = BitstreamBuilder::new(device, BitstreamKind::Partial);
+        for &(a, v) in frames {
+            builder.add_frame(universe[a], vec![v; words]).unwrap();
+        }
+        let built = builder.build(*compressed);
+        let mut stream = built.words().to_vec();
+        match fault {
+            2 => {
+                let at = stream.len() - 5;
+                stream[at] ^= 1 << (pick % 32);
+            }
+            3 => {
+                let fars: Vec<usize> = (0..stream.len() - 1)
+                    .filter(|&i| stream[i] == type1_write(ConfigReg::Far, 1))
+                    .map(|i| i + 1)
+                    .collect();
+                stream[fars[pick % fars.len()]] ^= 1 << (8 + pick % 6);
+            }
+            4 => stream.truncate(stream.len() - 1 - pick % (stream.len() - 1)),
+            _ => {}
+        }
+        built.with_words(stream)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The slot store against the two-map store it replaced: after
+        /// every step of a random sequence of writes (all-zero ones
+        /// included), single and double upsets, scrubs, snapshots and
+        /// restores, clears and transactional loads of intact and
+        /// corrupted compressed or raw streams, both hold the same
+        /// payload, check codes and presence at every address, list the
+        /// same configured addresses in the same order, snapshot the
+        /// same, and report the same outcomes and dirty counts.
+        #[test]
+        fn the_slot_store_matches_the_two_map_store(
+            drawn in proptest::collection::vec(
+                (
+                    0u32..15,
+                    0usize..36,
+                    0u32..8,
+                    0usize..1_000_000,
+                    0u32..32,
+                    proptest::bool::ANY,
+                    proptest::collection::vec((0usize..36, 0u32..8), 1..14),
+                ),
+                1..24,
+            ),
+        ) {
+            use proptest::prelude::*;
+            let ops: Vec<Op> = drawn.into_iter().map(op_of).collect();
+            let device = FpgaPart::Vc707.device();
+            let universe = universe();
+            let words = device.part().family().frame_words();
+            let mut icap = crate::icap::Icap::new(&device);
+            let mut tree = reference::TreeMemory::new(&device);
+            let mut snaps: Vec<(RegionSnapshot, RegionSnapshot)> = Vec::new();
+            for op in &ops {
+                let mem = icap.memory_mut();
+                match op {
+                    Op::Write { a, v, ramp } => {
+                        let data: Frame = (0..words as u32)
+                            .map(|i| if *ramp { v ^ i } else { *v })
+                            .collect();
+                        mem.write_frame(universe[*a], &data).unwrap();
+                        tree.write_frame(universe[*a], &data).unwrap();
+                    }
+                    Op::Corrupt { a, word, bit, second } => {
+                        for bit in std::iter::once(*bit).chain(second.filter(|b| b != bit)) {
+                            mem.corrupt_bit(universe[*a], *word, bit).unwrap();
+                            tree.corrupt_bit(universe[*a], *word, bit).unwrap();
+                        }
+                    }
+                    Op::Scrub { a } => {
+                        prop_assert_eq!(
+                            mem.scrub_frame(universe[*a]).unwrap(),
+                            tree.scrub_frame(universe[*a]).unwrap()
+                        );
+                    }
+                    Op::Snapshot { from, len } => {
+                        let region = &universe[*from..(*from + *len).min(universe.len())];
+                        let got = mem.snapshot(region.iter().rev()).unwrap();
+                        let want = tree.snapshot(region).unwrap();
+                        prop_assert_eq!(&got, &want);
+                        snaps.push((got, want));
+                    }
+                    Op::Restore { which } => {
+                        if let Some((got, want)) = snaps.get(*which % snaps.len().max(1)) {
+                            mem.restore(got).unwrap();
+                            tree.restore(want).unwrap();
+                        }
+                    }
+                    Op::Clear { from, len } => {
+                        let region = &universe[*from..(*from + *len).min(universe.len())];
+                        mem.clear_frames(region.iter()).unwrap();
+                        tree.clear_frames(region).unwrap();
+                    }
+                    Op::Load { .. } => {
+                        let stream = stream_of(&device, &universe, op);
+                        let got = icap.load_or_rollback(&stream);
+                        let want = tree.load_or_rollback(&stream);
+                        match (got, want) {
+                            (Ok(report), Ok(written)) => {
+                                prop_assert_eq!(report.frames_written, written);
+                            }
+                            (Err((_, dirty)), Err((_, want))) => prop_assert_eq!(dirty, want),
+                            (got, want) => prop_assert!(
+                                false,
+                                "outcomes differ: {:?} vs {:?}",
+                                got.map(|r| r.frames_written),
+                                want
+                            ),
+                        }
+                    }
+                }
+                let mem = icap.memory();
+                prop_assert_eq!(mem.configured_addresses(), tree.configured_addresses());
+                prop_assert_eq!(mem.configured_frames(), tree.configured_frames());
+                for &a in &universe {
+                    prop_assert_eq!(mem.frame(a), tree.frame(a), "payload of {:?}", a);
+                    prop_assert_eq!(mem.frame_ecc(a), tree.frame_ecc(a), "codes of {:?}", a);
+                    prop_assert_eq!(mem.is_configured(a), tree.is_configured(a));
+                }
+                prop_assert_eq!(
+                    mem.snapshot(universe.iter()).unwrap(),
+                    tree.snapshot(&universe).unwrap()
+                );
+            }
+        }
     }
 }

@@ -11,8 +11,9 @@
 //! positions 3..=38 skipping powers of two, check bit `c_i` sits at
 //! position `2^i`, and the overall parity bit covers everything. A
 //! zero word encodes to a zero check code, so an all-zero (erased)
-//! frame with no stored ECC decodes clean — the sparse-map invariant
-//! of [`crate::config_memory::ConfigMemory`] costs nothing.
+//! frame with no stored ECC decodes clean — the sparse slot store of
+//! [`crate::config_memory::ConfigMemory`] keeps no codes for erased
+//! frames at no cost.
 
 /// Number of Hamming check bits per 32-bit word.
 const CHECK_BITS: u32 = 6;
@@ -131,6 +132,18 @@ pub fn decode_word(word: u32, stored: u8) -> WordDecode {
     }
 }
 
+/// Writes the check code of every word of `frame` into `checks`.
+///
+/// # Panics
+///
+/// Panics if `frame` and `checks` cover different word counts.
+pub(crate) fn encode_into(frame: &[u32], checks: &mut [u8]) {
+    assert_eq!(frame.len(), checks.len(), "one check byte per word");
+    for (c, &w) in checks.iter_mut().zip(frame) {
+        *c = encode_word(w);
+    }
+}
+
 /// Per-frame check codes, one byte per frame word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameEcc {
@@ -145,6 +158,18 @@ impl FrameEcc {
         }
     }
 
+    /// Check codes held as raw bytes, one per word.
+    pub(crate) fn from_checks(checks: &[u8]) -> FrameEcc {
+        FrameEcc {
+            checks: checks.to_vec(),
+        }
+    }
+
+    /// The check bytes, one per word.
+    pub(crate) fn checks(&self) -> &[u8] {
+        &self.checks
+    }
+
     /// An all-zero code vector: what an erased frame implicitly carries.
     pub fn erased(frame_words: usize) -> FrameEcc {
         FrameEcc {
@@ -153,6 +178,7 @@ impl FrameEcc {
     }
 
     /// `true` when every check byte is zero (the code of an erased frame).
+    #[cfg(test)]
     pub(crate) fn is_erased(&self) -> bool {
         self.checks.iter().all(|&c| c == 0)
     }
@@ -195,14 +221,19 @@ pub enum FrameRepair {
 ///
 /// Panics if `frame` and `ecc` cover different word counts.
 pub fn scrub_frame_words(frame: &mut [u32], ecc: &FrameEcc) -> FrameRepair {
+    scrub_words(frame, &ecc.checks)
+}
+
+/// [`scrub_frame_words`] against raw check bytes, one per word.
+pub(crate) fn scrub_words(frame: &mut [u32], checks: &[u8]) -> FrameRepair {
     assert_eq!(
         frame.len(),
-        ecc.len(),
+        checks.len(),
         "frame and ECC word counts must match"
     );
     let mut corrected = Vec::new();
-    for (index, word) in frame.iter_mut().enumerate() {
-        match decode_word(*word, ecc.check(index)) {
+    for (index, (word, &check)) in frame.iter_mut().zip(checks).enumerate() {
+        match decode_word(*word, check) {
             WordDecode::Clean => {}
             WordDecode::CorrectedData { word: fixed } => {
                 *word = fixed;

@@ -9,6 +9,7 @@
 
 use crate::bitstream::{Bitstream, Command, CrcAccumulator, Step};
 use crate::config_memory::ConfigMemory;
+use crate::ecc::encode_into;
 use crate::error::Error;
 use crate::fabric::Device;
 use crate::frame::FrameAddress;
@@ -64,6 +65,8 @@ pub struct Icap {
     memory: ConfigMemory,
     frame_words: usize,
     last_written: Vec<FrameAddress>,
+    /// Check codes of the last FDRI frame, the one an MFWR replays.
+    shadow_checks: Vec<u8>,
 }
 
 impl Icap {
@@ -74,6 +77,7 @@ impl Icap {
             memory: ConfigMemory::new(device),
             frame_words: device.part().family().frame_words(),
             last_written: Vec::new(),
+            shadow_checks: vec![0; device.part().family().frame_words()],
         }
     }
 
@@ -139,6 +143,10 @@ impl Icap {
         self.last_written.clear();
         let idcode = self.device.part().idcode();
         let (memory, last_written) = (&mut self.memory, &mut self.last_written);
+        let shadow_checks = &mut self.shadow_checks;
+        // Whether the last FDRI frame was all-zero: with `shadow_checks`,
+        // what an MFWR replay of it writes, without rescanning its words.
+        let mut shadow_erased = true;
         let mut crc = CrcAccumulator::new();
         let mut frames_written = 0usize;
         bitstream.walk(self.frame_words, |step| {
@@ -155,13 +163,17 @@ impl Icap {
                 Step::Far(v) => crc.update(v),
                 Step::Frame(addr, data) | Step::Replay(addr, data) => {
                     // Only FDRI payload is CRC-covered; an MFWR replays
-                    // a frame the CRC already folded in.
+                    // a frame the CRC already folded in, and whose zero
+                    // test and check codes the FDRI write latched.
                     if matches!(step, Step::Frame(..)) {
-                        for &w in data {
-                            crc.update(w);
+                        crc.update_words(data);
+                        shadow_erased = data.iter().all(|&w| w == 0);
+                        if !shadow_erased {
+                            encode_into(data, shadow_checks);
                         }
                     }
-                    memory.write_frame(addr, data.to_vec())?;
+                    let checks = (!shadow_erased).then_some(&shadow_checks[..]);
+                    memory.write_encoded(addr, data, checks)?;
                     last_written.push(addr);
                     frames_written += 1;
                 }
@@ -349,7 +361,7 @@ mod tests {
             let mut icap = Icap::new(&d);
             for &(r, c, m, v) in &pre {
                 if let Some(a) = valid((r, c, m)) {
-                    icap.memory_mut().write_frame(a, frame(&d, v)).unwrap();
+                    icap.memory_mut().write_frame(a, &frame(&d, v)).unwrap();
                 }
             }
             for &(r, c, m, word, b) in &upsets {

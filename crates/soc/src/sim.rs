@@ -1783,7 +1783,7 @@ mod tests {
         for minor in [0, 4, 6] {
             soc.dfxc
                 .config_memory_mut()
-                .write_frame(FrameAddress::new(0, 2, minor), vec![0xFFFF; words])
+                .write_frame(FrameAddress::new(0, 2, minor), &vec![0xFFFF; words])
                 .unwrap();
         }
         assert_eq!(soc.restore_golden(tile).unwrap(), 8);
@@ -1853,7 +1853,7 @@ mod tests {
             let words = soc.dfxc.config_memory().frame_words();
             soc.dfxc
                 .config_memory_mut()
-                .write_frame(FrameAddress::new(0, 2, 1), vec![7; words])
+                .write_frame(FrameAddress::new(0, 2, 1), &vec![7; words])
                 .unwrap();
             assert_eq!(soc.restore_golden(tile).unwrap(), 12);
             assert_eq!(live_region(&soc, tile), live);
