@@ -99,7 +99,7 @@ pub fn type2_write(count: u32) -> u32 {
 
 /// Decoded packet header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketHeader {
+enum PacketHeader {
     /// Type-1 write to a register with an inline word count.
     Type1Write {
         /// Destination register.
@@ -116,13 +116,13 @@ pub enum PacketHeader {
     Nop,
 }
 
-/// Decodes one packet-header word.
+/// Decodes one packet-header word; [`Bitstream::walk`] is its only caller.
 ///
 /// # Errors
 ///
 /// Returns [`Error::MalformedBitstream`] for unknown packet types or
 /// registers.
-pub fn decode_header(word: u32) -> Result<PacketHeader, Error> {
+fn decode_header(word: u32) -> Result<PacketHeader, Error> {
     let ty = word >> 29;
     match ty {
         0b001 => {
@@ -161,14 +161,25 @@ pub(crate) enum Step<'a> {
     Idcode(u32),
     /// A command register write.
     Command(Command),
-    /// A FAR write (the packed value).
-    Far(u32),
+    /// A FAR write: the packed value and the stream index of the word
+    /// that holds it.
+    Far {
+        /// The packed frame address.
+        value: u32,
+        /// Index of the payload word in [`Bitstream::words`].
+        at: usize,
+    },
     /// One frame of an FDRI burst, written at the address.
     Frame(FrameAddress, &'a [u32]),
     /// The latched last FDRI frame, replayed at the address by an MFWR.
     Replay(FrameAddress, &'a [u32]),
-    /// The CRC check word.
-    Crc(u32),
+    /// The CRC check word and its stream index.
+    Crc {
+        /// The expected CRC value.
+        value: u32,
+        /// Index of the payload word in [`Bitstream::words`].
+        at: usize,
+    },
 }
 
 /// Extracts the single word of a one-word register write.
@@ -248,10 +259,12 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Running CRC accumulator used by both the builder and the ICAP.
+/// Running CRC accumulator used by the builder, the ICAP and relocation.
 ///
-/// A CRC-32 (reflected 0xEDB88320 polynomial) folded over every frame payload
-/// word and FAR value — enough to catch the corruptions the tests inject.
+/// A CRC-32 (reflected 0xEDB88320 polynomial). The in-stream CRC covers
+/// what `CrcAccumulator::fold` folds: every FAR value and FDRI frame
+/// word since the last RCRC — enough to catch the corruptions the tests
+/// inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CrcAccumulator(u32);
 
@@ -289,6 +302,19 @@ impl CrcAccumulator {
         }
         if let [last] = pairs.remainder() {
             self.update(*last);
+        }
+    }
+
+    /// Folds one step of [`Bitstream::walk`] into the in-stream CRC: an
+    /// RCRC command resets it, a FAR value and an FDRI frame's words are
+    /// folded in, and nothing else is covered (an MFWR replays a frame
+    /// the CRC already holds).
+    pub(crate) fn fold(&mut self, step: &Step<'_>) {
+        match *step {
+            Step::Command(Command::Rcrc) => *self = CrcAccumulator::new(),
+            Step::Far { value, .. } => self.update(value),
+            Step::Frame(_, data) => self.update_words(data),
+            _ => {}
         }
     }
 
@@ -476,10 +502,11 @@ impl Bitstream {
     /// the sync word (and after a DESYNC, until the next one) are skipped;
     /// an FDRI burst writes whole frames from the current FAR with the
     /// minor index auto-incrementing and latches its last frame; an MFWR
-    /// replays that frame at the current FAR. This is the one decoder of
-    /// what a stream writes: [`crate::icap::Icap::load`] applies its
-    /// steps to configuration memory, and a stream's frame set and golden
-    /// image are read from the same steps.
+    /// replays that frame at the current FAR. This is the one packet
+    /// decoder: [`crate::icap::Icap::load`] applies its steps to
+    /// configuration memory, [`Bitstream::relocate`] rewrites the words
+    /// its FAR and CRC steps point at, and a stream's frame set, column
+    /// span and golden image are read from the same steps.
     ///
     /// # Errors
     ///
@@ -521,7 +548,8 @@ impl Bitstream {
                     detail: format!("truncated packet: wanted {count} payload words"),
                 });
             }
-            let payload = &words[i..i + count];
+            let at = i;
+            let payload = &words[at..at + count];
             i += count;
             match reg {
                 None => burst(payload, frame_words, &mut far, &mut shadow, &mut step)?,
@@ -544,9 +572,9 @@ impl Bitstream {
                     step(Step::Command(command))?;
                 }
                 Some(ConfigReg::Far) => {
-                    let v = single(payload)?;
-                    far = Some(FrameAddress::unpack(v));
-                    step(Step::Far(v))?;
+                    let value = single(payload)?;
+                    far = Some(FrameAddress::unpack(value));
+                    step(Step::Far { value, at })?;
                 }
                 // A zero-count FDRI write: the payload follows in a
                 // type-2 packet.
@@ -570,7 +598,10 @@ impl Bitstream {
                     }
                     step(Step::Replay(addr, shadow))?;
                 }
-                Some(ConfigReg::Crc) => step(Step::Crc(single(payload)?))?,
+                Some(ConfigReg::Crc) => step(Step::Crc {
+                    value: single(payload)?,
+                    at,
+                })?,
             }
         }
         if !desynced {
@@ -619,116 +650,44 @@ impl fmt::Display for Bitstream {
     }
 }
 
-/// The fabric extent a partial bitstream configures — what the placement
-/// layer consults before leasing a region and what relocation rewrites.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Footprint {
-    /// Distinct fabric columns addressed by FAR writes, ascending.
-    pub columns: Vec<u32>,
-    /// Lowest clock-region row addressed.
-    pub min_row: u32,
-    /// Highest clock-region row addressed.
-    pub max_row: u32,
-}
-
-impl Footprint {
-    /// Leftmost column the stream writes.
-    pub fn base_column(&self) -> u32 {
-        self.columns[0]
-    }
-
-    /// Width of the covering column span (holes included): the number of
-    /// contiguous columns a region lease must provide.
-    pub fn width(&self) -> u32 {
-        self.columns[self.columns.len() - 1] - self.columns[0] + 1
-    }
-}
-
 impl Bitstream {
-    /// Scans the packet stream and reports the fabric extent it configures.
-    ///
-    /// Works on raw and MFW-compressed streams alike: both address frames
-    /// exclusively through type-1 FAR writes (FDRI bursts auto-increment
-    /// only the minor index, never the column).
+    /// The columns this stream writes, as the covering span (holes
+    /// included): the base column and width a region lease must provide.
+    /// Read from the cached [`Bitstream::frame_set`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::MalformedBitstream`] for packet-layer violations or
-    /// a stream that writes no frames at all.
-    pub fn footprint(&self) -> Result<Footprint, Error> {
-        let mut columns: Vec<u32> = Vec::new();
-        let mut min_row = u32::MAX;
-        let mut max_row = 0u32;
-        let mut synced = false;
-        let mut i = 0usize;
-        while i < self.words.len() {
-            let w = self.words[i];
-            if !synced {
-                i += 1;
-                synced = w == SYNC_WORD;
-                continue;
-            }
-            let header = decode_header(w)?;
-            i += 1;
-            let count = match header {
-                PacketHeader::Nop => 0,
-                PacketHeader::Type2Write { count } => count as usize,
-                PacketHeader::Type1Write { reg, count } => {
-                    let count = count as usize;
-                    if reg == ConfigReg::Far && count == 1 && i < self.words.len() {
-                        let addr = FrameAddress::unpack(self.words[i]);
-                        if let Err(pos) = columns.binary_search(&addr.column) {
-                            columns.insert(pos, addr.column);
-                        }
-                        min_row = min_row.min(addr.row);
-                        max_row = max_row.max(addr.row);
-                    }
-                    if reg == ConfigReg::Cmd
-                        && count == 1
-                        && i < self.words.len()
-                        && Command::from_value(self.words[i]) == Some(Command::Desync)
-                    {
-                        synced = false;
-                    }
-                    count
-                }
-            };
-            if i + count > self.words.len() {
-                return Err(Error::MalformedBitstream {
-                    detail: format!("truncated packet: wanted {count} payload words"),
-                });
-            }
-            i += count;
-        }
-        if columns.is_empty() {
-            return Err(Error::MalformedBitstream {
-                detail: "bitstream writes no frames: nothing to place".into(),
-            });
-        }
-        Ok(Footprint {
-            columns,
-            min_row,
-            max_row,
-        })
+    /// Returns [`Error::MalformedBitstream`] for packet-layer violations
+    /// or a stream that writes no frames at all.
+    pub fn column_span(&self) -> Result<Range<u32>, Error> {
+        let set = self.frame_set()?;
+        let mut columns = set.iter().map(|a| a.column);
+        let first = columns.next().ok_or_else(|| Error::MalformedBitstream {
+            detail: "bitstream writes no frames: nothing to place".into(),
+        })?;
+        let (lo, hi) = columns.fold((first, first), |(lo, hi), c| (lo.min(c), hi.max(c)));
+        Ok(lo..hi + 1)
     }
 
     /// Rewrites the stream to target a region `col_delta` columns away,
     /// keeping the configured payload bit-identical.
     ///
-    /// Every type-1 FAR payload word is re-addressed and the in-stream CRC
-    /// re-folded over the rewritten addresses and the untouched frame data,
-    /// so the relocated stream passes the ICAP's CRC check exactly like the
-    /// original; the storage-integrity CRC is recomputed to match the new
-    /// words. Raw and MFW-compressed streams relocate identically — which
-    /// is what makes relocate-then-decompress equal decompress-then-relocate.
+    /// One packet walk: every FAR word is moved by
+    /// [`Device::shift_frame`], the in-stream CRC is re-folded over the
+    /// rewritten addresses and the untouched frame data and written over
+    /// the CRC word, so the relocated stream passes the ICAP's CRC check
+    /// exactly like the original; the storage-integrity CRC is recomputed
+    /// to match the new words. Raw and MFW-compressed streams relocate
+    /// identically — which is what makes relocate-then-decompress equal
+    /// decompress-then-relocate. A cached frame set carries over, shifted.
     ///
     /// # Errors
     ///
     /// Returns [`Error::IdcodeMismatch`] when the stream targets another
     /// part, [`Error::BadFrameAddress`] when a rewritten address leaves the
     /// fabric or lands on a column of a different kind (the frame geometry
-    /// would differ), and [`Error::MalformedBitstream`] for packet-layer
-    /// violations.
+    /// would differ), and [`Error::MalformedBitstream`] for the
+    /// packet-layer violations the ICAP refuses.
     pub fn relocate(&self, device: &Device, col_delta: i64) -> Result<Bitstream, Error> {
         if self.idcode != device.part().idcode() {
             return Err(Error::IdcodeMismatch {
@@ -738,90 +697,30 @@ impl Bitstream {
         }
         let mut words = self.words.clone();
         let mut crc = CrcAccumulator::new();
-        let mut synced = false;
-        let mut i = 0usize;
-        while i < words.len() {
-            let w = words[i];
-            if !synced {
-                i += 1;
-                synced = w == SYNC_WORD;
-                continue;
+        self.walk(self.frame_words, |mut step| {
+            match &mut step {
+                Step::Far { value, at } => {
+                    *value = device
+                        .shift_frame(FrameAddress::unpack(*value), col_delta)?
+                        .pack();
+                    words[*at] = *value;
+                }
+                Step::Crc { at, .. } => words[*at] = crc.value(),
+                _ => {}
             }
-            let header = decode_header(w)?;
-            i += 1;
-            let count = match header {
-                PacketHeader::Nop => 0,
-                PacketHeader::Type2Write { count } => {
-                    let count = count as usize;
-                    if i + count > words.len() {
-                        return Err(Error::MalformedBitstream {
-                            detail: format!("truncated packet: wanted {count} payload words"),
-                        });
-                    }
-                    crc.update_words(&words[i..i + count]);
-                    count
-                }
-                PacketHeader::Type1Write { reg, count } => {
-                    let count = count as usize;
-                    if i + count > words.len() {
-                        return Err(Error::MalformedBitstream {
-                            detail: format!("truncated packet: wanted {count} payload words"),
-                        });
-                    }
-                    match reg {
-                        ConfigReg::Far if count == 1 => {
-                            let old = FrameAddress::unpack(words[i]);
-                            let col = old.column as i64 + col_delta;
-                            if col < 0 || col as usize >= device.columns() {
-                                return Err(Error::BadFrameAddress {
-                                    detail: format!(
-                                        "relocated column {col} outside the fabric's {} columns",
-                                        device.columns()
-                                    ),
-                                });
-                            }
-                            let src_kind = device.column_kind(old.column as usize);
-                            let dst_kind = device.column_kind(col as usize);
-                            if src_kind != dst_kind {
-                                return Err(Error::BadFrameAddress {
-                                    detail: format!(
-                                        "relocation maps {src_kind:?} column {} onto {dst_kind:?} \
-                                         column {col}: frame geometry differs",
-                                        old.column
-                                    ),
-                                });
-                            }
-                            let new = FrameAddress::new(old.row, col as u32, old.minor);
-                            device.validate_frame(new)?;
-                            let packed = new.pack();
-                            words[i] = packed;
-                            crc.update(packed);
-                        }
-                        ConfigReg::Fdri => crc.update_words(&words[i..i + count]),
-                        ConfigReg::Cmd if count == 1 => match Command::from_value(words[i]) {
-                            Some(Command::Rcrc) => crc = CrcAccumulator::new(),
-                            Some(Command::Desync) => synced = false,
-                            _ => {}
-                        },
-                        ConfigReg::Crc if count == 1 => {
-                            words[i] = crc.value();
-                        }
-                        _ => {}
-                    }
-                    count
-                }
-            };
-            i += count;
-        }
+            crc.fold(&step);
+            Ok(())
+        })?;
         let integrity = Bitstream::stream_integrity(&words);
         // A uniform column shift keeps (row, column, minor) order, so a
         // cached frame set carries over without a re-walk or a sort.
         let frame_set = OnceLock::new();
         if let Some(set) = self.frame_set.get() {
-            let shift = |a: &FrameAddress| {
-                FrameAddress::new(a.row, (i64::from(a.column) + col_delta) as u32, a.minor)
-            };
-            let _ = frame_set.set(set.iter().map(shift).collect());
+            let shifted = set
+                .iter()
+                .map(|&a| device.shift_frame(a, col_delta))
+                .collect::<Result<_, _>>()?;
+            let _ = frame_set.set(shifted);
         }
         Ok(Bitstream {
             kind: self.kind,
@@ -1395,32 +1294,94 @@ mod tests {
         }
 
         #[test]
-        fn footprint_reports_the_covering_span() {
+        fn column_span_is_the_covering_span() {
             let d = device();
             let mut builder = BitstreamBuilder::new(&d, BitstreamKind::Partial);
             builder
-                .add_frame(FrameAddress::new(1, 5, 0), frame_of(&d, 1))
+                .add_frame(FrameAddress::new(2, 5, 3), frame_of(&d, 1))
                 .unwrap();
             builder
-                .add_frame(FrameAddress::new(2, 8, 3), frame_of(&d, 2))
+                .add_frame(FrameAddress::new(1, 8, 0), frame_of(&d, 1))
                 .unwrap();
-            let fp = builder.build(false).footprint().unwrap();
-            assert_eq!(fp.columns, vec![5, 8]);
-            assert_eq!(fp.base_column(), 5);
-            assert_eq!(fp.width(), 4);
-            assert_eq!((fp.min_row, fp.max_row), (1, 2));
+            // Frame-set order is (row, column, minor): the span is read
+            // over every column, not from the first and last address.
+            builder
+                .add_frame(FrameAddress::new(3, 6, 0), frame_of(&d, 2))
+                .unwrap();
+            assert_eq!(builder.build(false).column_span().unwrap(), 5..9);
             // Compression addresses the same columns through MFW replay.
-            assert_eq!(builder.build(true).footprint().unwrap(), fp);
+            assert_eq!(builder.build(true).column_span().unwrap(), 5..9);
         }
 
         #[test]
-        fn footprint_of_an_empty_stream_is_an_error() {
+        fn column_span_of_an_empty_stream_is_an_error() {
             let d = device();
             let bs = BitstreamBuilder::new(&d, BitstreamKind::Partial).build(false);
             assert!(matches!(
-                bs.footprint(),
+                bs.column_span(),
                 Err(Error::MalformedBitstream { .. })
             ));
+        }
+
+        /// Streams the ICAP refuses are refused by relocation and
+        /// placement too: one decoder, one verdict.
+        #[test]
+        fn relocation_and_placement_refuse_what_the_icap_refuses() {
+            let d = device();
+            let clbs = clb_columns(&d);
+            let delta = i64::from(clbs[1]) - i64::from(clbs[0]);
+            let far = FrameAddress::new(0, clbs[0], 0).pack();
+            let frame = frame_of(&d, 7);
+            let stream = |body: &[u32], desync: bool| {
+                let mut words = vec![DUMMY_WORD, SYNC_WORD];
+                words.extend_from_slice(body);
+                if desync {
+                    words.extend([type1_write(ConfigReg::Cmd, 1), Command::Desync as u32]);
+                }
+                BitstreamBuilder::new(&d, BitstreamKind::Partial)
+                    .build(false)
+                    .with_words(words)
+            };
+            let mut fdri = vec![type1_write(ConfigReg::Fdri, frame.len() as u32)];
+            fdri.extend_from_slice(&frame);
+            let mut written = vec![type1_write(ConfigReg::Far, 1), far];
+            written.extend_from_slice(&fdri);
+            let mut replayed = written.clone();
+            replayed.extend([type1_write(ConfigReg::Mfwr, 1), 0]);
+            let complete = stream(&written, true);
+            let truncated = complete.with_words(complete.words()[..8].to_vec());
+            let cases = [
+                ("no DESYNC", stream(&written, false)),
+                (
+                    "MFWR outside multi-frame-write mode",
+                    stream(&replayed, true),
+                ),
+                ("FDRI with no FAR set", stream(&fdri, true)),
+                ("truncated packet", truncated),
+            ];
+            for (what, bs) in cases {
+                assert!(
+                    matches!(
+                        Icap::new(&d).load(&bs),
+                        Err(Error::MalformedBitstream { .. })
+                    ),
+                    "{what}: the ICAP must refuse it"
+                );
+                assert!(
+                    matches!(
+                        bs.relocate(&d, delta),
+                        Err(Error::MalformedBitstream { .. })
+                    ),
+                    "{what}: relocated"
+                );
+                assert!(
+                    matches!(bs.column_span(), Err(Error::MalformedBitstream { .. })),
+                    "{what}: placed"
+                );
+            }
+            // The well-formed stream they were cut from relocates and places.
+            assert_eq!(complete.column_span().unwrap(), clbs[0]..clbs[0] + 1);
+            assert!(complete.relocate(&d, delta).is_ok());
         }
 
         #[test]
@@ -1483,8 +1444,9 @@ mod tests {
             /// relocating the MFW-compressed stream and then loading it
             /// configures the exact same fabric state as loading the raw
             /// relocated stream, and both match a stream built directly at
-            /// the destination. Frame counts and storage integrity survive
-            /// the move.
+            /// the destination — the relocated streams *are* those builds,
+            /// and relocating them back returns the originals. Frame counts
+            /// and storage integrity survive the move.
             #[test]
             fn relocate_commutes_with_decompression(
                 values in proptest::collection::vec(0u32..4, 1..16),
@@ -1525,6 +1487,13 @@ mod tests {
                 }
                 let raw = builder.build(false).relocate(&d, delta).unwrap();
                 let compressed = builder.build(true).relocate(&d, delta).unwrap();
+                for (moved, c) in [(&raw, false), (&compressed, true)] {
+                    // Relocation is a build at the destination: words,
+                    // integrity and frame count.
+                    prop_assert_eq!(moved, &shifted.build(c));
+                    // Moving back is the identity (round trip).
+                    prop_assert_eq!(&moved.relocate(&d, -delta).unwrap(), &builder.build(c));
+                }
                 prop_assert_eq!(raw.frame_count(), values.len());
                 prop_assert_eq!(compressed.frame_count(), values.len());
                 prop_assert!(raw.verify_integrity());

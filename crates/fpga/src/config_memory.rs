@@ -81,13 +81,13 @@ impl RegionSnapshot {
     /// Returns [`Error::BadFrameAddress`] when a shifted address leaves the
     /// fabric or lands on a column of a different kind.
     pub fn shift_columns(&self, device: &Device, col_delta: i64) -> Result<RegionSnapshot, Error> {
-        let shift = |a: FrameAddress| shift_address(device, a, col_delta);
-        let mut addresses = self
+        let shift = |a: FrameAddress| device.shift_frame(a, col_delta);
+        // A uniform column shift keeps (row, column, minor) order.
+        let addresses = self
             .addresses
             .iter()
             .map(|&a| shift(a))
-            .collect::<Result<Vec<_>, _>>()?;
-        addresses.sort_unstable();
+            .collect::<Result<_, _>>()?;
         let frames = self
             .frames
             .iter()
@@ -108,39 +108,6 @@ impl RegionSnapshot {
             frame_words,
         }
     }
-}
-
-/// `addr` moved `col_delta` columns, refused when it leaves the fabric or
-/// lands on a column of a different kind (the frame geometry would
-/// differ).
-fn shift_address(
-    device: &Device,
-    addr: FrameAddress,
-    col_delta: i64,
-) -> Result<FrameAddress, Error> {
-    let col = addr.column as i64 + col_delta;
-    if col < 0 || col as usize >= device.columns() {
-        return Err(Error::BadFrameAddress {
-            detail: format!(
-                "shifted column {col} outside the fabric's {} columns",
-                device.columns()
-            ),
-        });
-    }
-    let src_kind = device.column_kind(addr.column as usize);
-    let dst_kind = device.column_kind(col as usize);
-    if src_kind != dst_kind {
-        return Err(Error::BadFrameAddress {
-            detail: format!(
-                "shift maps {src_kind:?} column {} onto {dst_kind:?} column {col}: \
-                 frame geometry differs",
-                addr.column
-            ),
-        });
-    }
-    let new = FrameAddress::new(addr.row, col as u32, addr.minor);
-    device.validate_frame(new)?;
-    Ok(new)
 }
 
 /// The addresses of sorted `a` that sorted `b` lacks, in order.
@@ -241,7 +208,7 @@ impl GoldenImage {
         } else {
             self.region
                 .iter()
-                .map(|&a| shift_address(device, a, col_delta))
+                .map(|&a| device.shift_frame(a, col_delta))
                 .collect::<Result<_, _>>()?
         };
         Ok(GoldenImage {

@@ -126,7 +126,7 @@ impl TreeMemory {
                     })
                 }
                 Step::Command(Command::Rcrc) => crc = CrcAccumulator::new(),
-                Step::Far(v) => crc.update(v),
+                Step::Far { value, .. } => crc.update(value),
                 Step::Frame(addr, data) | Step::Replay(addr, data) => {
                     if matches!(step, Step::Frame(..)) {
                         for &w in data {
@@ -136,7 +136,9 @@ impl TreeMemory {
                     self.write_frame(addr, data)?;
                     written += 1;
                 }
-                Step::Crc(expected) if crc.value() != expected => {
+                Step::Crc {
+                    value: expected, ..
+                } if crc.value() != expected => {
                     return Err(Error::CrcMismatch {
                         computed: crc.value(),
                         expected,

@@ -215,6 +215,41 @@ impl Device {
         }
         Ok(())
     }
+
+    /// `addr` moved `col_delta` columns: the one rule a relocated stream,
+    /// a shifted snapshot and a shifted golden image all follow.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::BadFrameAddress`] when the shifted column leaves
+    /// the fabric or holds a different kind (the frame geometry would
+    /// differ), or `addr` is not a frame of this device.
+    pub fn shift_frame(&self, addr: FrameAddress, col_delta: i64) -> Result<FrameAddress, Error> {
+        let col = i64::from(addr.column) + col_delta;
+        if col < 0 || col as usize >= self.columns.len() {
+            return Err(Error::BadFrameAddress {
+                detail: format!(
+                    "shifted column {col} outside the fabric's {} columns",
+                    self.columns.len()
+                ),
+            });
+        }
+        self.validate_frame(addr)?;
+        let (src_kind, dst_kind) = (
+            self.columns[addr.column as usize],
+            self.columns[col as usize],
+        );
+        if src_kind != dst_kind {
+            return Err(Error::BadFrameAddress {
+                detail: format!(
+                    "shift maps {src_kind:?} column {} onto {dst_kind:?} column {col}: \
+                     frame geometry differs",
+                    addr.column
+                ),
+            });
+        }
+        Ok(FrameAddress::new(addr.row, col as u32, addr.minor))
+    }
 }
 
 /// Distributes BRAM and DSP columns evenly among CLB columns (largest-remainder
@@ -332,6 +367,36 @@ mod tests {
             .map(|c| frames_per_column(device.column_kind(c)))
             .sum();
         assert_eq!(frames.len(), per_row * device.rows());
+    }
+
+    #[test]
+    fn shift_frame_keeps_row_minor_and_column_kind() {
+        let device = FpgaPart::Vc707.device();
+        let cols = device.columns() as u32;
+        let kind = |c: u32| device.column_kind(c as usize);
+        let src = (1..cols).find(|&c| kind(c) == ColumnKind::Clb).unwrap();
+        let dst = (src + 1..cols)
+            .find(|&c| kind(c) == ColumnKind::Clb)
+            .unwrap();
+        let other = (1..cols).find(|&c| kind(c) != ColumnKind::Clb).unwrap();
+        let addr = FrameAddress::new(2, src, 3);
+        let delta = |to: u32| i64::from(to) - i64::from(src);
+        assert_eq!(
+            device.shift_frame(addr, delta(dst)),
+            Ok(FrameAddress::new(2, dst, 3))
+        );
+        for bad in [delta(other), -i64::from(src) - 1, delta(cols)] {
+            assert!(matches!(
+                device.shift_frame(addr, bad),
+                Err(Error::BadFrameAddress { .. })
+            ));
+        }
+        // A source off the fabric is refused, not looked up.
+        let off = FrameAddress::new(0, cols + 5, 0);
+        assert!(matches!(
+            device.shift_frame(off, -10),
+            Err(Error::BadFrameAddress { .. })
+        ));
     }
 
     #[test]

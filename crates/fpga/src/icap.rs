@@ -7,7 +7,7 @@
 //! the paper generates partial bitstreams in Vivado's compressed mode "to
 //! reduce the memory access latency during reconfiguration" (Section VI).
 
-use crate::bitstream::{Bitstream, Command, CrcAccumulator, Step};
+use crate::bitstream::{Bitstream, CrcAccumulator, Step};
 use crate::config_memory::ConfigMemory;
 use crate::ecc::encode_into;
 use crate::error::Error;
@@ -150,6 +150,7 @@ impl Icap {
         let mut crc = CrcAccumulator::new();
         let mut frames_written = 0usize;
         bitstream.walk(self.frame_words, |step| {
+            crc.fold(&step);
             match step {
                 Step::Idcode(found) if found != idcode => {
                     return Err(Error::IdcodeMismatch {
@@ -157,16 +158,11 @@ impl Icap {
                         device: idcode,
                     })
                 }
-                Step::Idcode(_) => {}
-                Step::Command(Command::Rcrc) => crc = CrcAccumulator::new(),
-                Step::Command(_) => {}
-                Step::Far(v) => crc.update(v),
+                Step::Idcode(_) | Step::Command(_) | Step::Far { .. } => {}
                 Step::Frame(addr, data) | Step::Replay(addr, data) => {
-                    // Only FDRI payload is CRC-covered; an MFWR replays
-                    // a frame the CRC already folded in, and whose zero
-                    // test and check codes the FDRI write latched.
+                    // An MFWR replays the frame whose zero test and check
+                    // codes the FDRI write latched.
                     if matches!(step, Step::Frame(..)) {
-                        crc.update_words(data);
                         shadow_erased = data.iter().all(|&w| w == 0);
                         if !shadow_erased {
                             encode_into(data, shadow_checks);
@@ -177,7 +173,9 @@ impl Icap {
                     last_written.push(addr);
                     frames_written += 1;
                 }
-                Step::Crc(expected) => {
+                Step::Crc {
+                    value: expected, ..
+                } => {
                     let computed = crc.value();
                     if computed != expected {
                         return Err(Error::CrcMismatch { computed, expected });

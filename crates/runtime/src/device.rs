@@ -58,7 +58,7 @@ pub struct DeviceCore {
     trace_shards: Vec<SharedSink>,
     /// The amorphous-floorplanning placement authority: `None` keeps the
     /// legacy fixed-socket behavior (bitstreams load exactly where they
-    /// were built); `Some` routes every load through footprint → lease →
+    /// were built); `Some` routes every load through column span → lease →
     /// relocation. The allocator is the one record of each lease.
     allocator: Option<RegionAllocator>,
     /// The id of the lease each tile holds. Written only with the

@@ -78,13 +78,13 @@ pub enum Error {
     },
     /// Amorphous floorplanning is enabled and the fabric — as currently
     /// fragmented — has no free column span wide enough for the
-    /// bitstream's footprint. Not transient: retrying without changing
+    /// bitstream's column span. Not transient: retrying without changing
     /// the placement (releasing leases or running the defragmenter)
     /// cannot succeed.
     RegionUnavailable {
         /// The tile whose load was refused.
         tile: TileCoord,
-        /// Columns the bitstream's footprint needs, holes included.
+        /// Columns the bitstream's column span needs, holes included.
         width: u32,
     },
     /// SoC-level failure.

@@ -180,7 +180,7 @@ pub struct ManagerStats {
     pub shed: u64,
     /// Requests refused with [`Error::RegionUnavailable`] — the fabric,
     /// as fragmented at that moment, had no free span wide enough for
-    /// the bitstream's footprint. A subset of
+    /// the bitstream's column span. A subset of
     /// [`ManagerStats::rejected`], so the accounting invariant is
     /// untouched.
     pub oversized_rejected: u64,

@@ -225,7 +225,7 @@ fn attempt_load(
 }
 
 /// Amorphous-floorplanning placement: maps the fetched bitstream onto
-/// the tile's region lease, switching the lease when the footprint's
+/// the tile's region lease, switching the lease when the column span's
 /// column-kind pattern changed, and relocates the stream to the leased
 /// base column. The fixed-socket path (allocator disabled) returns the
 /// stream untouched.
@@ -244,23 +244,20 @@ fn place_bitstream(
         return Ok(Arc::clone(bitstream));
     }
     let tile = tile_state.coord();
-    let footprint = bitstream.footprint()?;
+    let span = bitstream.column_span()?;
     let device = core.soc().part().device();
-    let base = footprint.base_column();
-    let width = footprint.width();
-    if (base + width) as usize > device.columns() {
+    let (base, width) = (span.start, span.end - span.start);
+    if span.end as usize > device.columns() {
         return Err(presp_fpga::Error::BadFrameAddress {
             detail: format!(
-                "footprint [{base}, {}) exceeds the device's {} columns",
-                base + width,
+                "column span [{base}, {}) exceeds the device's {} columns",
+                span.end,
                 device.columns()
             ),
         }
         .into());
     }
-    let pattern: Vec<_> = (base..base + width)
-        .map(|c| device.column_kind(c as usize))
-        .collect();
+    let pattern: Vec<_> = span.map(|c| device.column_kind(c as usize)).collect();
     // Fast path: the live lease already provides exactly this span
     // shape — relocate straight into it.
     if let Some(lease) = core.tile_lease(tile) {

@@ -124,10 +124,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     t0.join().expect("tile-0 thread");
     t1.join().expect("tile-1 thread");
 
+    // The reconfiguration cycle total is left out: it depends on the
+    // wall-clock order in which the two clients are admitted, and these
+    // counts do not.
     let stats = manager.stats();
     println!(
-        "done: {} reconfigurations, {} cache hits, {} accelerator runs, {} reconfig cycles",
-        stats.reconfigurations, stats.cache_hits, stats.runs, stats.reconfig_cycles
+        "done: {} reconfigurations, {} cache hits, {} accelerator runs",
+        stats.reconfigurations, stats.cache_hits, stats.runs
     );
     manager.shutdown();
     Ok(())
