@@ -89,36 +89,36 @@ pub fn place_in_region(
     })
 }
 
-/// Deterministic frame-word generator (xorshift64*, seeded per frame).
-fn frame_words(seed: u64, n: usize) -> Vec<u32> {
+/// Deterministic frame-word generator (xorshift64*, seeded per frame):
+/// fills `out` with the frame's words.
+fn frame_words(seed: u64, out: &mut [u32]) {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32
-        })
-        .collect()
+    for word in out {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        *word = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32;
+    }
 }
 
-/// Generates the configuration frames of a placed module.
+/// Stages the configuration frames of a placed module into `builder`.
 ///
 /// For every column of the region, `fill × density` of its frames carry
 /// deterministic pseudo-random content (seeded by `seed` and the frame
 /// address — stable across runs) and the rest stay blank, which the
-/// compressed bitstream mode elides.
+/// compressed bitstream mode elides. Each frame is generated into one
+/// reused buffer that the builder copies.
 ///
 /// # Errors
 ///
 /// Propagates fabric errors for an illegal pblock.
-pub fn placement_frames(
+fn stage_placement_frames(
+    builder: &mut BitstreamBuilder,
     device: &Device,
     placement: &RegionPlacement,
     seed: u64,
-) -> Result<Vec<(FrameAddress, Vec<u32>)>, Error> {
-    let words = device.part().family().frame_words();
-    let mut out = Vec::new();
+) -> Result<(), Error> {
+    let mut content = vec![0u32; device.part().family().frame_words()];
     for row in placement.pblock.row_range() {
         for col in placement.pblock.col_range() {
             let kind = device.column_kind(col);
@@ -132,19 +132,19 @@ pub fn placement_frames(
             let used = ((total as f64) * fill * FRAME_CONTENT_DENSITY).ceil() as usize;
             for minor in 0..total {
                 let addr = FrameAddress::new(row as u32, col as u32, minor as u32);
-                let content = if minor < used {
+                if minor < used {
                     frame_words(
                         seed ^ ((row as u64) << 40) ^ ((col as u64) << 16) ^ minor as u64,
-                        words,
-                    )
+                        &mut content,
+                    );
                 } else {
-                    vec![0u32; words]
-                };
-                out.push((addr, content));
+                    content.fill(0);
+                }
+                builder.add_frame(addr, &content)?;
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Builds the partial bitstream of a placed reconfigurable module.
@@ -159,9 +159,7 @@ pub fn build_partial_bitstream(
     compressed: bool,
 ) -> Result<Bitstream, Error> {
     let mut builder = BitstreamBuilder::new(device, BitstreamKind::Partial);
-    for (addr, frame) in placement_frames(device, placement, seed)? {
-        builder.add_frame(addr, frame)?;
-    }
+    stage_placement_frames(&mut builder, device, placement, seed)?;
     Ok(builder.build(compressed))
 }
 
@@ -209,12 +207,13 @@ mod tests {
         let d = device();
         let pb = Pblock::new(1, 10, 0, 1).unwrap();
         let placement = place_in_region(&d, "m", pb, Resources::luts(100)).unwrap();
-        let frames = placement_frames(&d, &placement, 7).unwrap();
+        let mut builder = BitstreamBuilder::new(&d, BitstreamKind::Partial);
+        stage_placement_frames(&mut builder, &d, &placement, 7).unwrap();
         let expected: usize = pb
             .col_range()
             .map(|c| frames_per_column(d.column_kind(c)))
             .sum();
-        assert_eq!(frames.len(), expected);
+        assert_eq!(builder.frame_count(), expected);
     }
 
     #[test]
@@ -244,11 +243,14 @@ mod tests {
         let d = device();
         let pb = Pblock::new(1, 8, 0, 1).unwrap();
         let placement = place_in_region(&d, "m", pb, Resources::luts(500)).unwrap();
-        let a = placement_frames(&d, &placement, 42).unwrap();
-        let b = placement_frames(&d, &placement, 42).unwrap();
-        assert_eq!(a, b);
-        let c = placement_frames(&d, &placement, 43).unwrap();
-        assert_ne!(a, c);
+        let words = |seed| {
+            build_partial_bitstream(&d, &placement, seed, false)
+                .unwrap()
+                .words()
+                .to_vec()
+        };
+        assert_eq!(words(42), words(42));
+        assert_ne!(words(42), words(43));
     }
 
     #[test]

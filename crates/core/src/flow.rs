@@ -229,7 +229,6 @@ fn build_full_bitstream(
     floorplan: &Floorplan,
     static_resources: Resources,
 ) -> Result<Bitstream, Error> {
-    let words = device.part().family().frame_words();
     let total = device.total_resources();
     let blocked: Resources = floorplan
         .pblocks()
@@ -247,6 +246,8 @@ fn build_full_bitstream(
         (static_resources.lut as f64 / available.lut as f64).min(1.0)
     };
     let mut builder = BitstreamBuilder::new(device, BitstreamKind::Full);
+    // Every frame is generated into this one buffer, which the builder copies.
+    let mut content = vec![0u32; device.part().family().frame_words()];
     for row in 0..device.rows() {
         for col in 0..device.columns() {
             let kind = device.column_kind(col);
@@ -264,21 +265,19 @@ fn build_full_bitstream(
             };
             for minor in 0..n {
                 let addr = FrameAddress::new(row as u32, col as u32, minor as u32);
-                let content = if minor < used {
+                if minor < used {
                     // Deterministic pseudo-content, distinct per frame.
                     let mut state = (row as u64) << 40 ^ (col as u64) << 20 ^ minor as u64 | 1;
-                    (0..words)
-                        .map(|_| {
-                            state ^= state << 13;
-                            state ^= state >> 7;
-                            state ^= state << 17;
-                            (state >> 16) as u32
-                        })
-                        .collect()
+                    for word in &mut content {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        *word = (state >> 16) as u32;
+                    }
                 } else {
-                    vec![0u32; words]
-                };
-                builder.add_frame(addr, content)?;
+                    content.fill(0);
+                }
+                builder.add_frame(addr, &content)?;
             }
         }
     }

@@ -8,11 +8,11 @@
 //! flows to the device round-trips through the same packet layer the hardware
 //! would see.
 
-use crate::config_memory::Frame;
 use crate::error::Error;
 use crate::fabric::Device;
 use crate::frame::FrameAddress;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -627,10 +627,11 @@ impl Bitstream {
         frames: u32,
     ) -> Result<Bitstream, Error> {
         let mut builder = BitstreamBuilder::new(device, BitstreamKind::Partial);
-        let words = device.part().family().frame_words();
+        let mut frame = vec![0; device.part().family().frame_words()];
         for col in cols {
             for minor in 0..frames {
-                builder.add_frame(FrameAddress::new(0, col, minor), vec![col + minor; words])?;
+                frame.fill(col + minor);
+                builder.add_frame(FrameAddress::new(0, col, minor), &frame)?;
             }
         }
         Ok(builder.build(true))
@@ -737,6 +738,13 @@ impl Bitstream {
 
 /// Builds bitstreams from frame data.
 ///
+/// Staging costs what the stream carries. A non-blank payload is copied
+/// once into one contiguous word arena; a blank (all-zero) payload costs
+/// one zero test and is recorded by its address alone. Adds are kept in
+/// arrival order and emitted in address order: only when they did not
+/// arrive strictly ascending does [`BitstreamBuilder::build`] sort them
+/// (stably, so the last write to an address wins).
+///
 /// # Example
 ///
 /// ```
@@ -757,27 +765,51 @@ pub struct BitstreamBuilder {
     device: Device,
     kind: BitstreamKind,
     frame_words: usize,
-    frames: BTreeMap<FrameAddress, Frame>,
+    /// Payloads of the staged non-blank frames, `frame_words` words each.
+    arena: Vec<u32>,
+    /// Every add in arrival order: the address and the index of its
+    /// payload in `arena` (`None` for a blank frame).
+    entries: Vec<Staged>,
+    /// Whether `entries` is strictly ascending by address, so it is
+    /// already the emit order with no address repeated.
+    ascending: bool,
+    /// One all-zero frame: the payload of every blank entry.
+    blank: Vec<u32>,
 }
+
+/// One staged frame: its address and its arena payload, if not blank.
+type Staged = (FrameAddress, Option<u32>);
+
+/// Words before the frame data: dummy, sync, RCRC, IDCODE check, WCFG.
+const HEADER_WORDS: usize = 8;
+/// Words after the frame data: the CRC check and DESYNC.
+const TRAILER_WORDS: usize = 4;
 
 impl BitstreamBuilder {
     /// Creates a builder targeting `device`.
     pub fn new(device: &Device, kind: BitstreamKind) -> BitstreamBuilder {
+        let frame_words = device.part().family().frame_words();
         BitstreamBuilder {
             device: device.clone(),
             kind,
-            frame_words: device.part().family().frame_words(),
-            frames: BTreeMap::new(),
+            frame_words,
+            arena: Vec::new(),
+            entries: Vec::new(),
+            ascending: true,
+            blank: vec![0; frame_words],
         }
     }
 
-    /// Adds (or replaces) the payload for one frame.
+    /// Adds (or replaces) the payload for one frame. The words are copied,
+    /// so a caller can generate every frame into one reused buffer; an
+    /// all-zero payload is staged as a blank frame and not copied.
     ///
     /// # Errors
     ///
     /// Returns an error if the address is invalid for the device or the
     /// payload has the wrong length.
-    pub fn add_frame(&mut self, addr: FrameAddress, data: Frame) -> Result<(), Error> {
+    pub fn add_frame(&mut self, addr: FrameAddress, data: impl AsRef<[u32]>) -> Result<(), Error> {
+        let data = data.as_ref();
         self.device.validate_frame(addr)?;
         if data.len() != self.frame_words {
             return Err(Error::BadFrameAddress {
@@ -788,13 +820,49 @@ impl BitstreamBuilder {
                 ),
             });
         }
-        self.frames.insert(addr, data); // presp-analyze: allow — builder staging map, not live config memory
+        let payload = if data == self.blank.as_slice() {
+            None
+        } else {
+            let index = (self.arena.len() / self.frame_words) as u32;
+            self.arena.extend_from_slice(data);
+            Some(index)
+        };
+        self.ascending &= self.entries.last().is_none_or(|&(last, _)| last < addr);
+        self.entries.push((addr, payload));
         Ok(())
     }
 
-    /// Number of frames staged so far.
+    /// Number of distinct frames staged so far.
     pub fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.staged().len()
+    }
+
+    /// The staged frames in address order, one per address, each holding
+    /// its last write.
+    fn staged(&self) -> Cow<'_, [Staged]> {
+        if self.ascending {
+            return Cow::Borrowed(&self.entries);
+        }
+        let mut sorted = self.entries.clone();
+        sorted.sort_by_key(|&(addr, _)| addr);
+        // The sort is stable, so of equal addresses the later one is the
+        // later write: it overwrites the earlier before being removed.
+        sorted.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                *earlier = *later;
+            }
+            same
+        });
+        Cow::Owned(sorted)
+    }
+
+    /// The words of a staged payload.
+    fn payload(&self, index: Option<u32>) -> &[u32] {
+        match index {
+            Some(i) => &self.arena[i as usize * self.frame_words..][..self.frame_words],
+            None => &self.blank,
+        }
     }
 
     /// Serializes the staged frames into a bitstream.
@@ -804,124 +872,192 @@ impl BitstreamBuilder {
     /// for the remaining addresses — the multi-frame-write scheme behind
     /// Vivado's `BITSTREAM.GENERAL.COMPRESS` option.
     pub fn build(&self, compressed: bool) -> Bitstream {
-        let mut words = Vec::new();
+        let staged = self.staged();
         let mut crc = CrcAccumulator::new();
-        words.push(DUMMY_WORD);
-        words.push(SYNC_WORD);
-        // RCRC, IDCODE check, WCFG.
-        words.push(type1_write(ConfigReg::Cmd, 1));
-        words.push(Command::Rcrc as u32);
-        words.push(type1_write(ConfigReg::Idcode, 1));
-        words.push(self.device.part().idcode());
-        words.push(type1_write(ConfigReg::Cmd, 1));
-        words.push(Command::Wcfg as u32);
-
-        if compressed {
-            self.emit_compressed(&mut words, &mut crc);
+        let words = if compressed {
+            self.emit_compressed(&staged, &mut crc)
         } else {
-            self.emit_linear(&mut words, &mut crc);
-        }
-
-        words.push(type1_write(ConfigReg::Crc, 1));
-        words.push(crc.value());
-        words.push(type1_write(ConfigReg::Cmd, 1));
-        words.push(Command::Desync as u32);
-
+            self.emit_linear(&staged, &mut crc)
+        };
         let integrity = Bitstream::stream_integrity(&words);
         Bitstream {
             kind: self.kind,
             idcode: self.device.part().idcode(),
             compressed,
             words,
-            frames: self.frames.len(),
+            frames: staged.len(),
             integrity,
             frame_words: self.frame_words,
             frame_set: OnceLock::new(),
         }
     }
 
+    /// The output buffer, reserved for exactly `body` words of frame
+    /// packets, holding the header.
+    fn open(&self, body: usize) -> Vec<u32> {
+        let mut words = Vec::with_capacity(HEADER_WORDS + body + TRAILER_WORDS);
+        words.push(DUMMY_WORD);
+        words.push(SYNC_WORD);
+        words.push(type1_write(ConfigReg::Cmd, 1));
+        words.push(Command::Rcrc as u32);
+        words.push(type1_write(ConfigReg::Idcode, 1));
+        words.push(self.device.part().idcode());
+        words.push(type1_write(ConfigReg::Cmd, 1));
+        words.push(Command::Wcfg as u32);
+        words
+    }
+
+    /// Appends the CRC check and DESYNC; the reservation was exact.
+    fn close(words: &mut Vec<u32>, crc: &CrcAccumulator) {
+        words.push(type1_write(ConfigReg::Crc, 1));
+        words.push(crc.value());
+        words.push(type1_write(ConfigReg::Cmd, 1));
+        words.push(Command::Desync as u32);
+        debug_assert_eq!(words.len(), words.capacity(), "output reservation");
+    }
+
     /// Emits frames in address order, merging contiguous runs into one FDRI
     /// burst per run.
-    fn emit_linear(&self, words: &mut Vec<u32>, crc: &mut CrcAccumulator) {
-        let addrs: Vec<FrameAddress> = self.frames.keys().copied().collect();
-        let mut i = 0;
-        while i < addrs.len() {
-            // Extend a contiguous minor run within the same (row, column).
-            let start = i;
-            while i + 1 < addrs.len()
-                && addrs[i + 1].row == addrs[i].row
-                && addrs[i + 1].column == addrs[i].column
-                && addrs[i + 1].minor == addrs[i].minor + 1
-            {
-                i += 1;
+    fn emit_linear(&self, staged: &[Staged], crc: &mut CrcAccumulator) -> Vec<u32> {
+        // Runs of contiguous minors within one (row, column).
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for (i, pair) in staged.windows(2).enumerate() {
+            let (a, b) = (pair[0].0, pair[1].0);
+            if b.row != a.row || b.column != a.column || b.minor != a.minor + 1 {
+                runs.push(runs.last().map_or(0, |r| r.end)..i + 1);
             }
-            let run = &addrs[start..=i];
-            let far = run[0].pack();
+        }
+        if !staged.is_empty() {
+            runs.push(runs.last().map_or(0, |r| r.end)..staged.len());
+        }
+        let fdri_words = |len: usize| len * self.frame_words;
+        let body: usize = runs
+            .iter()
+            .map(|r| 2 + if fdri_words(r.len()) < 1 << 13 { 1 } else { 2 })
+            .sum::<usize>()
+            + fdri_words(staged.len());
+
+        let mut words = self.open(body);
+        for run in runs {
+            let far = staged[run.start].0.pack();
             words.push(type1_write(ConfigReg::Far, 1));
             words.push(far);
             crc.update(far);
-            let payload_words = run.len() * self.frame_words;
+            let payload_words = fdri_words(run.len());
             if payload_words < (1 << 13) {
                 words.push(type1_write(ConfigReg::Fdri, payload_words as u32));
             } else {
                 words.push(type1_write(ConfigReg::Fdri, 0));
                 words.push(type2_write(payload_words as u32));
             }
-            for addr in run {
-                let frame = &self.frames[addr];
+            for &(_, index) in &staged[run] {
+                let frame = self.payload(index);
                 words.extend_from_slice(frame);
                 crc.update_words(frame);
             }
-            i += 1;
         }
+        BitstreamBuilder::close(&mut words, crc);
+        words
     }
 
     /// Emits each distinct payload once, then multi-frame-writes it to every
     /// address that shares it.
-    fn emit_compressed(&self, words: &mut Vec<u32>, crc: &mut CrcAccumulator) {
-        // Group addresses by identical payload (hash-bucketed so full-device
-        // bitstreams stay linear), preserving address order of first
-        // occurrence for determinism.
-        let mut groups: Vec<(&Frame, Vec<FrameAddress>)> = Vec::new();
-        let mut buckets: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (addr, frame) in &self.frames {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &w in frame {
-                h = (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            let bucket = buckets.entry(h).or_default();
-            match bucket.iter().find(|&&g| groups[g].0 == frame) {
-                Some(&g) => groups[g].1.push(*addr),
-                None => {
-                    bucket.push(groups.len());
-                    groups.push((frame, vec![*addr]));
-                }
-            }
+    ///
+    /// Groups follow the address order of their first frame, and each
+    /// group's addresses stay in address order, so the words do not depend
+    /// on the hash: every blank frame joins one group with no hashing, and
+    /// a non-blank payload is hashed only to find candidate groups, each
+    /// confirmed by comparing the words.
+    fn emit_compressed(&self, staged: &[Staged], crc: &mut CrcAccumulator) -> Vec<u32> {
+        const NONE: u32 = u32::MAX;
+        struct Group {
+            payload: Option<u32>,
+            len: u32,
+            /// The next group whose payload has the same hash.
+            next_same_hash: u32,
         }
-        for (frame, addrs) in groups {
-            if addrs.len() == 1 {
-                let far = addrs[0].pack();
-                words.push(type1_write(ConfigReg::Far, 1));
-                words.push(far);
-                crc.update(far);
-                words.push(type1_write(ConfigReg::Fdri, self.frame_words as u32));
-                words.extend_from_slice(frame);
-                crc.update_words(frame);
-            } else {
-                // Load the frame into the frame-data shadow register, switch
-                // to MFW and replay it at each address.
-                let far = addrs[0].pack();
-                words.push(type1_write(ConfigReg::Far, 1));
-                words.push(far);
-                crc.update(far);
-                words.push(type1_write(ConfigReg::Fdri, self.frame_words as u32));
-                words.extend_from_slice(frame);
-                crc.update_words(frame);
+        let mut groups: Vec<Group> = Vec::new();
+        let mut group_of: Vec<u32> = Vec::with_capacity(staged.len());
+        let mut blank_group = NONE;
+        let mut by_hash: HashMap<u64, u32> = HashMap::new();
+        for &(_, index) in staged {
+            let g = match index {
+                None => {
+                    if blank_group == NONE {
+                        blank_group = groups.len() as u32;
+                        groups.push(Group {
+                            payload: None,
+                            len: 0,
+                            next_same_hash: NONE,
+                        });
+                    }
+                    blank_group
+                }
+                Some(_) => {
+                    let frame = self.payload(index);
+                    let h = frame.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+                        (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01B3)
+                    });
+                    let head = *by_hash.get(&h).unwrap_or(&NONE);
+                    let mut g = head;
+                    while g != NONE && self.payload(groups[g as usize].payload) != frame {
+                        g = groups[g as usize].next_same_hash;
+                    }
+                    if g == NONE {
+                        g = groups.len() as u32;
+                        groups.push(Group {
+                            payload: index,
+                            len: 0,
+                            next_same_hash: head,
+                        });
+                        by_hash.insert(h, g);
+                    }
+                    g
+                }
+            };
+            groups[g as usize].len += 1;
+            group_of.push(g);
+        }
+
+        // Each group's members, contiguous and in address order.
+        let mut start: Vec<usize> = Vec::with_capacity(groups.len() + 1);
+        start.push(0);
+        for group in &groups {
+            start.push(start[start.len() - 1] + group.len as usize);
+        }
+        let mut next = start.clone();
+        let mut members = vec![0usize; staged.len()];
+        for (i, &g) in group_of.iter().enumerate() {
+            members[next[g as usize]] = i;
+            next[g as usize] += 1;
+        }
+
+        let body: usize = groups
+            .iter()
+            .map(|group| {
+                let replays = group.len as usize - 1;
+                // FAR, FDRI and the frame; then MFW, FAR+MFWR per replay, WCFG.
+                3 + self.frame_words + if replays > 0 { 4 + 4 * replays } else { 0 }
+            })
+            .sum();
+        let mut words = self.open(body);
+        for (g, group) in groups.iter().enumerate() {
+            let addrs = &members[start[g]..start[g + 1]];
+            let frame = self.payload(group.payload);
+            let far = staged[addrs[0]].0.pack();
+            words.push(type1_write(ConfigReg::Far, 1));
+            words.push(far);
+            crc.update(far);
+            words.push(type1_write(ConfigReg::Fdri, self.frame_words as u32));
+            words.extend_from_slice(frame);
+            crc.update_words(frame);
+            if addrs.len() > 1 {
+                // The frame now sits in the frame-data shadow register:
+                // switch to MFW and replay it at each further address.
                 words.push(type1_write(ConfigReg::Cmd, 1));
                 words.push(Command::Mfw as u32);
-                for addr in &addrs[1..] {
-                    let far = addr.pack();
+                for &i in &addrs[1..] {
+                    let far = staged[i].0.pack();
                     words.push(type1_write(ConfigReg::Far, 1));
                     words.push(far);
                     crc.update(far);
@@ -932,12 +1068,15 @@ impl BitstreamBuilder {
                 words.push(Command::Wcfg as u32);
             }
         }
+        BitstreamBuilder::close(&mut words, crc);
+        words
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config_memory::Frame;
     use crate::part::FpgaPart;
 
     fn device() -> Device {
@@ -1063,6 +1202,120 @@ mod tests {
             .unwrap();
         let text = format!("{}", builder.build(false));
         assert!(text.contains("1 frames"));
+    }
+
+    /// Add-or-replace, emit in address order: adds in any order, with
+    /// repeated addresses, build what ascending unique adds of each
+    /// address's last payload build.
+    mod staging {
+        use super::*;
+
+        /// Each address's last payload: blank, shared by several addresses
+        /// (an MFWR group) or unique; contiguous runs and gaps both occur.
+        fn last_writes(d: &Device) -> Vec<(FrameAddress, Frame)> {
+            let mut out = Vec::new();
+            for (row, col) in [(0, 1), (0, 2), (1, 2), (3, 7)] {
+                for minor in [0, 1, 2, 3, 5, 8] {
+                    let value = match minor % 3 {
+                        0 => 0,
+                        1 => 0xAB,
+                        _ => row << 16 | col << 8 | minor,
+                    };
+                    out.push((FrameAddress::new(row, col, minor), frame_of(d, value)));
+                }
+            }
+            out
+        }
+
+        /// A payload the last write replaces: non-blank over a blank last
+        /// write and blank under a non-blank one, so the blank path must
+        /// honour last-write-wins both ways.
+        fn earlier_write(d: &Device, last: &[u32]) -> Frame {
+            frame_of(d, if last[0] == 0 { 0xDEAD } else { 0 })
+        }
+
+        fn build(d: &Device, adds: &[(FrameAddress, Frame)]) -> BitstreamBuilder {
+            let mut builder = BitstreamBuilder::new(d, BitstreamKind::Partial);
+            for (addr, frame) in adds {
+                builder.add_frame(*addr, frame).unwrap();
+            }
+            builder
+        }
+
+        fn assert_same_stream(d: &Device, adds: &[(FrameAddress, Frame)], label: &str) {
+            let reference = build(d, &last_writes(d));
+            let builder = build(d, adds);
+            assert_eq!(builder.frame_count(), reference.frame_count(), "{label}");
+            for compressed in [false, true] {
+                let (want, got) = (reference.build(compressed), builder.build(compressed));
+                assert_eq!(got.words(), want.words(), "{label} compressed={compressed}");
+                assert_eq!(got.frame_count(), want.frame_count(), "{label}");
+                assert!(got.verify_integrity(), "{label} compressed={compressed}");
+            }
+        }
+
+        /// Fisher–Yates with an xorshift64 stream.
+        fn shuffle<T>(items: &mut [T], mut state: u64) {
+            for i in (1..items.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                items.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+        }
+
+        #[test]
+        fn shuffled_and_repeated_adds_build_the_ascending_stream() {
+            let d = device();
+            let last = last_writes(&d);
+            for seed in 1..=8u64 {
+                let mut shuffled = last.clone();
+                shuffle(&mut shuffled, seed);
+                assert_same_stream(&d, &shuffled, &format!("shuffled seed {seed}"));
+
+                // Every address written twice: all earlier writes in one
+                // order, then all last writes in another.
+                let mut earlier: Vec<_> = last
+                    .iter()
+                    .map(|(addr, f)| (*addr, earlier_write(&d, f)))
+                    .collect();
+                shuffle(&mut earlier, seed * 31);
+                earlier.extend(shuffled);
+                assert_same_stream(&d, &earlier, &format!("repeated seed {seed}"));
+            }
+        }
+
+        #[test]
+        fn a_repeat_of_the_latest_address_replaces_it() {
+            // Ascending except that each address is written twice in a
+            // row, the second write replacing the first.
+            let d = device();
+            let twice: Vec<_> = last_writes(&d)
+                .into_iter()
+                .flat_map(|(addr, f)| [(addr, earlier_write(&d, &f)), (addr, f)])
+                .collect();
+            assert_same_stream(&d, &twice, "each address twice in a row");
+        }
+
+        #[test]
+        fn blank_and_non_blank_writes_replace_each_other() {
+            let d = device();
+            let addr = FrameAddress::new(0, 1, 0);
+            for (first, last) in [(7, 0), (0, 7)] {
+                let twice = build(
+                    &d,
+                    &[(addr, frame_of(&d, first)), (addr, frame_of(&d, last))],
+                );
+                let once = build(&d, &[(addr, frame_of(&d, last))]);
+                for compressed in [false, true] {
+                    assert_eq!(
+                        twice.build(compressed).words(),
+                        once.build(compressed).words(),
+                        "{first} then {last}, compressed={compressed}"
+                    );
+                }
+            }
+        }
     }
 
     /// The slicing-by-4 and slicing-by-8 kernels against the

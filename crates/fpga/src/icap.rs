@@ -443,7 +443,7 @@ mod tests {
                 let addr = FrameAddress::new(row, col, minor);
                 if d.validate_frame(addr).is_ok() {
                     let f = frame(&d, v);
-                    builder.add_frame(addr, f.clone()).unwrap();
+                    builder.add_frame(addr, &f).unwrap();
                     staged.insert(addr, f);
                 }
             }

@@ -33,35 +33,45 @@ fn line(out: &mut String, design: &str, mode: &str, region: &str, kind: &str, bs
     .unwrap();
 }
 
-#[test]
-fn every_flow_bitstream_matches_the_golden_digest() {
-    let mut rendered = String::new();
-    for design in SocDesign::builtins() {
-        for (mode, compressed) in [("compress", true), ("no-compress", false)] {
-            let out = PrEspFlow::new()
-                .with_compression(compressed)
-                .run(&design)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", design.name));
-            for info in &out.partial_bitstreams {
-                line(
-                    &mut rendered,
-                    &design.name,
-                    mode,
-                    &info.region,
-                    info.kind.name(),
-                    &info.bitstream,
-                );
-            }
+/// Both flow modes of one design, one line per stream.
+fn render(design: &SocDesign) -> String {
+    let mut out = String::new();
+    for (mode, compressed) in [("compress", true), ("no-compress", false)] {
+        let flow = PrEspFlow::new()
+            .with_compression(compressed)
+            .run(design)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", design.name));
+        for info in &flow.partial_bitstreams {
             line(
-                &mut rendered,
+                &mut out,
                 &design.name,
                 mode,
-                "static",
-                "full",
-                &out.full_bitstream,
+                &info.region,
+                info.kind.name(),
+                &info.bitstream,
             );
         }
+        line(
+            &mut out,
+            &design.name,
+            mode,
+            "static",
+            "full",
+            &flow.full_bitstream,
+        );
     }
+    out
+}
+
+#[test]
+fn every_flow_bitstream_matches_the_golden_digest() {
+    // One thread per design: the flows are independent, and one after
+    // another they take over a minute in the debug profile.
+    let designs = SocDesign::builtins();
+    let rendered: String = std::thread::scope(|s| {
+        let runs: Vec<_> = designs.iter().map(|d| s.spawn(|| render(d))).collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
 
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/bitstreams.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
