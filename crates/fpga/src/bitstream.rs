@@ -966,84 +966,54 @@ impl BitstreamBuilder {
     /// Groups follow the address order of their first frame, and each
     /// group's addresses stay in address order, so the words do not depend
     /// on the hash: every blank frame joins one group with no hashing, and
-    /// a non-blank payload is hashed only to find candidate groups, each
-    /// confirmed by comparing the words.
+    /// only non-blank payloads go through a map keyed by their words (a
+    /// match is an equal payload, not an equal hash).
     fn emit_compressed(&self, staged: &[Staged], crc: &mut CrcAccumulator) -> Vec<u32> {
-        const NONE: u32 = u32::MAX;
-        struct Group {
-            payload: Option<u32>,
-            len: u32,
-            /// The next group whose payload has the same hash.
-            next_same_hash: u32,
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        let mut group_of: Vec<u32> = Vec::with_capacity(staged.len());
-        let mut blank_group = NONE;
-        let mut by_hash: HashMap<u64, u32> = HashMap::new();
+        // Per group (in order of first address): its payload and size.
+        let mut groups: Vec<(Option<u32>, usize)> = Vec::new();
+        let mut group_of: Vec<usize> = Vec::with_capacity(staged.len());
+        let mut blank_group = None;
+        let mut by_payload: HashMap<&[u32], usize> = HashMap::new();
         for &(_, index) in staged {
             let g = match index {
-                None => {
-                    if blank_group == NONE {
-                        blank_group = groups.len() as u32;
-                        groups.push(Group {
-                            payload: None,
-                            len: 0,
-                            next_same_hash: NONE,
-                        });
-                    }
-                    blank_group
-                }
-                Some(_) => {
-                    let frame = self.payload(index);
-                    let h = frame.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
-                        (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01B3)
-                    });
-                    let head = *by_hash.get(&h).unwrap_or(&NONE);
-                    let mut g = head;
-                    while g != NONE && self.payload(groups[g as usize].payload) != frame {
-                        g = groups[g as usize].next_same_hash;
-                    }
-                    if g == NONE {
-                        g = groups.len() as u32;
-                        groups.push(Group {
-                            payload: index,
-                            len: 0,
-                            next_same_hash: head,
-                        });
-                        by_hash.insert(h, g);
-                    }
-                    g
-                }
+                None => *blank_group.get_or_insert_with(|| {
+                    groups.push((None, 0));
+                    groups.len() - 1
+                }),
+                Some(_) => *by_payload.entry(self.payload(index)).or_insert_with(|| {
+                    groups.push((index, 0));
+                    groups.len() - 1
+                }),
             };
-            groups[g as usize].len += 1;
+            groups[g].1 += 1;
             group_of.push(g);
         }
 
         // Each group's members, contiguous and in address order.
         let mut start: Vec<usize> = Vec::with_capacity(groups.len() + 1);
         start.push(0);
-        for group in &groups {
-            start.push(start[start.len() - 1] + group.len as usize);
+        for &(_, len) in &groups {
+            start.push(start[start.len() - 1] + len);
         }
         let mut next = start.clone();
         let mut members = vec![0usize; staged.len()];
         for (i, &g) in group_of.iter().enumerate() {
-            members[next[g as usize]] = i;
-            next[g as usize] += 1;
+            members[next[g]] = i;
+            next[g] += 1;
         }
 
         let body: usize = groups
             .iter()
-            .map(|group| {
-                let replays = group.len as usize - 1;
+            .map(|&(_, len)| {
+                let replays = len - 1;
                 // FAR, FDRI and the frame; then MFW, FAR+MFWR per replay, WCFG.
                 3 + self.frame_words + if replays > 0 { 4 + 4 * replays } else { 0 }
             })
             .sum();
         let mut words = self.open(body);
-        for (g, group) in groups.iter().enumerate() {
+        for (g, &(index, _)) in groups.iter().enumerate() {
             let addrs = &members[start[g]..start[g + 1]];
-            let frame = self.payload(group.payload);
+            let frame = self.payload(index);
             let far = staged[addrs[0]].0.pack();
             words.push(type1_write(ConfigReg::Far, 1));
             words.push(far);
