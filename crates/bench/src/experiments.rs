@@ -264,23 +264,28 @@ impl Table5Row {
 }
 
 /// Table V: compile-time comparison of PR-ESP against the standard
-/// (monolithic) Xilinx DPR flow on SoC_A–SoC_D.
+/// (monolithic) Xilinx DPR flow on SoC_A–SoC_D. Like Table IV it reads the
+/// CAD model alone: the strategy [`PrEspFlow`] would choose, its full-flow
+/// report and the monolithic baseline, with no floorplan or bitstreams.
 pub fn table5() -> Vec<Table5Row> {
-    let flow = PrEspFlow::new();
+    let cad = CadFlow::new();
     table4_designs()
         .into_iter()
         .map(|(design, _)| {
-            let out = flow.run(&design).expect("flow runs");
+            let spec = design.to_spec().unwrap();
+            let (_, strategy) = choose_strategy(&spec).unwrap();
+            let report = cad.run_full_flow(&spec, strategy).expect("flow runs");
+            let monolithic = cad.run_monolithic(&spec);
             Table5Row {
                 soc: design.name.clone(),
-                synth: out.report.synth.wall.value(),
-                t_static: out.report.pnr.t_static.map(|m| m.value()).unwrap_or(0.0),
-                max_omega: out.report.pnr.max_omega.map(|m| m.value()).unwrap_or(0.0),
-                total: out.report.total.value(),
-                strategy: out.strategy,
-                mono_synth: out.monolithic.synth.value(),
-                mono_pnr: out.monolithic.pnr.value(),
-                mono_total: out.monolithic.total.value(),
+                synth: report.synth.wall.value(),
+                t_static: report.pnr.t_static.map(|m| m.value()).unwrap_or(0.0),
+                max_omega: report.pnr.max_omega.map(|m| m.value()).unwrap_or(0.0),
+                total: report.total.value(),
+                strategy,
+                mono_synth: monolithic.synth.value(),
+                mono_pnr: monolithic.pnr.value(),
+                mono_total: monolithic.total.value(),
             }
         })
         .collect()

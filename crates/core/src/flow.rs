@@ -13,6 +13,7 @@ use presp_floorplan::{Floorplan, Floorplanner, RegionRequest};
 use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp_fpga::fabric::{ColumnKind, Device};
 use presp_fpga::frame::{frames_per_column, FrameAddress};
+use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
 use presp_soc::config::TileCoord;
 
@@ -29,7 +30,9 @@ pub struct PartialBitstreamInfo {
     pub bitstream: Bitstream,
 }
 
-/// Everything the flow produces for one design.
+/// Everything the flow produces for one design. The full-device boot
+/// bitstream is built on demand by [`FlowOutput::full_bitstream`]: the
+/// evaluation reads only the reports and the partials.
 #[derive(Debug, Clone)]
 pub struct FlowOutput {
     /// Size class of the design (Section IV).
@@ -44,11 +47,26 @@ pub struct FlowOutput {
     pub floorplan: Floorplan,
     /// One partial bitstream per (region, loadable accelerator) pair.
     pub partial_bitstreams: Vec<PartialBitstreamInfo>,
-    /// The full-device boot bitstream.
-    pub full_bitstream: Bitstream,
+    /// The target part, for building the full bitstream.
+    part: FpgaPart,
+    /// The static part's resources, which the full bitstream spreads
+    /// over the fabric outside the pblocks.
+    static_resources: Resources,
 }
 
 impl FlowOutput {
+    /// Builds the full-device boot bitstream: static content outside the
+    /// reconfigurable pblocks, blank frames inside them. It is always
+    /// compressed, whatever the flow's partial-bitstream setting, and is
+    /// rebuilt on every call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bitstream-builder errors.
+    pub fn full_bitstream(&self) -> Result<Bitstream, Error> {
+        build_full_bitstream(&self.part.device(), &self.floorplan, self.static_resources)
+    }
+
     /// Mean compressed pbs size per region, in KB (Table VI's `pbs (KB)`).
     pub fn mean_pbs_kb(&self, region: &str) -> Option<f64> {
         let sizes: Vec<usize> = self
@@ -66,7 +84,9 @@ impl FlowOutput {
 }
 
 /// The PR-ESP flow driver: the analogue of the paper's "single make
-/// target" that takes an SoC configuration to full and partial bitstreams.
+/// target" that takes an SoC configuration to its CAD reports, floorplan
+/// and partial bitstreams; the full bitstream is built on demand from the
+/// output ([`FlowOutput::full_bitstream`]).
 #[derive(Debug, Clone)]
 pub struct PrEspFlow {
     cad: CadFlow,
@@ -111,7 +131,9 @@ impl PrEspFlow {
     /// every P&R step (PR-ESP and monolithic baseline, both from 0 on the
     /// CAD milliminute timeline) and one [`TraceEvent::BitstreamGenerated`]
     /// instant per emitted bitstream — Table V and Table VI's `pbs (KB)`
-    /// column are both derivable from the trace alone.
+    /// column are both derivable from the trace alone. The full bitstream
+    /// is built here only when a sink is attached, for its `static` event's
+    /// size.
     ///
     /// # Errors
     ///
@@ -177,8 +199,6 @@ impl PrEspFlow {
             });
         }
 
-        let full_bitstream = build_full_bitstream(&device, &floorplan, spec.static_resources())?;
-
         // Bitstream generation happens at the end of the PR-ESP flow.
         let done = milliminutes(report.total.value());
         for info in &partial_bitstreams {
@@ -191,24 +211,28 @@ impl PrEspFlow {
                 }
             });
         }
-        tracer.instant(ClockDomain::CadMilliMinutes, done, || {
-            TraceEvent::BitstreamGenerated {
-                design: spec.name().to_string(),
-                region: "static".to_string(),
-                kind: "full",
-                bytes: full_bitstream.size_bytes() as u64,
-            }
-        });
-
-        Ok(FlowOutput {
+        let output = FlowOutput {
             class,
             strategy,
             report,
             monolithic,
             floorplan,
             partial_bitstreams,
-            full_bitstream,
-        })
+            part: design.part,
+            static_resources: spec.static_resources(),
+        };
+        if tracer.is_enabled() {
+            let bytes = output.full_bitstream()?.size_bytes() as u64;
+            tracer.instant(ClockDomain::CadMilliMinutes, done, || {
+                TraceEvent::BitstreamGenerated {
+                    design: spec.name().to_string(),
+                    region: "static".to_string(),
+                    kind: "full",
+                    bytes,
+                }
+            });
+        }
+        Ok(output)
     }
 }
 
@@ -362,8 +386,54 @@ mod tests {
     fn full_bitstream_covers_the_static_fabric() {
         let design = SocDesign::builtin("soc_b").unwrap();
         let out = PrEspFlow::new().run(&design).unwrap();
-        assert!(out.full_bitstream.frame_count() > 10_000);
-        assert!(out.full_bitstream.size_bytes() > 100_000);
+        let full = out.full_bitstream().unwrap();
+        assert!(full.frame_count() > 10_000);
+        assert!(full.size_bytes() > 100_000);
+    }
+
+    #[test]
+    fn full_bitstream_is_rebuilt_identically_on_every_call() {
+        let design = SocDesign::builtin("soc_a").unwrap();
+        let out = PrEspFlow::new().run(&design).unwrap();
+        let first = out.full_bitstream().unwrap();
+        let second = out.full_bitstream().unwrap();
+        assert_eq!(first, second);
+        assert!(first.verify_integrity());
+    }
+
+    #[test]
+    fn full_bitstream_size_is_the_traced_static_event() {
+        use presp_events::MemorySink;
+        let design = SocDesign::builtin("soc_c").unwrap();
+        let sink = MemorySink::shared();
+        let out = PrEspFlow::new()
+            .run_traced(&design, &mut Tracer::to_sink(sink.clone()))
+            .unwrap();
+        let traced: Vec<u64> = presp_events::sink::drain(&sink)
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::BitstreamGenerated { region, bytes, .. } if region == "static" => {
+                    Some(bytes)
+                }
+                _ => None,
+            })
+            .collect();
+        let full = out.full_bitstream().unwrap();
+        assert_eq!(traced, [full.size_bytes() as u64]);
+    }
+
+    #[test]
+    fn full_bitstream_does_not_depend_on_partial_compression() {
+        let design = SocDesign::builtin("soc_b").unwrap();
+        let compressed = PrEspFlow::new().run(&design).unwrap();
+        let raw = PrEspFlow::new()
+            .with_compression(false)
+            .run(&design)
+            .unwrap();
+        assert_eq!(
+            compressed.full_bitstream().unwrap(),
+            raw.full_bitstream().unwrap()
+        );
     }
 
     #[test]

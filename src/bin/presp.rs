@@ -125,8 +125,12 @@ fn cmd_classify(design: &SocDesign, json: bool) -> ExitCode {
 
 fn cmd_flow(design: &SocDesign, compressed: bool, json: bool) -> ExitCode {
     let flow = PrEspFlow::new().with_compression(compressed);
-    match flow.run(design) {
-        Ok(out) => {
+    let built = flow.run(design).and_then(|out| {
+        let full = out.full_bitstream()?;
+        Ok((out, full))
+    });
+    match built {
+        Ok((out, full)) => {
             if json {
                 let pbs: Vec<JsonValue> = out
                     .partial_bitstreams
@@ -160,10 +164,7 @@ fn cmd_flow(design: &SocDesign, compressed: bool, json: bool) -> ExitCode {
                     ),
                     ("total_min", num(out.report.total.0)),
                     ("monolithic_total_min", num(out.monolithic.total.0)),
-                    (
-                        "full_bitstream_bytes",
-                        int(out.full_bitstream.size_bytes() as u64),
-                    ),
+                    ("full_bitstream_bytes", int(full.size_bytes() as u64)),
                     ("partial_bitstreams", JsonValue::Array(pbs)),
                 ]));
                 return ExitCode::SUCCESS;
@@ -182,10 +183,7 @@ fn cmd_flow(design: &SocDesign, compressed: bool, json: bool) -> ExitCode {
                 "total:      {}  (monolithic: {})",
                 out.report.total, out.monolithic.total
             );
-            println!(
-                "full bitstream: {} KB",
-                out.full_bitstream.size_bytes() / 1024
-            );
+            println!("full bitstream: {} KB", full.size_bytes() / 1024);
             for info in &out.partial_bitstreams {
                 println!(
                     "  pbs {:<10} {:<24} {:>6} KB",

@@ -38,7 +38,7 @@ fn every_generated_bitstream_loads_through_a_fresh_icap() {
         let mut icap = Icap::new(&device);
         // Full bitstream first (boot), then every partial.
         let boot = icap
-            .load(&out.full_bitstream)
+            .load(&out.full_bitstream().unwrap())
             .expect("full bitstream loads");
         assert!(boot.frames_written > 0);
         for info in &out.partial_bitstreams {
