@@ -220,7 +220,9 @@ fn sharded_multi_worker_model() {
         },
     );
     // Sharded tracing in the model: every worker commits through its own
-    // shard, so the sink protocol itself is under exploration too.
+    // shard, so the per-commit re-attach is explored. The shard mutexes
+    // are `std::sync`, outside the checker's facade, and are taken only
+    // with `core` held, so the sink locks themselves are not explored.
     let sink = presp::events::ShardedSink::new(4);
     mgr.attach_sharded_tracer(&sink);
 
