@@ -8,6 +8,7 @@
 //! flows to the device round-trips through the same packet layer the hardware
 //! would see.
 
+pub use crate::crc::CrcAccumulator;
 use crate::error::Error;
 use crate::fabric::Device;
 use crate::frame::FrameAddress;
@@ -225,86 +226,7 @@ fn burst<'a>(
     Ok(())
 }
 
-/// Reflected CRC-32 polynomial.
-const CRC_POLY: u32 = 0xEDB8_8320;
-
-/// Slicing-by-8 tables: `CRC_TABLES[0][b]` is the CRC register after
-/// shifting byte `b` through eight polynomial steps, and
-/// `CRC_TABLES[k][b]` the same byte followed by `k` zero bytes. CRC-32 is
-/// linear over GF(2), so a word folds in as four independent lookups and
-/// a pair of words as eight.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut b = 0;
-    while b < 256 {
-        let mut crc = b as u32;
-        let mut step = 0;
-        while step < 8 {
-            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
-            step += 1;
-        }
-        tables[0][b] = crc;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = tables[k - 1][b];
-            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// Running CRC accumulator used by the builder, the ICAP and relocation.
-///
-/// A CRC-32 (reflected 0xEDB88320 polynomial). The in-stream CRC covers
-/// what `CrcAccumulator::fold` folds: every FAR value and FDRI frame
-/// word since the last RCRC — enough to catch the corruptions the tests
-/// inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CrcAccumulator(u32);
-
 impl CrcAccumulator {
-    /// Fresh accumulator (also the state after an RCRC command).
-    pub fn new() -> CrcAccumulator {
-        CrcAccumulator(0xFFFF_FFFF)
-    }
-
-    /// Folds one word into the accumulator (slicing-by-4, least
-    /// significant byte first — the same register as 32 single-bit steps).
-    pub fn update(&mut self, word: u32) {
-        let c = self.0 ^ word;
-        self.0 = CRC_TABLES[3][(c & 0xFF) as usize]
-            ^ CRC_TABLES[2][((c >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((c >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(c >> 24) as usize];
-    }
-
-    /// Folds a run of words into the accumulator, two words per table
-    /// round (slicing-by-8); the register equals [`Self::update`] applied
-    /// to each word in turn.
-    pub fn update_words(&mut self, words: &[u32]) {
-        let mut pairs = words.chunks_exact(2);
-        for pair in &mut pairs {
-            let (c, d) = (self.0 ^ pair[0], pair[1]);
-            self.0 = CRC_TABLES[7][(c & 0xFF) as usize]
-                ^ CRC_TABLES[6][((c >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((c >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(c >> 24) as usize]
-                ^ CRC_TABLES[3][(d & 0xFF) as usize]
-                ^ CRC_TABLES[2][((d >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((d >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(d >> 24) as usize];
-        }
-        if let [last] = pairs.remainder() {
-            self.update(*last);
-        }
-    }
-
     /// Folds one step of [`Bitstream::walk`] into the in-stream CRC: an
     /// RCRC command resets it, a FAR value and an FDRI frame's words are
     /// folded in, and nothing else is covered (an MFWR replays a frame
@@ -316,11 +238,6 @@ impl CrcAccumulator {
             Step::Frame(_, data) => self.update_words(data),
             _ => {}
         }
-    }
-
-    /// Current CRC value.
-    pub fn value(&self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
     }
 }
 
@@ -1288,94 +1205,15 @@ mod tests {
         }
     }
 
-    /// The slicing-by-4 and slicing-by-8 kernels against the
-    /// bit-at-a-time definition.
+    /// Built streams against the bit-at-a-time CRC definition (the kernels
+    /// themselves are tested in `crate::crc`).
     mod crc_kernel {
         use super::*;
+        use crate::crc::tests::stream_bitwise;
         use proptest::prelude::*;
-
-        /// Reference CRC-32 register update: 32 shift-xor steps per word.
-        fn update_bitwise(state: u32, word: u32) -> u32 {
-            let mut crc = state ^ word;
-            for _ in 0..32 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (CRC_POLY & mask);
-            }
-            crc
-        }
-
-        fn stream_bitwise(words: &[u32]) -> u32 {
-            words
-                .iter()
-                .fold(0xFFFF_FFFF, |crc, &w| update_bitwise(crc, w))
-                ^ 0xFFFF_FFFF
-        }
-
-        #[test]
-        fn every_byte_in_every_lane_matches_the_bitwise_crc() {
-            for state in [0, 0xFFFF_FFFF, 0x1234_5678] {
-                for lane in 0..4 {
-                    for byte in 0u32..256 {
-                        let word = byte << (8 * lane);
-                        let mut acc = CrcAccumulator(state);
-                        acc.update(word);
-                        assert_eq!(
-                            acc.0,
-                            update_bitwise(state, word),
-                            "state {state:#x} lane {lane} byte {byte:#x}"
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn runs_of_every_length_up_to_seventeen_match_the_bitwise_crc() {
-            let words: Vec<u32> = (1..=17u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-            for len in 0..=words.len() {
-                let run = &words[..len];
-                let mut acc = CrcAccumulator::new();
-                acc.update_words(run);
-                assert_eq!(acc.value(), stream_bitwise(run), "length {len}");
-            }
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
-
-            #[test]
-            fn word_sequences_match_the_bitwise_crc(
-                state in 0u32..u32::MAX,
-                words in proptest::collection::vec(0u32..u32::MAX, 0..64),
-            ) {
-                let mut acc = CrcAccumulator(state);
-                let mut reference = state;
-                for &w in &words {
-                    acc.update(w);
-                    reference = update_bitwise(reference, w);
-                    prop_assert_eq!(acc.0, reference);
-                }
-            }
-
-            /// The slicing-by-8 run fold against the bitwise definition,
-            /// over odd and even run lengths alike.
-            #[test]
-            fn word_runs_match_the_bitwise_crc(
-                state in 0u32..u32::MAX,
-                words in proptest::collection::vec(0u32..u32::MAX, 0..64),
-                split in 0usize..64,
-            ) {
-                let reference = words.iter().fold(state, |crc, &w| update_bitwise(crc, w));
-                let mut acc = CrcAccumulator(state);
-                acc.update_words(&words);
-                prop_assert_eq!(acc.0, reference);
-                // Two runs, the first of any parity, fold like one.
-                let (head, tail) = words.split_at(split.min(words.len()));
-                let mut acc = CrcAccumulator(state);
-                acc.update_words(head);
-                acc.update_words(tail);
-                prop_assert_eq!(acc.0, reference);
-            }
 
             /// Whole built streams: the storage-integrity CRC and the
             /// in-stream CRC word both equal the bitwise definition.

@@ -13,7 +13,8 @@
 //!   partitions, with DPR legality checks.
 //! * [`frame`] — configuration-frame addressing and per-column frame counts.
 //! * [`bitstream`] — full/partial bitstream construction, including the
-//!   multi-frame-write compression used by Vivado's compressed mode.
+//!   multi-frame-write compression used by Vivado's compressed mode, and
+//!   the bitstream CRC-32 ([`bitstream::CrcAccumulator`]).
 //! * [`icap`] — an ICAPE2/ICAPE3-style configuration port that parses
 //!   bitstreams into configuration memory and models reconfiguration latency.
 //! * [`ecc`] — per-word SECDED check codes layered under the bitstream CRC,
@@ -34,6 +35,7 @@
 
 pub mod bitstream;
 pub mod config_memory;
+mod crc;
 pub mod ecc;
 pub mod error;
 pub mod fabric;
