@@ -386,6 +386,9 @@ pub(crate) struct Admission {
     /// claim and complete; workers pop the minimum, which is what keeps
     /// the ticket gate live.
     heads: BTreeMap<u64, TileCoord>,
+    /// Live claim holds ([`crate::threaded::ThreadedManager::hold_claims`]):
+    /// while non-zero, workers claim nothing.
+    claim_holds: usize,
 }
 
 /// A request [`Shared::admit`] refused before queueing, handed back
@@ -650,6 +653,9 @@ impl<S: SyncFacade> Shared<S> {
     /// what keeps the ticket gate live: the oldest unretired job is never
     /// passed over for long.
     fn claim(&self, adm: &mut Admission) -> Option<Job<S>> {
+        if adm.claim_holds > 0 {
+            return None;
+        }
         let (ticket, tile) = adm.heads.pop_first()?;
         let shard = self.shards.get(&tile).expect("indexed tile exists");
         let mut tq = S::lock(&shard.queue);
@@ -669,6 +675,25 @@ impl<S: SyncFacade> Shared<S> {
         }
         adm.stats.record_wait(job.admitted.elapsed());
         Some(job)
+    }
+
+    /// Takes one claim hold (see
+    /// [`crate::threaded::ThreadedManager::hold_claims`]).
+    pub(crate) fn hold_claims(&self) {
+        S::lock(&self.admission).claim_holds += 1;
+    }
+
+    /// Releases one claim hold and, with the last one gone, wakes the
+    /// workers. Poison-tolerant: the hold guard calls it from `Drop`.
+    pub(crate) fn release_claims(&self) {
+        let resumed = {
+            let mut adm = S::lock_recover(&self.admission);
+            adm.claim_holds -= 1;
+            adm.claim_holds == 0
+        };
+        if resumed {
+            S::notify_all(&self.work);
+        }
     }
 
     /// Returns the tile to claimable state, re-indexes its next head,
@@ -1098,6 +1123,7 @@ impl<S: SyncFacade> Shared<S> {
             stopping: false,
             stats: SchedulerStats::default(),
             heads: BTreeMap::new(),
+            claim_holds: 0,
         };
         Shared {
             shards,

@@ -306,6 +306,19 @@ impl<S: SyncFacade> ThreadedManager<S> {
             .map_or(0, |shard| S::lock(&shard.queue).claims)
     }
 
+    /// Stops the workers from claiming queued jobs until the returned
+    /// guard drops. Jobs already claimed run to completion, and admission
+    /// goes on: requests queue, and a full bounded queue refuses or sheds
+    /// per `policy.overload`. A harness that bursts requests at a pinned
+    /// worker holds claims across the burst, so the queue bound alone
+    /// decides what is shed, however the host schedules the threads.
+    pub fn hold_claims(&self) -> ClaimHold<'_, S> {
+        self.shared.hold_claims();
+        ClaimHold {
+            shared: &self.shared,
+        }
+    }
+
     /// Aggregate manager statistics.
     ///
     /// Read-only post-mortem path: recovers from a poisoned device-core
@@ -484,6 +497,19 @@ impl<S: SyncFacade> ThreadedManager<S> {
         for shard in self.shared.shards.values() {
             S::notify_all(&shard.reconfig_done);
         }
+    }
+}
+
+/// A hold on claims from [`ThreadedManager::hold_claims`]; the workers
+/// claim again once every hold has dropped.
+#[must_use = "claims resume as soon as the hold drops"]
+pub struct ClaimHold<'a, S: SyncFacade = StdSync> {
+    shared: &'a Shared<S>,
+}
+
+impl<S: SyncFacade> Drop for ClaimHold<'_, S> {
+    fn drop(&mut self) {
+        self.shared.release_claims();
     }
 }
 
@@ -1044,6 +1070,46 @@ mod tests {
             assert!(stats.consistent(), "{stats:?}");
             mgr.shutdown();
         }
+    }
+
+    /// While a claim hold lives the worker claims nothing, so a bounded
+    /// queue sheds exactly what exceeds its bound; holds nest, and the
+    /// queued job runs once the last one drops.
+    fn held_claims_model() {
+        let policy = RecoveryPolicy {
+            queue_capacity: 1,
+            overload: OverloadPolicy::RejectNew,
+            ..RecoveryPolicy::default()
+        };
+        let (mgr, tiles) = boot_checked_with(policy, MutantConfig::default());
+        let submit = |x: f32| {
+            mgr.submit_execute(
+                tiles[0],
+                AcceleratorKind::Mac,
+                AccelOp::Mac {
+                    a: vec![x],
+                    b: vec![2.0],
+                },
+            )
+        };
+        let outer = mgr.hold_claims();
+        let inner = mgr.hold_claims();
+        let queued = submit(1.0);
+        drop(inner);
+        let err = submit(2.0).wait();
+        assert!(matches!(err, Err(Error::Overloaded { .. })), "got {err:?}");
+        assert_eq!(mgr.tile_claims(tiles[0]), 0);
+        drop(outer);
+        let (run, _path) = queued.wait().unwrap();
+        assert_eq!(run.value, AccelValue::Scalar(2.0));
+        mgr.shutdown();
+        assert_eq!(mgr.stats().shed, 1);
+    }
+
+    #[test]
+    fn held_claims_leave_the_queue_bound_to_decide_the_shed() {
+        let report = mutant_checker().explore(held_claims_model);
+        assert!(report.ok(), "{report}");
     }
 
     #[test]

@@ -548,9 +548,13 @@ fn drive_coalesce_burst(
 ) {
     let big: Vec<f32> = (0..pin_sort_len).rev().map(|i| i as f32).collect();
     let busy = manager.submit_execute(tiles[1], AcceleratorKind::Sort, AccelOp::Sort { data: big });
+    // Held claims: every reconfiguration meets the first one still
+    // queued, whenever the sort ends.
+    let hold = manager.hold_claims();
     let pending: Vec<_> = (0..burst)
         .map(|_| manager.submit_reconfigure(tiles[0], AcceleratorKind::Mac))
         .collect();
+    drop(hold);
     tally.submitted = burst as u64 + 1;
     for p in pending {
         match p.wait() {
@@ -592,14 +596,16 @@ fn drive_overload_burst(
     let big: Vec<f32> = (0..pin_sort_len).rev().map(|i| i as f32).collect();
     let claims_before = manager.tile_claims(tiles[1]);
     let busy = manager.submit_execute(tiles[1], AcceleratorKind::Sort, AccelOp::Sort { data: big });
-    // The burst must race the bounded queue, not worker startup: spin
-    // until the pin sort has been checked out (the claim counter is
-    // latching, so a fast completion can't be missed), so a worker is
-    // provably pinned when the burst begins and the shed count is
-    // reproducible.
+    // Spin until the pin sort has been checked out (the claim counter is
+    // latching, so a fast completion can't be missed), so the worker is
+    // provably pinned when the burst begins. The sort may still finish
+    // mid-burst; the claim hold keeps the worker from draining the MAC
+    // queue until every MAC has met the bound, so the shed count depends
+    // on the queue bound alone, not on how the host schedules threads.
     while manager.tile_claims(tiles[1]) == claims_before {
         std::thread::yield_now();
     }
+    let hold = manager.hold_claims();
     let pending: Vec<_> = (0..burst)
         .map(|j| {
             let a = 1.0 + j as f32;
@@ -616,6 +622,7 @@ fn drive_overload_burst(
             )
         })
         .collect();
+    drop(hold);
     tally.submitted = burst as u64 + 1;
     for (expected, p) in pending {
         match p.wait() {
