@@ -81,16 +81,10 @@ impl fmt::Debug for DeviceCore {
 
 impl DeviceCore {
     /// A core over a booted SoC and a loaded registry. `cache` fronts the
-    /// registry's verified lookups; pass
-    /// [`BitstreamCache::disabled`] to re-verify on every load.
-    pub(crate) fn new(soc: Soc, registry: BitstreamRegistry, cache: BitstreamCache) -> DeviceCore {
-        DeviceCore::new_shared(soc, Arc::new(registry), cache)
-    }
-
-    /// [`DeviceCore::new`] over a registry handle the caller keeps a
-    /// clone of (the scheduler shares it with its workers' lock-free
-    /// prepare stage).
-    pub(crate) fn new_shared(
+    /// registry's verified lookups; pass [`BitstreamCache::disabled`] to
+    /// re-verify on every load. The scheduler keeps a clone of the
+    /// registry handle for its workers' lock-free prepare stage.
+    pub(crate) fn new(
         soc: Soc,
         registry: Arc<BitstreamRegistry>,
         cache: BitstreamCache,
@@ -239,11 +233,6 @@ impl DeviceCore {
     /// Consumes the core, returning the SoC.
     pub(crate) fn into_soc(self) -> Soc {
         self.soc
-    }
-
-    /// The bitstream registry.
-    pub fn registry(&self) -> &BitstreamRegistry {
-        &self.registry
     }
 
     /// Aggregate statistics.

@@ -30,6 +30,7 @@ use crate::driver::DriverEvent;
 use crate::error::Error;
 use crate::protocol;
 use crate::registry::BitstreamRegistry;
+use crate::sync::Arc;
 use crate::tile::TileState;
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::AccelOp;
@@ -257,7 +258,7 @@ impl ReconfigManager {
     ) -> ReconfigManager {
         ReconfigManager {
             tiles: BTreeMap::new(),
-            core: DeviceCore::new(soc, registry, BitstreamCache::disabled()),
+            core: DeviceCore::new(soc, Arc::new(registry), BitstreamCache::disabled()),
             policy,
         }
     }

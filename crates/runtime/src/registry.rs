@@ -88,15 +88,6 @@ impl BitstreamRegistry {
         Ok(Arc::clone(bitstream))
     }
 
-    /// Accelerators registered for a tile.
-    pub fn kinds_for_tile(&self, tile: TileCoord) -> Vec<AcceleratorKind> {
-        self.entries
-            .keys()
-            .filter(|(t, _)| *t == tile)
-            .map(|(_, k)| *k)
-            .collect()
-    }
-
     /// Number of registered bitstreams.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -197,20 +188,6 @@ mod tests {
         // A pristine stream on the same tile still verifies.
         reg.replace(tile, AcceleratorKind::Fft, good);
         assert!(reg.lookup(tile, AcceleratorKind::Fft).is_ok());
-    }
-
-    #[test]
-    fn kinds_for_tile_lists_registrations() {
-        let mut reg = BitstreamRegistry::new();
-        let tile = TileCoord::new(2, 2);
-        reg.register(tile, AcceleratorKind::Mac, bitstream(1))
-            .unwrap();
-        reg.register(tile, AcceleratorKind::Gemm, bitstream(2))
-            .unwrap();
-        let kinds = reg.kinds_for_tile(tile);
-        assert_eq!(kinds.len(), 2);
-        assert!(kinds.contains(&AcceleratorKind::Gemm));
-        assert!(reg.kinds_for_tile(TileCoord::new(0, 0)).is_empty());
     }
 
     #[test]

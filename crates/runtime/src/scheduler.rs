@@ -1129,7 +1129,7 @@ impl<S: SyncFacade> Shared<S> {
             shards,
             core: S::mutex_labeled(
                 "core",
-                DeviceCore::new_shared(
+                DeviceCore::new(
                     soc,
                     Arc::clone(&registry),
                     BitstreamCache::new(config.cache_capacity),
