@@ -167,6 +167,28 @@ fn config_memory_doorway_rule_flags_a_slot_store_breach() {
     assert_flagged_exactly(&analysis, "config_memory_breach.rs");
 }
 
+/// The shipped `fpga-unsafe-doorway` rule, pointed at the fixture: an
+/// `unsafe` block or a `std::arch` intrinsic outside `crc.rs` is a
+/// finding.
+#[test]
+fn fpga_unsafe_doorway_rule_flags_simd_outside_the_crc_module() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../analyze.json");
+    let shipped = Manifest::load(&root).unwrap();
+    let mut rule = shipped
+        .pattern_rules
+        .into_iter()
+        .find(|r| r.name == "fpga-unsafe-doorway")
+        .expect("analyze.json declares the unsafe doorway rule");
+    assert_eq!(rule.exempt_files, ["crc.rs"]);
+    rule.roots = vec!["fpga_unsafe_breach.rs".into()];
+    let manifest = Manifest {
+        pattern_rules: vec![rule],
+        ..Manifest::default()
+    };
+    let analysis = analyze(&fixtures_dir(), &manifest, &Options::default());
+    assert_flagged_exactly(&analysis, "fpga_unsafe_breach.rs");
+}
+
 #[test]
 fn allow_marker_suppresses_only_its_own_line() {
     let analysis = run(r#"{
