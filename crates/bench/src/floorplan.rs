@@ -37,8 +37,10 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// The relocation check's limit on relocation's per-frame time over one
-/// verification pass's. A hop clones the stream and folds two CRCs over
-/// it (the in-stream CRC and the storage CRC); verification folds one.
+/// verification pass's. Verification folds the CRC over every word. A hop
+/// copies the stream and rewrites its FAR and CRC words; it updates both
+/// CRCs from the rewritten words alone, so a hop that re-read the stream
+/// through the CRC again would pay about two passes more.
 pub const RELOCATION_LIMIT: f64 = 2.5;
 
 /// Seed for the allocator churn (the cell is deterministic op-for-op).

@@ -8,6 +8,7 @@
 //! flows to the device round-trips through the same packet layer the hardware
 //! would see.
 
+use crate::crc;
 pub use crate::crc::CrcAccumulator;
 use crate::error::Error;
 use crate::fabric::Device;
@@ -123,6 +124,7 @@ enum PacketHeader {
 ///
 /// Returns [`Error::MalformedBitstream`] for unknown packet types or
 /// registers.
+#[inline(always)]
 fn decode_header(word: u32) -> Result<PacketHeader, Error> {
     let ty = word >> 29;
     match ty {
@@ -132,14 +134,13 @@ fn decode_header(word: u32) -> Result<PacketHeader, Error> {
                 return Ok(PacketHeader::Nop);
             }
             if op != 0b10 {
-                return Err(Error::MalformedBitstream {
-                    detail: format!("unsupported op {op} in type-1 packet"),
-                });
+                return Err(malformed(format_args!(
+                    "unsupported op {op} in type-1 packet"
+                )));
             }
             let reg_idx = (word >> 13) & 0x3FFF;
-            let reg = ConfigReg::from_index(reg_idx).ok_or_else(|| Error::MalformedBitstream {
-                detail: format!("unknown register index {reg_idx}"),
-            })?;
+            let reg = ConfigReg::from_index(reg_idx)
+                .ok_or_else(|| malformed(format_args!("unknown register index {reg_idx}")))?;
             Ok(PacketHeader::Type1Write {
                 reg,
                 count: word & 0x1FFF,
@@ -148,9 +149,7 @@ fn decode_header(word: u32) -> Result<PacketHeader, Error> {
         0b010 => Ok(PacketHeader::Type2Write {
             count: word & 0x07FF_FFFF,
         }),
-        _ => Err(Error::MalformedBitstream {
-            detail: format!("unknown packet type {ty}"),
-        }),
+        _ => Err(malformed(format_args!("unknown packet type {ty}"))),
     }
 }
 
@@ -183,15 +182,23 @@ pub(crate) enum Step<'a> {
     },
 }
 
+/// A [`Error::MalformedBitstream`] with `detail`. Built out of line, so
+/// the packet walk's per-packet helpers stay small enough to inline.
+#[cold]
+#[inline(never)]
+fn malformed(detail: fmt::Arguments<'_>) -> Error {
+    Error::MalformedBitstream {
+        detail: detail.to_string(),
+    }
+}
+
 /// Extracts the single word of a one-word register write.
 fn single(payload: &[u32]) -> Result<u32, Error> {
     if payload.len() != 1 {
-        return Err(Error::MalformedBitstream {
-            detail: format!(
-                "expected 1-word register write, got {} words",
-                payload.len()
-            ),
-        });
+        return Err(malformed(format_args!(
+            "expected 1-word register write, got {} words",
+            payload.len()
+        )));
     }
     Ok(payload[0])
 }
@@ -199,6 +206,7 @@ fn single(payload: &[u32]) -> Result<u32, Error> {
 /// Hands an FDRI burst to `step` as whole frames starting at the current
 /// FAR, auto-incrementing the minor address, and latches the last frame
 /// into the multi-frame shadow register.
+#[inline(always)]
 fn burst<'a>(
     payload: &'a [u32],
     frame_words: usize,
@@ -207,16 +215,12 @@ fn burst<'a>(
     step: &mut impl FnMut(Step<'a>) -> Result<(), Error>,
 ) -> Result<(), Error> {
     if !payload.len().is_multiple_of(frame_words) {
-        return Err(Error::MalformedBitstream {
-            detail: format!(
-                "FDRI payload of {} words is not a multiple of the {frame_words}-word frame",
-                payload.len()
-            ),
-        });
+        return Err(malformed(format_args!(
+            "FDRI payload of {} words is not a multiple of the {frame_words}-word frame",
+            payload.len()
+        )));
     }
-    let mut addr = far.ok_or_else(|| Error::MalformedBitstream {
-        detail: "FDRI with no FAR set".into(),
-    })?;
+    let mut addr = far.ok_or_else(|| malformed(format_args!("FDRI with no FAR set")))?;
     for chunk in payload.chunks(frame_words) {
         step(Step::Frame(addr, chunk))?;
         *shadow = chunk;
@@ -253,7 +257,8 @@ pub enum BitstreamKind {
 /// A built bitstream: the exact word stream an ICAP consumes.
 ///
 /// Equality compares the stream and its metadata; the cached
-/// [`Bitstream::frame_set`] is derived from them and does not take part.
+/// [`Bitstream::frame_set`] and relocation sites are derived from them and
+/// do not take part.
 #[derive(Debug, Clone)]
 pub struct Bitstream {
     kind: BitstreamKind,
@@ -264,6 +269,22 @@ pub struct Bitstream {
     integrity: u32,
     frame_words: usize,
     frame_set: OnceLock<Arc<[FrameAddress]>>,
+    /// The words [`Bitstream::relocate`] rewrites, from one packet walk.
+    sites: OnceLock<Arc<[Site]>>,
+}
+
+/// A word that relocation rewrites, or the RCRC that restarts the
+/// in-stream CRC, in stream order. `covered` counts the words the
+/// in-stream CRC folds before the site since the last RCRC: FAR values
+/// and FDRI frame words, as in `CrcAccumulator::fold`.
+#[derive(Debug, Clone, Copy)]
+enum Site {
+    /// An RCRC command.
+    Rcrc,
+    /// A FAR word at stream index `at`.
+    Far { at: usize, covered: usize },
+    /// A CRC check word at stream index `at`.
+    Crc { at: usize, covered: usize },
 }
 
 impl PartialEq for Bitstream {
@@ -352,6 +373,7 @@ impl Bitstream {
             integrity: self.integrity,
             frame_words: self.frame_words,
             frame_set: OnceLock::new(),
+            sites: OnceLock::new(),
         }
     }
 
@@ -590,14 +612,20 @@ impl Bitstream {
     /// Rewrites the stream to target a region `col_delta` columns away,
     /// keeping the configured payload bit-identical.
     ///
-    /// One packet walk: every FAR word is moved by
-    /// [`Device::shift_frame`], the in-stream CRC is re-folded over the
-    /// rewritten addresses and the untouched frame data and written over
-    /// the CRC word, so the relocated stream passes the ICAP's CRC check
-    /// exactly like the original; the storage-integrity CRC is recomputed
-    /// to match the new words. Raw and MFW-compressed streams relocate
+    /// Every FAR word is moved by [`Device::shift_frame`]. Both CRCs are
+    /// updated by what the moved addresses change, not re-folded over the
+    /// frame data: CRC-32 is linear, so the change needs only the
+    /// rewritten words and the distances between them. The CRC word takes
+    /// the in-stream CRC's change and the storage-integrity CRC the change
+    /// of every rewritten word, so a stream passes the ICAP's CRC check and
+    /// [`Bitstream::verify_integrity`] after the move exactly when it
+    /// passed them before. Raw and MFW-compressed streams relocate
     /// identically — which is what makes relocate-then-decompress equal
-    /// decompress-then-relocate. A cached frame set carries over, shifted.
+    /// decompress-then-relocate.
+    ///
+    /// The first relocation walks the packets to find the FAR and CRC
+    /// words; the relocated stream has the same packets, so it inherits
+    /// those sites, and a cached frame set carries over shifted.
     ///
     /// # Errors
     ///
@@ -613,23 +641,33 @@ impl Bitstream {
                 device: device.part().idcode(),
             });
         }
+        let sites = self.relocation_sites()?;
         let mut words = self.words.clone();
-        let mut crc = CrcAccumulator::new();
-        self.walk(self.frame_words, |mut step| {
-            match &mut step {
-                Step::Far { value, at } => {
-                    *value = device
-                        .shift_frame(FrameAddress::unpack(*value), col_delta)?
+        // The rewritten words as (position, XOR difference): among the
+        // words the in-stream CRC covers since the last RCRC, and in the
+        // stream for the storage CRC.
+        let mut in_stream = Vec::with_capacity(sites.len());
+        let mut storage = Vec::with_capacity(sites.len());
+        for &site in sites.iter() {
+            match site {
+                Site::Rcrc => in_stream.clear(),
+                Site::Far { at, covered } => {
+                    let moved = device
+                        .shift_frame(FrameAddress::unpack(words[at]), col_delta)?
                         .pack();
-                    words[*at] = *value;
+                    let diff = words[at] ^ moved;
+                    in_stream.push((covered, diff));
+                    storage.push((at, diff));
+                    words[at] = moved;
                 }
-                Step::Crc { at, .. } => words[*at] = crc.value(),
-                _ => {}
+                Site::Crc { at, covered } => {
+                    let diff = crc::rewrite_delta(covered, &in_stream);
+                    storage.push((at, diff));
+                    words[at] ^= diff;
+                }
             }
-            crc.fold(&step);
-            Ok(())
-        })?;
-        let integrity = Bitstream::stream_integrity(&words);
+        }
+        let integrity = self.integrity ^ crc::rewrite_delta(words.len(), &storage);
         // A uniform column shift keeps (row, column, minor) order, so a
         // cached frame set carries over without a re-walk or a sort.
         let frame_set = OnceLock::new();
@@ -649,7 +687,35 @@ impl Bitstream {
             integrity,
             frame_words: self.frame_words,
             frame_set,
+            sites: OnceLock::from(Arc::clone(sites)),
         })
+    }
+
+    /// The words [`Bitstream::relocate`] rewrites, in stream order: read
+    /// by one packet walk on first use and cached with the stream.
+    fn relocation_sites(&self) -> Result<&Arc<[Site]>, Error> {
+        if let Some(sites) = self.sites.get() {
+            return Ok(sites);
+        }
+        let mut sites = Vec::new();
+        let mut covered = 0;
+        self.walk(self.frame_words, |step| {
+            match step {
+                Step::Command(Command::Rcrc) => {
+                    sites.push(Site::Rcrc);
+                    covered = 0;
+                }
+                Step::Far { at, .. } => {
+                    sites.push(Site::Far { at, covered });
+                    covered += 1;
+                }
+                Step::Frame(_, data) => covered += data.len(),
+                Step::Crc { at, .. } => sites.push(Site::Crc { at, covered }),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        Ok(self.sites.get_or_init(|| sites.into()))
     }
 }
 
@@ -806,6 +872,7 @@ impl BitstreamBuilder {
             integrity,
             frame_words: self.frame_words,
             frame_set: OnceLock::new(),
+            sites: OnceLock::new(),
         }
     }
 

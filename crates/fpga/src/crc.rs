@@ -17,6 +17,12 @@
 //!
 //! The CPU decides which kernel runs; nothing else selects it. All of the
 //! crate's `unsafe` and `std::arch` use lives in this module.
+//!
+//! Relocation rewrites a few words of a stream and needs both its CRCs
+//! again. [`rewrite_delta`] gives the change from the rewritten words
+//! alone: the CRC is linear, so each rewritten word costs a carry-less
+//! product by a power of x (PCLMULQDQ where the CPU has it, a
+//! shift-and-add otherwise) instead of a pass over the stream.
 
 /// Reflected CRC-32 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
@@ -96,8 +102,188 @@ impl CrcAccumulator {
     }
 }
 
+/// How rewriting some words of a run changes its CRC value, without
+/// reading the words that stay: the XOR of the rewritten run's CRC value
+/// and the original's.
+///
+/// The run is `len` words long; `changes` lists each rewritten word, in
+/// ascending position, as its position and the XOR of its new and old
+/// value.
+///
+/// CRC-32 is linear over GF(2): two runs of equal length have registers
+/// that differ by the register of their XOR difference, folded from zero.
+/// That difference run is zero but for the rewritten words, and `n` zero
+/// words multiply a register by `x^(32n)` mod P. So each rewritten word
+/// costs one carry-less multiply and one table round, whatever the gap
+/// before it; consecutive gaps of one length reuse its power of x.
+pub(crate) fn rewrite_delta(len: usize, changes: &[(usize, u32)]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::available() {
+        // SAFETY: `clmul::available` has just confirmed that this CPU
+        // executes PCLMULQDQ and SSE4.1.
+        return unsafe { clmul::rewrite_delta(len, changes) };
+    }
+    fold_changes(len, changes, clmul_32_portable)
+}
+
+/// [`rewrite_delta`] with `multiply` as the carry-less product. Inlined
+/// into each caller, so the instruction's kernel runs the whole loop with
+/// the instruction enabled.
+///
+/// Each change waits on its lane's last product, so the changes are dealt
+/// round-robin to [`DELTA_LANES`] independent difference registers whose
+/// products overlap; linearity sums the lanes at the end.
+#[inline(always)]
+fn fold_changes(len: usize, changes: &[(usize, u32)], multiply: impl Fn(u32, u32) -> u64) -> u32 {
+    let mut lanes = [DeltaLane::default(); DELTA_LANES];
+    let mut dealt = changes.chunks_exact(DELTA_LANES);
+    for round in &mut dealt {
+        for (lane, &(at, diff)) in lanes.iter_mut().zip(round) {
+            lane.fold(at + 1, diff, &multiply);
+        }
+    }
+    for (lane, &(at, diff)) in lanes.iter_mut().zip(dealt.remainder()) {
+        lane.fold(at + 1, diff, &multiply);
+    }
+    lanes.iter_mut().fold(0, |sum, lane| {
+        lane.fold(len, 0, &multiply);
+        sum ^ lane.state
+    })
+}
+
+/// Independent difference registers in [`fold_changes`]: enough to cover
+/// one product's latency.
+const DELTA_LANES: usize = 4;
+
+/// One difference register of [`fold_changes`].
+#[derive(Clone, Copy)]
+struct DeltaLane {
+    /// The register through the word before `next`.
+    state: u32,
+    /// The first word not yet folded.
+    next: usize,
+    /// The last distance, in words, and its `x^(32·distance)` mod P.
+    power: (usize, u32),
+}
+
+impl Default for DeltaLane {
+    fn default() -> DeltaLane {
+        DeltaLane {
+            state: 0,
+            next: 0,
+            power: (0, 1 << 31),
+        }
+    }
+}
+
+impl DeltaLane {
+    /// Carries the register to word `end` and folds `diff` into the word
+    /// before it: the register times `x^(32·words)` plus `diff` times
+    /// x^32. Both x^32 factors (the word's and the remainder's) fold into
+    /// the product's one reduction round (see [`mul_mod`]).
+    #[inline(always)]
+    fn fold(&mut self, end: usize, diff: u32, multiply: &impl Fn(u32, u32) -> u64) {
+        let words = end - self.next;
+        self.next = end;
+        if self.state == 0 {
+            self.state = slice_by_4(0, diff);
+            return;
+        }
+        if self.power.0 != words {
+            self.power = (words, x_pow_words(words));
+        }
+        let product = multiply(self.state, self.power.1) << 1;
+        self.state = (product >> 32) as u32 ^ slice_by_4(product as u32, diff);
+    }
+}
+
+/// `x^(32n)` mod P, reflected: the register that `n` zero words leave
+/// from the register `1` (x^0). A table lookup for the low bits of `n`,
+/// then one product per higher set bit.
+fn x_pow_words(n: usize) -> u32 {
+    let mut power = X_POW_WORDS[n % X_POW_WORDS.len()];
+    let mut high = n >> SMALL_POWER_BITS;
+    while high != 0 {
+        let k = (high.trailing_zeros() + SMALL_POWER_BITS) as usize;
+        power = mul_mod(power, X_POW_2K_WORDS[k]);
+        high &= high - 1;
+    }
+    power
+}
+
+/// [`X_POW_WORDS`] covers `n` below `2^SMALL_POWER_BITS`.
+const SMALL_POWER_BITS: u32 = 8;
+
+/// `X_POW_WORDS[n]` is `x^(32n)` mod P, reflected.
+const X_POW_WORDS: [u32; 1 << SMALL_POWER_BITS] = {
+    let mut powers = [1 << 31; 1 << SMALL_POWER_BITS];
+    let mut n = 1;
+    while n < powers.len() {
+        powers[n] = slice_by_4(powers[n - 1], 0);
+        n += 1;
+    }
+    powers
+};
+
+/// `X_POW_2K_WORDS[k]` is `x^(32·2^k)` mod P, reflected: `x^32` squared
+/// `k` times.
+const X_POW_2K_WORDS: [u32; usize::BITS as usize] = {
+    let mut powers = [X_POW_WORDS[1]; usize::BITS as usize];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = mul_mod_bitwise(powers[k - 1], powers[k - 1]);
+        k += 1;
+    }
+    powers
+};
+
+/// The product of two reflected residues mod P by the definition: `b`
+/// times each power of x that `a` holds, one multiply-by-x step at a time.
+const fn mul_mod_bitwise(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 32;
+    while bit > 0 {
+        bit -= 1;
+        if a >> bit & 1 == 1 {
+            product ^= b;
+        }
+        b = (b >> 1) ^ (CRC_POLY & (b & 1).wrapping_neg());
+    }
+    product
+}
+
+/// The product of two reflected residues mod P.
+///
+/// The carry-less product, shifted left by one, holds the 63-degree
+/// product reflected in 64 bits: x^0..x^31 in the high half, x^32..x^63
+/// in the low half. The low half times x^32 is one table round from a
+/// zero register, so the remainder is the high half plus that round.
+fn mul_mod(a: u32, b: u32) -> u32 {
+    let product = clmul_32(a, b) << 1;
+    (product >> 32) as u32 ^ slice_by_4(product as u32, 0)
+}
+
+/// The carry-less product of two 32-bit values: one PCLMULQDQ where the
+/// CPU has it, otherwise a shift-and-add per bit.
+fn clmul_32(a: u32, b: u32) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if clmul::available() {
+        // SAFETY: `clmul::available` has just confirmed that this CPU
+        // executes PCLMULQDQ and SSE4.1.
+        return unsafe { clmul::multiply(a, b) };
+    }
+    clmul_32_portable(a, b)
+}
+
+/// [`clmul_32`] without the instruction.
+fn clmul_32_portable(a: u32, b: u32) -> u64 {
+    (0..32).fold(0u64, |product, bit| {
+        product ^ ((u64::from(a) << bit) & u64::from((b >> bit) & 1).wrapping_neg())
+    })
+}
+
 /// One word through the tables, least significant byte first.
-fn slice_by_4(state: u32, word: u32) -> u32 {
+const fn slice_by_4(state: u32, word: u32) -> u32 {
     let c = state ^ word;
     CRC_TABLES[3][(c & 0xFF) as usize]
         ^ CRC_TABLES[2][((c >> 8) & 0xFF) as usize]
@@ -137,8 +323,9 @@ fn slice_by_8(mut state: u32, words: &[u32]) -> u32 {
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi32_si128,
+        _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128,
+        _mm_xor_si128,
     };
 
     /// (high, low) qwords of the four-lane fold: `x^(4·128-32)`, `x^(4·128+32)`.
@@ -169,6 +356,23 @@ mod clmul {
         // SAFETY: `block` is four in-bounds words, 16 readable bytes, and
         // the unaligned load has no alignment requirement.
         unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// [`super::rewrite_delta`] with PCLMULQDQ enabled throughout its loop.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn rewrite_delta(len: usize, changes: &[(usize, u32)]) -> u32 {
+        super::fold_changes(len, changes, |a, b| multiply(a, b))
+    }
+
+    /// The carry-less product of two 32-bit values.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn multiply(a: u32, b: u32) -> u64 {
+        let product = _mm_clmulepi64_si128(
+            _mm_cvtsi32_si128(a as i32),
+            _mm_cvtsi32_si128(b as i32),
+            0x00,
+        );
+        _mm_cvtsi128_si64(product) as u64
     }
 
     /// Multiplies a lane's low and high qwords by `k`'s low and high
@@ -362,8 +566,95 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn powers_of_x_are_the_registers_zero_words_leave() {
+        let zeros = [0u32; 5000];
+        for n in (0..=300).chain([511, 512, 1023, 4113, 5000]) {
+            assert_eq!(
+                x_pow_words(n),
+                run_bitwise(1 << 31, &zeros[..n]),
+                "x^(32·{n})"
+            );
+        }
+    }
+
+    /// Each arm of [`rewrite_delta`]: the dispatching entry point and the
+    /// portable product called directly, so an x86_64 host tests it too.
+    fn delta_arms(len: usize, changes: &[(usize, u32)]) -> [(&'static str, u32); 2] {
+        [
+            ("rewrite_delta", rewrite_delta(len, changes)),
+            ("portable", fold_changes(len, changes, clmul_32_portable)),
+        ]
+    }
+
+    /// Rewrites `run` at `plan`'s positions (an unchanged value where it
+    /// gives none) and checks every arm's delta against refolding it.
+    fn check_rewrites(run: &[u32], plan: &[(usize, Option<u32>)]) {
+        let mut rewritten = run.to_vec();
+        let mut changes = Vec::new();
+        for &(at, new) in plan {
+            rewritten[at] = new.unwrap_or(run[at]);
+            changes.push((at, run[at] ^ rewritten[at]));
+        }
+        let want = stream_bitwise(run) ^ stream_bitwise(&rewritten);
+        for (arm, got) in delta_arms(run.len(), &changes) {
+            assert_eq!(got, want, "{arm}: rewrites {plan:?}");
+        }
+    }
+
+    /// The delta rewrites a run's CRC like folding the rewritten run
+    /// again: at the run's start, at its end, in adjacent words, with
+    /// repeated and changing gaps, and with words rewritten to
+    /// themselves.
+    #[test]
+    fn a_delta_over_rewritten_words_matches_refolding_the_run() {
+        let run = pseudo_random_words(400);
+        let plans: [&[usize]; 7] = [
+            &[],
+            &[0],
+            &[399],
+            &[0, 1, 2, 399],
+            &[5, 108, 211, 314],
+            &[3, 4, 50, 51, 52, 390],
+            &[7, 9, 200],
+        ];
+        for plan in plans {
+            let plan: Vec<_> = plan
+                .iter()
+                .map(|&at| (at, (at != 9).then(|| run[at].rotate_left(7) ^ 0x5A5A_0001)))
+                .collect();
+            check_rewrites(&run, &plan);
+        }
+        check_rewrites(&[], &[]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The carry-less product, by instruction and without it, reduces
+        /// to the product by definition.
+        #[test]
+        fn products_mod_p_match_the_bitwise_product(a in 0u32..u32::MAX, b in 0u32..u32::MAX) {
+            prop_assert_eq!(clmul_32(a, b), clmul_32_portable(a, b));
+            prop_assert_eq!(mul_mod(a, b), mul_mod_bitwise(a, b));
+        }
+
+        /// Random words of a random run rewritten, some to their own
+        /// value: the delta equals the refolded run's difference.
+        #[test]
+        fn random_rewrites_match_refolding_the_run(
+            words in proptest::collection::vec(0u32..u32::MAX, 1..300),
+            rewrites in proptest::collection::vec((0usize..300, 0u32..u32::MAX), 0..12),
+        ) {
+            let mut plan: Vec<_> = rewrites
+                .into_iter()
+                .filter(|&(at, _)| at < words.len())
+                .map(|(at, new)| (at, (new % 4 != 0).then_some(new)))
+                .collect();
+            plan.sort_unstable_by_key(|&(at, _)| at);
+            plan.dedup_by_key(|&mut (at, _)| at);
+            check_rewrites(&words, &plan);
+        }
 
         #[test]
         fn word_sequences_match_the_bitwise_crc(

@@ -202,16 +202,25 @@ impl Device {
     /// Returns [`Error::BadFrameAddress`] when the row, column or minor index
     /// is out of range.
     pub fn validate_frame(&self, addr: FrameAddress) -> Result<(), Error> {
-        let bad = |detail: String| Err(Error::BadFrameAddress { detail });
         if addr.row as usize >= self.rows {
-            return bad(format!("row {} of {}", addr.row, self.rows));
+            return Err(bad_address(format_args!(
+                "row {} of {}",
+                addr.row, self.rows
+            )));
         }
         if addr.column as usize >= self.columns.len() {
-            return bad(format!("column {} of {}", addr.column, self.columns.len()));
+            return Err(bad_address(format_args!(
+                "column {} of {}",
+                addr.column,
+                self.columns.len()
+            )));
         }
         let minors = frames_per_column(self.columns[addr.column as usize]);
         if addr.minor as usize >= minors {
-            return bad(format!("minor {} of {}", addr.minor, minors));
+            return Err(bad_address(format_args!(
+                "minor {} of {minors}",
+                addr.minor
+            )));
         }
         Ok(())
     }
@@ -226,29 +235,52 @@ impl Device {
     /// differ), or `addr` is not a frame of this device.
     pub fn shift_frame(&self, addr: FrameAddress, col_delta: i64) -> Result<FrameAddress, Error> {
         let col = i64::from(addr.column) + col_delta;
-        if col < 0 || col as usize >= self.columns.len() {
-            return Err(Error::BadFrameAddress {
-                detail: format!(
-                    "shifted column {col} outside the fabric's {} columns",
-                    self.columns.len()
-                ),
-            });
+        let kind = |c: i64| usize::try_from(c).ok().and_then(|c| self.columns.get(c));
+        match (kind(addr.column.into()), kind(col)) {
+            (Some(&src), Some(&dst))
+                if src == dst
+                    && (addr.row as usize) < self.rows
+                    && (addr.minor as usize) < frames_per_column(src) =>
+            {
+                Ok(FrameAddress::new(addr.row, col as u32, addr.minor))
+            }
+            _ => Err(self.shift_error(addr, col)),
         }
-        self.validate_frame(addr)?;
+    }
+
+    /// Why [`Device::shift_frame`] refused to move `addr` to column `col`.
+    #[cold]
+    #[inline(never)]
+    fn shift_error(&self, addr: FrameAddress, col: i64) -> Error {
+        if col < 0 || col as usize >= self.columns.len() {
+            return bad_address(format_args!(
+                "shifted column {col} outside the fabric's {} columns",
+                self.columns.len()
+            ));
+        }
+        if let Err(e) = self.validate_frame(addr) {
+            return e;
+        }
         let (src_kind, dst_kind) = (
             self.columns[addr.column as usize],
             self.columns[col as usize],
         );
-        if src_kind != dst_kind {
-            return Err(Error::BadFrameAddress {
-                detail: format!(
-                    "shift maps {src_kind:?} column {} onto {dst_kind:?} column {col}: \
-                     frame geometry differs",
-                    addr.column
-                ),
-            });
-        }
-        Ok(FrameAddress::new(addr.row, col as u32, addr.minor))
+        bad_address(format_args!(
+            "shift maps {src_kind:?} column {} onto {dst_kind:?} column {col}: \
+             frame geometry differs",
+            addr.column
+        ))
+    }
+}
+
+/// A [`Error::BadFrameAddress`] with `detail`. Built out of line, so the
+/// address checks that relocation runs per frame stay small enough to
+/// inline.
+#[cold]
+#[inline(never)]
+fn bad_address(detail: std::fmt::Arguments<'_>) -> Error {
+    Error::BadFrameAddress {
+        detail: detail.to_string(),
     }
 }
 
