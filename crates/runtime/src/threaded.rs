@@ -309,9 +309,14 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// Stops the workers from claiming queued jobs until the returned
     /// guard drops. Jobs already claimed run to completion, and admission
     /// goes on: requests queue, and a full bounded queue refuses or sheds
-    /// per `policy.overload`. A harness that bursts requests at a pinned
-    /// worker holds claims across the burst, so the queue bound alone
-    /// decides what is shed, however the host schedules the threads.
+    /// per `policy.overload`. A harness that bursts requests holds claims
+    /// across the burst, so the queue bound alone decides what is shed,
+    /// however the host schedules the threads.
+    ///
+    /// Submit only while the hold lives; wait after it drops. Waiting on a
+    /// request queued under the hold — its handle, or any `*_blocking`
+    /// method — never returns while the hold lives, because no worker
+    /// claims the job.
     pub fn hold_claims(&self) -> ClaimHold<'_, S> {
         self.shared.hold_claims();
         ClaimHold {
@@ -501,7 +506,8 @@ impl<S: SyncFacade> ThreadedManager<S> {
 }
 
 /// A hold on claims from [`ThreadedManager::hold_claims`]; the workers
-/// claim again once every hold has dropped.
+/// claim again once every hold has dropped. Waiting on a queued request
+/// while a hold lives blocks forever.
 #[must_use = "claims resume as soon as the hold drops"]
 pub struct ClaimHold<'a, S: SyncFacade = StdSync> {
     shared: &'a Shared<S>,

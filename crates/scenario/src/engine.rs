@@ -410,14 +410,12 @@ fn run_cell(
             ops_per_client,
             &mut tally,
         ),
-        WorkloadSpec::CoalesceBurst {
-            burst,
-            pin_sort_len,
-        } => drive_coalesce_burst(&manager, &tiles, burst, pin_sort_len, &mut tally),
-        WorkloadSpec::OverloadBurst {
-            burst,
-            pin_sort_len,
-        } => drive_overload_burst(&manager, &tiles, burst, pin_sort_len, &mut tally),
+        WorkloadSpec::CoalesceBurst { burst } => {
+            drive_coalesce_burst(&manager, &tiles, burst, &mut tally)
+        }
+        WorkloadSpec::OverloadBurst { burst } => {
+            drive_overload_burst(&manager, &tiles, burst, &mut tally)
+        }
         WorkloadSpec::DefragProbe => {
             drive_defrag_probe(&manager, spec.regions.defrag, &tiles, &mut tally)
         }
@@ -536,75 +534,42 @@ fn drive_blocking(
     }
 }
 
-/// The coalescing probe: pin the single worker on a large sort, then
-/// burst identical reconfigurations at another tile; all but the first
-/// tail-fold into one physical load.
+/// The coalescing probe: with claims held, burst identical
+/// reconfigurations at the first tile; every one meets the first still
+/// queued, so all but the first tail-fold into one physical load.
 fn drive_coalesce_burst(
     manager: &ThreadedManager,
     tiles: &[TileCoord],
     burst: usize,
-    pin_sort_len: usize,
     tally: &mut DriveTally,
 ) {
-    let big: Vec<f32> = (0..pin_sort_len).rev().map(|i| i as f32).collect();
-    let busy = manager.submit_execute(tiles[1], AcceleratorKind::Sort, AccelOp::Sort { data: big });
-    // Held claims: every reconfiguration meets the first one still
-    // queued, whenever the sort ends.
     let hold = manager.hold_claims();
     let pending: Vec<_> = (0..burst)
         .map(|_| manager.submit_reconfigure(tiles[0], AcceleratorKind::Mac))
         .collect();
     drop(hold);
-    tally.submitted = burst as u64 + 1;
+    tally.submitted = burst as u64;
     for p in pending {
         match p.wait() {
             Ok(()) => tally.completed_ok += 1,
             Err(e) => tally.record_error(&e),
         }
     }
-    match busy.wait() {
-        Ok((run, path)) => {
-            tally.completed_ok += 1;
-            if path == ExecPath::CpuFallback {
-                tally.cpu_fallbacks += 1;
-            }
-            let sorted_ok = matches!(
-                &run.value,
-                AccelValue::Vector(v)
-                    if v.len() == pin_sort_len && v.windows(2).all(|w| w[0] <= w[1])
-            );
-            if !sorted_ok {
-                tally.value_mismatches += 1;
-            }
-        }
-        Err(e) => tally.record_error(&e),
-    }
 }
 
-/// The open-loop overload probe: pin a worker on a large sort at the
-/// second tile, then fire `burst` *distinct* MAC executions (distinct
-/// operands, so nothing coalesces) at the first tile without awaiting;
-/// the admission controller's verdicts are folded into the tally as
-/// answered — not lost — requests.
+/// The open-loop overload probe: with claims held, fire `burst`
+/// *distinct* MAC executions (distinct operands, so nothing coalesces)
+/// at the first tile without awaiting; the admission controller's
+/// verdicts are folded into the tally as answered — not lost —
+/// requests. No worker drains the queue until every MAC has met the
+/// bound, so the shed count depends on the queue bound alone, not on how
+/// the host schedules threads.
 fn drive_overload_burst(
     manager: &ThreadedManager,
     tiles: &[TileCoord],
     burst: usize,
-    pin_sort_len: usize,
     tally: &mut DriveTally,
 ) {
-    let big: Vec<f32> = (0..pin_sort_len).rev().map(|i| i as f32).collect();
-    let claims_before = manager.tile_claims(tiles[1]);
-    let busy = manager.submit_execute(tiles[1], AcceleratorKind::Sort, AccelOp::Sort { data: big });
-    // Spin until the pin sort has been checked out (the claim counter is
-    // latching, so a fast completion can't be missed), so the worker is
-    // provably pinned when the burst begins. The sort may still finish
-    // mid-burst; the claim hold keeps the worker from draining the MAC
-    // queue until every MAC has met the bound, so the shed count depends
-    // on the queue bound alone, not on how the host schedules threads.
-    while manager.tile_claims(tiles[1]) == claims_before {
-        std::thread::yield_now();
-    }
     let hold = manager.hold_claims();
     let pending: Vec<_> = (0..burst)
         .map(|j| {
@@ -623,7 +588,7 @@ fn drive_overload_burst(
         })
         .collect();
     drop(hold);
-    tally.submitted = burst as u64 + 1;
+    tally.submitted = burst as u64;
     for (expected, p) in pending {
         match p.wait() {
             Ok((run, path)) => {
@@ -637,23 +602,6 @@ fn drive_overload_burst(
             }
             Err(e) => tally.record_error(&e),
         }
-    }
-    match busy.wait() {
-        Ok((run, path)) => {
-            tally.completed_ok += 1;
-            if path == ExecPath::CpuFallback {
-                tally.cpu_fallbacks += 1;
-            }
-            let sorted_ok = matches!(
-                &run.value,
-                AccelValue::Vector(v)
-                    if v.len() == pin_sort_len && v.windows(2).all(|w| w[0] <= w[1])
-            );
-            if !sorted_ok {
-                tally.value_mismatches += 1;
-            }
-        }
-        Err(e) => tally.record_error(&e),
     }
 }
 
@@ -1250,7 +1198,7 @@ mod tests {
                 "catalog": ["mac", "sort"],
                 "seeds": {"count": 1},
                 "policy": {"queue_capacity": 2, "overload": "reject_new"},
-                "workload": {"kind": "overload_burst", "burst": 12, "pin_sort_len": 20000},
+                "workload": {"kind": "overload_burst", "burst": 12},
                 "assertions": [
                     {"check": "stats_consistent"},
                     {"check": "no_lost_requests"},

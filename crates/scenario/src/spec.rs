@@ -130,29 +130,24 @@ pub enum WorkloadSpec {
         /// Operations per thread.
         ops_per_client: usize,
     },
-    /// The deterministic coalescing probe: a single worker is pinned on a
-    /// large sort while `burst` identical reconfigurations queue behind
-    /// it — all but the first must tail-fold. Requires `workers == [1]`
-    /// and at least two tiles.
+    /// The deterministic coalescing probe: while the workers' claims are
+    /// held, `burst` identical reconfigurations of the first tile queue —
+    /// all but the first must tail-fold. Requires `workers == [1]` and
+    /// 'mac' in the catalog.
     CoalesceBurst {
-        /// Identical reconfiguration requests issued while the worker is
-        /// pinned.
+        /// Identical reconfiguration requests issued while claims are
+        /// held.
         burst: usize,
-        /// Length of the worker-pinning sort (bigger = more wall-clock
-        /// headroom for the burst to enqueue).
-        pin_sort_len: usize,
     },
-    /// The open-loop overload probe: a worker is pinned on a large sort
-    /// while `burst` *distinct* MAC executions (so nothing coalesces)
-    /// are fired at the first tile without awaiting; the admission
-    /// controller's verdicts (`Overloaded`, `DeadlineExceeded`) are then
-    /// collected. Requires at least two tiles and both catalog kinds.
+    /// The open-loop overload probe: while the workers' claims are held,
+    /// `burst` *distinct* MAC executions (so nothing coalesces) are fired
+    /// at the first tile without awaiting; the admission controller's
+    /// verdicts (`Overloaded`, `DeadlineExceeded`) are then collected.
+    /// Requires 'mac' in the catalog.
     OverloadBurst {
-        /// Distinct execute requests fired at the first tile while the
-        /// worker is pinned.
+        /// Distinct execute requests fired at the first tile while claims
+        /// are held.
         burst: usize,
-        /// Length of the worker-pinning sort.
-        pin_sort_len: usize,
     },
     /// The deterministic fragmentation probe: seven 1-column loads pack
     /// the region window, one swap opens two non-adjacent holes, and a
@@ -930,8 +925,8 @@ codec! {
 codec! {
     tagged WorkloadSpec by kind "workload kind" {
         Blocking = "blocking" { clients: usize [1..], ops_per_client: usize [1..] },
-        CoalesceBurst = "coalesce_burst" { burst: usize [2..], pin_sort_len: usize [1000..] },
-        OverloadBurst = "overload_burst" { burst: usize [1..], pin_sort_len: usize [1000..] },
+        CoalesceBurst = "coalesce_burst" { burst: usize [2..] },
+        OverloadBurst = "overload_burst" { burst: usize [1..] },
         DefragProbe = "defrag_probe" {},
         FragmentChurn = "fragment_churn" { rounds: usize [1..=1000] },
     }
@@ -987,36 +982,16 @@ impl ScenarioSpec {
             if self.workers != [1] {
                 return err(
                     "workload 'coalesce_burst' requires \"workers\": [1] — coalescing is \
-                     only deterministic when a single pinned worker drains the queue",
+                     only deterministic when a single worker drains the queue",
                 );
             }
-            if self.fabric.reconf_tiles < 2 {
-                return err(
-                    "workload 'coalesce_burst' requires 'fabric.reconf_tiles' >= 2 \
-                     (one tile pins the worker, the other receives the burst)",
-                );
-            }
-            if !self.catalog.contains(&CatalogKind::Mac)
-                || !self.catalog.contains(&CatalogKind::Sort)
-            {
-                return err(
-                    "workload 'coalesce_burst' requires both 'mac' and 'sort' in 'catalog'",
-                );
+            if !self.catalog.contains(&CatalogKind::Mac) {
+                return err("workload 'coalesce_burst' requires 'mac' in 'catalog'");
             }
         }
         if let WorkloadSpec::OverloadBurst { .. } = self.workload {
-            if self.fabric.reconf_tiles < 2 {
-                return err(
-                    "workload 'overload_burst' requires 'fabric.reconf_tiles' >= 2 \
-                     (one tile pins the worker, the other receives the burst)",
-                );
-            }
-            if !self.catalog.contains(&CatalogKind::Mac)
-                || !self.catalog.contains(&CatalogKind::Sort)
-            {
-                return err(
-                    "workload 'overload_burst' requires both 'mac' and 'sort' in 'catalog'",
-                );
+            if !self.catalog.contains(&CatalogKind::Mac) {
+                return err("workload 'overload_burst' requires 'mac' in 'catalog'");
             }
         }
         if self.regions.defrag && !self.regions.enabled {
@@ -1317,15 +1292,15 @@ mod tests {
     }
 
     #[test]
-    fn overload_burst_requires_two_tiles() {
+    fn overload_burst_requires_mac_in_the_catalog() {
         let doc = minimal()
-            .replace("\"reconf_tiles\": 2", "\"reconf_tiles\": 1")
+            .replace("[\"mac\", \"sort\"]", "[\"sort\"]")
             .replace(
                 "{\"kind\": \"blocking\", \"clients\": 2, \"ops_per_client\": 3}",
-                "{\"kind\": \"overload_burst\", \"burst\": 8, \"pin_sort_len\": 4000}",
+                "{\"kind\": \"overload_burst\", \"burst\": 8}",
             );
         let e = ScenarioSpec::parse(&doc).unwrap_err();
-        assert!(e.0.contains("reconf_tiles"), "{e}");
+        assert!(e.0.contains("'mac'"), "{e}");
     }
 
     #[test]

@@ -50,7 +50,6 @@ proptest! {
         clients in 1usize..8,
         ops in 1usize..12,
         burst in 2usize..16,
-        pin_extra in 0usize..100_000,
         assertion_sel in 0u64..512,
         stat_sel in 0usize..1_000,
         event_sel in 0usize..1_000,
@@ -69,7 +68,8 @@ proptest! {
         win_width in 2u32..9,
     ) {
         // Coalesce-burst validity demands a single worker; every workload
-        // but the blocking one demands a mac+sort catalog; the defrag probe
+        // but the blocking one gets a mac+sort catalog (the bursts need
+        // mac, the region workloads both); the defrag probe
         // also needs seven tiles, and both region workloads need the region
         // allocator (the defrag probe with a window). Everything else roams
         // freely.
@@ -94,8 +94,8 @@ proptest! {
         };
         let workload = match workload_sel {
             0 => WorkloadSpec::Blocking { clients, ops_per_client: ops },
-            1 => WorkloadSpec::CoalesceBurst { burst, pin_sort_len: 1000 + pin_extra },
-            2 => WorkloadSpec::OverloadBurst { burst, pin_sort_len: 1000 + pin_extra },
+            1 => WorkloadSpec::CoalesceBurst { burst },
+            2 => WorkloadSpec::OverloadBurst { burst },
             3 => WorkloadSpec::DefragProbe,
             _ => WorkloadSpec::FragmentChurn { rounds },
         };
@@ -400,7 +400,7 @@ fn rejects_coalesce_burst_with_multiple_workers() {
         .replace("\"reconf_tiles\": 1", "\"reconf_tiles\": 2")
         .replace(
             "{\"kind\": \"blocking\", \"clients\": 1, \"ops_per_client\": 1}",
-            "{\"kind\": \"coalesce_burst\", \"burst\": 4, \"pin_sort_len\": 2000}",
+            "{\"kind\": \"coalesce_burst\", \"burst\": 4}",
         )
         .replace("\"seeds\"", "\"workers\": [2], \"seeds\"");
     assert_rejects(&doc, &["coalesce_burst", "\"workers\": [1]"]);

@@ -135,5 +135,5 @@ fn coalesce_scenario_observes_tail_folding() {
         totals["coalesced"], 9,
         "9 of the 10 burst requests must fold"
     );
-    assert_eq!(totals["reconfigurations"], 2);
+    assert_eq!(totals["reconfigurations"], 1);
 }
