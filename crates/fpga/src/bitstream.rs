@@ -134,13 +134,14 @@ fn decode_header(word: u32) -> Result<PacketHeader, Error> {
                 return Ok(PacketHeader::Nop);
             }
             if op != 0b10 {
-                return Err(malformed(format_args!(
-                    "unsupported op {op} in type-1 packet"
-                )));
+                return Err(Error::MalformedBitstream {
+                    detail: format!("unsupported op {op} in type-1 packet"),
+                });
             }
             let reg_idx = (word >> 13) & 0x3FFF;
-            let reg = ConfigReg::from_index(reg_idx)
-                .ok_or_else(|| malformed(format_args!("unknown register index {reg_idx}")))?;
+            let reg = ConfigReg::from_index(reg_idx).ok_or_else(|| Error::MalformedBitstream {
+                detail: format!("unknown register index {reg_idx}"),
+            })?;
             Ok(PacketHeader::Type1Write {
                 reg,
                 count: word & 0x1FFF,
@@ -149,7 +150,9 @@ fn decode_header(word: u32) -> Result<PacketHeader, Error> {
         0b010 => Ok(PacketHeader::Type2Write {
             count: word & 0x07FF_FFFF,
         }),
-        _ => Err(malformed(format_args!("unknown packet type {ty}"))),
+        _ => Err(Error::MalformedBitstream {
+            detail: format!("unknown packet type {ty}"),
+        }),
     }
 }
 
@@ -182,30 +185,24 @@ pub(crate) enum Step<'a> {
     },
 }
 
-/// A [`Error::MalformedBitstream`] with `detail`. Built out of line, so
-/// the packet walk's per-packet helpers stay small enough to inline.
-#[cold]
-#[inline(never)]
-fn malformed(detail: fmt::Arguments<'_>) -> Error {
-    Error::MalformedBitstream {
-        detail: detail.to_string(),
-    }
-}
-
 /// Extracts the single word of a one-word register write.
 fn single(payload: &[u32]) -> Result<u32, Error> {
     if payload.len() != 1 {
-        return Err(malformed(format_args!(
-            "expected 1-word register write, got {} words",
-            payload.len()
-        )));
+        return Err(Error::MalformedBitstream {
+            detail: format!(
+                "expected 1-word register write, got {} words",
+                payload.len()
+            ),
+        });
     }
     Ok(payload[0])
 }
 
 /// Hands an FDRI burst to `step` as whole frames starting at the current
 /// FAR, auto-incrementing the minor address, and latches the last frame
-/// into the multi-frame shadow register.
+/// into the multi-frame shadow register. Inlined into the walk, like
+/// [`decode_header`]: a call per packet cost about as much again as the
+/// walk's own work per frame.
 #[inline(always)]
 fn burst<'a>(
     payload: &'a [u32],
@@ -215,12 +212,16 @@ fn burst<'a>(
     step: &mut impl FnMut(Step<'a>) -> Result<(), Error>,
 ) -> Result<(), Error> {
     if !payload.len().is_multiple_of(frame_words) {
-        return Err(malformed(format_args!(
-            "FDRI payload of {} words is not a multiple of the {frame_words}-word frame",
-            payload.len()
-        )));
+        return Err(Error::MalformedBitstream {
+            detail: format!(
+                "FDRI payload of {} words is not a multiple of the {frame_words}-word frame",
+                payload.len()
+            ),
+        });
     }
-    let mut addr = far.ok_or_else(|| malformed(format_args!("FDRI with no FAR set")))?;
+    let mut addr = far.ok_or_else(|| Error::MalformedBitstream {
+        detail: "FDRI with no FAR set".into(),
+    })?;
     for chunk in payload.chunks(frame_words) {
         step(Step::Frame(addr, chunk))?;
         *shadow = chunk;
