@@ -58,7 +58,8 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Running CRC accumulator used by the builder, the ICAP and relocation.
+/// Running CRC accumulator used by the builder, registry verification and
+/// the ICAP.
 ///
 /// A CRC-32 (reflected 0xEDB88320 polynomial). The in-stream CRC covers
 /// what `CrcAccumulator::fold` folds: every FAR value and FDRI frame
