@@ -146,47 +146,62 @@ fn doorway_breach_pattern_rule_fires_only_on_code() {
     assert_flagged_exactly(&analysis, "doorway_breach.rs");
 }
 
-/// The shipped `config-memory-doorway` rule, pointed at the fixture: a
-/// slot-store access outside `config_memory.rs` is a finding.
-#[test]
-fn config_memory_doorway_rule_flags_a_slot_store_breach() {
+/// Points the shipped `analyze.json` rule `name`, after checking its
+/// declared roots and doorway files, at `fixture` alone, and asserts it
+/// flags exactly the fixture's markers.
+fn assert_shipped_rule_flags(name: &str, roots: &[&str], exempt: &[&str], fixture: &str) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../analyze.json");
     let shipped = Manifest::load(&root).unwrap();
     let mut rule = shipped
         .pattern_rules
         .into_iter()
-        .find(|r| r.name == "config-memory-doorway")
-        .expect("analyze.json declares the doorway rule");
-    assert_eq!(rule.exempt_files, ["config_memory.rs"]);
-    rule.roots = vec!["config_memory_breach.rs".into()];
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("analyze.json declares the {name} rule"));
+    assert_eq!(rule.roots, roots);
+    assert_eq!(rule.exempt_files, exempt);
+    rule.roots = vec![fixture.into()];
     let manifest = Manifest {
         pattern_rules: vec![rule],
         ..Manifest::default()
     };
     let analysis = analyze(&fixtures_dir(), &manifest, &Options::default());
-    assert_flagged_exactly(&analysis, "config_memory_breach.rs");
+    assert_flagged_exactly(&analysis, fixture);
 }
 
-/// The shipped `fpga-unsafe-doorway` rule, pointed at the fixture: an
-/// `unsafe` block or a `std::arch` intrinsic outside `crc.rs` is a
-/// finding.
+/// The shipped `config-memory-doorway` rule: a slot-store access outside
+/// `config_memory.rs` is a finding.
+#[test]
+fn config_memory_doorway_rule_flags_a_slot_store_breach() {
+    assert_shipped_rule_flags(
+        "config-memory-doorway",
+        &["crates/fpga/src"],
+        &["config_memory.rs"],
+        "config_memory_breach.rs",
+    );
+}
+
+/// The shipped `fpga-unsafe-doorway` rule: an `unsafe` block or a
+/// `std::arch` intrinsic outside `crc.rs` is a finding.
 #[test]
 fn fpga_unsafe_doorway_rule_flags_simd_outside_the_crc_module() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../analyze.json");
-    let shipped = Manifest::load(&root).unwrap();
-    let mut rule = shipped
-        .pattern_rules
-        .into_iter()
-        .find(|r| r.name == "fpga-unsafe-doorway")
-        .expect("analyze.json declares the unsafe doorway rule");
-    assert_eq!(rule.exempt_files, ["crc.rs"]);
-    rule.roots = vec!["fpga_unsafe_breach.rs".into()];
-    let manifest = Manifest {
-        pattern_rules: vec![rule],
-        ..Manifest::default()
-    };
-    let analysis = analyze(&fixtures_dir(), &manifest, &Options::default());
-    assert_flagged_exactly(&analysis, "fpga_unsafe_breach.rs");
+    assert_shipped_rule_flags(
+        "fpga-unsafe-doorway",
+        &["crates/fpga/src"],
+        &["crc.rs"],
+        "fpga_unsafe_breach.rs",
+    );
+}
+
+/// The shipped `registry-verifies-once` rule: a runtime file outside
+/// `registry.rs` that re-runs the integrity check is a finding.
+#[test]
+fn registry_verifies_once_rule_flags_a_check_outside_the_registry() {
+    assert_shipped_rule_flags(
+        "registry-verifies-once",
+        &["crates/runtime/src"],
+        &["registry.rs"],
+        "runtime_verify_breach.rs",
+    );
 }
 
 #[test]

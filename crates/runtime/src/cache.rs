@@ -1,19 +1,15 @@
-//! LRU cache of verified partial bitstreams.
+//! LRU cache in front of the bitstream registry, kept for its counters.
 //!
-//! [`crate::registry::BitstreamRegistry::lookup`] re-verifies the stored
-//! stream's build-time integrity checksum on every call — the right
-//! default for a safety-critical load path, but pure overhead when the
-//! same working set of (tile, accelerator) pairs swaps back and forth
-//! under load. [`BitstreamCache`] fronts the registry with a bounded LRU
-//! of already-verified streams: a hit returns a cheap `Arc` clone; a miss
-//! takes the stream the caller prepared, or pays the full verified lookup,
-//! and caches the result.
-//!
-//! On the only path that enables the cache, a hit saves no verification:
-//! the threaded runtime's worker prepare stage
-//! (`scheduler::worker_loop`) has already run the registry's verified
-//! lookup outside the core lock before every load, cached or not, and a
-//! hit drops that prepared stream.
+//! [`crate::registry::BitstreamRegistry`] verifies every stream once,
+//! when it is registered, so a registry lookup is already a map read plus
+//! an `Arc` clone. [`BitstreamCache`] fronts that read with a bounded LRU:
+//! a hit returns the cached `Arc`, a miss reads the registry and caches
+//! the result. Either way the caller gets the same stream, and a hit saves
+//! nothing worth measuring. The cache stays only because its
+//! [`CacheStats`] and the `pbs_cache.hit` trace record are read by the
+//! benchmark's runtime layer (`runtime.cache_lookups`,
+//! `runtime.cache_hit_ratio`, `runtime.cache_evictions`); removing it is
+//! a change to that benchmark.
 //!
 //! A capacity of zero disables the cache entirely (every lookup goes to
 //! the registry). The deterministic [`crate::manager::ReconfigManager`]
@@ -34,13 +30,13 @@ use std::collections::BTreeMap;
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that went through to the verified registry path.
+    /// Lookups that went through to the registry.
     pub misses: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
 }
 
-/// A bounded LRU of verified bitstreams keyed by (tile, accelerator).
+/// A bounded LRU of registered bitstreams keyed by (tile, accelerator).
 ///
 /// A reconfiguration request that needs a load looks its stream up
 /// exactly once, before the tile is decoupled, and every retry reuses
@@ -61,8 +57,8 @@ struct Entry {
 }
 
 impl BitstreamCache {
-    /// A cache holding at most `capacity` verified streams. Zero disables
-    /// caching: every lookup re-verifies through the registry.
+    /// A cache holding at most `capacity` streams. Zero disables caching:
+    /// every lookup reads the registry.
     pub fn new(capacity: usize) -> BitstreamCache {
         BitstreamCache {
             capacity,
@@ -75,35 +71,24 @@ impl BitstreamCache {
         BitstreamCache::new(0)
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Looks up the verified stream for `(tile, kind)`. A hit returns the
-    /// cached stream and drops `prepared`. A miss consumes `prepared`, a
-    /// verified stream the caller fetched from the same registry ahead of
-    /// time (outside the device-core lock), or with `None` goes to
-    /// `registry`, which re-verifies integrity. Hit/miss accounting, cache
-    /// contents and results are identical either way: the registry is
-    /// immutable after boot, so a prepared stream cannot go stale.
-    /// Returns whether the lookup hit alongside the stream.
+    /// Looks up the stream for `(tile, kind)`: a hit returns the cached
+    /// stream, a miss reads `registry`. Returns whether the lookup hit
+    /// alongside the stream.
     ///
     /// # Errors
     ///
     /// Propagates [`crate::registry::BitstreamRegistry::lookup`] errors
-    /// on the unprepared miss path.
+    /// on the miss path.
     pub fn lookup(
         &mut self,
         registry: &BitstreamRegistry,
         tile: TileCoord,
         kind: AcceleratorKind,
-        prepared: Option<Arc<Bitstream>>,
     ) -> Result<(Arc<Bitstream>, bool), Error> {
         self.stamp += 1;
         if self.capacity > 0 {
@@ -114,10 +99,7 @@ impl BitstreamCache {
             }
         }
         self.stats.misses += 1;
-        let stream = match prepared {
-            Some(stream) => stream,
-            None => registry.lookup(tile, kind)?,
-        };
+        let stream = registry.lookup(tile, kind)?;
         if self.capacity > 0 {
             if self.entries.len() >= self.capacity {
                 // Evict the least-recently-used entry.
@@ -163,19 +145,18 @@ mod tests {
         registry
     }
 
-    /// Looks `kind` up on tile (1, 0) with nothing prepared; returns
-    /// whether it hit.
+    /// Looks `kind` up on tile (1, 0); returns whether it hit.
     fn hits(
         cache: &mut BitstreamCache,
         registry: &BitstreamRegistry,
         kind: AcceleratorKind,
     ) -> bool {
         let t = TileCoord::new(1, 0);
-        cache.lookup(registry, t, kind, None).unwrap().1
+        cache.lookup(registry, t, kind).unwrap().1
     }
 
     #[test]
-    fn second_lookup_hits_and_skips_reverification() {
+    fn second_lookup_hits() {
         let t = TileCoord::new(1, 0);
         let registry = registry_with(&[(t, AcceleratorKind::Mac, 2)]);
         let mut cache = BitstreamCache::new(4);
@@ -219,26 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn prepared_stream_serves_a_miss_without_the_registry() {
-        let t = TileCoord::new(1, 0);
-        let prepared =
-            registry_with(&[(t, AcceleratorKind::Mac, 2)]).lookup(t, AcceleratorKind::Mac);
-        let mut cache = BitstreamCache::new(4);
-        let empty = registry_with(&[]);
-        let (_, hit) = cache
-            .lookup(&empty, t, AcceleratorKind::Mac, prepared.ok())
-            .unwrap();
-        assert!(!hit);
-        assert!(hits(&mut cache, &empty, AcceleratorKind::Mac));
-    }
-
-    #[test]
     fn miss_on_unregistered_pair_propagates() {
         let t = TileCoord::new(1, 0);
         let registry = registry_with(&[]);
         let mut cache = BitstreamCache::new(4);
         assert!(matches!(
-            cache.lookup(&registry, t, AcceleratorKind::Mac, None),
+            cache.lookup(&registry, t, AcceleratorKind::Mac),
             Err(Error::BitstreamNotRegistered { .. })
         ));
     }

@@ -24,7 +24,6 @@
 use crate::cache::{BitstreamCache, CacheStats};
 use crate::error::Error;
 use crate::manager::ManagerStats;
-use crate::protocol::PreparedBitstream;
 use crate::registry::BitstreamRegistry;
 use crate::sync::Arc;
 use presp_accel::catalog::AcceleratorKind;
@@ -43,15 +42,11 @@ pub(crate) fn loc(coord: TileCoord) -> Loc {
     Loc::new(coord.row as u64, coord.col as u64)
 }
 
-/// The shared device resources: SoC, registry (+ verified-bitstream
-/// cache) and aggregate statistics.
-///
-/// The registry is behind an `Arc` because it is immutable after boot:
-/// the scheduler's workers read it lock-free during their prepare stage
-/// while the core's copy serves the in-lock paths.
+/// The shared device resources: SoC, registry (+ bitstream cache) and
+/// aggregate statistics.
 pub struct DeviceCore {
     soc: Soc,
-    registry: Arc<BitstreamRegistry>,
+    registry: BitstreamRegistry,
     cache: BitstreamCache,
     stats: ManagerStats,
     /// Per-worker trace shards installed by the scheduler's sharded
@@ -81,14 +76,9 @@ impl fmt::Debug for DeviceCore {
 
 impl DeviceCore {
     /// A core over a booted SoC and a loaded registry. `cache` fronts the
-    /// registry's verified lookups; pass [`BitstreamCache::disabled`] to
-    /// re-verify on every load. The scheduler keeps a clone of the
-    /// registry handle for its workers' lock-free prepare stage.
-    pub(crate) fn new(
-        soc: Soc,
-        registry: Arc<BitstreamRegistry>,
-        cache: BitstreamCache,
-    ) -> DeviceCore {
+    /// registry's lookups; pass [`BitstreamCache::disabled`] to read the
+    /// registry on every load.
+    pub(crate) fn new(soc: Soc, registry: BitstreamRegistry, cache: BitstreamCache) -> DeviceCore {
         DeviceCore {
             soc,
             registry,
@@ -245,7 +235,7 @@ impl DeviceCore {
         &mut self.stats
     }
 
-    /// Hit/miss counters of the verified-bitstream cache.
+    /// Hit/miss counters of the bitstream cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -265,28 +255,20 @@ impl DeviceCore {
         }
     }
 
-    /// The verified bitstream for `(tile, kind)`, served from the LRU
+    /// The registered bitstream for `(tile, kind)`, served from the LRU
     /// cache when possible: a request's one fetch. A hit is traced as
-    /// [`TraceEvent::PbsCacheHit`] at cycle `at` and drops `prepared`; a
-    /// miss consumes `prepared`, a verified copy the caller fetched from
-    /// the same registry ahead of time (outside the device-core lock), or
-    /// with `None` pays the full verified lookup here. On the threaded
-    /// runtime the prepare stage has already verified the stream before
-    /// every load, so a hit saves that stage nothing. Cache behavior,
-    /// stats and traces are byte-identical either way.
+    /// [`TraceEvent::PbsCacheHit`] at cycle `at`.
     ///
     /// # Errors
     ///
-    /// Propagates [`BitstreamRegistry::lookup`] errors on the unprepared
-    /// miss path.
-    pub(crate) fn fetch_bitstream_with(
+    /// Propagates [`BitstreamRegistry::lookup`] errors on a miss.
+    pub(crate) fn fetch_bitstream(
         &mut self,
         tile: TileCoord,
         kind: AcceleratorKind,
         at: u64,
-        prepared: PreparedBitstream,
     ) -> Result<Arc<Bitstream>, Error> {
-        let (stream, hit) = self.cache.lookup(&self.registry, tile, kind, prepared)?;
+        let (stream, hit) = self.cache.lookup(&self.registry, tile, kind)?;
         if hit {
             self.soc
                 .tracer_mut()

@@ -23,8 +23,9 @@ pub enum Error {
         /// Requested accelerator.
         kind: AcceleratorKind,
     },
-    /// The registered bitstream for `(tile, accelerator)` no longer passes
-    /// its build-time integrity check — it was corrupted in storage.
+    /// The bitstream offered for `(tile, accelerator)` does not pass its
+    /// build-time integrity check — it was corrupted in storage — so the
+    /// registry refused it.
     CorruptBitstream {
         /// Target tile.
         tile: TileCoord,
@@ -118,7 +119,7 @@ impl fmt::Display for Error {
             Error::CorruptBitstream { tile, kind } => {
                 write!(
                     f,
-                    "registered {kind} bitstream for tile {tile} failed its integrity check"
+                    "{kind} bitstream for tile {tile} failed its integrity check"
                 )
             }
             Error::NoDriver { tile, needed } => {

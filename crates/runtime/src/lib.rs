@@ -14,7 +14,7 @@
 //! * [`tile`] / [`device`] — the sharded state split: per-tile
 //!   bookkeeping lives in one [`tile::TileState`] per tile, while the
 //!   genuinely shared resources (ICAP/DFXC timelines, configuration
-//!   memory, NoC, the registry and its verified-bitstream [`cache`])
+//!   memory, NoC, the registry and its bitstream [`cache`])
 //!   live in one [`device::DeviceCore`].
 //! * [`threaded`] — the runtime handle, [`threaded::ThreadedManager`]:
 //!   booted from one [`threaded::RuntimeConfig`], it offers blocking and

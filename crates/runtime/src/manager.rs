@@ -20,8 +20,8 @@
 //! the genuinely shared device resources in a [`crate::device::DeviceCore`],
 //! and the protocol itself in `protocol` functions shared verbatim with
 //! the OS-threaded [`crate::threaded::ThreadedManager`]. The facade calls them
-//! single-threaded, in submission order, with the verified-bitstream
-//! cache disabled — which is what makes its trace log a pure function of
+//! single-threaded, in submission order, with the bitstream cache
+//! disabled — which is what makes its trace log a pure function of
 //! the seeds.
 
 use crate::cache::{BitstreamCache, CacheStats};
@@ -30,7 +30,6 @@ use crate::driver::DriverEvent;
 use crate::error::Error;
 use crate::protocol;
 use crate::registry::BitstreamRegistry;
-use crate::sync::Arc;
 use crate::tile::TileState;
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::AccelOp;
@@ -258,7 +257,7 @@ impl ReconfigManager {
     ) -> ReconfigManager {
         ReconfigManager {
             tiles: BTreeMap::new(),
-            core: DeviceCore::new(soc, Arc::new(registry), BitstreamCache::disabled()),
+            core: DeviceCore::new(soc, registry, BitstreamCache::disabled()),
             policy,
         }
     }
@@ -268,7 +267,7 @@ impl ReconfigManager {
         self.policy = policy;
     }
 
-    /// Hit/miss counters of the verified-bitstream cache.
+    /// Hit/miss counters of the bitstream cache.
     pub fn bitstream_cache_stats(&self) -> CacheStats {
         self.core.cache_stats()
     }
@@ -511,10 +510,10 @@ impl ReconfigManager {
     /// # Errors
     ///
     /// Returns [`Error::TileQuarantined`] for quarantined tiles,
-    /// [`Error::BitstreamNotRegistered`] for unknown pairs,
-    /// [`Error::CorruptBitstream`] when the stored stream fails its
-    /// integrity re-check, [`Error::RetriesExhausted`] when recovery gives
-    /// up, and SoC errors from the decouple/reconfigure sequence.
+    /// [`Error::BitstreamNotRegistered`] for unknown pairs (including a
+    /// pair whose corrupt stream [`BitstreamRegistry::register`] refused),
+    /// [`Error::RetriesExhausted`] when recovery gives up, and SoC errors
+    /// from the decouple/reconfigure sequence.
     pub fn request_reconfiguration_at(
         &mut self,
         tile: TileCoord,
@@ -525,7 +524,7 @@ impl ReconfigManager {
             .tiles
             .entry(tile)
             .or_insert_with(|| TileState::new(tile));
-        protocol::request_reconfiguration_at(shard, &mut self.core, &self.policy, kind, at, None)
+        protocol::request_reconfiguration_at(shard, &mut self.core, &self.policy, kind, at)
     }
 
     /// [`Self::request_reconfiguration_at`] at the tile's own idle time.
@@ -623,7 +622,6 @@ impl ReconfigManager {
             op,
             at,
             protocol::evaluate(op),
-            None,
         )
     }
 
@@ -646,6 +644,7 @@ impl ReconfigManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::Arc;
     use presp_accel::AccelValue;
     use presp_fpga::bitstream::Bitstream;
     use presp_soc::config::SocConfig;
@@ -853,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_registry_entry_is_rejected_at_request_time() {
+    fn corrupt_stream_is_refused_at_registration() {
         let cfg = SocConfig::grid_3x3_reconf("corrupt", 1).unwrap();
         let soc = Soc::new(&cfg).unwrap();
         let tile = cfg.reconfigurable_tiles()[0];
@@ -861,13 +860,14 @@ mod tests {
         let mut words = good.words().to_vec();
         let idx = words.len() / 2;
         words[idx] ^= 1;
+        let corrupted = good.with_words(words);
         let mut registry = BitstreamRegistry::new();
-        registry
-            .register(tile, AcceleratorKind::Mac, good.with_words(words))
-            .unwrap();
+        let refused = registry.register(tile, AcceleratorKind::Mac, corrupted.clone());
+        assert!(matches!(refused, Err(Error::CorruptBitstream { .. })));
+        assert_eq!((registry.len(), registry.total_bytes()), (0, 0));
         let mut mgr = ReconfigManager::new(soc, registry);
         let err = mgr.request_reconfiguration(tile, AcceleratorKind::Mac);
-        assert!(matches!(err, Err(Error::CorruptBitstream { .. })));
+        assert!(matches!(err, Err(Error::BitstreamNotRegistered { .. })));
         assert_eq!(mgr.stats().rejected, 1);
         assert!(mgr.stats().consistent());
         // Rejected before the swap began: never decoupled, no driver
@@ -875,6 +875,19 @@ mod tests {
         let decoupled = mgr.soc().csr_read(tile, presp_soc::sim::csr::DECOUPLE);
         assert_eq!(decoupled.unwrap(), 0);
         assert!(mgr.driver_events(tile).is_empty());
+        // Programmed directly, the stream still fails the ICAP's CRC.
+        let mut soc = mgr.into_soc();
+        let t = soc
+            .csr_write_at(tile, presp_soc::sim::csr::DECOUPLE, 1, 0)
+            .unwrap();
+        let raw = soc.reconfigure_at(tile, AcceleratorKind::Mac, &Arc::new(corrupted), t);
+        assert!(matches!(
+            raw,
+            Err(presp_soc::Error::Fpga(
+                presp_fpga::Error::CrcMismatch { .. }
+                    | presp_fpga::Error::MalformedBitstream { .. }
+            ))
+        ));
     }
 
     #[test]
@@ -889,7 +902,7 @@ mod tests {
         assert!(run.unwrap().is_some());
         assert_eq!(mgr.stats().retries, 2);
         // The cache is disabled, so every registry read is a miss: the
-        // request verified its stream once, not once per attempt.
+        // request read its stream once, not once per attempt.
         assert_eq!(mgr.bitstream_cache_stats().misses, 1);
         assert!(mgr.stats().consistent());
     }

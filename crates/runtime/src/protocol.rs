@@ -51,13 +51,6 @@ pub(crate) fn evaluate(op: &AccelOp) -> Evaluated {
     AccelInstance::new(op.kind()).execute(op)
 }
 
-/// A verified bitstream fetched ahead of time, outside any lock (the
-/// registry is immutable after boot, so a prepared copy cannot go
-/// stale). `None` means "fetch in place, under the core lock" — the
-/// deterministic manager's path. Passed by value into the request's one
-/// fetch, which consumes it on a cache miss and drops it on a hit.
-pub(crate) type PreparedBitstream = Option<Arc<Bitstream>>;
-
 /// Ensures `kind` is loaded in the shard's tile, reconfiguring if
 /// needed, with the request arriving at cycle `at`. See
 /// [`crate::manager::ReconfigManager::request_reconfiguration_at`] for
@@ -68,7 +61,6 @@ pub(crate) fn request_reconfiguration_at(
     policy: &RecoveryPolicy,
     kind: AcceleratorKind,
     at: u64,
-    prepared: PreparedBitstream,
 ) -> Result<Option<ReconfigRun>, Error> {
     let tile = tile_state.coord();
     core.stats_mut().reconfig_requests += 1;
@@ -88,11 +80,11 @@ pub(crate) fn request_reconfiguration_at(
             });
         return Ok(None);
     }
-    // The request's one fetch. A pair that was never registered — or
-    // whose stored stream fails its integrity re-check — is a permanent
-    // error; transient staleness is injected per attempt below.
+    // The request's one fetch. A pair that was never registered (a
+    // corrupt stream is refused at registration) is a permanent error;
+    // transient staleness is injected per attempt below.
     let bitstream = core
-        .fetch_bitstream_with(tile, kind, at, prepared)
+        .fetch_bitstream(tile, kind, at)
         .inspect_err(|_| core.stats_mut().rejected += 1)?;
     // Wait for the accelerator in the tile to complete its execution.
     let idle = at.max(tile_state.idle_at());
@@ -482,7 +474,6 @@ pub(crate) fn run_on_cpu_at(
 ///
 /// Only the reconfiguration can fail degradably — [`run_at`]'s errors
 /// never are — so `value` goes to exactly one of the two paths.
-#[allow(clippy::too_many_arguments)] // mirrors the manager API's full knob set
 pub(crate) fn run_with_fallback_at(
     tile_state: &mut TileState,
     core: &mut DeviceCore,
@@ -491,9 +482,8 @@ pub(crate) fn run_with_fallback_at(
     op: &AccelOp,
     at: u64,
     value: Evaluated,
-    prepared: PreparedBitstream,
 ) -> Result<(AccelRun, ExecPath), Error> {
-    match request_reconfiguration_at(tile_state, core, policy, kind, at, prepared) {
+    match request_reconfiguration_at(tile_state, core, policy, kind, at) {
         Ok(_) => run_at(tile_state, core, op, at, value).map(|run| (run, ExecPath::Accelerator)),
         // Start the software run after the failed recovery concluded on
         // this tile's timeline.

@@ -7,17 +7,20 @@
 //! pbs differs per reconfigurable partition, which is why the key is the
 //! pair.
 //!
-//! Two integrity rules guard the store:
+//! Two integrity rules guard the store, both at registration:
 //!
 //! * registering the same `(tile, accelerator)` pair twice is an error —
 //!   a silent overwrite would let a stale or malicious stream shadow the
-//!   deployed one ([`BitstreamRegistry::replace`] is the explicit path);
-//! * every [`BitstreamRegistry::lookup`] re-verifies the bitstream's
-//!   build-time integrity checksum, so a stream corrupted after
-//!   registration is caught *before* it is ever handed to the DFXC.
+//!   deployed one;
+//! * [`BitstreamRegistry::register`] verifies the bitstream's build-time
+//!   integrity checksum and refuses a corrupt stream, so no corrupt
+//!   stream is ever stored, let alone handed to the DFXC.
 //!
-//! Streams are stored behind an [`Arc`]: a verified lookup hands out a
-//! reference count, not a copy of the stream.
+//! The registry cannot change after a runtime boots over it, so a stream
+//! is verified once, when it crosses into the store. Streams are stored
+//! behind an [`Arc`]: a lookup is a map read that hands out a reference
+//! count, not a copy of the stream. A load still guards itself with the
+//! ICAP's in-stream CRC and its transactional rollback.
 
 use crate::error::Error;
 use crate::sync::Arc;
@@ -38,13 +41,15 @@ impl BitstreamRegistry {
         BitstreamRegistry::default()
     }
 
-    /// Registers the bitstream loading `kind` into `tile`.
+    /// Registers the bitstream loading `kind` into `tile`, after
+    /// verifying its build-time integrity checksum. A refused stream
+    /// leaves the registry unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`Error::AlreadyRegistered`] when the pair already holds a
-    /// bitstream; replacement must be explicit via
-    /// [`BitstreamRegistry::replace`].
+    /// bitstream and [`Error::CorruptBitstream`] when the stream no
+    /// longer matches the checksum computed when it was built.
     pub fn register(
         &mut self,
         tile: TileCoord,
@@ -54,38 +59,24 @@ impl BitstreamRegistry {
         if self.entries.contains_key(&(tile, kind)) {
             return Err(Error::AlreadyRegistered { tile, kind });
         }
+        if !bitstream.verify_integrity() {
+            return Err(Error::CorruptBitstream { tile, kind });
+        }
         self.entries.insert((tile, kind), Arc::new(bitstream));
         Ok(())
     }
 
-    /// Explicitly replaces the bitstream for `(tile, kind)`, returning the
-    /// previous one (if any).
-    pub fn replace(
-        &mut self,
-        tile: TileCoord,
-        kind: AcceleratorKind,
-        bitstream: Bitstream,
-    ) -> Option<Arc<Bitstream>> {
-        self.entries.insert((tile, kind), Arc::new(bitstream))
-    }
-
-    /// Looks up the bitstream for `(tile, kind)`, re-verifying its
-    /// build-time integrity checksum.
+    /// The bitstream registered for `(tile, kind)`: a shared reference to
+    /// a stream verified when it was registered.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::BitstreamNotRegistered`] for unknown pairs and
-    /// [`Error::CorruptBitstream`] when the stored stream no longer
-    /// matches the checksum computed when it was built.
+    /// Returns [`Error::BitstreamNotRegistered`] for unknown pairs.
     pub fn lookup(&self, tile: TileCoord, kind: AcceleratorKind) -> Result<Arc<Bitstream>, Error> {
-        let bitstream = self
-            .entries
+        self.entries
             .get(&(tile, kind))
-            .ok_or(Error::BitstreamNotRegistered { tile, kind })?;
-        if !bitstream.verify_integrity() {
-            return Err(Error::CorruptBitstream { tile, kind });
-        }
-        Ok(Arc::clone(bitstream))
+            .map(Arc::clone)
+            .ok_or(Error::BitstreamNotRegistered { tile, kind })
     }
 
     /// Number of registered bitstreams.
@@ -161,33 +152,60 @@ mod tests {
         let err = reg.register(tile, AcceleratorKind::Sort, bitstream(2));
         assert!(matches!(err, Err(Error::AlreadyRegistered { .. })));
         assert_eq!(reg.len(), 1);
-        // The original stream is untouched …
-        let kept = reg.lookup(tile, AcceleratorKind::Sort).unwrap().clone();
-        // … and explicit replacement still works.
-        let old = reg.replace(tile, AcceleratorKind::Sort, bitstream(2));
-        assert_eq!(old.as_ref(), Some(&kept));
+        // A second refused registration leaves the original stream in
+        // place.
+        let kept = reg.lookup(tile, AcceleratorKind::Sort).unwrap();
+        let err = reg.register(tile, AcceleratorKind::Sort, bitstream(3));
+        assert!(matches!(err, Err(Error::AlreadyRegistered { .. })));
+        assert_eq!(reg.lookup(tile, AcceleratorKind::Sort).unwrap(), kept);
+        assert_eq!(*kept, bitstream(1));
         assert_eq!(reg.len(), 1);
     }
 
     #[test]
-    fn lookup_detects_storage_corruption() {
-        // Regression: lookup never re-validated the stream, so a bitstream
-        // corrupted after registration reached the ICAP unchecked.
-        let mut reg = BitstreamRegistry::new();
-        let tile = TileCoord::new(1, 1);
-        let good = bitstream(7);
+    fn register_refuses_a_corrupt_stream() {
+        // The registry is the one integrity check before the ICAP, so a
+        // corrupt stream must never enter it.
+        use crate::manager::ReconfigManager;
+        use presp_soc::config::SocConfig;
+        use presp_soc::sim::{csr, Soc};
+        let cfg = SocConfig::grid_3x3_reconf("corrupt", 1).unwrap();
+        let soc = Soc::new(&cfg).unwrap();
+        let tile = cfg.reconfigurable_tiles()[0];
+        let good = Bitstream::synthetic_partial(&soc.part().device(), 2..3, 4).unwrap();
         let mut words = good.words().to_vec();
         let idx = words.len() / 2;
         words[idx] ^= 0x40;
         let corrupted = good.with_words(words);
-        reg.register(tile, AcceleratorKind::Fft, corrupted).unwrap();
+        let mut reg = BitstreamRegistry::new();
+        reg.register(tile, AcceleratorKind::Sort, good.clone())
+            .unwrap();
+        let (len, bytes) = (reg.len(), reg.total_bytes());
         assert!(matches!(
-            reg.lookup(tile, AcceleratorKind::Fft),
+            reg.register(tile, AcceleratorKind::Fft, corrupted.clone()),
             Err(Error::CorruptBitstream { .. })
         ));
-        // A pristine stream on the same tile still verifies.
-        reg.replace(tile, AcceleratorKind::Fft, good);
-        assert!(reg.lookup(tile, AcceleratorKind::Fft).is_ok());
+        assert_eq!((reg.len(), reg.total_bytes()), (len, bytes));
+        // A later request finds nothing to load and never touches the
+        // tile.
+        let mut mgr = ReconfigManager::new(soc, reg);
+        assert!(matches!(
+            mgr.request_reconfiguration(tile, AcceleratorKind::Fft),
+            Err(Error::BitstreamNotRegistered { .. })
+        ));
+        assert_eq!(mgr.soc().csr_read(tile, csr::DECOUPLE).unwrap(), 0);
+        assert!(mgr.driver_events(tile).is_empty());
+        // The ICAP's in-stream CRC still refuses the stream on its own.
+        let mut soc = mgr.into_soc();
+        let t = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
+        let raw = soc.reconfigure_at(tile, AcceleratorKind::Fft, &Arc::new(corrupted), t);
+        assert!(matches!(
+            raw,
+            Err(presp_soc::Error::Fpga(
+                presp_fpga::Error::CrcMismatch { .. }
+                    | presp_fpga::Error::MalformedBitstream { .. }
+            ))
+        ));
     }
 
     #[test]

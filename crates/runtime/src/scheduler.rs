@@ -25,10 +25,10 @@
 //!   minimum (O(log tiles), not an O(tiles) scan), then evaluate the
 //!   behavioral accelerator result *outside any lock* — accelerator
 //!   instances are stateless, so the value is a pure function of the
-//!   operation — and pre-fetch the verified bitstream (a shared
-//!   reference) from the boot-immutable registry. Only the short
-//!   ICAP/NoC/virtual-time critical section then runs under the shard +
-//!   device-core locks.
+//!   operation. Prepare takes no lock at all: the bitstream is fetched
+//!   at commit, a map read of the registry that verified every stream
+//!   when it was registered. Only the short ICAP/NoC/virtual-time
+//!   critical section runs under the shard + device-core locks.
 //! * **The ticket gate.** Every admitted job carries a global ticket and
 //!   commits its critical section in strict ticket order. This keeps the
 //!   shared virtual timeline — and therefore stats, results, makespan and
@@ -49,7 +49,8 @@
 //!   all waiters are answered by the single underlying load
 //!   ([`presp_events::TraceEvent::RequestCoalesced`]).
 //! * **The bitstream cache.** The device core fronts registry lookups
-//!   with a bounded LRU of verified streams ([`crate::cache`]).
+//!   with a bounded LRU ([`crate::cache`]); it saves nothing and stays
+//!   for its counters.
 //! * **Supervision** (`policy.supervised`). Workers register every
 //!   claim (a recoverable stash of the job) with a supervisor table; a
 //!   watchdog thread steals claims whose owner wedged before its commit
@@ -89,7 +90,7 @@ use crate::cache::BitstreamCache;
 use crate::device::{loc, DeviceCore};
 use crate::error::Error;
 use crate::manager::{ExecPath, OverloadPolicy, RecoveryPolicy};
-use crate::protocol::{self, PreparedBitstream};
+use crate::protocol;
 use crate::registry::BitstreamRegistry;
 use crate::supervisor::{InjectedWorkerPanic, SupervisorStats, WorkerFault, WorkerFaultPlan};
 use crate::sync::{Arc, SyncFacade};
@@ -108,7 +109,7 @@ use presp_soc::sim::{AccelRun, Soc};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Default capacity of the verified-bitstream LRU on the threaded path.
+/// Default capacity of the bitstream LRU on the threaded path.
 pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 
 /// Deliberate concurrency-bug switches for checker validation: committed
@@ -160,8 +161,7 @@ pub struct SchedulerStats {
     /// Largest per-tile backlog observed at admission.
     pub max_queue_depth: u64,
     /// Wall-clock nanoseconds workers spent in the lock-free prepare
-    /// stage (behavioral evaluation + bitstream pre-fetch), summed
-    /// across workers.
+    /// stage (behavioral evaluation), summed across workers.
     pub stage_prepare_nanos: u64,
     /// Wall-clock nanoseconds workers spent waiting at the commit-order
     /// ticket gate, summed across workers.
@@ -523,9 +523,6 @@ pub(crate) struct Shared<S: SyncFacade> {
     pub(crate) gate: S::Mutex<Gate>,
     /// Signalled when the gate advances.
     gate_cv: S::Condvar,
-    /// The boot-immutable registry, shared with the workers' lock-free
-    /// prepare stage (the core holds the same handle).
-    registry: Arc<BitstreamRegistry>,
     /// The supervision table (`supervisor` lock): registered claims,
     /// dead worker slots and the restart budget.
     pub(crate) supervisor: S::Mutex<SupervisorState<S>>,
@@ -1096,14 +1093,13 @@ pub(crate) type WorkerHandles<S> =
 impl<S: SyncFacade> Shared<S> {
     /// The state a runtime of `workers` worker threads shares: one shard
     /// per tile in the SoC's configuration, the device core with its
-    /// verified-bitstream cache, and an idle gate and supervisor table.
+    /// bitstream cache, and an idle gate and supervisor table.
     pub(crate) fn new(
         soc: Soc,
         registry: BitstreamRegistry,
         config: RuntimeConfig,
         workers: usize,
     ) -> Shared<S> {
-        let registry = Arc::new(registry);
         let shards: BTreeMap<TileCoord, TileShard<S>> = soc
             .config()
             .iter()
@@ -1129,11 +1125,7 @@ impl<S: SyncFacade> Shared<S> {
             shards,
             core: S::mutex_labeled(
                 "core",
-                DeviceCore::new(
-                    soc,
-                    Arc::clone(&registry),
-                    BitstreamCache::new(config.cache_capacity),
-                ),
+                DeviceCore::new(soc, registry, BitstreamCache::new(config.cache_capacity)),
             ),
             admission: S::mutex_labeled("sched_admission", admission),
             work: S::condvar(),
@@ -1146,7 +1138,6 @@ impl<S: SyncFacade> Shared<S> {
                 },
             ),
             gate_cv: S::condvar(),
-            registry,
             supervisor: S::mutex_labeled(
                 "supervisor",
                 SupervisorState {
@@ -1249,27 +1240,6 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         let value = match &payload {
             Payload::Run { op, .. } | Payload::Execute { op, .. } => Some(protocol::evaluate(op)),
             Payload::Reconfigure { .. } => None,
-        };
-        // -- prepare: pre-fetch the verified bitstream outside the core
-        // lock. The registry is immutable after boot, so the verified
-        // stream (a shared reference) is exactly what the commit-time
-        // cache miss would have produced; lookup errors are left for the
-        // commit path to reproduce. A brief solo peek at
-        // the tile state skips the work when the driver is already
-        // loaded or the tile is out of service.
-        let prepared: PreparedBitstream = match &payload {
-            Payload::Reconfigure { kind, .. } | Payload::Execute { kind, .. } => {
-                let skip = {
-                    let state = S::lock(&shard.state);
-                    state.is_quarantined() || state.services(*kind)
-                };
-                if skip {
-                    None
-                } else {
-                    shared.registry.lookup(tile, *kind).ok()
-                }
-            }
-            Payload::Run { .. } => None,
         };
         let is_reconfigure = matches!(payload, Payload::Reconfigure { .. });
         if matches!(fault, Some(WorkerFault::Hang)) {
@@ -1390,7 +1360,6 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                             &shared.policy,
                             kind,
                             at,
-                            prepared,
                         )
                         .map(|_| ())
                     },
@@ -1410,7 +1379,6 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                             &op,
                             at,
                             value,
-                            prepared,
                         )
                     } else if shared.policy.cpu_fallback {
                         // Too late for the accelerator path; degrade to

@@ -48,7 +48,7 @@ pub struct RuntimeConfig {
     /// count produces identical virtual-time results (see
     /// [`crate::scheduler`]); `Some(1)` is the single-worker workqueue.
     pub workers: Option<usize>,
-    /// Capacity of the verified-bitstream LRU; `0` disables the cache.
+    /// Capacity of the bitstream LRU; `0` disables the cache.
     pub cache_capacity: usize,
     /// Deliberate protocol bugs for checker validation; all off by
     /// default.
@@ -110,7 +110,7 @@ impl<S: SyncFacade> Clone for ThreadedManager<S> {
 impl ThreadedManager<StdSync> {
     /// Boots with [`RuntimeConfig::default`]: the default
     /// [`RecoveryPolicy`], one worker per reconfigurable tile and a
-    /// 16-entry verified-bitstream cache.
+    /// 16-entry bitstream cache.
     pub fn spawn(soc: Soc, registry: BitstreamRegistry) -> ThreadedManager {
         ThreadedManager::spawn_with(soc, registry, RuntimeConfig::default())
     }
@@ -341,7 +341,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
         S::lock_recover(&self.shared.admission).stats.clone()
     }
 
-    /// Hit/miss counters of the verified-bitstream cache.
+    /// Hit/miss counters of the bitstream cache.
     pub fn cache_stats(&self) -> CacheStats {
         S::lock_recover(&self.shared.core).cache_stats()
     }

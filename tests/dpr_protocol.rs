@@ -76,25 +76,32 @@ fn corrupted_bitstream_is_rejected_by_the_icap_crc() {
 
     let soc = Soc::with_part(&design.config, design.part).unwrap();
     let mut registry = BitstreamRegistry::new();
-    registry
-        .register(tile, AcceleratorKind::Mac, corrupted.clone())
-        .unwrap();
+    // The registry verifies the build-time integrity checksum when a
+    // stream is registered, so the corrupt stream is never stored.
+    let refused = registry.register(tile, AcceleratorKind::Mac, corrupted.clone());
+    match refused {
+        Err(RuntimeError::CorruptBitstream { .. }) => {}
+        other => panic!("expected the registry integrity check to refuse, got {other:?}"),
+    }
+    assert_eq!((registry.len(), registry.total_bytes()), (0, 0));
     let mut manager = ReconfigManager::new(soc, registry);
-    // The registry re-verifies the build-time integrity checksum at lookup,
-    // so the corruption is caught before the ICAP is ever touched: no
-    // retries, no reconfiguration attempt, a permanent rejection.
+    // A later request finds nothing to load: no retries, no
+    // reconfiguration attempt, a permanent rejection.
     let err = manager.request_reconfiguration(tile, AcceleratorKind::Mac);
     match err {
-        Err(RuntimeError::CorruptBitstream { .. }) => {}
-        other => panic!("expected the registry integrity check to reject, got {other:?}"),
+        Err(RuntimeError::BitstreamNotRegistered { .. }) => {}
+        other => panic!("expected an unregistered pair, got {other:?}"),
     }
     assert_eq!(manager.stats().retries, 0);
     assert_eq!(manager.stats().rejected, 1);
     assert_eq!(manager.stats().reconfigurations, 0);
     assert!(manager.stats().consistent());
+    assert_eq!(manager.soc().csr_read(tile, csr::DECOUPLE).unwrap(), 0);
+    assert!(manager.driver_events(tile).is_empty());
     // Direct ICAP programming (no runtime in between) still reports the
-    // configuration-layer error itself. The rejected request never started
-    // the swap protocol, so decouple the tile manually first.
+    // configuration-layer error itself: the ICAP's in-stream CRC. The
+    // rejected request never started the swap protocol, so decouple the
+    // tile manually first.
     let mut soc = manager.into_soc();
     let t = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
     let raw = soc.reconfigure_at(
