@@ -5,9 +5,6 @@
 //!   registered up-front and the manager keeps "a reference between the
 //!   bitstreams, their physical addresses, the tiles they will be loaded
 //!   into, and their respective drivers".
-//! * [`driver`] — driver lifecycle events: each tile's shard binds and
-//!   unbinds its accelerator driver as accelerators are swapped and
-//!   records every probe and removal.
 //! * [`manager`] — the reconfiguration manager: wait-for-idle semantics,
 //!   per-tile locking during reconfiguration, decouple → DFXC → re-couple →
 //!   driver-swap sequencing, and reconfiguration statistics.
@@ -85,7 +82,6 @@ pub mod app;
 pub mod cache;
 pub mod defrag;
 pub mod device;
-pub mod driver;
 pub mod error;
 pub mod manager;
 pub(crate) mod protocol;

@@ -26,7 +26,6 @@
 
 use crate::cache::{BitstreamCache, CacheStats};
 use crate::device::DeviceCore;
-use crate::driver::DriverEvent;
 use crate::error::Error;
 use crate::protocol;
 use crate::registry::BitstreamRegistry;
@@ -475,14 +474,6 @@ impl ReconfigManager {
         self.tiles.get(&tile).is_some_and(|s| s.services(kind))
     }
 
-    /// The driver lifecycle events recorded on `tile`, oldest first.
-    pub fn driver_events(&self, tile: TileCoord) -> Vec<DriverEvent> {
-        self.tiles
-            .get(&tile)
-            .map(|s| s.driver_events().to_vec())
-            .unwrap_or_default()
-    }
-
     /// Virtual time at which `tile` becomes idle.
     pub fn tile_idle_at(&self, tile: TileCoord) -> u64 {
         self.tiles.get(&tile).map(TileState::idle_at).unwrap_or(0)
@@ -843,7 +834,9 @@ mod tests {
         assert_eq!(path, ExecPath::CpuFallback);
         assert_eq!(run.value, AccelValue::Scalar(6.0));
         // Recovery: golden restore + quarantine release → clean scrubs.
+        // The restore alone leaves the tile quarantined.
         assert!(mgr.restore_golden(tile).unwrap() > 0);
+        assert_eq!(mgr.tile_health(tile), TileHealth::Quarantined);
         assert!(mgr.release_quarantine(tile));
         let report = mgr.scrub_tile_at(tile, mgr.makespan()).unwrap();
         assert!(report.is_clean());
@@ -862,19 +855,27 @@ mod tests {
         words[idx] ^= 1;
         let corrupted = good.with_words(words);
         let mut registry = BitstreamRegistry::new();
+        registry
+            .register(tile, AcceleratorKind::Sort, good.clone())
+            .unwrap();
         let refused = registry.register(tile, AcceleratorKind::Mac, corrupted.clone());
         assert!(matches!(refused, Err(Error::CorruptBitstream { .. })));
-        assert_eq!((registry.len(), registry.total_bytes()), (0, 0));
+        assert_eq!(
+            (registry.len(), registry.total_bytes()),
+            (1, good.size_bytes())
+        );
         let mut mgr = ReconfigManager::new(soc, registry);
+        mgr.request_reconfiguration(tile, AcceleratorKind::Sort)
+            .unwrap();
         let err = mgr.request_reconfiguration(tile, AcceleratorKind::Mac);
         assert!(matches!(err, Err(Error::BitstreamNotRegistered { .. })));
         assert_eq!(mgr.stats().rejected, 1);
         assert!(mgr.stats().consistent());
-        // Rejected before the swap began: never decoupled, no driver
-        // removed.
+        // Rejected before the swap began: never decoupled, the loaded
+        // driver still bound.
         let decoupled = mgr.soc().csr_read(tile, presp_soc::sim::csr::DECOUPLE);
         assert_eq!(decoupled.unwrap(), 0);
-        assert!(mgr.driver_events(tile).is_empty());
+        assert_eq!(mgr.active_driver(tile), Some(AcceleratorKind::Sort));
         // Programmed directly, the stream still fails the ICAP's CRC.
         let mut soc = mgr.into_soc();
         let t = soc
@@ -923,34 +924,45 @@ mod tests {
     }
 
     #[test]
-    fn driver_events_are_recorded_per_tile() {
+    fn each_tile_binds_the_driver_of_its_last_swap() {
         let (mut mgr, tiles) = manager(2);
+        assert_eq!(mgr.active_driver(tiles[0]), None);
         mgr.request_reconfiguration(tiles[0], AcceleratorKind::Mac)
             .unwrap();
+        assert_eq!(mgr.active_driver(tiles[0]), Some(AcceleratorKind::Mac));
+        assert_eq!(mgr.active_driver(tiles[1]), None);
         mgr.request_reconfiguration(tiles[1], AcceleratorKind::Sort)
             .unwrap();
+        assert_eq!(mgr.active_driver(tiles[1]), Some(AcceleratorKind::Sort));
         mgr.request_reconfiguration(tiles[0], AcceleratorKind::Sort)
             .unwrap();
-        let events = mgr.driver_events(tiles[0]);
-        assert_eq!(
-            events,
-            vec![
-                DriverEvent::Probed {
-                    tile: tiles[0],
-                    kind: AcceleratorKind::Mac
-                },
-                DriverEvent::Removed {
-                    tile: tiles[0],
-                    kind: AcceleratorKind::Mac
-                },
-                DriverEvent::Probed {
-                    tile: tiles[0],
-                    kind: AcceleratorKind::Sort
-                },
-            ]
-        );
-        assert_eq!(mgr.driver_events(tiles[1]).len(), 1);
         assert_eq!(mgr.active_driver(tiles[0]), Some(AcceleratorKind::Sort));
+        assert!(!mgr.driver_services(tiles[0], AcceleratorKind::Mac));
+        assert_eq!(mgr.active_driver(tiles[1]), Some(AcceleratorKind::Sort));
+    }
+
+    #[test]
+    fn exhausted_retries_leave_the_tile_decoupled_without_a_driver() {
+        use presp_fpga::fault::{FaultConfig, FaultPlan};
+        let (mut mgr, tiles) = manager(1);
+        let tile = tiles[0];
+        mgr.request_reconfiguration(tile, AcceleratorKind::Mac)
+            .unwrap();
+        let policy = RecoveryPolicy::default();
+        let mut plan = FaultPlan::new(1, FaultConfig::uniform(0.0));
+        for nth in 0..=u64::from(policy.max_retries) {
+            plan.force_icap_fault(nth);
+        }
+        mgr.soc_mut().set_fault_plan(Some(plan));
+        let err = mgr.request_reconfiguration(tile, AcceleratorKind::Sort);
+        assert!(matches!(err, Err(Error::RetriesExhausted { .. })));
+        // The Mac driver was unbound before the first load and nothing
+        // was probed after the last failed one: the tile is isolated.
+        assert_eq!(mgr.active_driver(tile), None);
+        let decoupled = mgr.soc().csr_read(tile, presp_soc::sim::csr::DECOUPLE);
+        assert_eq!(decoupled.unwrap(), 1);
+        assert!(!mgr.is_quarantined(tile), "one exhausted request");
+        assert!(mgr.stats().consistent());
     }
 
     #[test]

@@ -187,14 +187,16 @@ mod tests {
         ));
         assert_eq!((reg.len(), reg.total_bytes()), (len, bytes));
         // A later request finds nothing to load and never touches the
-        // tile.
+        // tile: the driver loaded before it stays bound.
         let mut mgr = ReconfigManager::new(soc, reg);
+        mgr.request_reconfiguration(tile, AcceleratorKind::Sort)
+            .unwrap();
         assert!(matches!(
             mgr.request_reconfiguration(tile, AcceleratorKind::Fft),
             Err(Error::BitstreamNotRegistered { .. })
         ));
         assert_eq!(mgr.soc().csr_read(tile, csr::DECOUPLE).unwrap(), 0);
-        assert!(mgr.driver_events(tile).is_empty());
+        assert_eq!(mgr.active_driver(tile), Some(AcceleratorKind::Sort));
         // The ICAP's in-stream CRC still refuses the stream on its own.
         let mut soc = mgr.into_soc();
         let t = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();

@@ -21,7 +21,7 @@
 //! redispatched job always makes progress on its second claim.
 
 use presp_fpga::fault::SplitMix64;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 // Not a protocol primitive: guards one-time installation of a global
 // panic hook, immutable after init.
 use std::sync::OnceLock; // presp-analyze: allow — init-once hook guard
@@ -87,15 +87,13 @@ pub struct InjectedWorkerFaults {
 pub struct WorkerFaultPlan {
     seed: u64,
     config: WorkerFaultConfig,
-    scripted: BTreeMap<u64, WorkerFault>,
-    /// Faults assigned so far, extended lazily in ticket order.
+    /// Faults assigned and not yet fired, extended lazily in ticket
+    /// order. A fault leaves the map when it fires, so a re-decide
+    /// returns `None` and the redispatched claim proceeds.
     assigned: BTreeMap<u64, WorkerFault>,
     next_unassigned: u64,
     panics_assigned: u64,
     hangs_assigned: u64,
-    /// Tickets whose fault already fired; a re-decide returns `None` so
-    /// redispatched claims proceed.
-    fired: BTreeSet<u64>,
     injected: InjectedWorkerFaults,
 }
 
@@ -105,21 +103,20 @@ impl WorkerFaultPlan {
         WorkerFaultPlan {
             seed,
             config,
-            scripted: BTreeMap::new(),
             assigned: BTreeMap::new(),
             next_unassigned: 0,
             panics_assigned: 0,
             hangs_assigned: 0,
-            fired: BTreeSet::new(),
             injected: InjectedWorkerFaults::default(),
         }
     }
 
     /// A plan injecting exactly the listed `(ticket, fault)` pairs,
-    /// ignoring rates and budgets.
+    /// ignoring rates and budgets. The default config draws nothing,
+    /// so the script is the whole assignment.
     pub fn scripted(faults: &[(u64, WorkerFault)]) -> WorkerFaultPlan {
         let mut plan = WorkerFaultPlan::seeded(0, WorkerFaultConfig::default());
-        plan.scripted = faults.iter().copied().collect();
+        plan.assigned = faults.iter().copied().collect();
         plan
     }
 
@@ -127,10 +124,7 @@ impl WorkerFaultPlan {
     /// most once per ticket: the redispatched re-claim gets `None`.
     pub(crate) fn decide(&mut self, ticket: u64) -> Option<WorkerFault> {
         self.extend_to(ticket);
-        if !self.fired.insert(ticket) {
-            return None;
-        }
-        let fault = *self.assigned.get(&ticket)?;
+        let fault = self.assigned.remove(&ticket)?;
         match fault {
             WorkerFault::Panic => self.injected.panics += 1,
             WorkerFault::Hang => self.injected.hangs += 1,
@@ -151,10 +145,6 @@ impl WorkerFaultPlan {
         while self.next_unassigned <= ticket {
             let t = self.next_unassigned;
             self.next_unassigned += 1;
-            if let Some(&f) = self.scripted.get(&t) {
-                self.assigned.insert(t, f);
-                continue;
-            }
             let Some(fault) = self.draw(t) else { continue };
             match fault {
                 WorkerFault::Panic => {

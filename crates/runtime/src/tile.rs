@@ -1,8 +1,8 @@
 //! Per-tile shard state.
 //!
 //! The runtime used to keep every piece of per-tile bookkeeping — the
-//! active driver, the idle horizon, the health state machine, the
-//! quarantine flag and the failure streak — in parallel maps inside one
+//! active driver, the idle horizon, the health state machine (quarantine
+//! included) and the failure streak — in parallel maps inside one
 //! `ReconfigManager` god object, all guarded by a single lock. This
 //! module is the sharded replacement: one [`TileState`] per
 //! reconfigurable tile, owning exactly the state whose consistency is
@@ -19,8 +19,15 @@
 //! per-tile mutex (label `"tile_state"`) and is the only doorway through
 //! which shard state is mutated on the concurrent path — a boundary
 //! `presp-analyze` enforces.
+//!
+//! ESP auto-generates one device driver per accelerator. On a DPR system
+//! the driver bound to a reconfigurable tile must follow the accelerator:
+//! the manager unregisters the outgoing driver before reconfiguration and
+//! probes the incoming one after the DFXC interrupt. Submitting work
+//! through a stale driver is the classic DPR software bug this prevents.
+//! The shard's driver slot is the only record of the binding; the swaps
+//! themselves show in the trace as `reconfig.attempt` records.
 
-use crate::driver::DriverEvent;
 use presp_accel::catalog::AcceleratorKind;
 use presp_soc::config::TileCoord;
 
@@ -49,17 +56,15 @@ pub enum TileHealth {
 /// Everything the runtime tracks about one reconfigurable tile.
 ///
 /// The fields mirror the old manager's per-tile maps one for one: the
-/// driver slot (with its probe/remove event log), the virtual-time idle
-/// horizon, the health state machine, the quarantine flag and the
+/// driver slot, the virtual-time idle horizon, the health state machine
+/// (whose `Quarantined` state is the quarantine flag) and the
 /// consecutive-failure streak that feeds the quarantine policy.
 #[derive(Debug, Clone)]
 pub struct TileState {
     coord: TileCoord,
     driver: Option<AcceleratorKind>,
-    driver_events: Vec<DriverEvent>,
     idle_at: u64,
     health: TileHealth,
-    quarantined: bool,
     failure_streak: u32,
     /// Repack-moves watermark stamped when a load was refused for lack
     /// of a free span ([`crate::error::Error::RegionUnavailable`]);
@@ -74,10 +79,8 @@ impl TileState {
         TileState {
             coord,
             driver: None,
-            driver_events: Vec::new(),
             idle_at: 0,
             health: TileHealth::Healthy,
-            quarantined: false,
             failure_streak: 0,
             oversized_mark: None,
         }
@@ -103,28 +106,12 @@ impl TileState {
     /// the next probe, submissions fail fast instead of touching a tile
     /// that is being rewritten.
     pub fn remove_driver(&mut self) -> Option<AcceleratorKind> {
-        let removed = self.driver.take();
-        if let Some(kind) = removed {
-            self.driver_events.push(DriverEvent::Removed {
-                tile: self.coord,
-                kind,
-            });
-        }
-        removed
+        self.driver.take()
     }
 
     /// Probes the driver for `kind` (after reconfiguration).
     pub fn probe_driver(&mut self, kind: AcceleratorKind) {
         self.driver = Some(kind);
-        self.driver_events.push(DriverEvent::Probed {
-            tile: self.coord,
-            kind,
-        });
-    }
-
-    /// The recorded driver lifecycle events, oldest first.
-    pub fn driver_events(&self) -> &[DriverEvent] {
-        &self.driver_events
     }
 
     /// Virtual time at which the tile becomes idle.
@@ -137,31 +124,29 @@ impl TileState {
         self.idle_at = at;
     }
 
-    /// Configuration-memory health. Quarantine dominates whatever the
-    /// scrub state machine last recorded.
+    /// Configuration-memory health.
     pub fn health(&self) -> TileHealth {
-        if self.quarantined {
-            TileHealth::Quarantined
-        } else {
-            self.health
-        }
+        self.health
     }
 
-    /// Moves the scrub state machine.
+    /// Moves the scrub state machine. Quarantine dominates: a
+    /// quarantined tile stays `Quarantined` until
+    /// [`TileState::release_quarantine`].
     pub fn set_health(&mut self, health: TileHealth) {
-        self.health = health;
+        if !self.is_quarantined() {
+            self.health = health;
+        }
     }
 
     /// Whether the tile is quarantined.
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined
+        self.health == TileHealth::Quarantined
     }
 
     /// Quarantines the tile. Returns `true` on the transition (i.e. the
     /// tile was not already quarantined).
     pub fn quarantine(&mut self) -> bool {
-        let entered = !self.quarantined;
-        self.quarantined = true;
+        let entered = !self.is_quarantined();
         self.health = TileHealth::Quarantined;
         entered
     }
@@ -169,8 +154,7 @@ impl TileState {
     /// Releases the quarantine, clearing the failure streak and health
     /// history. Returns whether the tile was quarantined.
     pub fn release_quarantine(&mut self) -> bool {
-        let released = self.quarantined;
-        self.quarantined = false;
+        let released = self.is_quarantined();
         self.failure_streak = 0;
         self.health = TileHealth::Healthy;
         released
@@ -209,19 +193,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn driver_swap_records_events_in_order() {
+    fn driver_slot_follows_each_swap() {
         let mut t = TileState::new(TileCoord::new(1, 0));
         assert_eq!(t.active_driver(), None);
         t.probe_driver(AcceleratorKind::Mac);
         assert!(t.services(AcceleratorKind::Mac));
         assert!(!t.services(AcceleratorKind::Sort));
         assert_eq!(t.remove_driver(), Some(AcceleratorKind::Mac));
+        assert_eq!(t.active_driver(), None);
         t.probe_driver(AcceleratorKind::Sort);
-        assert_eq!(t.driver_events().len(), 3);
-        // Removing an empty slot records nothing.
+        assert_eq!(t.active_driver(), Some(AcceleratorKind::Sort));
+        // Removing from an empty slot removes nothing.
         let mut empty = TileState::new(TileCoord::new(2, 0));
         assert_eq!(empty.remove_driver(), None);
-        assert!(empty.driver_events().is_empty());
     }
 
     #[test]
@@ -232,6 +216,11 @@ mod tests {
         assert!(t.quarantine());
         assert!(!t.quarantine(), "second entry is not a transition");
         assert_eq!(t.health(), TileHealth::Quarantined);
+        // `restore_golden` sets the shard `Healthy`; a quarantined tile
+        // stays quarantined until it is released.
+        t.set_health(TileHealth::Healthy);
+        assert_eq!(t.health(), TileHealth::Quarantined);
+        assert!(t.is_quarantined());
         t.record_failure();
         assert!(t.release_quarantine());
         assert!(!t.release_quarantine());

@@ -126,21 +126,6 @@ pub struct RegionMoveRun {
     pub delta: i64,
 }
 
-/// One configuration-memory upset applied by the fault plan's SEU stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeuRecord {
-    /// Cycle the upset struck.
-    pub cycle: u64,
-    /// Upset frame.
-    pub addr: FrameAddress,
-    /// Word index within the frame.
-    pub word: usize,
-    /// Flipped bit.
-    pub bit: u32,
-    /// Second flipped bit of a double-bit upset, if any.
-    pub second_bit: Option<u32>,
-}
-
 /// Timing and outcome of one scrubber readback pass over a set of frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubReport {
@@ -161,15 +146,6 @@ impl ScrubReport {
     pub fn is_clean(&self) -> bool {
         self.corrected.is_empty() && self.uncorrectable.is_empty()
     }
-}
-
-/// An interrupt delivered to the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IrqEvent {
-    /// Source tile.
-    pub source: TileCoord,
-    /// Delivery cycle.
-    pub cycle: u64,
 }
 
 /// Per-tile simulation state.
@@ -196,7 +172,6 @@ pub struct Soc {
     clock: VirtualClock,
     tracer: Tracer,
     meter: EnergyMeter,
-    irq_log: Vec<IrqEvent>,
     fault_plan: Option<FaultPlan>,
     decoupled_rejections: u64,
     /// Per-tile golden (known-good, post-load) images, each held as the
@@ -204,7 +179,6 @@ pub struct Soc {
     /// addresses are its region: the union of every frame its successful
     /// loads have written.
     golden: HashMap<TileCoord, GoldenImage>,
-    seu_log: Vec<SeuRecord>,
 }
 
 impl Soc {
@@ -252,11 +226,9 @@ impl Soc {
             clock: VirtualClock::new(),
             tracer: Tracer::disabled(),
             meter,
-            irq_log: Vec::new(),
             fault_plan: None,
             decoupled_rejections: 0,
             golden: HashMap::new(),
-            seu_log: Vec::new(),
         })
     }
 
@@ -309,11 +281,6 @@ impl Soc {
         coords
     }
 
-    /// Interrupts delivered so far.
-    pub fn irq_log(&self) -> &[IrqEvent] {
-        &self.irq_log
-    }
-
     /// The DFX controller (for status inspection).
     pub fn dfxc(&self) -> &Dfxc {
         &self.dfxc
@@ -337,11 +304,6 @@ impl Soc {
     /// their own hooks, e.g. registry staleness, through this).
     pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
         self.fault_plan.as_mut()
-    }
-
-    /// Upsets injected into configuration memory so far, in arrival order.
-    pub fn seu_log(&self) -> &[SeuRecord] {
-        &self.seu_log
     }
 
     /// Frame addresses of `tile`'s reconfigurable region, in address
@@ -575,22 +537,12 @@ impl Soc {
                 .config_memory_mut()
                 .corrupt_bit(addr, word, upset.bit)
                 .expect("configured address with bounded word/bit is valid");
-            let second_bit = if upset.double_bit {
+            if upset.double_bit {
                 self.dfxc
                     .config_memory_mut()
                     .corrupt_bit(addr, word, upset.second_bit)
                     .expect("configured address with bounded word/bit is valid");
-                Some(upset.second_bit)
-            } else {
-                None
-            };
-            self.seu_log.push(SeuRecord {
-                cycle: upset.cycle,
-                addr,
-                word,
-                bit: upset.bit,
-                second_bit,
-            });
+            }
             self.tracer
                 .instant(ClockDomain::SocCycles, upset.cycle, || {
                     TraceEvent::SeuInjected {
@@ -783,10 +735,6 @@ impl Soc {
     fn deliver_irq(&mut self, at: u64, source: TileCoord) -> u64 {
         let cpu = self.config.cpu();
         let t = self.noc_transfer(at, source, cpu, 8, Plane::Irq);
-        self.irq_log.push(IrqEvent {
-            source,
-            cycle: t.end,
-        });
         self.tracer
             .instant(ClockDomain::SocCycles, t.end, || TraceEvent::Irq {
                 source: loc(source),
@@ -1244,10 +1192,44 @@ impl Soc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use presp_events::sink::snapshot;
+    use presp_events::MemorySink;
     use presp_fpga::bitstream::{BitstreamBuilder, BitstreamKind};
     use presp_fpga::config_memory::RegionSnapshot;
     use presp_fpga::frame::FrameAddress;
     use presp_wami::graph::WamiKernel;
+    use std::sync::Mutex;
+
+    /// Attaches a fresh memory sink to `soc` and returns it.
+    fn traced(soc: &mut Soc) -> Arc<Mutex<MemorySink>> {
+        let sink = MemorySink::shared();
+        soc.attach_tracer(sink.clone());
+        sink
+    }
+
+    /// The `irq.deliver` records in `sink`, as (source, delivery cycle).
+    fn irqs(sink: &Mutex<MemorySink>) -> Vec<(Loc, u64)> {
+        snapshot(sink)
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Irq { source } => Some((source, r.ts)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `seu.injected` records in `sink`, as (struck frame, double bit).
+    fn upsets(sink: &Mutex<MemorySink>) -> Vec<(FrameAddress, bool)> {
+        snapshot(sink)
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::SeuInjected {
+                    frame, double_bit, ..
+                } => Some((FrameAddress::unpack(frame as u32), double_bit)),
+                _ => None,
+            })
+            .collect()
+    }
 
     fn mac_soc() -> Soc {
         let cfg = SocConfig::grid_2x2_single(AcceleratorKind::Mac).unwrap();
@@ -1276,6 +1258,7 @@ mod tests {
     #[test]
     fn static_accelerator_computes_and_interrupts() {
         let mut soc = mac_soc();
+        let sink = traced(&mut soc);
         let tile = soc.accelerator_tiles()[0];
         let run = soc
             .run_accelerator(
@@ -1289,8 +1272,7 @@ mod tests {
         assert_eq!(run.value, AccelValue::Scalar(128.0));
         assert!(run.end > run.start);
         assert!(run.dma_cycles > 0 && run.compute_cycles > 0);
-        assert_eq!(soc.irq_log().len(), 1);
-        assert_eq!(soc.irq_log()[0].source, tile);
+        assert_eq!(irqs(&sink), vec![(loc(tile), run.end)]);
     }
 
     #[test]
@@ -1703,11 +1685,13 @@ mod tests {
         let mut plan = FaultPlan::new(7, FaultConfig::uniform(0.0));
         plan.force_seu(r.end + 10, false);
         soc.set_fault_plan(Some(plan));
+        let sink = traced(&mut soc);
         let report = soc.scrub_frames_at(&region, r.end + 100).unwrap();
         assert_eq!(report.corrected.len(), 1);
         assert!(report.uncorrectable.is_empty());
-        assert_eq!(soc.seu_log().len(), 1);
-        assert!(region.contains(&soc.seu_log()[0].addr));
+        let upsets = upsets(&sink);
+        assert_eq!(upsets.len(), 1);
+        assert!(region.contains(&upsets[0].0));
         // A second pass reads back clean.
         let report = soc.scrub_frames_at(&region, report.end).unwrap();
         assert!(report.is_clean());
@@ -1942,10 +1926,11 @@ mod tests {
         let mut plan = FaultPlan::new(11, FaultConfig::uniform(0.0));
         plan.force_seu(r.end + 1, true);
         soc.set_fault_plan(Some(plan));
+        let sink = traced(&mut soc);
         let region = soc.tile_region(tile);
         let report = soc.scrub_frames_at(&region, r.end + 50).unwrap();
         assert_eq!(report.uncorrectable.len(), 1);
-        assert!(soc.seu_log()[0].second_bit.is_some());
+        assert!(upsets(&sink)[0].1, "the upset flipped a second bit");
         // ECC cannot fix it; the golden store can.
         assert_eq!(soc.restore_golden(tile).unwrap(), 4);
         let report = soc.scrub_frames_at(&region, report.end).unwrap();
@@ -2007,14 +1992,13 @@ mod tests {
             .unwrap();
         let plan = FaultPlan::new(42, FaultConfig::uniform(0.0).with_seu(300.0, 0.0));
         soc.set_fault_plan(Some(plan));
+        let sink = traced(&mut soc);
         let region = soc.tile_region(tile);
         let report = soc.scrub_frames_at(&region, r.end + 50_000).unwrap();
-        assert!(
-            !soc.seu_log().is_empty(),
-            "the seeded stream produced upsets"
-        );
-        for record in soc.seu_log() {
-            assert!(region.contains(&record.addr), "upsets strike active frames");
+        let upsets = upsets(&sink);
+        assert!(!upsets.is_empty(), "the seeded stream produced upsets");
+        for (frame, _) in upsets {
+            assert!(region.contains(&frame), "upsets strike active frames");
         }
         // Everything lands in the scrubbed region, so the pass sees every
         // upset (two hits on one word escalate to uncorrectable instead).

@@ -64,18 +64,34 @@ fn flow_bitstreams_drive_the_full_swap_protocol() {
 
 #[test]
 fn corrupted_bitstream_is_rejected_by_the_icap_crc() {
-    let design = SocDesign::grid_3x3("corrupt", vec![vec![AcceleratorKind::Mac]], false).unwrap();
+    let design = SocDesign::grid_3x3(
+        "corrupt",
+        vec![vec![AcceleratorKind::Mac, AcceleratorKind::Sort]],
+        false,
+    )
+    .unwrap();
     let out = PrEspFlow::new().run(&design).unwrap();
     let tile = design.config.reconfigurable_tiles()[0];
-    let info = &out.partial_bitstreams[0];
+    let stream_for = |kind| {
+        &out.partial_bitstreams
+            .iter()
+            .find(|info| info.tile == Some(tile) && info.kind == kind)
+            .unwrap()
+            .bitstream
+    };
+    let sort = stream_for(AcceleratorKind::Sort);
+    let mac = stream_for(AcceleratorKind::Mac);
     // Flip a payload bit deep inside the stream.
-    let mut words = info.bitstream.words().to_vec();
+    let mut words = mac.words().to_vec();
     let idx = words.len() / 2;
     words[idx] ^= 0x1000;
-    let corrupted = info.bitstream.with_words(words);
+    let corrupted = mac.with_words(words);
 
     let soc = Soc::with_part(&design.config, design.part).unwrap();
     let mut registry = BitstreamRegistry::new();
+    registry
+        .register(tile, AcceleratorKind::Sort, sort.clone())
+        .unwrap();
     // The registry verifies the build-time integrity checksum when a
     // stream is registered, so the corrupt stream is never stored.
     let refused = registry.register(tile, AcceleratorKind::Mac, corrupted.clone());
@@ -83,8 +99,14 @@ fn corrupted_bitstream_is_rejected_by_the_icap_crc() {
         Err(RuntimeError::CorruptBitstream { .. }) => {}
         other => panic!("expected the registry integrity check to refuse, got {other:?}"),
     }
-    assert_eq!((registry.len(), registry.total_bytes()), (0, 0));
+    assert_eq!(
+        (registry.len(), registry.total_bytes()),
+        (1, sort.size_bytes())
+    );
     let mut manager = ReconfigManager::new(soc, registry);
+    manager
+        .request_reconfiguration(tile, AcceleratorKind::Sort)
+        .unwrap();
     // A later request finds nothing to load: no retries, no
     // reconfiguration attempt, a permanent rejection.
     let err = manager.request_reconfiguration(tile, AcceleratorKind::Mac);
@@ -94,10 +116,11 @@ fn corrupted_bitstream_is_rejected_by_the_icap_crc() {
     }
     assert_eq!(manager.stats().retries, 0);
     assert_eq!(manager.stats().rejected, 1);
-    assert_eq!(manager.stats().reconfigurations, 0);
+    assert_eq!(manager.stats().reconfigurations, 1);
     assert!(manager.stats().consistent());
+    // The swap never began: the tile stays coupled, its driver bound.
     assert_eq!(manager.soc().csr_read(tile, csr::DECOUPLE).unwrap(), 0);
-    assert!(manager.driver_events(tile).is_empty());
+    assert_eq!(manager.active_driver(tile), Some(AcceleratorKind::Sort));
     // Direct ICAP programming (no runtime in between) still reports the
     // configuration-layer error itself: the ICAP's in-stream CRC. The
     // rejected request never started the swap protocol, so decouple the
@@ -164,32 +187,17 @@ fn reconfigurations_serialize_on_the_shared_icap() {
 }
 
 #[test]
-fn driver_events_record_the_swap_history() {
-    use presp::runtime::driver::DriverEvent;
+fn active_driver_follows_the_swap_history() {
     let (design, mut manager) = flow_deployment();
     let tile = design.config.reconfigurable_tiles()[0];
+    assert_eq!(manager.active_driver(tile), None);
     manager
         .request_reconfiguration(tile, AcceleratorKind::Mac)
         .unwrap();
+    assert_eq!(manager.active_driver(tile), Some(AcceleratorKind::Mac));
     manager
         .request_reconfiguration(tile, AcceleratorKind::Sort)
         .unwrap();
-    let events = manager.driver_events(tile);
-    assert_eq!(
-        events,
-        vec![
-            DriverEvent::Probed {
-                tile,
-                kind: AcceleratorKind::Mac
-            },
-            DriverEvent::Removed {
-                tile,
-                kind: AcceleratorKind::Mac
-            },
-            DriverEvent::Probed {
-                tile,
-                kind: AcceleratorKind::Sort
-            },
-        ]
-    );
+    assert_eq!(manager.active_driver(tile), Some(AcceleratorKind::Sort));
+    assert!(!manager.driver_services(tile, AcceleratorKind::Mac));
 }
