@@ -318,7 +318,7 @@ fn run_repack() -> RepackCell {
         }
     }
     let mgr = ThreadedManager::spawn(soc, registry);
-    mgr.enable_regions_within(FitPolicy::FirstFit, 1..12)
+    mgr.enable_regions(FitPolicy::FirstFit, Some(1..12))
         .unwrap();
     for &t in &tiles {
         mgr.reconfigure_blocking(t, AcceleratorKind::Mac).unwrap();

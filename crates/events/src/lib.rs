@@ -10,7 +10,7 @@
 //! - [`ResourceTimeline`] — reservation-based arbitration of one shared
 //!   resource (a NoC link, the DRAM channel, the ICAP, a tile), with
 //!   busy/contention accounting.
-//! - [`Tracer`] / [`TraceSink`] — a structured trace layer that is free
+//! - [`Tracer`] / [`MemorySink`] — a structured trace layer that is free
 //!   when disabled: event payloads are built inside closures that never
 //!   run without an attached sink.
 //! - [`json`] — the hand-rolled JSON reader/writer shared by the SoC
@@ -30,5 +30,5 @@ pub mod trace;
 
 pub use clock::{cycles_to_micros, cycles_to_seconds, VirtualClock, SOC_CLOCK_MHZ};
 pub use sink::{MemorySink, ShardedSink, SharedSink};
-pub use timeline::{Reservation, ResourceTimeline, TimelineEpoch};
-pub use trace::{milliminutes, ClockDomain, Loc, TraceEvent, TraceRecord, TraceSink, Tracer};
+pub use timeline::{Reservation, ResourceTimeline};
+pub use trace::{milliminutes, ClockDomain, Loc, TraceEvent, TraceRecord, Tracer};

@@ -11,14 +11,14 @@
 //! this file must not call `.lock()` on a sink directly; `presp-analyze`
 //! enforces the doorway.
 
-use crate::trace::{TraceRecord, TraceSink};
+use crate::trace::TraceRecord;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The shared handle a [`crate::Tracer`] writes through. `Arc<Mutex<_>>`
 /// so one sink can collect records from several traced components (e.g.
 /// a SoC and the runtime manager driving it) and cross thread
 /// boundaries.
-pub type SharedSink = Arc<Mutex<dyn TraceSink + Send>>;
+pub type SharedSink = Arc<Mutex<MemorySink>>;
 
 /// Writes one record through a shared sink handle, recovering a
 /// poisoned lock. This is the only write path [`crate::Tracer::emit`]
@@ -31,19 +31,21 @@ pub fn record_to(sink: &SharedSink, record: TraceRecord) {
 
 /// The records a shared sink has retained so far, oldest first,
 /// recovering a poisoned lock instead of panicking the drain path.
-pub fn snapshot<T: TraceSink + ?Sized>(sink: &Mutex<T>) -> Vec<TraceRecord> {
+pub fn snapshot(sink: &Mutex<MemorySink>) -> Vec<TraceRecord> {
     sink.lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .collected()
+        .records
+        .clone()
 }
 
 /// Takes every retained record out of a shared sink, leaving it empty,
 /// recovering a poisoned lock instead of panicking the drain path.
-pub fn drain<T: TraceSink + ?Sized>(sink: &Mutex<T>) -> Vec<TraceRecord> {
-    sink.lock().unwrap_or_else(PoisonError::into_inner).drain()
+pub fn drain(sink: &Mutex<MemorySink>) -> Vec<TraceRecord> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner).take()
 }
 
-/// An unbounded in-memory sink; the default for tests and exports.
+/// The trace sink: an unbounded in-memory record buffer, written through
+/// [`record_to`] and read through [`snapshot`] and [`drain`].
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     records: Vec<TraceRecord>,
@@ -55,10 +57,14 @@ impl MemorySink {
         MemorySink::default()
     }
 
-    /// A shareable empty sink, ready to attach to tracers (the concrete
-    /// `Arc` coerces to [`SharedSink`]).
-    pub fn shared() -> Arc<Mutex<MemorySink>> {
+    /// A shareable empty sink, ready to attach to tracers.
+    pub fn shared() -> SharedSink {
         Arc::new(Mutex::new(MemorySink::new()))
+    }
+
+    /// Accepts one record.
+    pub fn record(&mut self, record: TraceRecord) {
+        self.records.push(record);
     }
 
     /// Records collected so far, in emission order.
@@ -69,20 +75,6 @@ impl MemorySink {
     /// Takes all collected records, leaving the sink empty.
     pub fn take(&mut self) -> Vec<TraceRecord> {
         std::mem::take(&mut self.records)
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, record: TraceRecord) {
-        self.records.push(record);
-    }
-
-    fn collected(&self) -> Vec<TraceRecord> {
-        self.records.clone()
-    }
-
-    fn drain(&mut self) -> Vec<TraceRecord> {
-        self.take()
     }
 }
 
@@ -99,7 +91,7 @@ impl TraceSink for MemorySink {
 /// shard count.
 #[derive(Clone)]
 pub struct ShardedSink {
-    shards: Vec<Arc<Mutex<MemorySink>>>,
+    shards: Vec<SharedSink>,
 }
 
 impl std::fmt::Debug for ShardedSink {

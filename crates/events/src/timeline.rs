@@ -66,7 +66,7 @@ impl ResourceTimeline {
     /// completion.
     pub fn reserve(&mut self, at: u64, duration: u64) -> Reservation {
         let start = at.max(self.free_at);
-        self.grant(at, start, start + duration)
+        self.claim(at, start, start + duration)
     }
 
     /// Records an occupancy the caller computed: the request was issued
@@ -76,82 +76,6 @@ impl ResourceTimeline {
     /// if it precedes the old one — callers that overwrite occupancy
     /// (a tile whose wrapper is replaced) rely on assignment semantics.
     pub fn claim(&mut self, requested: u64, start: u64, end: u64) -> Reservation {
-        self.grant(requested, start, end)
-    }
-
-    fn grant(&mut self, requested: u64, start: u64, end: u64) -> Reservation {
-        let waited = start.saturating_sub(requested);
-        self.reservations += 1;
-        self.busy = self.busy.saturating_add(end.saturating_sub(start));
-        self.waited = self.waited.saturating_add(waited);
-        self.free_at = end;
-        Reservation { start, end, waited }
-    }
-
-    /// Opens an epoch: a detached cursor seeded with the current free
-    /// point. Reservations made on the epoch use the exact arithmetic of
-    /// [`ResourceTimeline::reserve`] / [`ResourceTimeline::claim`] but
-    /// touch only the cursor; [`ResourceTimeline::commit`] folds the
-    /// whole batch back in one store. A caller holding the timeline
-    /// behind a lock can thus reserve a burst of work while touching the
-    /// shared state twice (open + commit) instead of once per event.
-    pub fn epoch(&self) -> TimelineEpoch {
-        TimelineEpoch {
-            free_at: self.free_at,
-            reservations: 0,
-            busy: 0,
-            waited: 0,
-        }
-    }
-
-    /// Commits an epoch opened with [`ResourceTimeline::epoch`]. The
-    /// resulting timeline state is identical to having performed the
-    /// epoch's reservations directly, in order — including the
-    /// assignment semantics of `free_at`. Committing an epoch from a
-    /// stale snapshot (the timeline moved since `epoch()`) is a caller
-    /// bug the same way an interleaved `claim` would be; the runtime
-    /// opens epochs under the same lock it commits them.
-    pub fn commit(&mut self, epoch: TimelineEpoch) {
-        self.free_at = epoch.free_at;
-        self.reservations += epoch.reservations;
-        self.busy = self.busy.saturating_add(epoch.busy);
-        self.waited = self.waited.saturating_add(epoch.waited);
-    }
-}
-
-/// A detached reservation cursor for batched timeline commits; see
-/// [`ResourceTimeline::epoch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineEpoch {
-    free_at: u64,
-    reservations: u64,
-    busy: u64,
-    waited: u64,
-}
-
-impl TimelineEpoch {
-    /// First cycle the resource is free as seen by this epoch.
-    pub fn free_at(&self) -> u64 {
-        self.free_at
-    }
-
-    /// Reservations accumulated in this epoch so far.
-    pub fn reservations(&self) -> u64 {
-        self.reservations
-    }
-
-    /// [`ResourceTimeline::reserve`] against the epoch cursor.
-    pub fn reserve(&mut self, at: u64, duration: u64) -> Reservation {
-        let start = at.max(self.free_at);
-        self.grant(at, start, start + duration)
-    }
-
-    /// [`ResourceTimeline::claim`] against the epoch cursor.
-    pub fn claim(&mut self, requested: u64, start: u64, end: u64) -> Reservation {
-        self.grant(requested, start, end)
-    }
-
-    fn grant(&mut self, requested: u64, start: u64, end: u64) -> Reservation {
         let waited = start.saturating_sub(requested);
         self.reservations += 1;
         self.busy = self.busy.saturating_add(end.saturating_sub(start));
@@ -205,39 +129,5 @@ mod tests {
         tl.reserve(0, 100);
         tl.claim(0, 10, 50);
         assert_eq!(tl.free_at(), 50);
-    }
-
-    #[test]
-    fn epoch_commit_matches_sequential_reservations() {
-        let mut direct = ResourceTimeline::new();
-        direct.reserve(0, 100);
-        let mut batched = direct;
-
-        // A burst of mixed reserve/claim operations, applied directly...
-        let d1 = direct.reserve(10, 50);
-        let d2 = direct.reserve(120, 30);
-        let stall = direct.free_at() + 25;
-        let d3 = direct.claim(40, stall, stall + 60);
-
-        // ...and through an epoch.
-        let mut epoch = batched.epoch();
-        let e1 = epoch.reserve(10, 50);
-        let e2 = epoch.reserve(120, 30);
-        let stall = epoch.free_at() + 25;
-        let e3 = epoch.claim(40, stall, stall + 60);
-        batched.commit(epoch);
-
-        assert_eq!((d1, d2, d3), (e1, e2, e3));
-        assert_eq!(direct, batched);
-    }
-
-    #[test]
-    fn empty_epoch_commit_is_a_no_op() {
-        let mut tl = ResourceTimeline::new();
-        tl.reserve(0, 100);
-        let before = tl;
-        let epoch = tl.epoch();
-        tl.commit(epoch);
-        assert_eq!(tl, before);
     }
 }

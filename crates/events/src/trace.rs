@@ -503,21 +503,6 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Where emitted records go. Implementations must be `Send` so traced
-/// components can cross thread boundaries (the threaded runtime moves
-/// the whole SoC into a worker thread).
-pub trait TraceSink: Send {
-    /// Accepts one record.
-    fn record(&mut self, record: TraceRecord);
-
-    /// The records retained so far, oldest first. Bounded sinks return
-    /// only what they still hold.
-    fn collected(&self) -> Vec<TraceRecord>;
-
-    /// Takes all retained records, leaving the sink empty.
-    fn drain(&mut self) -> Vec<TraceRecord>;
-}
-
 /// The per-component trace handle.
 ///
 /// A disabled tracer (the default) skips payload construction entirely:

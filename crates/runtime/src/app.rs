@@ -16,7 +16,7 @@
 //! other tiles' compute — the paper's "interleaved" reconfiguration.
 
 use crate::error::Error;
-use crate::manager::ReconfigManager;
+use crate::manager::{ExecPath, ReconfigManager};
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::{AccelOp, AccelValue};
 use presp_events::trace::ClockDomain;
@@ -207,60 +207,39 @@ impl WamiApp {
         ready: u64,
         frame_stats: &mut FrameStats,
     ) -> Result<(AccelValue, u64), Error> {
-        let (value, end) = 'run: {
-            match self.allocation.tile_for(kernel) {
-                Some(tile) => {
-                    // Prefetch: the reconfiguration request is issued at the
-                    // tile's idle time, independent of `ready`; non-interleaved
-                    // mode waits for the data to be ready first.
-                    let request_at = if self.prefetch {
-                        self.manager.tile_idle_at(tile)
-                    } else {
-                        ready.max(self.manager.tile_idle_at(tile))
-                    };
-                    match self.manager.request_reconfiguration_at(
-                        tile,
-                        AcceleratorKind::Wami(kernel),
-                        request_at,
-                    ) {
-                        Ok(Some(reconf)) => {
-                            frame_stats.reconfigurations += 1;
-                            frame_stats.reconfig_cycles += reconf.latency();
-                        }
-                        Ok(None) => {}
-                        Err(e) if e.is_degradable() => {
-                            let at = ready.max(self.manager.tile_idle_at(tile));
-                            let run = self.manager.degrade_to_cpu_at(
-                                AcceleratorKind::Wami(kernel),
-                                &op,
-                                at,
-                                e,
-                            )?;
-                            frame_stats.cpu_fallbacks += 1;
-                            break 'run (run.value, run.end);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    let run = self.manager.run_at(tile, &op, ready)?;
-                    (run.value, run.end)
+        let run = match self.allocation.tile_for(kernel) {
+            Some(tile) => {
+                // Prefetch: the reconfiguration request is issued at the
+                // tile's idle time, independent of `ready`; non-interleaved
+                // mode waits for the data to be ready first.
+                let idle = self.manager.tile_idle_at(tile);
+                let request_at = if self.prefetch { idle } else { ready.max(idle) };
+                let kind = AcceleratorKind::Wami(kernel);
+                let (run, path, reconf) = self
+                    .manager
+                    .execute_at(tile, kind, &op, request_at, ready)?;
+                if let Some(reconf) = reconf {
+                    frame_stats.reconfigurations += 1;
+                    frame_stats.reconfig_cycles += reconf.latency();
                 }
-                None => {
-                    let run = self.manager.run_on_cpu_at(&op, ready)?;
-                    (run.value, run.end)
+                if path == ExecPath::CpuFallback {
+                    frame_stats.cpu_fallbacks += 1;
                 }
+                run
             }
+            None => self.manager.run_on_cpu_at(&op, ready)?,
         };
         let frame = self.frames as u64;
         self.manager.soc_mut().tracer_mut().emit(
             ClockDomain::SocCycles,
             ready,
-            end.saturating_sub(ready),
+            run.end.saturating_sub(ready),
             || TraceEvent::FrameStage {
                 frame,
                 stage: kernel.name().to_string(),
             },
         );
-        Ok((value, end))
+        Ok((run.value, run.end))
     }
 
     /// Processes one raw Bayer frame through the full accelerated dataflow.

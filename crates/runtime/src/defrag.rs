@@ -20,10 +20,11 @@
 //!    lease.
 //! 3. Each move then takes only its owner's shard lock and the core
 //!    lock — the same `tile_state` → `core` order every worker and every
-//!    scrub pass use — and runs the protocol layer's `repack_move`:
-//!    allocator first (validated against every live lease), fabric
-//!    second (decouple → frame move → recouple), allocator rolled back
-//!    if the fabric refuses. Quarantined owners are skipped.
+//!    scrub pass use — and runs the protocol layer's `repack_move`, the
+//!    step the sequential manager's `repack_at` runs too: quarantined
+//!    owners are skipped, then allocator first (validated against every
+//!    live lease), fabric second (decouple → frame move → recouple),
+//!    allocator rolled back if the fabric refuses.
 //!
 //! Lock order invariant: `gate` → `core` for the plan, then `gate` →
 //! `tile_state` → `core` per move.
@@ -59,7 +60,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// let config = SocConfig::grid_3x3_reconf("demo", 1)?;
     /// let soc = Soc::new(&config)?;
     /// let manager = ThreadedManager::spawn(soc, BitstreamRegistry::new());
-    /// manager.enable_regions(FitPolicy::FirstFit)?;
+    /// manager.enable_regions(FitPolicy::FirstFit, None)?;
     /// let report = manager.repack_blocking()?;
     /// assert_eq!(report.skipped, 0);
     /// manager.shutdown();
@@ -121,18 +122,8 @@ fn repack_pass<S: SyncFacade>(shared: &Shared<S>) -> Result<RepackReport, Error>
             continue;
         };
         let mut state = S::lock(&shard.state);
-        if state.is_quarantined() {
-            report.skipped += 1;
-            continue;
-        }
         let mut core = S::lock(&shared.core);
-        match protocol::repack_move(&mut state, &mut core, mv, at) {
-            Ok(frames) => {
-                report.moves += 1;
-                report.frames_moved += frames;
-            }
-            Err(_) => report.skipped += 1,
-        }
+        protocol::repack_move(&mut state, &mut core, mv, at, &mut report);
     }
     protocol::close_repack_pass(&mut S::lock(&shared.core), &report, at);
     drop(quiesced);
@@ -284,7 +275,7 @@ mod tests {
             assert_eq!(d.column_kind(i + 1), *kind, "column {}", i + 1);
         }
         let mut mgr = ReconfigManager::new(soc, registry);
-        mgr.enable_regions_within(FitPolicy::FirstFit, 1..12)
+        mgr.enable_regions(FitPolicy::FirstFit, Some(1..12))
             .unwrap();
         let sequential = run_recipe(&mut mgr, &tiles);
         assert!(mgr.driver_services(tiles[1], AcceleratorKind::Gemm));
@@ -336,7 +327,7 @@ mod tests {
             };
             let mut threaded = ThreadedManager::spawn_with(soc, registry, config);
             threaded
-                .enable_regions_within(FitPolicy::FirstFit, 1..12)
+                .enable_regions(FitPolicy::FirstFit, Some(1..12))
                 .unwrap();
             let outcome = run_recipe(&mut threaded, &tiles);
             threaded.shutdown();
@@ -375,7 +366,7 @@ mod tests {
                 .unwrap();
         }
         let mgr = ThreadedManager::spawn(soc, registry);
-        mgr.enable_regions(FitPolicy::FirstFit).unwrap();
+        mgr.enable_regions(FitPolicy::FirstFit, None).unwrap();
         let swapper = {
             let mgr = mgr.clone();
             let tiles = tiles.clone();
@@ -482,7 +473,7 @@ mod tests {
         })
         .explore(|| {
             let (mgr, tile) = boot_checked(MutantConfig::default());
-            mgr.enable_regions(FitPolicy::FirstFit).unwrap();
+            mgr.enable_regions(FitPolicy::FirstFit, None).unwrap();
             let submitter = mgr.clone();
             let s = presp_check::sync::spawn_named("reconf_caller", move || {
                 let _ = submitter.reconfigure_blocking(tile, AcceleratorKind::Mac);

@@ -36,6 +36,7 @@ use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, ReconfigRun, ScrubReport, Soc};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 pub use crate::tile::TileHealth;
 
@@ -241,6 +242,11 @@ pub struct ReconfigManager {
     policy: RecoveryPolicy,
 }
 
+/// `tile`'s shard, created on first touch.
+fn shard_of(tiles: &mut BTreeMap<TileCoord, TileState>, tile: TileCoord) -> &mut TileState {
+    tiles.entry(tile).or_insert_with(|| TileState::new(tile))
+}
+
 impl ReconfigManager {
     /// Creates a manager over a booted SoC and a loaded registry, with the
     /// default [`RecoveryPolicy`].
@@ -307,10 +313,7 @@ impl ReconfigManager {
     /// Returns [`Error::TileQuarantined`] for already-quarantined tiles,
     /// plus SoC-level frame errors.
     pub fn scrub_tile_at(&mut self, tile: TileCoord, at: u64) -> Result<ScrubReport, Error> {
-        let shard = self
-            .tiles
-            .entry(tile)
-            .or_insert_with(|| TileState::new(tile));
+        let shard = shard_of(&mut self.tiles, tile);
         protocol::scrub_tile_at(shard, &mut self.core, at)
     }
 
@@ -322,19 +325,14 @@ impl ReconfigManager {
     ///
     /// Propagates SoC-level frame errors.
     pub fn scrub_all_at(&mut self, at: u64) -> Result<Vec<(TileCoord, ScrubReport)>, Error> {
-        let mut tiles: Vec<TileCoord> = self
-            .core
-            .soc()
-            .config()
-            .reconfigurable_tiles()
-            .into_iter()
-            .filter(|t| !self.is_quarantined(*t) && self.core.soc().has_region(*t))
-            .collect();
+        let mut tiles = self.core.soc().config().reconfigurable_tiles();
         tiles.sort_unstable();
-        let mut reports = Vec::with_capacity(tiles.len());
+        let mut reports = Vec::new();
         for tile in tiles {
-            let report = self.scrub_tile_at(tile, at)?;
-            reports.push((tile, report));
+            let shard = shard_of(&mut self.tiles, tile);
+            if let Some(report) = protocol::sweep_tile_at(shard, &mut self.core, at)? {
+                reports.push((tile, report));
+            }
         }
         Ok(reports)
     }
@@ -348,50 +346,36 @@ impl ReconfigManager {
     ///
     /// Propagates the SoC error when no golden image exists.
     pub fn restore_golden(&mut self, tile: TileCoord) -> Result<usize, Error> {
-        let shard = self
-            .tiles
-            .entry(tile)
-            .or_insert_with(|| TileState::new(tile));
+        let shard = shard_of(&mut self.tiles, tile);
         protocol::restore_golden(shard, &mut self.core)
     }
 
     /// Releases `tile` from quarantine (e.g. after operator intervention),
     /// clearing its failure streak. Returns whether it was quarantined.
     pub fn release_quarantine(&mut self, tile: TileCoord) -> bool {
-        let shard = self
-            .tiles
-            .entry(tile)
-            .or_insert_with(|| TileState::new(tile));
+        let shard = shard_of(&mut self.tiles, tile);
         protocol::release_quarantine(shard, &mut self.core)
     }
 
     /// Switches the manager from fixed sockets to amorphous
     /// floorplanning: every subsequent load consults a
     /// [`presp_floorplan::RegionAllocator`] over the device's frame
-    /// columns and relocates its bitstream into the leased span.
+    /// columns and relocates its bitstream into the leased span. A
+    /// `window` confines the allocator to those columns — the partially
+    /// reconfigurable share of the fabric, with everything outside
+    /// reserved for the static system; `None` manages the whole fabric.
     ///
     /// # Errors
     ///
     /// Returns a [`presp_soc::Error::RegionConflict`] when any tile has
     /// already been loaded — regions must be enabled before the first
     /// load.
-    pub fn enable_regions(&mut self, policy: FitPolicy) -> Result<(), Error> {
-        self.core.enable_regions(policy, None)
-    }
-
-    /// [`Self::enable_regions`] restricted to the columns in `window` —
-    /// the partially reconfigurable share of the fabric, with everything
-    /// outside reserved for the static system.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::enable_regions`].
-    pub fn enable_regions_within(
+    pub fn enable_regions(
         &mut self,
         policy: FitPolicy,
-        window: std::ops::Range<u32>,
+        window: Option<Range<u32>>,
     ) -> Result<(), Error> {
-        self.core.enable_regions(policy, Some(window))
+        self.core.enable_regions(policy, window)
     }
 
     /// Fragmentation counters of the region allocator; `None` on the
@@ -424,21 +408,8 @@ impl ReconfigManager {
         let plan = self.core.plan_repack();
         let mut report = RepackReport::default();
         for (mv, tile) in &plan {
-            let shard = self
-                .tiles
-                .entry(*tile)
-                .or_insert_with(|| TileState::new(*tile));
-            if shard.is_quarantined() {
-                report.skipped += 1;
-                continue;
-            }
-            match protocol::repack_move(shard, &mut self.core, mv, at) {
-                Ok(frames) => {
-                    report.moves += 1;
-                    report.frames_moved += frames;
-                }
-                Err(_) => report.skipped += 1,
-            }
+            let shard = shard_of(&mut self.tiles, *tile);
+            protocol::repack_move(shard, &mut self.core, mv, at, &mut report);
         }
         protocol::close_repack_pass(&mut self.core, &report, at);
         Ok(report)
@@ -511,10 +482,7 @@ impl ReconfigManager {
         kind: AcceleratorKind,
         at: u64,
     ) -> Result<Option<ReconfigRun>, Error> {
-        let shard = self
-            .tiles
-            .entry(tile)
-            .or_insert_with(|| TileState::new(tile));
+        let shard = shard_of(&mut self.tiles, tile);
         protocol::request_reconfiguration_at(shard, &mut self.core, &self.policy, kind, at)
     }
 
@@ -539,10 +507,7 @@ impl ReconfigManager {
     /// Returns [`Error::NoDriver`] when the tile's active driver does not
     /// service the operation (e.g. mid-reconfiguration), plus SoC errors.
     pub fn run_at(&mut self, tile: TileCoord, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
-        let shard = self
-            .tiles
-            .entry(tile)
-            .or_insert_with(|| TileState::new(tile));
+        let shard = shard_of(&mut self.tiles, tile);
         protocol::run_at(shard, &mut self.core, op, at, protocol::evaluate(op))
     }
 
@@ -563,25 +528,7 @@ impl ReconfigManager {
     ///
     /// Propagates SoC errors.
     pub fn run_on_cpu_at(&mut self, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
-        protocol::run_on_cpu_at(&mut self.core, op, at, protocol::evaluate(op))
-    }
-
-    /// Degrades a request for `kind` to the CPU software path at cycle
-    /// `at` after the degradable failure `cause`, through the same step
-    /// as [`Self::run_with_fallback_at`]; returns `cause` when
-    /// [`RecoveryPolicy::cpu_fallback`] is disabled.
-    pub(crate) fn degrade_to_cpu_at(
-        &mut self,
-        kind: AcceleratorKind,
-        op: &AccelOp,
-        at: u64,
-        cause: Error,
-    ) -> Result<AccelRun, Error> {
-        if !self.policy.cpu_fallback {
-            return Err(cause);
-        }
-        protocol::degrade_to_cpu_at(&mut self.core, kind, op, at, protocol::evaluate(op))
-            .map(|(run, _)| run)
+        Ok(self.core.soc_mut().run_on_cpu_at(op, at)?)
     }
 
     /// Ensures `kind` is loaded in `tile` and runs `op` there, degrading to
@@ -601,17 +548,28 @@ impl ReconfigManager {
         op: &AccelOp,
         at: u64,
     ) -> Result<(AccelRun, ExecPath), Error> {
-        let shard = self
-            .tiles
-            .entry(tile)
-            .or_insert_with(|| TileState::new(tile));
+        self.execute_at(tile, kind, op, at, at)
+            .map(|(run, path, _)| (run, path))
+    }
+
+    /// [`Self::run_with_fallback_at`] with the load requested at
+    /// `request_at` and the run starting from `ready`, also returning the
+    /// load the request performed — the WAMI application's kernel step.
+    pub(crate) fn execute_at(
+        &mut self,
+        tile: TileCoord,
+        kind: AcceleratorKind,
+        op: &AccelOp,
+        request_at: u64,
+        ready: u64,
+    ) -> Result<(AccelRun, ExecPath, Option<ReconfigRun>), Error> {
         protocol::run_with_fallback_at(
-            shard,
+            shard_of(&mut self.tiles, tile),
             &mut self.core,
             &self.policy,
             kind,
             op,
-            at,
+            (request_at, ready),
             protocol::evaluate(op),
         )
     }
@@ -971,7 +929,7 @@ mod tests {
         let (mut mgr, tiles) = manager(1);
         mgr.request_reconfiguration(tiles[0], AcceleratorKind::Mac)
             .unwrap();
-        let err = mgr.enable_regions(FitPolicy::FirstFit);
+        let err = mgr.enable_regions(FitPolicy::FirstFit, None);
         assert!(matches!(
             err,
             Err(Error::Soc(presp_soc::Error::RegionConflict { .. }))

@@ -17,7 +17,8 @@
 //! `sched.shed` (with the `shed` counter) when admission control refuses
 //! or displaces a request, and `sched.coalesced` (with the `coalesced`
 //! and folded `reconfig_requests` counts) when a load answers folded
-//! waiters. Maintenance passes count through [`scrub_tile_at`] and
+//! waiters. Maintenance passes count through [`scrub_tile_at`] (a sweep
+//! reaches it through [`sweep_tile_at`]), [`repack_move`] and
 //! [`close_repack_pass`].
 //!
 //! The `value` parameters carry an operation's behavioral result, which
@@ -296,26 +297,54 @@ fn relocate_to(
     Ok(Arc::new(bitstream.relocate(device, delta)?))
 }
 
-/// Executes one planned compaction move (see [`DeviceCore::plan_repack`])
-/// on the tile owning the lease.
-///
-/// The allocator commits first — [`DeviceCore::move_lease`]
-/// validates the destination against every live lease, including
-/// frame-less ones the fabric cannot see — and is rolled back if the
-/// physical move is refused. The physical half (decouple → lockstep
-/// frame/ECC/golden move → re-couple) is skipped for a lease that never
-/// loaded; otherwise the tile's idle horizon advances past the
-/// re-couple, so the move occupies the tile's own timeline as well as
-/// the shared ICAP. A completed move is counted in the ledger's
-/// `repack_moves` and `frames_moved`. Returns the number of frames
-/// physically moved.
+/// One move of a repack pass: executes the planned compaction move `mv`
+/// (see [`DeviceCore::plan_repack`]) on the tile owning the lease and
+/// tallies the outcome into `report`. A completed move adds to the
+/// report's `moves` and `frames_moved` and to the ledger's
+/// `repack_moves` and `frames_moved`; a refused one — the owner
+/// quarantined or no longer holding the lease, or the allocator or the
+/// fabric refusing — adds to `skipped`. Both managers run each planned
+/// move through this step.
 pub(crate) fn repack_move(
+    tile_state: &mut TileState,
+    core: &mut DeviceCore,
+    mv: &RegionMove,
+    at: u64,
+    report: &mut RepackReport,
+) {
+    match move_region(tile_state, core, mv, at) {
+        Ok(frames) => {
+            let stats = core.stats_mut();
+            stats.repack_moves += 1;
+            stats.frames_moved += frames;
+            report.moves += 1;
+            report.frames_moved += frames;
+        }
+        Err(_) => report.skipped += 1,
+    }
+}
+
+/// The move behind [`repack_move`]; returns the number of frames
+/// physically moved.
+///
+/// A quarantined tile is never moved. The allocator commits first —
+/// [`DeviceCore::move_lease`] validates the destination against every
+/// live lease, including frame-less ones the fabric cannot see — and is
+/// rolled back if the physical move is refused. The physical half
+/// (decouple → lockstep frame/ECC/golden move → re-couple) is skipped
+/// for a lease that never loaded; otherwise the tile's idle horizon
+/// advances past the re-couple, so the move occupies the tile's own
+/// timeline as well as the shared ICAP.
+fn move_region(
     tile_state: &mut TileState,
     core: &mut DeviceCore,
     mv: &RegionMove,
     at: u64,
 ) -> Result<u64, Error> {
     let tile = tile_state.coord();
+    if tile_state.is_quarantined() {
+        return Err(Error::TileQuarantined { tile });
+    }
     let owned = core
         .tile_lease(tile)
         .is_some_and(|l| l.id == mv.id && l.base == mv.from);
@@ -337,19 +366,11 @@ pub(crate) fn repack_move(
         // Never loaded: a pure bookkeeping slide.
         Ok(0)
     };
-    match physical {
-        Ok(frames) => {
-            let stats = core.stats_mut();
-            stats.repack_moves += 1;
-            stats.frames_moved += frames;
-            Ok(frames)
-        }
-        Err(e) => {
-            // Roll the allocator back; the source span is still free.
-            let _ = core.move_lease(mv.id, mv.from);
-            Err(e)
-        }
+    if physical.is_err() {
+        // Roll the allocator back; the source span is still free.
+        let _ = core.move_lease(mv.id, mv.from);
     }
+    physical
 }
 
 /// Closes a repack pass anchored at `at`: counts it in the ledger's
@@ -366,7 +387,7 @@ pub(crate) fn close_repack_pass(core: &mut DeviceCore, report: &RepackReport, at
         });
 }
 
-/// The physical half of [`repack_move`]: decouple the tile, slide its
+/// The physical half of [`move_region`]: decouple the tile, slide its
 /// frames (with ECC and golden images in lockstep), re-couple.
 fn move_frames(
     tile_state: &mut TileState,
@@ -459,36 +480,33 @@ pub(crate) fn run_at(
     Ok(run)
 }
 
-/// Runs `op` in software on the CPU tile at cycle `at`.
-pub(crate) fn run_on_cpu_at(
-    core: &mut DeviceCore,
-    op: &AccelOp,
-    at: u64,
-    value: Evaluated,
-) -> Result<AccelRun, Error> {
-    Ok(core.soc_mut().run_on_cpu_prepared_at(op, at, value)?)
-}
-
-/// Reconfigure-then-run with CPU degradation. See
+/// Reconfigure-then-run with CPU degradation: requests `kind`'s load at
+/// `requested` and runs `op` from `ready`, when its inputs are. The
+/// WAMI application requests ahead of its data (prefetch); every other
+/// caller passes one time for both. See
 /// [`crate::manager::ReconfigManager::run_with_fallback_at`].
 ///
-/// Only the reconfiguration can fail degradably — [`run_at`]'s errors
-/// never are — so `value` goes to exactly one of the two paths.
+/// Returns the run, the path that executed it and the load the request
+/// performed (`None` on a driver cache hit or a degrade). Only the
+/// reconfiguration can fail degradably — [`run_at`]'s errors never
+/// are — so `value` goes to exactly one of the two paths.
 pub(crate) fn run_with_fallback_at(
     tile_state: &mut TileState,
     core: &mut DeviceCore,
     policy: &RecoveryPolicy,
     kind: AcceleratorKind,
     op: &AccelOp,
-    at: u64,
+    (requested, ready): (u64, u64),
     value: Evaluated,
-) -> Result<(AccelRun, ExecPath), Error> {
-    match request_reconfiguration_at(tile_state, core, policy, kind, at) {
-        Ok(_) => run_at(tile_state, core, op, at, value).map(|run| (run, ExecPath::Accelerator)),
+) -> Result<(AccelRun, ExecPath, Option<ReconfigRun>), Error> {
+    match request_reconfiguration_at(tile_state, core, policy, kind, requested) {
+        Ok(reconf) => run_at(tile_state, core, op, ready, value)
+            .map(|run| (run, ExecPath::Accelerator, reconf)),
         // Start the software run after the failed recovery concluded on
         // this tile's timeline.
         Err(e) if e.is_degradable() && policy.cpu_fallback => {
-            degrade_to_cpu_at(core, kind, op, at.max(tile_state.idle_at()), value)
+            let start = ready.max(tile_state.idle_at());
+            degrade_to_cpu_at(core, kind, op, start, value).map(|(run, path)| (run, path, None))
         }
         Err(e) => Err(e),
     }
@@ -498,8 +516,7 @@ pub(crate) fn run_with_fallback_at(
 /// cycle `start`: traces the `cpu.fallback` record, runs `op` on the CPU
 /// tile and counts a completed run in `fallback_runs`. The one degrade
 /// step, shared by a degradable reconfiguration failure
-/// ([`run_with_fallback_at`] and the WAMI application's kernels) and the
-/// scheduler's missed deadline.
+/// ([`run_with_fallback_at`]) and the scheduler's missed deadline.
 pub(crate) fn degrade_to_cpu_at(
     core: &mut DeviceCore,
     kind: AcceleratorKind,
@@ -512,7 +529,7 @@ pub(crate) fn degrade_to_cpu_at(
         .instant(ClockDomain::SocCycles, start, || TraceEvent::CpuFallback {
             kind: kind.name(),
         });
-    let run = run_on_cpu_at(core, op, start, value)?;
+    let run = core.soc_mut().run_on_cpu_prepared_at(op, start, value)?;
     core.stats_mut().fallback_runs += 1;
     Ok((run, ExecPath::CpuFallback))
 }
@@ -587,6 +604,21 @@ pub(crate) fn scrub_tile_at(
         tile_state.set_health(TileHealth::Degraded);
     }
     Ok(report)
+}
+
+/// One tile's turn in a scrub sweep anchored at `at`: a quarantined
+/// tile, or one never loaded (no region to read back), is skipped with
+/// `None`; any other is scrubbed. Both managers sweep their tiles in
+/// coordinate order through this step.
+pub(crate) fn sweep_tile_at(
+    tile_state: &mut TileState,
+    core: &mut DeviceCore,
+    at: u64,
+) -> Result<Option<ScrubReport>, Error> {
+    if tile_state.is_quarantined() || !core.soc().has_region(tile_state.coord()) {
+        return Ok(None);
+    }
+    scrub_tile_at(tile_state, core, at).map(Some)
 }
 
 /// Restores the tile's region from its golden image. See

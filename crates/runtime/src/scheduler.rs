@@ -312,11 +312,6 @@ pub(crate) struct TileQueue<S: SyncFacade> {
     jobs: VecDeque<Job<S>>,
     /// A worker holds this tile's head job; per-tile FIFO order.
     checked_out: bool,
-    /// Monotone count of head-job checkouts, for the
-    /// [`ThreadedManager::tile_claims`](crate::threaded::ThreadedManager::tile_claims)
-    /// probe — latching, unlike `checked_out`, so an
-    /// observer can't miss a short-lived claim window.
-    pub(crate) claims: u64,
     inflight: Option<Inflight<S>>,
 }
 
@@ -326,7 +321,6 @@ impl<S: SyncFacade> TileQueue<S> {
         TileQueue {
             jobs: VecDeque::new(),
             checked_out: false,
-            claims: 0,
             inflight: None,
         }
     }
@@ -657,7 +651,6 @@ impl<S: SyncFacade> Shared<S> {
         let shard = self.shards.get(&tile).expect("indexed tile exists");
         let mut tq = S::lock(&shard.queue);
         tq.checked_out = true;
-        tq.claims += 1;
         let job = tq.jobs.pop_front().expect("indexed head job exists");
         debug_assert_eq!(job.ticket, ticket, "head index out of sync");
         if let Payload::Reconfigure { kind, .. } = &job.payload {
@@ -1377,9 +1370,10 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                             &shared.policy,
                             kind,
                             &op,
-                            at,
+                            (at, at),
                             value,
                         )
+                        .map(|(run, path, _)| (run, path))
                     } else if shared.policy.cpu_fallback {
                         // Too late for the accelerator path; degrade to
                         // the CPU so application work still completes.

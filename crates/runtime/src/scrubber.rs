@@ -98,23 +98,19 @@ fn scrub_pass<S: SyncFacade>(shared: &Shared<S>, tile: TileCoord) -> Result<Scru
     protocol::scrub_tile_at(&mut state, &mut core, at)
 }
 
-/// A full sweep: every configured, non-quarantined tile, one at a time
-/// (the shard locks are never held pairwise), all anchored at the
-/// sweep's starting horizon like the deterministic manager's
-/// `scrub_all_at`.
+/// A full sweep: every tile in coordinate order, one at a time (the
+/// shard locks are never held pairwise), through the protocol step the
+/// deterministic manager's `scrub_all_at` also runs, all anchored at the
+/// sweep's starting horizon.
 fn scrub_sweep<S: SyncFacade>(shared: &Shared<S>) -> Result<Vec<(TileCoord, ScrubReport)>, Error> {
     let at = S::lock(&shared.core).soc().horizon();
     let mut reports = Vec::new();
     for (&tile, shard) in &shared.shards {
         let mut state = S::lock(&shard.state);
-        if state.is_quarantined() {
-            continue;
-        }
         let mut core = S::lock(&shared.core);
-        if !core.soc().has_region(tile) {
-            continue;
+        if let Some(report) = protocol::sweep_tile_at(&mut state, &mut core, at)? {
+            reports.push((tile, report));
         }
-        reports.push((tile, protocol::scrub_tile_at(&mut state, &mut core, at)?));
     }
     Ok(reports)
 }
@@ -122,11 +118,14 @@ fn scrub_sweep<S: SyncFacade>(shared: &Shared<S>) -> Result<Vec<(TileCoord, Scru
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::{ManagerStats, ReconfigManager};
     use crate::registry::BitstreamRegistry;
     use crate::threaded::RuntimeConfig;
     use presp_accel::catalog::AcceleratorKind;
     use presp_accel::AccelOp;
     use presp_check::{CheckSync, Checker, Config};
+    use presp_events::sink::snapshot;
+    use presp_events::{MemorySink, SharedSink, TraceEvent};
     use presp_fpga::bitstream::Bitstream;
     use presp_fpga::fault::{FaultConfig, FaultPlan};
     use presp_soc::config::SocConfig;
@@ -223,6 +222,110 @@ mod tests {
         assert_eq!(mgr.stats().scrub_passes, 10);
         assert!(mgr.stats().consistent());
         mgr.shutdown();
+    }
+
+    /// A two-tile SoC with a trace sink attached and a registry holding
+    /// one single-frame stream per tile.
+    fn two_tile_sweep_fixture() -> (Soc, BitstreamRegistry, Vec<TileCoord>, SharedSink) {
+        let cfg = SocConfig::grid_3x3_reconf("sweep", 2).unwrap();
+        let mut soc = Soc::new(&cfg).unwrap();
+        let tiles = cfg.reconfigurable_tiles();
+        let mut registry = BitstreamRegistry::new();
+        for (i, &tile) in tiles.iter().enumerate() {
+            registry
+                .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2 + i as u32))
+                .unwrap();
+        }
+        let sink = MemorySink::shared();
+        soc.attach_tracer(sink.clone());
+        (soc, registry, tiles, sink)
+    }
+
+    /// A plan forcing a single-bit and a double-bit upset at `at`; with
+    /// this seed they land in different tiles.
+    fn two_upsets(at: u64) -> FaultPlan {
+        let mut plan = FaultPlan::new(3, FaultConfig::uniform(0.0));
+        plan.force_seu(at, false);
+        plan.force_seu(at, true);
+        plan
+    }
+
+    /// The records a sweep emitted past `from`, without their seq
+    /// numbers (the threaded loads emit extra scheduling records first).
+    fn sweep_records(sink: &SharedSink, from: usize) -> Vec<(u64, u64, TraceEvent)> {
+        snapshot(sink)[from..]
+            .iter()
+            .map(|r| (r.ts, r.dur, r.event.clone()))
+            .collect()
+    }
+
+    /// What one sweep leaves observable.
+    type SweepOutcome = (
+        Vec<(TileCoord, ScrubReport)>,
+        ManagerStats,
+        Vec<TileCoord>,
+        Vec<(u64, u64, TraceEvent)>,
+    );
+
+    #[test]
+    fn scrub_sweep_agrees_across_managers() {
+        let (soc, registry, tiles, sink) = two_tile_sweep_fixture();
+        let mut sequential = ReconfigManager::new(soc, registry);
+        for &tile in &tiles {
+            sequential
+                .request_reconfiguration(tile, AcceleratorKind::Mac)
+                .unwrap();
+        }
+        let at = sequential.makespan();
+        sequential.soc_mut().set_fault_plan(Some(two_upsets(at)));
+        let mut expected: Vec<SweepOutcome> = Vec::new();
+        // The first sweep repairs one tile and quarantines the other; the
+        // second skips the quarantined tile.
+        for _ in 0..2 {
+            let from = snapshot(&sink).len();
+            let reports = sequential.scrub_all_at(sequential.makespan()).unwrap();
+            expected.push((
+                reports,
+                sequential.stats(),
+                sequential.quarantined_tiles(),
+                sweep_records(&sink, from),
+            ));
+        }
+        let first = &expected[0].0;
+        assert_eq!(first.len(), 2);
+        assert_eq!(first[0].1.corrected.len() + first[1].1.corrected.len(), 1);
+        assert_eq!(expected[0].2.len(), 1, "one tile quarantined");
+        assert_eq!(expected[1].0.len(), 1, "the quarantined tile is skipped");
+        assert!(expected[1].0[0].1.is_clean());
+        assert_eq!(expected[1].1.scrub_passes, 3);
+
+        let (soc, registry, tiles, sink) = two_tile_sweep_fixture();
+        let threaded = ThreadedManager::spawn(soc, registry);
+        for &tile in &tiles {
+            threaded
+                .reconfigure_blocking(tile, AcceleratorKind::Mac)
+                .unwrap();
+        }
+        assert_eq!(threaded.makespan(), at);
+        threaded
+            .shared
+            .core
+            .lock()
+            .unwrap()
+            .soc_mut()
+            .set_fault_plan(Some(two_upsets(at)));
+        for outcome in &expected {
+            let from = snapshot(&sink).len();
+            let reports = threaded.scrub_all_blocking().unwrap();
+            let got = (
+                reports,
+                threaded.stats(),
+                threaded.quarantined_tiles(),
+                sweep_records(&sink, from),
+            );
+            assert_eq!(&got, outcome);
+        }
+        threaded.shutdown();
     }
 
     // ---- model-checked protocol (CheckSync) ---------------------------

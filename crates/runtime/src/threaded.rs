@@ -35,6 +35,7 @@ use presp_accel::AccelOp;
 use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, Soc};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Boot-time settings of a [`ThreadedManager`].
@@ -293,19 +294,6 @@ impl<S: SyncFacade> ThreadedManager<S> {
         Ok(())
     }
 
-    /// Monotone count of head-job checkouts on `tile`. Latching probe for
-    /// open-loop harnesses that must order a burst after a pinning
-    /// request has actually been picked up: sample before submitting,
-    /// then spin until the count moves — a short-lived claim window can't
-    /// be missed the way polling an instantaneous "claimed" flag could.
-    /// Unknown tiles read as zero.
-    pub fn tile_claims(&self, tile: TileCoord) -> u64 {
-        self.shared
-            .shards
-            .get(&tile)
-            .map_or(0, |shard| S::lock(&shard.queue).claims)
-    }
-
     /// Stops the workers from claiming queued jobs until the returned
     /// guard drops. Jobs already claimed run to completion, and admission
     /// goes on: requests queue, and a full bounded queue refuses or sheds
@@ -347,29 +335,20 @@ impl<S: SyncFacade> ThreadedManager<S> {
     }
 
     /// Switches the device core from fixed sockets to amorphous
-    /// floorplanning over the whole fabric. Must run before the first
+    /// floorplanning, confined to the column window `window` when one is
+    /// given (the PR share of the fabric, with the static system outside
+    /// it) and over the whole fabric otherwise. Must run before the first
     /// load; see the device core's `enable_regions`.
     ///
     /// # Errors
     ///
     /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
-    pub fn enable_regions(&self, policy: FitPolicy) -> Result<(), Error> {
-        S::lock(&self.shared.core).enable_regions(policy, None)
-    }
-
-    /// [`ThreadedManager::enable_regions`] confined to the column window
-    /// `window` — the PR share of the fabric, with the static system
-    /// outside it.
-    ///
-    /// # Errors
-    ///
-    /// [`presp_soc::Error::RegionConflict`] when any tile already loaded.
-    pub fn enable_regions_within(
+    pub fn enable_regions(
         &self,
         policy: FitPolicy,
-        window: std::ops::Range<u32>,
+        window: Option<Range<u32>>,
     ) -> Result<(), Error> {
-        S::lock(&self.shared.core).enable_regions(policy, Some(window))
+        S::lock(&self.shared.core).enable_regions(policy, window)
     }
 
     /// Fragmentation snapshot of the region allocator; `None` on the
@@ -1012,7 +991,7 @@ mod tests {
         mgr.set_worker_fault_plan(Some(WorkerFaultPlan::scripted(&[(0, WorkerFault::Hang)])));
         let plan = StdSync::lock(&mgr.shared.worker_faults);
         let a = mgr.submit_reconfigure(tile, AcceleratorKind::Mac);
-        wait_until(|| mgr.tile_claims(tile) == 1);
+        wait_until(|| mgr.scheduler_stats().wait_samples() == 1);
         (a, plan)
     }
 
@@ -1104,7 +1083,7 @@ mod tests {
         drop(inner);
         let err = submit(2.0).wait();
         assert!(matches!(err, Err(Error::Overloaded { .. })), "got {err:?}");
-        assert_eq!(mgr.tile_claims(tiles[0]), 0);
+        assert_eq!(mgr.scheduler_stats().wait_samples(), 0);
         drop(outer);
         let (run, _path) = queued.wait().unwrap();
         assert_eq!(run.value, AccelValue::Scalar(2.0));

@@ -383,11 +383,10 @@ fn run_cell(
         },
     );
     if spec.regions.enabled {
-        match spec.regions.window {
-            Some((lo, hi)) => manager.enable_regions_within(spec.regions.policy, lo..hi),
-            None => manager.enable_regions(spec.regions.policy),
-        }
-        .expect("region window validated at parse names managed columns");
+        let window = spec.regions.window.map(|(lo, hi)| lo..hi);
+        manager
+            .enable_regions(spec.regions.policy, window)
+            .expect("region window validated at parse names managed columns");
     }
     if any_worker_fault_configured(spec) {
         if spec.worker_faults.panic_rate > 0.0 {

@@ -26,7 +26,7 @@ use presp_accel::power::dynamic_power_w;
 use presp_accel::{AccelInstance, AccelOp, AccelValue};
 use presp_events::trace::ClockDomain;
 use presp_events::{
-    Loc, Reservation, ResourceTimeline, SharedSink, TimelineEpoch, TraceEvent, Tracer, VirtualClock,
+    Loc, Reservation, ResourceTimeline, SharedSink, TraceEvent, Tracer, VirtualClock,
 };
 use presp_fpga::bitstream::Bitstream;
 use presp_fpga::config_memory::GoldenImage;
@@ -681,28 +681,16 @@ impl Soc {
 
     /// One DRAM access of `bytes`, no earlier than `at`.
     fn dram_access(&mut self, at: u64, bytes: u64) -> Reservation {
-        let mut epoch = self.dram.epoch();
-        let r = Self::dram_access_on(&mut self.tracer, &mut epoch, at, bytes);
-        self.dram.commit(epoch);
-        r
-    }
-
-    /// One DRAM access against a detached channel epoch — callers that
-    /// touch DRAM several times in one operation reserve through one
-    /// epoch and commit the channel timeline once.
-    fn dram_access_on(
-        tracer: &mut Tracer,
-        dram: &mut TimelineEpoch,
-        at: u64,
-        bytes: u64,
-    ) -> Reservation {
-        let r = dram.reserve(at, DRAM_LATENCY + bytes.div_ceil(DRAM_BYTES_PER_CYCLE));
-        tracer.emit(ClockDomain::SocCycles, r.start, r.duration(), || {
-            TraceEvent::DramAccess {
-                bytes,
-                waited: r.waited,
-            }
-        });
+        let r = self
+            .dram
+            .reserve(at, DRAM_LATENCY + bytes.div_ceil(DRAM_BYTES_PER_CYCLE));
+        self.tracer
+            .emit(ClockDomain::SocCycles, r.start, r.duration(), || {
+                TraceEvent::DramAccess {
+                    bytes,
+                    waited: r.waited,
+                }
+            });
         r
     }
 
@@ -1066,11 +1054,8 @@ impl Soc {
         }
 
         let start = at.max(state.timeline.free_at());
-        // Input DMA: DRAM read then NoC mem → tile. Both DRAM touches of
-        // this run reserve through one channel epoch, committed once.
-        let mut dram = self.dram.epoch();
-        let dram_in =
-            Self::dram_access_on(&mut self.tracer, &mut dram, start, op.input_bytes()).end;
+        // Input DMA: DRAM read then NoC mem → tile.
+        let dram_in = self.dram_access(start, op.input_bytes()).end;
         let t_in = self.noc_transfer(dram_in, mem, tile, op.input_bytes(), Plane::Dma);
         self.tracer
             .emit(ClockDomain::SocCycles, start, t_in.end - start, || {
@@ -1094,9 +1079,7 @@ impl Soc {
             });
         // Output DMA: NoC tile → mem then DRAM write.
         let t_out = self.noc_transfer(compute_done, tile, mem, op.output_bytes(), Plane::Dma);
-        let dram_out =
-            Self::dram_access_on(&mut self.tracer, &mut dram, t_out.end, op.output_bytes()).end;
-        self.dram.commit(dram);
+        let dram_out = self.dram_access(t_out.end, op.output_bytes()).end;
         self.tracer.emit(
             ClockDomain::SocCycles,
             compute_done,

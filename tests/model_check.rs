@@ -617,7 +617,7 @@ fn defrag_model() {
         .register(tiles[0], AcceleratorKind::Mac, bitstream(&soc, 2))
         .unwrap();
     let mgr = ThreadedManager::<CheckSync>::spawn_with(soc, registry, RuntimeConfig::default());
-    mgr.enable_regions(FitPolicy::FirstFit).unwrap();
+    mgr.enable_regions(FitPolicy::FirstFit, None).unwrap();
     let tile = tiles[0];
     let app = {
         let mgr = mgr.clone();
