@@ -330,9 +330,9 @@ pub fn table6() -> Vec<Table6Row> {
             let traced: Vec<f64> = records
                 .iter()
                 .filter_map(|r| match &r.event {
-                    TraceEvent::BitstreamGenerated {
-                        region: rg, bytes, ..
-                    } if *rg == region => Some(*bytes as f64),
+                    TraceEvent::BitstreamGenerated { bitstream } if bitstream.region == region => {
+                        Some(bitstream.bytes as f64)
+                    }
                     _ => None,
                 })
                 .collect();

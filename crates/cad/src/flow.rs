@@ -7,6 +7,7 @@ use crate::model::{rm_group_run, serial_pnr, static_only_pnr, Minutes, PBLOCK_FI
 use crate::spec::DprDesignSpec;
 use crate::synth::{monolithic_synthesis, parallel_synthesis, SynthReport};
 use presp_events::trace::ClockDomain;
+use presp_events::trace::FlowStageArgs;
 use presp_events::{milliminutes, TraceEvent, Tracer};
 
 /// A P&R implementation strategy (Section IV).
@@ -246,9 +247,11 @@ impl CadFlow {
         let synth_mm = milliminutes(synth.wall.value());
         tracer.emit(ClockDomain::CadMilliMinutes, 0, synth_mm, || {
             TraceEvent::FlowStage {
-                design: spec.name().to_string(),
-                stage: "synthesis".to_string(),
-                region: String::new(),
+                flow: Box::new(FlowStageArgs {
+                    design: spec.name().to_string(),
+                    stage: "synthesis".to_string(),
+                    region: String::new(),
+                }),
             }
         });
         trace_pnr(spec.name(), &pnr, synth_mm, tracer);
@@ -275,9 +278,11 @@ impl CadFlow {
         let synth = monolithic_synthesis(spec);
         let pnr = crate::model::monolithic_pnr(total_kluts);
         let stage = |name: &str| TraceEvent::FlowStage {
-            design: spec.name().to_string(),
-            stage: name.to_string(),
-            region: String::new(),
+            flow: Box::new(FlowStageArgs {
+                design: spec.name().to_string(),
+                stage: name.to_string(),
+                region: String::new(),
+            }),
         };
         tracer.emit(
             ClockDomain::CadMilliMinutes,
@@ -309,9 +314,11 @@ fn trace_pnr(design: &str, report: &PnrReport, at: u64, tracer: &mut Tracer) {
         return;
     }
     let stage = |name: &str, region: String| TraceEvent::FlowStage {
-        design: design.to_string(),
-        stage: name.to_string(),
-        region,
+        flow: Box::new(FlowStageArgs {
+            design: design.to_string(),
+            stage: name.to_string(),
+            region,
+        }),
     };
     match report.t_static {
         None => {

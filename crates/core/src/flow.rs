@@ -8,6 +8,7 @@ use presp_accel::catalog::AcceleratorKind;
 use presp_cad::flow::{CadFlow, FullFlowReport, MonolithicReport, Strategy};
 use presp_cad::place::{build_partial_bitstream, place_in_region, FRAME_CONTENT_DENSITY};
 use presp_events::trace::ClockDomain;
+use presp_events::trace::{BitstreamArgs, FlowStageArgs};
 use presp_events::{milliminutes, TraceEvent, Tracer};
 use presp_floorplan::{Floorplan, Floorplanner, RegionRequest};
 use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
@@ -150,9 +151,11 @@ impl PrEspFlow {
             .collect();
         let floorplan = Floorplanner::new(&device).floorplan(&requests)?;
         tracer.instant(ClockDomain::CadMilliMinutes, 0, || TraceEvent::FlowStage {
-            design: spec.name().to_string(),
-            stage: "floorplan".to_string(),
-            region: String::new(),
+            flow: Box::new(FlowStageArgs {
+                design: spec.name().to_string(),
+                stage: "floorplan".to_string(),
+                region: String::new(),
+            }),
         });
 
         // Size-driven strategy selection (Table I) and scheduled P&R.
@@ -204,10 +207,12 @@ impl PrEspFlow {
         for info in &partial_bitstreams {
             tracer.instant(ClockDomain::CadMilliMinutes, done, || {
                 TraceEvent::BitstreamGenerated {
-                    design: spec.name().to_string(),
-                    region: info.region.clone(),
-                    kind: info.kind.name(),
-                    bytes: info.bitstream.size_bytes() as u64,
+                    bitstream: Box::new(BitstreamArgs {
+                        design: spec.name().to_string(),
+                        region: info.region.clone(),
+                        kind: info.kind.name(),
+                        bytes: info.bitstream.size_bytes() as u64,
+                    }),
                 }
             });
         }
@@ -225,10 +230,12 @@ impl PrEspFlow {
             let bytes = output.full_bitstream()?.size_bytes() as u64;
             tracer.instant(ClockDomain::CadMilliMinutes, done, || {
                 TraceEvent::BitstreamGenerated {
-                    design: spec.name().to_string(),
-                    region: "static".to_string(),
-                    kind: "full",
-                    bytes,
+                    bitstream: Box::new(BitstreamArgs {
+                        design: spec.name().to_string(),
+                        region: "static".to_string(),
+                        kind: "full",
+                        bytes,
+                    }),
                 }
             });
         }
@@ -412,8 +419,8 @@ mod tests {
         let traced: Vec<u64> = presp_events::sink::drain(&sink)
             .into_iter()
             .filter_map(|r| match r.event {
-                TraceEvent::BitstreamGenerated { region, bytes, .. } if region == "static" => {
-                    Some(bytes)
+                TraceEvent::BitstreamGenerated { bitstream } if bitstream.region == "static" => {
+                    Some(bitstream.bytes)
                 }
                 _ => None,
             })

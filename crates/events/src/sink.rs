@@ -49,6 +49,9 @@ pub fn drain(sink: &Mutex<MemorySink>) -> Vec<TraceRecord> {
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     records: Vec<TraceRecord>,
+    /// Records must arrive in ascending `seq` (one tracer writes, under
+    /// one lock); checked in debug builds. Set by [`ShardedSink`].
+    ordered: bool,
 }
 
 impl MemorySink {
@@ -64,6 +67,11 @@ impl MemorySink {
 
     /// Accepts one record.
     pub fn record(&mut self, record: TraceRecord) {
+        debug_assert!(
+            !self.ordered || self.records.last().is_none_or(|last| last.seq < record.seq),
+            "trace record {} pushed out of seq order",
+            record.seq
+        );
         self.records.push(record);
     }
 
@@ -78,67 +86,55 @@ impl MemorySink {
     }
 }
 
-/// Per-worker trace shards with a deterministic seq-number merge.
+/// The trace buffer of the threaded runtime: one [`MemorySink`] that
+/// keeps records in `seq` order and is drained whole.
 ///
-/// `ShardedSink` hands each worker its own shard handle ([`Self::shard`]),
-/// a [`MemorySink`] it appends to. Every emit in the threaded runtime
-/// already holds its device-core lock, so the shards relieve no lock
-/// contention. Each shard sees a strictly increasing (but gapped)
-/// subsequence of the tracer's seq numbers, and [`Self::drain_merged`]
-/// re-establishes the global emission order by merging on that `seq` —
-/// total because the runtime's commit gate serializes tracer access.
-/// Same-seed runs therefore produce byte-identical merged logs at any
-/// shard count.
-#[derive(Clone)]
+/// Every emit in the threaded runtime holds its device-core lock inside
+/// the gate-serialized commit, so records arrive in the tracer's `seq`
+/// order; the buffer checks that on every push (`debug_assert!`).
+/// [`Self::drain_merged`] therefore hands the buffer out as it is, with
+/// no merge and no sort, and the log is byte-identical at any worker
+/// count. The next buffer starts with the drained one's capacity, so a
+/// run that drains at a steady rate stops reallocating after its first
+/// drain.
+#[derive(Clone, Debug)]
 pub struct ShardedSink {
-    shards: Vec<SharedSink>,
+    buffer: SharedSink,
 }
 
-impl std::fmt::Debug for ShardedSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSink")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
+/// The least capacity the buffer is given, in records: 32 MiB, the
+/// largest size below which glibc's allocator may carve a block from
+/// its heap instead of mapping it on its own. A mapped buffer returns
+/// its pages to the system as soon as the drained copy is dropped; a
+/// heap block keeps its written pages resident beside the next buffer,
+/// which doubled the trace's memory. Reserved pages take no memory
+/// until records are written to them.
+const MIN_CAPACITY: usize = (32 << 20) / std::mem::size_of::<TraceRecord>();
 
 impl ShardedSink {
-    /// A sink with `shards` independent buffers (at least one).
-    pub fn new(shards: usize) -> ShardedSink {
+    /// An empty buffer. `_shards` is kept for callers written against
+    /// per-worker shards; it no longer creates buffers.
+    pub fn new(_shards: usize) -> ShardedSink {
         ShardedSink {
-            shards: (0..shards.max(1)).map(|_| MemorySink::shared()).collect(),
+            buffer: Arc::new(Mutex::new(MemorySink {
+                records: Vec::with_capacity(MIN_CAPACITY),
+                ordered: true,
+            })),
         }
     }
 
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
+    /// A tracer-attachable handle to the buffer.
+    pub fn handle(&self) -> SharedSink {
+        Arc::clone(&self.buffer)
     }
 
-    /// Always false: a sharded sink holds at least one shard.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// A tracer-attachable handle to shard `i` (wrapping around, so any
-    /// worker index maps to a valid shard).
-    pub fn shard(&self, i: usize) -> SharedSink {
-        self.shards[i % self.shards.len()].clone()
-    }
-
-    /// Drains every shard and merges the records into tracer emission
-    /// order (ascending `seq`), recovering poisoned shard locks. The
-    /// result is allocated once, at exactly the drained record count.
+    /// Takes every record, in `seq` order, recovering a poisoned lock.
+    /// The buffer is moved out, not copied; its replacement reserves the
+    /// same capacity, and never less than 32 MiB.
     pub fn drain_merged(&self) -> Vec<TraceRecord> {
-        let drained: Vec<Vec<TraceRecord>> = self.shards.iter().map(|s| drain(s)).collect();
-        let mut all = Vec::with_capacity(drained.iter().map(Vec::len).sum());
-        for shard in drained {
-            all.extend(shard);
-        }
-        // Seq numbers are unique per tracer, so the unstable sort is
-        // deterministic, and it sorts in place.
-        all.sort_unstable_by_key(|r| r.seq);
-        all
+        let mut sink = self.buffer.lock().unwrap_or_else(PoisonError::into_inner);
+        let capacity = sink.records.capacity().max(MIN_CAPACITY);
+        std::mem::replace(&mut sink.records, Vec::with_capacity(capacity))
     }
 }
 
@@ -206,25 +202,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sink_merges_by_seq() {
+    fn sharded_sink_drains_in_seq_order_and_reuses_its_capacity() {
         let sharded = ShardedSink::new(4);
-        assert_eq!(sharded.len(), 4);
-        // Interleave records across shards the way rotating workers
-        // would: shard i holds seqs i, i+4, i+8, ...
-        for seq in 0..12 {
-            record_to(&sharded.shard(seq as usize), irq(seq));
+        let sink = sharded.handle();
+        // One record more than the least capacity, so the buffer grows.
+        let round = MIN_CAPACITY as u64 + 1;
+        for seq in 0..round {
+            record_to(&sink, irq(seq));
         }
-        let merged = sharded.drain_merged();
-        let seqs: Vec<u64> = merged.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, (0..12).collect::<Vec<u64>>());
-        assert_eq!(merged.capacity(), merged.len(), "one exactly sized buffer");
+        let first = sharded.drain_merged();
+        assert_eq!(first.len() as u64, round);
+        assert!(first.iter().zip(0..).all(|(r, seq)| r.seq == seq));
+        // The next buffer starts at the grown capacity, so the same
+        // number of records again does not reallocate it.
+        let reserved = buffer_capacity(&sharded);
+        assert_eq!(reserved, first.capacity());
+        for seq in round..2 * round {
+            record_to(&sink, irq(seq));
+        }
+        assert_eq!(buffer_capacity(&sharded), reserved, "refill reallocated");
+        let second = sharded.drain_merged();
+        assert_eq!(second.first().map(|r| r.seq), Some(round));
+        assert!(second.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
         assert!(sharded.drain_merged().is_empty());
     }
 
+    fn buffer_capacity(sharded: &ShardedSink) -> usize {
+        sharded.buffer.lock().unwrap().records.capacity() // presp-analyze: allow
+    }
+
     #[test]
-    fn sharded_sink_shard_index_wraps() {
-        let sharded = ShardedSink::new(2);
-        record_to(&sharded.shard(5), irq(0));
-        assert_eq!(snapshot(&sharded.shards[1]).len(), 1);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of seq order")]
+    fn sharded_sink_refuses_an_out_of_order_push() {
+        let sink = ShardedSink::new(1).handle();
+        record_to(&sink, irq(3));
+        record_to(&sink, irq(2));
     }
 }

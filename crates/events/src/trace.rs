@@ -16,6 +16,7 @@ use crate::clock::cycles_to_micros;
 use crate::json::JsonValue;
 use crate::sink::SharedSink;
 use std::fmt;
+use std::sync::{PoisonError, RwLock};
 
 /// The clock a trace timestamp is expressed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,14 +84,14 @@ pub fn milliminutes(minutes: f64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Loc {
     /// Mesh row.
-    pub row: u64,
+    pub row: u32,
     /// Mesh column.
-    pub col: u64,
+    pub col: u32,
 }
 
 impl Loc {
     /// A location from row/column indices.
-    pub fn new(row: u64, col: u64) -> Loc {
+    pub fn new(row: u32, col: u32) -> Loc {
         Loc { row, col }
     }
 }
@@ -101,23 +102,104 @@ impl fmt::Display for Loc {
     }
 }
 
+/// Every name a [`Name`] stands for, in first-use order; a name's id is
+/// its index. Names come from `&'static str` literals in the emitting
+/// crates (accelerator kinds, NoC planes, DMA directions, WAMI kernels),
+/// so the table stays small and never shrinks.
+static NAMES: RwLock<Vec<&'static str>> = RwLock::new(Vec::new());
+
+/// A short name a record carries — an accelerator kind, a NoC plane, a
+/// DMA direction, a WAMI stage — stored as a one-byte id instead of a
+/// 16-byte `&'static str`. Ids are assigned at first use and only ever
+/// printed as the name, so the order names are first seen in changes no
+/// output.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Name(u8);
+
+impl Name {
+    /// The id of `name`, assigning the next one on first use.
+    ///
+    /// # Panics
+    ///
+    /// When a 257th distinct name is asked for.
+    pub fn new(name: &'static str) -> Name {
+        let find = |names: &[&'static str]| names.iter().position(|n| *n == name);
+        if let Some(id) = find(&NAMES.read().unwrap_or_else(PoisonError::into_inner)) {
+            return Name(id as u8);
+        }
+        let mut names = NAMES.write().unwrap_or_else(PoisonError::into_inner);
+        let id = find(&names).unwrap_or_else(|| {
+            assert!(
+                names.len() <= usize::from(u8::MAX),
+                "at most 256 distinct trace names"
+            );
+            names.push(name);
+            names.len() - 1
+        });
+        Name(id as u8)
+    }
+
+    /// The name this id stands for.
+    pub fn as_str(self) -> &'static str {
+        NAMES.read().unwrap_or_else(PoisonError::into_inner)[usize::from(self.0)]
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(name: &'static str) -> Name {
+        Name::new(name)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Narrows a counter to the width of a record field, saturating at the
+/// field's maximum instead of wrapping. Below the maximum the value, and
+/// so every printed digit, is unchanged.
+pub trait Saturate<T> {
+    /// The value, or `T`'s maximum when it does not fit.
+    fn saturate(self) -> T;
+}
+
+impl Saturate<u32> for u64 {
+    fn saturate(self) -> u32 {
+        u32::try_from(self).unwrap_or(u32::MAX)
+    }
+}
+
+impl Saturate<u16> for u64 {
+    fn saturate(self) -> u16 {
+        u16::try_from(self).unwrap_or(u16::MAX)
+    }
+}
+
 /// A payload field's value in [`TraceEvent::args`]: numbers as `f64`,
 /// strings as-is, tile locations through their `Display`.
 trait ArgValue {
     fn arg_value(&self) -> JsonValue;
 }
 
-impl ArgValue for u64 {
-    fn arg_value(&self) -> JsonValue {
-        JsonValue::Number(*self as f64)
-    }
+macro_rules! number_args {
+    ($($ty:ty),*) => {
+        $(impl ArgValue for $ty {
+            fn arg_value(&self) -> JsonValue {
+                JsonValue::Number(*self as f64)
+            }
+        })*
+    };
 }
 
-impl ArgValue for i64 {
-    fn arg_value(&self) -> JsonValue {
-        JsonValue::Number(*self as f64)
-    }
-}
+number_args!(u64, u32, u16, i64);
 
 impl ArgValue for bool {
     fn arg_value(&self) -> JsonValue {
@@ -132,9 +214,72 @@ impl ArgValue for str {
     }
 }
 
+impl ArgValue for Name {
+    fn arg_value(&self) -> JsonValue {
+        self.as_str().arg_value()
+    }
+}
+
 impl ArgValue for Loc {
     fn arg_value(&self) -> JsonValue {
         JsonValue::String(self.to_string())
+    }
+}
+
+/// How a payload field enters [`TraceEvent::args`]: a scalar as one
+/// pair under its field name, an out-of-line payload as its own fields.
+trait PushArgs {
+    fn push_args(&self, key: &'static str, out: &mut Vec<(&'static str, JsonValue)>);
+}
+
+impl<T: ArgValue + ?Sized> PushArgs for T {
+    fn push_args(&self, key: &'static str, out: &mut Vec<(&'static str, JsonValue)>) {
+        out.push((key, self.arg_value()));
+    }
+}
+
+/// Declares a flow-only payload that a record holds behind one `Box`,
+/// so its strings do not widen every record; its fields print in
+/// declaration order, as if they were the variant's own.
+macro_rules! boxed_payload {
+    ($(#[$meta:meta])* $name:ident { $($(#[$fmeta:meta])* $field:ident: $ty:ty,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl PushArgs for Box<$name> {
+            fn push_args(&self, _key: &'static str, out: &mut Vec<(&'static str, JsonValue)>) {
+                $(self.$field.push_args(stringify!($field), out);)*
+            }
+        }
+    };
+}
+
+boxed_payload! {
+    /// The payload of [`TraceEvent::FlowStage`].
+    FlowStageArgs {
+        /// Design / SoC name.
+        design: String,
+        /// Stage name.
+        stage: String,
+        /// Reconfigurable region, or empty for design-wide stages.
+        region: String,
+    }
+}
+
+boxed_payload! {
+    /// The payload of [`TraceEvent::BitstreamGenerated`].
+    BitstreamArgs {
+        /// Design / SoC name.
+        design: String,
+        /// Region the bitstream targets.
+        region: String,
+        /// Accelerator kind implemented.
+        kind: &'static str,
+        /// Bitstream size, bytes.
+        bytes: u64,
     }
 }
 
@@ -185,11 +330,13 @@ macro_rules! trace_events {
 
             /// The event payload as ordered key/value pairs.
             pub fn args(&self) -> Vec<(&'static str, JsonValue)> {
+                let mut out = Vec::new();
                 match self {
                     $(TraceEvent::$variant { $($field),* } => {
-                        vec![$((stringify!($field), $field.arg_value())),*]
+                        $($field.push_args(stringify!($field), &mut out);)*
                     })*
                 }
+                out
             }
         }
     };
@@ -211,19 +358,19 @@ trace_events! {
         /// One NoC packet, source to sink.
         NocTransfer = "noc.transfer" in noc {
             /// Physical plane name.
-            plane: &'static str,
+            plane: Name,
             /// Source tile.
             src: Loc,
             /// Destination tile.
             dst: Loc,
-            /// Payload bytes.
-            bytes: u64,
-            /// Flits moved (including header).
-            flits: u64,
-            /// Hops traversed.
-            hops: u64,
-            /// Cycles lost to link contention along the path.
-            waited: u64,
+            /// Payload bytes (saturating).
+            bytes: u32,
+            /// Flits moved, including header (saturating).
+            flits: u32,
+            /// Hops traversed (saturating).
+            hops: u16,
+            /// Cycles lost to link contention along the path (saturating).
+            waited: u32,
         },
         /// One accelerator DMA burst (DRAM access + NoC transfer).
         DmaBurst = "dma.burst" in soc {
@@ -232,7 +379,7 @@ trace_events! {
             /// Bytes moved.
             bytes: u64,
             /// `"in"` (memory → tile) or `"out"` (tile → memory).
-            direction: &'static str,
+            direction: Name,
         },
         /// A decoupler handshake on a reconfigurable tile.
         DecouplerHandshake = "decoupler.handshake" in soc {
@@ -259,7 +406,7 @@ trace_events! {
             /// Target tile.
             tile: Loc,
             /// Accelerator kind loaded.
-            kind: &'static str,
+            kind: Name,
             /// Bitstream size, bytes.
             bytes: u64,
             /// Whether the load succeeded.
@@ -270,14 +417,14 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: &'static str,
+            kind: Name,
             /// Compute cycles.
             cycles: u64,
         },
         /// A software kernel run on the CPU tile.
         CpuCompute = "cpu.compute" in soc {
             /// Kernel kind.
-            kind: &'static str,
+            kind: Name,
             /// Compute cycles.
             cycles: u64,
         },
@@ -299,12 +446,12 @@ trace_events! {
         },
         /// One readback-scrub pass over a frame region.
         ScrubPass = "scrub.pass" in soc {
-            /// Frames read back.
-            frames: u64,
-            /// Frames repaired by SECDED.
-            corrected: u64,
-            /// Frames found uncorrectable.
-            uncorrectable: u64,
+            /// Frames read back (saturating).
+            frames: u32,
+            /// Frames repaired by SECDED (saturating).
+            corrected: u32,
+            /// Frames found uncorrectable (saturating).
+            uncorrectable: u32,
             /// Cycles the readback waited for the shared ICAP.
             waited: u64,
         },
@@ -344,7 +491,7 @@ trace_events! {
             /// Target tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: &'static str,
+            kind: Name,
             /// 1-based attempt number.
             attempt: u64,
             /// Whether the attempt succeeded.
@@ -371,12 +518,12 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: &'static str,
+            kind: Name,
         },
         /// An operation degraded to the CPU software path.
         CpuFallback = "cpu.fallback" in runtime {
             /// Kernel kind.
-            kind: &'static str,
+            kind: Name,
         },
         /// A scheduler worker committed a queued request to the device core.
         SchedDispatch = "sched.dispatch" in runtime {
@@ -393,7 +540,7 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: &'static str,
+            kind: Name,
             /// Callers answered by the single underlying reconfiguration.
             waiters: u64,
         },
@@ -403,7 +550,7 @@ trace_events! {
             /// The tile.
             tile: Loc,
             /// Accelerator kind.
-            kind: &'static str,
+            kind: Name,
         },
         /// A scheduler worker died (panicked) while holding a commit-order
         /// ticket; the supervisor detected the death and will heal the gate.
@@ -456,7 +603,7 @@ trace_events! {
             /// Frame index.
             frame: u64,
             /// Stage (kernel) name.
-            stage: String,
+            stage: Name,
         },
         /// One complete WAMI frame.
         FrameDone = "frame" in wami {
@@ -467,23 +614,13 @@ trace_events! {
         },
         /// One CAD flow stage (synthesis, placement, routing, ...).
         FlowStage = "flow.stage" in cad {
-            /// Design / SoC name.
-            design: String,
-            /// Stage name.
-            stage: String,
-            /// Reconfigurable region, or empty for design-wide stages.
-            region: String,
+            /// Design, stage and region, held out of line.
+            flow: Box<FlowStageArgs>,
         },
         /// A (partial) bitstream emitted by the implementation flow.
         BitstreamGenerated = "bitstream.generated" in cad {
-            /// Design / SoC name.
-            design: String,
-            /// Region the bitstream targets.
-            region: String,
-            /// Accelerator kind implemented.
-            kind: &'static str,
-            /// Bitstream size, bytes.
-            bytes: u64,
+            /// Design, region, kind and size, held out of line.
+            bitstream: Box<BitstreamArgs>,
         },
     }
 }
@@ -749,9 +886,11 @@ mod tests {
                 ts: 1500,
                 dur: 0,
                 event: TraceEvent::FlowStage {
-                    design: "soc_1".into(),
-                    stage: "synthesis".into(),
-                    region: String::new(),
+                    flow: Box::new(FlowStageArgs {
+                        design: "soc_1".into(),
+                        stage: "synthesis".into(),
+                        region: String::new(),
+                    }),
                 },
             },
         ];
@@ -798,7 +937,7 @@ mod tests {
                 waited: 0,
             },
             TraceEvent::NocTransfer {
-                plane: "dma",
+                plane: "dma".into(),
                 src: loc,
                 dst: loc,
                 bytes: 1,
@@ -809,7 +948,7 @@ mod tests {
             TraceEvent::DmaBurst {
                 tile: loc,
                 bytes: 1,
-                direction: "in",
+                direction: "in".into(),
             },
             TraceEvent::DecouplerHandshake {
                 tile: loc,
@@ -824,17 +963,17 @@ mod tests {
             },
             TraceEvent::Reconfiguration {
                 tile: loc,
-                kind: "mac",
+                kind: "mac".into(),
                 bytes: 1,
                 ok: true,
             },
             TraceEvent::Compute {
                 tile: loc,
-                kind: "mac",
+                kind: "mac".into(),
                 cycles: 1,
             },
             TraceEvent::CpuCompute {
-                kind: "mac",
+                kind: "mac".into(),
                 cycles: 1,
             },
             TraceEvent::Irq { source: loc },
@@ -866,7 +1005,7 @@ mod tests {
             },
             TraceEvent::ReconfigAttempt {
                 tile: loc,
-                kind: "mac",
+                kind: "mac".into(),
                 attempt: 1,
                 ok: true,
             },
@@ -881,9 +1020,9 @@ mod tests {
             },
             TraceEvent::BitstreamCacheHit {
                 tile: loc,
-                kind: "mac",
+                kind: "mac".into(),
             },
-            TraceEvent::CpuFallback { kind: "mac" },
+            TraceEvent::CpuFallback { kind: "mac".into() },
             TraceEvent::SchedDispatch {
                 tile: loc,
                 ticket: 7,
@@ -891,12 +1030,12 @@ mod tests {
             },
             TraceEvent::RequestCoalesced {
                 tile: loc,
-                kind: "mac",
+                kind: "mac".into(),
                 waiters: 3,
             },
             TraceEvent::PbsCacheHit {
                 tile: loc,
-                kind: "mac",
+                kind: "mac".into(),
             },
             TraceEvent::WorkerDied {
                 worker: 1,
@@ -929,15 +1068,19 @@ mod tests {
                 reconfigurations: 0,
             },
             TraceEvent::FlowStage {
-                design: "d".into(),
-                stage: "synth".into(),
-                region: String::new(),
+                flow: Box::new(FlowStageArgs {
+                    design: "d".into(),
+                    stage: "synth".into(),
+                    region: String::new(),
+                }),
             },
             TraceEvent::BitstreamGenerated {
-                design: "d".into(),
-                region: "r".into(),
-                kind: "mac",
-                bytes: 1,
+                bitstream: Box::new(BitstreamArgs {
+                    design: "d".into(),
+                    region: "r".into(),
+                    kind: "mac",
+                    bytes: 1,
+                }),
             },
         ];
         let names: Vec<&str> = events.iter().map(TraceEvent::name).collect();
@@ -947,6 +1090,54 @@ mod tests {
             assert!(!e.category().is_empty());
             assert!(!e.args().is_empty());
         }
+    }
+
+    #[test]
+    fn a_record_fits_in_one_cache_line() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 32);
+        assert!(std::mem::size_of::<TraceRecord>() <= 64);
+    }
+
+    #[test]
+    fn narrowed_counters_saturate_and_print_the_same_digits() {
+        let max = u64::from(u32::MAX);
+        assert_eq!(Saturate::<u32>::saturate(max), u32::MAX);
+        assert_eq!(Saturate::<u32>::saturate(max + 1), u32::MAX);
+        assert_eq!(Saturate::<u32>::saturate(u64::MAX), u32::MAX);
+        assert_eq!(Saturate::<u16>::saturate(70_000), u16::MAX);
+        let transfer = |bytes: u64, hops: u64| TraceEvent::NocTransfer {
+            plane: "dma".into(),
+            src: Loc::new(0, 1),
+            dst: Loc::new(2, 3),
+            bytes: bytes.saturate(),
+            flits: 5,
+            hops: hops.saturate(),
+            waited: 0,
+        };
+        let line = |event| {
+            log_lines(&[TraceRecord {
+                seq: 0,
+                domain: ClockDomain::SocCycles,
+                ts: 0,
+                dur: 0,
+                event,
+            }])
+        };
+        assert_eq!(
+            line(transfer(max, 65_535)),
+            "000000 soc-cycles ts=0 dur=0 noc.transfer plane=\"dma\" src=\"0,1\" \
+             dst=\"2,3\" bytes=4294967295 flits=5 hops=65535 waited=0\n"
+        );
+        assert_eq!(line(transfer(max + 9, 65_536)), line(transfer(max, 65_535)));
+    }
+
+    #[test]
+    fn names_round_trip_through_their_ids() {
+        let mac = Name::new("mac");
+        assert_eq!(Name::from("mac"), mac);
+        assert_ne!(Name::new("sort"), mac);
+        assert_eq!(mac.as_str(), "mac");
+        assert_eq!(format!("{mac} {mac:?}"), "mac \"mac\"");
     }
 
     #[test]

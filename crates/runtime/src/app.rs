@@ -236,7 +236,7 @@ impl WamiApp {
             run.end.saturating_sub(ready),
             || TraceEvent::FrameStage {
                 frame,
-                stage: kernel.name().to_string(),
+                stage: kernel.name().into(),
             },
         );
         Ok((run.value, run.end))

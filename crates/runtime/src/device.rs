@@ -28,7 +28,7 @@ use crate::registry::BitstreamRegistry;
 use crate::sync::Arc;
 use presp_accel::catalog::AcceleratorKind;
 use presp_events::trace::ClockDomain;
-use presp_events::{Loc, SharedSink, TraceEvent};
+use presp_events::{Loc, TraceEvent};
 use presp_floorplan::{FitPolicy, FragmentationStats, RegionAllocator, RegionLease, RegionMove};
 use presp_fpga::bitstream::Bitstream;
 use presp_fpga::fabric::ColumnKind;
@@ -39,7 +39,7 @@ use std::fmt;
 
 /// The tile's location as a trace record coordinate.
 pub(crate) fn loc(coord: TileCoord) -> Loc {
-    Loc::new(coord.row as u64, coord.col as u64)
+    Loc::new(coord.row as u32, coord.col as u32)
 }
 
 /// The shared device resources: SoC, registry (+ bitstream cache) and
@@ -49,9 +49,6 @@ pub struct DeviceCore {
     registry: BitstreamRegistry,
     cache: BitstreamCache,
     stats: ManagerStats,
-    /// Per-worker trace shards installed by the scheduler's sharded
-    /// tracer; empty on the single-sink and deterministic paths.
-    trace_shards: Vec<SharedSink>,
     /// The amorphous-floorplanning placement authority: `None` keeps the
     /// legacy fixed-socket behavior (bitstreams load exactly where they
     /// were built); `Some` routes every load through column span → lease →
@@ -69,7 +66,6 @@ impl fmt::Debug for DeviceCore {
             .field("registry", &self.registry)
             .field("cache", &self.cache)
             .field("stats", &self.stats)
-            .field("trace_shards", &self.trace_shards.len())
             .finish()
     }
 }
@@ -84,7 +80,6 @@ impl DeviceCore {
             registry,
             cache,
             stats: ManagerStats::default(),
-            trace_shards: Vec::new(),
             allocator: None,
             leases: BTreeMap::new(),
         }
@@ -240,21 +235,6 @@ impl DeviceCore {
         self.cache.stats()
     }
 
-    /// Installs the scheduler's per-worker trace shards; worker `i`
-    /// re-attaches its shard before each commit.
-    pub(crate) fn set_trace_shards(&mut self, shards: Vec<SharedSink>) {
-        self.trace_shards = shards;
-    }
-
-    /// Worker `i`'s trace shard, if sharded tracing is installed.
-    pub(crate) fn trace_shard(&self, i: usize) -> Option<SharedSink> {
-        if self.trace_shards.is_empty() {
-            None
-        } else {
-            Some(self.trace_shards[i % self.trace_shards.len()].clone())
-        }
-    }
-
     /// The registered bitstream for `(tile, kind)`, served from the LRU
     /// cache when possible: a request's one fetch. A hit is traced as
     /// [`TraceEvent::PbsCacheHit`] at cycle `at`.
@@ -274,7 +254,7 @@ impl DeviceCore {
                 .tracer_mut()
                 .instant(ClockDomain::SocCycles, at, || TraceEvent::PbsCacheHit {
                     tile: loc(tile),
-                    kind: kind.name(),
+                    kind: kind.name().into(),
                 });
         }
         Ok(stream)

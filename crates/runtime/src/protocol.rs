@@ -76,7 +76,7 @@ pub(crate) fn request_reconfiguration_at(
             .instant(ClockDomain::SocCycles, at, || {
                 TraceEvent::BitstreamCacheHit {
                     tile: loc(tile),
-                    kind: kind.name(),
+                    kind: kind.name().into(),
                 }
             });
         return Ok(None);
@@ -116,7 +116,7 @@ pub(crate) fn request_reconfiguration_at(
                     coupled - reconf.start,
                     || TraceEvent::ReconfigAttempt {
                         tile: loc(tile),
-                        kind: kind.name(),
+                        kind: kind.name().into(),
                         attempt: u64::from(attempts),
                         ok: true,
                     },
@@ -148,7 +148,7 @@ pub(crate) fn request_reconfiguration_at(
                     failed_at - when,
                     || TraceEvent::ReconfigAttempt {
                         tile: loc(tile),
-                        kind: kind.name(),
+                        kind: kind.name().into(),
                         attempt: u64::from(attempts),
                         ok: false,
                     },
@@ -527,7 +527,7 @@ pub(crate) fn degrade_to_cpu_at(
     core.soc_mut()
         .tracer_mut()
         .instant(ClockDomain::SocCycles, start, || TraceEvent::CpuFallback {
-            kind: kind.name(),
+            kind: kind.name().into(),
         });
     let run = core.soc_mut().run_on_cpu_prepared_at(op, start, value)?;
     core.stats_mut().fallback_runs += 1;

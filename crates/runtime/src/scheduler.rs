@@ -38,12 +38,19 @@
 //!   holds because workers always claim the lowest claimable head ticket:
 //!   the minimum unretired ticket is always claimed or claimable, so the
 //!   gate can never wedge.
-//! * **Sharded tracing.** With
+//! * **One ordered trace buffer.** With
 //!   [`ThreadedManager::attach_sharded_tracer`](crate::threaded::ThreadedManager::attach_sharded_tracer)
-//!   each worker re-attaches its own trace shard before committing (the
-//!   tracer's seq counter survives re-attachment), so concurrent commits
-//!   never contend on one sink mutex; draining merges shards back into
-//!   seq order, byte-identical to the single-sink log.
+//!   every commit emits into one buffer. Emits hold `core` inside the
+//!   gate-serialized commit, so the buffer fills in `seq` order and a
+//!   drain hands it out as it is: byte-identical at any worker count.
+//! * **One wake per claimable job.** A submission or completion that
+//!   makes a job a claimable head wakes one idle worker
+//!   (`notify_one(work)`); nothing else on the request path wakes the
+//!   pool. No claimable job is stranded: a worker that finishes a job
+//!   claims again before it waits, so a wake that lands on no waiter is
+//!   covered by a busy worker's next claim. Only stop, the release of
+//!   the last claim hold, redispatch and a dead claimant's tile release
+//!   wake every worker.
 //! * **Request coalescing.** A reconfiguration submitted while an
 //!   identical `(tile, kind)` one is queued or in flight folds into it:
 //!   all waiters are answered by the single underlying load
@@ -509,7 +516,9 @@ pub(crate) struct Shared<S: SyncFacade> {
     pub(crate) shards: BTreeMap<TileCoord, TileShard<S>>,
     pub(crate) core: S::Mutex<DeviceCore>,
     pub(crate) admission: S::Mutex<Admission>,
-    /// Signalled when a job is admitted or a tile becomes claimable.
+    /// Idle workers wait here. One is woken per job that becomes a
+    /// claimable head; all are woken at stop, at the release of the last
+    /// claim hold, at redispatch and when a dead claimant's tile is freed.
     pub(crate) work: S::Condvar,
     /// The commit-order ticket gate. `pub(crate)` for the repack pass:
     /// holding this mutex quiesces every worker's commit critical
@@ -539,8 +548,9 @@ impl<S: SyncFacade> Shared<S> {
     /// `sched_admission` → `tile_queue`. A reconfiguration first tries to
     /// fold into an identical queued or in-flight one; otherwise the
     /// bounded-queue check runs and the job is pushed under a fresh
-    /// ticket. `Ok` carries whether a worker needs waking (a job joined
-    /// the queue) and a shed the caller settles after the locks are
+    /// ticket. `Ok` carries whether a worker needs waking (the job is a
+    /// claimable head: its tile had nothing queued and nothing checked
+    /// out) and a shed the caller settles after the locks are
     /// released (see [`Shared::settle_shed`]) — a displaced victim, or the
     /// newcomer itself when a full `RejectNew` queue refuses it. `Err`
     /// hands back the payload of a request refused because the scheduler
@@ -589,8 +599,8 @@ impl<S: SyncFacade> Shared<S> {
                 OverloadPolicy::ShedOldest => Some(Self::shed_oldest(&mut adm, &mut tq, tile)),
             }
         };
-        Self::push(&mut adm, &mut tq, tile, payload, deadline_at);
-        Ok((true, shed))
+        let claimable = Self::push(&mut adm, &mut tq, tile, payload, deadline_at);
+        Ok((claimable, shed))
     }
 
     /// Displaces the oldest queued job of a full `ShedOldest` queue,
@@ -612,18 +622,20 @@ impl<S: SyncFacade> Shared<S> {
 
     /// Assigns the next global ticket and appends the job; ticket
     /// assignment is atomic with the queue push (both locks held), which
-    /// the gate's liveness depends on.
+    /// the gate's liveness depends on. Returns whether the job became a
+    /// claimable head.
     fn push(
         adm: &mut Admission,
         tq: &mut TileQueue<S>,
         tile: TileCoord,
         payload: Payload<S>,
         deadline_at: Option<u64>,
-    ) {
+    ) -> bool {
         let ticket = adm.next_ticket;
         adm.next_ticket += 1;
         let depth = tq.jobs.len() as u64 + 1;
-        if tq.jobs.is_empty() && !tq.checked_out {
+        let claimable = tq.jobs.is_empty() && !tq.checked_out;
+        if claimable {
             adm.heads.insert(ticket, tile);
         }
         tq.jobs.push_back(Job {
@@ -637,6 +649,7 @@ impl<S: SyncFacade> Shared<S> {
         });
         adm.stats.admitted += 1;
         adm.stats.max_queue_depth = adm.stats.max_queue_depth.max(depth);
+        claimable
     }
 
     /// Claims the job with the globally lowest claimable head ticket by
@@ -689,9 +702,9 @@ impl<S: SyncFacade> Shared<S> {
     /// Returns the tile to claimable state, re-indexes its next head,
     /// flushes the worker's stage timings and collects any waiters that
     /// coalesced into the in-flight reconfiguration. The boolean reports
-    /// whether a queued job became claimable — the only case workers need
-    /// waking for (waking the whole pool per completion measurably hurts
-    /// on small hosts).
+    /// whether a queued job became claimable; the caller then wakes one
+    /// worker for it. One is enough: the completing worker itself claims
+    /// again before it waits, so the job cannot be stranded.
     fn complete(&self, tile: TileCoord, stages: StageNanos) -> (CoalescedWaiters<S>, bool) {
         let shard = self.shards.get(&tile).expect("completed tile exists");
         if self.mutants.queue_admission_inversion {
@@ -1283,11 +1296,6 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                 let core = S::lock(&shared.core);
                 (state, core)
             };
-            // Route this commit's trace records to the worker's own
-            // shard (seq survives re-attachment; merge restores order).
-            if let Some(sink) = core.trace_shard(worker) {
-                core.soc_mut().tracer_mut().attach(sink);
-            }
             let now = core.soc().horizon();
             // Healed faults of earlier claimants are recorded here, at
             // the job's own commit slot: gate-ordered, so the merged
@@ -1401,7 +1409,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
         // -- complete: free the tile, collect coalesced waiters ---------
         let (extra_waiters, claimable) = shared.complete(tile, stages);
         if claimable {
-            S::notify_all(&shared.work);
+            S::notify_one(&shared.work);
         }
         // -- reply ------------------------------------------------------
         match reply {
@@ -1422,7 +1430,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                         .instant(ClockDomain::SocCycles, now, || {
                             TraceEvent::RequestCoalesced {
                                 tile: loc(tile),
-                                kind: kind.name(),
+                                kind: kind.name().into(),
                                 waiters: folded,
                             }
                         });

@@ -206,9 +206,9 @@ impl<S: SyncFacade> ThreadedManager<S> {
             _ => self.shared.deadline_from_now(),
         };
         match self.shared.admit(tile, deadline_at, payload) {
-            Ok((wake, shed)) => {
-                if wake {
-                    S::notify_all(&self.shared.work);
+            Ok((claimable, shed)) => {
+                if claimable {
+                    S::notify_one(&self.shared.work);
                 }
                 if let Some(shed) = shed {
                     self.shared.settle_shed(shed);
@@ -374,23 +374,20 @@ impl<S: SyncFacade> ThreadedManager<S> {
         S::lock_recover(&self.shared.core).soc().horizon()
     }
 
-    /// Attaches a sharded trace sink: worker `i` commits through shard
-    /// `i mod sink.len()`. Every emit already holds the `core` lock, so
-    /// the shards do not relieve contention. The tracer's seq counter
-    /// survives per-commit shard re-attachment and commits are
-    /// gate-serialized, so [`presp_events::ShardedSink::drain_merged`]
-    /// reproduces the exact single-sink log byte for byte at any worker
-    /// count.
+    /// Attaches the trace buffer: every emit, from boot-time spans and
+    /// maintenance passes to every worker's commit, goes to it. Commits
+    /// are gate-serialized and emit under the `core` lock, so the buffer
+    /// fills in `seq` order and
+    /// [`presp_events::ShardedSink::drain_merged`] returns the exact
+    /// single-sink log, byte for byte, at any worker count.
     ///
     /// Post-mortem path like [`ThreadedManager::stats`]: recovers from a
     /// poisoned core lock, so a crashed worker cannot make the trace log
     /// unreachable.
     pub fn attach_sharded_tracer(&self, sink: &presp_events::ShardedSink) {
-        let mut core = S::lock_recover(&self.shared.core);
-        core.set_trace_shards((0..sink.len()).map(|i| sink.shard(i)).collect());
-        // Attach shard 0 immediately so emissions before the first
-        // worker commit (boot-time spans, scrubber passes) are recorded.
-        core.soc_mut().attach_tracer(sink.shard(0));
+        S::lock_recover(&self.shared.core)
+            .soc_mut()
+            .attach_tracer(sink.handle());
     }
 
     /// Installs (or disarms, with `None`) a fault plan on the underlying
@@ -853,7 +850,7 @@ mod tests {
             .tracer_mut()
             .instant(presp_events::trace::ClockDomain::SocCycles, 0, || {
                 presp_events::TraceEvent::CpuFallback {
-                    kind: "post-poison probe",
+                    kind: "post-poison probe".into(),
                 }
             });
         drop(core);
@@ -1455,6 +1452,94 @@ mod tests {
             ),
             "replay must reproduce the deadlock: {replay}"
         );
+    }
+
+    /// Boots `tiles` reconfigurable tiles served by `workers` workers
+    /// under any sync facade, with a Mac bitstream for every tile.
+    fn boot_pool<S: SyncFacade>(
+        tiles: usize,
+        workers: usize,
+    ) -> (ThreadedManager<S>, Vec<TileCoord>) {
+        let cfg = SocConfig::grid_3x3_reconf("pool", tiles).unwrap();
+        let soc = Soc::new(&cfg).unwrap();
+        let tiles = cfg.reconfigurable_tiles();
+        let mut registry = BitstreamRegistry::new();
+        for (i, &tile) in tiles.iter().enumerate() {
+            registry
+                .register(tile, AcceleratorKind::Mac, bitstream(&soc, 2 + i as u32))
+                .unwrap();
+        }
+        let config = RuntimeConfig {
+            workers: Some(workers),
+            ..RuntimeConfig::default()
+        };
+        (ThreadedManager::spawn_with(soc, registry, config), tiles)
+    }
+
+    /// Lets every worker run until it blocks, so the pool is idle. A
+    /// timed wait nobody notifies: under the checker it fires only once
+    /// no other thread can run; on OS threads it sleeps briefly.
+    fn settle<S: SyncFacade>() {
+        let lock = S::mutex_labeled("settle", ());
+        let _ = S::wait_timeout(&S::condvar(), S::lock(&lock), Duration::from_millis(2));
+    }
+
+    /// One burst against the wake discipline, from an idle pool: a job
+    /// queued under a claim hold that is released mid-burst, one job
+    /// per other tile, a job queued behind the first tile's (claimed or
+    /// not), and, once the pool is idle again, one more job. Every
+    /// request must be answered, so no wake may be lost.
+    fn wake_burst<S: SyncFacade>(mgr: &ThreadedManager<S>, tiles: &[TileCoord]) {
+        let submit = |tile: TileCoord, x: f32| {
+            mgr.submit_execute(
+                tile,
+                AcceleratorKind::Mac,
+                AccelOp::Mac {
+                    a: vec![x],
+                    b: vec![2.0],
+                },
+            )
+        };
+        let answer = |pending: Pending<S, (AccelRun, ExecPath)>| pending.wait().unwrap().0.value;
+        settle::<S>();
+        let hold = mgr.hold_claims();
+        let held = submit(tiles[0], 1.0);
+        drop(hold);
+        let burst: Vec<_> = tiles[1..].iter().map(|&tile| submit(tile, 2.0)).collect();
+        let behind = submit(tiles[0], 3.0);
+        assert_eq!(answer(held), AccelValue::Scalar(2.0));
+        for pending in burst {
+            assert_eq!(answer(pending), AccelValue::Scalar(4.0));
+        }
+        assert_eq!(answer(behind), AccelValue::Scalar(6.0));
+        settle::<S>();
+        let idle = submit(tiles[tiles.len() - 1], 4.0);
+        assert_eq!(answer(idle), AccelValue::Scalar(8.0));
+        mgr.shutdown();
+        assert_eq!(mgr.scheduler_stats().completed, tiles.len() as u64 + 2);
+    }
+
+    #[test]
+    fn wake_discipline_answers_every_request_across_schedules() {
+        // Three workers for at most two claimable heads.
+        let report = Checker::new(Config {
+            max_schedules: 5_000,
+            preemption_bound: Some(2),
+            max_steps: 20_000,
+        })
+        .explore(|| {
+            let (mgr, tiles) = boot_pool::<CheckSync>(2, 3);
+            wake_burst(&mgr, &tiles);
+        });
+        assert!(report.ok(), "{report}");
+    }
+
+    #[test]
+    fn wake_discipline_answers_every_request_on_os_threads() {
+        for _ in 0..50 {
+            let (mgr, tiles) = boot_pool::<StdSync>(4, 8);
+            wake_burst(&mgr, &tiles);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use presp_accel::catalog::AcceleratorKind;
 use presp_accel::latency::{compute_cycles, software_cycles};
 use presp_accel::power::dynamic_power_w;
 use presp_accel::{AccelInstance, AccelOp, AccelValue};
-use presp_events::trace::ClockDomain;
+use presp_events::trace::{ClockDomain, Saturate};
 use presp_events::{
     Loc, Reservation, ResourceTimeline, SharedSink, TraceEvent, Tracer, VirtualClock,
 };
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 /// The tile's location as a trace record coordinate.
 fn loc(coord: TileCoord) -> Loc {
-    Loc::new(coord.row as u64, coord.col as u64)
+    Loc::new(coord.row as u32, coord.col as u32)
 }
 
 /// DRAM channel bandwidth, bytes per SoC cycle (a 64-bit DDR3 channel is
@@ -600,9 +600,9 @@ impl Soc {
         self.tracer
             .emit(ClockDomain::SocCycles, r.start, r.duration(), || {
                 TraceEvent::ScrubPass {
-                    frames: addrs.len() as u64,
-                    corrected: corrected.len() as u64,
-                    uncorrectable: uncorrectable.len() as u64,
+                    frames: (addrs.len() as u64).saturate(),
+                    corrected: (corrected.len() as u64).saturate(),
+                    uncorrectable: (uncorrectable.len() as u64).saturate(),
                     waited: r.waited,
                 }
             });
@@ -707,13 +707,13 @@ impl Soc {
         self.tracer
             .emit(ClockDomain::SocCycles, t.start, t.latency(), || {
                 TraceEvent::NocTransfer {
-                    plane: plane.name(),
+                    plane: plane.name().into(),
                     src: loc(src),
                     dst: loc(dst),
-                    bytes,
-                    flits: t.flits,
-                    hops: t.hops as u64,
-                    waited: t.waited,
+                    bytes: bytes.saturate(),
+                    flits: t.flits.saturate(),
+                    hops: (t.hops as u64).saturate(),
+                    waited: t.waited.saturate(),
                 }
             });
         t
@@ -901,7 +901,7 @@ impl Soc {
                     .emit(ClockDomain::SocCycles, at, r.end - at, || {
                         TraceEvent::Reconfiguration {
                             tile: loc(tile),
-                            kind: kind.name(),
+                            kind: kind.name().into(),
                             bytes,
                             ok: false,
                         }
@@ -965,7 +965,7 @@ impl Soc {
         self.tracer.emit(ClockDomain::SocCycles, at, end - at, || {
             TraceEvent::Reconfiguration {
                 tile: loc(tile),
-                kind: kind.name(),
+                kind: kind.name().into(),
                 bytes,
                 ok: true,
             }
@@ -1062,7 +1062,7 @@ impl Soc {
                 TraceEvent::DmaBurst {
                     tile: loc(tile),
                     bytes: op.input_bytes(),
-                    direction: "in",
+                    direction: "in".into(),
                 }
             });
         // Compute.
@@ -1073,7 +1073,7 @@ impl Soc {
             .emit(ClockDomain::SocCycles, t_in.end, cycles, || {
                 TraceEvent::Compute {
                     tile: loc(tile),
-                    kind: kind.name(),
+                    kind: kind.name().into(),
                     cycles,
                 }
             });
@@ -1087,7 +1087,7 @@ impl Soc {
             || TraceEvent::DmaBurst {
                 tile: loc(tile),
                 bytes: op.output_bytes(),
-                direction: "out",
+                direction: "out".into(),
             },
         );
         // The wrapper completes: its behavioral result is the run's.
@@ -1142,7 +1142,7 @@ impl Soc {
             .add_active(dynamic_power_w(AcceleratorKind::Cpu), cycles);
         self.tracer.emit(ClockDomain::SocCycles, start, cycles, || {
             TraceEvent::CpuCompute {
-                kind: op.kind().name(),
+                kind: op.kind().name().into(),
                 cycles,
             }
         });

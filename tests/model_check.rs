@@ -219,10 +219,10 @@ fn sharded_multi_worker_model() {
             ..RuntimeConfig::default()
         },
     );
-    // Sharded tracing in the model: every worker commits through its own
-    // shard, so the per-commit re-attach is explored. The shard mutexes
-    // are `std::sync`, outside the checker's facade, and are taken only
-    // with `core` held, so the sink locks themselves are not explored.
+    // The trace buffer in the model: every commit emits into it, and a
+    // push out of `seq` order would panic the schedule (debug builds).
+    // The buffer's mutex is `std::sync`, outside the checker's facade,
+    // and is taken only with `core` held, so it is not explored.
     let sink = presp::events::ShardedSink::new(4);
     mgr.attach_sharded_tracer(&sink);
 

@@ -116,7 +116,7 @@ fn sequence_numbers_are_dense_and_ordered() {
 /// their lock-free prepare stages.
 ///
 /// `None` boots with [`ThreadedManager::spawn`], `Some` with
-/// [`ThreadedManager::spawn_with`]; the sink gets one shard per worker.
+/// [`ThreadedManager::spawn_with`].
 fn sharded_threaded_run(config: Option<RuntimeConfig>) -> ShardedRun {
     use presp::accel::{AccelOp, AcceleratorKind};
     use presp::events::ShardedSink;
