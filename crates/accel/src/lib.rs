@@ -11,9 +11,10 @@
 //!
 //! Each accelerator carries a resource profile ([`catalog`]), an
 //! invocation-latency model ([`latency`]), a power model ([`power`]) and a
-//! behavioral implementation ([`op`]) that computes real results — the SoC
-//! simulator executes these behaviors so full-system WAMI runs produce
-//! pixel-identical outputs to the software reference.
+//! behavioral implementation ([`AccelOp`], [`AccelInstance`]) that
+//! computes real results — the SoC simulator executes these behaviors so
+//! full-system WAMI runs produce pixel-identical outputs to the software
+//! reference.
 //!
 //! # Example
 //!
@@ -24,10 +25,12 @@
 //! assert_eq!(conv.resources().lut, 36_741); // Table II
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod catalog;
-pub mod error;
+mod error;
 pub mod latency;
-pub mod op;
+mod op;
 pub mod power;
 
 pub use catalog::AcceleratorKind;

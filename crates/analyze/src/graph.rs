@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// Where an edge was observed: the inner acquisition site, plus the call
 /// chain when the acquisition happened inside a propagated callee.
 #[derive(Debug, Clone, Default)]
-pub struct EdgeSite {
+pub(crate) struct EdgeSite {
     /// File containing the inner acquisition (workspace-relative).
     pub file: String,
     /// 1-based line of the inner acquisition (or the call site when
@@ -24,7 +24,7 @@ pub struct EdgeSite {
 
 impl EdgeSite {
     /// Human-readable acquisition chain for findings.
-    pub fn describe(&self, outer: &str, inner: &str) -> String {
+    pub(crate) fn describe(&self, outer: &str, inner: &str) -> String {
         if self.chain.is_empty() {
             format!("`{inner}` acquired while `{outer}` is held")
         } else {
@@ -44,19 +44,19 @@ pub struct LockGraph {
 
 impl LockGraph {
     /// An empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LockGraph::default()
     }
 
     /// Record `outer → inner`, keeping the first witness site.
-    pub fn add_edge(&mut self, outer: &str, inner: &str, site: EdgeSite) {
+    pub(crate) fn add_edge(&mut self, outer: &str, inner: &str, site: EdgeSite) {
         self.edges
             .entry((outer.to_string(), inner.to_string()))
             .or_insert(site);
     }
 
     /// All edges in deterministic order.
-    pub fn edges(&self) -> impl Iterator<Item = (&(String, String), &EdgeSite)> {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (&(String, String), &EdgeSite)> {
         self.edges.iter()
     }
 
@@ -66,19 +66,19 @@ impl LockGraph {
     }
 
     /// Witness site for an edge, if present.
-    pub fn site(&self, outer: &str, inner: &str) -> Option<&EdgeSite> {
+    pub(crate) fn site(&self, outer: &str, inner: &str) -> Option<&EdgeSite> {
         self.edges.get(&(outer.to_string(), inner.to_string()))
     }
 
     /// True when the graph contains the edge.
-    pub fn contains(&self, outer: &str, inner: &str) -> bool {
+    pub(crate) fn contains(&self, outer: &str, inner: &str) -> bool {
         self.edges
             .contains_key(&(outer.to_string(), inner.to_string()))
     }
 
     /// Strongly connected components with more than one node, plus
     /// self-loops — each is a potential-deadlock cycle. Tarjan, iterative.
-    pub fn cycles(&self) -> Vec<Vec<String>> {
+    pub(crate) fn cycles(&self) -> Vec<Vec<String>> {
         let mut nodes: Vec<String> = Vec::new();
         for (outer, inner) in self.edges.keys() {
             if !nodes.contains(outer) {

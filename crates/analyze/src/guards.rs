@@ -12,18 +12,9 @@
 use crate::lexer::{Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One lock acquisition: the resolved label and its source line.
-#[derive(Debug, Clone)]
-pub struct Acquisition {
-    /// Resolved lock label (declared name, alias, or raw binding ident).
-    pub label: String,
-    /// 1-based acquisition line.
-    pub line: usize,
-}
-
 /// A call made while at least one guard is live (propagation candidate).
 #[derive(Debug, Clone)]
-pub struct HeldCall {
+pub(crate) struct HeldCall {
     /// Bare callee identifier.
     pub callee: String,
     /// 1-based call line.
@@ -34,7 +25,7 @@ pub struct HeldCall {
 
 /// A held-guard hazard observed during the walk.
 #[derive(Debug, Clone)]
-pub struct Hazard {
+pub(crate) struct Hazard {
     /// Hazard rule name (`send-while-locked`, `wait-wrong-lock`).
     pub rule: String,
     /// 1-based source line.
@@ -45,20 +36,21 @@ pub struct Hazard {
 
 /// Everything the walk learned about one function.
 #[derive(Debug, Clone, Default)]
-pub struct FnScan {
+pub(crate) struct FnScan {
     /// Bare function name.
     pub name: String,
     /// `(outer, inner, line)` — `inner` acquired while `outer` was live.
     pub edges: Vec<(String, String, usize)>,
-    /// Every acquisition in the body (for one-level call propagation).
-    pub acquired: Vec<Acquisition>,
+    /// The resolved label (declared name, alias, or raw binding ident)
+    /// of every acquisition in the body, for one-level call propagation.
+    pub acquired: Vec<String>,
     /// Calls made while guards were live.
     pub calls: Vec<HeldCall>,
 }
 
 /// Result of scanning one file.
 #[derive(Debug, Default)]
-pub struct FileScan {
+pub(crate) struct FileScan {
     /// Per-function results, in source order.
     pub functions: Vec<FnScan>,
     /// Held-guard hazards.
@@ -66,7 +58,7 @@ pub struct FileScan {
 }
 
 /// Inputs shared by the walks over one file.
-pub struct ScanContext<'a> {
+pub(crate) struct ScanContext<'a> {
     /// Facade type idents (`S`) through which locks are acquired.
     pub facades: &'a [String],
     /// Binding/field name → declared lock label.
@@ -99,7 +91,7 @@ struct Guard {
 }
 
 /// Scan one file: find every function body and walk it.
-pub fn scan_file(tokens: &[Token], ctx: &ScanContext<'_>) -> FileScan {
+pub(crate) fn scan_file(tokens: &[Token], ctx: &ScanContext<'_>) -> FileScan {
     let mut out = FileScan::default();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -253,10 +245,7 @@ fn walk_body(
                         for g in &guards {
                             scan.edges.push((g.label.clone(), label.clone(), line));
                         }
-                        scan.acquired.push(Acquisition {
-                            label: label.clone(),
-                            line,
-                        });
+                        scan.acquired.push(label.clone());
                         let temp = tokens.get(close + 1).is_some_and(|n| n.is_punct("."));
                         let names = if temp {
                             Vec::new()
@@ -358,7 +347,7 @@ fn walk_body(
 
 /// The `.lock().unwrap()` / `.lock().expect(` pass: raw lock results must
 /// only be unwrapped inside the designated poison-recovery doorways.
-pub fn scan_unwrap_on_lock(
+pub(crate) fn scan_unwrap_on_lock(
     tokens: &[Token],
     excluded: &[(usize, usize)],
     skip_lines: &BTreeSet<usize>,
@@ -393,7 +382,9 @@ pub fn scan_unwrap_on_lock(
 ///
 /// Returns the map plus any conflicting rebinds (same name, two labels) —
 /// those must be resolved via manifest aliases.
-pub fn discover_labels(tokens: &[Token]) -> (BTreeMap<String, String>, Vec<(String, usize)>) {
+pub(crate) fn discover_labels(
+    tokens: &[Token],
+) -> (BTreeMap<String, String>, Vec<(String, usize)>) {
     let mut labels = BTreeMap::new();
     let mut conflicts = Vec::new();
     for (i, t) in tokens.iter().enumerate() {

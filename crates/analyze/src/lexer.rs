@@ -11,7 +11,7 @@
 /// Token classification. Deliberately coarse: the passes only ever care
 /// about identifiers, string literals (for lock labels), and punctuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (including raw identifiers, prefix stripped).
     Ident,
     /// String literal (plain, raw, byte); `text` holds the inner content.
@@ -28,7 +28,7 @@ pub enum TokenKind {
 
 /// One lexed token with its 1-based source line.
 #[derive(Debug, Clone)]
-pub struct Token {
+pub(crate) struct Token {
     /// Coarse classification.
     pub kind: TokenKind,
     /// Token text. For `Str` this is the *inner* content (no quotes).
@@ -39,12 +39,12 @@ pub struct Token {
 
 impl Token {
     /// True when the token is punctuation with exactly this text.
-    pub fn is_punct(&self, p: &str) -> bool {
+    pub(crate) fn is_punct(&self, p: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == p
     }
 
     /// True when the token is an identifier with exactly this text.
-    pub fn is_ident(&self, id: &str) -> bool {
+    pub(crate) fn is_ident(&self, id: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == id
     }
 }
@@ -53,7 +53,7 @@ impl Token {
 /// the source (comments and literal contents replaced by spaces, newlines
 /// preserved) for line-oriented pattern matching.
 #[derive(Debug)]
-pub struct LexedFile {
+pub(crate) struct LexedFile {
     /// Flat token stream in source order.
     pub tokens: Vec<Token>,
     /// Source with comment/literal bytes blanked; same line structure.
@@ -62,7 +62,7 @@ pub struct LexedFile {
 
 impl LexedFile {
     /// The blanked source split into lines (1-based access via `line - 1`).
-    pub fn blanked_lines(&self) -> Vec<&str> {
+    pub(crate) fn blanked_lines(&self) -> Vec<&str> {
         self.blanked.lines().collect()
     }
 }
@@ -211,7 +211,7 @@ fn raw_string_hashes(src: &[u8], at: usize) -> Option<usize> {
 }
 
 /// Lex one file into tokens plus the blanked pattern-matching copy.
-pub fn lex(source: &str) -> LexedFile {
+pub(crate) fn lex(source: &str) -> LexedFile {
     let mut c = Cursor {
         src: source.as_bytes(),
         i: 0,
@@ -341,7 +341,7 @@ pub fn lex(source: &str) -> LexedFile {
 /// regions. Brace depth is tracked on the *token* stream, so braces inside
 /// strings or comments cannot desynchronize the tracker, and scanning
 /// resumes after the module closes instead of abandoning the file.
-pub fn cfg_test_mod_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
+pub(crate) fn cfg_test_mod_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -430,7 +430,7 @@ fn cfg_test_mod_end(tokens: &[Token], i: usize) -> Option<usize> {
 }
 
 /// The set of 1-based lines covered by the given token ranges.
-pub fn lines_of_ranges(
+pub(crate) fn lines_of_ranges(
     tokens: &[Token],
     ranges: &[(usize, usize)],
 ) -> std::collections::BTreeSet<usize> {

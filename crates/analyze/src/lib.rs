@@ -28,12 +28,15 @@
 //! No external dependencies; JSON comes from the in-tree
 //! [`presp_events::json`] module.
 
-pub mod graph;
-pub mod guards;
-pub mod lexer;
+#![warn(unreachable_pub)]
+
+mod graph;
+mod guards;
+mod lexer;
 pub mod manifest;
 
-use graph::{EdgeSite, LockGraph};
+use graph::EdgeSite;
+pub use graph::LockGraph;
 use guards::{FileScan, ScanContext};
 use lexer::LexedFile;
 use manifest::Manifest;
@@ -381,7 +384,7 @@ pub fn analyze(root: &Path, manifest: &Manifest, opts: &Options) -> Analysis {
     // Build the graph: direct edges, then one level of call propagation
     // through callees whose bare name is unique in the scope.
     let mut graph = LockGraph::new();
-    let mut fn_table: BTreeMap<String, (usize, Vec<guards::Acquisition>)> = BTreeMap::new();
+    let mut fn_table: BTreeMap<String, (usize, Vec<String>)> = BTreeMap::new();
     for (_, scan) in &scans {
         for f in &scan.functions {
             let entry = fn_table
@@ -416,7 +419,7 @@ pub fn analyze(root: &Path, manifest: &Manifest, opts: &Options) -> Analysis {
                     for acq in acquired {
                         graph.add_edge(
                             held,
-                            &acq.label,
+                            acq,
                             EdgeSite {
                                 file: rel.clone(),
                                 line: call.line,

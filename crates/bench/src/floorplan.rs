@@ -28,9 +28,9 @@ use presp_fpga::bitstream::Bitstream;
 use presp_fpga::fabric::{ColumnKind, Device};
 use presp_fpga::fault::SplitMix64;
 use presp_fpga::part::FpgaPart;
-use presp_runtime::error::Error;
 use presp_runtime::registry::BitstreamRegistry;
 use presp_runtime::threaded::ThreadedManager;
+use presp_runtime::Error;
 use presp_soc::config::SocConfig;
 use presp_soc::sim::Soc;
 use std::hint::black_box;

@@ -3,8 +3,10 @@
 //! the integration tests, and the floorplanning cells behind
 //! `presp bench floorplan`.
 
+#![warn(unreachable_pub)]
+
 pub mod experiments;
 pub mod export;
 pub mod floorplan;
-pub mod render;
+mod render;
 pub mod repro;

@@ -1,7 +1,7 @@
 //! Minimal ASCII table rendering for `presp repro` and `presp bench`.
 
 /// Renders a table with a header row, column-aligned.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let ncols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

@@ -128,11 +128,6 @@ impl CadFlow {
         CadFlow::default()
     }
 
-    /// The host machine.
-    pub fn host(&self) -> &HostMachine {
-        &self.host
-    }
-
     /// Runs the P&R stage of `spec` under `strategy`.
     ///
     /// # Errors

@@ -11,11 +11,11 @@ use crate::model::Minutes;
 /// Cores a single CAD instance grabs while running (Vivado's default
 /// `maxThreads` era behaviour: a handful of threads spinning even when the
 /// P&R algorithms are serial).
-pub const CORES_PER_INSTANCE: usize = 8;
+pub(crate) const CORES_PER_INSTANCE: usize = 8;
 
 /// A host machine with a fixed core count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostMachine {
+pub(crate) struct HostMachine {
     cores: usize,
 }
 
@@ -26,26 +26,11 @@ impl Default for HostMachine {
 }
 
 impl HostMachine {
-    /// A host with `cores` cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    pub fn new(cores: usize) -> HostMachine {
-        assert!(cores > 0, "host needs at least one core");
-        HostMachine { cores }
-    }
-
-    /// Core count.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// Slowdown factor experienced by each of `k` concurrent instances.
     ///
     /// Up to `cores / CORES_PER_INSTANCE` instances run at full speed; each
     /// further instance adds a mild memory/CPU contention penalty.
-    pub fn slowdown(&self, k: usize) -> f64 {
+    pub(crate) fn slowdown(&self, k: usize) -> f64 {
         if k == 0 {
             return 1.0;
         }
@@ -62,7 +47,7 @@ impl HostMachine {
     /// Wall-clock minutes of launching `jobs` concurrently, under
     /// processor sharing: while `k` jobs are alive, each progresses at
     /// `1 / slowdown(k)`; as short jobs drain, the survivors speed back up.
-    pub fn concurrent_wall(&self, jobs: &[Minutes]) -> Minutes {
+    pub(crate) fn concurrent_wall(&self, jobs: &[Minutes]) -> Minutes {
         let mut remaining: Vec<f64> = jobs.iter().map(|m| m.0.max(0.0)).collect();
         remaining.sort_by(|a, b| a.partial_cmp(b).expect("finite minutes"));
         let mut wall = 0.0;
@@ -109,8 +94,8 @@ mod tests {
 
     #[test]
     fn smaller_hosts_contend_sooner() {
-        let small = HostMachine::new(4);
-        let big = HostMachine::new(32);
+        let small = HostMachine { cores: 4 };
+        let big = HostMachine { cores: 32 };
         assert!(small.slowdown(4) > big.slowdown(4));
     }
 

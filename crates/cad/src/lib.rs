@@ -11,15 +11,17 @@
 //!
 //! * [`spec`] — DPR design specifications (static part + reconfigurable
 //!   modules with resource footprints).
-//! * [`synth`] — a synthesis engine with out-of-context (OoC) support and a
-//!   linear-in-size runtime model.
+//! * `synth` (crate-private) — a synthesis engine with out-of-context
+//!   (OoC) support and a linear-in-size runtime model; it reports a
+//!   [`SynthReport`].
 //! * [`place`] — an analytic region placer that actually assigns logic to
 //!   fabric columns, verifies capacity, and produces the configuration-frame
 //!   content that `presp-fpga` serializes into (partial) bitstreams.
-//! * [`model`] — the empirical runtime model (minutes as a function of
-//!   design size and congestion), calibrated against the paper's Table III.
-//! * [`host`] — the multi-core host machine running concurrent CAD
-//!   instances with contention.
+//! * `model` (crate-private) — the empirical runtime model ([`Minutes`]
+//!   as a function of design size and congestion), calibrated against
+//!   the paper's Table III.
+//! * `host` (crate-private) — the multi-core host machine running
+//!   concurrent CAD instances with contention.
 //! * [`flow`] — the serial / semi-parallel / fully-parallel P&R schedules
 //!   and the monolithic (standard Xilinx DPR flow) baseline.
 //!
@@ -42,14 +44,18 @@
 //! # Ok::<(), presp_cad::Error>(())
 //! ```
 
-pub mod error;
+#![warn(unreachable_pub)]
+
+mod error;
 pub mod flow;
-pub mod host;
-pub mod model;
+mod host;
+mod model;
 pub mod place;
 pub mod spec;
-pub mod synth;
+mod synth;
 
 pub use error::Error;
 pub use flow::{CadFlow, PnrReport, Strategy};
+pub use model::Minutes;
 pub use spec::DprDesignSpec;
+pub use synth::{SynthCheckpoint, SynthReport};

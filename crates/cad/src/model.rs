@@ -19,40 +19,40 @@
 //!   close to linear in the paper's Ω data.
 
 /// Monolithic P&R coefficient: `minutes = C · (kLUTs)^P`.
-pub const BASE_COEFF: f64 = 0.10626;
+pub(crate) const BASE_COEFF: f64 = 0.10626;
 /// Exponent of the size term (fitted on SOC_1/SOC_2 serial runs).
-pub const BASE_EXP: f64 = 1.373;
+pub(crate) const BASE_EXP: f64 = 1.373;
 /// Checkpoint-stitching overhead of the PR-ESP serial schedule relative to
 /// a monolithic run (loading OoC checkpoints, per-RP constraint handling).
-pub const SERIAL_DPR_OVERHEAD: f64 = 1.15;
+pub(crate) const SERIAL_DPR_OVERHEAD: f64 = 1.15;
 /// Static-only interaction coefficient: minutes per (static kLUT × blocked
 /// kLUT / 1000) — the static router detours around reserved pblocks.
-pub const STATIC_BLOCKED_COEFF: f64 = 3.5e-3;
+pub(crate) const STATIC_BLOCKED_COEFF: f64 = 3.5e-3;
 /// Per-reconfigurable-partition cost of stitching an empty placeholder
 /// hard-macro into the static-only run, minutes.
-pub const PLACEHOLDER_STITCH_MIN: f64 = 0.9;
+pub(crate) const PLACEHOLDER_STITCH_MIN: f64 = 0.9;
 /// Context-load cost of an in-context RM run: `CTX · (static kLUTs)^0.8`.
-pub const CONTEXT_LOAD_COEFF: f64 = 0.46;
+pub(crate) const CONTEXT_LOAD_COEFF: f64 = 0.46;
 /// Exponent of the context-load term.
-pub const CONTEXT_LOAD_EXP: f64 = 0.8;
+pub(crate) const CONTEXT_LOAD_EXP: f64 = 0.8;
 /// Fixed per-RM cost inside an in-context run (checkpoint load, interface
 /// routing, bitstream-region carving), minutes.
-pub const RM_FIXED_MIN: f64 = 3.0;
+pub(crate) const RM_FIXED_MIN: f64 = 3.0;
 /// Per-kLUT cost of placing an RM inside its pblock, minutes.
-pub const RM_PER_KLUT_MIN: f64 = 0.55;
+pub(crate) const RM_PER_KLUT_MIN: f64 = 0.55;
 /// Effective fill of a reconfigurable pblock (the floorplanner provisions
 /// 1/0.8 of the requirement), used to compute blocked fabric.
-pub const PBLOCK_FILL: f64 = 0.8;
+pub(crate) const PBLOCK_FILL: f64 = 0.8;
 /// Synthesis: `S0 + S1 · kLUTs` for an OoC module run.
-pub const SYNTH_BASE_MIN: f64 = 3.0;
+pub(crate) const SYNTH_BASE_MIN: f64 = 3.0;
 /// Synthesis minutes per kLUT.
-pub const SYNTH_PER_KLUT: f64 = 0.40;
+pub(crate) const SYNTH_PER_KLUT: f64 = 0.40;
 /// Extra synthesis weight of the static part (NoC, sockets, memory
 /// controllers synthesize slower than HLS datapaths).
-pub const SYNTH_STATIC_FACTOR: f64 = 1.2;
+pub(crate) const SYNTH_STATIC_FACTOR: f64 = 1.2;
 /// Extra weight of a monolithic whole-SoC synthesis (cross-module
 /// optimization over the full hierarchy).
-pub const SYNTH_MONO_FACTOR: f64 = 1.0;
+pub(crate) const SYNTH_MONO_FACTOR: f64 = 1.0;
 
 /// Simulated compile time in minutes.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -88,25 +88,29 @@ impl std::fmt::Display for Minutes {
 }
 
 /// Superlinear base P&R cost of placing `kluts` thousand LUTs.
-pub fn base_pnr(kluts: f64) -> f64 {
+pub(crate) fn base_pnr(kluts: f64) -> f64 {
     BASE_COEFF * kluts.max(0.0).powf(BASE_EXP)
 }
 
 /// Minutes for a monolithic P&R of the whole design (the standard Xilinx
 /// DPR flow runs exactly one such instance).
-pub fn monolithic_pnr(total_kluts: f64) -> Minutes {
+pub(crate) fn monolithic_pnr(total_kluts: f64) -> Minutes {
     Minutes(base_pnr(total_kluts))
 }
 
 /// Minutes for PR-ESP's serial schedule: one instance, whole design, plus
 /// checkpoint-stitching overhead.
-pub fn serial_pnr(total_kluts: f64) -> Minutes {
+pub(crate) fn serial_pnr(total_kluts: f64) -> Minutes {
     Minutes(base_pnr(total_kluts) * SERIAL_DPR_OVERHEAD)
 }
 
 /// Minutes for the static-only P&R with `n_partitions` placeholder
 /// hard-macros, where the pblocks reserve `blocked_kluts` of fabric.
-pub fn static_only_pnr(static_kluts: f64, blocked_kluts: f64, n_partitions: usize) -> Minutes {
+pub(crate) fn static_only_pnr(
+    static_kluts: f64,
+    blocked_kluts: f64,
+    n_partitions: usize,
+) -> Minutes {
     Minutes(
         base_pnr(static_kluts)
             + STATIC_BLOCKED_COEFF * static_kluts * blocked_kluts
@@ -116,32 +120,32 @@ pub fn static_only_pnr(static_kluts: f64, blocked_kluts: f64, n_partitions: usiz
 
 /// Context-load minutes of an in-context RM instance (reading the routed
 /// static design).
-pub fn context_load(static_kluts: f64) -> Minutes {
+pub(crate) fn context_load(static_kluts: f64) -> Minutes {
     Minutes(CONTEXT_LOAD_COEFF * static_kluts.max(0.0).powf(CONTEXT_LOAD_EXP))
 }
 
 /// Minutes for placing one RM inside its pblock (excluding context load).
-pub fn rm_pnr(rm_kluts: f64) -> Minutes {
+pub(crate) fn rm_pnr(rm_kluts: f64) -> Minutes {
     Minutes(RM_FIXED_MIN + RM_PER_KLUT_MIN * rm_kluts.max(0.0))
 }
 
 /// Minutes for one in-context instance placing a group of RMs.
-pub fn rm_group_run(static_kluts: f64, rm_kluts: &[f64]) -> Minutes {
+pub(crate) fn rm_group_run(static_kluts: f64, rm_kluts: &[f64]) -> Minutes {
     Minutes(context_load(static_kluts).0 + rm_kluts.iter().map(|&l| rm_pnr(l).0).sum::<f64>())
 }
 
 /// Minutes for an OoC synthesis of one module.
-pub fn ooc_synth(kluts: f64) -> Minutes {
+pub(crate) fn ooc_synth(kluts: f64) -> Minutes {
     Minutes(SYNTH_BASE_MIN + SYNTH_PER_KLUT * kluts)
 }
 
 /// Minutes for synthesizing the static part (NoC-heavy).
-pub fn static_synth(static_kluts: f64) -> Minutes {
+pub(crate) fn static_synth(static_kluts: f64) -> Minutes {
     Minutes(SYNTH_BASE_MIN + SYNTH_PER_KLUT * SYNTH_STATIC_FACTOR * static_kluts)
 }
 
 /// Minutes for a monolithic whole-design synthesis.
-pub fn monolithic_synth(total_kluts: f64) -> Minutes {
+pub(crate) fn monolithic_synth(total_kluts: f64) -> Minutes {
     Minutes(SYNTH_BASE_MIN + SYNTH_PER_KLUT * SYNTH_MONO_FACTOR * total_kluts)
 }
 

@@ -42,7 +42,10 @@ pub struct SynthReport {
 ///
 /// Returns [`Error::BadSpec`] if the spec has no reconfigurable modules and
 /// an empty static part (cannot happen for specs built via the builder).
-pub fn parallel_synthesis(spec: &DprDesignSpec, host: &HostMachine) -> Result<SynthReport, Error> {
+pub(crate) fn parallel_synthesis(
+    spec: &DprDesignSpec,
+    host: &HostMachine,
+) -> Result<SynthReport, Error> {
     let static_kluts = spec.static_resources().lut as f64 / 1000.0;
     if static_kluts <= 0.0 {
         return Err(Error::BadSpec {
@@ -82,7 +85,7 @@ pub fn parallel_synthesis(spec: &DprDesignSpec, host: &HostMachine) -> Result<Sy
 
 /// Runs the monolithic (single-instance, whole-design) synthesis the
 /// standard Xilinx DPR flow uses; returns its runtime.
-pub fn monolithic_synthesis(spec: &DprDesignSpec) -> Minutes {
+pub(crate) fn monolithic_synthesis(spec: &DprDesignSpec) -> Minutes {
     monolithic_synth(spec.total_resources().lut as f64 / 1000.0)
 }
 

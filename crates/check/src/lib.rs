@@ -50,6 +50,7 @@
 //! bounded).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod lockorder;
 mod race;

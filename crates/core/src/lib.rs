@@ -32,8 +32,10 @@
 //! # Ok::<(), presp_core::Error>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod design;
-pub mod error;
+mod error;
 pub mod flow;
 pub mod platform;
 pub mod strategy;

@@ -21,11 +21,13 @@
 //! Perfetto) or to deterministic log lines ([`trace::log_lines`]) for
 //! byte-for-byte reproducibility tests.
 
+#![warn(unreachable_pub)]
+
 pub mod backoff;
-pub mod clock;
+mod clock;
 pub mod json;
 pub mod sink;
-pub mod timeline;
+mod timeline;
 pub mod trace;
 
 pub use clock::{cycles_to_micros, cycles_to_seconds, VirtualClock, SOC_CLOCK_MHZ};

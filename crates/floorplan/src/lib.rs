@@ -33,6 +33,8 @@
 //! # Ok::<(), presp_floorplan::Error>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod error;
 mod planner;
 mod region;

@@ -33,11 +33,13 @@
 //! # Ok::<(), presp_fpga::Error>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod bitstream;
 pub mod config_memory;
 mod crc;
 pub mod ecc;
-pub mod error;
+mod error;
 pub mod fabric;
 pub mod fault;
 pub mod frame;

@@ -62,24 +62,6 @@ impl WamiAllocation {
         self.map.get(&kernel).copied()
     }
 
-    /// All kernels allocated to `tile`.
-    pub fn kernels_on(&self, tile: TileCoord) -> Vec<WamiKernel> {
-        self.map
-            .iter()
-            .filter(|(_, t)| **t == tile)
-            .map(|(k, _)| *k)
-            .collect()
-    }
-
-    /// Kernels with no tile (CPU fallback).
-    pub fn unallocated(&self) -> Vec<WamiKernel> {
-        WamiKernel::ALL
-            .iter()
-            .copied()
-            .filter(|k| !self.map.contains_key(k))
-            .collect()
-    }
-
     /// Distinct tiles used by this allocation.
     pub fn tiles(&self) -> Vec<TileCoord> {
         let mut tiles: Vec<TileCoord> = self.map.values().copied().collect();
@@ -511,8 +493,6 @@ mod tests {
         assert_eq!(alloc.tile_for(WamiKernel::Debayer), Some(rt1));
         assert_eq!(alloc.tile_for(WamiKernel::Grayscale), Some(rt2));
         assert_eq!(alloc.tile_for(WamiKernel::ChangeDetection), None);
-        assert_eq!(alloc.kernels_on(rt1).len(), 2);
-        assert_eq!(alloc.unallocated().len(), 9);
         assert_eq!(alloc.tiles(), vec![rt1, rt2]);
     }
 

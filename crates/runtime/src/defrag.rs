@@ -136,6 +136,7 @@ mod tests {
     use crate::manager::{ManagerStats, ReconfigManager};
     use crate::registry::BitstreamRegistry;
     use crate::scheduler::MutantConfig;
+    use crate::sync::{StdSync, SyncFacade};
     use crate::threaded::RuntimeConfig;
     use presp_accel::catalog::AcceleratorKind;
     use presp_check::{CheckSync, Checker, Config, FailureKind};
@@ -169,7 +170,7 @@ mod tests {
             self.repack_at(self.makespan()).unwrap()
         }
         fn lease(&self, tile: TileCoord) -> Option<RegionLease> {
-            self.tile_lease(tile)
+            self.core.tile_lease(tile).cloned()
         }
         fn fragmentation(&self) -> Option<FragmentationStats> {
             ReconfigManager::fragmentation(self)
@@ -187,7 +188,9 @@ mod tests {
             self.repack_blocking().unwrap()
         }
         fn lease(&self, tile: TileCoord) -> Option<RegionLease> {
-            self.tile_lease(tile)
+            StdSync::lock_recover(&self.shared.core)
+                .tile_lease(tile)
+                .cloned()
         }
         fn fragmentation(&self) -> Option<FragmentationStats> {
             ThreadedManager::fragmentation(self)

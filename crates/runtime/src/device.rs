@@ -1,9 +1,8 @@
 //! The device core: the genuinely shared half of the sharded runtime.
 //!
-//! After the god-object split, everything whose consistency is *per-tile*
-//! lives in a tile shard ([`crate::tile`]); what remains here is the
-//! state every request on every tile contends for no matter how the
-//! runtime is sharded: the SoC simulator (one ICAP/DFXC write port, one
+//! Everything whose consistency is *per-tile* lives in a tile shard
+//! ([`crate::tile`]); what lives here is the state every request on
+//! every tile contends for no matter how the runtime is sharded: the SoC simulator (one ICAP/DFXC write port, one
 //! configuration memory, one NoC and their shared virtual-time
 //! timelines), the aggregate [`crate::manager::ManagerStats`], the
 //! [`crate::registry::BitstreamRegistry`] and the
@@ -44,7 +43,7 @@ pub(crate) fn loc(coord: TileCoord) -> Loc {
 
 /// The shared device resources: SoC, registry (+ bitstream cache) and
 /// aggregate statistics.
-pub struct DeviceCore {
+pub(crate) struct DeviceCore {
     soc: Soc,
     registry: BitstreamRegistry,
     cache: BitstreamCache,
@@ -124,13 +123,13 @@ impl DeviceCore {
 
     /// Fragmentation counters of the region allocator; `None` on the
     /// fixed-socket path.
-    pub fn fragmentation(&self) -> Option<FragmentationStats> {
+    pub(crate) fn fragmentation(&self) -> Option<FragmentationStats> {
         self.allocator.as_ref().map(RegionAllocator::stats)
     }
 
     /// The live lease `tile` holds; `None` on the fixed-socket path and
     /// for a tile that never placed a load.
-    pub fn tile_lease(&self, tile: TileCoord) -> Option<&RegionLease> {
+    pub(crate) fn tile_lease(&self, tile: TileCoord) -> Option<&RegionLease> {
         let id = self.leases.get(&tile)?;
         self.allocator.as_ref()?.lease(*id)
     }
@@ -197,12 +196,12 @@ impl DeviceCore {
     }
 
     /// The underlying SoC.
-    pub fn soc(&self) -> &Soc {
+    pub(crate) fn soc(&self) -> &Soc {
         &self.soc
     }
 
     /// Mutable access to the underlying SoC.
-    pub fn soc_mut(&mut self) -> &mut Soc {
+    pub(crate) fn soc_mut(&mut self) -> &mut Soc {
         &mut self.soc
     }
 
@@ -221,7 +220,7 @@ impl DeviceCore {
     }
 
     /// Aggregate statistics.
-    pub fn stats(&self) -> ManagerStats {
+    pub(crate) fn stats(&self) -> ManagerStats {
         self.stats
     }
 
@@ -231,7 +230,7 @@ impl DeviceCore {
     }
 
     /// Hit/miss counters of the bitstream cache.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 

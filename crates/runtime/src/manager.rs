@@ -16,8 +16,8 @@
 //! never observe NoC traffic.
 //!
 //! Structurally the manager is a thin deterministic facade over the
-//! sharded runtime: per-tile bookkeeping lives in [`crate::tile`] shards,
-//! the genuinely shared device resources in a [`crate::device::DeviceCore`],
+//! sharded runtime: per-tile bookkeeping lives in `tile` shards, the
+//! genuinely shared device resources in a `DeviceCore`,
 //! and the protocol itself in `protocol` functions shared verbatim with
 //! the OS-threaded [`crate::threaded::ThreadedManager`]. The facade calls them
 //! single-threaded, in submission order, with the bitstream cache
@@ -29,16 +29,14 @@ use crate::device::DeviceCore;
 use crate::error::Error;
 use crate::protocol;
 use crate::registry::BitstreamRegistry;
-use crate::tile::TileState;
+use crate::tile::{TileHealth, TileState};
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::AccelOp;
-use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
+use presp_floorplan::{FitPolicy, FragmentationStats};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, ReconfigRun, ScrubReport, Soc};
 use std::collections::BTreeMap;
 use std::ops::Range;
-
-pub use crate::tile::TileHealth;
 
 /// What the admission controller does when a bounded per-tile queue is
 /// already at capacity.
@@ -238,7 +236,7 @@ pub struct RepackReport {
 #[derive(Debug)]
 pub struct ReconfigManager {
     tiles: BTreeMap<TileCoord, TileState>,
-    core: DeviceCore,
+    pub(crate) core: DeviceCore,
     policy: RecoveryPolicy,
 }
 
@@ -287,7 +285,7 @@ impl ReconfigManager {
         self.tiles
             .values()
             .filter(|s| s.is_quarantined())
-            .map(TileState::coord)
+            .map(|s| s.coord)
             .collect()
     }
 
@@ -384,12 +382,6 @@ impl ReconfigManager {
         self.core.fragmentation()
     }
 
-    /// The tile's live region lease, when amorphous floorplanning is
-    /// enabled and the tile has loaded at least once.
-    pub fn tile_lease(&self, tile: TileCoord) -> Option<RegionLease> {
-        self.core.tile_lease(tile).cloned()
-    }
-
     /// Runs one defragmentation pass starting no earlier than `at`:
     /// plans the allocator's greedy left-slide compaction and executes
     /// each move transactionally (decouple → lockstep frame/ECC/golden
@@ -437,17 +429,19 @@ impl ReconfigManager {
 
     /// The driver currently bound to `tile`.
     pub fn active_driver(&self, tile: TileCoord) -> Option<AcceleratorKind> {
-        self.tiles.get(&tile).and_then(TileState::active_driver)
+        self.tiles.get(&tile).and_then(|s| s.driver)
     }
 
     /// Whether `tile`'s active driver services operations of `kind`.
     pub fn driver_services(&self, tile: TileCoord, kind: AcceleratorKind) -> bool {
-        self.tiles.get(&tile).is_some_and(|s| s.services(kind))
+        self.tiles
+            .get(&tile)
+            .is_some_and(|s| s.driver == Some(kind))
     }
 
     /// Virtual time at which `tile` becomes idle.
     pub fn tile_idle_at(&self, tile: TileCoord) -> u64 {
-        self.tiles.get(&tile).map(TileState::idle_at).unwrap_or(0)
+        self.tiles.get(&tile).map(|s| s.idle_at).unwrap_or(0)
     }
 
     /// Latest completion across all tiles (the application makespan).
@@ -920,6 +914,45 @@ mod tests {
         let decoupled = mgr.soc().csr_read(tile, presp_soc::sim::csr::DECOUPLE);
         assert_eq!(decoupled.unwrap(), 1);
         assert!(!mgr.is_quarantined(tile), "one exhausted request");
+        assert!(mgr.stats().consistent());
+    }
+
+    #[test]
+    fn a_successful_load_resets_the_failure_streak() {
+        use presp_fpga::fault::{FaultConfig, FaultPlan};
+        let (mut mgr, tiles) = manager(1);
+        let tile = tiles[0];
+        mgr.set_policy(RecoveryPolicy {
+            max_retries: 0,
+            quarantine_after: 2,
+            ..RecoveryPolicy::default()
+        });
+        // One attempt per request: loads 0, 2 and 3 fail, load 1 succeeds.
+        let mut plan = FaultPlan::new(1, FaultConfig::uniform(0.0));
+        for nth in [0, 2, 3] {
+            plan.force_icap_fault(nth);
+        }
+        mgr.soc_mut().set_fault_plan(Some(plan));
+        let exhausted = |r: Result<_, Error>| matches!(r, Err(Error::RetriesExhausted { .. }));
+        assert!(exhausted(
+            mgr.request_reconfiguration(tile, AcceleratorKind::Mac)
+        ));
+        assert!(mgr
+            .request_reconfiguration(tile, AcceleratorKind::Mac)
+            .unwrap()
+            .is_some());
+        assert!(exhausted(
+            mgr.request_reconfiguration(tile, AcceleratorKind::Sort)
+        ));
+        assert!(
+            !mgr.is_quarantined(tile),
+            "the load between the two exhaustions cleared the streak"
+        );
+        assert!(exhausted(
+            mgr.request_reconfiguration(tile, AcceleratorKind::Sort)
+        ));
+        assert!(mgr.is_quarantined(tile), "two consecutive exhaustions");
+        assert_eq!(mgr.stats().quarantines, 1);
         assert!(mgr.stats().consistent());
     }
 

@@ -63,13 +63,13 @@ pub(crate) fn request_reconfiguration_at(
     kind: AcceleratorKind,
     at: u64,
 ) -> Result<Option<ReconfigRun>, Error> {
-    let tile = tile_state.coord();
+    let tile = tile_state.coord;
     core.stats_mut().reconfig_requests += 1;
     if tile_state.is_quarantined() {
         core.stats_mut().rejected += 1;
         return Err(Error::TileQuarantined { tile });
     }
-    if tile_state.services(kind) {
+    if tile_state.driver == Some(kind) {
         core.stats_mut().cache_hits += 1;
         core.soc_mut()
             .tracer_mut()
@@ -88,11 +88,11 @@ pub(crate) fn request_reconfiguration_at(
         .fetch_bitstream(tile, kind, at)
         .inspect_err(|_| core.stats_mut().rejected += 1)?;
     // Wait for the accelerator in the tile to complete its execution.
-    let idle = at.max(tile_state.idle_at());
+    let idle = at.max(tile_state.idle_at);
     // Unregister the outgoing driver: from here until probe, other
     // threads' submissions fail fast instead of touching a tile that is
     // being rewritten.
-    tile_state.remove_driver();
+    tile_state.driver = None;
     let mut decoupled_at: Option<u64> = None;
     let mut when = idle;
     let mut attempts = 0u32;
@@ -121,13 +121,13 @@ pub(crate) fn request_reconfiguration_at(
                         ok: true,
                     },
                 );
-                tile_state.probe_driver(kind);
-                tile_state.set_idle_at(coupled);
-                tile_state.clear_failures();
+                tile_state.driver = Some(kind);
+                tile_state.idle_at = coupled;
+                tile_state.failure_streak = 0;
                 // Every frame of the region was rewritten (and its
                 // golden image refreshed): the tile is healthy again.
                 tile_state.set_health(TileHealth::Healthy);
-                if let Some(mark) = tile_state.take_oversized_mark() {
+                if let Some(mark) = tile_state.oversized_mark.take() {
                     core.stats_mut().oversized_admitted += 1;
                     if core.stats().repack_moves > mark {
                         core.stats_mut().repack_admitted += 1;
@@ -194,7 +194,7 @@ fn attempt_load(
     when: u64,
     decoupled_at: &mut Option<u64>,
 ) -> Result<ReconfigRun, Error> {
-    let tile = tile_state.coord();
+    let tile = tile_state.coord;
     // Fault hook: a stale registry read fails this attempt at the
     // software level, before the tile is touched; the retry tries again.
     if core
@@ -236,7 +236,7 @@ fn place_bitstream(
     if !core.regions_enabled() {
         return Ok(Arc::clone(bitstream));
     }
-    let tile = tile_state.coord();
+    let tile = tile_state.coord;
     let span = bitstream.column_span()?;
     let device = core.soc().part().device();
     let (base, width) = (span.start, span.end - span.start);
@@ -279,7 +279,7 @@ fn place_bitstream(
             // cannot succeed.
             core.stats_mut().oversized_rejected += 1;
             let mark = core.stats().repack_moves;
-            tile_state.mark_oversized(mark);
+            tile_state.oversized_mark = Some(mark);
             Err(Error::RegionUnavailable { tile, width })
         }
     }
@@ -341,7 +341,7 @@ fn move_region(
     mv: &RegionMove,
     at: u64,
 ) -> Result<u64, Error> {
-    let tile = tile_state.coord();
+    let tile = tile_state.coord;
     if tile_state.is_quarantined() {
         return Err(Error::TileQuarantined { tile });
     }
@@ -395,14 +395,14 @@ fn move_frames(
     delta: i64,
     at: u64,
 ) -> Result<u64, Error> {
-    let tile = tile_state.coord();
-    let start = at.max(tile_state.idle_at());
+    let tile = tile_state.coord;
+    let start = at.max(tile_state.idle_at);
     let decoupled = core.soc_mut().csr_write_at(tile, csr::DECOUPLE, 1, start)?;
     let run = core.soc_mut().move_tile_region_at(tile, delta, decoupled)?;
     let coupled = core
         .soc_mut()
         .csr_write_at(tile, csr::DECOUPLE, 0, run.end)?;
-    tile_state.set_idle_at(coupled);
+    tile_state.idle_at = coupled;
     Ok(run.frames as u64)
 }
 
@@ -430,12 +430,12 @@ fn give_up(
     kind: AcceleratorKind,
     attempts: u32,
 ) -> Result<Option<ReconfigRun>, Error> {
-    let tile = tile_state.coord();
+    let tile = tile_state.coord;
     core.stats_mut().retries_exhausted += 1;
     let now = core.soc().horizon();
-    tile_state.set_idle_at(now);
-    let streak = tile_state.record_failure();
-    if streak >= policy.quarantine_after && tile_state.quarantine() {
+    tile_state.idle_at = now;
+    tile_state.failure_streak += 1;
+    if tile_state.failure_streak >= policy.quarantine_after && tile_state.quarantine() {
         core.stats_mut().quarantines += 1;
         core.soc_mut()
             .tracer_mut()
@@ -460,8 +460,8 @@ pub(crate) fn run_at(
     at: u64,
     value: Evaluated,
 ) -> Result<AccelRun, Error> {
-    let tile = tile_state.coord();
-    let active = tile_state.active_driver().ok_or(Error::NoDriver {
+    let tile = tile_state.coord;
+    let active = tile_state.driver.ok_or(Error::NoDriver {
         tile,
         needed: op.kind(),
     })?;
@@ -471,11 +471,11 @@ pub(crate) fn run_at(
             needed: op.kind(),
         });
     }
-    let start = at.max(tile_state.idle_at());
+    let start = at.max(tile_state.idle_at);
     let run = core
         .soc_mut()
         .run_accelerator_prepared_at(tile, op, start, value)?;
-    tile_state.set_idle_at(run.end);
+    tile_state.idle_at = run.end;
     core.stats_mut().runs += 1;
     Ok(run)
 }
@@ -505,7 +505,7 @@ pub(crate) fn run_with_fallback_at(
         // Start the software run after the failed recovery concluded on
         // this tile's timeline.
         Err(e) if e.is_degradable() && policy.cpu_fallback => {
-            let start = ready.max(tile_state.idle_at());
+            let start = ready.max(tile_state.idle_at);
             degrade_to_cpu_at(core, kind, op, start, value).map(|(run, path)| (run, path, None))
         }
         Err(e) => Err(e),
@@ -566,7 +566,7 @@ pub(crate) fn scrub_tile_at(
     core: &mut DeviceCore,
     at: u64,
 ) -> Result<ScrubReport, Error> {
-    let tile = tile_state.coord();
+    let tile = tile_state.coord;
     if tile_state.is_quarantined() {
         return Err(Error::TileQuarantined { tile });
     }
@@ -585,7 +585,7 @@ pub(crate) fn scrub_tile_at(
         // An uncorrectable upset: the fabric cannot be trusted, so the
         // tile leaves service exactly like a retry-exhausted tile — the
         // driver is unloaded and further requests degrade to the CPU.
-        tile_state.remove_driver();
+        tile_state.driver = None;
         if tile_state.quarantine() {
             core.stats_mut().quarantines += 1;
             core.stats_mut().scrub_quarantines += 1;
@@ -615,7 +615,7 @@ pub(crate) fn sweep_tile_at(
     core: &mut DeviceCore,
     at: u64,
 ) -> Result<Option<ScrubReport>, Error> {
-    if tile_state.is_quarantined() || !core.soc().has_region(tile_state.coord()) {
+    if tile_state.is_quarantined() || !core.soc().has_region(tile_state.coord) {
         return Ok(None);
     }
     scrub_tile_at(tile_state, core, at).map(Some)
@@ -627,7 +627,7 @@ pub(crate) fn restore_golden(
     tile_state: &mut TileState,
     core: &mut DeviceCore,
 ) -> Result<usize, Error> {
-    let frames = core.soc_mut().restore_golden(tile_state.coord())?;
+    let frames = core.soc_mut().restore_golden(tile_state.coord)?;
     tile_state.set_health(TileHealth::Healthy);
     Ok(frames)
 }
@@ -641,7 +641,7 @@ pub(crate) fn release_quarantine(tile_state: &mut TileState, core: &mut DeviceCo
         core.soc_mut()
             .tracer_mut()
             .instant(ClockDomain::SocCycles, now, || TraceEvent::Quarantine {
-                tile: loc(tile_state.coord()),
+                tile: loc(tile_state.coord),
                 entered: false,
             });
     }

@@ -1,11 +1,10 @@
 //! The multi-worker DPR protocol behind
 //! [`ThreadedManager`](crate::threaded::ThreadedManager).
 //!
-//! The old workqueue demonstrator funnelled every request through one
-//! worker thread holding one `ReconfigManager` lock, so two requests to
-//! *independent* tiles still serialized end to end. This module is the
-//! sharded replacement built on the [`crate::tile`] / [`crate::device`]
-//! split. It holds the shared state, the worker and supervisor loops and
+//! Requests to *independent* tiles proceed concurrently: the protocol is
+//! built on the split between per-tile shards (`tile`) and the shared
+//! device core (`device`). This module
+//! holds the shared state, the worker and supervisor loops and
 //! the [`Pending`] completion handle; the public methods live on the
 //! runtime handle. The design:
 //!
@@ -190,9 +189,7 @@ impl SchedulerStats {
     ///
     /// Nearest-rank definition: the smallest sample such that at least
     /// `p` percent of the samples are ≤ it (rank `⌈p/100·N⌉`,
-    /// 1-based). The previous rounded-interpolation index over-reported
-    /// small samples — p50 of `[10, 20, 30, 40]` came back 30 instead
-    /// of 20.
+    /// 1-based), so p50 of `[10, 20, 30, 40]` is 20.
     pub fn wait_percentile_micros(&self, p: f64) -> u64 {
         if self.wait_micros.is_empty() {
             return 0;
@@ -1329,7 +1326,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                     ticket,
                     depth,
                 });
-            let at = state.idle_at();
+            let at = state.idle_at;
             // Deadline check at the commit slot: the request's virtual
             // start is where the tile timeline and global horizon meet.
             let begin = at.max(now);
@@ -1446,7 +1443,7 @@ fn worker_loop<S: SyncFacade>(shared: &Shared<S>, worker: usize) {
                 let _ = S::send(&done, result);
                 if shared.mutants.unsynced_stats {
                     // MUTANT: bookkeeping after the reply, outside any
-                    // lock — races with `unsynced_runs()`.
+                    // lock — races with the caller's unlocked read.
                     let n = shared.racy_runs.read();
                     shared.racy_runs.write(n + 1);
                 }

@@ -207,9 +207,9 @@ pub struct SupervisorStats {
 /// Panic payload of an injected worker death; the quiet hook filters it
 /// so 200-seed stress runs don't bury real failures in expected
 /// backtraces.
-pub struct InjectedWorkerPanic;
+pub(crate) struct InjectedWorkerPanic;
 
-/// Installs (once) a panic hook that suppresses [`InjectedWorkerPanic`]
+/// Installs (once) a panic hook that suppresses `InjectedWorkerPanic`
 /// payloads and forwards everything else to the previous hook. Tests
 /// that inject worker panics call this first.
 pub fn install_quiet_panic_hook() {

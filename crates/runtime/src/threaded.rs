@@ -1,6 +1,7 @@
 //! The OS-threaded workqueue runtime: [`ThreadedManager`], the one
 //! handle applications, benches and maintenance callers hold. Its scrub
-//! and repack passes live in [`crate::scrubber`] and [`crate::defrag`].
+//! and repack passes live in the crate-private `scrubber` and `defrag`
+//! modules.
 //!
 //! The paper's manager "uses the built-in kernel workqueue to manage
 //! multiple reconfiguration requests": application threads enqueue
@@ -32,7 +33,7 @@ use crate::supervisor::{SupervisorStats, WorkerFaultPlan};
 use crate::sync::{Arc, StdSync, SyncFacade};
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::AccelOp;
-use presp_floorplan::{FitPolicy, FragmentationStats, RegionLease};
+use presp_floorplan::{FitPolicy, FragmentationStats};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, Soc};
 use std::ops::Range;
@@ -357,13 +358,6 @@ impl<S: SyncFacade> ThreadedManager<S> {
         S::lock_recover(&self.shared.core).fragmentation()
     }
 
-    /// The live region lease of `tile` (amorphous floorplanning only);
-    /// `None` for unknown tiles, unloaded tiles, or the fixed-socket
-    /// path.
-    pub fn tile_lease(&self, tile: TileCoord) -> Option<RegionLease> {
-        S::lock_recover(&self.shared.core).tile_lease(tile).cloned()
-    }
-
     /// Latest completion cycle on the shared virtual clock — the
     /// application makespan across everything the workers dispatched.
     /// OS-thread interleaving varies between runs; this virtual-time
@@ -419,12 +413,6 @@ impl<S: SyncFacade> ThreadedManager<S> {
             .filter(|(_, shard)| S::lock_recover(&shard.state).is_quarantined())
             .map(|(&coord, _)| coord)
             .collect()
-    }
-
-    /// Caller-side unlocked read the `unsynced_stats` mutant races with.
-    #[doc(hidden)]
-    pub fn unsynced_runs(&self) -> u64 {
-        self.shared.racy_runs.read()
     }
 
     /// Installs (or disarms, with `None`) a worker-software-fault plan.
@@ -1355,7 +1343,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(run.value, AccelValue::Scalar(2.0));
-        let _count = mgr.unsynced_runs();
+        // Caller-side unlocked read the mutant's bookkeeping races with.
+        let _count = mgr.shared.racy_runs.read();
         mgr.shutdown();
     }
 

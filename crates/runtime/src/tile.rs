@@ -1,24 +1,21 @@
 //! Per-tile shard state.
 //!
-//! The runtime used to keep every piece of per-tile bookkeeping — the
-//! active driver, the idle horizon, the health state machine (quarantine
-//! included) and the failure streak — in parallel maps inside one
-//! `ReconfigManager` god object, all guarded by a single lock. This
-//! module is the sharded replacement: one [`TileState`] per
-//! reconfigurable tile, owning exactly the state whose consistency is
-//! per-tile. Two requests to *different* tiles touch disjoint
-//! `TileState`s and can proceed concurrently; only the genuinely shared
-//! device resources (ICAP, configuration memory, NoC — see
-//! [`crate::device`]) still serialize. A tile's region (its lease and
-//! frames under amorphous floorplanning) is device state too and lives
-//! only in the device core, never in a shard.
+//! One [`TileState`] per reconfigurable tile owns exactly the state whose
+//! consistency is per-tile: the active driver, the idle horizon, the
+//! health state machine (quarantine included) and the failure streak.
+//! Two requests to *different* tiles touch disjoint `TileState`s and can
+//! proceed concurrently; only the genuinely shared device resources
+//! (ICAP, configuration memory, NoC — see [`crate::device`]) still
+//! serialize. A tile's region (its lease and frames under amorphous
+//! floorplanning) is device state too and lives only in the device core,
+//! never in a shard.
 //!
-//! `TileState` is pure data with no locking of its own. The deterministic
-//! [`crate::manager::ReconfigManager`] owns its shards directly; the
-//! OS-threaded [`crate::threaded::ThreadedManager`] wraps each one in a
-//! per-tile mutex (label `"tile_state"`) and is the only doorway through
-//! which shard state is mutated on the concurrent path — a boundary
-//! `presp-analyze` enforces.
+//! `TileState` is plain data with no locking of its own. The
+//! deterministic [`crate::manager::ReconfigManager`] owns its shards
+//! directly; the OS-threaded [`crate::threaded::ThreadedManager`] wraps
+//! each one in a per-tile mutex (label `"tile_state"`) and is the only
+//! doorway through which shard state is mutated on the concurrent path —
+//! a boundary `presp-analyze` enforces.
 //!
 //! ESP auto-generates one device driver per accelerator. On a DPR system
 //! the driver bound to a reconfigurable tile must follow the accelerator:
@@ -55,27 +52,30 @@ pub enum TileHealth {
 
 /// Everything the runtime tracks about one reconfigurable tile.
 ///
-/// The fields mirror the old manager's per-tile maps one for one: the
-/// driver slot, the virtual-time idle horizon, the health state machine
-/// (whose `Quarantined` state is the quarantine flag) and the
-/// consecutive-failure streak that feeds the quarantine policy.
+/// Only `health` is private: its `Quarantined` state is the quarantine
+/// flag, and the methods below keep quarantine dominant.
 #[derive(Debug, Clone)]
-pub struct TileState {
-    coord: TileCoord,
-    driver: Option<AcceleratorKind>,
-    idle_at: u64,
+pub(crate) struct TileState {
+    pub(crate) coord: TileCoord,
+    /// The driver bound to the tile. `None` from unregistering (before a
+    /// reconfiguration) until the next probe, so submissions fail fast
+    /// instead of touching a tile that is being rewritten.
+    pub(crate) driver: Option<AcceleratorKind>,
+    /// Virtual time at which the tile becomes idle.
+    pub(crate) idle_at: u64,
     health: TileHealth,
-    failure_streak: u32,
+    /// Consecutive retry-exhausted requests; a successful load clears it.
+    pub(crate) failure_streak: u32,
     /// Repack-moves watermark stamped when a load was refused for lack
     /// of a free span ([`crate::error::Error::RegionUnavailable`]);
     /// cleared on the next successful load, which is then counted as an
     /// oversized admit (and a repack admit when the watermark moved).
-    oversized_mark: Option<u64>,
+    pub(crate) oversized_mark: Option<u64>,
 }
 
 impl TileState {
     /// A fresh, healthy, empty shard for `coord`.
-    pub fn new(coord: TileCoord) -> TileState {
+    pub(crate) fn new(coord: TileCoord) -> TileState {
         TileState {
             coord,
             driver: None,
@@ -86,66 +86,28 @@ impl TileState {
         }
     }
 
-    /// The tile this shard describes.
-    pub fn coord(&self) -> TileCoord {
-        self.coord
-    }
-
-    /// The driver currently bound to the tile.
-    pub fn active_driver(&self) -> Option<AcceleratorKind> {
-        self.driver
-    }
-
-    /// Whether the tile's active driver can service an operation for
-    /// `kind`.
-    pub fn services(&self, kind: AcceleratorKind) -> bool {
-        self.driver == Some(kind)
-    }
-
-    /// Unregisters the driver (before reconfiguration). From here until
-    /// the next probe, submissions fail fast instead of touching a tile
-    /// that is being rewritten.
-    pub fn remove_driver(&mut self) -> Option<AcceleratorKind> {
-        self.driver.take()
-    }
-
-    /// Probes the driver for `kind` (after reconfiguration).
-    pub fn probe_driver(&mut self, kind: AcceleratorKind) {
-        self.driver = Some(kind);
-    }
-
-    /// Virtual time at which the tile becomes idle.
-    pub fn idle_at(&self) -> u64 {
-        self.idle_at
-    }
-
-    /// Advances the idle horizon to `at`.
-    pub fn set_idle_at(&mut self, at: u64) {
-        self.idle_at = at;
-    }
-
     /// Configuration-memory health.
-    pub fn health(&self) -> TileHealth {
+    pub(crate) fn health(&self) -> TileHealth {
         self.health
     }
 
     /// Moves the scrub state machine. Quarantine dominates: a
     /// quarantined tile stays `Quarantined` until
     /// [`TileState::release_quarantine`].
-    pub fn set_health(&mut self, health: TileHealth) {
+    pub(crate) fn set_health(&mut self, health: TileHealth) {
         if !self.is_quarantined() {
             self.health = health;
         }
     }
 
     /// Whether the tile is quarantined.
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.health == TileHealth::Quarantined
     }
 
     /// Quarantines the tile. Returns `true` on the transition (i.e. the
     /// tile was not already quarantined).
-    pub fn quarantine(&mut self) -> bool {
+    pub(crate) fn quarantine(&mut self) -> bool {
         let entered = !self.is_quarantined();
         self.health = TileHealth::Quarantined;
         entered
@@ -153,60 +115,17 @@ impl TileState {
 
     /// Releases the quarantine, clearing the failure streak and health
     /// history. Returns whether the tile was quarantined.
-    pub fn release_quarantine(&mut self) -> bool {
+    pub(crate) fn release_quarantine(&mut self) -> bool {
         let released = self.is_quarantined();
         self.failure_streak = 0;
         self.health = TileHealth::Healthy;
         released
-    }
-
-    /// Consecutive retry-exhausted requests on this tile.
-    pub fn failure_streak(&self) -> u32 {
-        self.failure_streak
-    }
-
-    /// Records one more retry-exhausted request; returns the new streak.
-    pub fn record_failure(&mut self) -> u32 {
-        self.failure_streak += 1;
-        self.failure_streak
-    }
-
-    /// Clears the failure streak (after a successful load).
-    pub fn clear_failures(&mut self) {
-        self.failure_streak = 0;
-    }
-
-    /// Stamps the oversized-rejection watermark with the ledger's current
-    /// [`crate::manager::ManagerStats::repack_moves`].
-    pub(crate) fn mark_oversized(&mut self, repack_moves: u64) {
-        self.oversized_mark = Some(repack_moves);
-    }
-
-    /// Takes the oversized watermark (cleared on a successful load).
-    pub(crate) fn take_oversized_mark(&mut self) -> Option<u64> {
-        self.oversized_mark.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn driver_slot_follows_each_swap() {
-        let mut t = TileState::new(TileCoord::new(1, 0));
-        assert_eq!(t.active_driver(), None);
-        t.probe_driver(AcceleratorKind::Mac);
-        assert!(t.services(AcceleratorKind::Mac));
-        assert!(!t.services(AcceleratorKind::Sort));
-        assert_eq!(t.remove_driver(), Some(AcceleratorKind::Mac));
-        assert_eq!(t.active_driver(), None);
-        t.probe_driver(AcceleratorKind::Sort);
-        assert_eq!(t.active_driver(), Some(AcceleratorKind::Sort));
-        // Removing from an empty slot removes nothing.
-        let mut empty = TileState::new(TileCoord::new(2, 0));
-        assert_eq!(empty.remove_driver(), None);
-    }
 
     #[test]
     fn quarantine_dominates_health_and_release_resets() {
@@ -221,19 +140,10 @@ mod tests {
         t.set_health(TileHealth::Healthy);
         assert_eq!(t.health(), TileHealth::Quarantined);
         assert!(t.is_quarantined());
-        t.record_failure();
+        t.failure_streak = 3;
         assert!(t.release_quarantine());
         assert!(!t.release_quarantine());
         assert_eq!(t.health(), TileHealth::Healthy);
-        assert_eq!(t.failure_streak(), 0);
-    }
-
-    #[test]
-    fn failure_streak_counts_and_clears() {
-        let mut t = TileState::new(TileCoord::new(1, 0));
-        assert_eq!(t.record_failure(), 1);
-        assert_eq!(t.record_failure(), 2);
-        t.clear_failures();
-        assert_eq!(t.failure_streak(), 0);
+        assert_eq!(t.failure_streak, 0);
     }
 }

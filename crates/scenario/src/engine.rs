@@ -27,12 +27,12 @@ use presp_fpga::bitstream::{Bitstream, BitstreamBuilder, BitstreamKind};
 use presp_fpga::fault::{FaultPlan, InjectedFaults, SplitMix64};
 use presp_fpga::frame::FrameAddress;
 use presp_runtime::cache::CacheStats;
-use presp_runtime::error::Error;
 use presp_runtime::manager::{ExecPath, ManagerStats};
 use presp_runtime::registry::BitstreamRegistry;
 use presp_runtime::scheduler::SchedulerStats;
-use presp_runtime::supervisor::{install_quiet_panic_hook, SupervisorStats, WorkerFaultPlan};
 use presp_runtime::threaded::{RuntimeConfig, ThreadedManager};
+use presp_runtime::Error;
+use presp_runtime::{install_quiet_panic_hook, SupervisorStats, WorkerFaultPlan};
 use presp_soc::config::{SocConfig, TileCoord};
 use presp_soc::sim::Soc;
 use std::collections::{BTreeMap, VecDeque};

@@ -28,7 +28,7 @@ fn escape(input: &str) -> String {
 }
 
 /// Renders the run as a JUnit XML document.
-pub fn render(entries: &[ReportEntry]) -> String {
+pub(crate) fn render(entries: &[ReportEntry]) -> String {
     let failures = entries.iter().filter(|e| !e.passed()).count();
     let mut xml = String::new();
     xml.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");

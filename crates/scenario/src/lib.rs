@@ -14,7 +14,8 @@
 //!   passes) deterministically under each seed, and evaluates the declared
 //!   assertions against virtual-time observations only.
 //! * [`report`] — the byte-deterministic JSON report.
-//! * [`junit`] — JUnit XML for CI test surfaces.
+//! * `junit` (crate-private) — JUnit XML for CI test surfaces, written
+//!   by the runner.
 //! * [`runner`] — files/directories in, artifacts out; the engine room
 //!   of the `presp test` subcommand.
 //!
@@ -37,9 +38,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod engine;
-pub mod junit;
+mod junit;
 pub mod report;
 pub mod runner;
 pub mod spec;

@@ -31,7 +31,7 @@ use presp_events::TraceEvent;
 use presp_floorplan::FitPolicy;
 use presp_fpga::fault::FaultConfig;
 use presp_runtime::manager::{OverloadPolicy, RecoveryPolicy};
-use presp_runtime::supervisor::WorkerFaultConfig;
+use presp_runtime::WorkerFaultConfig;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Bound, RangeBounds};

@@ -11,7 +11,7 @@ use presp_events::TraceEvent;
 use presp_floorplan::FitPolicy;
 use presp_fpga::fault::FaultConfig;
 use presp_runtime::manager::{OverloadPolicy, RecoveryPolicy};
-use presp_runtime::supervisor::WorkerFaultConfig;
+use presp_runtime::WorkerFaultConfig;
 use presp_scenario::engine::STATS;
 use presp_scenario::spec::{
     Assertion, CatalogKind, FabricSpec, RegionsSpec, ScenarioSpec, ScrubberSpec, SeedSpec,

@@ -6,70 +6,26 @@
 //! bus), the controller fetches the partial bitstream from memory through
 //! an AXI master (bridged to NoC packets), streams it into the ICAP, and
 //! raises an interrupt on completion. This module models the controller's
-//! state machine and the ICAP; the NoC fetch is accounted by the
-//! simulator.
+//! load transaction over the ICAP; the NoC fetch and the interrupt are
+//! accounted by the simulator.
 
 use crate::error::Error;
 use presp_fpga::bitstream::Bitstream;
 use presp_fpga::fabric::Device;
 use presp_fpga::icap::{Icap, IcapReport};
 
-/// DFXC status values (the subset of the IP's VSM states the software
-/// stack cares about).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DfxcStatus {
-    /// Ready for a trigger.
-    Idle,
-    /// A reconfiguration is in flight.
-    Loading,
-    /// Last reconfiguration completed successfully.
-    Done,
-    /// Last reconfiguration failed (CRC/IDCODE/format error).
-    Error,
-}
-
 /// The DFX controller + ICAP pair.
 #[derive(Debug, Clone)]
 pub struct Dfxc {
     icap: Icap,
-    status: DfxcStatus,
-    completed: u64,
-    failed: u64,
-    busy_micros: f64,
 }
 
 impl Dfxc {
     /// Creates a controller for `device`.
-    pub fn new(device: &Device) -> Dfxc {
+    pub(crate) fn new(device: &Device) -> Dfxc {
         Dfxc {
             icap: Icap::new(device),
-            status: DfxcStatus::Idle,
-            completed: 0,
-            failed: 0,
-            busy_micros: 0.0,
         }
-    }
-
-    /// Current status register value.
-    pub fn status(&self) -> DfxcStatus {
-        self.status
-    }
-
-    /// Reconfigurations completed successfully.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Reconfigurations that failed.
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
-    /// Total ICAP streaming time of successful loads, microseconds —
-    /// the controller's share of the shared-ICAP occupancy the simulator
-    /// arbitrates.
-    pub fn busy_micros(&self) -> f64 {
-        self.busy_micros
     }
 
     /// The configuration memory behind the ICAP.
@@ -81,12 +37,12 @@ impl Dfxc {
     /// readback scrubbing and transactional rollback. Every mutation still
     /// goes through [`ConfigMemory`](presp_fpga::config_memory::ConfigMemory)'s
     /// own doorway methods.
-    pub fn config_memory_mut(&mut self) -> &mut presp_fpga::config_memory::ConfigMemory {
+    pub(crate) fn config_memory_mut(&mut self) -> &mut presp_fpga::config_memory::ConfigMemory {
         self.icap.memory_mut()
     }
 
     /// Frame addresses written by the most recent load (write order).
-    pub fn last_written(&self) -> &[presp_fpga::frame::FrameAddress] {
+    pub(crate) fn last_written(&self) -> &[presp_fpga::frame::FrameAddress] {
         self.icap.last_written()
     }
 
@@ -97,26 +53,14 @@ impl Dfxc {
     ///
     /// Propagates ICAP errors (CRC mismatch, wrong IDCODE, malformed
     /// stream) with the number of frames the failed stream had changed;
-    /// the status register latches [`DfxcStatus::Error`] and the fabric is
-    /// rolled back to its pre-load state.
-    pub fn load_or_rollback(
+    /// the fabric is rolled back to its pre-load state.
+    pub(crate) fn load_or_rollback(
         &mut self,
         bitstream: &Bitstream,
     ) -> Result<IcapReport, (Error, usize)> {
-        self.status = DfxcStatus::Loading;
-        match self.icap.load_or_rollback(bitstream) {
-            Ok(report) => {
-                self.status = DfxcStatus::Done;
-                self.completed += 1;
-                self.busy_micros += report.micros;
-                Ok(report)
-            }
-            Err((e, dirty)) => {
-                self.status = DfxcStatus::Error;
-                self.failed += 1;
-                Err((Error::Fpga(e), dirty))
-            }
-        }
+        self.icap
+            .load_or_rollback(bitstream)
+            .map_err(|(e, dirty)| (Error::Fpga(e), dirty))
     }
 }
 
@@ -140,18 +84,15 @@ mod tests {
     }
 
     #[test]
-    fn successful_load_reaches_done() {
+    fn successful_load_writes_frames() {
         let d = device();
         let mut dfxc = Dfxc::new(&d);
-        assert_eq!(dfxc.status(), DfxcStatus::Idle);
         let report = dfxc.load_or_rollback(&small_bitstream(&d)).unwrap();
-        assert_eq!(dfxc.status(), DfxcStatus::Done);
-        assert_eq!(dfxc.completed(), 1);
         assert!(report.frames_written > 0);
     }
 
     #[test]
-    fn failed_load_latches_error() {
+    fn failed_load_rolls_back() {
         let d = device();
         let mut dfxc = Dfxc::new(&d);
         let bs = small_bitstream(&d);
@@ -162,11 +103,9 @@ mod tests {
         let (_, dirty) = dfxc.load_or_rollback(&corrupted).unwrap_err();
         assert_eq!(dirty, 1, "the corrupted frame landed before the CRC check");
         assert_eq!(dfxc.config_memory().configured_frames(), 0, "rolled back");
-        assert_eq!(dfxc.status(), DfxcStatus::Error);
-        assert_eq!(dfxc.failed(), 1);
         // A good load recovers the controller.
         dfxc.load_or_rollback(&small_bitstream(&d)).unwrap();
-        assert_eq!(dfxc.status(), DfxcStatus::Done);
+        assert_eq!(dfxc.config_memory().configured_frames(), 1);
     }
 
     #[test]

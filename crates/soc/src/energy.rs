@@ -11,11 +11,11 @@
 use presp_accel::power::{leakage_w, BASE_POWER_W, RECONFIG_POWER_W};
 use presp_fpga::resources::Resources;
 
-pub use presp_events::cycles_to_seconds;
+use presp_events::cycles_to_seconds;
 
 /// An energy meter for one simulation.
 #[derive(Debug, Clone, Default)]
-pub struct EnergyMeter {
+pub(crate) struct EnergyMeter {
     dynamic_j: f64,
     reconfig_j: f64,
     provisioned: Resources,
@@ -54,33 +54,28 @@ impl EnergyReport {
 
 impl EnergyMeter {
     /// A fresh meter.
-    pub fn new() -> EnergyMeter {
+    pub(crate) fn new() -> EnergyMeter {
         EnergyMeter::default()
     }
 
     /// Registers fabric that is provisioned for the whole run (tiles,
     /// reconfigurable regions) and therefore leaks continuously.
-    pub fn provision(&mut self, resources: Resources) {
+    pub(crate) fn provision(&mut self, resources: Resources) {
         self.provisioned += resources;
     }
 
     /// Adds dynamic energy: `power_w` drawn for `cycles`.
-    pub fn add_active(&mut self, power_w: f64, cycles: u64) {
+    pub(crate) fn add_active(&mut self, power_w: f64, cycles: u64) {
         self.dynamic_j += power_w * cycles_to_seconds(cycles);
     }
 
     /// Adds reconfiguration energy for an ICAP transfer of `micros`.
-    pub fn add_reconfiguration(&mut self, micros: f64) {
+    pub(crate) fn add_reconfiguration(&mut self, micros: f64) {
         self.reconfig_j += RECONFIG_POWER_W * micros * 1e-6;
     }
 
-    /// Dynamic Joules accumulated so far.
-    pub fn dynamic_j(&self) -> f64 {
-        self.dynamic_j
-    }
-
     /// Finalizes the meter over a run of `elapsed_cycles`.
-    pub fn report(&self, elapsed_cycles: u64) -> EnergyReport {
+    pub(crate) fn report(&self, elapsed_cycles: u64) -> EnergyReport {
         let elapsed_s = cycles_to_seconds(elapsed_cycles);
         EnergyReport {
             dynamic_j: self.dynamic_j,
@@ -114,7 +109,7 @@ mod tests {
     fn dynamic_energy_accumulates() {
         let mut meter = EnergyMeter::new();
         meter.add_active(1.0, 78_000_000); // 1 W for 1 s
-        assert!((meter.dynamic_j() - 1.0).abs() < 1e-9);
+        assert!((meter.report(0).dynamic_j - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The architecture follows Section III of the paper:
 //!
 //! * a 2D-mesh, multi-plane, packet-switched NoC connecting a grid of tiles
-//!   ([`noc`], [`config`]);
+//!   (`noc`, [`config`]);
 //! * processor (Leon3), memory, auxiliary and shared-local-memory tiles form
 //!   the **static part**; accelerators live either in static accelerator
 //!   tiles or in **reconfigurable tiles** ([`tile`]);
@@ -13,13 +13,13 @@
 //!   reconfiguration;
 //! * the auxiliary tile hosts the **DFX controller** and the ICAP: it
 //!   fetches partial bitstreams from DRAM over the NoC, streams them through
-//!   the ICAP, and raises an interrupt on completion ([`dfxc`]);
+//!   the ICAP, and raises an interrupt on completion ([`Dfxc`]);
 //! * a [`sim`]ulator advances virtual time (78 MHz SoC clock) through the
 //!   shared `presp-events` kernel — every shared resource (NoC links, the
 //!   DRAM channel, the ICAP, each tile) is a reservation
 //!   [`presp_events::ResourceTimeline`] — accounts DMA transfers with
 //!   link-level NoC contention, executes accelerator behaviors from
-//!   `presp-accel` for real results, meters energy ([`energy`]), and can
+//!   `presp-accel` for real results, meters energy ([`EnergyReport`]), and can
 //!   emit a structured trace of every operation
 //!   ([`sim::Soc::attach_tracer`]).
 //!
@@ -41,16 +41,20 @@
 //! # Ok::<(), presp_soc::Error>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod config;
-pub mod dfxc;
-pub mod energy;
-pub mod error;
-pub mod noc;
+mod dfxc;
+mod energy;
+mod error;
+mod noc;
 pub mod sim;
 pub mod tile;
 
 pub use presp_events::json;
 
 pub use config::{SocConfig, TileCoord};
+pub use dfxc::Dfxc;
+pub use energy::EnergyReport;
 pub use error::Error;
 pub use sim::Soc;

@@ -13,19 +13,17 @@ use presp_events::ResourceTimeline;
 use std::collections::HashMap;
 
 /// Link width: bytes moved per cycle per link.
-pub const FLIT_BYTES: u64 = 8;
+pub(crate) const FLIT_BYTES: u64 = 8;
 /// Router pipeline latency per hop, cycles.
-pub const HOP_LATENCY: u64 = 4;
+pub(crate) const HOP_LATENCY: u64 = 4;
 /// Header overhead per packet, flits.
-pub const HEADER_FLITS: u64 = 2;
+pub(crate) const HEADER_FLITS: u64 = 2;
 
-/// The six physical NoC planes of the ESP architecture.
+/// The physical NoC planes the model carries traffic on. ESP's
+/// coherence planes are left out: nothing in the simulator sends
+/// coherence messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Plane {
-    /// Coherence requests.
-    Coherence,
-    /// Coherence responses.
-    CoherenceRsp,
+pub(crate) enum Plane {
     /// DMA data (accelerator load/store).
     Dma,
     /// Second DMA plane — PR-ESP routes DFXC bitstream fetches here.
@@ -37,21 +35,9 @@ pub enum Plane {
 }
 
 impl Plane {
-    /// All planes.
-    pub const ALL: [Plane; 6] = [
-        Plane::Coherence,
-        Plane::CoherenceRsp,
-        Plane::Dma,
-        Plane::Dfx,
-        Plane::RegAccess,
-        Plane::Irq,
-    ];
-
     /// Stable lowercase name (used in trace records).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
-            Plane::Coherence => "coherence",
-            Plane::CoherenceRsp => "coherence-rsp",
             Plane::Dma => "dma",
             Plane::Dfx => "dfx",
             Plane::RegAccess => "reg-access",
@@ -62,7 +48,7 @@ impl Plane {
 
 /// A completed transfer's timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transfer {
+pub(crate) struct Transfer {
     /// Cycle the first flit left the source.
     pub start: u64,
     /// Cycle the last flit arrived at the destination.
@@ -77,7 +63,7 @@ pub struct Transfer {
 
 impl Transfer {
     /// Transfer latency in cycles.
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         self.end - self.start
     }
 }
@@ -88,25 +74,25 @@ type LinkKey = (TileCoord, TileCoord, Plane);
 /// The mesh NoC state: one reservation timeline per directed link per
 /// plane.
 #[derive(Debug, Clone, Default)]
-pub struct Noc {
+pub(crate) struct Noc {
     links: HashMap<LinkKey, ResourceTimeline>,
     transfers: u64,
 }
 
 impl Noc {
     /// A fresh, idle NoC.
-    pub fn new() -> Noc {
+    pub(crate) fn new() -> Noc {
         Noc::default()
     }
 
     /// Total transfers injected so far (all planes). Fault-injection tests
     /// use this to prove that rejected operations never reached the NoC.
-    pub fn transfer_count(&self) -> u64 {
+    pub(crate) fn transfer_count(&self) -> u64 {
         self.transfers
     }
 
     /// The XY route from `src` to `dst` (inclusive of both endpoints).
-    pub fn route(src: TileCoord, dst: TileCoord) -> Vec<TileCoord> {
+    pub(crate) fn route(src: TileCoord, dst: TileCoord) -> Vec<TileCoord> {
         let mut path = vec![src];
         let mut cur = src;
         while cur.col != dst.col {
@@ -133,7 +119,7 @@ impl Noc {
     /// Returns the transfer timing. Links along the path are reserved for
     /// the packet's serialization time; a same-plane transfer crossing a
     /// busy link waits for it.
-    pub fn transfer(
+    pub(crate) fn transfer(
         &mut self,
         now: u64,
         src: TileCoord,
@@ -178,19 +164,6 @@ impl Noc {
             flits,
             waited,
         }
-    }
-
-    /// Cycle at which every link of `plane` between `src` and `dst` is free.
-    pub fn path_free_at(&self, src: TileCoord, dst: TileCoord, plane: Plane) -> u64 {
-        Noc::route(src, dst)
-            .windows(2)
-            .map(|pair| {
-                self.links
-                    .get(&(pair[0], pair[1], plane))
-                    .map_or(0, ResourceTimeline::free_at)
-            })
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -267,14 +240,5 @@ mod tests {
         assert_eq!(t.flits, flits);
         // Serialization dominates: latency ≈ flits + hop latency.
         assert_eq!(t.latency(), flits + HOP_LATENCY);
-    }
-
-    #[test]
-    fn path_free_tracks_reservations() {
-        let mut noc = Noc::new();
-        assert_eq!(noc.path_free_at(c(0, 0), c(0, 2), Plane::Dma), 0);
-        let t = noc.transfer(0, c(0, 0), c(0, 2), 800, Plane::Dma);
-        assert!(noc.path_free_at(c(0, 0), c(0, 2), Plane::Dma) >= t.flits);
-        assert_eq!(noc.path_free_at(c(0, 0), c(0, 2), Plane::Irq), 0);
     }
 }

@@ -32,9 +32,11 @@
 //! # Ok::<(), presp_wami::Error>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod change_detection;
 pub mod debayer;
-pub mod error;
+mod error;
 pub mod frames;
 pub mod gradient;
 pub mod graph;

@@ -14,7 +14,8 @@ use presp::core::platform::deploy;
 use presp::events::trace::TraceEvent;
 use presp::events::MemorySink;
 use presp::fpga::fault::{FaultConfig, FaultPlan};
-use presp::runtime::manager::{RecoveryPolicy, TileHealth};
+use presp::runtime::manager::RecoveryPolicy;
+use presp::runtime::TileHealth;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = std::env::args()

@@ -11,8 +11,9 @@ use presp::core::platform;
 use presp::events::trace::TraceEvent;
 use presp::events::MemorySink;
 use presp::fpga::fault::{FaultConfig, FaultPlan};
-use presp::runtime::manager::{ReconfigManager, RecoveryPolicy, TileHealth};
+use presp::runtime::manager::{ReconfigManager, RecoveryPolicy};
 use presp::runtime::Error as RuntimeError;
+use presp::runtime::TileHealth;
 use presp::soc::config::TileCoord;
 use presp::wami::frames::SceneGenerator;
 

@@ -19,7 +19,7 @@
 use presp::accel::catalog::AcceleratorKind;
 use presp::accel::{AccelOp, AccelValue};
 use presp::check::{CheckSync, Checker, Config};
-use presp::events::timeline::ResourceTimeline;
+use presp::events::ResourceTimeline;
 use presp::fpga::bitstream::Bitstream;
 use presp::runtime::registry::BitstreamRegistry;
 use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};

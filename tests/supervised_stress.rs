@@ -27,10 +27,10 @@ use presp::fpga::fault::{FaultConfig, FaultPlan, SplitMix64};
 use presp::fpga::frame::FrameAddress;
 use presp::runtime::manager::{ManagerStats, RecoveryPolicy};
 use presp::runtime::registry::BitstreamRegistry;
-use presp::runtime::supervisor::{
+use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
+use presp::runtime::{
     install_quiet_panic_hook, SupervisorStats, WorkerFaultConfig, WorkerFaultPlan,
 };
-use presp::runtime::threaded::{RuntimeConfig, ThreadedManager};
 use presp::soc::config::{SocConfig, TileCoord};
 use presp::soc::sim::Soc;
 use std::collections::VecDeque;
