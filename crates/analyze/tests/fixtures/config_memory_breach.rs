@@ -12,6 +12,10 @@ fn flip(memory: &mut Store, slot: usize) {
     memory.slot_words[slot] ^= 1; // FLAG:config-memory-doorway
 }
 
+fn vouch(memory: &mut Store, slot: usize) {
+    memory.slot_encoded[slot] = true; // FLAG:config-memory-doorway
+}
+
 fn overwrite(memory: &mut Store, addr: Addr, data: &[u32]) {
     memory.put_slot(addr, data, None); // FLAG:config-memory-doorway
 }

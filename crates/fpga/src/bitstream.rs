@@ -258,8 +258,8 @@ pub enum BitstreamKind {
 /// A built bitstream: the exact word stream an ICAP consumes.
 ///
 /// Equality compares the stream and its metadata; the cached
-/// [`Bitstream::frame_set`] and relocation sites are derived from them and
-/// do not take part.
+/// [`Bitstream::frame_set`], relocation sites and FDRI check codes are
+/// derived from them and do not take part.
 #[derive(Debug, Clone)]
 pub struct Bitstream {
     kind: BitstreamKind,
@@ -272,6 +272,9 @@ pub struct Bitstream {
     frame_set: OnceLock<Arc<[FrameAddress]>>,
     /// The words [`Bitstream::relocate`] rewrites, from one packet walk.
     sites: OnceLock<Arc<[Site]>>,
+    /// The SECDED check code of every FDRI word, in walk order: published
+    /// by the first load of the stream that succeeds.
+    fdri_checks: OnceLock<Arc<[u8]>>,
 }
 
 /// A word that relocation rewrites, or the RCRC that restarts the
@@ -363,7 +366,8 @@ impl Bitstream {
     /// metadata — including the build-time integrity CRC — is kept while
     /// only the stream changes, so both the ICAP's in-stream checks and the
     /// registry's at-lookup [`Bitstream::verify_integrity`] can be exercised
-    /// against corrupted copies.
+    /// against corrupted copies. What is cached from the old words (frame
+    /// set, relocation sites, FDRI check codes) is not carried over.
     pub fn with_words(&self, words: Vec<u32>) -> Bitstream {
         Bitstream {
             kind: self.kind,
@@ -375,7 +379,22 @@ impl Bitstream {
             frame_words: self.frame_words,
             frame_set: OnceLock::new(),
             sites: OnceLock::new(),
+            fdri_checks: OnceLock::new(),
         }
+    }
+
+    /// The check codes of this stream's FDRI words, one byte per word in
+    /// walk order, once a load has published them: what lets every load
+    /// after the first copy its frames' codes instead of encoding them.
+    pub(crate) fn fdri_checks(&self) -> Option<&[u8]> {
+        self.fdri_checks.get().map(|checks| &checks[..])
+    }
+
+    /// Caches `checks` as [`Bitstream::fdri_checks`], unless a load
+    /// already did. Only a load that succeeded may publish: it walked
+    /// every FDRI word, under the frame size of the stream's own part.
+    pub(crate) fn publish_fdri_checks(&self, checks: Vec<u8>) {
+        self.fdri_checks.get_or_init(|| checks.into());
     }
 
     /// The sorted, duplicate-free addresses of every frame this stream
@@ -626,7 +645,8 @@ impl Bitstream {
     ///
     /// The first relocation walks the packets to find the FAR and CRC
     /// words; the relocated stream has the same packets, so it inherits
-    /// those sites, and a cached frame set carries over shifted.
+    /// those sites and any published FDRI check codes (its FDRI words are
+    /// the same), and a cached frame set carries over shifted.
     ///
     /// # Errors
     ///
@@ -689,6 +709,7 @@ impl Bitstream {
             frame_words: self.frame_words,
             frame_set,
             sites: OnceLock::from(Arc::clone(sites)),
+            fdri_checks: self.fdri_checks.clone(),
         })
     }
 
@@ -874,6 +895,7 @@ impl BitstreamBuilder {
             frame_words: self.frame_words,
             frame_set: OnceLock::new(),
             sites: OnceLock::new(),
+            fdri_checks: OnceLock::new(),
         }
     }
 

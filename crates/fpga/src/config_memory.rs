@@ -6,16 +6,25 @@
 //! with the payload. The only path that bypasses the shadow on purpose is
 //! [`ConfigMemory::corrupt_bit`] — the SEU backdoor, which models an
 //! in-fabric upset precisely because it does *not* touch the check codes.
-//! `presp-analyze` forbids touching the slot store's slabs, free list and
-//! slot mutators anywhere else in the crate.
+//! `presp-analyze` forbids touching the slot store's slabs, per-slot flags,
+//! free list and slot mutators anywhere else in the crate.
 //!
 //! The store is sparse and indexed by address: a frame that is not erased
 //! owns a slot in one contiguous slab of words and a parallel slab of
 //! check bytes, and one page of slot ids per (row, column), created on the
 //! column's first non-erased write, maps an address to its slot in O(1).
-//! An erased frame costs an index test, a written one a copy and an
-//! encode. Only the index is paged per column: frame data stays sparse,
+//! An erased frame costs an index test, a written one a copy of its words
+//! and of check codes encoded once per stream: the ICAP copies them from
+//! the stream's own table ([`Bitstream`] caches one on its first good
+//! load). Only the index is paged per column: frame data stays sparse,
 //! since a region's columns hold mostly erased frames.
+//!
+//! ECC work is also done once per upset. Each slot carries one flag, "these
+//! check codes were encoded from these words": a write or a scrub that
+//! finds or makes the frame consistent sets it, and an upset, a snapshot
+//! restore or a rollback (whose codes may carry an upset) clears it. A
+//! scrub decodes only a frame whose flag is clear; every other frame is
+//! clean at the cost of an index test.
 //!
 //! The doorway also keeps the **undo log** behind transactional
 //! reconfiguration ([`crate::icap::Icap::load_or_rollback`]): while a load
@@ -222,6 +231,18 @@ impl GoldenImage {
 /// Index-page entry of a frame that holds no slot (erased).
 const ERASED: u32 = u32::MAX;
 
+/// The check codes a slot write stores with its words.
+#[derive(Debug, Clone, Copy)]
+enum Codes<'a> {
+    /// Encode them from the words.
+    Encode,
+    /// These, the words' encoding (a stream's cached codes).
+    Encoded(&'a [u8]),
+    /// These, as a snapshot or undo record holds them: an upset may have
+    /// left them disagreeing with the words.
+    Verbatim(&'a [u8]),
+}
+
 /// The undo log of an open transactional load: one record per write that
 /// changed a frame, oldest first, with the displaced words and check codes
 /// of every record whose frame held a slot packed end to end. Its buffers
@@ -256,11 +277,13 @@ impl Journal {
 /// the ECC shadow agree by construction.
 ///
 /// Storage is a sparse slot store. Every frame that is not erased owns one
-/// slot: `frame_words` words in one contiguous slab and as many check bytes
-/// in a parallel slab, freed slots being reused before the slabs grow. A
-/// frame address finds its slot in O(1) through a page of slot ids per
-/// (row, column), allocated on the column's first non-erased write, so an
-/// erased frame costs an index test and a written one a copy and an encode.
+/// slot: `frame_words` words in one contiguous slab, as many check bytes
+/// in a parallel slab and one "encoded from these words" flag, freed slots
+/// being reused before the slabs grow. A frame address finds its slot in
+/// O(1) through a page of slot ids per (row, column), allocated on the
+/// column's first non-erased write, so an erased frame costs an index test
+/// and a written one a copy (and an encode, unless the caller brings the
+/// codes).
 ///
 /// # Example
 ///
@@ -287,6 +310,10 @@ pub struct ConfigMemory {
     slot_words: Vec<u32>,
     /// Check codes, parallel to `slot_words`.
     slot_checks: Vec<u8>,
+    /// Per slot: its check codes were encoded from its words (or a scrub
+    /// found them consistent), so a scrub has nothing to decode. Every
+    /// write sets or clears it; an upset clears it.
+    slot_encoded: Vec<bool>,
     /// Slots holding no frame.
     free_slots: Vec<u32>,
     journal: Journal,
@@ -301,6 +328,7 @@ impl ConfigMemory {
             index: vec![None; device.rows() * device.columns()],
             slot_words: Vec::new(),
             slot_checks: Vec::new(),
+            slot_encoded: Vec::new(),
             free_slots: Vec::new(),
             journal: Journal::default(),
         }
@@ -329,15 +357,16 @@ impl ConfigMemory {
             // implicit check code of an erased frame is all-zero too.
             self.erase_slot(addr);
         } else {
-            self.put_slot(addr, data, None);
+            self.put_slot(addr, data, Codes::Encode);
         }
         Ok(())
     }
 
     /// [`ConfigMemory::write_frame`] with the caller's zero test and check
     /// codes: `checks` is `None` for an all-zero `data`, else
-    /// `FrameEcc::encode(data)`. This is how the ICAP replays its MFWR
-    /// shadow frame without rescanning and re-encoding it.
+    /// `FrameEcc::encode(data)`. This is how the ICAP writes a frame from
+    /// its stream's cached check codes, and replays its MFWR shadow frame,
+    /// without rescanning and re-encoding it.
     pub(crate) fn write_encoded(
         &mut self,
         addr: FrameAddress,
@@ -348,7 +377,7 @@ impl ConfigMemory {
         debug_assert_eq!(checks.is_none(), data.iter().all(|&w| w == 0));
         match checks {
             None => self.erase_slot(addr),
-            Some(checks) => self.put_slot(addr, data, Some(checks)),
+            Some(checks) => self.put_slot(addr, data, Codes::Encoded(checks)),
         }
         Ok(())
     }
@@ -403,6 +432,7 @@ impl ConfigMemory {
                     .resize(self.slot_words.len() + self.frame_words, 0);
                 self.slot_checks
                     .resize(self.slot_checks.len() + self.frame_words, 0);
+                self.slot_encoded.push(false);
                 slot
             }
         };
@@ -413,20 +443,24 @@ impl ConfigMemory {
         slot as usize
     }
 
-    /// Gives valid `addr` a slot holding `data` under `checks` (`None`:
-    /// encode `data`), journaling what it displaces when a load is open.
-    fn put_slot(&mut self, addr: FrameAddress, data: &[u32], checks: Option<&[u8]>) {
+    /// Gives valid `addr` a slot holding `data` under `codes`, journaling
+    /// what it displaces when a load is open.
+    fn put_slot(&mut self, addr: FrameAddress, data: &[u32], codes: Codes<'_>) {
+        let encoded = !matches!(codes, Codes::Verbatim(_));
         let slot = match self.slot(addr) {
             Some(slot) => {
                 if self.journal.open {
                     let span = self.span(slot);
                     let old = &self.slot_checks[span.clone()];
                     let unchanged = self.slot_words[span] == *data
-                        && match checks {
-                            Some(checks) => old == checks,
-                            None => old.iter().zip(data).all(|(&c, &w)| c == encode_word(w)),
+                        && match codes {
+                            Codes::Encoded(checks) | Codes::Verbatim(checks) => old == checks,
+                            Codes::Encode => {
+                                old.iter().zip(data).all(|(&c, &w)| c == encode_word(w))
+                            }
                         };
                     if unchanged {
+                        self.slot_encoded[slot] |= encoded;
                         return;
                     }
                 }
@@ -440,10 +474,13 @@ impl ConfigMemory {
         };
         let span = self.span(slot);
         self.slot_words[span.clone()].copy_from_slice(data);
-        match checks {
-            Some(checks) => self.slot_checks[span].copy_from_slice(checks),
-            None => encode_into(data, &mut self.slot_checks[span]),
+        match codes {
+            Codes::Encoded(checks) | Codes::Verbatim(checks) => {
+                self.slot_checks[span].copy_from_slice(checks)
+            }
+            Codes::Encode => encode_into(data, &mut self.slot_checks[span]),
         }
+        self.slot_encoded[slot] = encoded;
     }
 
     /// Returns valid `addr` to the erased state, journaling what it held
@@ -492,8 +529,9 @@ impl ConfigMemory {
 
     /// Closes the undo log and unwinds every write since it opened, newest
     /// first, leaving payload, check codes and presence exactly as they
-    /// were. Returns how many frames the writes had left with a different
-    /// payload (frames rewritten back to their old content do not count).
+    /// were; an unwound frame's next scrub decodes it. Returns how many
+    /// frames the writes had left with a different payload (frames
+    /// rewritten back to their old content do not count).
     pub(crate) fn rollback_journal(&mut self) -> usize {
         let mut log = std::mem::take(&mut self.journal);
         let touched: BTreeSet<FrameAddress> = log.entries.iter().map(|&(a, _)| a).collect();
@@ -503,7 +541,8 @@ impl ConfigMemory {
         for &(addr, held) in log.entries.iter().rev() {
             if held {
                 let start = end - self.frame_words;
-                self.put_slot(addr, &log.words[start..end], Some(&log.checks[start..end]));
+                let (words, checks) = (&log.words[start..end], &log.checks[start..end]);
+                self.put_slot(addr, words, Codes::Verbatim(checks));
                 end = start;
             } else {
                 self.erase_slot(addr);
@@ -591,7 +630,9 @@ impl ConfigMemory {
         };
         self.slot_words[slot * self.frame_words + word] ^= 1 << bit;
         // Deliberately no ECC refresh: the shadow now disagrees with the
-        // payload, exactly as a real upset leaves the fabric.
+        // payload, exactly as a real upset leaves the fabric, and the next
+        // scrub decodes the frame.
+        self.slot_encoded[slot] = false;
         Ok(())
     }
 
@@ -600,15 +641,19 @@ impl ConfigMemory {
     /// On a correctable upset the payload is restored and (for check-code
     /// upsets) the shadow re-encoded; an uncorrectable frame is left
     /// untouched so a golden restore can still be attempted. An erased
-    /// frame is clean at the cost of one index test.
+    /// frame, and one whose codes were encoded from its words with no
+    /// upset since, is clean at the cost of an index test: only a frame an
+    /// upset, a snapshot restore or a rollback can have reached is decoded.
+    /// The readback's virtual time is the caller's and counts every frame.
     ///
     /// # Errors
     ///
     /// Returns [`Error::BadFrameAddress`] for an invalid address.
     pub fn scrub_frame(&mut self, addr: FrameAddress) -> Result<FrameRepair, Error> {
         self.device.validate_frame(addr)?;
-        let Some(slot) = self.slot(addr) else {
-            // Erased frames are implicitly clean (zero payload, zero code).
+        let Some(slot) = self.slot(addr).filter(|&slot| !self.slot_encoded[slot]) else {
+            // Erased frames are implicitly clean (zero payload, zero code),
+            // and so is a frame whose codes are its words' encoding.
             return Ok(FrameRepair::Clean);
         };
         // A load holds the memory for its whole walk, so no journal is
@@ -617,15 +662,17 @@ impl ConfigMemory {
         let span = self.span(slot);
         let words = &mut self.slot_words[span.clone()];
         let repair = scrub_words(words, &self.slot_checks[span.clone()]);
-        if matches!(repair, FrameRepair::Corrected { .. }) {
+        match repair {
+            FrameRepair::Clean => self.slot_encoded[slot] = true,
             // Re-latch both sides of the doorway: a repaired frame gets a
             // fresh code, and a frame repaired back to all-zero returns to
             // the sparse erased state.
-            if words.iter().all(|&w| w == 0) {
-                self.erase_slot(addr);
-            } else {
+            FrameRepair::Corrected { .. } if words.iter().all(|&w| w == 0) => self.erase_slot(addr),
+            FrameRepair::Corrected { .. } => {
                 encode_into(words, &mut self.slot_checks[span]);
+                self.slot_encoded[slot] = true;
             }
+            FrameRepair::Uncorrectable { .. } => {}
         }
         Ok(repair)
     }
@@ -664,7 +711,9 @@ impl ConfigMemory {
     }
 
     /// Restores every frame in `snap` bit-for-bit, check codes included;
-    /// captured frames the snapshot holds as erased are erased.
+    /// captured frames the snapshot holds as erased are erased. The codes
+    /// may carry an upset the snapshot captured, so the next scrub of a
+    /// restored frame decodes it.
     ///
     /// # Errors
     ///
@@ -675,7 +724,7 @@ impl ConfigMemory {
             self.device.validate_frame(addr)?;
             match snap.frames.get(&addr) {
                 Some((data, ecc)) if data.iter().any(|&w| w != 0) => {
-                    self.put_slot(addr, data, Some(ecc.checks()));
+                    self.put_slot(addr, data, Codes::Verbatim(ecc.checks()));
                 }
                 _ => self.erase_slot(addr),
             }
@@ -1142,8 +1191,11 @@ mod tests {
             from: usize,
             len: usize,
         },
+        /// Restores a snapshot taken earlier, then, when `scrub` is set,
+        /// scrubs every address.
         Restore {
             which: usize,
+            scrub: bool,
         },
         Clear {
             from: usize,
@@ -1152,11 +1204,16 @@ mod tests {
         /// A transactional load of `frames` (value 0: all-zero frames,
         /// replayed by MFWR when compressed), `fault` 0–1 intact, 2 a
         /// flipped payload word, 3 a flipped FAR column bit, 4 truncated.
+        /// With `again`, the load instead re-streams the same value as an
+        /// earlier load, so it reuses the check codes that load published.
+        /// With `scrub`, every address is scrubbed after a rollback.
         Load {
             frames: Vec<(usize, u32)>,
             compressed: bool,
             fault: u32,
             pick: usize,
+            again: Option<usize>,
+            scrub: bool,
         },
     }
 
@@ -1208,7 +1265,10 @@ mod tests {
                 from: a,
                 len: 1 + x % n,
             },
-            10 => Op::Restore { which: x },
+            10 => Op::Restore {
+                which: x,
+                scrub: flag,
+            },
             11 => Op::Clear {
                 from: a,
                 len: 1 + x % 8,
@@ -1221,6 +1281,8 @@ mod tests {
                 compressed: flag,
                 fault: bit % 5,
                 pick: x,
+                again: (sel >= 4).then_some(x >> 10),
+                scrub: sel % 2 == 0,
             },
         }
     }
@@ -1232,6 +1294,7 @@ mod tests {
             compressed,
             fault,
             pick,
+            ..
         } = op
         else {
             unreachable!("only loads stream")
@@ -1268,10 +1331,13 @@ mod tests {
         /// every step of a random sequence of writes (all-zero ones
         /// included), single and double upsets, scrubs, snapshots and
         /// restores, clears and transactional loads of intact and
-        /// corrupted compressed or raw streams, both hold the same
-        /// payload, check codes and presence at every address, list the
-        /// same configured addresses in the same order, snapshot the
-        /// same, and report the same outcomes and dirty counts.
+        /// corrupted compressed or raw streams (new ones, and streams
+        /// loaded before, whose published check codes are reused), both
+        /// hold the same payload, check codes and presence at every
+        /// address, list the same configured addresses in the same order,
+        /// snapshot the same, and report the same outcomes and dirty
+        /// counts, scrubs included: a sweep after a restore or a rollback
+        /// of upset frames finds and repairs the same upsets in both.
         #[test]
         fn the_slot_store_matches_the_two_map_store(
             drawn in proptest::collection::vec(
@@ -1295,6 +1361,18 @@ mod tests {
             let mut icap = crate::icap::Icap::new(&device);
             let mut tree = reference::TreeMemory::new(&device);
             let mut snaps: Vec<(RegionSnapshot, RegionSnapshot)> = Vec::new();
+            let mut streams: Vec<Bitstream> = Vec::new();
+            let sweep = |mem: &mut ConfigMemory, tree: &mut reference::TreeMemory| {
+                for &a in &universe {
+                    prop_assert_eq!(
+                        mem.scrub_frame(a).unwrap(),
+                        tree.scrub_frame(a).unwrap(),
+                        "scrub of {:?}",
+                        a
+                    );
+                }
+                Ok(())
+            };
             for op in &ops {
                 let mem = icap.memory_mut();
                 match op {
@@ -1324,10 +1402,13 @@ mod tests {
                         prop_assert_eq!(&got, &want);
                         snaps.push((got, want));
                     }
-                    Op::Restore { which } => {
+                    Op::Restore { which, scrub } => {
                         if let Some((got, want)) = snaps.get(*which % snaps.len().max(1)) {
                             mem.restore(got).unwrap();
                             tree.restore(want).unwrap();
+                            if *scrub {
+                                sweep(mem, &mut tree)?;
+                            }
                         }
                     }
                     Op::Clear { from, len } => {
@@ -1335,15 +1416,27 @@ mod tests {
                         mem.clear_frames(region.iter()).unwrap();
                         tree.clear_frames(region).unwrap();
                     }
-                    Op::Load { .. } => {
-                        let stream = stream_of(&device, &universe, op);
-                        let got = icap.load_or_rollback(&stream);
-                        let want = tree.load_or_rollback(&stream);
+                    Op::Load { again, scrub, .. } => {
+                        let index = match again {
+                            Some(which) if !streams.is_empty() => which % streams.len(),
+                            _ => {
+                                streams.push(stream_of(&device, &universe, op));
+                                streams.len() - 1
+                            }
+                        };
+                        let stream = &streams[index];
+                        let got = icap.load_or_rollback(stream);
+                        let want = tree.load_or_rollback(stream);
                         match (got, want) {
                             (Ok(report), Ok(written)) => {
                                 prop_assert_eq!(report.frames_written, written);
                             }
-                            (Err((_, dirty)), Err((_, want))) => prop_assert_eq!(dirty, want),
+                            (Err((_, dirty)), Err((_, want))) => {
+                                prop_assert_eq!(dirty, want);
+                                if *scrub {
+                                    sweep(icap.memory_mut(), &mut tree)?;
+                                }
+                            }
                             (got, want) => prop_assert!(
                                 false,
                                 "outcomes differ: {:?} vs {:?}",

@@ -23,7 +23,8 @@ pub const ICAP_CLOCK_MHZ: f64 = 100.0;
 pub struct IcapReport {
     /// Words consumed (one per ICAP clock cycle).
     pub words: usize,
-    /// Distinct frames written into configuration memory.
+    /// Frame writes applied to configuration memory, one per FDRI frame
+    /// and per MFWR replay: a frame the stream writes twice counts twice.
     pub frames_written: usize,
     /// Reconfiguration latency in microseconds at [`ICAP_CLOCK_MHZ`].
     pub micros: f64,
@@ -65,8 +66,6 @@ pub struct Icap {
     memory: ConfigMemory,
     frame_words: usize,
     last_written: Vec<FrameAddress>,
-    /// Check codes of the last FDRI frame, the one an MFWR replays.
-    shadow_checks: Vec<u8>,
 }
 
 impl Icap {
@@ -77,7 +76,6 @@ impl Icap {
             memory: ConfigMemory::new(device),
             frame_words: device.part().family().frame_words(),
             last_written: Vec::new(),
-            shadow_checks: vec![0; device.part().family().frame_words()],
         }
     }
 
@@ -130,6 +128,11 @@ impl Icap {
 
     /// Streams a bitstream through the port, applying frame writes.
     ///
+    /// Each frame is written with its SECDED check codes. The first load
+    /// of a stream that succeeds encodes them and caches them with the
+    /// stream; every later load of it copies them from there. The
+    /// in-stream CRC is folded and checked on every load.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::IdcodeMismatch`] when the bitstream targets another
@@ -143,10 +146,16 @@ impl Icap {
         self.last_written.clear();
         let idcode = self.device.part().idcode();
         let (memory, last_written) = (&mut self.memory, &mut self.last_written);
-        let shadow_checks = &mut self.shadow_checks;
-        // Whether the last FDRI frame was all-zero: with `shadow_checks`,
-        // what an MFWR replay of it writes, without rescanning its words.
-        let mut shadow_erased = true;
+        // The check codes of the stream's FDRI words: the table an earlier
+        // load published, or `encoded`, filled by this walk and published
+        // only if the load succeeds.
+        let published = bitstream.fdri_checks();
+        let mut encoded = Vec::new();
+        // FDRI words walked so far, and where the last FDRI frame's codes
+        // start in the table (`None`: it was all-zero). With the frame, that
+        // is what an MFWR replay of it writes, with no rescan or encode.
+        let mut fdri_words = 0usize;
+        let mut latched: Option<usize> = None;
         let mut crc = CrcAccumulator::new();
         let mut frames_written = 0usize;
         bitstream.walk(self.frame_words, |step| {
@@ -160,15 +169,20 @@ impl Icap {
                 }
                 Step::Idcode(_) | Step::Command(_) | Step::Far { .. } => {}
                 Step::Frame(addr, data) | Step::Replay(addr, data) => {
-                    // An MFWR replays the frame whose zero test and check
-                    // codes the FDRI write latched.
-                    if matches!(step, Step::Frame(..)) {
-                        shadow_erased = data.iter().all(|&w| w == 0);
-                        if !shadow_erased {
-                            encode_into(data, shadow_checks);
+                    if let Step::Frame(..) = step {
+                        let at = fdri_words;
+                        fdri_words += data.len();
+                        latched = data.iter().any(|&w| w != 0).then_some(at);
+                        if published.is_none() {
+                            // An all-zero frame's code is all-zero.
+                            encoded.resize(fdri_words, 0);
+                            if latched.is_some() {
+                                encode_into(data, &mut encoded[at..]);
+                            }
                         }
                     }
-                    let checks = (!shadow_erased).then_some(&shadow_checks[..]);
+                    let table = published.unwrap_or(&encoded);
+                    let checks = latched.map(|at| &table[at..at + data.len()]);
                     memory.write_encoded(addr, data, checks)?;
                     last_written.push(addr);
                     frames_written += 1;
@@ -184,6 +198,9 @@ impl Icap {
             }
             Ok(())
         })?;
+        if published.is_none() {
+            bitstream.publish_fdri_checks(encoded);
+        }
         let words = bitstream.words().len();
         Ok(IcapReport {
             words,
@@ -197,6 +214,7 @@ impl Icap {
 mod tests {
     use super::*;
     use crate::bitstream::{type1_write, BitstreamBuilder, BitstreamKind, ConfigReg};
+    use crate::ecc::{FrameEcc, FrameRepair};
     use crate::part::FpgaPart;
     use proptest::prelude::*;
 
@@ -427,6 +445,149 @@ mod tests {
                 prop_assert_eq!(icap.memory().frame_ecc(a), reference.memory().frame_ecc(a));
             }
         }
+    }
+
+    /// A compressed stream over rows 0–1, columns 10–12: ramps, a payload
+    /// replayed by MFWR, and all-zero frames, some of them replayed.
+    fn mixed_stream(d: &Device) -> Bitstream {
+        let words = d.part().family().frame_words() as u32;
+        let mut frames = Vec::new();
+        for (i, (row, column, minor)) in (0..2)
+            .flat_map(|r| (10..13).flat_map(move |c| (0..6).map(move |m| (r, c, m))))
+            .enumerate()
+        {
+            let data: Vec<u32> = match i % 4 {
+                0 => (0..words).map(|w| (w + 1) * (i as u32 + 7)).collect(),
+                1 => vec![0x5A5A_0001; words as usize],
+                _ => vec![0; words as usize],
+            };
+            frames.push((FrameAddress::new(row, column, minor), data));
+        }
+        compressed_stream(d, frames)
+    }
+
+    /// Every frame `icap` holds is its words under their own encoding:
+    /// check codes and a scrub agree that nothing is upset.
+    fn assert_freshly_encoded(icap: &mut Icap) {
+        for a in icap.memory().configured_addresses() {
+            let frame = icap.memory().frame(a);
+            assert_eq!(
+                icap.memory().frame_ecc(a),
+                FrameEcc::encode(&frame),
+                "{a:?}"
+            );
+            assert_eq!(
+                icap.memory_mut().scrub_frame(a).unwrap(),
+                FrameRepair::Clean
+            );
+        }
+    }
+
+    #[test]
+    fn a_second_load_writes_what_a_fresh_encode_writes() {
+        let d = device();
+        let bs = mixed_stream(&d);
+        let mut first = Icap::new(&d);
+        first.load_or_rollback(&bs).unwrap();
+        let table = bs.fdri_checks().expect("a load publishes").to_vec();
+        // A stream's FDRI words and its published codes line up.
+        let mut fdri = Vec::new();
+        bs.walk(d.part().family().frame_words(), |step| {
+            if let Step::Frame(_, data) = step {
+                fdri.extend_from_slice(data);
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(FrameEcc::encode(&fdri).checks(), &table[..]);
+        // Reloads over an erased and over a differently configured fabric
+        // read the table; a copy of the words encodes afresh.
+        let mut again = Icap::new(&d);
+        again.load_or_rollback(&bs).unwrap();
+        let mut over = Icap::new(&d);
+        over.load_or_rollback(&compressed_stream(
+            &d,
+            vec![(FrameAddress::new(0, 11, 2), frame(&d, 3))],
+        ))
+        .unwrap();
+        over.load_or_rollback(&bs).unwrap();
+        let mut fresh = Icap::new(&d);
+        fresh
+            .load_or_rollback(&bs.with_words(bs.words().to_vec()))
+            .unwrap();
+        for icap in [&mut first, &mut again, &mut over] {
+            assert_eq!(icap.last_written(), fresh.last_written());
+            for &a in fresh.last_written() {
+                assert_eq!(icap.memory().frame(a), fresh.memory().frame(a));
+                assert_eq!(icap.memory().frame_ecc(a), fresh.memory().frame_ecc(a));
+            }
+            assert_freshly_encoded(icap);
+        }
+        assert_eq!(bs.fdri_checks(), Some(&table[..]), "published once");
+    }
+
+    #[test]
+    fn a_failed_load_and_a_copy_of_the_words_neither_publish_nor_read_the_table() {
+        let d = device();
+        let bs = mixed_stream(&d);
+        // A failed load publishes nothing: neither one refused before its
+        // first frame nor one that wrote every frame and then failed its
+        // CRC check.
+        let mut elsewhere = Icap::new(&FpgaPart::Vcu118.device());
+        assert!(matches!(
+            elsewhere.load_or_rollback(&bs),
+            Err((Error::IdcodeMismatch { .. }, 0))
+        ));
+        assert!(bs.fdri_checks().is_none());
+        let mut words = bs.words().to_vec();
+        let crc_at = words.len() - 3;
+        words[crc_at] ^= 1;
+        let bad_crc = bs.with_words(words);
+        let mut icap = Icap::new(&d);
+        assert!(icap.load_or_rollback(&bad_crc).is_err());
+        assert!(bad_crc.fdri_checks().is_none());
+        // After a good load publishes, a copy of its words starts with no
+        // table: a payload flipped in the copy gets its own codes, so the
+        // upset is not hidden behind the clean stream's.
+        icap.load_or_rollback(&bs).unwrap();
+        assert!(bs.fdri_checks().is_some());
+        let mut words = bs.words().to_vec();
+        let payload_at = words.len() - 10;
+        words[payload_at] ^= 1 << 7;
+        let flipped = bs.with_words(words);
+        assert!(flipped.fdri_checks().is_none());
+        let mut raw = Icap::new(&d);
+        assert!(matches!(raw.load(&flipped), Err(Error::CrcMismatch { .. })));
+        assert!(flipped.fdri_checks().is_none());
+        assert_ne!(
+            raw.memory().snapshot(raw.last_written()).unwrap(),
+            icap.memory().snapshot(raw.last_written()).unwrap(),
+            "the flip reached the fabric"
+        );
+        assert_freshly_encoded(&mut raw);
+    }
+
+    #[test]
+    fn a_relocated_stream_carries_a_table_a_fresh_encode_agrees_with() {
+        let d = device();
+        let bs = mixed_stream(&d);
+        Icap::new(&d).load_or_rollback(&bs).unwrap();
+        // The first column span beside the stream's of the same column kinds.
+        let moved = (1..d.columns() as i64)
+            .find_map(|delta| bs.relocate(&d, delta).ok())
+            .expect("a like span exists");
+        assert_eq!(moved.fdri_checks(), bs.fdri_checks(), "carried over");
+        let mut icap = Icap::new(&d);
+        icap.load_or_rollback(&moved).unwrap();
+        let mut fresh = Icap::new(&d);
+        fresh
+            .load_or_rollback(&moved.with_words(moved.words().to_vec()))
+            .unwrap();
+        assert!(icap.memory().diff(fresh.memory()).is_empty());
+        for &a in fresh.last_written() {
+            assert_eq!(icap.memory().frame_ecc(a), fresh.memory().frame_ecc(a));
+        }
+        assert_freshly_encoded(&mut icap);
     }
 
     proptest! {
