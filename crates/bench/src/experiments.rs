@@ -5,7 +5,7 @@ use presp_accel::latency::cycles_to_micros;
 use presp_accel::AccelOp;
 use presp_cad::flow::{CadFlow, Strategy};
 use presp_core::design::{region_name, SocDesign, TABLE4_SOCS};
-use presp_core::flow::PrEspFlow;
+use presp_core::flow::{FlowOutput, PrEspFlow};
 use presp_core::platform::deploy_wami;
 use presp_core::strategy::{choose_strategy, SizeClass};
 use presp_events::{MemorySink, TraceEvent, Tracer};
@@ -304,6 +304,18 @@ pub struct Table6Row {
     pub pbs_kb: f64,
 }
 
+/// One Table VI and Fig. 4 deployment with its flow output.
+pub(crate) type WamiFlow = (SocDesign, FlowOutput);
+
+/// SoC_X, SoC_Y and SoC_Z: the deployments of Table VI and Fig. 4.
+fn wami_designs() -> [SocDesign; 3] {
+    [
+        SocDesign::wami_soc_x().expect("SoC_X is valid"),
+        SocDesign::wami_soc_y().expect("SoC_Y is valid"),
+        SocDesign::wami_soc_z().expect("SoC_Z is valid"),
+    ]
+}
+
 /// Table VI: accelerator partitioning and partial bitstream sizes for
 /// SoC_X, SoC_Y and SoC_Z.
 ///
@@ -312,14 +324,16 @@ pub struct Table6Row {
 /// region must reproduce [`presp_core::flow::FlowOutput::mean_pbs_kb`]
 /// exactly.
 pub fn table6() -> Vec<Table6Row> {
+    table6_and_flows().0
+}
+
+/// [`table6`]'s rows and the flow outputs they were read from, which
+/// [`fig4_of`] deploys.
+pub(crate) fn table6_and_flows() -> (Vec<Table6Row>, Vec<WamiFlow>) {
     let flow = PrEspFlow::new();
-    let designs = [
-        SocDesign::wami_soc_x().unwrap(),
-        SocDesign::wami_soc_y().unwrap(),
-        SocDesign::wami_soc_z().unwrap(),
-    ];
     let mut rows = Vec::new();
-    for design in designs {
+    let mut flows = Vec::new();
+    for design in wami_designs() {
         let sink = MemorySink::shared();
         let mut tracer = Tracer::to_sink(sink.clone());
         let out = flow.run_traced(&design, &mut tracer).expect("flow runs");
@@ -354,8 +368,9 @@ pub fn table6() -> Vec<Table6Row> {
                 pbs_kb,
             });
         }
+        flows.push((design, out));
     }
-    rows
+    (rows, flows)
 }
 
 /// One Fig. 3 annotation: a WAMI accelerator's LUTs and execution time.
@@ -579,21 +594,32 @@ pub struct Fig4Row {
 /// pipelining; per-frame numbers average over the steady-state frames
 /// (the first frame only trains the pipeline).
 pub fn fig4(frames: usize, size: usize, lk_iterations: usize) -> Vec<Fig4Row> {
+    let flow = PrEspFlow::new();
+    let flows: Vec<WamiFlow> = wami_designs()
+        .into_iter()
+        .map(|design| {
+            let out = flow.run(&design).expect("flow runs");
+            (design, out)
+        })
+        .collect();
+    fig4_of(&flows, frames, size, lk_iterations)
+}
+
+/// [`fig4`] on flow outputs already built for SoC_X, SoC_Y and SoC_Z.
+pub(crate) fn fig4_of(
+    flows: &[WamiFlow],
+    frames: usize,
+    size: usize,
+    lk_iterations: usize,
+) -> Vec<Fig4Row> {
     assert!(
         frames >= 3,
         "need at least 3 frames for a steady-state window"
     );
-    let flow = PrEspFlow::new();
-    let designs = [
-        SocDesign::wami_soc_x().unwrap(),
-        SocDesign::wami_soc_y().unwrap(),
-        SocDesign::wami_soc_z().unwrap(),
-    ];
-    designs
-        .into_iter()
-        .map(|design| {
-            let out = flow.run(&design).expect("flow runs");
-            let mut app = deploy_wami(&design, &out, lk_iterations).expect("deploys");
+    flows
+        .iter()
+        .map(|(design, out)| {
+            let mut app = deploy_wami(design, out, lk_iterations).expect("deploys");
             let mut scene = SceneGenerator::new(size, size, 2023);
             let mut reports = Vec::new();
             let mut scrub_cycles = 0u64;

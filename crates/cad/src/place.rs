@@ -106,8 +106,9 @@ fn frame_words(seed: u64, out: &mut [u32]) {
 /// For every column of the region, `fill × density` of its frames carry
 /// deterministic pseudo-random content (seeded by `seed` and the frame
 /// address — stable across runs) and the rest stay blank, which the
-/// compressed bitstream mode elides. Each frame is generated into one
-/// reused buffer that the builder copies.
+/// compressed bitstream mode elides. Each content frame is generated into
+/// one reused buffer that the builder copies; a column's blank minors are
+/// staged as one run.
 ///
 /// # Errors
 ///
@@ -129,19 +130,21 @@ fn stage_placement_frames(
                 presp_fpga::fabric::ColumnKind::Dsp => placement.fill.dsp,
                 _ => 0.0,
             };
-            let used = ((total as f64) * fill * FRAME_CONTENT_DENSITY).ceil() as usize;
-            for minor in 0..total {
-                let addr = FrameAddress::new(row as u32, col as u32, minor as u32);
-                if minor < used {
-                    frame_words(
-                        seed ^ ((row as u64) << 40) ^ ((col as u64) << 16) ^ minor as u64,
-                        &mut content,
-                    );
-                } else {
-                    content.fill(0);
-                }
-                builder.add_frame(addr, &content)?;
+            let used = (((total as f64) * fill * FRAME_CONTENT_DENSITY).ceil() as usize).min(total);
+            for minor in 0..used {
+                frame_words(
+                    seed ^ ((row as u64) << 40) ^ ((col as u64) << 16) ^ minor as u64,
+                    &mut content,
+                );
+                builder.add_frame(
+                    FrameAddress::new(row as u32, col as u32, minor as u32),
+                    &content,
+                )?;
             }
+            builder.add_blank_frames(
+                FrameAddress::new(row as u32, col as u32, used as u32),
+                (total - used) as u32,
+            )?;
         }
     }
     Ok(())

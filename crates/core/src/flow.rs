@@ -33,7 +33,8 @@ pub struct PartialBitstreamInfo {
 
 /// Everything the flow produces for one design. The full-device boot
 /// bitstream is built on demand by [`FlowOutput::full_bitstream`]: the
-/// evaluation reads only the reports and the partials.
+/// evaluation reads only the reports, the partials and the full stream's
+/// size, which [`PrEspFlow::run_traced`] traces without building it.
 #[derive(Debug, Clone)]
 pub struct FlowOutput {
     /// Size class of the design (Section IV).
@@ -65,7 +66,9 @@ impl FlowOutput {
     ///
     /// Propagates bitstream-builder errors.
     pub fn full_bitstream(&self) -> Result<Bitstream, Error> {
-        build_full_bitstream(&self.part.device(), &self.floorplan, self.static_resources)
+        let builder =
+            stage_full_frames(&self.part.device(), &self.floorplan, self.static_resources)?;
+        Ok(builder.build(true))
     }
 
     /// Mean compressed pbs size per region, in KB (Table VI's `pbs (KB)`).
@@ -132,9 +135,10 @@ impl PrEspFlow {
     /// every P&R step (PR-ESP and monolithic baseline, both from 0 on the
     /// CAD milliminute timeline) and one [`TraceEvent::BitstreamGenerated`]
     /// instant per emitted bitstream — Table V and Table VI's `pbs (KB)`
-    /// column are both derivable from the trace alone. The full bitstream
-    /// is built here only when a sink is attached, for its `static` event's
-    /// size.
+    /// column are both derivable from the trace alone. When a sink is
+    /// attached, the full bitstream's frames are staged for its `static`
+    /// event's size, which the builder computes without emitting the
+    /// stream.
     ///
     /// # Errors
     ///
@@ -227,7 +231,8 @@ impl PrEspFlow {
             static_resources: spec.static_resources(),
         };
         if tracer.is_enabled() {
-            let bytes = output.full_bitstream()?.size_bytes() as u64;
+            let bytes = stage_full_frames(&device, &output.floorplan, output.static_resources)?
+                .size_bytes(true) as u64;
             tracer.instant(ClockDomain::CadMilliMinutes, done, || {
                 TraceEvent::BitstreamGenerated {
                     bitstream: Box::new(BitstreamArgs {
@@ -252,14 +257,16 @@ fn seed_for(region: &str, index: usize) -> u64 {
     h ^ (index as u64) << 32
 }
 
-/// Builds the full-device boot bitstream: static content spread over every
-/// column outside the reconfigurable pblocks, blank frames inside them
-/// (the regions boot empty and are loaded by DPR afterwards).
-fn build_full_bitstream(
+/// Stages the full-device boot bitstream's frames: static content spread
+/// over every column outside the reconfigurable pblocks, blank frames
+/// inside them (the regions boot empty and are loaded by DPR afterwards).
+/// Each column's content frames come first and its blank minors are
+/// staged as one run.
+fn stage_full_frames(
     device: &Device,
     floorplan: &Floorplan,
     static_resources: Resources,
-) -> Result<Bitstream, Error> {
+) -> Result<BitstreamBuilder, Error> {
     let total = device.total_resources();
     let blocked: Resources = floorplan
         .pblocks()
@@ -292,27 +299,29 @@ fn build_full_bitstream(
             {
                 0
             } else {
-                ((n as f64) * fill * FRAME_CONTENT_DENSITY).ceil() as usize
+                (((n as f64) * fill * FRAME_CONTENT_DENSITY).ceil() as usize).min(n)
             };
-            for minor in 0..n {
-                let addr = FrameAddress::new(row as u32, col as u32, minor as u32);
-                if minor < used {
-                    // Deterministic pseudo-content, distinct per frame.
-                    let mut state = (row as u64) << 40 ^ (col as u64) << 20 ^ minor as u64 | 1;
-                    for word in &mut content {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        *word = (state >> 16) as u32;
-                    }
-                } else {
-                    content.fill(0);
+            for minor in 0..used {
+                // Deterministic pseudo-content, distinct per frame.
+                let mut state = (row as u64) << 40 ^ (col as u64) << 20 ^ minor as u64 | 1;
+                for word in &mut content {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    *word = (state >> 16) as u32;
                 }
-                builder.add_frame(addr, &content)?;
+                builder.add_frame(
+                    FrameAddress::new(row as u32, col as u32, minor as u32),
+                    &content,
+                )?;
             }
+            builder.add_blank_frames(
+                FrameAddress::new(row as u32, col as u32, used as u32),
+                (n - used) as u32,
+            )?;
         }
     }
-    Ok(builder.build(true))
+    Ok(builder)
 }
 
 #[cfg(test)]
@@ -411,22 +420,33 @@ mod tests {
     #[test]
     fn full_bitstream_size_is_the_traced_static_event() {
         use presp_events::MemorySink;
-        let design = SocDesign::builtin("soc_c").unwrap();
-        let sink = MemorySink::shared();
-        let out = PrEspFlow::new()
-            .run_traced(&design, &mut Tracer::to_sink(sink.clone()))
-            .unwrap();
-        let traced: Vec<u64> = presp_events::sink::drain(&sink)
-            .into_iter()
-            .filter_map(|r| match r.event {
-                TraceEvent::BitstreamGenerated { bitstream } if bitstream.region == "static" => {
-                    Some(bitstream.bytes)
-                }
-                _ => None,
-            })
-            .collect();
-        let full = out.full_bitstream().unwrap();
-        assert_eq!(traced, [full.size_bytes() as u64]);
+        for design in SocDesign::builtins() {
+            for compressed in [true, false] {
+                let sink = MemorySink::shared();
+                let out = PrEspFlow::new()
+                    .with_compression(compressed)
+                    .run_traced(&design, &mut Tracer::to_sink(sink.clone()))
+                    .unwrap();
+                let traced: Vec<u64> = presp_events::sink::drain(&sink)
+                    .into_iter()
+                    .filter_map(|r| match r.event {
+                        TraceEvent::BitstreamGenerated { bitstream }
+                            if bitstream.region == "static" =>
+                        {
+                            Some(bitstream.bytes)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let full = out.full_bitstream().unwrap();
+                assert_eq!(
+                    traced,
+                    [full.size_bytes() as u64],
+                    "{} compressed={compressed}",
+                    design.name
+                );
+            }
+        }
     }
 
     #[test]

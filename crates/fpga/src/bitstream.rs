@@ -745,10 +745,13 @@ impl Bitstream {
 ///
 /// Staging costs what the stream carries. A non-blank payload is copied
 /// once into one contiguous word arena; a blank (all-zero) payload costs
-/// one zero test and is recorded by its address alone. Adds are kept in
-/// arrival order and emitted in address order: only when they did not
-/// arrive strictly ascending does [`BitstreamBuilder::build`] sort them
-/// (stably, so the last write to an address wins).
+/// one zero test and is recorded by its address alone, and a run of blank
+/// minors staged by [`BitstreamBuilder::add_blank_frames`] costs no test
+/// at all. Adds are kept in arrival order and emitted in address order:
+/// only when they did not arrive strictly ascending does
+/// [`BitstreamBuilder::build`] sort them (stably, so the last write to an
+/// address wins). [`BitstreamBuilder::size_bytes`] gives a build's size
+/// without building it.
 ///
 /// # Example
 ///
@@ -837,6 +840,32 @@ impl BitstreamBuilder {
         Ok(())
     }
 
+    /// Stages `count` blank frames: `first` and the minors after it in
+    /// its column, as `count` all-zero [`BitstreamBuilder::add_frame`]
+    /// calls would, with no payload to fill or compare.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error, and stages nothing, if the run's first or last
+    /// address is invalid for the device (the run reaches past its
+    /// column's last minor).
+    pub fn add_blank_frames(&mut self, first: FrameAddress, count: u32) -> Result<(), Error> {
+        let Some(span) = count.checked_sub(1) else {
+            return Ok(());
+        };
+        // A saturated last minor is past every column's end as well.
+        let last = first.minor.saturating_add(span);
+        self.device.validate_frame(first)?;
+        self.device
+            .validate_frame(FrameAddress::new(first.row, first.column, last))?;
+        self.ascending &= self.entries.last().is_none_or(|&(prev, _)| prev < first);
+        self.entries.extend(
+            (first.minor..=last)
+                .map(|minor| (FrameAddress::new(first.row, first.column, minor), None)),
+        );
+        Ok(())
+    }
+
     /// Number of distinct frames staged so far.
     pub fn frame_count(&self) -> usize {
         self.staged().len()
@@ -868,6 +897,18 @@ impl BitstreamBuilder {
             Some(i) => &self.arena[i as usize * self.frame_words..][..self.frame_words],
             None => &self.blank,
         }
+    }
+
+    /// The size in bytes of [`BitstreamBuilder::build`]`(compressed)`,
+    /// from the packet layout alone: no word is emitted and no CRC folded.
+    pub fn size_bytes(&self, compressed: bool) -> usize {
+        let staged = self.staged();
+        let body = if compressed {
+            self.compressed_body(&self.group(&staged).0)
+        } else {
+            self.linear_body(&runs(&staged))
+        };
+        (HEADER_WORDS + body + TRAILER_WORDS) * 4
     }
 
     /// Serializes the staged frames into a bitstream.
@@ -923,34 +964,30 @@ impl BitstreamBuilder {
         debug_assert_eq!(words.len(), words.capacity(), "output reservation");
     }
 
+    /// Words of frame packets in a linear stream of these runs: per run a
+    /// FAR write and an FDRI header (type 1, or type 1 + type 2 past the
+    /// type-1 count field), then the run's frames.
+    fn linear_body(&self, runs: &[Range<usize>]) -> usize {
+        runs.iter()
+            .map(|r| {
+                let payload = r.len() * self.frame_words;
+                let fdri_header = if payload < 1 << 13 { 1 } else { 2 };
+                2 + fdri_header + payload
+            })
+            .sum()
+    }
+
     /// Emits frames in address order, merging contiguous runs into one FDRI
     /// burst per run.
     fn emit_linear(&self, staged: &[Staged], crc: &mut CrcAccumulator) -> Vec<u32> {
-        // Runs of contiguous minors within one (row, column).
-        let mut runs: Vec<Range<usize>> = Vec::new();
-        for (i, pair) in staged.windows(2).enumerate() {
-            let (a, b) = (pair[0].0, pair[1].0);
-            if b.row != a.row || b.column != a.column || b.minor != a.minor + 1 {
-                runs.push(runs.last().map_or(0, |r| r.end)..i + 1);
-            }
-        }
-        if !staged.is_empty() {
-            runs.push(runs.last().map_or(0, |r| r.end)..staged.len());
-        }
-        let fdri_words = |len: usize| len * self.frame_words;
-        let body: usize = runs
-            .iter()
-            .map(|r| 2 + if fdri_words(r.len()) < 1 << 13 { 1 } else { 2 })
-            .sum::<usize>()
-            + fdri_words(staged.len());
-
-        let mut words = self.open(body);
+        let runs = runs(staged);
+        let mut words = self.open(self.linear_body(&runs));
         for run in runs {
             let far = staged[run.start].0.pack();
             words.push(type1_write(ConfigReg::Far, 1));
             words.push(far);
             crc.update(far);
-            let payload_words = fdri_words(run.len());
+            let payload_words = run.len() * self.frame_words;
             if payload_words < (1 << 13) {
                 words.push(type1_write(ConfigReg::Fdri, payload_words as u32));
             } else {
@@ -967,16 +1004,15 @@ impl BitstreamBuilder {
         words
     }
 
-    /// Emits each distinct payload once, then multi-frame-writes it to every
-    /// address that shares it.
+    /// The staged frames grouped by payload: per group (in address order
+    /// of its first frame) its payload and member count, and per staged
+    /// frame its group.
     ///
-    /// Groups follow the address order of their first frame, and each
-    /// group's addresses stay in address order, so the words do not depend
-    /// on the hash: every blank frame joins one group with no hashing, and
-    /// only non-blank payloads go through a map keyed by their words (a
-    /// match is an equal payload, not an equal hash).
-    fn emit_compressed(&self, staged: &[Staged], crc: &mut CrcAccumulator) -> Vec<u32> {
-        // Per group (in order of first address): its payload and size.
+    /// Every blank frame joins one group with no hashing, and only
+    /// non-blank payloads go through a map keyed by their words (a match
+    /// is an equal payload, not an equal hash), so the grouping does not
+    /// depend on the hash.
+    fn group(&self, staged: &[Staged]) -> (Vec<(Option<u32>, usize)>, Vec<usize>) {
         let mut groups: Vec<(Option<u32>, usize)> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(staged.len());
         let mut blank_group = None;
@@ -995,6 +1031,30 @@ impl BitstreamBuilder {
             groups[g].1 += 1;
             group_of.push(g);
         }
+        (groups, group_of)
+    }
+
+    /// Words of frame packets in a compressed stream of these groups: per
+    /// group a FAR write, an FDRI header and the frame, then for a shared
+    /// payload an MFW command, a FAR and MFWR write per further address
+    /// and a WCFG command.
+    fn compressed_body(&self, groups: &[(Option<u32>, usize)]) -> usize {
+        groups
+            .iter()
+            .map(|&(_, len)| {
+                let replays = len - 1;
+                3 + self.frame_words + if replays > 0 { 4 + 4 * replays } else { 0 }
+            })
+            .sum()
+    }
+
+    /// Emits each distinct payload once, then multi-frame-writes it to every
+    /// address that shares it.
+    ///
+    /// Groups follow the address order of their first frame, and each
+    /// group's addresses stay in address order.
+    fn emit_compressed(&self, staged: &[Staged], crc: &mut CrcAccumulator) -> Vec<u32> {
+        let (groups, group_of) = self.group(staged);
 
         // Each group's members, contiguous and in address order.
         let mut start: Vec<usize> = Vec::with_capacity(groups.len() + 1);
@@ -1009,15 +1069,7 @@ impl BitstreamBuilder {
             next[g] += 1;
         }
 
-        let body: usize = groups
-            .iter()
-            .map(|&(_, len)| {
-                let replays = len - 1;
-                // FAR, FDRI and the frame; then MFW, FAR+MFWR per replay, WCFG.
-                3 + self.frame_words + if replays > 0 { 4 + 4 * replays } else { 0 }
-            })
-            .sum();
-        let mut words = self.open(body);
+        let mut words = self.open(self.compressed_body(&groups));
         for (g, &(index, _)) in groups.iter().enumerate() {
             let addrs = &members[start[g]..start[g + 1]];
             let frame = self.payload(index);
@@ -1048,6 +1100,22 @@ impl BitstreamBuilder {
         BitstreamBuilder::close(&mut words, crc);
         words
     }
+}
+
+/// The staged frames split into runs of contiguous minors within one
+/// (row, column): one FDRI burst each in a linear stream.
+fn runs(staged: &[Staged]) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (i, pair) in staged.windows(2).enumerate() {
+        let (a, b) = (pair[0].0, pair[1].0);
+        if b.row != a.row || b.column != a.column || b.minor != a.minor + 1 {
+            runs.push(runs.last().map_or(0, |r| r.end)..i + 1);
+        }
+    }
+    if !staged.is_empty() {
+        runs.push(runs.last().map_or(0, |r| r.end)..staged.len());
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -1188,12 +1256,14 @@ mod tests {
         use super::*;
 
         /// Each address's last payload: blank, shared by several addresses
-        /// (an MFWR group) or unique; contiguous runs and gaps both occur.
+        /// (an MFWR group) or unique; contiguous runs and gaps both occur,
+        /// and each column ends in a run of blank minors.
         fn last_writes(d: &Device) -> Vec<(FrameAddress, Frame)> {
             let mut out = Vec::new();
             for (row, col) in [(0, 1), (0, 2), (1, 2), (3, 7)] {
-                for minor in [0, 1, 2, 3, 5, 8] {
+                for minor in [0, 1, 2, 3, 5, 8, 9, 10, 11, 12] {
                     let value = match minor % 3 {
+                        _ if minor > 8 => 0,
                         0 => 0,
                         1 => 0xAB,
                         _ => row << 16 | col << 8 | minor,
@@ -1219,15 +1289,59 @@ mod tests {
             builder
         }
 
+        /// Like [`build`], but each stretch of consecutive adds that are
+        /// blank frames at consecutive minors of one column is staged as
+        /// one [`BitstreamBuilder::add_blank_frames`] run.
+        fn build_with_runs(d: &Device, adds: &[(FrameAddress, Frame)]) -> BitstreamBuilder {
+            let mut builder = BitstreamBuilder::new(d, BitstreamKind::Partial);
+            let mut run: Option<(FrameAddress, u32)> = None;
+            for (addr, frame) in adds {
+                let blank = frame.iter().all(|&w| w == 0);
+                if let Some((first, count)) = run {
+                    let extends = blank
+                        && (addr.row, addr.column) == (first.row, first.column)
+                        && addr.minor == first.minor + count;
+                    if extends {
+                        run = Some((first, count + 1));
+                        continue;
+                    }
+                    builder.add_blank_frames(first, count).unwrap();
+                    run = None;
+                }
+                if blank {
+                    run = Some((*addr, 1));
+                } else {
+                    builder.add_frame(*addr, frame).unwrap();
+                }
+            }
+            if let Some((first, count)) = run {
+                builder.add_blank_frames(first, count).unwrap();
+            }
+            builder
+        }
+
+        /// `adds` staged frame by frame and with blank runs both build what
+        /// ascending unique adds of each address's last payload build, in
+        /// the size [`BitstreamBuilder::size_bytes`] predicts.
         fn assert_same_stream(d: &Device, adds: &[(FrameAddress, Frame)], label: &str) {
             let reference = build(d, &last_writes(d));
-            let builder = build(d, adds);
-            assert_eq!(builder.frame_count(), reference.frame_count(), "{label}");
-            for compressed in [false, true] {
-                let (want, got) = (reference.build(compressed), builder.build(compressed));
-                assert_eq!(got.words(), want.words(), "{label} compressed={compressed}");
-                assert_eq!(got.frame_count(), want.frame_count(), "{label}");
-                assert!(got.verify_integrity(), "{label} compressed={compressed}");
+            for (builder, how) in [
+                (build(d, adds), "frames"),
+                (build_with_runs(d, adds), "runs"),
+            ] {
+                assert_eq!(
+                    builder.frame_count(),
+                    reference.frame_count(),
+                    "{label} {how}"
+                );
+                for compressed in [false, true] {
+                    let (want, got) = (reference.build(compressed), builder.build(compressed));
+                    let at = format!("{label} {how} compressed={compressed}");
+                    assert_eq!(got.words(), want.words(), "{at}");
+                    assert_eq!(got.frame_count(), want.frame_count(), "{at}");
+                    assert!(got.verify_integrity(), "{at}");
+                    assert_eq!(builder.size_bytes(compressed), got.size_bytes(), "{at}");
+                }
             }
         }
 
@@ -1272,6 +1386,69 @@ mod tests {
                 .flat_map(|(addr, f)| [(addr, earlier_write(&d, &f)), (addr, f)])
                 .collect();
             assert_same_stream(&d, &twice, "each address twice in a row");
+        }
+
+        #[test]
+        fn blank_runs_out_of_order_and_over_content_build_the_ascending_stream() {
+            let d = device();
+            let last = last_writes(&d);
+            assert_same_stream(&d, &last, "ascending");
+
+            // Columns in descending order, each column's minors ascending.
+            let mut columns = last.clone();
+            columns.sort_by_key(|(addr, _)| std::cmp::Reverse((addr.row, addr.column)));
+            assert_same_stream(&d, &columns, "columns descending");
+
+            // Every address first holds content, which the blank runs of
+            // the last writes overwrite.
+            let content: Vec<_> = last
+                .iter()
+                .map(|(addr, _)| (*addr, frame_of(&d, 0xDEAD)))
+                .chain(last.iter().cloned())
+                .collect();
+            assert_same_stream(&d, &content, "blank runs over content");
+
+            // Every address first blank, in runs, which the content frames
+            // of the last writes overwrite.
+            let blank: Vec<_> = last
+                .iter()
+                .map(|(addr, _)| (*addr, frame_of(&d, 0)))
+                .chain(last.iter().cloned())
+                .collect();
+            assert_same_stream(&d, &blank, "content over blank runs");
+        }
+
+        #[test]
+        fn a_blank_run_past_its_column_is_refused_and_stages_nothing() {
+            let d = device();
+            let minors = crate::frame::frames_per_column(d.column_kind(1)) as u32;
+            let mut builder = BitstreamBuilder::new(&d, BitstreamKind::Partial);
+            builder
+                .add_frame(FrameAddress::new(0, 1, 0), frame_of(&d, 7))
+                .unwrap();
+            let before = builder.build(true);
+            for (first, count) in [(minors - 3, 4), (0, minors + 1), (minors, 1), (1, u32::MAX)] {
+                assert!(
+                    builder
+                        .add_blank_frames(FrameAddress::new(0, 1, first), count)
+                        .is_err(),
+                    "minors {first}+{count} of {minors}"
+                );
+            }
+            assert!(builder
+                .add_blank_frames(FrameAddress::new(999, 1, 0), 1)
+                .is_err());
+            builder
+                .add_blank_frames(FrameAddress::new(0, 1, minors), 0)
+                .unwrap();
+            assert_eq!(builder.frame_count(), 1);
+            assert_eq!(builder.build(true), before);
+
+            // The run that ends on the column's last minor is accepted.
+            builder
+                .add_blank_frames(FrameAddress::new(0, 1, 1), minors - 1)
+                .unwrap();
+            assert_eq!(builder.frame_count(), minors as usize);
         }
 
         #[test]

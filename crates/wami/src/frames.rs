@@ -6,6 +6,13 @@
 //! a handful of independently moving bright objects (vehicles), sensor noise,
 //! and an RGGB Bayer mosaic on top — exercising exactly the kernel chain of
 //! Fig. 3 (debayer → grayscale → registration → change detection).
+//!
+//! The background is a sum of twelve cosine waves over a texture twice the
+//! frame's size, of which a frame samples a window about the frame's size.
+//! A generator evaluates a texel the first time a frame's bilinear samples
+//! read it, and keeps it: a short sequence evaluates about a quarter of the
+//! texture, and every frame is bit-identical to one sampled from the whole
+//! texture evaluated up front.
 
 use crate::debayer::mosaic;
 use crate::image::{BayerImage, GrayImage, RgbImage};
@@ -42,6 +49,11 @@ pub struct SceneGenerator {
     width: usize,
     height: usize,
     rng: StdRng,
+    /// The background's cosine waves, `(fx, fy, phase, amplitude)`.
+    waves: [(f64, f64, f64, f64); 12],
+    /// The `2 × width` by `2 × height` background texture. A texel no
+    /// frame has read yet holds NaN, which no evaluated texel is: texels
+    /// are clamped to the sensor range.
     background: GrayImage,
     objects: Vec<MovingObject>,
     /// Platform drift per frame, in pixels.
@@ -59,7 +71,17 @@ impl SceneGenerator {
     pub fn new(width: usize, height: usize, seed: u64) -> SceneGenerator {
         assert!(width > 0 && height > 0, "scene dimensions must be non-zero");
         let mut rng = StdRng::seed_from_u64(seed);
-        let background = smooth_texture(width * 2, height * 2, &mut rng);
+        let waves = std::array::from_fn(|_| {
+            (
+                rng.gen_range(0.02..0.15),                 // fx
+                rng.gen_range(0.02..0.15),                 // fy
+                rng.gen_range(0.0..std::f64::consts::TAU), // phase
+                rng.gen_range(10.0..30.0),                 // amplitude
+            )
+        });
+        let texels = vec![f32::NAN; width * 2 * height * 2];
+        let background = GrayImage::from_vec(width * 2, height * 2, texels)
+            .expect("non-zero dimensions, one texel each");
         let n_objects = 2 + (seed as usize % 3);
         let objects = (0..n_objects)
             .map(|_| MovingObject {
@@ -76,6 +98,7 @@ impl SceneGenerator {
             width,
             height,
             rng,
+            waves,
             background,
             objects,
             drift,
@@ -128,6 +151,24 @@ impl SceneGenerator {
         let ox = self.width as f64 / 2.0 + t * self.drift.0;
         let oy = self.height as f64 / 2.0 + t * self.drift.1;
         let shift = AffineParams::translation(ox, oy);
+        // A translation's sample coordinates grow with x and y, so this
+        // frame's bilinear samples read the texels from the first sample's
+        // floor to one past the last sample's, clamped at the borders.
+        let (x0, y0) = shift.apply(0.0, 0.0);
+        let (x1, y1) = shift.apply((self.width - 1) as f64, (self.height - 1) as f64);
+        let (tw, th) = self.background.dims();
+        let texels = |from: f64, to: f64, len: usize| {
+            let floor = |t: f64| (t as f32).floor() as isize;
+            let clamp = |t: isize| t.clamp(0, len as isize - 1) as usize;
+            clamp(floor(from))..=clamp(floor(to).saturating_add(1))
+        };
+        for ty in texels(y0, y1, th) {
+            for tx in texels(x0, x1, tw) {
+                if self.background.get(tx, ty).is_nan() {
+                    self.background.set(tx, ty, texel(&self.waves, tx, ty));
+                }
+            }
+        }
         let mut img = GrayImage::zeroed(self.width, self.height);
         for y in 0..self.height {
             for x in 0..self.width {
@@ -169,29 +210,14 @@ fn splat(img: &mut GrayImage, cx: f64, cy: f64, sigma: f64, intensity: f64) {
     }
 }
 
-/// Generates a smooth random texture by summing low-frequency cosine waves.
-fn smooth_texture(width: usize, height: usize, rng: &mut StdRng) -> GrayImage {
-    let waves: Vec<(f64, f64, f64, f64)> = (0..12)
-        .map(|_| {
-            (
-                rng.gen_range(0.02..0.15),                 // fx
-                rng.gen_range(0.02..0.15),                 // fy
-                rng.gen_range(0.0..std::f64::consts::TAU), // phase
-                rng.gen_range(10.0..30.0),                 // amplitude
-            )
-        })
-        .collect();
-    let mut img = GrayImage::zeroed(width, height);
-    for y in 0..height {
-        for x in 0..width {
-            let mut v = 120.0f64;
-            for &(fx, fy, phase, amp) in &waves {
-                v += amp * (fx * x as f64 + fy * y as f64 + phase).cos();
-            }
-            img.set(x, y, v.clamp(0.0, 1023.0) as f32);
-        }
+/// One texel of the background texture at `(x, y)`: low-frequency cosine
+/// waves summed over a mid-gray level.
+fn texel(waves: &[(f64, f64, f64, f64)], x: usize, y: usize) -> f32 {
+    let mut v = 120.0f64;
+    for &(fx, fy, phase, amp) in waves {
+        v += amp * (fx * x as f64 + fy * y as f64 + phase).cos();
     }
-    img
+    v.clamp(0.0, 1023.0) as f32
 }
 
 #[cfg(test)]
@@ -200,6 +226,85 @@ mod tests {
     use crate::debayer::debayer;
     use crate::grayscale::grayscale;
     use crate::lucas_kanade::{register, LkConfig};
+
+    /// The reference texture: every texel evaluated up front, from waves
+    /// drawn first from the generator's seeded RNG.
+    fn smooth_texture(width: usize, height: usize, rng: &mut StdRng) -> GrayImage {
+        let waves: Vec<(f64, f64, f64, f64)> = (0..12)
+            .map(|_| {
+                (
+                    rng.gen_range(0.02..0.15),                 // fx
+                    rng.gen_range(0.02..0.15),                 // fy
+                    rng.gen_range(0.0..std::f64::consts::TAU), // phase
+                    rng.gen_range(10.0..30.0),                 // amplitude
+                )
+            })
+            .collect();
+        let mut img = GrayImage::zeroed(width, height);
+        for y in 0..height {
+            for x in 0..width {
+                let mut v = 120.0f64;
+                for &(fx, fy, phase, amp) in &waves {
+                    v += amp * (fx * x as f64 + fy * y as f64 + phase).cos();
+                }
+                img.set(x, y, v.clamp(0.0, 1023.0) as f32);
+            }
+        }
+        img
+    }
+
+    /// A generator whose whole background is the reference texture, so no
+    /// frame evaluates a texel.
+    fn eager(width: usize, height: usize, seed: u64) -> SceneGenerator {
+        let mut scene = SceneGenerator::new(width, height, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        scene.background = smooth_texture(width * 2, height * 2, &mut rng);
+        scene
+    }
+
+    /// Frame `i` of both generators, raw on even frames and luminance on
+    /// odd ones.
+    fn assert_same_frame(lazy: &mut SceneGenerator, eager: &mut SceneGenerator, label: &str) {
+        let i = lazy.frame_index();
+        if i.is_multiple_of(2) {
+            assert_eq!(lazy.next_frame(), eager.next_frame(), "{label} frame {i}");
+        } else {
+            let (a, b) = (lazy.next_frame_gray(), eager.next_frame_gray());
+            assert!(a.pixels().iter().all(|p| !p.is_nan()), "{label} frame {i}");
+            assert_eq!(a, b, "{label} frame {i}");
+        }
+    }
+
+    #[test]
+    fn texels_evaluated_on_first_read_render_the_eager_frames() {
+        for (width, height) in [(1, 1), (7, 3), (64, 64)] {
+            for seed in 0..=6 {
+                for objects in [true, false] {
+                    let label = format!("{width}x{height} seed {seed} objects {objects}");
+                    let (mut lazy, mut reference) = (
+                        SceneGenerator::new(width, height, seed),
+                        eager(width, height, seed),
+                    );
+                    if !objects {
+                        lazy = lazy.without_objects();
+                        reference = reference.without_objects();
+                    }
+                    let mut clone = None;
+                    for i in 0..64 {
+                        if i == 23 {
+                            clone = Some((lazy.clone(), reference.clone()));
+                        }
+                        assert_same_frame(&mut lazy, &mut reference, &label);
+                    }
+                    // A clone taken mid-sequence continues as the original.
+                    let (mut lazy, mut reference) = clone.unwrap();
+                    for _ in 23..64 {
+                        assert_same_frame(&mut lazy, &mut reference, &format!("{label} clone"));
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn generator_is_deterministic() {
