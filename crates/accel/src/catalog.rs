@@ -4,17 +4,6 @@ use presp_fpga::resources::Resources;
 use presp_wami::graph::WamiKernel;
 use std::fmt;
 
-/// The HLS flow an accelerator was developed with (Section IV of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HlsFlow {
-    /// ESP's Vivado HLS accelerator flow (C/C++).
-    VivadoHls,
-    /// Cadence Stratus HLS (SystemC).
-    StratusHls,
-    /// Not an HLS artifact (the CPU tile RTL).
-    Rtl,
-}
-
 /// Every accelerator (and the relocatable CPU tile) known to PR-ESP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AcceleratorKind {
@@ -46,7 +35,8 @@ impl AcceleratorKind {
     ];
 
     /// All twelve WAMI accelerators in Fig. 3 order.
-    pub fn wami_all() -> [AcceleratorKind; 12] {
+    #[cfg(test)]
+    pub(crate) fn wami_all() -> [AcceleratorKind; 12] {
         WamiKernel::ALL.map(AcceleratorKind::Wami)
     }
 
@@ -84,18 +74,6 @@ impl AcceleratorKind {
                 WarpIwxp => Resources::new(20_400, 26_600, 24, 42),
                 ChangeDetection => Resources::new(18_600, 24_200, 32, 24),
             },
-        }
-    }
-
-    /// The HLS flow the accelerator comes from.
-    pub fn hls_flow(&self) -> HlsFlow {
-        match self {
-            AcceleratorKind::Mac | AcceleratorKind::Wami(_) => HlsFlow::VivadoHls,
-            AcceleratorKind::Conv2d
-            | AcceleratorKind::Gemm
-            | AcceleratorKind::Fft
-            | AcceleratorKind::Sort => HlsFlow::StratusHls,
-            AcceleratorKind::Cpu => HlsFlow::Rtl,
         }
     }
 
@@ -183,13 +161,6 @@ mod tests {
             soc_c > 75_000 && soc_c < 90_000,
             "SoC_C reconfigurable total {soc_c}"
         );
-    }
-
-    #[test]
-    fn stratus_accelerators_are_marked() {
-        assert_eq!(AcceleratorKind::Conv2d.hls_flow(), HlsFlow::StratusHls);
-        assert_eq!(AcceleratorKind::Mac.hls_flow(), HlsFlow::VivadoHls);
-        assert_eq!(AcceleratorKind::Cpu.hls_flow(), HlsFlow::Rtl);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub use presp_events::SOC_CLOCK_MHZ;
 
 /// Cycles-per-item expressed as a rational to keep the model in integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CyclesPerItem {
+pub(crate) struct CyclesPerItem {
     /// Numerator.
     pub num: u64,
     /// Denominator.
@@ -28,7 +28,7 @@ impl CyclesPerItem {
 
 /// Fixed invocation overhead (cycles) of an accelerator: configuration
 /// register writes, DMA descriptor setup and pipeline fill.
-pub fn startup_cycles(kind: AcceleratorKind) -> u64 {
+pub(crate) fn startup_cycles(kind: AcceleratorKind) -> u64 {
     match kind {
         AcceleratorKind::Mac => 400,
         AcceleratorKind::Cpu => 0,
@@ -41,7 +41,7 @@ pub fn startup_cycles(kind: AcceleratorKind) -> u64 {
 /// HLS pipelines sustain close to one item per cycle for streaming kernels;
 /// the mathier kernels (Hessian, matrix inversion) run several ops per item
 /// in parallel DSP banks, reflected as sub-unit rationals.
-pub fn cycles_per_item(kind: AcceleratorKind) -> CyclesPerItem {
+pub(crate) fn cycles_per_item(kind: AcceleratorKind) -> CyclesPerItem {
     use WamiKernel::*;
     match kind {
         AcceleratorKind::Mac => CyclesPerItem::new(1, 1),
@@ -68,7 +68,7 @@ pub fn cycles_per_item(kind: AcceleratorKind) -> CyclesPerItem {
 
 /// Factor by which the in-order Leon3 core is slower than a dedicated
 /// accelerator on the same kernel (software fallback path).
-pub const SOFTWARE_SLOWDOWN: u64 = 25;
+pub(crate) const SOFTWARE_SLOWDOWN: u64 = 25;
 
 /// Compute cycles for one invocation of `op` on accelerator `kind`.
 pub fn compute_cycles(kind: AcceleratorKind, op: &AccelOp) -> u64 {

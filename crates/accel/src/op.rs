@@ -183,7 +183,7 @@ impl AccelOp {
     }
 
     /// Abstract work size — the unit count the latency model scales with.
-    pub fn work_items(&self) -> u64 {
+    pub(crate) fn work_items(&self) -> u64 {
         match self {
             AccelOp::Mac { a, .. } => a.len() as u64,
             AccelOp::Conv2d { image, side, .. } => (image.len() * side * side) as u64,
@@ -304,11 +304,6 @@ impl AccelInstance {
     /// Instantiates an accelerator of `kind` (freshly configured: no state).
     pub fn new(kind: AcceleratorKind) -> AccelInstance {
         AccelInstance { kind }
-    }
-
-    /// The accelerator kind.
-    pub fn kind(&self) -> AcceleratorKind {
-        self.kind
     }
 
     /// Executes one operation.

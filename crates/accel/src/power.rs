@@ -10,14 +10,14 @@ use crate::catalog::AcceleratorKind;
 use presp_fpga::resources::Resources;
 
 /// Dynamic power density of active logic, watts per LUT at 78 MHz.
-pub const DYNAMIC_W_PER_LUT: f64 = 6.0e-6;
+pub(crate) const DYNAMIC_W_PER_LUT: f64 = 6.0e-6;
 /// Extra dynamic power per active DSP slice, watts.
-pub const DYNAMIC_W_PER_DSP: f64 = 9.0e-4;
+pub(crate) const DYNAMIC_W_PER_DSP: f64 = 9.0e-4;
 /// Leakage plus idle clock-tree power per provisioned LUT, watts. Every
 /// fabric region that is clocked (static tiles and floorplanned
 /// reconfigurable regions) pays this whether or not it computes — the term
 /// behind Fig. 4's "fewer reconfigurable tiles are more energy-efficient".
-pub const LEAKAGE_W_PER_LUT: f64 = 2.0e-5;
+pub(crate) const LEAKAGE_W_PER_LUT: f64 = 2.0e-5;
 /// Power drawn by the configuration engine while a partial bitstream
 /// streams through the ICAP, watts.
 pub const RECONFIG_POWER_W: f64 = 0.35;

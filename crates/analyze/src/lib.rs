@@ -46,7 +46,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of the machine-readable findings document.
-pub const FINDINGS_SCHEMA: &str = "presp-analyze-findings/v1";
+pub(crate) const FINDINGS_SCHEMA: &str = "presp-analyze-findings/v1";
 
 /// Analysis options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -100,7 +100,7 @@ impl Analysis {
 
     /// The findings as a machine-readable JSON document (bench-export
     /// style), including the derived lock graph.
-    pub fn to_json(&self, opts: &Options) -> JsonValue {
+    pub(crate) fn to_json(&self, opts: &Options) -> JsonValue {
         let findings = self
             .findings
             .iter()
@@ -518,7 +518,7 @@ pub fn analyze(root: &Path, manifest: &Manifest, opts: &Options) -> Analysis {
 
 /// Walk up from `start` to the workspace root (the directory containing
 /// `analyze.json`, falling back to the one containing `crates/`).
-pub fn find_root(start: &Path) -> Option<PathBuf> {
+pub(crate) fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
         if dir.join("analyze.json").is_file() || dir.join("crates").is_dir() {

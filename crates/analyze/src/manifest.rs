@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Schema tag expected at the top of `analyze.json`.
-pub const MANIFEST_SCHEMA: &str = "presp-analyze/v1";
+pub(crate) const MANIFEST_SCHEMA: &str = "presp-analyze/v1";
 
 /// One line-oriented forbidden-pattern rule (the old `presp-lint` rules,
 /// now data). Patterns are matched against blanked source lines, so

@@ -460,7 +460,7 @@ pub fn fig3(size: usize) -> Vec<Fig3Row> {
 /// One prefetch-ablation row: the same deployment with interleaved vs
 /// non-interleaved reconfiguration.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PrefetchAblationRow {
+pub(crate) struct PrefetchAblationRow {
     /// SoC name.
     pub soc: String,
     /// ms/frame with prefetch (interleaved reconfiguration).
@@ -471,7 +471,7 @@ pub struct PrefetchAblationRow {
 
 impl PrefetchAblationRow {
     /// Speedup of interleaved over non-interleaved reconfiguration.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         self.no_prefetch_ms / self.prefetch_ms
     }
 }
@@ -479,7 +479,7 @@ impl PrefetchAblationRow {
 /// Ablation: interleaved (prefetch) vs non-interleaved reconfiguration on
 /// the Table VI deployments — quantifies the paper's observation that
 /// SoC_X suffers "a higher non-interleaved reconfiguration".
-pub fn prefetch_ablation(
+pub(crate) fn prefetch_ablation(
     frames: usize,
     size: usize,
     lk_iterations: usize,
@@ -517,7 +517,7 @@ pub fn prefetch_ablation(
 
 /// One compression-ablation row: a partial bitstream raw vs compressed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompressionAblationRow {
+pub(crate) struct CompressionAblationRow {
     /// Region + accelerator label.
     pub module: String,
     /// Raw pbs size, KB.
@@ -534,7 +534,7 @@ pub struct CompressionAblationRow {
 /// size and ICAP streaming latency for every SoC_Y module — the mechanism
 /// behind the paper's choice "to reduce the memory access latency during
 /// reconfiguration".
-pub fn compression_ablation() -> Vec<CompressionAblationRow> {
+pub(crate) fn compression_ablation() -> Vec<CompressionAblationRow> {
     use presp_fpga::icap::Icap;
     let design = SocDesign::wami_soc_y().unwrap();
     let raw_out = PrEspFlow::new()

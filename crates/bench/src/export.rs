@@ -29,7 +29,7 @@ fn arr<T>(items: &[T], f: impl Fn(&T) -> JsonValue) -> JsonValue {
 }
 
 /// Table I as a JSON array of strategy-matrix rows.
-pub fn table1_json(rows: &[(&str, &str, &str, &str)]) -> JsonValue {
+pub(crate) fn table1_json(rows: &[(&str, &str, &str, &str)]) -> JsonValue {
     arr(rows, |(label, lo, eq, hi)| {
         obj(vec![
             ("row", string(label)),
@@ -41,14 +41,14 @@ pub fn table1_json(rows: &[(&str, &str, &str, &str)]) -> JsonValue {
 }
 
 /// Table II as a JSON array of `{component, luts}` rows.
-pub fn table2_json(rows: &[Table2Row]) -> JsonValue {
+pub(crate) fn table2_json(rows: &[Table2Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![("component", string(&r.name)), ("luts", int(r.luts))])
     })
 }
 
 /// Table III as a JSON array of per-SoC τ sweeps.
-pub fn table3_json(rows: &[Table3Row]) -> JsonValue {
+pub(crate) fn table3_json(rows: &[Table3Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
             ("soc", string(&r.soc)),
@@ -80,7 +80,7 @@ fn strategy_triple((t_static, max_omega, total): (f64, f64, f64)) -> JsonValue {
 }
 
 /// Table IV as a JSON array of per-SoC strategy comparisons.
-pub fn table4_json(rows: &[Table4Row]) -> JsonValue {
+pub(crate) fn table4_json(rows: &[Table4Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
             ("soc", string(&r.soc)),
@@ -99,7 +99,7 @@ pub fn table4_json(rows: &[Table4Row]) -> JsonValue {
 }
 
 /// Table V as a JSON array of PR-ESP vs monolithic rows.
-pub fn table5_json(rows: &[Table5Row]) -> JsonValue {
+pub(crate) fn table5_json(rows: &[Table5Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
             ("soc", string(&r.soc)),
@@ -117,7 +117,7 @@ pub fn table5_json(rows: &[Table5Row]) -> JsonValue {
 }
 
 /// Table VI as a JSON array of per-tile partitioning rows.
-pub fn table6_json(rows: &[Table6Row]) -> JsonValue {
+pub(crate) fn table6_json(rows: &[Table6Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
             ("soc", string(&r.soc)),
@@ -129,7 +129,7 @@ pub fn table6_json(rows: &[Table6Row]) -> JsonValue {
 }
 
 /// Fig. 3's annotations as a JSON array of per-kernel profiles.
-pub fn fig3_json(rows: &[Fig3Row]) -> JsonValue {
+pub(crate) fn fig3_json(rows: &[Fig3Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
             ("index", int(r.index as u64)),
@@ -141,7 +141,7 @@ pub fn fig3_json(rows: &[Fig3Row]) -> JsonValue {
 }
 
 /// Fig. 4 as a JSON array of per-deployment latency/energy rows.
-pub fn fig4_json(rows: &[Fig4Row]) -> JsonValue {
+pub(crate) fn fig4_json(rows: &[Fig4Row]) -> JsonValue {
     arr(rows, |r| {
         obj(vec![
             ("soc", string(&r.soc)),
@@ -161,7 +161,7 @@ pub fn fig4_json(rows: &[Fig4Row]) -> JsonValue {
 
 /// The ablations as one object: the prefetch rows under `prefetch`, the
 /// compression rows under `compression`.
-pub fn ablations_json(
+pub(crate) fn ablations_json(
     prefetch: &[PrefetchAblationRow],
     compression: &[CompressionAblationRow],
 ) -> JsonValue {
@@ -215,7 +215,7 @@ pub fn tables_document(
 }
 
 /// The `BENCH_wami.json` document: the Fig. 4 WAMI deployment numbers.
-pub fn wami_document(f4: &[Fig4Row]) -> JsonValue {
+pub(crate) fn wami_document(f4: &[Fig4Row]) -> JsonValue {
     obj(vec![("fig4", fig4_json(f4))])
 }
 

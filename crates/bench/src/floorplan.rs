@@ -85,7 +85,7 @@ pub struct ChurnCell {
 
 impl ChurnCell {
     /// Allocator operations per second of host time.
-    pub fn ops_per_sec(&self) -> f64 {
+    pub(crate) fn ops_per_sec(&self) -> f64 {
         per_sec(self.ops, self.elapsed)
     }
 }
@@ -107,7 +107,7 @@ pub struct RelocCell {
 
 impl RelocCell {
     /// Frames relocated per second of host time.
-    pub fn frames_per_sec(&self) -> f64 {
+    pub(crate) fn frames_per_sec(&self) -> f64 {
         per_sec(self.frames * self.reps, self.elapsed)
     }
 
@@ -142,7 +142,7 @@ pub struct Host {
 impl Host {
     /// The running host, from `std::thread::available_parallelism` and
     /// the first `model name` in `/proc/cpuinfo` (`unknown` elsewhere).
-    pub fn current() -> Host {
+    pub(crate) fn current() -> Host {
         let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
             .ok()
             .and_then(|info| {

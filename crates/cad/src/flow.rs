@@ -2,7 +2,7 @@
 //! plus the monolithic (standard Xilinx DPR flow) baseline.
 
 use crate::error::Error;
-use crate::host::HostMachine;
+use crate::host::concurrent_wall;
 use crate::model::{rm_group_run, serial_pnr, static_only_pnr, Minutes, PBLOCK_FILL};
 use crate::spec::DprDesignSpec;
 use crate::synth::{monolithic_synthesis, parallel_synthesis, SynthReport};
@@ -116,16 +116,15 @@ pub struct MonolithicReport {
     pub total: Minutes,
 }
 
-/// The CAD flow engine: schedules P&R runs on a host machine.
+/// The CAD flow engine: schedules P&R runs on the paper's 16-core
+/// characterization host.
 #[derive(Debug, Clone, Default)]
-pub struct CadFlow {
-    host: HostMachine,
-}
+pub struct CadFlow;
 
 impl CadFlow {
     /// A flow on the paper's 16-core characterization host.
     pub fn new() -> CadFlow {
-        CadFlow::default()
+        CadFlow
     }
 
     /// Runs the P&R stage of `spec` under `strategy`.
@@ -136,27 +135,6 @@ impl CadFlow {
     /// semi-parallel on a single-RM design — the paper's Class 2.2, which
     /// "can only be implemented in a serial mode").
     pub fn run_pnr(&self, spec: &DprDesignSpec, strategy: Strategy) -> Result<PnrReport, Error> {
-        self.run_pnr_traced(spec, strategy, &mut Tracer::disabled())
-    }
-
-    /// Like [`CadFlow::run_pnr`], emitting [`TraceEvent::FlowStage`] spans
-    /// (on the CAD milliminute timeline, starting at 0) through `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CadFlow::run_pnr`].
-    pub fn run_pnr_traced(
-        &self,
-        spec: &DprDesignSpec,
-        strategy: Strategy,
-        tracer: &mut Tracer,
-    ) -> Result<PnrReport, Error> {
-        let report = self.pnr(spec, strategy)?;
-        trace_pnr(spec.name(), &report, 0, tracer);
-        Ok(report)
-    }
-
-    fn pnr(&self, spec: &DprDesignSpec, strategy: Strategy) -> Result<PnrReport, Error> {
         let n = spec.reconfigurable().len();
         let static_kluts = spec.static_resources().lut as f64 / 1000.0;
         let total_kluts = spec.total_resources().lut as f64 / 1000.0;
@@ -198,7 +176,7 @@ impl CadFlow {
                     })
                     .collect();
                 let solos: Vec<Minutes> = runs.iter().map(|g| g.solo).collect();
-                let max_omega = self.host.concurrent_wall(&solos);
+                let max_omega = concurrent_wall(&solos);
                 Ok(PnrReport {
                     strategy,
                     t_static: Some(t_static),
@@ -237,8 +215,8 @@ impl CadFlow {
         strategy: Strategy,
         tracer: &mut Tracer,
     ) -> Result<FullFlowReport, Error> {
-        let synth = parallel_synthesis(spec, &self.host)?;
-        let pnr = self.pnr(spec, strategy)?;
+        let synth = parallel_synthesis(spec)?;
+        let pnr = self.run_pnr(spec, strategy)?;
         let synth_mm = milliminutes(synth.wall.value());
         tracer.emit(ClockDomain::CadMilliMinutes, 0, synth_mm, || {
             TraceEvent::FlowStage {

@@ -59,9 +59,6 @@ pub(crate) const SYNTH_MONO_FACTOR: f64 = 1.0;
 pub struct Minutes(pub f64);
 
 impl Minutes {
-    /// Zero minutes.
-    pub const ZERO: Minutes = Minutes(0.0);
-
     /// The underlying value.
     pub fn value(&self) -> f64 {
         self.0

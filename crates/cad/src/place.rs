@@ -50,13 +50,6 @@ pub struct RegionPlacement {
     pub fill: FillFractions,
 }
 
-impl RegionPlacement {
-    /// Overall LUT utilization of the region.
-    pub fn utilization(&self) -> f64 {
-        self.fill.lut
-    }
-}
-
 /// Places `need` into `pblock` on `device`, spreading the logic uniformly.
 ///
 /// # Errors
@@ -190,7 +183,7 @@ mod tests {
         let need = Resources::new(cap.lut / 2, cap.ff / 2, cap.bram / 2, cap.dsp / 2);
         let placement = place_in_region(&d, "m", pb, need).unwrap();
         assert!((placement.fill.lut - 0.5).abs() < 0.05);
-        assert!(placement.utilization() > 0.4);
+        assert!(placement.fill.lut > 0.4);
     }
 
     #[test]

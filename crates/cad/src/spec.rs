@@ -41,11 +41,6 @@ impl DprDesignSpec {
         &self.name
     }
 
-    /// Target part.
-    pub fn part(&self) -> FpgaPart {
-        self.part
-    }
-
     /// Resources of the static part (every non-reconfigurable tile, the NoC
     /// and the sockets).
     pub fn static_resources(&self) -> Resources {
@@ -63,12 +58,12 @@ impl DprDesignSpec {
     }
 
     /// Sum of all reconfigurable module resources.
-    pub fn reconfigurable_total(&self) -> Resources {
+    pub(crate) fn reconfigurable_total(&self) -> Resources {
         self.reconfigurable.iter().map(|r| r.resources).sum()
     }
 
     /// Total design resources (static + all reconfigurable modules).
-    pub fn total_resources(&self) -> Resources {
+    pub(crate) fn total_resources(&self) -> Resources {
         self.static_resources + self.reconfigurable_total()
     }
 

@@ -2,7 +2,7 @@
 //! synthesis with black-box replacement.
 
 use crate::error::Error;
-use crate::host::HostMachine;
+use crate::host::concurrent_wall;
 use crate::model::{monolithic_synth, ooc_synth, static_synth, Minutes};
 use crate::spec::DprDesignSpec;
 use presp_fpga::resources::Resources;
@@ -42,10 +42,7 @@ pub struct SynthReport {
 ///
 /// Returns [`Error::BadSpec`] if the spec has no reconfigurable modules and
 /// an empty static part (cannot happen for specs built via the builder).
-pub(crate) fn parallel_synthesis(
-    spec: &DprDesignSpec,
-    host: &HostMachine,
-) -> Result<SynthReport, Error> {
+pub(crate) fn parallel_synthesis(spec: &DprDesignSpec) -> Result<SynthReport, Error> {
     let static_kluts = spec.static_resources().lut as f64 / 1000.0;
     if static_kluts <= 0.0 {
         return Err(Error::BadSpec {
@@ -74,7 +71,7 @@ pub(crate) fn parallel_synthesis(
         job_minutes.push((rm.name.clone(), ooc_synth(rm.resources.lut as f64 / 1000.0)));
     }
     let jobs: Vec<Minutes> = job_minutes.iter().map(|(_, m)| *m).collect();
-    let wall = host.concurrent_wall(&jobs);
+    let wall = concurrent_wall(&jobs);
     Ok(SynthReport {
         static_checkpoint,
         rm_checkpoints,
@@ -107,7 +104,7 @@ mod tests {
 
     #[test]
     fn every_rm_gets_an_ooc_checkpoint() {
-        let report = parallel_synthesis(&spec(), &HostMachine::default()).unwrap();
+        let report = parallel_synthesis(&spec()).unwrap();
         assert_eq!(report.rm_checkpoints.len(), 4);
         assert!(report.rm_checkpoints.iter().all(|c| c.ooc));
         assert!(!report.static_checkpoint.ooc);
@@ -115,7 +112,7 @@ mod tests {
 
     #[test]
     fn static_checkpoint_blackboxes_every_rm() {
-        let report = parallel_synthesis(&spec(), &HostMachine::default()).unwrap();
+        let report = parallel_synthesis(&spec()).unwrap();
         assert_eq!(report.static_checkpoint.blackboxes.len(), 4);
         assert!(report
             .static_checkpoint
@@ -125,7 +122,7 @@ mod tests {
 
     #[test]
     fn parallel_wall_beats_sum_of_jobs() {
-        let report = parallel_synthesis(&spec(), &HostMachine::default()).unwrap();
+        let report = parallel_synthesis(&spec()).unwrap();
         let sum: Minutes = report.job_minutes.iter().map(|(_, m)| *m).sum();
         assert!(report.wall.0 < sum.0);
         // Wall is at least the slowest job.
@@ -141,9 +138,7 @@ mod tests {
     fn parallel_synthesis_beats_monolithic() {
         // Table V: PR-ESP synthesis (47–54 min) vs monolithic (60–91 min).
         let s = spec();
-        let par = parallel_synthesis(&s, &HostMachine::default())
-            .unwrap()
-            .wall;
+        let par = parallel_synthesis(&s).unwrap().wall;
         let mono = monolithic_synthesis(&s);
         assert!(par.0 < mono.0, "parallel {par} vs monolithic {mono}");
     }
@@ -152,9 +147,7 @@ mod tests {
     fn synthesis_minutes_are_in_paper_range() {
         // SoC_A-sized design: paper reports 47 (PR-ESP) and 91 (monolithic).
         let s = spec();
-        let par = parallel_synthesis(&s, &HostMachine::default())
-            .unwrap()
-            .wall;
+        let par = parallel_synthesis(&s).unwrap().wall;
         let mono = monolithic_synthesis(&s);
         assert!(par.0 > 30.0 && par.0 < 70.0, "parallel = {par}");
         assert!(mono.0 > 65.0 && mono.0 < 120.0, "monolithic = {mono}");

@@ -254,21 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn atomics_synchronize() {
-        let report = small_checker().explore(|| {
-            let n = Arc::new(sync::AtomicU64::new(0));
-            let n2 = Arc::clone(&n);
-            let h = sync::spawn(move || {
-                n2.fetch_add(1, sync::Ordering::SeqCst);
-            });
-            n.fetch_add(1, sync::Ordering::SeqCst);
-            h.join().unwrap();
-            assert_eq!(n.load(sync::Ordering::SeqCst), 2);
-        });
-        assert!(report.ok(), "{report}");
-    }
-
-    #[test]
     fn panic_in_model_is_reported_with_schedule() {
         let report = small_checker().explore(|| {
             let h = sync::spawn_named("boom", || panic!("kaboom"));

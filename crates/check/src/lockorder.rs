@@ -17,13 +17,13 @@ pub struct LockOrderGraph {
 
 impl LockOrderGraph {
     /// An empty graph.
-    pub fn new() -> LockOrderGraph {
+    pub(crate) fn new() -> LockOrderGraph {
         LockOrderGraph::default()
     }
 
     /// Records that `inner` was acquired while `outer` was held.
     /// Self-edges (re-entrant shapes) are kept: they are cycles too.
-    pub fn add_edge(&mut self, outer: &str, inner: &str) {
+    pub(crate) fn add_edge(&mut self, outer: &str, inner: &str) {
         self.edges
             .entry(outer.to_string())
             .or_default()
@@ -31,7 +31,7 @@ impl LockOrderGraph {
     }
 
     /// All recorded edges as `(outer, inner)` pairs, sorted.
-    pub fn edges(&self) -> Vec<(String, String)> {
+    pub(crate) fn edges(&self) -> Vec<(String, String)> {
         self.edges
             .iter()
             .flat_map(|(a, bs)| bs.iter().map(move |b| (a.clone(), b.clone())))
@@ -41,7 +41,7 @@ impl LockOrderGraph {
     /// Cycles in the graph: every strongly connected component with more
     /// than one lock, plus self-loops. Each cycle is the sorted list of
     /// participating lock labels.
-    pub fn cycles(&self) -> Vec<Vec<String>> {
+    pub(crate) fn cycles(&self) -> Vec<Vec<String>> {
         // Tarjan's SCC over the (small) label graph.
         let nodes: Vec<&String> = self.edges.keys().collect();
         let index_of: BTreeMap<&str, usize> = nodes

@@ -133,13 +133,6 @@ struct CellState {
     reads: Vec<(Tid, VClock)>,
 }
 
-/// The outcome of `try_recv` through the shim channel.
-pub(crate) enum TryRecvOutcome<T> {
-    Value(T),
-    Empty,
-    Disconnected,
-}
-
 /// One scheduling decision, as recorded during a run.
 #[derive(Debug, Clone)]
 pub(crate) struct Decision {
@@ -426,7 +419,7 @@ impl Execution {
     pub(crate) fn mutex_create(self: &Arc<Self>, label: &str) -> usize {
         let mut st = self.lock_state();
         let id = st.locks.len();
-        let label = if label == "mutex" || label == "atomic" {
+        let label = if label == "mutex" {
             format!("{label}#{id}")
         } else {
             label.to_string()
@@ -645,28 +638,6 @@ impl Execution {
                 }
             }
             self.block(me, Status::BlockedRecv(chan));
-        }
-    }
-
-    pub(crate) fn channel_try_recv(
-        self: &Arc<Self>,
-        chan: usize,
-    ) -> TryRecvOutcome<Box<dyn Any + Send>> {
-        let (_, me) = Execution::current();
-        self.yield_point(me);
-        let mut st = self.lock_state();
-        if st.failure.is_some() {
-            drop(st);
-            self.abort();
-        }
-        if let Some((value, clock)) = st.channels[chan].queue.pop_front() {
-            st.threads[me].clock.join(&clock);
-            return TryRecvOutcome::Value(value);
-        }
-        if st.channels[chan].senders == 0 {
-            TryRecvOutcome::Disconnected
-        } else {
-            TryRecvOutcome::Empty
         }
     }
 
@@ -933,16 +904,6 @@ impl Checker {
     /// A checker with explicit bounds.
     pub fn new(config: Config) -> Checker {
         Checker { config }
-    }
-
-    /// A checker with [`Config::default`] bounds.
-    pub fn with_defaults() -> Checker {
-        Checker::new(Config::default())
-    }
-
-    /// The active bounds.
-    pub fn config(&self) -> Config {
-        self.config
     }
 
     fn run_once(

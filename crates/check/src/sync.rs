@@ -1,18 +1,18 @@
 //! Shim synchronization primitives, API-compatible with the `std::sync`
 //! subset the PR-ESP runtime uses.
 //!
-//! Every operation (lock, wait, notify, send, recv, spawn, join, atomic
-//! access) is a *schedule point*: the calling logical thread yields to the
+//! Every operation (lock, wait, notify, send, recv, spawn, join) is a
+//! *schedule point*: the calling logical thread yields to the
 //! cooperative scheduler, which decides who runs next. These types only
 //! work inside [`crate::Checker::explore`] / [`crate::Checker::replay`];
 //! constructing one outside a model panics.
 //!
 //! Blocking follows the modeled semantics, not wall-clock time: a
-//! [`Condvar::wait_timeout`] "times out" only at quiescence (no untimed
+//! `Condvar::wait_timeout` "times out" only at quiescence (no untimed
 //! thread runnable), i.e. the timeout is modeled as long relative to all
 //! other activity.
 
-use crate::scheduler::{Execution, Tid, TryRecvOutcome};
+use crate::scheduler::{Execution, Tid};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -21,7 +21,6 @@ use std::sync::Mutex as StdMutex;
 use std::sync::PoisonError;
 use std::time::Duration;
 
-pub use std::sync::atomic::Ordering;
 pub use std::sync::Arc;
 
 // ---- Mutex ------------------------------------------------------------
@@ -114,7 +113,7 @@ pub struct Condvar {
 
 impl Condvar {
     /// A new condition variable.
-    pub fn new() -> Condvar {
+    pub(crate) fn new() -> Condvar {
         let (exec, _) = Execution::current();
         Condvar {
             id: exec.condvar_create(),
@@ -122,7 +121,7 @@ impl Condvar {
     }
 
     /// Atomically releases the guard's mutex and waits for a notification.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub(crate) fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let (exec, me) = Execution::current();
         let mutex = guard.mutex;
         std::mem::forget(guard); // release is done inside condvar_wait
@@ -133,7 +132,7 @@ impl Condvar {
     /// Like [`Condvar::wait`] but also wakeable by timeout. Returns the
     /// re-acquired guard and whether the wake was a timeout. The duration
     /// is ignored: the timeout fires only when no untimed thread can run.
-    pub fn wait_timeout<'a, T>(
+    pub(crate) fn wait_timeout<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
         _timeout: Duration,
@@ -146,13 +145,13 @@ impl Condvar {
     }
 
     /// Wakes one waiter (modeled as wake-all; see the type docs).
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         let (exec, _) = Execution::current();
         exec.condvar_notify(self.id, false);
     }
 
     /// Wakes every waiter.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         let (exec, _) = Execution::current();
         exec.condvar_notify(self.id, true);
     }
@@ -194,23 +193,14 @@ impl<T> fmt::Debug for Receiver<T> {
 
 /// Sending failed because the receiver was dropped; returns the value.
 #[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
+pub(crate) struct SendError<T>(pub T);
 
 /// Receiving failed because every sender was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-/// Outcome of a non-blocking receive attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// No message queued (yet).
-    Empty,
-    /// No message queued and every sender is gone.
-    Disconnected,
-}
+pub(crate) struct RecvError;
 
 /// A new unbounded channel (the model analogue of `std::sync::mpsc`).
-pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
+pub(crate) fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
     let (exec, _) = Execution::current();
     let chan = exec.channel_create();
     (
@@ -227,7 +217,7 @@ pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
 
 impl<T: Send + 'static> Sender<T> {
     /// Queues `value`; never blocks. Fails if the receiver was dropped.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+    pub(crate) fn send(&self, value: T) -> Result<(), SendError<T>> {
         let (exec, _) = Execution::current();
         exec.channel_send(self.chan, Box::new(value))
             .map_err(|b| SendError(*b.downcast::<T>().expect("channel value type")))
@@ -256,21 +246,11 @@ impl<T> Drop for Sender<T> {
 
 impl<T: Send + 'static> Receiver<T> {
     /// Blocks until a message arrives or all senders are gone.
-    pub fn recv(&self) -> Result<T, RecvError> {
+    pub(crate) fn recv(&self) -> Result<T, RecvError> {
         let (exec, _) = Execution::current();
         match exec.channel_recv(self.chan) {
             Some(b) => Ok(*b.downcast::<T>().expect("channel value type")),
             None => Err(RecvError),
-        }
-    }
-
-    /// Non-blocking receive (still a schedule point).
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let (exec, _) = Execution::current();
-        match exec.channel_try_recv(self.chan) {
-            TryRecvOutcome::Value(b) => Ok(*b.downcast::<T>().expect("channel value type")),
-            TryRecvOutcome::Empty => Err(TryRecvError::Empty),
-            TryRecvOutcome::Disconnected => Err(TryRecvError::Disconnected),
         }
     }
 }
@@ -337,79 +317,7 @@ where
 }
 
 /// An explicit schedule point with no other effect.
-pub fn yield_now() {
+pub(crate) fn yield_now() {
     let (exec, me) = Execution::current();
     exec.yield_point(me);
 }
-
-// ---- atomics ----------------------------------------------------------
-
-macro_rules! model_atomic {
-    ($name:ident, $ty:ty) => {
-        /// Model-checked atomic, all orderings treated as `SeqCst` (every
-        /// access is a full synchronization edge — conservative for race
-        /// detection, like a lock-per-access).
-        pub struct $name(Mutex<$ty>);
-
-        impl $name {
-            /// A new atomic with the given initial value.
-            pub fn new(value: $ty) -> $name {
-                $name(Mutex::labeled("atomic", value))
-            }
-
-            /// Atomic load.
-            pub fn load(&self, _order: Ordering) -> $ty {
-                *self.0.lock()
-            }
-
-            /// Atomic store.
-            pub fn store(&self, value: $ty, _order: Ordering) {
-                *self.0.lock() = value;
-            }
-
-            /// Atomic swap, returning the previous value.
-            pub fn swap(&self, value: $ty, _order: Ordering) -> $ty {
-                let mut g = self.0.lock();
-                std::mem::replace(&mut *g, value)
-            }
-
-            /// Atomic compare-exchange.
-            pub fn compare_exchange(
-                &self,
-                current: $ty,
-                new: $ty,
-                _success: Ordering,
-                _failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                let mut g = self.0.lock();
-                if *g == current {
-                    *g = new;
-                    Ok(current)
-                } else {
-                    Err(*g)
-                }
-            }
-        }
-    };
-}
-
-model_atomic!(AtomicBool, bool);
-model_atomic!(AtomicUsize, usize);
-model_atomic!(AtomicU64, u64);
-
-macro_rules! model_atomic_add {
-    ($name:ident, $ty:ty) => {
-        impl $name {
-            /// Atomic wrapping add, returning the previous value.
-            pub fn fetch_add(&self, value: $ty, _order: Ordering) -> $ty {
-                let mut g = self.0.lock();
-                let old = *g;
-                *g = old.wrapping_add(value);
-                old
-            }
-        }
-    };
-}
-
-model_atomic_add!(AtomicUsize, usize);
-model_atomic_add!(AtomicU64, u64);

@@ -14,17 +14,17 @@ pub struct VClock(Vec<u64>);
 
 impl VClock {
     /// The zero clock.
-    pub fn new() -> VClock {
+    pub(crate) fn new() -> VClock {
         VClock::default()
     }
 
     /// Component for thread `tid`.
-    pub fn get(&self, tid: usize) -> u64 {
+    pub(crate) fn get(&self, tid: usize) -> u64 {
         self.0.get(tid).copied().unwrap_or(0)
     }
 
     /// Advances `tid`'s own component (a local step).
-    pub fn tick(&mut self, tid: usize) {
+    pub(crate) fn tick(&mut self, tid: usize) {
         if self.0.len() <= tid {
             self.0.resize(tid + 1, 0);
         }
@@ -32,7 +32,7 @@ impl VClock {
     }
 
     /// Componentwise maximum: afterwards `self` dominates both inputs.
-    pub fn join(&mut self, other: &VClock) {
+    pub(crate) fn join(&mut self, other: &VClock) {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
@@ -45,7 +45,7 @@ impl VClock {
 
     /// Whether `self` happened-before-or-equals `other` (every component
     /// is ≤). Unordered clocks (`!a.le(b) && !b.le(a)`) mean concurrency.
-    pub fn le(&self, other: &VClock) -> bool {
+    pub(crate) fn le(&self, other: &VClock) -> bool {
         self.0.iter().enumerate().all(|(i, &v)| v <= other.get(i))
     }
 }

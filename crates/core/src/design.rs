@@ -211,7 +211,10 @@ impl SocDesign {
     /// # Errors
     ///
     /// Returns [`Error::BadDesign`] for invalid kernel indices.
-    pub fn wami_table6(name: impl Into<String>, tiles: &[&[usize]]) -> Result<SocDesign, Error> {
+    pub(crate) fn wami_table6(
+        name: impl Into<String>,
+        tiles: &[&[usize]],
+    ) -> Result<SocDesign, Error> {
         let mut sets = Vec::new();
         for indices in tiles {
             let mut set = Vec::new();
@@ -257,7 +260,7 @@ impl SocDesign {
 
     /// Resource requirement of one reconfigurable region: the
     /// component-wise maximum over every accelerator it may host.
-    pub fn region_requirement(&self, coord: TileCoord) -> Option<Resources> {
+    pub(crate) fn region_requirement(&self, coord: TileCoord) -> Option<Resources> {
         let accels = self.tile_accels.get(&coord)?;
         Some(
             accels
@@ -267,7 +270,7 @@ impl SocDesign {
     }
 
     /// Static-part resources (minus the CPU when it is reconfigurable).
-    pub fn static_resources(&self) -> Resources {
+    pub(crate) fn static_resources(&self) -> Resources {
         let mut r = self.config.static_resources();
         if self.cpu_reconfigurable {
             r = r.saturating_sub(&TileKind::Cpu.static_resources());

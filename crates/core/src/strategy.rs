@@ -15,13 +15,13 @@ use presp_cad::spec::DprDesignSpec;
 use std::fmt;
 
 /// γ is "≈ 1" within this band.
-pub const GAMMA_BAND: (f64, f64) = (0.85, 1.15);
+pub(crate) const GAMMA_BAND: (f64, f64) = (0.85, 1.15);
 /// κ ≈ α_av when κ/α_av falls inside this band; above it κ ≫ α_av, below
 /// it κ ≪ α_av.
-pub const KAPPA_ALPHA_BAND: (f64, f64) = (0.4, 2.5);
+pub(crate) const KAPPA_ALPHA_BAND: (f64, f64) = (0.4, 2.5);
 /// τ used for semi-parallel schedules (the paper sets τ = 2 throughout its
 /// evaluation).
-pub const SEMI_PARALLEL_TAU: usize = 2;
+pub(crate) const SEMI_PARALLEL_TAU: usize = 2;
 
 /// The five size classes of Section IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -2,7 +2,7 @@
 //!
 //! This module is the *doorway* for sink access: every lock acquisition
 //! on a shared sink lives here, behind poison-recovering helpers
-//! ([`record_to`], [`snapshot`], [`drain`]). A worker that panics while
+//! (`record_to`, [`snapshot`], [`drain`]). A worker that panics while
 //! holding a sink lock poisons the mutex, but trace records are plain
 //! data — there is no invariant a half-finished `record` call can break
 //! that would make the already-collected records unusable — so readers
@@ -23,7 +23,7 @@ pub type SharedSink = Arc<Mutex<MemorySink>>;
 /// Writes one record through a shared sink handle, recovering a
 /// poisoned lock. This is the only write path [`crate::Tracer::emit`]
 /// uses.
-pub fn record_to(sink: &SharedSink, record: TraceRecord) {
+pub(crate) fn record_to(sink: &SharedSink, record: TraceRecord) {
     sink.lock()
         .unwrap_or_else(PoisonError::into_inner)
         .record(record);
@@ -45,7 +45,7 @@ pub fn drain(sink: &Mutex<MemorySink>) -> Vec<TraceRecord> {
 }
 
 /// The trace sink: an unbounded in-memory record buffer, written through
-/// [`record_to`] and read through [`snapshot`] and [`drain`].
+/// `record_to` and read through [`snapshot`] and [`drain`].
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     records: Vec<TraceRecord>,
@@ -56,7 +56,7 @@ pub struct MemorySink {
 
 impl MemorySink {
     /// An empty sink.
-    pub fn new() -> MemorySink {
+    pub(crate) fn new() -> MemorySink {
         MemorySink::default()
     }
 
@@ -66,7 +66,7 @@ impl MemorySink {
     }
 
     /// Accepts one record.
-    pub fn record(&mut self, record: TraceRecord) {
+    pub(crate) fn record(&mut self, record: TraceRecord) {
         debug_assert!(
             !self.ordered || self.records.last().is_none_or(|last| last.seq < record.seq),
             "trace record {} pushed out of seq order",
@@ -75,13 +75,8 @@ impl MemorySink {
         self.records.push(record);
     }
 
-    /// Records collected so far, in emission order.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
     /// Takes all collected records, leaving the sink empty.
-    pub fn take(&mut self) -> Vec<TraceRecord> {
+    pub(crate) fn take(&mut self) -> Vec<TraceRecord> {
         std::mem::take(&mut self.records)
     }
 }
@@ -161,9 +156,9 @@ mod tests {
         for i in 0..5 {
             sink.record(irq(i));
         }
-        assert_eq!(sink.records().len(), 5);
+        assert_eq!(sink.records.len(), 5);
         assert_eq!(sink.take().len(), 5);
-        assert!(sink.records().is_empty());
+        assert!(sink.records.is_empty());
     }
 
     #[test]

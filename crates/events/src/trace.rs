@@ -31,7 +31,7 @@ pub enum ClockDomain {
 
 impl ClockDomain {
     /// Stable label used in log lines.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ClockDomain::SocCycles => "soc-cycles",
             ClockDomain::CadMilliMinutes => "cad-milliminutes",
@@ -42,7 +42,7 @@ impl ClockDomain {
     /// Maps a timestamp to Chrome trace microseconds: SoC cycles convert
     /// at the real 78 MHz clock; one CAD milliminute renders as 1 ms (so
     /// an hours-long flow stays navigable); ordinal ticks render 1:1.
-    pub fn to_trace_micros(self, t: u64) -> f64 {
+    pub(crate) fn to_trace_micros(self, t: u64) -> f64 {
         match self {
             ClockDomain::SocCycles => cycles_to_micros(t),
             ClockDomain::CadMilliMinutes => t as f64 * 1000.0,
@@ -122,7 +122,7 @@ impl Name {
     /// # Panics
     ///
     /// When a 257th distinct name is asked for.
-    pub fn new(name: &'static str) -> Name {
+    pub(crate) fn new(name: &'static str) -> Name {
         let find = |names: &[&'static str]| names.iter().position(|n| *n == name);
         if let Some(id) = find(&NAMES.read().unwrap_or_else(PoisonError::into_inner)) {
             return Name(id as u8);
@@ -140,7 +140,7 @@ impl Name {
     }
 
     /// The name this id stands for.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         NAMES.read().unwrap_or_else(PoisonError::into_inner)[usize::from(self.0)]
     }
 }
@@ -322,14 +322,14 @@ macro_rules! trace_events {
             }
 
             /// Layer the event belongs to (Chrome trace `cat` / thread).
-            pub fn category(&self) -> &'static str {
+            pub(crate) fn category(&self) -> &'static str {
                 match self {
                     $(TraceEvent::$variant { .. } => stringify!($cat),)*
                 }
             }
 
             /// The event payload as ordered key/value pairs.
-            pub fn args(&self) -> Vec<(&'static str, JsonValue)> {
+            pub(crate) fn args(&self) -> Vec<(&'static str, JsonValue)> {
                 let mut out = Vec::new();
                 match self {
                     $(TraceEvent::$variant { $($field),* } => {

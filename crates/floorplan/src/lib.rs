@@ -40,5 +40,5 @@ mod planner;
 mod region;
 
 pub use error::Error;
-pub use planner::{Floorplan, Floorplanner, PlannerConfig, RegionRequest};
+pub use planner::{Floorplan, Floorplanner, RegionRequest};
 pub use region::{FitPolicy, FragmentationStats, RegionAllocator, RegionLease, RegionMove};

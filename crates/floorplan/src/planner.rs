@@ -1,7 +1,6 @@
 //! The FLORA-style best-fit floorplanner.
 
 use crate::error::Error;
-use crate::region::RegionAllocator;
 use presp_fpga::fabric::Device;
 use presp_fpga::pblock::Pblock;
 use presp_fpga::resources::Resources;
@@ -27,34 +26,15 @@ impl RegionRequest {
     }
 }
 
-/// Floorplanner tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlannerConfig {
-    /// Target fill of a pblock: the rectangle must provide at least
-    /// `required / max_utilization` so the router has slack. Vivado DPR
-    /// guidance keeps reconfigurable partitions below ~80 % LUT fill.
-    pub max_utilization: f64,
-}
+/// Target fill of a pblock: the rectangle must provide at least
+/// `required / MAX_UTILIZATION` so the router has slack. Vivado DPR
+/// guidance keeps reconfigurable partitions below ~80 % LUT fill.
+const MAX_UTILIZATION: f64 = 0.8;
 
-impl Default for PlannerConfig {
-    fn default() -> PlannerConfig {
-        PlannerConfig {
-            max_utilization: 0.8,
-        }
-    }
-}
-
-/// The result of floorplanning: one pblock per request plus headroom stats.
+/// The result of floorplanning: one pblock per request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     pblocks: BTreeMap<String, Pblock>,
-    /// Total LUTs provided by all pblocks minus total LUTs requested.
-    wasted_luts: u64,
-    /// Resources left for the static part (device minus all pblocks).
-    static_headroom: Resources,
-    /// Sum of the resources every region requested — kept so the headroom
-    /// metrics can be recomputed after regions move at runtime.
-    requested: Resources,
 }
 
 impl Floorplan {
@@ -67,55 +47,19 @@ impl Floorplan {
     pub fn pblock(&self, name: &str) -> Option<&Pblock> {
         self.pblocks.get(name)
     }
-
-    /// LUTs provisioned beyond what was requested (packing quality metric).
-    pub fn wasted_luts(&self) -> u64 {
-        self.wasted_luts
-    }
-
-    /// Resources remaining outside every pblock, available to the static
-    /// part.
-    pub fn static_headroom(&self) -> Resources {
-        self.static_headroom
-    }
-
-    /// Recomputes [`Floorplan::wasted_luts`] and
-    /// [`Floorplan::static_headroom`] against the *live* region leases of a
-    /// running allocator instead of the static pblock grid.
-    ///
-    /// The plan-time numbers are measured against the rectangles this plan
-    /// placed; once the runtime moves or resizes regions (amorphous
-    /// floorplanning) those rectangles no longer describe what the fabric
-    /// actually provides, and the static-grid numbers silently drift from
-    /// the truth. Call this after any lease change to keep them honest.
-    pub fn refresh_from_leases(&mut self, device: &Device, allocator: &RegionAllocator) {
-        let provided = allocator.live_resources(device);
-        self.wasted_luts = provided.lut.saturating_sub(self.requested.lut);
-        self.static_headroom = device.total_resources().saturating_sub(&provided);
-    }
 }
 
 /// Deterministic best-fit DPR floorplanner.
 #[derive(Debug, Clone)]
 pub struct Floorplanner {
     device: Device,
-    config: PlannerConfig,
 }
 
 impl Floorplanner {
-    /// Creates a floorplanner with default configuration.
+    /// Creates a floorplanner for `device`.
     pub fn new(device: &Device) -> Floorplanner {
         Floorplanner {
             device: device.clone(),
-            config: PlannerConfig::default(),
-        }
-    }
-
-    /// Creates a floorplanner with explicit configuration.
-    pub fn with_config(device: &Device, config: PlannerConfig) -> Floorplanner {
-        Floorplanner {
-            device: device.clone(),
-            config,
         }
     }
 
@@ -153,15 +97,9 @@ impl Floorplanner {
         let device_total = self.device.total_resources();
         let mut placed: Vec<Pblock> = Vec::new();
         let mut pblocks = BTreeMap::new();
-        let mut provided_luts = 0u64;
-        let mut requested_luts = 0u64;
-        let mut provided_total = Resources::ZERO;
-        let mut requested_total = Resources::ZERO;
 
         for request in order {
-            let need = request
-                .resources
-                .scale_ceil(1.0 / self.config.max_utilization);
+            let need = request.resources.scale_ceil(1.0 / MAX_UTILIZATION);
             if !need.fits_in(&device_total) {
                 return Err(Error::RequestExceedsDevice {
                     name: request.name.clone(),
@@ -172,21 +110,11 @@ impl Floorplanner {
                 .ok_or_else(|| Error::NoSpace {
                     name: request.name.clone(),
                 })?;
-            let capacity = self.device.pblock_resources(&pblock)?;
-            provided_luts += capacity.lut;
-            requested_luts += request.resources.lut;
-            provided_total += capacity;
-            requested_total += request.resources;
             placed.push(pblock);
             pblocks.insert(request.name.clone(), pblock);
         }
 
-        Ok(Floorplan {
-            pblocks,
-            wasted_luts: provided_luts.saturating_sub(requested_luts),
-            static_headroom: device_total.saturating_sub(&provided_total),
-            requested: requested_total,
-        })
+        Ok(Floorplan { pblocks })
     }
 
     /// Enumerates legal candidate rectangles and returns the one wasting the
@@ -250,14 +178,14 @@ mod tests {
         FpgaPart::Vc707.device()
     }
 
-    fn check_plan(device: &Device, requests: &[RegionRequest], plan: &Floorplan, util: f64) {
+    fn check_plan(device: &Device, requests: &[RegionRequest], plan: &Floorplan) {
         let pblocks: Vec<Pblock> = plan.pblocks().values().copied().collect();
         Pblock::check_disjoint(&pblocks).expect("pblocks are disjoint");
         for request in requests {
             let pb = plan.pblock(&request.name).expect("every request is placed");
             device.validate_pblock(pb).expect("pblock is legal");
             let cap = device.pblock_resources(pb).unwrap();
-            let need = request.resources.scale_ceil(1.0 / util);
+            let need = request.resources.scale_ceil(1.0 / MAX_UTILIZATION);
             assert!(need.fits_in(&cap), "{}: need {need} in {cap}", request.name);
         }
     }
@@ -270,7 +198,7 @@ mod tests {
             Resources::new(2_450, 3_150, 2, 5),
         )];
         let plan = Floorplanner::new(&d).floorplan(&reqs).unwrap();
-        check_plan(&d, &reqs, &plan, 0.8);
+        check_plan(&d, &reqs, &plan);
         // A MAC-sized region should fit in a single clock-region row.
         assert_eq!(plan.pblock("rt0").unwrap().row_span(), 1);
     }
@@ -285,14 +213,16 @@ mod tests {
             RegionRequest::new("rt3", Resources::new(21_500, 28_000, 8, 36)),
         ];
         let plan = Floorplanner::new(&d).floorplan(&reqs).unwrap();
-        check_plan(&d, &reqs, &plan, 0.8);
+        check_plan(&d, &reqs, &plan);
         // The static part must keep meaningful headroom (CPU+MEM+AUX need
         // ~85k LUTs).
-        assert!(
-            plan.static_headroom().lut > 85_000,
-            "headroom {}",
-            plan.static_headroom()
-        );
+        let provided: Resources = plan
+            .pblocks()
+            .values()
+            .map(|p| d.pblock_resources(p).unwrap())
+            .sum();
+        let headroom = d.total_resources().saturating_sub(&provided);
+        assert!(headroom.lut > 85_000, "headroom {headroom}");
     }
 
     #[test]
@@ -337,54 +267,9 @@ mod tests {
     fn utilization_margin_grows_pblocks() {
         let d = device();
         let reqs = vec![RegionRequest::new("rt", Resources::luts(20_000))];
-        let tight = Floorplanner::with_config(
-            &d,
-            PlannerConfig {
-                max_utilization: 1.0,
-            },
-        )
-        .floorplan(&reqs)
-        .unwrap();
-        let slack = Floorplanner::with_config(
-            &d,
-            PlannerConfig {
-                max_utilization: 0.5,
-            },
-        )
-        .floorplan(&reqs)
-        .unwrap();
-        let cap = |p: &Floorplan| d.pblock_resources(p.pblock("rt").unwrap()).unwrap().lut;
-        assert!(cap(&slack) >= 2 * reqs[0].resources.lut);
-        assert!(cap(&tight) < cap(&slack));
-    }
-
-    #[test]
-    fn headroom_metrics_track_live_leases_not_the_static_grid() {
-        use crate::region::FitPolicy;
-        use presp_fpga::fabric::ColumnKind;
-
-        let d = device();
-        let reqs = vec![RegionRequest::new("rt0", Resources::luts(2_000))];
-        let mut plan = Floorplanner::new(&d).floorplan(&reqs).unwrap();
-        let static_waste = plan.wasted_luts();
-        let static_headroom = plan.static_headroom();
-
-        // At runtime the region was grown to a two-column CLB lease, not
-        // the planner's rectangle: 2 × 400 LUT/row × 7 rows = 5 600
-        // provided.
-        let mut alloc = RegionAllocator::new(&d, FitPolicy::FirstFit);
-        alloc.allocate(&[ColumnKind::Clb, ColumnKind::Clb]).unwrap();
-        plan.refresh_from_leases(&d, &alloc);
-        assert_eq!(plan.wasted_luts(), 5_600 - 2_000);
-        assert_eq!(
-            plan.static_headroom(),
-            d.total_resources()
-                .saturating_sub(&alloc.live_resources(&d))
-        );
-        // The stale static-grid numbers really were different — the bug this
-        // refresh fixes.
-        assert_ne!(plan.wasted_luts(), static_waste);
-        assert_ne!(plan.static_headroom(), static_headroom);
+        let plan = Floorplanner::new(&d).floorplan(&reqs).unwrap();
+        let cap = d.pblock_resources(plan.pblock("rt").unwrap()).unwrap().lut;
+        assert!(cap >= 25_000, "20k LUTs at 80 % fill need 25k, got {cap}");
     }
 
     #[test]
@@ -418,7 +303,6 @@ mod tests {
         #[test]
         fn plans_are_always_legal(
             luts in proptest::collection::vec(1_000u64..45_000, 1..6),
-            util in 0.6f64..0.95,
         ) {
             let d = device();
             let reqs: Vec<RegionRequest> = luts
@@ -426,9 +310,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, &l)| RegionRequest::new(format!("rt{i}"), Resources::new(l, l * 13 / 10, l / 700, l / 400)))
                 .collect();
-            let planner = Floorplanner::with_config(&d, PlannerConfig { max_utilization: util });
-            match planner.floorplan(&reqs) {
-                Ok(plan) => check_plan(&d, &reqs, &plan, util),
+            match Floorplanner::new(&d).floorplan(&reqs) {
+                Ok(plan) => check_plan(&d, &reqs, &plan),
                 Err(Error::NoSpace { .. }) => {} // acceptable: fragmentation
                 Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e}"))),
             }

@@ -20,7 +20,6 @@
 
 use crate::error::Error;
 use presp_fpga::fabric::{ColumnKind, Device};
-use presp_fpga::resources::Resources;
 use std::collections::BTreeMap;
 
 /// Span-selection policy for [`RegionAllocator::allocate`].
@@ -53,7 +52,7 @@ impl RegionLease {
     }
 
     /// The leased column indices, ascending.
-    pub fn columns(&self) -> std::ops::Range<u32> {
+    pub(crate) fn columns(&self) -> std::ops::Range<u32> {
         self.base..self.base + self.width()
     }
 }
@@ -160,24 +159,9 @@ impl RegionAllocator {
                 .is_none_or(|(start, end)| (i as u32) >= start && (i as u32) < end)
     }
 
-    /// The configured fit policy.
-    pub fn policy(&self) -> FitPolicy {
-        self.policy
-    }
-
-    /// Live leases in ascending id order.
-    pub fn leases(&self) -> impl Iterator<Item = &RegionLease> {
-        self.leases.values()
-    }
-
     /// The lease with this id, if still live.
     pub fn lease(&self, id: u64) -> Option<&RegionLease> {
         self.leases.get(&id)
-    }
-
-    /// Whether a span matching `pattern` could be leased right now.
-    pub fn can_fit(&self, pattern: &[ColumnKind]) -> bool {
-        self.find_span(pattern, None).is_some()
     }
 
     /// Leases a span whose column kinds match `pattern`, or `None` when the
@@ -297,19 +281,6 @@ impl RegionAllocator {
             largest_free_span: largest,
             leases: self.leases.len() as u32,
         }
-    }
-
-    /// Resources provided by all live leases (full-height column spans) —
-    /// what [`crate::Floorplan::refresh_from_leases`] measures headroom
-    /// against.
-    pub fn live_resources(&self, device: &Device) -> Resources {
-        let per_row: Resources = self
-            .leases
-            .values()
-            .flat_map(|l| l.kinds.iter())
-            .map(|k| k.resources_per_row())
-            .sum();
-        per_row * device.rows() as u64
     }
 
     fn occupy(&mut self, base: u32, pattern: &[ColumnKind]) -> RegionLease {
@@ -496,9 +467,8 @@ mod tests {
         assert!(y.base < end);
         // The window is full; the rest of the fabric is off-limits.
         assert!(a.allocate(&clb(1)).is_none());
-        assert!(!a.can_fit(&clb(1)));
         assert!(a.release(x.id));
-        assert!(a.can_fit(&clb(1)));
+        assert!(a.allocate(&clb(1)).is_some());
     }
 
     #[test]
@@ -545,7 +515,7 @@ mod tests {
                 // No column is owned by two leases and occupancy matches
                 // the lease table exactly.
                 let mut owned = std::collections::BTreeMap::new();
-                for lease in a.leases() {
+                for lease in a.leases.values() {
                     for col in lease.columns() {
                         prop_assert!(owned.insert(col, lease.id).is_none());
                     }
@@ -555,13 +525,13 @@ mod tests {
                 prop_assert!(s.largest_free_span <= s.free_columns);
             }
             let widths: BTreeMap<u64, Vec<ColumnKind>> =
-                a.leases().map(|l| (l.id, l.kinds.clone())).collect();
+                a.leases.values().map(|l| (l.id, l.kinds.clone())).collect();
             let frag_before = a.stats().external_fragmentation();
             for m in a.plan_compaction() {
                 a.apply_move(m.id, m.to).unwrap();
             }
             let after: BTreeMap<u64, Vec<ColumnKind>> =
-                a.leases().map(|l| (l.id, l.kinds.clone())).collect();
+                a.leases.values().map(|l| (l.id, l.kinds.clone())).collect();
             prop_assert_eq!(widths, after);
             prop_assert!(a.stats().external_fragmentation() <= frag_before + 1e-9);
         }

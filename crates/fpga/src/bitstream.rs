@@ -44,7 +44,7 @@ pub enum ConfigReg {
 
 impl ConfigReg {
     /// Decodes a register index.
-    pub fn from_index(idx: u32) -> Option<ConfigReg> {
+    pub(crate) fn from_index(idx: u32) -> Option<ConfigReg> {
         Some(match idx {
             0 => ConfigReg::Crc,
             1 => ConfigReg::Far,
@@ -73,7 +73,7 @@ pub enum Command {
 
 impl Command {
     /// Decodes a command opcode.
-    pub fn from_value(v: u32) -> Option<Command> {
+    pub(crate) fn from_value(v: u32) -> Option<Command> {
         Some(match v {
             1 => Command::Wcfg,
             2 => Command::Mfw,
@@ -94,7 +94,7 @@ pub fn type1_write(reg: ConfigReg, count: u32) -> u32 {
 }
 
 /// Encodes a type-2 packet header (large FDRI payloads): `010 | op=10 | count`.
-pub fn type2_write(count: u32) -> u32 {
+pub(crate) fn type2_write(count: u32) -> u32 {
     assert!(count < (1 << 27), "type-2 payload too large");
     (0b010 << 29) | (0b10 << 27) | count
 }
@@ -317,21 +317,6 @@ impl Bitstream {
         crc.value()
     }
 
-    /// Kind of this bitstream.
-    pub fn kind(&self) -> BitstreamKind {
-        self.kind
-    }
-
-    /// Target-device IDCODE.
-    pub fn idcode(&self) -> u32 {
-        self.idcode
-    }
-
-    /// Whether multi-frame-write compression was used.
-    pub fn compressed(&self) -> bool {
-        self.compressed
-    }
-
     /// The raw configuration words.
     pub fn words(&self) -> &[u32] {
         &self.words
@@ -345,11 +330,6 @@ impl Bitstream {
     /// Number of distinct frames this bitstream configures.
     pub fn frame_count(&self) -> usize {
         self.frames
-    }
-
-    /// The build-time storage-integrity CRC over the word stream.
-    pub fn integrity(&self) -> u32 {
-        self.integrity
     }
 
     /// Recomputes the storage CRC and compares it to the build-time value.
@@ -632,7 +612,7 @@ impl Bitstream {
     /// Rewrites the stream to target a region `col_delta` columns away,
     /// keeping the configured payload bit-identical.
     ///
-    /// Every FAR word is moved by [`Device::shift_frame`]. Both CRCs are
+    /// Every FAR word is moved by `Device::shift_frame`. Both CRCs are
     /// updated by what the moved addresses change, not re-folded over the
     /// frame data: CRC-32 is linear, so the change needs only the
     /// rewritten words and the distances between them. The CRC word takes
@@ -1158,8 +1138,8 @@ mod tests {
     fn synthetic_partial_writes_col_plus_minor_into_every_frame() {
         let d = device();
         let bs = Bitstream::synthetic_partial(&d, 3..5, 2).unwrap();
-        assert_eq!(bs.kind(), BitstreamKind::Partial);
-        assert!(bs.compressed());
+        assert_eq!(bs.kind, BitstreamKind::Partial);
+        assert!(bs.compressed);
         assert_eq!(bs.frame_count(), 4);
         let mut icap = crate::icap::Icap::new(&d);
         icap.load(&bs).unwrap();
@@ -1500,7 +1480,7 @@ mod tests {
                 for compressed in [false, true] {
                     let bs = builder.build(compressed);
                     prop_assert!(bs.verify_integrity());
-                    prop_assert_eq!(bs.integrity(), stream_bitwise(bs.words()));
+                    prop_assert_eq!(bs.integrity, stream_bitwise(bs.words()));
                 }
                 // Linear single-run layout: the in-stream CRC covers the FAR
                 // value and every payload word, and sits three words from
@@ -1722,7 +1702,7 @@ mod tests {
             let bs = builder.build(true);
             let moved = bs.relocate(&d, 0).unwrap();
             assert_eq!(moved.words(), bs.words());
-            assert_eq!(moved.integrity(), bs.integrity());
+            assert_eq!(moved.integrity, bs.integrity);
         }
 
         #[test]

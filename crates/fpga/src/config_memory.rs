@@ -339,11 +339,6 @@ impl ConfigMemory {
         self.frame_words
     }
 
-    /// The device this memory belongs to.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
     /// Writes one frame, refreshing its SECDED check codes.
     ///
     /// # Errors
@@ -566,7 +561,8 @@ impl ConfigMemory {
 
     /// The SECDED check codes currently shadowing `addr` (the implicit
     /// all-zero code for erased frames).
-    pub fn frame_ecc(&self, addr: FrameAddress) -> FrameEcc {
+    #[cfg(test)]
+    pub(crate) fn frame_ecc(&self, addr: FrameAddress) -> FrameEcc {
         match self.slot(addr) {
             Some(slot) => FrameEcc::from_checks(&self.slot_checks[self.span(slot)]),
             None => FrameEcc::erased(self.frame_words),
@@ -580,7 +576,7 @@ impl ConfigMemory {
     }
 
     /// Number of frames holding a slot.
-    pub fn configured_frames(&self) -> usize {
+    pub(crate) fn configured_frames(&self) -> usize {
         self.slot_words.len() / self.frame_words - self.free_slots.len()
     }
 
@@ -1035,7 +1031,7 @@ mod tests {
     /// A stream over `minors` of row 0, column 2, frame `m` holding `m + base`.
     fn stream(m: &ConfigMemory, minors: std::ops::Range<u32>, base: u32) -> Arc<Bitstream> {
         use crate::bitstream::{BitstreamBuilder, BitstreamKind};
-        let mut b = BitstreamBuilder::new(m.device(), BitstreamKind::Partial);
+        let mut b = BitstreamBuilder::new(&m.device, BitstreamKind::Partial);
         for minor in minors {
             b.add_frame(
                 FrameAddress::new(0, 2, minor),

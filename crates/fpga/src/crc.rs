@@ -83,7 +83,7 @@ impl CrcAccumulator {
     /// Folds a run of words into the accumulator; the register equals
     /// [`Self::update`] applied to each word in turn. Long runs take the
     /// carry-less-multiply kernel where the CPU has it (module docs).
-    pub fn update_words(&mut self, words: &[u32]) {
+    pub(crate) fn update_words(&mut self, words: &[u32]) {
         #[cfg(target_arch = "x86_64")]
         if words.len() >= clmul::MIN_WORDS && clmul::available() {
             let (blocks, tail) = words.split_at(words.len() & !3);

@@ -86,7 +86,7 @@ fn hamming_checks(word: u32) -> u8 {
 }
 
 /// Encodes one 32-bit word into its 7-bit SECDED check code.
-pub fn encode_word(word: u32) -> u8 {
+pub(crate) fn encode_word(word: u32) -> u8 {
     let checks = hamming_checks(word);
     let overall = (word.count_ones() + u32::from(checks).count_ones()) & 1;
     checks | ((overall as u8) << CHECK_BITS)
@@ -94,7 +94,7 @@ pub fn encode_word(word: u32) -> u8 {
 
 /// Outcome of decoding one word against its stored check code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WordDecode {
+pub(crate) enum WordDecode {
     /// Word and code agree.
     Clean,
     /// A single data bit was flipped; `word` is the repaired value.
@@ -106,7 +106,7 @@ pub enum WordDecode {
 }
 
 /// Decodes `word` against `stored`, classifying and correcting upsets.
-pub fn decode_word(word: u32, stored: u8) -> WordDecode {
+pub(crate) fn decode_word(word: u32, stored: u8) -> WordDecode {
     let syndrome = u32::from(hamming_checks(word) ^ (stored & 0x3F));
     let computed_parity = (word.count_ones() + u32::from(stored & 0x3F).count_ones()) & 1;
     let stored_parity = u32::from(stored & PARITY_BIT != 0);
@@ -152,7 +152,7 @@ pub struct FrameEcc {
 
 impl FrameEcc {
     /// Computes check codes for every word of `frame`.
-    pub fn encode(frame: &[u32]) -> FrameEcc {
+    pub(crate) fn encode(frame: &[u32]) -> FrameEcc {
         FrameEcc {
             checks: frame.iter().map(|&w| encode_word(w)).collect(),
         }
@@ -171,7 +171,8 @@ impl FrameEcc {
     }
 
     /// An all-zero code vector: what an erased frame implicitly carries.
-    pub fn erased(frame_words: usize) -> FrameEcc {
+    #[cfg(test)]
+    pub(crate) fn erased(frame_words: usize) -> FrameEcc {
         FrameEcc {
             checks: vec![0; frame_words],
         }

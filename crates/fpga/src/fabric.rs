@@ -73,7 +73,7 @@ pub struct Device {
 
 impl Device {
     /// Builds the fabric for a part.
-    pub fn for_part(part: FpgaPart) -> Device {
+    pub(crate) fn for_part(part: FpgaPart) -> Device {
         // Column counts per clock-region row chosen so that
         // rows × columns × resources_per_row ≈ the data-sheet capacity.
         let (clb, bram, dsp) = match part {
@@ -165,26 +165,6 @@ impl Device {
         Ok(())
     }
 
-    /// Enumerates the configuration frames covered by a pblock, in device
-    /// address order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the pblock is illegal on this device.
-    pub fn pblock_frames(&self, pblock: &Pblock) -> Result<Vec<FrameAddress>, Error> {
-        self.validate_pblock(pblock)?;
-        let mut frames = Vec::new();
-        for row in pblock.row_range() {
-            for col in pblock.col_range() {
-                let n = frames_per_column(self.columns[col]);
-                for minor in 0..n {
-                    frames.push(FrameAddress::new(row as u32, col as u32, minor as u32));
-                }
-            }
-        }
-        Ok(frames)
-    }
-
     /// Total number of configuration frames on the device.
     pub fn total_frames(&self) -> usize {
         self.rows
@@ -201,7 +181,7 @@ impl Device {
     ///
     /// Returns [`Error::BadFrameAddress`] when the row, column or minor index
     /// is out of range.
-    pub fn validate_frame(&self, addr: FrameAddress) -> Result<(), Error> {
+    pub(crate) fn validate_frame(&self, addr: FrameAddress) -> Result<(), Error> {
         if addr.row as usize >= self.rows {
             return Err(bad_address(format_args!(
                 "row {} of {}",
@@ -233,7 +213,11 @@ impl Device {
     /// Returns [`Error::BadFrameAddress`] when the shifted column leaves
     /// the fabric or holds a different kind (the frame geometry would
     /// differ), or `addr` is not a frame of this device.
-    pub fn shift_frame(&self, addr: FrameAddress, col_delta: i64) -> Result<FrameAddress, Error> {
+    pub(crate) fn shift_frame(
+        &self,
+        addr: FrameAddress,
+        col_delta: i64,
+    ) -> Result<FrameAddress, Error> {
         let col = i64::from(addr.column) + col_delta;
         let kind = |c: i64| usize::try_from(c).ok().and_then(|c| self.columns.get(c));
         match (kind(addr.column.into()), kind(col)) {
@@ -384,21 +368,6 @@ mod tests {
             .pblock_resources(&Pblock::new(1, 20, 0, 2).unwrap())
             .unwrap();
         assert_eq!(two, one * 2);
-    }
-
-    #[test]
-    fn frame_enumeration_matches_total() {
-        let device = FpgaPart::Vc707.device();
-        let full = Pblock::new(0, device.columns(), 0, device.rows()).unwrap();
-        // The full device rectangle covers the cfg column, so it is not a legal
-        // PR pblock; count frames per-column instead.
-        assert!(device.validate_pblock(&full).is_err());
-        let legal = Pblock::new(0, 10, 0, device.rows()).unwrap();
-        let frames = device.pblock_frames(&legal).unwrap();
-        let per_row: usize = (0..10)
-            .map(|c| frames_per_column(device.column_kind(c)))
-            .sum();
-        assert_eq!(frames.len(), per_row * device.rows());
     }
 
     #[test]

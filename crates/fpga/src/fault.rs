@@ -253,11 +253,6 @@ impl FaultPlan {
         }
     }
 
-    /// The configured rates.
-    pub fn config(&self) -> FaultConfig {
-        self.config
-    }
-
     /// Faults injected so far.
     pub fn injected(&self) -> InjectedFaults {
         self.injected

@@ -75,16 +75,6 @@ impl FrameAddress {
             minor: far & 0xFF,
         }
     }
-
-    /// The next frame address in device order given the column's frame count,
-    /// or `None` at the end of the column.
-    pub fn next_minor(&self, frames_in_column: usize) -> Option<FrameAddress> {
-        if (self.minor as usize) + 1 < frames_in_column {
-            Some(FrameAddress::new(self.row, self.column, self.minor + 1))
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for FrameAddress {
@@ -112,13 +102,6 @@ mod tests {
     fn pack_unpack_roundtrip_simple() {
         let a = FrameAddress::new(6, 148, 35);
         assert_eq!(FrameAddress::unpack(a.pack()), a);
-    }
-
-    #[test]
-    fn next_minor_stops_at_column_end() {
-        let a = FrameAddress::new(0, 0, 35);
-        assert_eq!(a.next_minor(36), None);
-        assert_eq!(a.next_minor(37), Some(FrameAddress::new(0, 0, 36)));
     }
 
     #[test]

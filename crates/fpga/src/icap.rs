@@ -30,13 +30,6 @@ pub struct IcapReport {
     pub micros: f64,
 }
 
-impl IcapReport {
-    /// Latency in ICAP clock cycles.
-    pub fn cycles(&self) -> u64 {
-        self.words as u64
-    }
-}
-
 /// An ICAPE2/ICAPE3-style configuration port bound to a device's
 /// configuration memory.
 ///

@@ -39,10 +39,11 @@ pub enum FpgaPart {
 
 impl FpgaPart {
     /// All supported parts.
-    pub const ALL: [FpgaPart; 3] = [FpgaPart::Vc707, FpgaPart::Vcu118, FpgaPart::Vcu128];
+    #[cfg(test)]
+    pub(crate) const ALL: [FpgaPart; 3] = [FpgaPart::Vc707, FpgaPart::Vcu118, FpgaPart::Vcu128];
 
     /// Silicon device name.
-    pub fn device_name(&self) -> &'static str {
+    pub(crate) fn device_name(&self) -> &'static str {
         match self {
             FpgaPart::Vc707 => "xc7vx485t",
             FpgaPart::Vcu118 => "xcvu9p",
@@ -81,7 +82,7 @@ impl FpgaPart {
     }
 
     /// Number of clock-region rows of the fabric model.
-    pub fn clock_region_rows(&self) -> usize {
+    pub(crate) fn clock_region_rows(&self) -> usize {
         match self {
             FpgaPart::Vc707 => 7,
             FpgaPart::Vcu118 | FpgaPart::Vcu128 => 15,

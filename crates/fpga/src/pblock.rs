@@ -54,22 +54,22 @@ impl Pblock {
     }
 
     /// First covered column.
-    pub fn col_start(&self) -> usize {
+    pub(crate) fn col_start(&self) -> usize {
         self.col_start
     }
 
     /// One past the last covered column.
-    pub fn col_end(&self) -> usize {
+    pub(crate) fn col_end(&self) -> usize {
         self.col_end
     }
 
     /// First covered clock-region row.
-    pub fn row_start(&self) -> usize {
+    pub(crate) fn row_start(&self) -> usize {
         self.row_start
     }
 
     /// One past the last covered clock-region row.
-    pub fn row_end(&self) -> usize {
+    pub(crate) fn row_end(&self) -> usize {
         self.row_end
     }
 
@@ -84,7 +84,7 @@ impl Pblock {
     }
 
     /// Number of covered columns.
-    pub fn col_span(&self) -> usize {
+    pub(crate) fn col_span(&self) -> usize {
         self.col_end - self.col_start
     }
 

@@ -100,16 +100,6 @@ impl Resources {
             dsp: s(self.dsp),
         }
     }
-
-    /// LUT utilization of `self` against a capacity, as a fraction in
-    /// `[0, +inf)`. Returns 0.0 for a zero-LUT capacity.
-    pub fn lut_fraction_of(&self, capacity: &Resources) -> f64 {
-        if capacity.lut == 0 {
-            0.0
-        } else {
-            self.lut as f64 / capacity.lut as f64
-        }
-    }
 }
 
 impl Add for Resources {
@@ -210,13 +200,6 @@ mod tests {
     fn sum_of_iterator() {
         let total: Resources = (1..=4).map(Resources::luts).sum();
         assert_eq!(total, Resources::luts(10));
-    }
-
-    #[test]
-    fn lut_fraction_handles_zero_capacity() {
-        let r = Resources::luts(10);
-        assert_eq!(r.lut_fraction_of(&Resources::ZERO), 0.0);
-        assert!((r.lut_fraction_of(&Resources::luts(40)) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -58,16 +58,8 @@ impl WamiAllocation {
     }
 
     /// The tile a kernel is allocated to (`None` → CPU fallback).
-    pub fn tile_for(&self, kernel: WamiKernel) -> Option<TileCoord> {
+    pub(crate) fn tile_for(&self, kernel: WamiKernel) -> Option<TileCoord> {
         self.map.get(&kernel).copied()
-    }
-
-    /// Distinct tiles used by this allocation.
-    pub fn tiles(&self) -> Vec<TileCoord> {
-        let mut tiles: Vec<TileCoord> = self.map.values().copied().collect();
-        tiles.sort_unstable();
-        tiles.dedup();
-        tiles
     }
 }
 
@@ -166,11 +158,6 @@ impl WamiApp {
     /// Consumes the app, returning the manager (and through it the SoC).
     pub fn into_manager(self) -> ReconfigManager {
         self.manager
-    }
-
-    /// Frames processed so far.
-    pub fn frames_processed(&self) -> usize {
-        self.frames
     }
 
     /// Executes `kernel`'s `op` with inputs ready at `ready`; returns the
@@ -493,7 +480,6 @@ mod tests {
         assert_eq!(alloc.tile_for(WamiKernel::Debayer), Some(rt1));
         assert_eq!(alloc.tile_for(WamiKernel::Grayscale), Some(rt2));
         assert_eq!(alloc.tile_for(WamiKernel::ChangeDetection), None);
-        assert_eq!(alloc.tiles(), vec![rt1, rt2]);
     }
 
     #[test]
@@ -585,6 +571,6 @@ mod tests {
         assert!(r2.start >= r1.end, "no frame pipelining");
         // Frame 2 exercises the full LK chain: many swaps on two tiles.
         assert!(r2.reconfigurations > r1.reconfigurations);
-        assert_eq!(app.frames_processed(), 2);
+        assert_eq!(app.frames, 2);
     }
 }

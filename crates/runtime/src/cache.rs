@@ -59,7 +59,7 @@ struct Entry {
 impl BitstreamCache {
     /// A cache holding at most `capacity` streams. Zero disables caching:
     /// every lookup reads the registry.
-    pub fn new(capacity: usize) -> BitstreamCache {
+    pub(crate) fn new(capacity: usize) -> BitstreamCache {
         BitstreamCache {
             capacity,
             ..BitstreamCache::default()
@@ -67,12 +67,12 @@ impl BitstreamCache {
     }
 
     /// A disabled cache (capacity zero).
-    pub fn disabled() -> BitstreamCache {
+    pub(crate) fn disabled() -> BitstreamCache {
         BitstreamCache::new(0)
     }
 
     /// Hit/miss/eviction counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -84,7 +84,7 @@ impl BitstreamCache {
     ///
     /// Propagates [`crate::registry::BitstreamRegistry::lookup`] errors
     /// on the miss path.
-    pub fn lookup(
+    pub(crate) fn lookup(
         &mut self,
         registry: &BitstreamRegistry,
         tile: TileCoord,

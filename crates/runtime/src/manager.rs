@@ -32,11 +32,9 @@ use crate::registry::BitstreamRegistry;
 use crate::tile::{TileHealth, TileState};
 use presp_accel::catalog::AcceleratorKind;
 use presp_accel::AccelOp;
-use presp_floorplan::{FitPolicy, FragmentationStats};
 use presp_soc::config::TileCoord;
 use presp_soc::sim::{AccelRun, ReconfigRun, ScrubReport, Soc};
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// What the admission controller does when a bounded per-tile queue is
 /// already at capacity.
@@ -66,7 +64,7 @@ pub struct RecoveryPolicy {
     pub quarantine_after: u32,
     /// Whether a request may degrade to the CPU software path when the
     /// accelerator path is unavailable. It governs every degrade:
-    /// [`ReconfigManager::run_with_fallback_at`], the WAMI application's
+    /// [`ReconfigManager::run_with_fallback`], the WAMI application's
     /// kernels and the threaded scheduler's execute requests.
     pub cpu_fallback: bool,
     /// Per-request deadline in virtual cycles, measured from admission to
@@ -249,19 +247,10 @@ impl ReconfigManager {
     /// Creates a manager over a booted SoC and a loaded registry, with the
     /// default [`RecoveryPolicy`].
     pub fn new(soc: Soc, registry: BitstreamRegistry) -> ReconfigManager {
-        ReconfigManager::with_policy(soc, registry, RecoveryPolicy::default())
-    }
-
-    /// Creates a manager with an explicit recovery policy.
-    pub fn with_policy(
-        soc: Soc,
-        registry: BitstreamRegistry,
-        policy: RecoveryPolicy,
-    ) -> ReconfigManager {
         ReconfigManager {
             tiles: BTreeMap::new(),
             core: DeviceCore::new(soc, registry, BitstreamCache::disabled()),
-            policy,
+            policy: RecoveryPolicy::default(),
         }
     }
 
@@ -368,17 +357,19 @@ impl ReconfigManager {
     /// Returns a [`presp_soc::Error::RegionConflict`] when any tile has
     /// already been loaded — regions must be enabled before the first
     /// load.
-    pub fn enable_regions(
+    #[cfg(test)]
+    pub(crate) fn enable_regions(
         &mut self,
-        policy: FitPolicy,
-        window: Option<Range<u32>>,
+        policy: presp_floorplan::FitPolicy,
+        window: Option<std::ops::Range<u32>>,
     ) -> Result<(), Error> {
         self.core.enable_regions(policy, window)
     }
 
     /// Fragmentation counters of the region allocator; `None` on the
     /// fixed-socket path.
-    pub fn fragmentation(&self) -> Option<FragmentationStats> {
+    #[cfg(test)]
+    pub(crate) fn fragmentation(&self) -> Option<presp_floorplan::FragmentationStats> {
         self.core.fragmentation()
     }
 
@@ -396,7 +387,8 @@ impl ReconfigManager {
     /// Currently infallible beyond the `Result` shape shared with the
     /// threaded path; per-move refusals are folded into
     /// [`RepackReport::skipped`].
-    pub fn repack_at(&mut self, at: u64) -> Result<RepackReport, Error> {
+    #[cfg(test)]
+    pub(crate) fn repack_at(&mut self, at: u64) -> Result<RepackReport, Error> {
         let plan = self.core.plan_repack();
         let mut report = RepackReport::default();
         for (mv, tile) in &plan {
@@ -440,7 +432,7 @@ impl ReconfigManager {
     }
 
     /// Virtual time at which `tile` becomes idle.
-    pub fn tile_idle_at(&self, tile: TileCoord) -> u64 {
+    pub(crate) fn tile_idle_at(&self, tile: TileCoord) -> u64 {
         self.tiles.get(&tile).map(|s| s.idle_at).unwrap_or(0)
     }
 
@@ -500,7 +492,12 @@ impl ReconfigManager {
     ///
     /// Returns [`Error::NoDriver`] when the tile's active driver does not
     /// service the operation (e.g. mid-reconfiguration), plus SoC errors.
-    pub fn run_at(&mut self, tile: TileCoord, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
+    pub(crate) fn run_at(
+        &mut self,
+        tile: TileCoord,
+        op: &AccelOp,
+        at: u64,
+    ) -> Result<AccelRun, Error> {
         let shard = shard_of(&mut self.tiles, tile);
         protocol::run_at(shard, &mut self.core, op, at, protocol::evaluate(op))
     }
@@ -509,7 +506,8 @@ impl ReconfigManager {
     ///
     /// # Errors
     ///
-    /// See [`Self::run_at`].
+    /// Returns [`Error::NoDriver`] when the tile's active driver does not
+    /// service the operation (e.g. mid-reconfiguration), plus SoC errors.
     pub fn run(&mut self, tile: TileCoord, op: &AccelOp) -> Result<AccelRun, Error> {
         let at = self.tile_idle_at(tile);
         self.run_at(tile, op, at)
@@ -521,32 +519,11 @@ impl ReconfigManager {
     /// # Errors
     ///
     /// Propagates SoC errors.
-    pub fn run_on_cpu_at(&mut self, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
+    pub(crate) fn run_on_cpu_at(&mut self, op: &AccelOp, at: u64) -> Result<AccelRun, Error> {
         Ok(self.core.soc_mut().run_on_cpu_at(op, at)?)
     }
 
-    /// Ensures `kind` is loaded in `tile` and runs `op` there, degrading to
-    /// the CPU software path when the accelerator path is unavailable
-    /// (quarantined tile, exhausted retries, missing bitstream) and the
-    /// policy allows it — the application-level operation completes either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// Returns non-degradable errors, and degradable ones when
-    /// [`RecoveryPolicy::cpu_fallback`] is disabled.
-    pub fn run_with_fallback_at(
-        &mut self,
-        tile: TileCoord,
-        kind: AcceleratorKind,
-        op: &AccelOp,
-        at: u64,
-    ) -> Result<(AccelRun, ExecPath), Error> {
-        self.execute_at(tile, kind, op, at, at)
-            .map(|(run, path, _)| (run, path))
-    }
-
-    /// [`Self::run_with_fallback_at`] with the load requested at
+    /// [`Self::run_with_fallback`] with the load requested at
     /// `request_at` and the run starting from `ready`, also returning the
     /// load the request performed — the WAMI application's kernel step.
     pub(crate) fn execute_at(
@@ -568,11 +545,16 @@ impl ReconfigManager {
         )
     }
 
-    /// [`Self::run_with_fallback_at`] at the tile's own idle time.
+    /// Ensures `kind` is loaded in `tile` and runs `op` there at the
+    /// tile's own idle time, degrading to the CPU software path when the
+    /// accelerator path is unavailable (quarantined tile, exhausted
+    /// retries, missing bitstream) and the policy allows it — the
+    /// application-level operation completes either way.
     ///
     /// # Errors
     ///
-    /// See [`Self::run_with_fallback_at`].
+    /// Returns non-degradable errors, and degradable ones when
+    /// [`RecoveryPolicy::cpu_fallback`] is disabled.
     pub fn run_with_fallback(
         &mut self,
         tile: TileCoord,
@@ -580,7 +562,8 @@ impl ReconfigManager {
         op: &AccelOp,
     ) -> Result<(AccelRun, ExecPath), Error> {
         let at = self.tile_idle_at(tile);
-        self.run_with_fallback_at(tile, kind, op, at)
+        self.execute_at(tile, kind, op, at, at)
+            .map(|(run, path, _)| (run, path))
     }
 }
 

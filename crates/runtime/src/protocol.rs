@@ -484,7 +484,7 @@ pub(crate) fn run_at(
 /// `requested` and runs `op` from `ready`, when its inputs are. The
 /// WAMI application requests ahead of its data (prefetch); every other
 /// caller passes one time for both. See
-/// [`crate::manager::ReconfigManager::run_with_fallback_at`].
+/// [`crate::manager::ReconfigManager::run_with_fallback`].
 ///
 /// Returns the run, the path that executed it and the load the request
 /// performed (`None` on a driver cache hit or a degrade). Only the

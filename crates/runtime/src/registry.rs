@@ -72,7 +72,11 @@ impl BitstreamRegistry {
     /// # Errors
     ///
     /// Returns [`Error::BitstreamNotRegistered`] for unknown pairs.
-    pub fn lookup(&self, tile: TileCoord, kind: AcceleratorKind) -> Result<Arc<Bitstream>, Error> {
+    pub(crate) fn lookup(
+        &self,
+        tile: TileCoord,
+        kind: AcceleratorKind,
+    ) -> Result<Arc<Bitstream>, Error> {
         self.entries
             .get(&(tile, kind))
             .map(Arc::clone)

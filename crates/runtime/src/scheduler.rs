@@ -116,7 +116,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Default capacity of the bitstream LRU on the threaded path.
-pub const DEFAULT_CACHE_CAPACITY: usize = 16;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 16;
 
 /// Deliberate concurrency-bug switches for checker validation: committed
 /// known-bad protocol variants the model-check suite must detect and
@@ -151,6 +151,38 @@ pub struct MutantConfig {
     pub defrag_gate_inversion: bool,
 }
 
+/// Queue waits below this many microseconds get one bucket each.
+const WAIT_EXACT_MICROS: u64 = 128;
+/// Linear buckets per power of two at and above [`WAIT_EXACT_MICROS`]:
+/// a bucket spans at most 1/64 of its lower bound.
+const WAIT_SUB_BUCKETS: u64 = 64;
+/// Buckets covering every `u64` microsecond count: the exact range plus
+/// one row of sub-buckets for each of the powers of two 2^7 through 2^63.
+const WAIT_BUCKETS: usize = (WAIT_EXACT_MICROS + 57 * WAIT_SUB_BUCKETS) as usize;
+
+/// The log-linear bucket a wait of `micros` falls in.
+fn wait_bucket(micros: u64) -> usize {
+    if micros < WAIT_EXACT_MICROS {
+        return micros as usize;
+    }
+    let octave = u64::from(63 - micros.leading_zeros());
+    let shift = octave - 6;
+    let sub = (micros >> shift) - WAIT_SUB_BUCKETS;
+    (WAIT_EXACT_MICROS + (octave - 7) * WAIT_SUB_BUCKETS + sub) as usize
+}
+
+/// The largest wait that falls in `bucket`: what a percentile reports,
+/// so a reported wait is never below the recorded one.
+fn wait_bucket_max(bucket: usize) -> u64 {
+    let b = bucket as u64;
+    if b < WAIT_EXACT_MICROS {
+        return b;
+    }
+    let row = b - WAIT_EXACT_MICROS;
+    let shift = row / WAIT_SUB_BUCKETS + 1;
+    ((WAIT_SUB_BUCKETS + row % WAIT_SUB_BUCKETS) << shift) + ((1 << shift) - 1)
+}
+
 /// Wall-clock scheduling metrics, aggregated across all workers.
 ///
 /// These are *measurement-side* counters (queue-wait percentiles are real
@@ -175,12 +207,20 @@ pub struct SchedulerStats {
     /// Wall-clock nanoseconds workers spent inside the shard + core
     /// commit critical section, summed across workers.
     pub stage_commit_nanos: u64,
-    wait_micros: Vec<u64>,
+    /// Queue waits counted per [`wait_bucket`]: empty until the first
+    /// wait, then [`WAIT_BUCKETS`] long for good.
+    wait_buckets: Vec<u64>,
+    wait_samples: u64,
 }
 
 impl SchedulerStats {
     fn record_wait(&mut self, waited: Duration) {
-        self.wait_micros.push(waited.as_micros() as u64);
+        if self.wait_buckets.is_empty() {
+            self.wait_buckets = vec![0; WAIT_BUCKETS];
+        }
+        let micros = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX);
+        self.wait_buckets[wait_bucket(micros)] += 1;
+        self.wait_samples += 1;
     }
 
     /// Queue-wait percentile in microseconds (`p` in `[0, 100]`), the
@@ -189,20 +229,28 @@ impl SchedulerStats {
     ///
     /// Nearest-rank definition: the smallest sample such that at least
     /// `p` percent of the samples are ≤ it (rank `⌈p/100·N⌉`,
-    /// 1-based), so p50 of `[10, 20, 30, 40]` is 20.
+    /// 1-based), so p50 of `[10, 20, 30, 40]` is 20. Waits are kept in
+    /// log-linear buckets: below 128 µs the answer is exact, above it is
+    /// the top of the sample's bucket, at most 1/64 above the sample.
     pub fn wait_percentile_micros(&self, p: f64) -> u64 {
-        if self.wait_micros.is_empty() {
+        if self.wait_samples == 0 {
             return 0;
         }
-        let mut sorted = self.wait_micros.clone();
-        sorted.sort_unstable();
-        let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        let rank =
+            ((p / 100.0 * self.wait_samples as f64).ceil() as u64).clamp(1, self.wait_samples);
+        let mut seen = 0;
+        for (bucket, &count) in self.wait_buckets.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return wait_bucket_max(bucket);
+            }
+        }
+        unreachable!("the buckets hold every sample")
     }
 
     /// Number of queue-wait samples recorded.
     pub fn wait_samples(&self) -> usize {
-        self.wait_micros.len()
+        self.wait_samples as usize
     }
 }
 
@@ -1554,7 +1602,9 @@ mod tests {
     #[test]
     fn wait_percentile_is_nearest_rank() {
         let mut stats = SchedulerStats::default();
-        stats.wait_micros.extend([40, 10, 30, 20]);
+        for micros in [40, 10, 30, 20] {
+            stats.record_wait(Duration::from_micros(micros));
+        }
         assert_eq!(stats.wait_percentile_micros(0.0), 10);
         assert_eq!(stats.wait_percentile_micros(25.0), 10);
         // The old rounded-interpolation index reported 30 here.
@@ -1568,9 +1618,58 @@ mod tests {
     fn wait_percentile_handles_empty_and_singleton() {
         assert_eq!(SchedulerStats::default().wait_percentile_micros(50.0), 0);
         let mut one = SchedulerStats::default();
-        one.wait_micros.push(7);
+        one.record_wait(Duration::from_micros(7));
         assert_eq!(one.wait_percentile_micros(0.0), 7);
         assert_eq!(one.wait_percentile_micros(50.0), 7);
         assert_eq!(one.wait_percentile_micros(100.0), 7);
+    }
+
+    #[test]
+    fn wait_record_is_bounded_and_within_a_bucket() {
+        const N: usize = 1_000_000;
+        let mut one = SchedulerStats::default();
+        one.record_wait(Duration::ZERO);
+        // Log-spread from 0 µs to 10 s, so every octave gets samples.
+        let mut waits: Vec<u64> = (0..N)
+            .map(|i| match i {
+                0 => 0,
+                _ => 1e7f64.powf(i as f64 / (N - 1) as f64).round() as u64,
+            })
+            .collect();
+        let mut stats = SchedulerStats::default();
+        for &micros in &waits {
+            stats.record_wait(Duration::from_micros(micros));
+        }
+        assert_eq!(stats.wait_samples(), N);
+        assert_eq!(waits[N - 1], 10_000_000);
+        waits.sort_unstable();
+        for p in [50.0, 99.0] {
+            let rank = (p / 100.0 * N as f64).ceil() as usize;
+            let exact = waits[rank - 1];
+            let got = stats.wait_percentile_micros(p);
+            assert!(
+                wait_bucket(got).abs_diff(wait_bucket(exact)) <= 1,
+                "p{p}: {got} µs against exact {exact} µs"
+            );
+        }
+        assert_eq!(stats.wait_buckets.len(), one.wait_buckets.len());
+    }
+
+    #[test]
+    fn wait_buckets_tile_the_u64_range() {
+        assert_eq!(wait_bucket(0), 0);
+        assert_eq!(wait_bucket(127), 127);
+        assert_eq!(wait_bucket(u64::MAX), WAIT_BUCKETS - 1);
+        assert_eq!(wait_bucket_max(WAIT_BUCKETS - 1), u64::MAX);
+        for bucket in 0..WAIT_BUCKETS - 1 {
+            let top = wait_bucket_max(bucket);
+            assert_eq!(wait_bucket(top), bucket, "top of {bucket}");
+            assert_eq!(wait_bucket(top + 1), bucket + 1, "past {bucket}");
+            let bottom = wait_bucket_max(bucket.saturating_sub(1)) + u64::from(bucket > 0);
+            assert!(
+                top - bottom <= bottom / 64,
+                "bucket {bucket}: {bottom}..={top}"
+            );
+        }
     }
 }

@@ -134,7 +134,7 @@ impl WorkerFaultPlan {
     }
 
     /// Faults fired so far.
-    pub fn injected(&self) -> InjectedWorkerFaults {
+    pub(crate) fn injected(&self) -> InjectedWorkerFaults {
         self.injected
     }
 

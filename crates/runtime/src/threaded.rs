@@ -170,7 +170,7 @@ impl<S: SyncFacade> ThreadedManager<S> {
     /// Submits an accelerator invocation without blocking. Runs never
     /// carry a deadline — a missed deadline is a reconfiguration-ledger
     /// outcome and plain runs are outside that ledger.
-    pub fn submit_run(&self, tile: TileCoord, op: AccelOp) -> Pending<S, AccelRun> {
+    pub(crate) fn submit_run(&self, tile: TileCoord, op: AccelOp) -> Pending<S, AccelRun> {
         let (done, rx) = S::channel();
         let op = Box::new(op);
         self.submit(tile, Payload::Run { op, done }, rx)
@@ -236,15 +236,25 @@ impl<S: SyncFacade> ThreadedManager<S> {
 
     /// Enqueues an accelerator invocation and blocks for its result.
     ///
-    /// If the tile is mid-reconfiguration (its driver is unloaded), the
-    /// call waits for the next reconfiguration completion and retries —
-    /// the paper's "other threads trying to access it must wait until the
-    /// reconfiguration is complete and the new driver is loaded".
+    /// While the tile holds no driver for `op` (it is mid-swap or holds
+    /// another accelerator's driver), the run answers [`Error::NoDriver`];
+    /// the call then waits until a reconfiguration of the tile completes,
+    /// or 50 ms at most, and submits the run again. Each retry is a new
+    /// request: it takes a new ticket and commits its own `sched.dispatch`
+    /// trace record. This is the paper's "other threads trying to access
+    /// it must wait until the reconfiguration is complete and the new
+    /// driver is loaded".
+    ///
+    /// The call returns only on success, when the tile is quarantined, at
+    /// shutdown, or on an error other than `NoDriver`. If no
+    /// reconfiguration ever gives the tile `op`'s driver, it never
+    /// returns: it keeps re-submitting the run every 50 ms.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ManagerStopped`] after shutdown, plus manager and
-    /// SoC errors.
+    /// Returns [`Error::TileQuarantined`] once the tile is quarantined,
+    /// [`Error::ManagerStopped`] after shutdown, plus manager and SoC
+    /// errors other than `NoDriver`.
     pub fn run_blocking(&self, tile: TileCoord, op: AccelOp) -> Result<AccelRun, Error> {
         loop {
             match self.submit_run(tile, op.clone()).wait() {

@@ -221,7 +221,7 @@ pub struct Observed {
 }
 
 /// One [`STATS`] row: the key and how to read it from a run.
-pub type Stat = (&'static str, fn(&Observed) -> u64);
+pub(crate) type Stat = (&'static str, fn(&Observed) -> u64);
 
 /// Every stat key the `stat_min`/`stat_max`/`stat_eq` assertions accept,
 /// each with the one place its value is read from. A run's `stats` map,
@@ -678,7 +678,7 @@ fn drive_fragment_churn(
 }
 
 /// Runs the full `(seed, workers)` matrix of a spec.
-pub fn observe(spec: &ScenarioSpec) -> ScenarioObservations {
+pub(crate) fn observe(spec: &ScenarioSpec) -> ScenarioObservations {
     let mut runs = Vec::new();
     let mut first_chrome_trace = String::new();
     for offset in 0..spec.seeds.count {

@@ -11,7 +11,7 @@ use crate::engine::ScenarioVerdict;
 use presp_events::json::{int, obj, string, JsonValue};
 
 /// Schema tag stamped into every report.
-pub const REPORT_SCHEMA: &str = "presp-scenario-report/v1";
+pub(crate) const REPORT_SCHEMA: &str = "presp-scenario-report/v1";
 
 /// A scenario outcome the report can carry: a verdict from the engine,
 /// or a file that failed to load/parse (reported as a failure without
@@ -117,7 +117,7 @@ fn entry_json(entry: &ReportEntry) -> JsonValue {
 /// Renders the full run as the canonical JSON report. Byte-identical
 /// across repeats of the same scenario set: every value in it is
 /// virtual-time deterministic.
-pub fn render(entries: &[ReportEntry]) -> String {
+pub(crate) fn render(entries: &[ReportEntry]) -> String {
     let passed = entries.iter().filter(|e| e.passed()).count() as u64;
     let doc = obj(vec![
         ("schema", string(REPORT_SCHEMA)),

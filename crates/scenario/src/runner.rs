@@ -61,7 +61,7 @@ impl RunOutcome {
 /// Returns a [`ScenarioError`] for a path that does not exist, a
 /// directory that cannot be read, or a directory containing no `*.json`
 /// files (an empty matrix is a misconfiguration, not a green run).
-pub fn collect_files(paths: &[PathBuf]) -> Result<Vec<PathBuf>, ScenarioError> {
+pub(crate) fn collect_files(paths: &[PathBuf]) -> Result<Vec<PathBuf>, ScenarioError> {
     let mut files = Vec::new();
     for path in paths {
         if path.is_dir() {
@@ -99,7 +99,7 @@ pub fn collect_files(paths: &[PathBuf]) -> Result<Vec<PathBuf>, ScenarioError> {
 }
 
 /// Loads and runs one scenario file.
-pub fn run_file(path: &Path) -> ReportEntry {
+pub(crate) fn run_file(path: &Path) -> ReportEntry {
     let file = path.display().to_string();
     let input = match std::fs::read_to_string(path) {
         Ok(input) => input,

@@ -775,7 +775,7 @@ macro_rules! codec {
     }) => {
         impl $T {
             #[doc = concat!("The `", stringify!($tag), "` token that names this ", $what, ".")]
-            pub fn $tag(&self) -> &'static str {
+            pub(crate) fn $tag(&self) -> &'static str {
                 match self {
                     $($T::$V { .. } => $token,)*
                 }
@@ -970,7 +970,7 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// See [`ScenarioSpec::parse`].
-    pub fn from_json_value(doc: &JsonValue) -> Result<ScenarioSpec, ScenarioError> {
+    pub(crate) fn from_json_value(doc: &JsonValue) -> Result<ScenarioSpec, ScenarioError> {
         let spec = ScenarioSpec::read(doc, At { ctx: "", key: "" })?;
         spec.validate()?;
         Ok(spec)
@@ -1072,7 +1072,7 @@ impl ScenarioSpec {
 
     /// Serializes to the canonical JSON document: every section explicit,
     /// so `parse(serialize(spec)) == spec`.
-    pub fn to_json_value(&self) -> JsonValue {
+    pub(crate) fn to_json_value(&self) -> JsonValue {
         ScenarioSpec::write(self)
     }
 

@@ -13,7 +13,9 @@
 //!   reconfiguration;
 //! * the auxiliary tile hosts the **DFX controller** and the ICAP: it
 //!   fetches partial bitstreams from DRAM over the NoC, streams them through
-//!   the ICAP, and raises an interrupt on completion ([`Dfxc`]);
+//!   the ICAP, and raises an interrupt on completion
+//!   ([`Soc::reconfigure_at`] models the controller's load transaction,
+//!   and [`Soc::config_memory`] is the fabric behind the ICAP);
 //! * a [`sim`]ulator advances virtual time (78 MHz SoC clock) through the
 //!   shared `presp-events` kernel — every shared resource (NoC links, the
 //!   DRAM channel, the ICAP, each tile) is a reservation
@@ -44,7 +46,6 @@
 #![warn(unreachable_pub)]
 
 pub mod config;
-mod dfxc;
 mod energy;
 mod error;
 mod noc;
@@ -54,7 +55,6 @@ pub mod tile;
 pub use presp_events::json;
 
 pub use config::{SocConfig, TileCoord};
-pub use dfxc::Dfxc;
 pub use energy::EnergyReport;
 pub use error::Error;
 pub use sim::Soc;

@@ -15,7 +15,6 @@
 //! [`presp_events::TraceRecord`] in the `SocCycles` clock domain.
 
 use crate::config::{SocConfig, TileCoord};
-use crate::dfxc::Dfxc;
 use crate::energy::{EnergyMeter, EnergyReport};
 use crate::error::Error;
 use crate::noc::{Noc, Plane, Transfer};
@@ -29,11 +28,11 @@ use presp_events::{
     Loc, Reservation, ResourceTimeline, SharedSink, TraceEvent, Tracer, VirtualClock,
 };
 use presp_fpga::bitstream::Bitstream;
-use presp_fpga::config_memory::GoldenImage;
+use presp_fpga::config_memory::{ConfigMemory, GoldenImage};
 use presp_fpga::ecc::FrameRepair;
 use presp_fpga::fault::FaultPlan;
 use presp_fpga::frame::FrameAddress;
-use presp_fpga::icap::ICAP_CLOCK_MHZ;
+use presp_fpga::icap::{Icap, ICAP_CLOCK_MHZ};
 use presp_fpga::part::FpgaPart;
 use presp_fpga::resources::Resources;
 use std::collections::HashMap;
@@ -46,12 +45,12 @@ fn loc(coord: TileCoord) -> Loc {
 
 /// DRAM channel bandwidth, bytes per SoC cycle (a 64-bit DDR3 channel is
 /// far faster than the 78 MHz NoC; the NoC is the usual bottleneck).
-pub const DRAM_BYTES_PER_CYCLE: u64 = 16;
+pub(crate) const DRAM_BYTES_PER_CYCLE: u64 = 16;
 /// Fixed DRAM access latency, cycles.
-pub const DRAM_LATENCY: u64 = 24;
+pub(crate) const DRAM_LATENCY: u64 = 24;
 /// ICAP throughput conversion: the ICAP runs at 100 MHz with 4-byte words
 /// while the SoC runs at 78 MHz, so one ICAP microsecond is 78 SoC cycles.
-pub const SOC_CYCLES_PER_MICRO: f64 = 78.0;
+pub(crate) const SOC_CYCLES_PER_MICRO: f64 = 78.0;
 
 /// SoC cycles the ICAP spends streaming `words` configuration words.
 fn icap_cycles(words: u64) -> u64 {
@@ -64,7 +63,7 @@ pub mod csr {
     /// Decoupler control: write 1 to decouple, 0 to re-couple.
     pub const DECOUPLE: u64 = 0x00;
     /// Wrapper status: 0 = empty, 1 = configured, 2 = decoupled.
-    pub const STATUS: u64 = 0x04;
+    pub(crate) const STATUS: u64 = 0x04;
 }
 
 /// Timing and result of one accelerator invocation.
@@ -165,10 +164,13 @@ pub struct Soc {
     config: SocConfig,
     part: FpgaPart,
     noc: Noc,
-    dfxc: Dfxc,
+    /// The ICAP the auxiliary tile's DFX controller streams partial
+    /// bitstreams into, with the configuration memory behind it.
+    icap: Icap,
     tiles: HashMap<TileCoord, TileState>,
     dram: ResourceTimeline,
-    icap: ResourceTimeline,
+    /// Occupancy of the shared ICAP port.
+    icap_port: ResourceTimeline,
     clock: VirtualClock,
     tracer: Tracer,
     meter: EnergyMeter,
@@ -219,10 +221,10 @@ impl Soc {
             config: config.clone(),
             part,
             noc: Noc::new(),
-            dfxc: Dfxc::new(&device),
+            icap: Icap::new(&device),
             tiles,
             dram: ResourceTimeline::new(),
-            icap: ResourceTimeline::new(),
+            icap_port: ResourceTimeline::new(),
             clock: VirtualClock::new(),
             tracer: Tracer::disabled(),
             meter,
@@ -260,12 +262,6 @@ impl Soc {
         &mut self.tracer
     }
 
-    /// Cycles reconfigurations spent waiting for the shared ICAP
-    /// (including fault-injected DFXC stalls).
-    pub fn icap_contention_cycles(&self) -> u64 {
-        self.icap.contention_cycles()
-    }
-
     /// All tiles currently able to execute accelerator operations (static
     /// accelerator tiles and configured reconfigurable tiles).
     pub fn accelerator_tiles(&self) -> Vec<TileCoord> {
@@ -281,9 +277,9 @@ impl Soc {
         coords
     }
 
-    /// The DFX controller (for status inspection).
-    pub fn dfxc(&self) -> &Dfxc {
-        &self.dfxc
+    /// The configuration memory behind the ICAP.
+    pub fn config_memory(&self) -> &ConfigMemory {
+        self.icap.memory()
     }
 
     /// Installs a fault-injection plan; `None` disables injection.
@@ -324,12 +320,6 @@ impl Soc {
         self.golden.get(&tile).is_some_and(|g| !g.is_empty())
     }
 
-    /// The tile's golden (post-load, known-good) image, if any load has
-    /// succeeded. [`GoldenImage::snapshot`] materialises its frames.
-    pub fn golden_image(&self, tile: TileCoord) -> Option<&GoldenImage> {
-        self.golden.get(&tile)
-    }
-
     /// Restores `tile`'s region bit-for-bit from its golden store,
     /// clearing any upsets — correctable or not. Returns the number of
     /// frames rewritten.
@@ -343,8 +333,8 @@ impl Soc {
             .golden
             .get(&tile)
             .ok_or(Error::NoSuchTile { coord: tile })?;
-        self.dfxc
-            .config_memory_mut()
+        self.icap
+            .memory_mut()
             .restore_golden(golden)
             .map_err(Error::Fpga)?;
         Ok(golden.len())
@@ -401,8 +391,8 @@ impl Soc {
         // Snapshot the source region bit-exact and pre-validate the whole
         // destination before mutating anything.
         let snap = self
-            .dfxc
-            .config_memory()
+            .icap
+            .memory()
             .snapshot(old_region.iter())
             .map_err(Error::Fpga)?;
         let shifted = snap
@@ -433,17 +423,17 @@ impl Soc {
         // destination. Erase-first makes overlapping slides (|delta| <
         // region width) safe, and restore preserves any payload/ECC
         // disagreement instead of laundering an in-flight upset.
-        self.dfxc
-            .config_memory_mut()
+        self.icap
+            .memory_mut()
             .clear_frames(old_region.iter())
             .map_err(Error::Fpga)?;
-        self.dfxc
-            .config_memory_mut()
+        self.icap
+            .memory_mut()
             .restore(&shifted)
             .map_err(Error::Fpga)?;
         // ICAP cost: readback of the region plus rewrite at the new base.
-        let words = 2 * old_region.len() as u64 * self.dfxc.config_memory().frame_words() as u64;
-        let r = self.icap.reserve(at, icap_cycles(words));
+        let words = 2 * old_region.len() as u64 * self.icap.memory().frame_words() as u64;
+        let r = self.icap_port.reserve(at, icap_cycles(words));
         let state = self.tile_mut(tile)?;
         state.timeline.claim(at, r.start, r.end);
         let frames = old_region.len();
@@ -493,13 +483,13 @@ impl Soc {
         let Some(golden) = self.golden.remove(&tile) else {
             return Ok(0);
         };
-        self.dfxc
-            .config_memory_mut()
+        self.icap
+            .memory_mut()
             .clear_frames(golden.addresses().iter())
             .map_err(Error::Fpga)?;
         let frames = golden.len();
-        let words = frames as u64 * self.dfxc.config_memory().frame_words() as u64;
-        let r = self.icap.reserve(at, icap_cycles(words));
+        let words = frames as u64 * self.icap.memory().frame_words() as u64;
+        let r = self.icap_port.reserve(at, icap_cycles(words));
         let state = self.tile_mut(tile)?;
         state.timeline.claim(at, r.start, r.end);
         self.tracer
@@ -525,21 +515,21 @@ impl Soc {
         if upsets.is_empty() {
             return;
         }
-        let frame_words = self.dfxc.config_memory().frame_words() as u64;
+        let frame_words = self.icap.memory().frame_words() as u64;
         for upset in upsets {
-            let configured = self.dfxc.config_memory().configured_addresses();
+            let configured = self.icap.memory().configured_addresses();
             if configured.is_empty() {
                 continue;
             }
             let addr = configured[(upset.frame_select % configured.len() as u64) as usize];
             let word = (upset.word_select % frame_words) as usize;
-            self.dfxc
-                .config_memory_mut()
+            self.icap
+                .memory_mut()
                 .corrupt_bit(addr, word, upset.bit)
                 .expect("configured address with bounded word/bit is valid");
             if upset.double_bit {
-                self.dfxc
-                    .config_memory_mut()
+                self.icap
+                    .memory_mut()
                     .corrupt_bit(addr, word, upset.second_bit)
                     .expect("configured address with bounded word/bit is valid");
             }
@@ -572,14 +562,14 @@ impl Soc {
         at: u64,
     ) -> Result<ScrubReport, Error> {
         self.advance_seus_to(at);
-        let words = addrs.len() as u64 * self.dfxc.config_memory().frame_words() as u64;
-        let r = self.icap.reserve(at, icap_cycles(words));
+        let words = addrs.len() as u64 * self.icap.memory().frame_words() as u64;
+        let r = self.icap_port.reserve(at, icap_cycles(words));
         let mut corrected = Vec::new();
         let mut uncorrectable = Vec::new();
         for &addr in addrs {
             match self
-                .dfxc
-                .config_memory_mut()
+                .icap
+                .memory_mut()
                 .scrub_frame(addr)
                 .map_err(Error::Fpga)?
             {
@@ -632,22 +622,6 @@ impl Soc {
     /// reconfigurable regions) with the energy meter.
     pub fn provision_region(&mut self, resources: Resources) {
         self.meter.provision(resources);
-    }
-
-    /// The accelerator kind configured in a reconfigurable tile, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchTile`] for unknown coordinates.
-    pub fn configured_kind(&self, tile: TileCoord) -> Result<Option<AcceleratorKind>, Error> {
-        let state = self
-            .tiles
-            .get(&tile)
-            .ok_or(Error::NoSuchTile { coord: tile })?;
-        Ok(match &state.kind {
-            TileKind::Accel(k) => Some(*k),
-            _ => state.wrapper.configured_kind(),
-        })
     }
 
     /// The precondition of every fabric write to `tile`'s region: the tile
@@ -861,7 +835,7 @@ impl Soc {
             .as_mut()
             .map_or(0, FaultPlan::next_dfxc_stall);
         // Stream through the (shared) ICAP.
-        let icap_start = fetch.end.max(self.icap.free_at()) + stall;
+        let icap_start = fetch.end.max(self.icap_port.free_at()) + stall;
         // Fault hook: one word of the stream may arrive corrupted; the
         // flip goes through the real ICAP machinery, whose CRC check
         // detects it and fails the load with the fabric partially written.
@@ -879,15 +853,14 @@ impl Soc {
         // each frame write displaces, so a stream that faults mid-write
         // rolls the fabric back instead of leaving it partially
         // configured, at a cost proportional to the frames it wrote.
-        let loaded = self.dfxc.load_or_rollback(&streamed);
-        let report = match loaded {
+        let report = match self.icap.load_or_rollback(&streamed) {
             Ok(report) => report,
             Err((e, dirty)) => {
                 // A failed stream still occupied the ICAP for its full
                 // length, and virtual time advances past the attempt.
-                let r = self
-                    .icap
-                    .claim(fetch.end, icap_start, icap_start + icap_cycles(words));
+                let r =
+                    self.icap_port
+                        .claim(fetch.end, icap_start, icap_start + icap_cycles(words));
                 self.tracer
                     .emit(ClockDomain::SocCycles, r.start, r.duration(), || {
                         TraceEvent::IcapWrite {
@@ -917,12 +890,12 @@ impl Soc {
                     }
                 });
                 self.clock.observe(r.end);
-                return Err(e);
+                return Err(Error::Fpga(e));
             }
         };
         let icap_cycles = (report.micros * SOC_CYCLES_PER_MICRO).ceil() as u64;
         let icap_done = icap_start + icap_cycles;
-        let icap_r = self.icap.claim(fetch.end, icap_start, icap_done);
+        let icap_r = self.icap_port.claim(fetch.end, icap_start, icap_done);
         self.tracer
             .emit(ClockDomain::SocCycles, icap_start, icap_cycles, || {
                 TraceEvent::IcapWrite {
@@ -947,13 +920,13 @@ impl Soc {
         // escalation. The image references the stream just loaded; only
         // region frames the stream did not write are copied.
         let golden = self
-            .dfxc
-            .config_memory()
+            .icap
+            .memory()
             .capture_golden(streamed, self.golden.get(&tile))
             .expect("a stream that loaded walks, and its region addresses are valid");
         debug_assert!(
             golden.stream().frame_set().is_ok_and(|set| {
-                let mut written = self.dfxc.last_written().to_vec();
+                let mut written = self.icap.last_written().to_vec();
                 written.sort_unstable();
                 written.dedup();
                 **set == *written
@@ -1336,16 +1309,16 @@ mod tests {
             assert_eq!(new.column, dst);
             assert_eq!((new.row, new.minor), (old.row, old.minor));
             assert_eq!(
-                soc.dfxc.config_memory().frame(*new),
-                vec![0x5A5A_0000 + new.minor; soc.dfxc.config_memory().frame_words()]
+                soc.config_memory().frame(*new),
+                vec![0x5A5A_0000 + new.minor; soc.config_memory().frame_words()]
             );
-            assert!(!soc.dfxc.config_memory().is_configured(*old));
+            assert!(!soc.config_memory().is_configured(*old));
         }
         // ECC moved in lockstep: the whole region scrubs clean.
         let report = soc.scrub_frames_at(&new_region, run.end).unwrap();
         assert!(report.is_clean());
         // The golden store follows, so escalation still restores correctly.
-        let golden = soc.golden_image(tile).unwrap().addresses();
+        let golden = soc.golden.get(&tile).unwrap().addresses();
         assert_eq!(*golden, new_region);
         // The wrapper (and its configured accelerator) is untouched.
         let t2 = soc.csr_write_at(tile, csr::DECOUPLE, 0, run.end).unwrap();
@@ -1394,11 +1367,11 @@ mod tests {
         let r1 = soc
             .reconfigure_at(tiles[1], AcceleratorKind::Mac, &bs1, t2)
             .unwrap();
-        let before = soc.dfxc.config_memory().configured_addresses();
+        let before = soc.config_memory().configured_addresses();
         let err = soc.move_tile_region_at(tiles[0], dst as i64 - src as i64, r1.end);
         assert!(matches!(err, Err(Error::RegionConflict { .. })), "{err:?}");
         // A refused move leaves the fabric bit-identical.
-        assert_eq!(soc.dfxc.config_memory().configured_addresses(), before);
+        assert_eq!(soc.config_memory().configured_addresses(), before);
         assert_eq!(soc.tile_region(tiles[0])[0].column, src);
     }
 
@@ -1414,10 +1387,7 @@ mod tests {
             .unwrap();
         // An SEU strikes between the load and the move...
         let struck = soc.tile_region(tile)[0];
-        soc.dfxc
-            .config_memory_mut()
-            .corrupt_bit(struck, 3, 17)
-            .unwrap();
+        soc.icap.memory_mut().corrupt_bit(struck, 3, 17).unwrap();
         let run = soc
             .move_tile_region_at(tile, dst as i64 - src as i64, reconf.end)
             .unwrap();
@@ -1457,9 +1427,9 @@ mod tests {
         // Bookkeeping retired: no region, no golden, frames erased.
         assert!(soc.tile_region(tiles[0]).is_empty());
         assert!(!soc.has_region(tiles[0]));
-        assert!(soc.golden_image(tiles[0]).is_none());
+        assert!(!soc.golden.contains_key(&tiles[0]));
         for addr in old_region.iter() {
-            assert!(!soc.dfxc.config_memory().is_configured(*addr));
+            assert!(!soc.config_memory().is_configured(*addr));
         }
         // Another tile can now move into the vacated span.
         let t2 = soc
@@ -1706,7 +1676,7 @@ mod tests {
     /// equal right after a load, payload and check codes included.
     fn live_region(soc: &Soc, tile: TileCoord) -> RegionSnapshot {
         let region = soc.tile_region(tile);
-        soc.dfxc.config_memory().snapshot(region.iter()).unwrap()
+        soc.config_memory().snapshot(region.iter()).unwrap()
     }
 
     /// Loads `bs` into `tile` as a MAC (the tile must be decoupled).
@@ -1716,7 +1686,7 @@ mod tests {
 
     /// `tile`'s golden image, materialised.
     fn golden(soc: &Soc, tile: TileCoord) -> RegionSnapshot {
-        soc.golden_image(tile).unwrap().snapshot().unwrap()
+        soc.golden.get(&tile).unwrap().snapshot().unwrap()
     }
 
     #[test]
@@ -1729,13 +1699,10 @@ mod tests {
         let wide = stream_of(&soc, 2, 0..8, |m| if m == 5 { 0 } else { 0x1100 + m }, true);
         let r1 = load(&mut soc, tile, &wide, t1).unwrap();
         let struck = FrameAddress::new(0, 2, 6);
-        soc.dfxc
-            .config_memory_mut()
-            .corrupt_bit(struck, 3, 7)
-            .unwrap();
+        soc.icap.memory_mut().corrupt_bit(struck, 3, 7).unwrap();
         let erased_struck = FrameAddress::new(0, 2, 5);
-        soc.dfxc
-            .config_memory_mut()
+        soc.icap
+            .memory_mut()
             .corrupt_bit(erased_struck, 0, 1)
             .unwrap();
         let narrow = stream_of(&soc, 2, 0..4, |m| 0x2200 + m, false);
@@ -1746,16 +1713,16 @@ mod tests {
 
         // Scramble the region, then restore: the upsets come back too,
         // still disagreeing with their check codes.
-        let words = soc.dfxc.config_memory().frame_words();
+        let words = soc.config_memory().frame_words();
         for minor in [0, 4, 6] {
-            soc.dfxc
-                .config_memory_mut()
+            soc.icap
+                .memory_mut()
                 .write_frame(FrameAddress::new(0, 2, minor), &vec![0xFFFF; words])
                 .unwrap();
         }
         assert_eq!(soc.restore_golden(tile).unwrap(), 8);
         assert_eq!(live_region(&soc, tile), live);
-        let memory = soc.dfxc.config_memory_mut();
+        let memory = soc.icap.memory_mut();
         assert!(matches!(
             memory.scrub_frame(struck).unwrap(),
             FrameRepair::Corrected { .. }
@@ -1812,14 +1779,14 @@ mod tests {
             assert_eq!(golden(&soc, tile), live, "compressed: {compressed}");
             // It covers the region, so the region is the stream's own
             // frame set, not a copy.
-            let image = soc.golden_image(tile).unwrap();
+            let image = soc.golden.get(&tile).unwrap();
             assert!(Arc::ptr_eq(
                 &soc.tile_region(tile),
                 image.stream().frame_set().unwrap()
             ));
-            let words = soc.dfxc.config_memory().frame_words();
-            soc.dfxc
-                .config_memory_mut()
+            let words = soc.config_memory().frame_words();
+            soc.icap
+                .memory_mut()
                 .write_frame(FrameAddress::new(0, 2, 1), &vec![7; words])
                 .unwrap();
             assert_eq!(soc.restore_golden(tile).unwrap(), 12);
@@ -1850,7 +1817,7 @@ mod tests {
         };
         let mut soc = reconf_soc(1);
         let tile = soc.config().reconfigurable_tiles()[0];
-        let words = soc.dfxc.config_memory().frame_words();
+        let words = soc.config_memory().frame_words();
         let idcode = soc.part().idcode();
         // FAR a, two frames (a, a+1); FAR a again, one frame: a is written
         // twice and the second (all-zero) write must win, loading erased.
@@ -1887,10 +1854,7 @@ mod tests {
         let bs = stream_of(&soc, 2, 0..2, |m| m + 1, false).with_words(w);
         let t1 = soc.csr_write_at(tile, csr::DECOUPLE, 1, 0).unwrap();
         load(&mut soc, tile, &bs, t1).unwrap();
-        assert!(
-            !soc.dfxc.config_memory().is_configured(a),
-            "last write wins"
-        );
+        assert!(!soc.config_memory().is_configured(a), "last write wins");
         let live = live_region(&soc, tile);
         assert_eq!(live.len(), 2);
         assert_eq!(golden(&soc, tile), live);
@@ -1929,14 +1893,14 @@ mod tests {
         let r1 = soc
             .reconfigure_at(tile, AcceleratorKind::Mac, &mac_bitstream(&soc, 2), t1)
             .unwrap();
-        let before = soc.dfxc().config_memory().clone();
+        let before = soc.config_memory().clone();
         let mut plan = FaultPlan::new(3, FaultConfig::uniform(0.0));
         plan.force_icap_fault(0);
         soc.set_fault_plan(Some(plan));
         let err = soc.reconfigure_at(tile, AcceleratorKind::Mac, &mac_bitstream(&soc, 3), r1.end);
         assert!(err.is_err());
         assert!(
-            before.diff(soc.dfxc().config_memory()).is_empty(),
+            before.diff(soc.config_memory()).is_empty(),
             "rollback restored the pre-transaction image bit-for-bit"
         );
     }
@@ -1957,10 +1921,10 @@ mod tests {
             .unwrap();
         soc.reconfigure_at(tiles[1], AcceleratorKind::Mac, &mac_bitstream(&soc, 3), t2)
             .unwrap();
-        let before = soc.icap_contention_cycles();
+        let before = soc.icap_port.contention_cycles();
         let scrub = soc.scrub_frames_at(&region, t2).unwrap();
         assert!(scrub.waited > 0, "scrub waited for the shared ICAP");
-        assert!(soc.icap_contention_cycles() > before);
+        assert!(soc.icap_port.contention_cycles() > before);
         assert!(scrub.is_clean());
     }
 

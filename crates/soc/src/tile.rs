@@ -7,7 +7,7 @@ use std::fmt;
 /// Socket overhead of a reconfigurable tile: the NoC proxies, the
 /// configuration registers, the decoupling logic and the reconfigurable
 /// wrapper interface (everything in Fig. 2B outside the accelerator).
-pub const RECONF_SOCKET: Resources = Resources::new(4_600, 6_100, 2, 0);
+pub(crate) const RECONF_SOCKET: Resources = Resources::new(4_600, 6_100, 2, 0);
 
 /// The tile kinds of the (PR-)ESP architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,12 +51,12 @@ impl TileKind {
     }
 
     /// Whether the tile belongs to the static part of a DPR design.
-    pub fn is_static(&self) -> bool {
+    pub(crate) fn is_static(&self) -> bool {
         !matches!(self, TileKind::Reconfigurable)
     }
 
     /// Short name used in configuration files.
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             TileKind::Cpu => "cpu".into(),
             TileKind::Mem => "mem".into(),
@@ -77,7 +77,7 @@ impl fmt::Display for TileKind {
 
 /// Runtime state of a reconfigurable tile's wrapper.
 #[derive(Debug)]
-pub enum WrapperState {
+pub(crate) enum WrapperState {
     /// Nothing loaded (post-boot, or after loading a blanking bitstream).
     Empty,
     /// An accelerator of this kind is configured and coupled to the NoC.
@@ -92,7 +92,7 @@ pub enum WrapperState {
 
 impl WrapperState {
     /// The configured accelerator kind, if coupled.
-    pub fn configured_kind(&self) -> Option<AcceleratorKind> {
+    pub(crate) fn configured_kind(&self) -> Option<AcceleratorKind> {
         match self {
             WrapperState::Configured(kind) => Some(*kind),
             _ => None,
@@ -100,7 +100,7 @@ impl WrapperState {
     }
 
     /// Whether the decoupler currently isolates the wrapper.
-    pub fn is_decoupled(&self) -> bool {
+    pub(crate) fn is_decoupled(&self) -> bool {
         matches!(self, WrapperState::Decoupled { .. })
     }
 }

@@ -8,7 +8,7 @@ use crate::error::Error;
 use crate::image::{GrayImage, Image};
 
 /// Number of Gaussians per pixel.
-pub const K: usize = 3;
+pub(crate) const K: usize = 3;
 
 /// One Gaussian component of a pixel's background mixture.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,11 +99,6 @@ impl ChangeDetector {
         }
     }
 
-    /// Frame dimensions expected by [`update`](Self::update).
-    pub fn dims(&self) -> (usize, usize) {
-        (self.width, self.height)
-    }
-
     /// Updates the model with a registered frame and returns the change mask.
     ///
     /// # Errors
@@ -137,15 +132,6 @@ impl ChangeDetector {
             }
         }
         Ok(mask)
-    }
-
-    /// The mixture model of pixel `(x, y)` (for inspection and tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds coordinates.
-    pub fn components(&self, x: usize, y: usize) -> &[Component; K] {
-        &self.model[y * self.width + x]
     }
 }
 
@@ -305,7 +291,7 @@ mod tests {
             det.update(&constant_frame(2, 2, (i * 37 % 256) as f32))
                 .unwrap();
         }
-        let total: f32 = det.components(0, 0).iter().map(|c| c.weight).sum();
+        let total: f32 = det.model[0].iter().map(|c| c.weight).sum();
         assert!((total - 1.0).abs() < 1e-4);
     }
 }

@@ -77,7 +77,7 @@ pub fn debayer(raw: &BayerImage) -> Result<RgbImage, Error> {
 
 /// Re-mosaics an RGB image back into RGGB Bayer — used by the synthetic
 /// scene generator to produce sensor-domain input.
-pub fn mosaic(rgb: &RgbImage) -> BayerImage {
+pub(crate) fn mosaic(rgb: &RgbImage) -> BayerImage {
     let (w, h) = rgb.dims();
     let mut out = BayerImage::zeroed(w, h);
     for y in 0..h {

@@ -114,19 +114,10 @@ impl SceneGenerator {
         self
     }
 
-    /// Frame dimensions.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.width, self.height)
-    }
-
     /// The per-frame platform drift (ground truth for registration tests).
-    pub fn drift(&self) -> (f64, f64) {
+    #[cfg(test)]
+    pub(crate) fn drift(&self) -> (f64, f64) {
         self.drift
-    }
-
-    /// Frames generated so far.
-    pub fn frame_index(&self) -> usize {
-        self.frame_index
     }
 
     /// Renders the next raw Bayer frame.
@@ -265,7 +256,7 @@ mod tests {
     /// Frame `i` of both generators, raw on even frames and luminance on
     /// odd ones.
     fn assert_same_frame(lazy: &mut SceneGenerator, eager: &mut SceneGenerator, label: &str) {
-        let i = lazy.frame_index();
+        let i = lazy.frame_index;
         if i.is_multiple_of(2) {
             assert_eq!(lazy.next_frame(), eager.next_frame(), "{label} frame {i}");
         } else {

@@ -49,7 +49,7 @@ impl<T: Copy + Default> Image<T> {
     ///
     /// Returns [`Error::BadDimensions`] when `data.len() != width * height`
     /// or a dimension is zero.
-    pub fn from_vec(width: usize, height: usize, data: Vec<T>) -> Result<Image<T>, Error> {
+    pub(crate) fn from_vec(width: usize, height: usize, data: Vec<T>) -> Result<Image<T>, Error> {
         if width == 0 || height == 0 {
             return Err(Error::BadDimensions {
                 detail: format!("{width}x{height}"),
@@ -70,11 +70,6 @@ impl<T: Copy + Default> Image<T> {
     /// Image width in pixels.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Image height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
     }
 
     /// `(width, height)` pair.
@@ -139,7 +134,7 @@ impl<T: Copy + Default> Image<T> {
     /// # Errors
     ///
     /// Returns [`Error::DimensionMismatch`] when they do not.
-    pub fn check_same_dims<U: Copy + Default>(&self, other: &Image<U>) -> Result<(), Error> {
+    pub(crate) fn check_same_dims<U: Copy + Default>(&self, other: &Image<U>) -> Result<(), Error> {
         if self.dims() != other.dims() {
             return Err(Error::DimensionMismatch {
                 a: self.dims(),
@@ -150,7 +145,7 @@ impl<T: Copy + Default> Image<T> {
     }
 
     /// Applies `f` to every pixel, producing a new image.
-    pub fn map<U: Copy + Default, F: FnMut(T) -> U>(&self, mut f: F) -> Image<U> {
+    pub(crate) fn map<U: Copy + Default, F: FnMut(T) -> U>(&self, mut f: F) -> Image<U> {
         Image {
             width: self.width,
             height: self.height,
@@ -161,13 +156,13 @@ impl<T: Copy + Default> Image<T> {
 
 impl GrayImage {
     /// Mean pixel value.
-    pub fn mean(&self) -> f32 {
+    pub(crate) fn mean(&self) -> f32 {
         self.data.iter().sum::<f32>() / self.data.len() as f32
     }
 
     /// Bilinear sample at a fractional coordinate, clamped at the borders.
     #[inline]
-    pub fn sample_bilinear(&self, x: f32, y: f32) -> f32 {
+    pub(crate) fn sample_bilinear(&self, x: f32, y: f32) -> f32 {
         let x0 = x.floor();
         let y0 = y.floor();
         let fx = x - x0;
@@ -179,21 +174,6 @@ impl GrayImage {
         let p01 = self.get_clamped(x0, y0 + 1);
         let p11 = self.get_clamped(x0 + 1, y0 + 1);
         (p00 * (1.0 - fx) + p10 * fx) * (1.0 - fy) + (p01 * (1.0 - fx) + p11 * fx) * fy
-    }
-
-    /// Sum of absolute differences against another image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] when dimensions differ.
-    pub fn sad(&self, other: &GrayImage) -> Result<f64, Error> {
-        self.check_same_dims(other)?;
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| (a - b).abs() as f64)
-            .sum())
     }
 }
 
@@ -239,14 +219,6 @@ mod tests {
         let mut img = GrayImage::zeroed(3, 3);
         img.set(1, 2, 4.25);
         assert_eq!(img.sample_bilinear(1.0, 2.0), 4.25);
-    }
-
-    #[test]
-    fn sad_requires_matching_dims() {
-        let a = GrayImage::zeroed(3, 3);
-        let b = GrayImage::zeroed(4, 3);
-        assert!(a.sad(&b).is_err());
-        assert_eq!(a.sad(&a).unwrap(), 0.0);
     }
 
     #[test]

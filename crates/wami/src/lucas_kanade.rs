@@ -186,7 +186,7 @@ pub struct Registration {
 /// [`Error::SingularMatrix`] when the Hessian is singular (featureless
 /// template), and [`Error::RegistrationDiverged`] when the update stops
 /// being finite.
-pub fn register(
+pub(crate) fn register(
     template: &GrayImage,
     input: &GrayImage,
     config: &LkConfig,

@@ -68,21 +68,10 @@ pub fn invert6(m: &Mat6) -> Result<Mat6, Error> {
 }
 
 /// Matrix-vector product `m · v`.
-pub fn matvec6(m: &Mat6, v: &Vec6) -> Vec6 {
+pub(crate) fn matvec6(m: &Mat6, v: &Vec6) -> Vec6 {
     let mut out = [0.0; 6];
     for (o, row) in out.iter_mut().zip(m.iter()) {
         *o = row.iter().zip(v.iter()).map(|(a, b)| a * b).sum();
-    }
-    out
-}
-
-/// Matrix-matrix product `a · b`.
-pub fn matmul6(a: &Mat6, b: &Mat6) -> Mat6 {
-    let mut out = [[0.0; 6]; 6];
-    for i in 0..6 {
-        for j in 0..6 {
-            out[i][j] = (0..6).map(|k| a[i][k] * b[k][j]).sum();
-        }
     }
     out
 }
@@ -143,6 +132,17 @@ mod tests {
             }
             spd
         })
+    }
+
+    /// Matrix-matrix product `a · b`.
+    fn matmul6(a: &Mat6, b: &Mat6) -> Mat6 {
+        let mut out = [[0.0; 6]; 6];
+        for i in 0..6 {
+            for j in 0..6 {
+                out[i][j] = (0..6).map(|k| a[i][k] * b[k][j]).sum();
+            }
+        }
+        out
     }
 
     proptest! {

@@ -55,7 +55,6 @@ pub struct Pipeline {
     config: PipelineConfig,
     previous: Option<GrayImage>,
     detector: Option<ChangeDetector>,
-    frames: usize,
 }
 
 impl Pipeline {
@@ -65,13 +64,7 @@ impl Pipeline {
             config,
             previous: None,
             detector: None,
-            frames: 0,
         }
-    }
-
-    /// Frames processed so far.
-    pub fn frames_processed(&self) -> usize {
-        self.frames
     }
 
     /// Processes one raw Bayer frame through the full dataflow.
@@ -105,7 +98,6 @@ impl Pipeline {
         let changed = changed_pixels(&mask);
 
         self.previous = Some(gray);
-        self.frames += 1;
         Ok(FrameOutput {
             registration,
             changed_pixels: changed,
@@ -126,7 +118,6 @@ mod tests {
         let out = pipe.process(&scene.next_frame()).unwrap();
         assert!(out.registration.is_none());
         assert_eq!(out.changed_pixels, 0);
-        assert_eq!(pipe.frames_processed(), 1);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl AffineParams {
     }
 
     /// The 2×3 matrix form `[[a, c, e], [b, d, f]]`.
-    pub fn matrix(&self) -> [[f64; 3]; 2] {
+    pub(crate) fn matrix(&self) -> [[f64; 3]; 2] {
         let [p1, p2, p3, p4, p5, p6] = self.p;
         [[1.0 + p1, p3, p5], [p2, 1.0 + p4, p6]]
     }
@@ -109,7 +109,7 @@ impl AffineParams {
     }
 
     /// Euclidean norm of the parameter vector (convergence measure).
-    pub fn norm(&self) -> f64 {
+    pub(crate) fn norm(&self) -> f64 {
         self.p.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }

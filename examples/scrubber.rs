@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cpu_fallback: false,
         ..RecoveryPolicy::default()
     });
-    let before = manager.soc().dfxc().config_memory().clone();
+    let before = manager.soc().config_memory().clone();
     let mut plan = FaultPlan::new(seed ^ 0xB0, FaultConfig::uniform(0.0));
     plan.force_icap_fault(0);
     manager.soc_mut().set_fault_plan(Some(plan));
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("faulted swap: {}", err.unwrap_err());
     println!(
         "fabric diff vs pre-transaction image: {} frame(s)",
-        before.diff(manager.soc().dfxc().config_memory()).len()
+        before.diff(manager.soc().config_memory()).len()
     );
     assert_eq!(manager.tile_health(tile), TileHealth::Healthy);
 

@@ -160,7 +160,7 @@ fn faulted_icap_write_rolls_back_to_the_pre_transaction_image() {
     manager
         .request_reconfiguration(tile, AcceleratorKind::Mac)
         .unwrap();
-    let before = manager.soc().dfxc().config_memory().clone();
+    let before = manager.soc().config_memory().clone();
 
     let mut plan = FaultPlan::new(23, FaultConfig::uniform(0.0));
     plan.force_icap_fault(0);
@@ -174,7 +174,7 @@ fn faulted_icap_write_rolls_back_to_the_pre_transaction_image() {
     // Transactional: the fabric is bit-for-bit the pre-transaction image —
     // no half-written Sort frames, the Mac region intact.
     assert!(
-        before.diff(manager.soc().dfxc().config_memory()).is_empty(),
+        before.diff(manager.soc().config_memory()).is_empty(),
         "fabric state equals the pre-transaction snapshot"
     );
     let records = presp::events::sink::snapshot(&sink);

@@ -84,10 +84,9 @@ fn boot(seed: u64, rate: f64) -> (ReconfigManager, Vec<TileCoord>) {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    (
-        ReconfigManager::with_policy(soc, registry, stress_policy()),
-        tiles,
-    )
+    let mut manager = ReconfigManager::new(soc, registry);
+    manager.set_policy(stress_policy());
+    (manager, tiles)
 }
 
 /// One operation of a logical application thread's script.
@@ -358,7 +357,8 @@ fn run_scrubbed_schedule(seed: u64) -> ScrubOutcome {
             .register(tile, AcceleratorKind::Sort, bitstream(&soc, 30 + i as u32))
             .unwrap();
     }
-    let mut manager = ReconfigManager::with_policy(soc, registry, stress_policy());
+    let mut manager = ReconfigManager::new(soc, registry);
+    manager.set_policy(stress_policy());
 
     let mut queues: Vec<VecDeque<(TileCoord, AcceleratorKind, AccelOp, AccelValue)>> = (0
         ..APP_THREADS)

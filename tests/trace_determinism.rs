@@ -287,18 +287,15 @@ fn golden_single_tile_run() -> String {
     registry
         .register(tile, AcceleratorKind::Sort, bitstream(&soc, 20, 8))
         .unwrap();
-    let mut manager = ReconfigManager::with_policy(
-        soc,
-        registry,
-        RecoveryPolicy {
-            max_retries: 2,
-            backoff_cycles: 32,
-            backoff_multiplier: 2,
-            quarantine_after: 2,
-            cpu_fallback: true,
-            ..RecoveryPolicy::default()
-        },
-    );
+    let mut manager = ReconfigManager::new(soc, registry);
+    manager.set_policy(RecoveryPolicy {
+        max_retries: 2,
+        backoff_cycles: 32,
+        backoff_multiplier: 2,
+        quarantine_after: 2,
+        cpu_fallback: true,
+        ..RecoveryPolicy::default()
+    });
 
     for j in 0..12u32 {
         let (kind, op) = if j % 2 == 0 {
